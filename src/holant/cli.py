@@ -148,6 +148,7 @@ def _cmd_approx(args) -> int:
             "truncation_order": rep.order,
             "method": rep.method,
             "pool_size": rep.pool_size,
+            "family_states": rep.family_states,
             "region_bound": rep.region_bound,
             "prefactor": _c(rep.prefactor),
         },

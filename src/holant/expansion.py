@@ -8,11 +8,15 @@ log Z(polymers, Phi * x^{|E(gamma)|}) around x = 0:
   textbook expansion and scales exponentially with m.
 
 * "series": the partition function is a polynomial in x of degree <= |E(G)|
-  because family members are vertex-disjoint. Its exact coefficients come
-  from a DFS over compatible families, and the formal power-series logarithm
-  then yields every a_j. The two routes agree coefficientwise as formal
-  series; "auto" picks clusters only when a cheap multiset-count bound says
-  the enumeration is small.
+  because family members are vertex-disjoint. Its exact coefficients up to
+  x^m come from the family kernel of `holant.families`, a DP over a BFS
+  order of G's vertices whose state is the set of vertices that chosen
+  polymers cover ahead. Its cost is the number of states times the polymers
+  starting at each vertex (reported as `family_states`), not the number of
+  compatible families, which grows exponentially with |E|. The formal
+  power-series logarithm then yields every a_j. The two routes agree
+  coefficientwise as formal series; "auto" picks clusters only when a cheap
+  multiset-count bound says the enumeration is small.
 
 The approximation itself is prefactor * exp(sum_{j<=m} a_j) with the
 truncation order m chosen from the certified zero-free radius q.
@@ -28,13 +32,13 @@ import numpy as np
 
 from .bounds import q_factor_fugacity, q_factor_problem, region_bounds
 from .errors import GateExceeded, InvalidFugacity, RegionViolation
-from .graph import MultiGraph
+from .families import FAMILY_VISIT_GATE, FamilySum, family_sum
+from .graph import MultiGraph, bfs_order, mask_vertices
 from .polymers import compact_domain, enumerate_polymers, holant_prefactor, polymer_weight
 from .signatures import SignatureAssignment
 
 URSELL_NODE_GATE = 22
 CLUSTER_GATE = 5 * 10**6
-FAMILY_VISIT_GATE = 2 * 10**7
 _AUTO_CLUSTER_COUNT = 100_000
 _AUTO_CLUSTER_WORK = 3 * 10**6
 
@@ -243,56 +247,23 @@ def cluster_log_coefficients(clusters, wmap, m: int):
 # Exact family polynomial + formal log
 
 
-def family_poly_coefficients(polymers, weights, cap: int):
+def family_poly_coefficients(polymers, weights, cap: int, order=None) -> FamilySum:
     """Coefficients c_0..c_cap of Z(x) = sum_families prod Phi x^{total size}.
 
-    Exact: the DFS visits each compatible family once. Families are
-    vertex-disjoint, so total size never exceeds |E(G)| and the polynomial is
-    finite even though the pool may be large.
+    Exact, by the frontier kernel `families.family_sum`: its cost is the
+    number of kernel states times the polymers starting at each vertex, not
+    the number of families. order: the vertex order the kernel walks; any
+    order gives the same coefficients, and a BFS order of the graph
+    (`graph.bfs_order`) keeps the states few. Default: ascending vertex ids.
+    Zero-weight polymers are left out.
     """
-    items = [
-        (p.vmask, p.size, w)
-        for p, w in zip(polymers, weights)
-        if w != 0 and p.size <= cap
-    ]
-    c = np.zeros(cap + 1, dtype=complex)
-    visits = [0]
-    if items and all(m < (1 << 63) for m, _, _ in items):
-        masks = np.array([m for m, _, _ in items], dtype=np.uint64)
-        sizes = np.array([s for _, s, _ in items], dtype=np.int64)
-        ws = np.array([w for _, _, w in items], dtype=complex)
-
-        def rec(cand, size, prod):
-            visits[0] += 1
-            if visits[0] > FAMILY_VISIT_GATE:
-                raise GateExceeded(f"family enumeration exceeded {FAMILY_VISIT_GATE} visits")
-            c[size] += prod
-            for pos in range(len(cand)):
-                j = int(cand[pos])
-                nsize = size + int(sizes[j])
-                if nsize > cap:
-                    continue
-                rest = cand[pos + 1:]
-                sub = rest[(masks[rest] & masks[j]) == 0]
-                rec(sub, nsize, prod * ws[j])
-
-        rec(np.arange(len(items), dtype=np.int64), 0, 1 + 0j)
-    else:
-        # arbitrary-width masks (graphs with >= 63 vertices)
-        def rec_py(cand, size, prod):
-            visits[0] += 1
-            if visits[0] > FAMILY_VISIT_GATE:
-                raise GateExceeded(f"family enumeration exceeded {FAMILY_VISIT_GATE} visits")
-            c[size] += prod
-            for pos, (mask, s, w) in enumerate(cand):
-                nsize = size + s
-                if nsize > cap:
-                    continue
-                sub = [t for t in cand[pos + 1:] if t[0] & mask == 0]
-                rec_py(sub, nsize, prod * w)
-
-        rec_py(items, 0, 1 + 0j)
-    return c
+    items = [(p.vmask, p.size, w) for p, w in zip(polymers, weights) if w != 0]
+    if order is None:
+        union = 0
+        for mask, _, _ in items:
+            union |= mask
+        order = mask_vertices(union)
+    return family_sum(items, order, cap, FAMILY_VISIT_GATE)
 
 
 def series_log(c, m: int):
@@ -319,6 +290,7 @@ class TaylorSeries:
     coefficients: tuple  # a_1 .. a_m
     method: str
     pool_size: int
+    family_states: int = 0  # family-kernel transitions ("series" route only)
 
     @property
     def order(self) -> int:
@@ -379,15 +351,17 @@ def log_z_coefficients(G: MultiGraph, assign: SignatureAssignment, z, m: int,
         cnt, work = _cluster_cost_estimates([p.size for p, _ in live], m)
         method = "clusters" if (cnt <= _AUTO_CLUSTER_COUNT and work <= _AUTO_CLUSTER_WORK) \
             else "series"
+    states = 0
     if method == "clusters":
         wmap = {p: w for p, w in live}
         clusters = enumerate_clusters([p for p, _ in live], m)
         coeffs = cluster_log_coefficients(clusters, wmap, m)
     else:
-        c = family_poly_coefficients([p for p, _ in live], [w for _, w in live],
-                                     min(m, G.edge_count))
-        coeffs = series_log(c, m)
-    return TaylorSeries(tuple(coeffs), method, len(live))
+        fam = family_poly_coefficients([p for p, _ in live], [w for _, w in live],
+                                       min(m, G.edge_count), bfs_order(G.vertex_count, G.edges))
+        coeffs = series_log(fam, m)
+        states = fam.transitions
+    return TaylorSeries(tuple(coeffs), method, len(live), states)
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +394,7 @@ class ApproxReport:
     region_bound: float
     prefactor: complex
     log_tail: complex  # the truncated series total actually exponentiated
+    family_states: int  # family-kernel transitions behind the coefficients
 
 
 def _finish(prefactor, series: TaylorSeries, theorem, q, eps, bound) -> ApproxReport:
@@ -435,6 +410,7 @@ def _finish(prefactor, series: TaylorSeries, theorem, q, eps, bound) -> ApproxRe
         region_bound=bound,
         prefactor=prefactor,
         log_tail=total,
+        family_states=series.family_states,
     )
 
 

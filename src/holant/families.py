@@ -1,0 +1,109 @@
+"""Sums over vertex-disjoint families of items, by a forward DP over vertices.
+
+An item is a (vertex mask, size, weight) triple, and a family is a set of
+items whose masks are pairwise disjoint (the empty family included). This is
+the shape of every polymer partition function in the package: coloured
+polymers and M-alternating cycles on the vertices of G, and vector polymers
+on the rows of a linear system.
+
+`family_sum` walks the vertices in a given order. A state is the mask of
+vertices that the items chosen so far cover at or after the current vertex;
+its value is the truncated polynomial c_0..c_cap of prod weight *
+x^{total size} summed over the partial families that reach it, plus their
+exact number. At vertex v a state either drops v (v is covered), or leaves v
+uncovered, or takes an item whose first vertex in the order is v and whose
+mask misses the state. Each family is built along exactly one path, and two
+items can only meet at a vertex that is still in the state, so the result is
+exact for any order that lists every vertex of every item.
+
+The order only sets the number of distinct states per vertex, and the cost
+is the number of transitions: the sum over vertices of states x (1 + items
+starting there). A breadth-first order (`graph.bfs_order`) keeps the states
+to the items crossing one BFS level, so a long cycle needs a handful of
+states per vertex while its number of families grows exponentially.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Sequence
+from dataclasses import dataclass
+from operator import add
+
+from .errors import GateExceeded
+from .graph import mask_vertices
+
+FAMILY_VISIT_GATE = 2 * 10**7
+
+
+@dataclass(frozen=True)
+class FamilySum(Sequence):
+    """c_0..c_cap of the family polynomial, indexable as a sequence.
+
+    families: exact number of compatible families of the items of size
+    <= cap, whatever their total size; transitions: DP transitions made.
+    """
+
+    coefficients: tuple
+    families: int
+    transitions: int
+
+    def __len__(self):
+        return len(self.coefficients)
+
+    def __getitem__(self, j):
+        return self.coefficients[j]
+
+
+def _shifted(coeffs, size: int, weight):
+    return (0j,) * size + tuple(weight * c for c in coeffs[:len(coeffs) - size])
+
+
+def family_sum(items, order, cap: int = 0, gate: int = FAMILY_VISIT_GATE) -> FamilySum:
+    """sum over families of prod weight * x^{total size}, truncated at x^cap.
+
+    items: (mask, size, weight) triples with nonempty masks; items of size
+    > cap cannot contribute and are left out. order: the vertices, each
+    once; it must list every vertex of every item. Raises GateExceeded once
+    the DP makes more than `gate` transitions.
+    """
+    pos = {v: i for i, v in enumerate(order)}
+    if len(pos) != len(order):
+        raise ValueError("order lists a vertex twice")
+    starts = [[] for _ in order]
+    touched = 0
+    for mask, size, weight in items:
+        if size > cap:
+            continue
+        if not mask:
+            raise ValueError("items need a nonempty vertex mask")
+        try:
+            first = min(pos[v] for v in mask_vertices(mask))
+        except KeyError as exc:
+            raise ValueError(f"vertex {exc.args[0]} of an item is not in the order") from None
+        starts[first].append((mask ^ (1 << order[first]), size, weight))
+        touched |= mask
+
+    layer = {0: ((1 + 0j,) + (0j,) * cap, 1)}
+    transitions = 0
+    for v, here in zip(order, starts):
+        bit = 1 << v
+        if not touched & bit:
+            continue
+        nxt: dict = {}
+        for state, (coeffs, count) in layer.items():
+            if state & bit:
+                moves = [(state ^ bit, coeffs)]
+            else:
+                moves = [(state, coeffs)]
+                moves += [(state | rest, _shifted(coeffs, size, weight))
+                          for rest, size, weight in here if not rest & state]
+            transitions += len(moves)
+            if transitions > gate:
+                raise GateExceeded(f"family kernel exceeded {gate} transitions")
+            for key, c in moves:
+                old = nxt.get(key)
+                nxt[key] = (c, count) if old is None else \
+                    (tuple(map(add, old[0], c)), old[1] + count)
+        layer = nxt
+    coeffs, count = layer[0]
+    return FamilySum(coeffs, count, transitions)

@@ -95,6 +95,67 @@ class MultiGraph:
         return _parse_graph_lines(_strip_comments(text))
 
 
+def mask_vertices(mask: int) -> list:
+    """Vertex ids of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _bfs_levels(adj, root: int):
+    levels, seen = [[root]], {root}
+    while True:
+        level = []
+        for u in levels[-1]:
+            for w in adj[u]:
+                if w not in seen:
+                    seen.add(w)
+                    level.append(w)
+        if not level:
+            return levels
+        levels.append(level)
+
+
+def bfs_order(n: int, edges) -> list:
+    """Vertices 0..n-1 in breadth-first order, component by component.
+
+    edges: pairs, or any vertex collections (hyperedges) whose members are
+    mutually adjacent. Each component starts at a pseudo-peripheral vertex:
+    a minimum-degree vertex of the last BFS level, searched again from there
+    while the depth grows. Neighbours are visited by ascending degree. The
+    levels of such a search are narrow, which keeps the state count of the
+    family kernel (`holant.families`) small; on cycles and paths that count
+    does not depend on how the vertices are labelled.
+    """
+    nbrs = [set() for _ in range(n)]
+    for e in edges:
+        for u in e:
+            nbrs[u].update(e)
+    for u in range(n):
+        nbrs[u].discard(u)
+    adj = [sorted(s, key=lambda w: (len(nbrs[w]), w)) for s in nbrs]
+    order: list = []
+    placed = [False] * n
+    for s in range(n):
+        if placed[s]:
+            continue
+        levels = _bfs_levels(adj, s)
+        while True:
+            far = min(levels[-1], key=lambda w: (len(adj[w]), w))
+            again = _bfs_levels(adj, far)
+            if len(again) <= len(levels):
+                break
+            levels = again
+        for level in levels:
+            for v in level:
+                placed[v] = True
+                order.append(v)
+    return order
+
+
 def _strip_comments(text: str):
     out = []
     for raw in text.splitlines():

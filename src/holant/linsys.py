@@ -19,11 +19,11 @@ from dataclasses import dataclass
 
 from .bounds import region_bounds
 from .errors import GateExceeded, ParseError
-from .graph import MultiGraph
+from .families import FAMILY_VISIT_GATE, family_sum
+from .graph import MultiGraph, _strip_comments, bfs_order
 
 SUPPORT_BOX_GATE = 10**6
 VECTOR_POOL_GATE = 10**6
-FAMILY_VISIT_GATE = 2 * 10**7
 PM_GATE = 10**6
 
 
@@ -263,35 +263,24 @@ def weighted_count(sys: LinearSystem) -> LinsysReport:
     """w(X) = sum over solutions x of prod_j w_j^{x_j}, via polymer families.
 
     All-zero columns are unconstrained; they factor out of the sum as
-    prod over dropped j of (1 + w_j + ... + w_j^{cap_j}).
+    prod over dropped j of (1 + w_j + ... + w_j^{cap_j}). family_count is
+    the exact number of compatible families: one per solution on the live
+    columns.
     """
     dropped = [j for j in range(sys.m) if j not in set(sys.live_columns())]
     factor = 1 + 0j
     for j in dropped:
         factor *= sum(sys.weights[j] ** x for x in range(sys.caps[j] + 1))
     pool = enumerate_vector_polymers(sys)
-    weights = [p.weight(sys) for p in pool]
-    masks = [p.rmask for p in pool]
-    visits = [0]
-
-    def rec(start, occupied, prod):
-        visits[0] += 1
-        if visits[0] > FAMILY_VISIT_GATE:
-            raise GateExceeded(f"family enumeration exceeded {FAMILY_VISIT_GATE} visits")
-        total = prod
-        for t in range(start, len(pool)):
-            if masks[t] & occupied == 0:
-                total += rec(t + 1, occupied | masks[t], prod * weights[t])
-        return total
-
-    z = rec(0, 0, 1 + 0j)
-    report = LinsysReport(
-        value=factor * z,
+    items = [(p.rmask, 0, p.weight(sys)) for p in pool]
+    fam = family_sum(items, bfs_order(sys.n, build_hypergraph(sys).edges),
+                     gate=FAMILY_VISIT_GATE)
+    return LinsysReport(
+        value=factor * fam[0],
         polymer_count=len(pool),
-        family_count=visits[0],
+        family_count=fam.families,
         dropped_columns=dropped,
     )
-    return report
 
 
 def linsys_region(sys: LinearSystem):
@@ -434,18 +423,9 @@ def pm_polynomial_graph(G: MultiGraph, matching, z: complex,
         return pm_polynomial_hypergraph(H, matching, z, "exact")
     if mode != "polymer":
         raise ValueError(f"unknown mode {mode!r}")
-    pool = alternating_cycle_polymers(G, matching)
     zc = complex(z)
-
-    def rec(start, occupied, prod):
-        total = prod
-        for t in range(start, len(pool)):
-            cyc, mask = pool[t]
-            if mask & occupied == 0:
-                total += rec(t + 1, occupied | mask, prod * zc ** len(cyc))
-        return total
-
-    return rec(0, 0, 1 + 0j)
+    items = [(mask, 0, zc ** len(cyc)) for cyc, mask in alternating_cycle_polymers(G, matching)]
+    return family_sum(items, bfs_order(G.vertex_count, G.edges), gate=FAMILY_VISIT_GATE)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -454,11 +434,7 @@ def pm_polynomial_graph(G: MultiGraph, matching, z: complex,
 
 def parse_matrix_file(text: str) -> LinearSystem:
     """Header 'n m', n rows of m ints, 'caps: ...', 'weights: re im ...'."""
-    lines = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append(line)
+    lines = _strip_comments(text)
     if not lines:
         raise ParseError("empty matrix file")
     head = lines[0].split()
@@ -511,11 +487,7 @@ def parse_pm_file(text: str):
     Returns (instance, matching, kind) with kind "graph" when every edge line
     has two vertices, else "hyper".
     """
-    lines = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append(line)
+    lines = _strip_comments(text)
     if not lines:
         raise ParseError("empty instance file")
     matching = None

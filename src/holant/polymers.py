@@ -22,7 +22,13 @@ from itertools import product
 import numpy as np
 
 from .errors import InvalidFugacity, NotInF0
-from .graph import MultiGraph, connected_edge_sets, connected_edge_subgraphs, is_connected_edge_set
+from .graph import (
+    MultiGraph,
+    connected_edge_sets,
+    connected_edge_subgraphs,
+    is_connected_edge_set,
+    mask_vertices,
+)
 from .signatures import Signature, SignatureAssignment
 
 
@@ -42,13 +48,7 @@ class ColouredPolymer:
         return len(self.edges)
 
     def vertices(self):
-        m, out, v = self.vmask, [], 0
-        while m:
-            if m & 1:
-                out.append(v)
-            m >>= 1
-            v += 1
-        return out
+        return mask_vertices(self.vmask)
 
     def sort_key(self):
         return (len(self.edges), self.edges, self.colours)

@@ -382,3 +382,12 @@ def test_module_is_executable(files):
     assert proc.returncode == 0
     rep = json.loads(proc.stdout)
     assert rel_close(rep["result"]["matching"]["bound"], 1 / (3 * math.e))
+
+
+def test_approx_reports_family_states(capsys, files):
+    argv = ["approx", "--graph", files["c4"], "--sig", "matching",
+            "--z", "1,0.01", "--eps", "0.01"]
+    series = run_json(capsys, argv + ["--method", "series"])
+    clusters = run_json(capsys, argv + ["--method", "clusters"])
+    assert series["diagnostics"]["family_states"] > 0
+    assert clusters["diagnostics"]["family_states"] == 0

@@ -1,0 +1,141 @@
+"""The vertex-disjoint family kernel against the brute-force family sum."""
+
+import math
+import random
+from types import SimpleNamespace
+
+import pytest
+
+import holant.expansion as expansion_mod
+from holant import (
+    GateExceeded,
+    MultiGraph,
+    approx_polynomial_report,
+    brute_polymer_z,
+    enumerate_polymers,
+    family_poly_coefficients,
+    log_z_coefficients,
+    uniform_assignment,
+)
+from holant.families import family_sum
+from holant.graph import bfs_order, mask_vertices
+
+from helpers import MASTER_SEED, half_bound_z, rel_close
+
+
+def cycle(n, label=None):
+    label = label or list(range(n))
+    return MultiGraph(n, [(label[i], label[(i + 1) % n]) for i in range(n)])
+
+
+def random_items(rng, n, count):
+    items = []
+    for _ in range(count):
+        verts = rng.sample(range(n), rng.randint(1, min(3, n)))
+        mask = sum(1 << v for v in verts)
+        w = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        items.append((mask, rng.randint(1, 3), w))
+    return items
+
+
+def brute(items, x=1.0, ones=False):
+    pols = [SimpleNamespace(vmask=m) for m, _, _ in items]
+    return brute_polymer_z(pols, [1.0 if ones else w * x**s for _, s, w in items])
+
+
+def relabel(items, perm):
+    return [(sum(1 << perm[v] for v in mask_vertices(m)), s, w) for m, s, w in items]
+
+
+def polynomial(coeffs, x):
+    return sum(c * x**j for j, c in enumerate(coeffs))
+
+
+def test_family_sum_matches_brute_on_random_pools():
+    rng = random.Random(MASTER_SEED + 71)
+    for trial in range(40):
+        n = rng.randint(1, 9) if trial % 4 else rng.randint(64, 100)
+        items = random_items(rng, n, rng.randint(0, 12))
+        total = sum(s for _, s, _ in items)
+        x = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        ref, ref_count = brute(items, x), brute(items, ones=True)
+        for _ in range(3):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            moved = relabel(items, perm)
+            order = list(range(n))
+            rng.shuffle(order)
+            fam = family_sum(moved, order, cap=total)
+            assert rel_close(polynomial(fam, x), ref, 1e-9)
+            assert fam.families == round(ref_count.real)
+            # truncation keeps the low coefficients and drops nothing else
+            cap = rng.randint(0, total)
+            low = family_sum(moved, order, cap=cap)
+            assert len(low) == cap + 1
+            for a, b in zip(low, fam):
+                assert abs(a - b) <= 1e-9 * max(1.0, abs(b))
+
+
+def test_family_poly_coefficients_on_a_64_plus_vertex_graph():
+    # vertex masks wider than 64 bits, under relabellings of the cycle
+    rng = random.Random(MASTER_SEED + 72)
+    n = 80
+    for _ in range(4):
+        label = list(range(n))
+        rng.shuffle(label)
+        G = cycle(n, label)
+        pool = rng.sample(enumerate_polymers(G, 1, 3), 14)
+        weights = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in pool]
+        cap = sum(p.size for p in pool)
+        fam = family_poly_coefficients(pool, weights, cap, bfs_order(n, G.edges))
+        assert rel_close(sum(fam), brute_polymer_z(pool, weights), 1e-9)
+        assert max(p.vmask for p in pool).bit_length() > 64
+
+
+def test_family_sum_rejects_bad_orders():
+    with pytest.raises(ValueError):
+        family_sum([(0b101, 0, 1.0)], [0, 1])
+    with pytest.raises(ValueError):
+        family_sum([(0b1, 0, 1.0)], [0, 0])
+    with pytest.raises(ValueError):
+        family_sum([(0, 0, 1.0)], [0])
+
+
+def test_bfs_order_is_a_permutation():
+    # a path, an isolated vertex and a hyperedge component
+    order = bfs_order(9, [(0, 3), (3, 1), (1, 4), {5, 6, 7}])
+    assert sorted(order) == list(range(9))
+    # the path starts at one of its ends
+    path = [v for v in order if v in (0, 1, 3, 4)]
+    assert path in ([0, 3, 1, 4], [4, 1, 3, 0])
+
+
+def test_expansion_family_gate(monkeypatch):
+    G = cycle(8)
+    a = uniform_assignment(G, "matching")
+    z = half_bound_z(G, a)
+    assert log_z_coefficients(G, a, z, 8, method="series").family_states > 5
+    monkeypatch.setattr(expansion_mod, "FAMILY_VISIT_GATE", 5)
+    with pytest.raises(GateExceeded):
+        log_z_coefficients(G, a, z, 8, method="series")
+
+
+def test_approx_on_c200_matching_within_eps_of_closed_form():
+    n, eps = 200, 0.1
+    states = set()
+    rng = random.Random(MASTER_SEED + 73)
+    for _ in range(2):
+        label = list(range(n))
+        rng.shuffle(label)
+        G = cycle(n, label)
+        a = uniform_assignment(G, "matching")
+        z = half_bound_z(G, a)
+        rep = approx_polynomial_report(G, a, z, eps)
+        t = z[1].real
+        exact = sum(n / (n - k) * math.comb(n - k, k) * t**k for k in range(n // 2 + 1))
+        assert abs(rep.value / exact - 1) <= eps
+        assert rep.method == "series"
+        states.add(rep.family_states)
+    # the BFS order makes the kernel's work independent of the labelling
+    assert len(states) == 1
+    assert 0 < states.pop() < 20 * n

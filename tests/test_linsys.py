@@ -615,3 +615,24 @@ def test_parse_pm_file_mixed_sizes_is_hyper():
 def test_parse_pm_file_errors(text):
     with pytest.raises(ParseError):
         parse_pm_file(text)
+
+
+def test_family_count_is_the_number_of_box_solutions():
+    # one compatible family per solution on the live columns; each dropped
+    # column multiplies the box solutions by cap_j + 1
+    rng = random.Random(MASTER_SEED + 47)
+    for _ in range(30):
+        sys = random_system(rng)
+        rep = weighted_count(sys)
+        per_dropped = math.prod(sys.caps[j] + 1 for j in rep.dropped_columns)
+        assert rep.family_count * per_dropped == len(brute_solutions(sys))
+
+
+def test_pm_family_gate(monkeypatch):
+    G = MultiGraph(8, [(i, (i + 1) % 8) for i in range(8)] + [(0, 4)])
+    matching = tuple(G.edges.index((i, i + 1)) for i in (0, 2, 4, 6))
+    assert rel_close(pm_polynomial_graph(G, matching, 0.5),
+                     pm_polynomial_graph(G, matching, 0.5, mode="exact"))
+    monkeypatch.setattr(linsys_mod, "FAMILY_VISIT_GATE", 3)
+    with pytest.raises(GateExceeded):
+        pm_polynomial_graph(G, matching, 0.5)
