@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .bounds import region_bounds
 from .errors import GateExceeded, ParseError
 from .families import FAMILY_VISIT_GATE, family_sum
-from .graph import MultiGraph, _strip_comments, bfs_order
+from .graph import MultiGraph, _strip_comments, bfs_order, mask_vertices
 
 SUPPORT_BOX_GATE = 10**6
 VECTOR_POOL_GATE = 10**6
@@ -161,7 +161,7 @@ def build_hypergraph(sys: LinearSystem) -> Hypergraph:
 class VectorPolymer:
     """Nonzero solution vector with connected support (values keyed by column)."""
 
-    values: tuple  # ((column, value), ...) sorted by column
+    values: tuple  # ((column, value), ...) in the order the support grew
     rmask: int  # bitmask of touched rows
 
     @property
@@ -176,34 +176,35 @@ class VectorPolymer:
 
 
 def _connected_column_sets(n_cols: int, col_rows):
-    """Connected subsets of live columns (connectivity via shared rows)."""
-    out = []
-    banned: set = set()
+    """Connected subsets of live columns (connectivity via shared rows).
+
+    A generator: each support is yielded before its extensions, and the
+    full list of supports is never built.
+    """
 
     def grow(support, rmask, banned_now):
-        out.append(tuple(support))
-        cand = [
-            t
-            for t in range(n_cols)
-            if t not in banned_now and t not in support and col_rows[t] & rmask
-        ]
+        yield tuple(support)
         newly: set = set()
-        for t in cand:
-            grow(support + [t], rmask | col_rows[t], banned_now | newly)
+        for t in range(n_cols):
+            if t in banned_now or t in support or not col_rows[t] & rmask:
+                continue
+            yield from grow(support + [t], rmask | col_rows[t], banned_now | newly)
             newly.add(t)
 
     for t in range(n_cols):
-        grow([t], col_rows[t], set(banned))
-        banned.add(t)
-    return out
+        yield from grow([t], col_rows[t], set(range(t)))
 
 
 def enumerate_vector_polymers(sys: LinearSystem):
     """All vector polymers of the system (gate-guarded).
 
-    For each connected column support, every assignment with all support
-    entries nonzero (1..cap_j) is tested against the rows it completes; the
-    polymer is kept when A x = 0 on every touched row.
+    For each connected column support, the entries 1..cap_j are assigned
+    column by column in support order. Each touched row is checked once, as
+    soon as its last support column has a value, and a branch stops at the
+    first row whose sum is nonzero. A support is skipped outright when some
+    touched row meets only one of its columns, since that row's sum is a
+    nonzero entry times a value >= 1. The box gate bounds every support
+    before any of this pruning.
     """
     live = sys.live_columns()
     col_rows = []
@@ -213,9 +214,8 @@ def enumerate_vector_polymers(sys: LinearSystem):
             if sys.rows[i][j] != 0:
                 mask |= 1 << i
         col_rows.append(mask)
-    supports = _connected_column_sets(len(live), col_rows)
     out = []
-    for support in supports:
+    for support in _connected_column_sets(len(live), col_rows):
         box = 1
         for t in support:
             box *= sys.caps[live[t]]
@@ -223,25 +223,33 @@ def enumerate_vector_polymers(sys: LinearSystem):
             raise GateExceeded(
                 f"support {support} has {box} candidate vectors (gate {SUPPORT_BOX_GATE})"
             )
-        cols = [live[t] for t in support]
-        rmask = 0
-        for t in support:
+        rmask = shared = 0  # touched rows; rows meeting two or more columns
+        last = {}  # touched row -> position of its last support column
+        for pos, t in enumerate(support):
+            shared |= rmask & col_rows[t]
             rmask |= col_rows[t]
-        rows_touched = [i for i in range(sys.n) if rmask >> i & 1]
+            for i in mask_vertices(col_rows[t]):
+                last[i] = pos
+        if shared != rmask:
+            continue  # a row meeting one support column cannot sum to zero
+        cols = [live[t] for t in support]
+        # checks[pos]: coefficients over cols[:pos + 1] of each row whose
+        # last support column is cols[pos]
+        checks = [[] for _ in cols]
+        for i, pos in last.items():
+            checks[pos].append([sys.rows[i][j] for j in cols[: pos + 1]])
 
         def rec(pos, vec):
             if pos == len(cols):
-                if all(
-                    sum(sys.rows[i][j] * x for j, x in zip(cols, vec)) == 0
-                    for i in rows_touched
-                ):
-                    out.append(
-                        VectorPolymer(tuple(zip(cols, vec)), rmask)
-                    )
+                out.append(VectorPolymer(tuple(zip(cols, vec)), rmask))
                 return
             for x in range(1, sys.caps[cols[pos]] + 1):
                 vec.append(x)
-                rec(pos + 1, vec)
+                if all(
+                    sum(a * v for a, v in zip(coefs, vec)) == 0
+                    for coefs in checks[pos]
+                ):
+                    rec(pos + 1, vec)
                 vec.pop()
 
         rec(0, [])
@@ -267,7 +275,8 @@ def weighted_count(sys: LinearSystem) -> LinsysReport:
     the exact number of compatible families: one per solution on the live
     columns.
     """
-    dropped = [j for j in range(sys.m) if j not in set(sys.live_columns())]
+    live = set(sys.live_columns())
+    dropped = [j for j in range(sys.m) if j not in live]
     factor = 1 + 0j
     for j in dropped:
         factor *= sum(sys.weights[j] ** x for x in range(sys.caps[j] + 1))

@@ -636,3 +636,91 @@ def test_pm_family_gate(monkeypatch):
     monkeypatch.setattr(linsys_mod, "FAMILY_VISIT_GATE", 3)
     with pytest.raises(GateExceeded):
         pm_polynomial_graph(G, matching, 0.5)
+
+
+# ---------------------------------------------------------------------------
+# Linear systems: the pruned vector-polymer search
+
+
+def circulation(n, chords):
+    """Flow conservation on the directed n-cycle plus chord arcs (rows are
+    vertices, columns are arcs; u -> v has +1 in row u and -1 in row v)."""
+    arcs = [(i, (i + 1) % n) for i in range(n)] + list(chords)
+    rows = [[0] * len(arcs) for _ in range(n)]
+    for j, (u, v) in enumerate(arcs):
+        rows[u][j] = 1
+        rows[v][j] = -1
+    return rows
+
+
+def reference_pool(sys):
+    """(sorted values, rmask) of every nonzero box solution whose support is
+    connected through shared rows, from the brute-force solution list."""
+    col_rows = [
+        sum(1 << i for i in range(sys.n) if sys.rows[i][j] != 0)
+        for j in range(sys.m)
+    ]
+    out = []
+    for vec in brute_solutions(sys):
+        support = [j for j in range(sys.m) if vec[j]]
+        if not support or any(col_rows[j] == 0 for j in support):
+            continue
+        reached, rmask = {support[0]}, col_rows[support[0]]
+        grew = True
+        while grew:
+            grew = False
+            for j in support:
+                if j not in reached and col_rows[j] & rmask:
+                    reached.add(j)
+                    rmask |= col_rows[j]
+                    grew = True
+        if len(reached) == len(support):
+            out.append((tuple((j, vec[j]) for j in support), rmask))
+    return sorted(out)
+
+
+def test_pool_matches_brute_reference():
+    rng = random.Random(MASTER_SEED + 48)
+    cases = [
+        # 7-cycle circulation with one chord
+        LinearSystem(circulation(7, [(0, 3)]), [2] * 8, [0.5] * 8),
+        # row 1 meets only column 1 on the support {0, 1}
+        LinearSystem([[1, -1, 0], [0, 2, -1]], [2, 1, 3], [0.5] * 3),
+        # non-unit coefficients throughout
+        LinearSystem([[2, -1, -1], [1, 1, -2]], [3, 3, 3], [0.5] * 3),
+    ]
+    for _ in range(60):
+        n, m = rng.randint(1, 3), rng.randint(2, 5)
+        rows = [[rng.randint(-2, 2) for _ in range(m)] for _ in range(n)]
+        caps = [rng.randint(1, 3) for _ in range(m)]
+        cases.append(LinearSystem(rows, caps, [0.5] * m))
+    found = 0
+    for sys in cases:
+        pool = enumerate_vector_polymers(sys)
+        got = sorted((tuple(sorted(p.values)), p.rmask) for p in pool)
+        assert got == reference_pool(sys)
+        keys = [(len(p.values), p.values) for p in pool]
+        assert keys == sorted(keys)
+        found += len(pool)
+    assert found > 50
+
+
+def test_box_gate_fires_before_the_one_column_prune(monkeypatch):
+    # on the support {0, 1}, row 1 meets only column 1, so the support holds
+    # no polymer; its box of 900 is still over the gate
+    monkeypatch.setattr(linsys_mod, "SUPPORT_BOX_GATE", 100)
+    sys = LinearSystem([[1, -1], [0, 1]], [30, 30], [0.1, 0.1])
+    with pytest.raises(GateExceeded):
+        enumerate_vector_polymers(sys)
+
+
+def test_sixteen_cycle_with_chord_closed_form():
+    # circulations a * C16 + b * (chord cycle 0 -> 8 -> ... -> 15 -> 0) with
+    # caps 2 on every arc: (a, b) in {(1,0), (2,0), (0,1), (0,2), (1,1)},
+    # all pairwise incompatible
+    w = 0.3 - 0.2j
+    sys = LinearSystem(circulation(16, [(0, 8)]), [2] * 17, [w] * 17)
+    rep = weighted_count(sys)
+    assert rep.polymer_count == 5
+    expected = 1 + w**9 + w**16 + w**18 + w**25 + w**32
+    assert abs(rep.value - expected) <= 1e-12
