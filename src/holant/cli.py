@@ -125,28 +125,23 @@ def _cmd_approx(args) -> int:
     assign = _load_assignment(G, args.sig)
     if args.z:
         z = _resolve_z(args, assign.kappa)
-        rep = approx_polynomial_report(
-            G, assign, z, args.eps, method=args.method, force=args.force,
-            order=args.order,
-        )
+        rep = approx_polynomial_report(G, assign, z, args.eps, force=args.force,
+                                       order=args.order)
     else:
         z = tuple([1.0 + 0j] * (assign.kappa + 1))
-        rep = approx_problem_report(
-            G, assign, args.eps, method=args.method, force=args.force,
-            order=args.order,
-        )
+        rep = approx_problem_report(G, assign, args.eps, force=args.force,
+                                    order=args.order)
     _emit(args, {
         "command": "approx",
         "inputs": {
             "graph": args.graph, "sig": args.sig,
             "z": [_c(t) for t in z], "eps": args.eps,
-            "force": args.force, "order": args.order, "method": args.method,
+            "force": args.force, "order": args.order,
         },
         "diagnostics": {
             "theorem": rep.theorem,
             "q": rep.q,
             "truncation_order": rep.order,
-            "method": rep.method,
             "pool_size": rep.pool_size,
             "family_states": rep.family_states,
             "region_bound": rep.region_bound,
@@ -335,9 +330,9 @@ def _cmd_pm(args) -> int:
 def _add_common(p: argparse.ArgumentParser, with_seed: bool = False):
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", help="also write the JSON report to this path")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes; 1 is the bitwise-reference mode")
     if with_seed:
+        p.add_argument("--jobs", type=int, default=1,
+                       help="worker processes; 1 is the bitwise-reference mode")
         p.add_argument("--seed", type=int, default=None,
                        help="RNG seed (default: derived from the instance)")
 
@@ -352,7 +347,6 @@ def build_parser() -> _Parser:
     p.add_argument("--sig", required=True)
     p.add_argument("--z", help="fugacities z0,z1,...; omit for the all-ones problem")
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--method", choices=("auto", "clusters", "series"), default="auto")
     p.add_argument("--force", action="store_true",
                    help="run outside the certified region (no guarantee)")
     p.add_argument("--order", type=int, default=None,

@@ -1,22 +1,20 @@
 """Cluster expansion of log Z and the truncation-based approximation.
 
-Two interchangeable routes produce the Taylor coefficients a_j of
-log Z(polymers, Phi * x^{|E(gamma)|}) around x = 0:
+The Taylor coefficients a_j of log Z(polymers, Phi * x^{|E(gamma)|}) around
+x = 0 come from one route. The partition function is a polynomial in x of
+degree <= |E(G)| because family members are vertex-disjoint. Its exact
+coefficients up to x^m come from the family kernel of `holant.families`, a
+DP over a BFS order of G's vertices whose state is the set of vertices that
+chosen polymers cover ahead. Its cost is the number of states times the
+polymers starting at each vertex (reported as `family_states`), not the
+number of compatible families, which grows exponentially with |E|. The
+formal power-series logarithm then yields every a_j.
 
-* "clusters": enumerate connected multisets of polymers (clusters) of total
-  size <= m and sum ursell(H) / prod(mult_i!) * prod Phi^mult_i. This is the
-  textbook expansion and scales exponentially with m.
-
-* "series": the partition function is a polynomial in x of degree <= |E(G)|
-  because family members are vertex-disjoint. Its exact coefficients up to
-  x^m come from the family kernel of `holant.families`, a DP over a BFS
-  order of G's vertices whose state is the set of vertices that chosen
-  polymers cover ahead. Its cost is the number of states times the polymers
-  starting at each vertex (reported as `family_states`), not the number of
-  compatible families, which grows exponentially with |E|. The formal
-  power-series logarithm then yields every a_j. The two routes agree
-  coefficientwise as formal series; "auto" picks clusters only when a cheap
-  multiset-count bound says the enumeration is small.
+The textbook cluster sum (`ursell`, `enumerate_clusters`,
+`cluster_log_coefficients`) stays as the independent reference that the
+tests check the series route against: it sums ursell(H) / prod(mult_i!) *
+prod Phi^mult_i over connected multisets of polymers (clusters) of total
+size <= m, and its cost grows exponentially with m.
 
 The approximation itself is prefactor * exp(sum_{j<=m} a_j) with the
 truncation order m chosen from the certified zero-free radius q.
@@ -39,8 +37,6 @@ from .signatures import SignatureAssignment
 
 URSELL_NODE_GATE = 22
 CLUSTER_GATE = 5 * 10**6
-_AUTO_CLUSTER_COUNT = 100_000
-_AUTO_CLUSTER_WORK = 3 * 10**6
 
 
 # ---------------------------------------------------------------------------
@@ -288,9 +284,8 @@ def series_log(c, m: int):
 @dataclass
 class TaylorSeries:
     coefficients: tuple  # a_1 .. a_m
-    method: str
     pool_size: int
-    family_states: int = 0  # family-kernel transitions ("series" route only)
+    family_states: int = 0  # family-kernel transitions behind the coefficients
 
     @property
     def order(self) -> int:
@@ -305,63 +300,27 @@ class TaylorSeries:
         return total
 
 
-def _cluster_cost_estimates(sizes, max_total: int):
-    """(#multisets bound, work bound) ignoring connectivity, via size-profile DP."""
-    from collections import Counter
-
-    profile = Counter(sizes)
-    count = [0.0] * (max_total + 1)
-    work = [0.0] * (max_total + 1)
-    count[0] = work[0] = 1.0
-    for s, n_s in profile.items():
-        new_c = [0.0] * (max_total + 1)
-        new_w = [0.0] * (max_total + 1)
-        for j in range(max_total + 1):
-            if count[j] == 0 and work[j] == 0:
-                continue
-            t = 0
-            choose = 1.0  # C(n_s + t - 1, t)
-            while j + t * s <= max_total:
-                new_c[j + t * s] += count[j] * choose
-                new_w[j + t * s] += work[j] * choose * (3.0**t)
-                t += 1
-                choose = choose * (n_s + t - 1) / t
-        count, work = new_c, new_w
-    return sum(count) - 1.0, sum(work)
-
-
-def log_z_coefficients(G: MultiGraph, assign: SignatureAssignment, z, m: int,
-                       method: str = "auto") -> TaylorSeries:
+def log_z_coefficients(G: MultiGraph, assign: SignatureAssignment, z, m: int) -> TaylorSeries:
     """Taylor coefficients a_1..a_m of log Z around x = 0.
 
-    Only polymers with at most min(m, |E|) edges can contribute; the pool is
-    compacted first (domain values with zero fugacity are dropped).
+    Only polymers with at most min(m, |E|) edges can contribute, and those of
+    weight zero are dropped before the family sum. A domain value of zero
+    fugacity therefore changes only the pool that is enumerated; pass the
+    input through `compact_domain` first to leave such values out of it, as
+    the approximation reports do.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
-    if method not in ("auto", "clusters", "series"):
-        raise ValueError(f"unknown method {method!r}")
-    assign2, z2, _ = compact_domain(assign, z)
-    if assign2.kappa == 0 or G.edge_count == 0 or m == 0:
-        return TaylorSeries(tuple([0j] * m), "empty", 0)
-    pool = enumerate_polymers(G, assign2.kappa, min(m, G.edge_count))
-    weights = [polymer_weight(G, assign2, z2, p) for p in pool]
+    if len(z) != assign.kappa + 1:
+        raise InvalidFugacity(f"need {assign.kappa + 1} fugacities, got {len(z)}")
+    if assign.kappa == 0 or G.edge_count == 0 or m == 0:
+        return TaylorSeries(tuple([0j] * m), 0)
+    pool = enumerate_polymers(G, assign.kappa, min(m, G.edge_count))
+    weights = [polymer_weight(G, assign, z, p) for p in pool]
     live = [(p, w) for p, w in zip(pool, weights) if w != 0]
-    if method == "auto":
-        cnt, work = _cluster_cost_estimates([p.size for p, _ in live], m)
-        method = "clusters" if (cnt <= _AUTO_CLUSTER_COUNT and work <= _AUTO_CLUSTER_WORK) \
-            else "series"
-    states = 0
-    if method == "clusters":
-        wmap = {p: w for p, w in live}
-        clusters = enumerate_clusters([p for p, _ in live], m)
-        coeffs = cluster_log_coefficients(clusters, wmap, m)
-    else:
-        fam = family_poly_coefficients([p for p, _ in live], [w for _, w in live],
-                                       min(m, G.edge_count), bfs_order(G.vertex_count, G.edges))
-        coeffs = series_log(fam, m)
-        states = fam.transitions
-    return TaylorSeries(tuple(coeffs), method, len(live), states)
+    fam = family_poly_coefficients([p for p, _ in live], [w for _, w in live],
+                                   min(m, G.edge_count), bfs_order(G.vertex_count, G.edges))
+    return TaylorSeries(tuple(series_log(fam, m)), len(live), fam.transitions)
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +347,6 @@ class ApproxReport:
     theorem: str
     q: float
     order: int
-    method: str
     pool_size: int
     eps: float
     region_bound: float
@@ -397,14 +355,33 @@ class ApproxReport:
     family_states: int  # family-kernel transitions behind the coefficients
 
 
-def _finish(prefactor, series: TaylorSeries, theorem, q, eps, bound) -> ApproxReport:
+def _truncated_report(G: MultiGraph, assign: SignatureAssignment, z, prefactor,
+                      theorem: str, q: float, bound: float, eps: float,
+                      order: int | None) -> ApproxReport:
+    """prefactor * exp(a_1 + ... + a_m) for a compacted (assign, z).
+
+    m is `order` when given, the certified order for ratio 1/q when q > 1,
+    and 2|E| + 10 otherwise (a forced run outside the region). An instance
+    without edges or non-ground values has log Z = 0.
+    """
+    if G.edge_count == 0 or assign.kappa == 0:
+        series = TaylorSeries((), 0)
+    else:
+        if order is not None:
+            m = int(order)
+            if m < 1:
+                raise ValueError("order must be >= 1")
+        elif q > 1.0:
+            m = truncation_order(G.edge_count, eps, 1.0 / q)
+        else:
+            m = 2 * G.edge_count + 10
+        series = log_z_coefficients(G, assign, z, m)
     total = series.evaluate(1.0)
     return ApproxReport(
         value=complex(prefactor * np.exp(total)),
         theorem=theorem,
         q=q,
         order=series.order,
-        method=series.method,
         pool_size=series.pool_size,
         eps=eps,
         region_bound=bound,
@@ -415,8 +392,8 @@ def _finish(prefactor, series: TaylorSeries, theorem, q, eps, bound) -> ApproxRe
 
 
 def approx_polynomial_report(G: MultiGraph, assign: SignatureAssignment, z,
-                             eps: float, method: str = "auto",
-                             force: bool = False, order: int | None = None) -> ApproxReport:
+                             eps: float, force: bool = False,
+                             order: int | None = None) -> ApproxReport:
     """Multiplicative eps-approximation of the Holant polynomial at fugacity z.
 
     Certified whenever every |z_i|/|z_0| is inside the fugacity region; with
@@ -429,34 +406,24 @@ def approx_polynomial_report(G: MultiGraph, assign: SignatureAssignment, z,
     if len(z) != assign.kappa + 1:
         raise InvalidFugacity(f"need {assign.kappa + 1} fugacities, got {len(z)}")
     prefactor = holant_prefactor(G, assign, z)
-    assign2, z2, _ = compact_domain(assign, z)
-    if G.edge_count == 0 or assign2.kappa == 0:
-        series = TaylorSeries((), "empty", 0)
-        return _finish(prefactor, series, "fugacity", math.inf, eps, math.inf)
-    delta = G.max_degree()
-    r1 = assign2.r1()
-    bound = region_bounds("holant-poly", delta=delta, kappa=assign2.kappa, r1=r1).bound
-    q = q_factor_fugacity(delta, assign2.kappa, r1, z2)
-    if q <= 1.0 and not force:
-        raise RegionViolation(
-            f"fugacity ratio exceeds region bound {bound:.6g} (q = {q:.6g} <= 1); "
-            "pass force=True to run without a guarantee"
-        )
-    if order is not None:
-        m = int(order)
-        if m < 1:
-            raise ValueError("order must be >= 1")
-    elif q > 1.0:
-        m = truncation_order(G.edge_count, eps, 1.0 / q)
-    else:
-        m = 2 * G.edge_count + 10
-    series = log_z_coefficients(G, assign2, z2, m, method)
-    return _finish(prefactor, series, "fugacity", q, eps, bound)
+    assign, z, _ = compact_domain(assign, z)
+    q = bound = math.inf
+    if G.edge_count and assign.kappa:
+        delta = G.max_degree()
+        r1 = assign.r1()
+        bound = region_bounds("holant-poly", delta=delta, kappa=assign.kappa, r1=r1).bound
+        q = q_factor_fugacity(delta, assign.kappa, r1, z)
+        if q <= 1.0 and not force:
+            raise RegionViolation(
+                f"fugacity ratio exceeds region bound {bound:.6g} (q = {q:.6g} <= 1); "
+                "pass force=True to run without a guarantee"
+            )
+    return _truncated_report(G, assign, z, prefactor, "fugacity", q, bound, eps, order)
 
 
 def approx_problem_report(G: MultiGraph, assign: SignatureAssignment,
-                          eps: float, method: str = "auto",
-                          force: bool = False, order: int | None = None) -> ApproxReport:
+                          eps: float, force: bool = False,
+                          order: int | None = None) -> ApproxReport:
     """Multiplicative eps-approximation of the Holant problem (all fugacities 1).
 
     Certified whenever r(F) is below the small-signature threshold.
@@ -465,30 +432,18 @@ def approx_problem_report(G: MultiGraph, assign: SignatureAssignment,
         raise ValueError("eps must be positive")
     z = tuple([1.0 + 0j] * (assign.kappa + 1))
     prefactor = holant_prefactor(G, assign, z)
-    if G.edge_count == 0:
-        return _finish(prefactor, TaylorSeries((), "empty", 0), "problem",
-                       math.inf, eps, math.inf)
-    delta = G.max_degree()
-    r_class = assign.ratio_r_class()
-    bound = region_bounds("holant-problem", delta=delta, kappa=assign.kappa).bound
-    q = q_factor_problem(delta, assign.kappa, r_class)
-    if q <= 1.0 and not force:
-        raise RegionViolation(
-            f"r(F) = {r_class:.6g} is not below threshold {bound:.6g} scaled for "
-            f"x = 1 (q = {q:.6g} <= 1); pass force=True to run without a guarantee"
-        )
-    if order is not None:
-        m = int(order)
-        if m < 1:
-            raise ValueError("order must be >= 1")
-    elif math.isinf(q):
-        m = truncation_order(G.edge_count, eps, 0.0)
-    elif q > 1.0:
-        m = truncation_order(G.edge_count, eps, 1.0 / q)
-    else:
-        m = 2 * G.edge_count + 10
-    series = log_z_coefficients(G, assign, z, m, method)
-    return _finish(prefactor, series, "problem", q, eps, bound)
+    q = bound = math.inf
+    if G.edge_count:
+        delta = G.max_degree()
+        r_class = assign.ratio_r_class()
+        bound = region_bounds("holant-problem", delta=delta, kappa=assign.kappa).bound
+        q = q_factor_problem(delta, assign.kappa, r_class)
+        if q <= 1.0 and not force:
+            raise RegionViolation(
+                f"r(F) = {r_class:.6g} is not below threshold {bound:.6g} scaled for "
+                f"x = 1 (q = {q:.6g} <= 1); pass force=True to run without a guarantee"
+            )
+    return _truncated_report(G, assign, z, prefactor, "problem", q, bound, eps, order)
 
 
 def approximate_holant_polynomial(G, assign, z, eps, **kw) -> complex:

@@ -23,6 +23,7 @@ from .families import FAMILY_VISIT_GATE, family_sum
 from .graph import MultiGraph, _strip_comments, bfs_order, mask_vertices
 
 SUPPORT_BOX_GATE = 10**6
+SUPPORT_COUNT_GATE = 10**6
 VECTOR_POOL_GATE = 10**6
 PM_GATE = 10**6
 
@@ -204,7 +205,8 @@ def enumerate_vector_polymers(sys: LinearSystem):
     first row whose sum is nonzero. A support is skipped outright when some
     touched row meets only one of its columns, since that row's sum is a
     nonzero entry times a value >= 1. The box gate bounds every support
-    before any of this pruning.
+    before any of this pruning, and the count gate bounds the number of
+    supports walked.
     """
     live = sys.live_columns()
     col_rows = []
@@ -215,7 +217,9 @@ def enumerate_vector_polymers(sys: LinearSystem):
                 mask |= 1 << i
         col_rows.append(mask)
     out = []
-    for support in _connected_column_sets(len(live), col_rows):
+    for count, support in enumerate(_connected_column_sets(len(live), col_rows), 1):
+        if count > SUPPORT_COUNT_GATE:
+            raise GateExceeded(f"more than {SUPPORT_COUNT_GATE} connected column supports")
         box = 1
         for t in support:
             box *= sys.caps[live[t]]

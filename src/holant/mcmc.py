@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 from statistics import median
 
-from .bounds import _gated_full_pool, region_bounds
+from .bounds import _gated_full_pool, kp_margins, region_bounds
 from .errors import ConditionViolated, InvalidFugacity, RegionViolation, UnsupportedWeights
 from .graph import MultiGraph, connected_edge_supersets
 from .polymers import (
@@ -92,18 +92,10 @@ def check_mixing_condition(G: MultiGraph, assign: SignatureAssignment, z,
         raise ValueError("xi must be in (0, 1)")
     zr = _require_nonneg(assign, z)
     pool, weights = _gated_full_pool(G, assign, zr)
-    agg: dict = {}
-    for p, w in zip(pool, weights):
-        agg[p.vmask] = agg.get(p.vmask, 0.0) + p.size * w.real
-    lhs = {k: sum(v for k2, v in agg.items() if k & k2) for k in agg}
-    worst = float("-inf")
-    ok = True
-    for p in pool:
-        margin = lhs[p.vmask] - xi * p.size
-        worst = max(worst, margin)
-        if margin > 0:
-            ok = False
-    return ok, worst
+    margins = kp_margins([p.vmask for p in pool],
+                         [p.size * w.real for p, w in zip(pool, weights)],
+                         [xi * p.size for p in pool])
+    return not any(m > 0 for m in margins), max(margins, default=float("-inf"))
 
 
 class ChainState:

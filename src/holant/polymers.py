@@ -205,6 +205,21 @@ def holant_prefactor(G: MultiGraph, assign: SignatureAssignment, z) -> complex:
 # Domain preprocessing
 
 
+def _remap_domain(assign: SignatureAssignment, idx) -> SignatureAssignment:
+    """Every signature f replaced by (x_1..x_d) -> f(idx[x_1], ..., idx[x_d])."""
+    base = assign.kappa + 1
+    cache: dict = {}
+    sigs = []
+    for s in assign.sigs:
+        key = id(s)
+        if key not in cache:
+            grid = s.table.reshape((base,) * s.arity)
+            table = grid[np.ix_(*[idx] * s.arity)].reshape(-1)
+            cache[key] = Signature(arity=s.arity, kappa=len(idx) - 1, table=table, name=s.name)
+        sigs.append(cache[key])
+    return SignatureAssignment(assign.G, sigs)
+
+
 def relabel_ground(assign: SignatureAssignment, z, colour: int):
     """Swap domain value `colour` with 0 in all signatures and in z.
 
@@ -219,31 +234,8 @@ def relabel_ground(assign: SignatureAssignment, z, colour: int):
         raise InvalidFugacity(f"need {kappa + 1} fugacities, got {len(z)}")
     perm = list(range(kappa + 1))
     perm[0], perm[colour] = perm[colour], perm[0]
-
-    def permute_sig(s: Signature) -> Signature:
-        base = kappa + 1
-        table = np.empty_like(s.table)
-        for idx in range(len(s.table)):
-            digits, rest = [], idx
-            for _ in range(s.arity):
-                digits.append(rest % base)
-                rest //= base
-            digits.reverse()
-            src = 0
-            for dgt in digits:
-                src = src * base + perm[dgt]
-            table[idx] = s.table[src]
-        return Signature(arity=s.arity, kappa=s.kappa, table=table, name=s.name)
-
-    cache: dict = {}
-    sigs = []
-    for s in assign.sigs:
-        key = id(s)
-        if key not in cache:
-            cache[key] = permute_sig(s)
-        sigs.append(cache[key])
     new_z = tuple(z[perm[i]] for i in range(kappa + 1))
-    return SignatureAssignment(assign.G, sigs), new_z
+    return _remap_domain(assign, perm), new_z
 
 
 def compact_domain(assign: SignatureAssignment, z):
@@ -263,29 +255,5 @@ def compact_domain(assign: SignatureAssignment, z):
     kept = [0] + [i for i in range(1, kappa + 1) if z[i] != 0]
     if len(kept) == kappa + 1:
         return assign, z, tuple(kept)
-    new_kappa = len(kept) - 1
-    old_base, new_base = kappa + 1, new_kappa + 1
-
-    def restrict(s: Signature) -> Signature:
-        table = np.empty(new_base**s.arity, dtype=complex)
-        for idx in range(len(table)):
-            digits, rest = [], idx
-            for _ in range(s.arity):
-                digits.append(rest % new_base)
-                rest //= new_base
-            digits.reverse()
-            src = 0
-            for dgt in digits:
-                src = src * old_base + kept[dgt]
-            table[idx] = s.table[src]
-        return Signature(arity=s.arity, kappa=new_kappa, table=table, name=s.name)
-
-    cache: dict = {}
-    sigs = []
-    for s in assign.sigs:
-        key = id(s)
-        if key not in cache:
-            cache[key] = restrict(s)
-        sigs.append(cache[key])
     new_z = tuple(z[i] for i in kept)
-    return SignatureAssignment(assign.G, sigs), new_z, tuple(kept)
+    return _remap_domain(assign, kept), new_z, tuple(kept)

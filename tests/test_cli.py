@@ -4,6 +4,7 @@ Every test drives holant.cli.main directly (fast, in-process); one subprocess
 smoke test checks the module really is executable.
 """
 
+import cmath
 import json
 import math
 import subprocess
@@ -11,7 +12,17 @@ import sys
 
 import pytest
 
-from holant import brute_weighted_count, parse_matrix_file
+from holant import (
+    MultiGraph,
+    brute_weighted_count,
+    cluster_log_coefficients,
+    enumerate_clusters,
+    enumerate_polymers,
+    holant_prefactor,
+    parse_matrix_file,
+    uniform_assignment,
+    weight_map,
+)
 from holant.cli import main, parse_complex, parse_z
 from holant.errors import ParseError
 
@@ -97,8 +108,8 @@ def test_version_and_help(capsys):
 def test_subcommand_help_lists_flags(capsys):
     assert main(["approx", "--help"]) == 0
     text = capsys.readouterr().out
-    for flag in ("--graph", "--sig", "--z", "--eps", "--method", "--force",
-                 "--order", "--format", "--out", "--jobs"):
+    for flag in ("--graph", "--sig", "--z", "--eps", "--force",
+                 "--order", "--format", "--out"):
         assert flag in text
 
 
@@ -126,16 +137,19 @@ def test_approx_polynomial_route(capsys, files):
 
 
 def test_approx_methods_agree(capsys, files):
-    # a fixed small order keeps the multiset enumeration of the clusters
-    # route affordable; both routes compute the same truncated series
+    # the explicit cluster sum is the reference for the truncated series; a
+    # fixed small order keeps its multiset enumeration affordable
     argv = ["approx", "--graph", files["c4"], "--sig", "even-parity:0.02",
             "--z", "1,0.02", "--eps", "0.01", "--order", "6"]
-    a = run_json(capsys, argv + ["--method", "clusters"])
-    b = run_json(capsys, argv + ["--method", "series"])
-    va, vb = complex(*a["result"]["value"]), complex(*b["result"]["value"])
-    assert rel_close(va, vb, 1e-10)
-    assert a["diagnostics"]["method"] == "clusters"
-    assert b["diagnostics"]["method"] == "series"
+    value = complex(*run_json(capsys, argv)["result"]["value"])
+    G = MultiGraph.from_text(C4_TEXT)
+    a = uniform_assignment(G, "even-parity", 0.02)
+    z = (1.0, 0.02)
+    pool = enumerate_polymers(G, 1, G.edge_count)
+    wmap = weight_map(G, a, z, pool)
+    live = [p for p in pool if wmap[p] != 0]
+    coeffs = cluster_log_coefficients(enumerate_clusters(live, 6), wmap, 6)
+    assert rel_close(value, holant_prefactor(G, a, z) * cmath.exp(sum(coeffs)), 1e-10)
 
 
 def test_approx_matches_oracle(capsys, files):
@@ -387,7 +401,15 @@ def test_module_is_executable(files):
 def test_approx_reports_family_states(capsys, files):
     argv = ["approx", "--graph", files["c4"], "--sig", "matching",
             "--z", "1,0.01", "--eps", "0.01"]
-    series = run_json(capsys, argv + ["--method", "series"])
-    clusters = run_json(capsys, argv + ["--method", "clusters"])
-    assert series["diagnostics"]["family_states"] > 0
-    assert clusters["diagnostics"]["family_states"] == 0
+    rep = run_json(capsys, argv)
+    assert rep["diagnostics"]["family_states"] > 0
+
+
+def test_removed_approx_options_exit_1(capsys, files):
+    # --method (one coefficient route is left) and --jobs (approx is
+    # deterministic and single-process) are usage errors now
+    argv = ["approx", "--graph", files["c4"], "--sig", "matching",
+            "--z", "1,0.01", "--eps", "0.01"]
+    assert main(argv + ["--jobs", "2"]) == 1
+    assert main(argv + ["--method", "series"]) == 1
+    capsys.readouterr()

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import holant.linsys as linsys_mod
+from holant.cli import main
 from holant import (
     GateExceeded,
     Hypergraph,
@@ -724,3 +725,30 @@ def test_sixteen_cycle_with_chord_closed_form():
     assert rep.polymer_count == 5
     expected = 1 + w**9 + w**16 + w**18 + w**25 + w**32
     assert abs(rep.value - expected) <= 1e-12
+
+
+def test_support_count_gate(monkeypatch, tmp_path, capsys):
+    # the directed 8-cycle with chords 0 -> 4 and 4 -> 0 has many connected
+    # column supports but few polymers; the gate bounds the supports walked
+    sys = LinearSystem(circulation(8, [(0, 4), (4, 0)]), [1] * 10, [0.5] * 10)
+    col_rows = [sum(1 << i for i in range(sys.n) if sys.rows[i][j]) for j in range(sys.m)]
+    supports = sum(1 for _ in linsys_mod._connected_column_sets(sys.m, col_rows))
+    assert supports > 100
+    monkeypatch.setattr(linsys_mod, "SUPPORT_COUNT_GATE", supports)
+    pool = enumerate_vector_polymers(sys)
+    assert sorted((tuple(sorted(p.values)), p.rmask) for p in pool) == reference_pool(sys)
+    monkeypatch.setattr(linsys_mod, "SUPPORT_COUNT_GATE", supports - 1)
+    with pytest.raises(GateExceeded):
+        enumerate_vector_polymers(sys)
+    matrix = tmp_path / "chorded.txt"
+    matrix.write_text(
+        f"{sys.n} {sys.m}\n"
+        + "".join(" ".join(map(str, row)) + "\n" for row in sys.rows)
+        + "caps: " + " ".join(["1"] * sys.m) + "\n"
+        + "weights: " + " ".join(["0.5 0.0"] * sys.m) + "\n"
+    )
+    assert main(["linsys", "--matrix", str(matrix)]) == 4
+    assert "connected column supports" in capsys.readouterr().err
+    monkeypatch.setattr(linsys_mod, "SUPPORT_COUNT_GATE", supports)
+    assert main(["linsys", "--matrix", str(matrix)]) == 0
+    capsys.readouterr()
