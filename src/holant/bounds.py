@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .errors import GateExceeded, InvalidFugacity
 from .graph import MultiGraph, connected_edge_sets
-from .polymers import enumerate_polymers, polymer_weight
+from .polymers import colour_supports, polymer_weight
 from .signatures import SignatureAssignment
 
 _E = math.e
@@ -235,7 +235,7 @@ def _gated_full_pool(G: MultiGraph, assign: SignatureAssignment, z):
     pool_size = sum(assign.kappa ** len(S) for S in supports)
     if pool_size > KP_POOL_GATE:
         raise GateExceeded(f"pool of {pool_size} polymers exceeds gate {KP_POOL_GATE}")
-    pool = enumerate_polymers(G, assign.kappa, G.edge_count)
+    pool = colour_supports(G, assign.kappa, supports)
     weights = [polymer_weight(G, assign, z, p) for p in pool]
     return pool, weights
 

@@ -32,7 +32,7 @@ from .bounds import q_factor_fugacity, q_factor_problem, region_bounds
 from .errors import GateExceeded, InvalidFugacity, RegionViolation
 from .families import FAMILY_VISIT_GATE, FamilySum, family_sum
 from .graph import MultiGraph, bfs_order, mask_vertices
-from .polymers import compact_domain, enumerate_polymers, holant_prefactor, polymer_weight
+from .polymers import compact_domain, holant_prefactor, live_polymers
 from .signatures import SignatureAssignment
 
 URSELL_NODE_GATE = 22
@@ -303,11 +303,11 @@ class TaylorSeries:
 def log_z_coefficients(G: MultiGraph, assign: SignatureAssignment, z, m: int) -> TaylorSeries:
     """Taylor coefficients a_1..a_m of log Z around x = 0.
 
-    Only polymers with at most min(m, |E|) edges can contribute, and those of
-    weight zero are dropped before the family sum. A domain value of zero
-    fugacity therefore changes only the pool that is enumerated; pass the
-    input through `compact_domain` first to leave such values out of it, as
-    the approximation reports do.
+    Only polymers with at most min(m, |E|) edges can contribute, and only
+    those of nonzero weight are grown (`polymers.live_polymers`), so a domain
+    value of zero fugacity is never tried. The approximation reports still
+    pass the input through `compact_domain` first, which shrinks the
+    signature tables the walk reads.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
@@ -315,9 +315,7 @@ def log_z_coefficients(G: MultiGraph, assign: SignatureAssignment, z, m: int) ->
         raise InvalidFugacity(f"need {assign.kappa + 1} fugacities, got {len(z)}")
     if assign.kappa == 0 or G.edge_count == 0 or m == 0:
         return TaylorSeries(tuple([0j] * m), 0)
-    pool = enumerate_polymers(G, assign.kappa, min(m, G.edge_count))
-    weights = [polymer_weight(G, assign, z, p) for p in pool]
-    live = [(p, w) for p, w in zip(pool, weights) if w != 0]
+    live = live_polymers(G, assign, z, min(m, G.edge_count))
     fam = family_poly_coefficients([p for p, _ in live], [w for _, w in live],
                                    min(m, G.edge_count), bfs_order(G.vertex_count, G.edges))
     return TaylorSeries(tuple(series_log(fam, m)), len(live), fam.transitions)

@@ -215,29 +215,39 @@ def is_connected_edge_set(G: MultiGraph, eids) -> bool:
     return len(seen_e) == len(eset)
 
 
-def _grow_from_seeds(G: MultiGraph, seeds, max_edges: int):
-    """All connected edge sets of size <= max_edges containing at least one seed.
+def _once(e):
+    return (e,)
 
-    Seeds are processed in order; sets whose least seed is seeds[t] are grown
-    with seeds[:t] forbidden, which makes the enumeration exactly-once: each
-    connected superset is built by always extending with a boundary edge and
-    banning an extension for all later sibling branches.
+
+def grow_edge_sets(G: MultiGraph, seeds, max_edges: int, visit, extend=_once):
+    """Call visit(stack) once for every connected edge set with at most
+    max_edges edges that contains at least one seed.
+
+    stack lists the set's edges in the order they were added; visit must copy
+    what it keeps. Seeds are processed in order; sets whose least seed is
+    seeds[t] are grown with seeds[:t] forbidden, which makes the walk
+    exactly-once: each connected superset is built by always extending with a
+    boundary edge and banning an extension for all later sibling branches.
+
+    extend(e) is the per-edge hook, called once edge e has joined the set. The
+    walk descends once for each item of the iterable it returns, so a hook can
+    try several states for e in turn (setting each before yielding it) or
+    none, which cuts every superset grown from there.
     """
     if max_edges < 1:
-        return []
-    out = []
+        return
     banned_seeds: set = set()
     for seed in seeds:
         if seed in banned_seeds:
             continue
         u, v = G.edges[seed]
-        _grow(G, [seed], {u, v}, set(banned_seeds), max_edges, out)
+        for _ in extend(seed):
+            _grow(G, [seed], {u, v}, set(banned_seeds), max_edges, visit, extend)
         banned_seeds.add(seed)
-    return out
 
 
-def _grow(G, stack_edges, vset, banned, max_edges, out):
-    out.append(tuple(sorted(stack_edges)))
+def _grow(G, stack_edges, vset, banned, max_edges, visit, extend):
+    visit(stack_edges)
     if len(stack_edges) == max_edges:
         return
     in_cur = set(stack_edges)
@@ -250,14 +260,17 @@ def _grow(G, stack_edges, vset, banned, max_edges, out):
         added = [x for x in (u, v) if x not in vset]
         stack_edges.append(e)
         vset.update(added)
-        _grow(G, stack_edges, vset, banned | newly, max_edges, out)
+        for _ in extend(e):
+            _grow(G, stack_edges, vset, banned | newly, max_edges, visit, extend)
         stack_edges.pop()
         vset.difference_update(added)
         newly.add(e)
 
 
-def _shortlex(sets):
-    return sorted(sets, key=lambda t: (len(t), t))
+def _shortlex_sets(G, seeds, max_edges: int):
+    out: list = []
+    grow_edge_sets(G, seeds, max_edges, lambda stack: out.append(tuple(sorted(stack))))
+    return sorted(out, key=lambda t: (len(t), t))
 
 
 def connected_edge_subgraphs(G: MultiGraph, v: int, max_edges: int):
@@ -269,16 +282,16 @@ def connected_edge_subgraphs(G: MultiGraph, v: int, max_edges: int):
         raise ValueError(f"vertex {v} out of range")
     if max_edges < 0:
         raise ValueError("max_edges must be >= 0")
-    return _shortlex(_grow_from_seeds(G, G.incident(v), max_edges))
+    return _shortlex_sets(G, G.incident(v), max_edges)
 
 
 def connected_edge_supersets(G: MultiGraph, eid: int, max_edges: int):
     """Connected edge sets containing edge eid, |S| <= max_edges, shortlex."""
     if not (0 <= eid < G.edge_count):
         raise ValueError(f"edge {eid} out of range")
-    return _shortlex(_grow_from_seeds(G, [eid], max_edges))
+    return _shortlex_sets(G, [eid], max_edges)
 
 
 def connected_edge_sets(G: MultiGraph, max_edges: int):
     """All connected edge sets with 1 <= |S| <= max_edges, shortlex."""
-    return _shortlex(_grow_from_seeds(G, range(G.edge_count), max_edges))
+    return _shortlex_sets(G, range(G.edge_count), max_edges)

@@ -23,15 +23,14 @@ from statistics import median
 
 from .bounds import _gated_full_pool, kp_margins, region_bounds
 from .errors import ConditionViolated, InvalidFugacity, RegionViolation, UnsupportedWeights
-from .graph import MultiGraph, connected_edge_supersets
+from .graph import MultiGraph
 from .polymers import (
     ColouredPolymer,
     family_to_assignment,
     holant_prefactor,
-    polymer_weight,
+    live_polymers,
 )
 from .signatures import SignatureAssignment
-from itertools import product as _product
 
 DEFAULT_XI = 0.75
 
@@ -154,21 +153,13 @@ class PolymerChain:
         if self.tau < floor:
             raise ValueError(f"tau = {self.tau} below floor {floor}")
         self.rho = self.tau - 2.0 - math.log(self.kappa * delta)
-        # per-edge candidate polymers, weights at scale 1, ascending by size
-        self._base: list = []
-        for e0 in range(G.edge_count):
-            entries = []
-            for S in connected_edge_supersets(G, e0, G.edge_count):
-                vmask = 0
-                for v in G.edge_vertices(S):
-                    vmask |= 1 << v
-                for colouring in _product(range(1, self.kappa + 1), repeat=len(S)):
-                    p = ColouredPolymer(S, colouring, vmask)
-                    w = polymer_weight(G, assign, self.z, p).real
-                    if w > 0:
-                        entries.append((p, w))
-            entries.sort(key=lambda t: (t[0].size, t[0].sort_key()))
-            self._base.append(entries)
+        # per-edge candidate polymers, weights at scale 1, in sort_key order
+        # (so ascending by size): one walk over the live pool fills them all
+        self._base: list = [[] for _ in range(G.edge_count)]
+        for p, w in live_polymers(G, assign, self.z, G.edge_count):
+            if w.real > 0:
+                for e in p.edges:
+                    self._base[e].append((p, w.real))
         self.scale = None
         self.set_scale(1.0)
 

@@ -26,6 +26,7 @@ from .graph import (
     MultiGraph,
     connected_edge_sets,
     connected_edge_subgraphs,
+    grow_edge_sets,
     is_connected_edge_set,
     mask_vertices,
 )
@@ -101,12 +102,18 @@ def enumerate_polymers(G: MultiGraph, kappa: int, max_edges: int,
     anchor (a vertex id) restricts to polymers whose subgraph contains it.
     Order is deterministic: supports shortlex, colourings lexicographic.
     """
-    if kappa < 1:
-        raise ValueError("kappa must be >= 1")
     if anchor is None:
         supports = connected_edge_sets(G, max_edges)
     else:
         supports = connected_edge_subgraphs(G, anchor, max_edges)
+    return colour_supports(G, kappa, supports)
+
+
+def colour_supports(G: MultiGraph, kappa: int, supports):
+    """Every colouring by 1..kappa of each support, in support order and
+    lexicographic colouring order."""
+    if kappa < 1:
+        raise ValueError("kappa must be >= 1")
     out = []
     for S in supports:
         vmask = 0
@@ -140,6 +147,102 @@ def polymer_weight(G: MultiGraph, assign: SignatureAssignment, z,
             raise NotInF0(f"vertex {v}: signature {s.name!r} has f(0,...,0) = 0")
         w *= assign.vertex_value(v, lambda e: colour_of.get(e, 0)) / s.f0
     return w
+
+
+def extension_table(s: Signature) -> np.ndarray:
+    """Flat boolean table: ext[i] is True when some extension of index i has
+    a nonzero value in s.
+
+    An extension of an argument tuple gives some of its 0 arguments a colour
+    1..kappa; the tuple itself is one. Built by an upward closure over the
+    axes of the (kappa+1)^d grid. For `matching` it is "popcount <= 1".
+    """
+    g = (s.table != 0).reshape((s.kappa + 1,) * s.arity)
+    for axis in range(s.arity):
+        h = np.moveaxis(g, axis, 0)  # a view: writing h writes g
+        h[0] |= h[1:].any(axis=0)
+    return g.reshape(-1)
+
+
+def live_polymers(G: MultiGraph, assign: SignatureAssignment, z, max_edges: int):
+    """(polymer, weight) pairs of nonzero weight with |E(gamma)| <= max_edges.
+
+    Sorted by `ColouredPolymer.sort_key`, so the polymers come in
+    `enumerate_polymers` order, and each weight is bitwise equal to
+    `polymer_weight` (for finite tables and fugacities). Raises the errors
+    polymer_weight raises on the single-edge polymers, which lead that order.
+
+    One walk (`graph.grow_edge_sets`) grows each connected support and its
+    colouring together, keeping the signature index of every touched vertex
+    as edges come and go. A colour of zero fugacity is never tried, and a
+    branch is cut as soon as a touched vertex's index has no nonzero
+    extension (`extension_table`): every polymer grown from there only
+    extends that index further, so it weighs zero. Only live polymers and
+    the branches leading to them are visited.
+    """
+    kappa = assign.kappa
+    if kappa < 1:
+        raise ValueError("kappa must be >= 1")
+    if max_edges < 1 or G.edge_count == 0:
+        return []
+    z = tuple(complex(t) for t in z)
+    if z[0] == 0:
+        raise InvalidFugacity("z_0 must be nonzero")
+    # polymer_weight's checks, in its order, on ((e,), (c,)) for every e and c
+    for u, v in G.edges:
+        for c in range(1, kappa + 1):
+            if c >= len(z):
+                raise InvalidFugacity(f"colour {c} has no fugacity (len(z) = {len(z)})")
+            for x in (u, v):
+                s = assign.sig(x)
+                if s.table[0] == 0:
+                    raise NotInF0(f"vertex {x}: signature {s.name!r} has f(0,...,0) = 0")
+    ratio = [z[c] / z[0] for c in range(kappa + 1)]
+    colours = [c for c in range(1, kappa + 1) if z[c] != 0]
+    tables: dict = {}
+    for s in assign.sigs:
+        if id(s) not in tables:
+            tables[id(s)] = (extension_table(s).tolist(), s.table.tolist(), s.f0)
+    ext, vals, f0 = zip(*(tables[id(s)] for s in assign.sigs))
+    # per edge: each endpoint with the radix weight of the edge's position there
+    ends = [
+        (u, assign._radix[u][assign.edge_position(u, e)],
+         v, assign._radix[v][assign.edge_position(v, e)])
+        for e, (u, v) in enumerate(G.edges)
+    ]
+    bits = [(1 << u) | (1 << v) for u, v in G.edges]
+    idx = [0] * G.vertex_count
+    colour = [0] * G.edge_count
+    out: list = []
+
+    def extend(e):
+        u, ru, v, rv = ends[e]
+        iu, iv = idx[u], idx[v]
+        ext_u, ext_v = ext[u], ext[v]
+        for c in colours:
+            ju, jv = iu + c * ru, iv + c * rv
+            if ext_u[ju] and ext_v[jv]:
+                idx[u], idx[v], colour[e] = ju, jv, c
+                yield c
+        idx[u], idx[v] = iu, iv
+
+    def visit(stack):
+        edges = tuple(sorted(stack))
+        cols = tuple([colour[e] for e in edges])
+        w = 1 + 0j
+        for c in cols:
+            w *= ratio[c]
+        vmask = 0
+        for e in edges:
+            vmask |= bits[e]
+        for x in mask_vertices(vmask):
+            w *= complex(vals[x][idx[x]]) / f0[x]
+        if w != 0:
+            out.append((ColouredPolymer(edges, cols, vmask), w))
+
+    grow_edge_sets(G, range(G.edge_count), max_edges, visit, extend)
+    out.sort(key=lambda pw: pw[0].sort_key())
+    return out
 
 
 def weight_map(G: MultiGraph, assign: SignatureAssignment, z, polymers) -> dict:

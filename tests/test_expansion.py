@@ -1,4 +1,5 @@
 import cmath
+import functools
 import itertools
 import math
 import random
@@ -391,3 +392,51 @@ def test_fptas_report_fields():
     assert rep.q > 1
     assert rep.order >= 1
     assert rep.pool_size > 0
+
+
+def _grid(rows, cols):
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            v = r * cols + c
+            if c + 1 < cols:
+                edges.append((v, v + 1))
+            if r + 1 < rows:
+                edges.append((v, v + cols))
+    return MultiGraph(rows * cols, edges)
+
+
+def _matching_polynomial(G, lam):
+    """sum over matchings M of lam^|M|, memoised over masks of unmatched vertices."""
+    nbrs = [[u + v - x for u, v in (G.endpoints(e) for e in G.incident(x))]
+            for x in range(G.vertex_count)]
+
+    @functools.lru_cache(maxsize=None)
+    def rest(mask):
+        if not mask:
+            return 1.0
+        low = mask & -mask
+        v = low.bit_length() - 1
+        total = rest(mask ^ low)
+        for w in nbrs[v]:
+            if mask >> w & 1:
+                total += lam * rest(mask ^ low ^ (1 << w))
+        return total
+
+    value = rest((1 << G.vertex_count) - 1)
+    rest.cache_clear()
+    return value
+
+
+def test_grid_matching_pool_is_the_live_single_edges():
+    eps = 0.1
+    G = _grid(4, 4)
+    a = uniform_assignment(G, "matching")
+    z = half_bound_z(G, a)
+    rep = approx_polynomial_report(G, a, z, eps)
+    ref = _matching_polynomial(G, (z[1] / z[0]).real)
+    assert abs(rep.value / ref - 1) <= eps
+    assert rep.pool_size == 24
+    G = _grid(8, 8)
+    a = uniform_assignment(G, "matching")
+    assert approx_polynomial_report(G, a, half_bound_z(G, a), eps).pool_size == 112

@@ -6,7 +6,9 @@ import pytest
 
 from holant import (
     ConditionViolated,
+    InvalidFugacity,
     MultiGraph,
+    NotInF0,
     RegionViolation,
     SignatureAssignment,
     UnsupportedWeights,
@@ -261,3 +263,20 @@ def test_fpras_outside_region_raises():
     a = uniform_assignment(G, "matching")
     with pytest.raises(RegionViolation):
         fpras_estimate(G, a, (1.0, 0.05), 0.1, seed=1)
+
+
+def test_chain_build_raises_not_in_f0_for_the_vertex():
+    G = p3()
+    leaf = make_signature([1.0, 1.0], 1, 1)
+    middle = make_signature([0.0, 1.0, 1.0, 0.0], 2, 1)  # degree 2, f(0, 0) = 0
+    assign = SignatureAssignment(G, [leaf, middle, leaf])
+    with pytest.raises(NotInF0, match="vertex 1"):
+        PolymerChain(G, assign, (1.0, 0.1), check="none")
+
+
+def test_chain_build_raises_invalid_fugacity_for_a_short_z():
+    G = k2()
+    sig = make_signature([1.0, 0.5, 0.5], 1, 2)  # kappa = 2
+    assign = SignatureAssignment(G, [sig, sig])
+    with pytest.raises(InvalidFugacity, match=r"colour 2 has no fugacity \(len\(z\) = 2\)"):
+        PolymerChain(G, assign, (1.0, 0.1), check="none")

@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import product
 
 import pytest
 
@@ -12,17 +13,21 @@ from holant import (
     assignment_to_family,
     brute_holant,
     compact_domain,
+    connected_edge_supersets,
     enumerate_polymers,
     family_to_assignment,
     holant_prefactor,
     incompatible,
     make_polymer,
     make_signature,
+    matching_signature,
     polymer_weight,
     relabel_ground,
     uniform_assignment,
     weight_map,
 )
+from holant.mcmc import PolymerChain
+from holant.polymers import ColouredPolymer, extension_table, live_polymers
 
 from helpers import (
     MASTER_SEED,
@@ -217,3 +222,81 @@ def test_compact_domain_drops_zero_fugacities():
     assert a2.kappa == 1
     after = brute_holant(G, a2, z2).value
     assert rel_close(after, before)
+
+
+def _random_sparse_instance(rng, kappa, max_edges):
+    """Random graph and tables with zero entries (f(0) kept nonzero), plus
+    complex fugacities of which some non-ground ones are exactly zero."""
+    G = random_graph(rng, max_edges=max_edges, max_degree=3)
+    sigs = []
+    for v in range(G.vertex_count):
+        d = G.degree(v)
+        p_zero = rng.choice([0.0, 0.3, 0.7])
+        tab = [0j if rng.random() < p_zero
+               else complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+               for _ in range((kappa + 1) ** d)]
+        tab[0] = complex(rng.uniform(0.4, 1.0), rng.uniform(-0.5, 0.5))
+        sigs.append(make_signature(tab, d, kappa))
+    z = [complex(rng.uniform(0.5, 1.5), rng.uniform(-0.5, 0.5))]
+    z += [0j if rng.random() < 0.25 else complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+          for _ in range(kappa)]
+    return G, SignatureAssignment(G, sigs), tuple(z)
+
+
+def _bits(pairs):
+    return [(p.edges, p.colours, p.vmask, repr(w)) for p, w in pairs]
+
+
+def test_live_polymers_equal_filtered_enumeration():
+    rng = random.Random(MASTER_SEED + 10)
+    for _ in range(300):
+        kappa = rng.choice([1, 2, 3])
+        G, assign, z = _random_sparse_instance(rng, kappa, 6 if kappa < 3 else 4)
+        weights = weight_map(G, assign, z, enumerate_polymers(G, kappa, G.edge_count))
+        for m in range(1, G.edge_count + 1):
+            ref = [(p, weights[p]) for p in enumerate_polymers(G, kappa, m) if weights[p] != 0]
+            assert _bits(live_polymers(G, assign, z, m)) == _bits(ref)
+
+
+def test_live_polymers_of_matching_are_single_edges():
+    rng = random.Random(MASTER_SEED + 11)
+    for _ in range(20):
+        G = random_graph(rng, max_edges=8, max_degree=4)
+        assign = uniform_assignment(G, "matching")
+        live = live_polymers(G, assign, (1.0, 0.3), G.edge_count)
+        assert [p.edges for p, _ in live] == [(e,) for e in range(G.edge_count)]
+
+
+def test_extension_table_of_matching_is_popcount_at_most_one():
+    for d in range(6):
+        ext = extension_table(matching_signature(d))
+        assert ext.tolist() == [bin(i).count("1") <= 1 for i in range(2**d)]
+
+
+def test_chain_candidate_lists_equal_per_edge_superset_construction():
+    rng = random.Random(MASTER_SEED + 12)
+    for _ in range(40):
+        kappa = rng.choice([1, 2])
+        G = random_graph(rng, max_edges=6, max_degree=3)
+        sigs = []
+        for v in range(G.vertex_count):
+            d = G.degree(v)
+            tab = [0.0 if rng.random() < 0.4 else rng.uniform(0.0, 1.0)
+                   for _ in range((kappa + 1) ** d)]
+            tab[0] = rng.uniform(0.5, 1.0)
+            sigs.append(make_signature(tab, d, kappa))
+        assign = SignatureAssignment(G, sigs)
+        z = tuple([1.0] + [rng.choice([0.0, rng.uniform(0.01, 0.2)]) for _ in range(kappa)])
+        chain = PolymerChain(G, assign, z, check="none")
+        for e0 in range(G.edge_count):
+            entries = []
+            for S in connected_edge_supersets(G, e0, G.edge_count):
+                vmask = sum(1 << v for v in G.edge_vertices(S))
+                for colouring in product(range(1, kappa + 1), repeat=len(S)):
+                    p = ColouredPolymer(S, colouring, vmask)
+                    w = polymer_weight(G, assign, z, p).real
+                    if w > 0:
+                        entries.append((p, w))
+            entries.sort(key=lambda t: (t[0].size, t[0].sort_key()))
+            assert [(p.edges, p.colours, p.vmask, w) for p, w in chain._base[e0]] == \
+                [(p.edges, p.colours, p.vmask, w) for p, w in entries]
