@@ -20,17 +20,19 @@ from .signatures import SignatureAssignment
 _E = math.e
 _SQRT5 = math.sqrt(5.0)
 
-FAMILIES = (
-    "boolean",
-    "matching",
-    "holant-poly",
-    "holant-problem",
-    "mcmc-poly",
-    "mcmc-problem",
-    "linsys",
-    "hyper-pm",
-    "graph-pm",
-)
+# the parameters each bound family needs, in the order the CLI lists families
+FAMILY_PARAMS = {
+    "boolean": ("delta", "r1"),
+    "matching": ("delta",),
+    "holant-poly": ("delta", "kappa", "r1"),
+    "holant-problem": ("delta", "kappa"),
+    "mcmc-poly": ("delta", "kappa", "r1"),
+    "mcmc-problem": ("delta", "kappa"),
+    "linsys": ("r", "c", "kappa"),
+    "hyper-pm": ("delta", "k"),
+    "graph-pm": ("delta",),
+}
+FAMILIES = tuple(FAMILY_PARAMS)
 
 KP_EDGE_GATE = 12
 KP_KAPPA_GATE = 3
@@ -69,19 +71,14 @@ def _fugacity_core(delta: int, kappa: int, r1: float) -> dict:
 def region_bounds(family: str, **params) -> RegionReport:
     """Closed-form region radius for a bound family.
 
-    Parameters by family:
-      boolean            delta, r1
-      matching           delta
-      holant-poly        delta, kappa, r1
-      holant-problem     delta, kappa
-      mcmc-poly          delta, kappa, r1
-      mcmc-problem       delta, kappa
-      linsys             r, c, kappa
-      hyper-pm           delta, k
-      graph-pm           delta
+    The parameters each family needs are FAMILY_PARAMS[family]; a missing one
+    raises ValueError.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
+    missing = [k for k in FAMILY_PARAMS[family] if params.get(k) is None]
+    if missing:
+        raise ValueError(f"family {family!r} needs {', '.join(missing)}")
 
     if family in ("boolean", "holant-poly"):
         delta = int(params["delta"])

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .bounds import FAMILIES, region_bounds, verify_kp
+from .bounds import FAMILIES, FAMILY_PARAMS, region_bounds, verify_kp
 from .errors import (
     ConditionViolated,
     DegenerateDistribution,
@@ -222,20 +222,9 @@ def _cmd_bounds(args) -> int:
         "delta": args.delta, "kappa": args.kappa, "r1": args.r1,
         "r": args.r, "c": args.c, "k": args.k,
     }
-    needed = {
-        "boolean": ("delta", "r1"),
-        "matching": ("delta",),
-        "holant-poly": ("delta", "kappa", "r1"),
-        "holant-problem": ("delta", "kappa"),
-        "mcmc-poly": ("delta", "kappa", "r1"),
-        "mcmc-problem": ("delta", "kappa"),
-        "linsys": ("r", "c", "kappa"),
-        "hyper-pm": ("delta", "k"),
-        "graph-pm": ("delta",),
-    }
     table = {}
     for family in wanted:
-        keys = needed[family]
+        keys = FAMILY_PARAMS[family]
         if any(params[k] is None for k in keys):
             if args.family != "all":
                 missing = [k for k in keys if params[k] is None]

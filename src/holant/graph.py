@@ -165,16 +165,21 @@ def _strip_comments(text: str):
     return out
 
 
-def _parse_graph_lines(lines) -> MultiGraph:
+def _read_header(lines, what: str):
+    """(n, m) from the 'n m' first line of a comment-stripped line file."""
     if not lines:
-        raise ParseError("empty graph file")
+        raise ParseError(f"empty {what} file")
     head = lines[0].split()
     if len(head) != 2:
         raise ParseError(f"expected header 'n m', got {lines[0]!r}")
     try:
-        n, m = int(head[0]), int(head[1])
+        return int(head[0]), int(head[1])
     except ValueError as exc:
         raise ParseError(f"bad header {lines[0]!r}") from exc
+
+
+def _parse_graph_lines(lines) -> MultiGraph:
+    n, m = _read_header(lines, "graph")
     if len(lines) - 1 != m:
         raise ParseError(f"header promises {m} edges, file has {len(lines) - 1}")
     edges = []

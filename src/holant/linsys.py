@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .bounds import region_bounds
 from .errors import GateExceeded, ParseError
 from .families import FAMILY_VISIT_GATE, family_sum
-from .graph import MultiGraph, _strip_comments, bfs_order, mask_vertices
+from .graph import MultiGraph, _read_header, _strip_comments, bfs_order, mask_vertices
 
 SUPPORT_BOX_GATE = 10**6
 SUPPORT_COUNT_GATE = 10**6
@@ -448,15 +448,7 @@ def pm_polynomial_graph(G: MultiGraph, matching, z: complex,
 def parse_matrix_file(text: str) -> LinearSystem:
     """Header 'n m', n rows of m ints, 'caps: ...', 'weights: re im ...'."""
     lines = _strip_comments(text)
-    if not lines:
-        raise ParseError("empty matrix file")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ParseError(f"expected header 'n m', got {lines[0]!r}")
-    try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError as exc:
-        raise ParseError(f"bad header {lines[0]!r}") from exc
+    n, m = _read_header(lines, "matrix")
     if len(lines) < n + 3:
         raise ParseError(f"need {n} rows plus caps and weights lines")
     rows = []
@@ -501,24 +493,15 @@ def parse_pm_file(text: str):
     has two vertices, else "hyper".
     """
     lines = _strip_comments(text)
-    if not lines:
-        raise ParseError("empty instance file")
-    matching = None
-    if lines[-1].startswith("matching:"):
+    if lines and lines[-1].startswith("matching:"):
         try:
             matching = tuple(int(p) for p in lines[-1].split(":", 1)[1].split())
         except ValueError as exc:
             raise ParseError(f"bad matching line {lines[-1]!r}") from exc
         lines = lines[:-1]
-    if matching is None:
+    elif lines:
         raise ParseError("instance file needs a 'matching: ...' line")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ParseError(f"expected header 'n m', got {lines[0]!r}")
-    try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError as exc:
-        raise ParseError(f"bad header {lines[0]!r}") from exc
+    n, m = _read_header(lines, "instance")
     if len(lines) - 1 != m:
         raise ParseError(f"header promises {m} edges, file has {len(lines) - 1}")
     rows = []

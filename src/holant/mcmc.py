@@ -33,6 +33,7 @@ from .polymers import (
 from .signatures import SignatureAssignment
 
 DEFAULT_XI = 0.75
+_STRIDE = 2  # chain steps between FPRAS samples
 
 
 def tau_floor(kappa: int, delta: int) -> float:
@@ -127,31 +128,27 @@ class ChainState:
 class PolymerChain:
     """Bound instance: certified parameters plus per-edge mu0 candidate lists.
 
+    tau is tau_floor(kappa, Delta) and the mixing condition uses DEFAULT_XI.
     check: "auto" accepts the instance when the fugacity ratios sit inside the
     chain region bound, falling back to direct verification of the sampling
-    and mixing conditions on the full (gated) pool; "direct" skips the region
-    test; "none" trusts the caller.
+    and mixing conditions on the full (gated) pool (certificate "region" or
+    "direct"); "none" trusts the caller (certificate "none").
     """
 
     def __init__(self, G: MultiGraph, assign: SignatureAssignment, z,
-                 xi: float = DEFAULT_XI, tau: float | None = None,
                  check: str = "auto"):
-        if check not in ("auto", "direct", "none"):
+        if check not in ("auto", "none"):
             raise ValueError(f"unknown check mode {check!r}")
         self.G = G
         self.assign = assign
         self.z = _require_nonneg(assign, z)
-        self.xi = xi
         self.kappa = assign.kappa
         delta = max(1, G.max_degree())
         self.delta = delta
         self.certificate = "none"
         if check != "none" and G.edge_count > 0:
-            self._certify(check)
-        floor = tau_floor(self.kappa, delta)
-        self.tau = floor if tau is None else float(tau)
-        if self.tau < floor:
-            raise ValueError(f"tau = {self.tau} below floor {floor}")
+            self._certify()
+        self.tau = tau_floor(self.kappa, delta)
         self.rho = self.tau - 2.0 - math.log(self.kappa * delta)
         # per-edge candidate polymers, weights at scale 1, in sort_key order
         # (so ascending by size): one walk over the live pool fills them all
@@ -163,16 +160,16 @@ class PolymerChain:
         self.scale = None
         self.set_scale(1.0)
 
-    def _certify(self, check: str):
+    def _certify(self):
         ratios = [zi / self.z[0] for zi in self.z[1:]]
         bound = region_bounds(
             "mcmc-poly", delta=self.delta, kappa=self.kappa, r1=self.assign.r1()
         ).bound
-        if check == "auto" and max(ratios, default=0.0) <= bound:
+        if max(ratios, default=0.0) <= bound:
             self.certificate = "region"
             return
         ok_s, tau_star, need = check_sampling_condition(self.G, self.assign, self.z)
-        ok_m, worst = check_mixing_condition(self.G, self.assign, self.z, self.xi)
+        ok_m, worst = check_mixing_condition(self.G, self.assign, self.z)
         if ok_s and ok_m:
             self.certificate = "direct"
             return
@@ -248,49 +245,48 @@ class PolymerChain:
             self.step(state, rng)
 
 
-def _sample_trials(chain: PolymerChain, steps: int, seed: int, indices):
-    out = []
-    for t in indices:
-        rng = substream(seed, t)
-        state = chain.fresh_state()
-        chain.run(state, steps, rng)
-        out.append(family_to_assignment(chain.G, state.family()))
-    return out
+def _chain_worker(task):
+    chain, fn, indices, args = task
+    return [fn(chain, i, *args) for i in indices]
 
 
-def _trial_worker(args):
-    G, assign, z, xi, check, steps, seed, indices = args
-    chain = PolymerChain(G, assign, z, xi=xi, check=check)
-    return _sample_trials(chain, steps, seed, indices)
+def _chain_map(chain: PolymerChain, fn, count: int, jobs: int, *args) -> list:
+    """[fn(chain, i, *args) for i in range(count)], over up to jobs processes.
+
+    The indices are dealt round-robin to the workers, and each worker gets one
+    pickled copy of the parent's certified chain. fn must draw from its own
+    substream per index, so the result does not depend on jobs.
+    """
+    if jobs <= 1 or count <= 1:
+        return [fn(chain, i, *args) for i in range(count)]
+    from concurrent.futures import ProcessPoolExecutor
+
+    workers = min(jobs, count)
+    tasks = [(chain, fn, range(w, count, workers), args) for w in range(workers)]
+    with ProcessPoolExecutor(max_workers=workers) as ex:
+        parts = list(ex.map(_chain_worker, tasks))
+    return [parts[i % workers][i // workers] for i in range(count)]
+
+
+def _sample_trial(chain: PolymerChain, trial: int, steps: int, seed: int):
+    state = chain.fresh_state()
+    chain.run(state, steps, substream(seed, trial))
+    return family_to_assignment(chain.G, state.family())
 
 
 def sample_assignments(G: MultiGraph, assign: SignatureAssignment, z, eps: float,
-                       seed: int, trials: int = 1, xi: float = DEFAULT_XI,
-                       check: str = "auto", steps: int | None = None,
-                       jobs: int = 1):
+                       seed: int, trials: int = 1, jobs: int = 1):
     """trials independent eps-approximate Gibbs samples (one chain each).
 
-    Each trial runs its own substream; output is identical for any jobs >= 1.
+    Each trial runs mixing_time(G, eps) steps on its own substream; output is
+    identical for any jobs >= 1.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if G.edge_count == 0:
         return [()] * trials
-    T = mixing_time(G, eps, xi) if steps is None else int(steps)
-    if jobs > 1 and trials > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunks = [list(range(i, trials, jobs)) for i in range(jobs)]
-        chunks = [c for c in chunks if c]
-        argset = [(G, assign, z, xi, check, T, seed, c) for c in chunks]
-        results: dict = {}
-        with ProcessPoolExecutor(max_workers=len(chunks)) as ex:
-            for chunk, res in zip(chunks, ex.map(_trial_worker, argset)):
-                for idx, sigma in zip(chunk, res):
-                    results[idx] = sigma
-        return [results[i] for i in range(trials)]
-    chain = PolymerChain(G, assign, z, xi=xi, check=check)
-    return _sample_trials(chain, T, seed, range(trials))
+    chain = PolymerChain(G, assign, z)
+    return _chain_map(chain, _sample_trial, trials, jobs, mixing_time(G, eps), seed)
 
 
 def sample_assignment(G, assign, z, eps, seed, **kw):
@@ -311,8 +307,8 @@ class FprasReport:
     certificate: str = "none"
 
 
-def _run_rep(chain: PolymerChain, seed: int, rep: int, K: int, S: int,
-             burn: int, stride: int, prefactor: float) -> float:
+def _run_rep(chain: PolymerChain, rep: int, seed: int, K: int, S: int,
+             burn: int, prefactor: float) -> float:
     rng = substream(seed, rep)
     state = chain.fresh_state()
     log_prod = 0.0
@@ -323,7 +319,7 @@ def _run_rep(chain: PolymerChain, seed: int, rep: int, K: int, S: int,
         chain.run(state, burn, rng)
         acc = 0.0
         for _ in range(S):
-            chain.run(state, stride, rng)
+            chain.run(state, _STRIDE, rng)
             acc += ratio**state.total_edges
         mean = acc / S
         if mean <= 0.0:
@@ -334,51 +330,32 @@ def _run_rep(chain: PolymerChain, seed: int, rep: int, K: int, S: int,
     return prefactor * math.exp(-log_prod)
 
 
-def _fpras_rep_worker(args):
-    G, assign, zr, xi, check, seed, rep, K, S, burn, stride, prefactor = args
-    chain = PolymerChain(G, assign, zr, xi=xi, check=check)
-    return _run_rep(chain, seed, rep, K, S, burn, stride, prefactor)
-
-
 def fpras_estimate(G: MultiGraph, assign: SignatureAssignment, z, eps: float,
-                   seed: int, reps: int = 3, stages: int | None = None,
-                   samples: int | None = None, xi: float = DEFAULT_XI,
-                   check: str = "auto", jobs: int = 1) -> FprasReport:
+                   seed: int, reps: int = 3, jobs: int = 1) -> FprasReport:
     """Randomised approximation of the Holant value by simulated annealing.
 
-    Anneals x from 0 to 1 over `stages` grid points; at each stage the chain
-    samples families at weights Phi * x_k^{|E|} and accumulates the bounded
-    statistic (x_{k-1}/x_k)^{total edges}, whose mean is Z(x_{k-1})/Z(x_k).
-    The product telescopes to 1/Z(1); the estimate is the median over
-    independent repetitions of prefactor / product. Repetitions use disjoint
-    substreams, so jobs > 1 returns the identical value.
+    Anneals x from 0 to 1 over K = max(2, min(2|E|, 24)) grid points; at each
+    stage the chain burns in for mixing_time(G, 0.05) steps, then takes
+    S = ceil(32 / eps^2) samples 2 steps apart of families at weights
+    Phi * x_k^{|E|}, and averages the bounded statistic
+    (x_{k-1}/x_k)^{total edges}, whose mean is Z(x_{k-1})/Z(x_k). The product
+    telescopes to 1/Z(1); the estimate is the median over independent
+    repetitions of prefactor / product. Repetitions use disjoint substreams,
+    so jobs > 1 returns the identical report.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
+    if reps < 1:
+        raise ValueError("reps must be >= 1")
     zr = _require_nonneg(assign, z)
     prefactor = holant_prefactor(G, assign, z).real
     if G.edge_count == 0:
         return FprasReport(prefactor, [prefactor] * reps, 0, 0, reps, seed, 0, 0)
-    K = stages if stages is not None else max(2, min(2 * G.edge_count, 24))
-    S = samples if samples is not None else math.ceil(32.0 / eps**2)
-    burn = mixing_time(G, 0.05, xi)
-    stride = 2
-    chain = PolymerChain(G, assign, zr, xi=xi, check=check)
-    if jobs > 1 and reps > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        args = [
-            (G, assign, zr, xi, check, seed, r, K, S, burn, stride, prefactor)
-            for r in range(reps)
-        ]
-        with ProcessPoolExecutor(max_workers=min(jobs, reps)) as ex:
-            estimates = list(ex.map(_fpras_rep_worker, args))
-    else:
-        estimates = [
-            _run_rep(chain, seed, r, K, S, burn, stride, prefactor)
-            for r in range(reps)
-        ]
-    steps_total = reps * K * (burn + S * stride)
+    K = max(2, min(2 * G.edge_count, 24))
+    S = math.ceil(32.0 / eps**2)
+    burn = mixing_time(G, 0.05)
+    chain = PolymerChain(G, assign, zr)
+    estimates = _chain_map(chain, _run_rep, reps, jobs, seed, K, S, burn, prefactor)
     return FprasReport(
         value=float(median(estimates)),
         estimates=estimates,
@@ -387,7 +364,7 @@ def fpras_estimate(G: MultiGraph, assign: SignatureAssignment, z, eps: float,
         reps=reps,
         seed=seed,
         burn=burn,
-        stride=stride,
-        chain_steps=steps_total,
+        stride=_STRIDE,
+        chain_steps=reps * K * (burn + S * _STRIDE),
         certificate=chain.certificate,
     )

@@ -116,6 +116,15 @@ def test_unknown_family_and_bad_params():
         region_bounds("hyper-pm", delta=3, k=1)
 
 
+def test_missing_params_raise_value_error_naming_them():
+    with pytest.raises(ValueError, match="'matching' needs delta"):
+        region_bounds("matching")
+    with pytest.raises(ValueError, match="needs kappa, r1"):
+        region_bounds("mcmc-poly", delta=3)
+    with pytest.raises(ValueError, match="needs r, c"):
+        region_bounds("linsys", kappa=1, r=None)
+
+
 def test_monotone_in_parameters():
     for fam, grid in (
         ("holant-poly", [("delta", range(1, 7)), ("kappa", range(1, 5)), ("r1", (1.0, 2.0, 4.0))]),

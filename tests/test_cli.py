@@ -258,6 +258,12 @@ def test_count_mcmc(capsys, files):
     assert run_json(capsys, argv + ["--jobs", "2"]) == rep
 
 
+def test_count_mcmc_zero_reps_exits_1(capsys, files):
+    assert main(["count-mcmc", "--graph", files["k2"], "--sig", "matching",
+                 "--z", "1,0.001", "--eps", "0.5", "--reps", "0"]) == 1
+    assert "reps must be >= 1" in capsys.readouterr().err
+
+
 def test_count_mcmc_region_violation(capsys, files):
     assert main(["count-mcmc", "--graph", files["k2"], "--sig", "matching",
                  "--z", "1,0.5", "--eps", "0.5"]) == 2
@@ -348,6 +354,14 @@ def test_pm_graph_modes(capsys, files):
     bound = run_json(capsys, ["pm", "--instance", files["gpm"], "--zc", "0",
                               "--mode", "bound"])
     assert "bound" in bound["result"]
+
+
+@pytest.mark.parametrize("text", ["matching: 0\n", "# note\nmatching: 1\n"])
+def test_pm_without_header_exits_1(capsys, tmp_path, text):
+    path = tmp_path / "pm.txt"
+    path.write_text(text)
+    assert main(["pm", "--instance", str(path), "--zc", "0.5"]) == 1
+    assert "empty instance file" in capsys.readouterr().err
 
 
 def test_pm_accepts_i_suffix(capsys, files):

@@ -611,6 +611,8 @@ def test_parse_pm_file_mixed_sizes_is_hyper():
         "4 2\n0 1\nmatching: 0\n",  # header promises 2 edges
         "2 1\n0 0\nmatching: 0\n",  # loop rejected by graph validation
         "4\n0 1\nmatching: 0\n",
+        "matching: 0\n",  # no header line at all
+        "# note\nmatching: 1\n",
     ],
 )
 def test_parse_pm_file_errors(text):

@@ -258,6 +258,43 @@ def test_fpras_deterministic_and_jobs_equivalent():
     assert r1.value == r3.value
 
 
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_uneven_chunks_match_serial(jobs):
+    # 7 trials and 5 reps do not split evenly over 2 or 3 workers
+    G = c3()
+    a = uniform_assignment(G, "matching")
+    z = mcmc_z(G)
+    serial = sample_assignments(G, a, z, 0.1, seed=5, trials=7)
+    assert sample_assignments(G, a, z, 0.1, seed=5, trials=7, jobs=jobs) == serial
+    rep = fpras_estimate(G, a, z, 0.1, seed=5, reps=5)
+    assert fpras_estimate(G, a, z, 0.1, seed=5, reps=5, jobs=jobs) == rep
+    assert len(set(rep.estimates)) == 5  # every rep ran on its own substream
+
+
+def test_direct_certificate_chain_runs_in_workers():
+    # the instance of test_chain_direct_certification_beyond_region_bound
+    G = k2()
+    a = SignatureAssignment(
+        G, [make_signature([1, 1.5], 1, 1), make_signature([1, 0.5], 1, 1)]
+    )
+    z = (1.0, 5e-3)
+    rep = fpras_estimate(G, a, z, 0.5, seed=2, reps=3)
+    assert rep.certificate == "direct"
+    assert fpras_estimate(G, a, z, 0.5, seed=2, reps=3, jobs=2) == rep
+    serial = sample_assignments(G, a, z, 0.1, seed=2, trials=5)
+    assert sample_assignments(G, a, z, 0.1, seed=2, trials=5, jobs=2) == serial
+
+
+def test_fpras_rejects_zero_reps():
+    a3 = uniform_assignment(c3(), "matching")
+    with pytest.raises(ValueError, match="reps must be >= 1"):
+        fpras_estimate(c3(), a3, mcmc_z(c3()), 0.2, seed=1, reps=0)
+    G = MultiGraph(3, [])
+    with pytest.raises(ValueError, match="reps must be >= 1"):
+        fpras_estimate(G, uniform_assignment(G, "matching"), (1.0, 0.1), 0.2,
+                       seed=1, reps=0)
+
+
 def test_fpras_outside_region_raises():
     G = c3()
     a = uniform_assignment(G, "matching")
