@@ -12,11 +12,10 @@ from holant import (
     MultiGraph,
     brute_holant,
     brute_polymer_z,
-    enumerate_polymers,
-    holant_prefactor,
     uniform_assignment,
-    weight_map,
 )
+from holant.oracle import enumerate_polymers, weight_map
+from holant.polymers import holant_prefactor
 
 G = MultiGraph.from_text("4 4\n0 1\n1 2\n2 3\n0 3\n")
 assign = uniform_assignment(G, "even-parity", weight=0.2)

@@ -13,15 +13,17 @@ from holant import (
     MultiGraph,
     approx_polynomial_report,
     brute_holant,
+    region_bounds,
+    uniform_assignment,
+)
+from holant.expansion import truncation_order
+from holant.oracle import (
     cluster_log_coefficients,
     enumerate_clusters,
     enumerate_polymers,
-    holant_prefactor,
-    region_bounds,
-    truncation_order,
-    uniform_assignment,
     weight_map,
 )
+from holant.polymers import holant_prefactor
 
 G = MultiGraph.from_text("6 8\n0 1\n1 2\n2 3\n3 4\n4 5\n0 5\n0 3\n1 4\n")
 assign = uniform_assignment(G, "matching")

@@ -12,12 +12,11 @@ from holant import (
     LinearSystem,
     MultiGraph,
     brute_weighted_count,
-    linsys_region,
-    perfect_matchings,
     pm_polynomial_graph,
     pm_polynomial_hypergraph,
     weighted_count,
 )
+from holant.linsys import linsys_region, perfect_matchings
 
 # Ax = 0 with x_j in {0..cap_j}, each solution weighted by prod w_j^{x_j}
 sys_ = LinearSystem(

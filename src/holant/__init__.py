@@ -6,17 +6,12 @@ certificates and closed-form parameter regions, a deterministic truncated
 cluster-expansion approximation, a Markov-chain sampler with an annealed
 counting estimator, and reductions for linear-system solution counting and
 perfect-matching polynomials.
+
+`__all__` is the library API; each layer's functions are imported from their
+own modules, and `holant.oracle` holds the reference computations.
 """
 
-from .bounds import (
-    FAMILIES,
-    KpReport,
-    RegionReport,
-    q_factor_fugacity,
-    q_factor_problem,
-    region_bounds,
-    verify_kp,
-)
+from .bounds import FAMILIES, KpReport, RegionReport, region_bounds, verify_kp
 from .errors import (
     ConditionViolated,
     DegenerateDistribution,
@@ -28,82 +23,27 @@ from .errors import (
     RegionViolation,
     UnsupportedWeights,
 )
-from .expansion import (
-    ApproxReport,
-    Cluster,
-    TaylorSeries,
-    approx_polynomial_report,
-    approx_problem_report,
-    approximate_holant_polynomial,
-    approximate_holant_problem,
-    cluster_log_coefficients,
-    enumerate_clusters,
-    family_poly_coefficients,
-    log_z_coefficients,
-    series_log,
-    truncation_order,
-    ursell,
-)
-from .graph import (
-    MultiGraph,
-    connected_edge_sets,
-    connected_edge_subgraphs,
-    connected_edge_supersets,
-)
+from .expansion import ApproxReport, approx_polynomial_report, approx_problem_report
+from .graph import MultiGraph
 from .linsys import (
     Hypergraph,
     LinearSystem,
     LinsysReport,
-    VectorPolymer,
-    alternating_cycle_polymers,
     brute_weighted_count,
-    build_hypergraph,
-    enumerate_vector_polymers,
-    linsys_region,
     parse_matrix_file,
     parse_pm_file,
-    perfect_matchings,
     pm_polynomial_graph,
     pm_polynomial_hypergraph,
     weighted_count,
 )
-from .mcmc import (
-    FprasReport,
-    PolymerChain,
-    check_mixing_condition,
-    check_sampling_condition,
-    derive_seed,
-    fpras_estimate,
-    mixing_time,
-    sample_assignment,
-    sample_assignments,
-    substream,
-    tau_floor,
-)
-from .oracle import ExactResult, assignment_weight, brute_holant, brute_polymer_z, exact_gibbs
-from .polymers import (
-    ColouredPolymer,
-    assignment_to_family,
-    compact_domain,
-    enumerate_polymers,
-    family_to_assignment,
-    holant_prefactor,
-    incompatible,
-    make_polymer,
-    polymer_weight,
-    relabel_ground,
-    weight_map,
-)
+from .mcmc import FprasReport, fpras_estimate, mixing_time, sample_assignments, tau_floor
+from .oracle import ExactResult, brute_holant, brute_polymer_z, exact_gibbs
 from .signatures import (
     Signature,
     SignatureAssignment,
     assignment_from_json,
     assignment_to_json,
-    builtin_signature,
-    even_parity_signature,
     make_signature,
-    matching_signature,
-    signature_to_spec,
     uniform_assignment,
 )
 
@@ -111,8 +51,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ApproxReport",
-    "Cluster",
-    "ColouredPolymer",
     "ConditionViolated",
     "DegenerateDistribution",
     "ExactResult",
@@ -128,72 +66,30 @@ __all__ = [
     "MultiGraph",
     "NotInF0",
     "ParseError",
-    "PolymerChain",
     "RegionReport",
     "RegionViolation",
     "Signature",
     "SignatureAssignment",
-    "TaylorSeries",
     "UnsupportedWeights",
-    "VectorPolymer",
-    "alternating_cycle_polymers",
     "approx_polynomial_report",
     "approx_problem_report",
-    "approximate_holant_polynomial",
-    "approximate_holant_problem",
     "assignment_from_json",
-    "assignment_to_family",
     "assignment_to_json",
-    "assignment_weight",
     "brute_holant",
     "brute_polymer_z",
     "brute_weighted_count",
-    "build_hypergraph",
-    "builtin_signature",
-    "check_mixing_condition",
-    "check_sampling_condition",
-    "cluster_log_coefficients",
-    "compact_domain",
-    "connected_edge_sets",
-    "connected_edge_subgraphs",
-    "connected_edge_supersets",
-    "derive_seed",
-    "enumerate_clusters",
-    "enumerate_polymers",
-    "enumerate_vector_polymers",
-    "even_parity_signature",
     "exact_gibbs",
-    "family_poly_coefficients",
-    "family_to_assignment",
     "fpras_estimate",
-    "holant_prefactor",
-    "incompatible",
-    "linsys_region",
-    "log_z_coefficients",
-    "make_polymer",
     "make_signature",
-    "matching_signature",
     "mixing_time",
     "parse_matrix_file",
     "parse_pm_file",
-    "perfect_matchings",
     "pm_polynomial_graph",
     "pm_polynomial_hypergraph",
-    "polymer_weight",
-    "q_factor_fugacity",
-    "q_factor_problem",
     "region_bounds",
-    "relabel_ground",
-    "sample_assignment",
     "sample_assignments",
-    "series_log",
-    "signature_to_spec",
-    "substream",
     "tau_floor",
-    "truncation_order",
     "uniform_assignment",
-    "ursell",
     "verify_kp",
-    "weight_map",
     "weighted_count",
 ]

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .errors import GateExceeded, InvalidFugacity
 from .graph import MultiGraph, connected_edge_sets
-from .polymers import colour_supports, polymer_weight
+from .polymers import colour_supports, live_polymers
 from .signatures import SignatureAssignment
 
 _E = math.e
@@ -224,6 +224,11 @@ def kp_margins(vmasks, terms, a_vals):
 
 
 def _gated_full_pool(G: MultiGraph, assign: SignatureAssignment, z):
+    """Every polymer of the instance, zero-weight ones included, and its weight.
+
+    The weights come from one `live_polymers` walk; a polymer the walk does
+    not return weighs 0.
+    """
     if G.edge_count > KP_EDGE_GATE or assign.kappa > KP_KAPPA_GATE:
         raise GateExceeded(
             f"full polymer enumeration gated at |E| <= {KP_EDGE_GATE}, kappa <= {KP_KAPPA_GATE}"
@@ -233,8 +238,8 @@ def _gated_full_pool(G: MultiGraph, assign: SignatureAssignment, z):
     if pool_size > KP_POOL_GATE:
         raise GateExceeded(f"pool of {pool_size} polymers exceeds gate {KP_POOL_GATE}")
     pool = colour_supports(G, assign.kappa, supports)
-    weights = [polymer_weight(G, assign, z, p) for p in pool]
-    return pool, weights
+    live = dict(live_polymers(G, assign, z, G.edge_count))
+    return pool, [live.get(p, 0j) for p in pool]
 
 
 def verify_kp(G: MultiGraph, assign: SignatureAssignment, z,

@@ -10,11 +10,10 @@ polymers starting at each vertex (reported as `family_states`), not the
 number of compatible families, which grows exponentially with |E|. The
 formal power-series logarithm then yields every a_j.
 
-The textbook cluster sum (`ursell`, `enumerate_clusters`,
-`cluster_log_coefficients`) stays as the independent reference that the
-tests check the series route against: it sums ursell(H) / prod(mult_i!) *
+The textbook cluster sum, which adds ursell(H) / prod(mult_i!) *
 prod Phi^mult_i over connected multisets of polymers (clusters) of total
-size <= m, and its cost grows exponentially with m.
+size <= m at a cost exponential in m, lives in `holant.oracle` as the
+independent reference that the tests check this route against.
 
 The approximation itself is prefactor * exp(sum_{j<=m} a_j) with the
 truncation order m chosen from the certified zero-free radius q.
@@ -24,219 +23,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .bounds import q_factor_fugacity, q_factor_problem, region_bounds
-from .errors import GateExceeded, InvalidFugacity, RegionViolation
-from .families import FAMILY_VISIT_GATE, FamilySum, family_sum
+from .errors import InvalidFugacity, RegionViolation
+from .families import FamilySum, family_sum
 from .graph import MultiGraph, bfs_order, mask_vertices
 from .polymers import compact_domain, holant_prefactor, live_polymers
 from .signatures import SignatureAssignment
-
-URSELL_NODE_GATE = 22
-CLUSTER_GATE = 5 * 10**6
-
-
-# ---------------------------------------------------------------------------
-# Ursell function
-
-
-def _normalise_edges(k: int, edges):
-    out = set()
-    for i, j in edges:
-        if not (0 <= i < k and 0 <= j < k) or i == j:
-            raise ValueError(f"bad edge ({i},{j}) for {k} nodes")
-        out.add((min(i, j), max(i, j)))
-    return tuple(sorted(out))
-
-
-@lru_cache(maxsize=200_000)
-def _ursell_cached(k: int, edges) -> int:
-    adj = [0] * k
-    for i, j in edges:
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
-    full = (1 << k) - 1
-
-    # edgeless[S]: no edge of H inside S; built up by lowest bit
-    edgeless = bytearray(full + 1)
-    edgeless[0] = 1
-    for S in range(1, full + 1):
-        b = S & -S
-        rest = S ^ b
-        edgeless[S] = 1 if edgeless[rest] and (adj[b.bit_length() - 1] & S) == 0 else 0
-
-    # C[S] = sum over spanning connected edge subsets of H[S] of (-1)^{#edges};
-    # recurrence peels off the component of the lowest node b:
-    # [S edgeless] = sum_{T ni b} C[T] * [S \ T edgeless]
-    C = [0] * (full + 1)
-    for S in range(1, full + 1):
-        b = S & -S
-        rest = S ^ b
-        total = int(edgeless[S])
-        U = rest
-        while U:
-            if edgeless[U]:
-                total -= C[S ^ U]
-            U = (U - 1) & rest
-        C[S] = total
-    return C[full]
-
-
-def ursell(k: int, edges) -> int:
-    """Sum of (-1)^{|A|} over spanning connected edge subsets A of H.
-
-    H must be connected (callers construct clusters, whose incompatibility
-    graphs are connected by definition). Exact integer arithmetic.
-    """
-    if k < 1:
-        raise ValueError("need at least one node")
-    if k > URSELL_NODE_GATE:
-        raise GateExceeded(f"ursell on {k} nodes exceeds gate {URSELL_NODE_GATE}")
-    edges = _normalise_edges(k, edges)
-    # connectivity check
-    adj = [0] * k
-    for i, j in edges:
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
-    seen = 1
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        m = adj[v] & ~seen
-        while m:
-            b = m & -m
-            seen |= b
-            stack.append(b.bit_length() - 1)
-            m ^= b
-    if seen != (1 << k) - 1:
-        raise ValueError("incompatibility graph must be connected")
-    return _ursell_cached(k, edges)
-
-
-# ---------------------------------------------------------------------------
-# Clusters
-
-
-@dataclass(frozen=True)
-class Cluster:
-    """Connected multiset of polymers: distinct polymers plus multiplicities."""
-
-    polymers: tuple
-    mults: tuple
-    total_size: int
-    ursell_value: int
-
-    def weight(self, wmap) -> complex:
-        w = complex(self.ursell_value)
-        for p, m in zip(self.polymers, self.mults):
-            w *= wmap[p] ** m
-            w /= math.factorial(m)
-        return w
-
-
-def _expanded_ursell(sizes_adj, mults) -> int:
-    """Ursell of the copy-expanded incompatibility graph.
-
-    sizes_adj: tuple of support-graph edges (i, j) with i < j (positions into
-    the support); identical copies are always mutually incompatible, so each
-    support position contributes a clique of its multiplicity.
-    """
-    offsets = [0]
-    for m in mults:
-        offsets.append(offsets[-1] + m)
-    k = offsets[-1]
-    edges = []
-    for pos, m in enumerate(mults):
-        nodes = range(offsets[pos], offsets[pos + 1])
-        edges += [(a, b) for a in nodes for b in nodes if a < b]
-    for i, j in sizes_adj:
-        edges += [
-            (a, b)
-            for a in range(offsets[i], offsets[i + 1])
-            for b in range(offsets[j], offsets[j + 1])
-        ]
-    return ursell(k, edges)
-
-
-def enumerate_clusters(polymers, max_total: int):
-    """All clusters of total size <= max_total over the given polymer pool.
-
-    Deterministic order: supports are grown exactly once each (seed order with
-    banned predecessors, as for connected subgraphs), multiplicity vectors in
-    lexicographic order.
-    """
-    pool = sorted((p for p in polymers if p.size <= max_total),
-                  key=lambda p: p.sort_key())
-    n = len(pool)
-    masks = [p.vmask for p in pool]
-    sizes = [p.size for p in pool]
-    out = []
-    budget = [CLUSTER_GATE]
-
-    def emit(support, support_adj):
-        szs = [sizes[i] for i in support]
-        polys = tuple(pool[i] for i in support)
-        t = len(support)
-        tail = [0] * (t + 1)
-        for i in range(t - 1, -1, -1):
-            tail[i] = tail[i + 1] + szs[i]
-
-        def mults_dfs(pos, used, acc):
-            if pos == t:
-                budget[0] -= 1
-                if budget[0] < 0:
-                    raise GateExceeded(f"more than {CLUSTER_GATE} clusters")
-                u = _expanded_ursell(support_adj, tuple(acc))
-                out.append(Cluster(polys, tuple(acc), used, u))
-                return
-            s = szs[pos]
-            mult = 1
-            while used + mult * s + tail[pos + 1] <= max_total:
-                acc.append(mult)
-                mults_dfs(pos + 1, used + mult * s, acc)
-                acc.pop()
-                mult += 1
-
-        mults_dfs(0, 0, [])
-
-    def grow(support, smask, ssize, banned):
-        adj = tuple(
-            (a, b)
-            for a in range(len(support))
-            for b in range(a + 1, len(support))
-            if masks[support[a]] & masks[support[b]]
-        )
-        emit(support, adj)
-        cand = [
-            j
-            for j in range(n)
-            if j not in banned
-            and j not in support
-            and masks[j] & smask
-            and ssize + sizes[j] <= max_total
-        ]
-        newly: set = set()
-        for j in cand:
-            grow(support + [j], smask | masks[j], ssize + sizes[j], banned | newly)
-            newly.add(j)
-
-    banned_seeds: set = set()
-    for i in range(n):
-        grow([i], masks[i], sizes[i], set(banned_seeds))
-        banned_seeds.add(i)
-    return out
-
-
-def cluster_log_coefficients(clusters, wmap, m: int):
-    """a_1..a_m from an explicit cluster list."""
-    a = [0j] * (m + 1)
-    for cl in clusters:
-        if cl.total_size <= m:
-            a[cl.total_size] += cl.weight(wmap)
-    return a[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +54,7 @@ def family_poly_coefficients(polymers, weights, cap: int, order=None) -> FamilyS
         for mask, _, _ in items:
             union |= mask
         order = mask_vertices(union)
-    return family_sum(items, order, cap, FAMILY_VISIT_GATE)
+    return family_sum(items, order, cap)
 
 
 def series_log(c, m: int):
@@ -442,11 +237,3 @@ def approx_problem_report(G: MultiGraph, assign: SignatureAssignment,
                 f"x = 1 (q = {q:.6g} <= 1); pass force=True to run without a guarantee"
             )
     return _truncated_report(G, assign, z, prefactor, "problem", q, bound, eps, order)
-
-
-def approximate_holant_polynomial(G, assign, z, eps, **kw) -> complex:
-    return approx_polynomial_report(G, assign, z, eps, **kw).value
-
-
-def approximate_holant_problem(G, assign, eps, **kw) -> complex:
-    return approx_problem_report(G, assign, eps, **kw).value

@@ -58,13 +58,13 @@ def _shifted(coeffs, size: int, weight):
     return (0j,) * size + tuple(weight * c for c in coeffs[:len(coeffs) - size])
 
 
-def family_sum(items, order, cap: int = 0, gate: int = FAMILY_VISIT_GATE) -> FamilySum:
+def family_sum(items, order, cap: int = 0) -> FamilySum:
     """sum over families of prod weight * x^{total size}, truncated at x^cap.
 
     items: (mask, size, weight) triples with nonempty masks; items of size
     > cap cannot contribute and are left out. order: the vertices, each
     once; it must list every vertex of every item. Raises GateExceeded once
-    the DP makes more than `gate` transitions.
+    the DP makes more than FAMILY_VISIT_GATE transitions (read at call time).
     """
     pos = {v: i for i, v in enumerate(order)}
     if len(pos) != len(order):
@@ -83,6 +83,7 @@ def family_sum(items, order, cap: int = 0, gate: int = FAMILY_VISIT_GATE) -> Fam
         starts[first].append((mask ^ (1 << order[first]), size, weight))
         touched |= mask
 
+    gate = FAMILY_VISIT_GATE
     layer = {0: ((1 + 0j,) + (0j,) * cap, 1)}
     transitions = 0
     for v, here in zip(order, starts):

@@ -278,25 +278,6 @@ def _shortlex_sets(G, seeds, max_edges: int):
     return sorted(out, key=lambda t: (len(t), t))
 
 
-def connected_edge_subgraphs(G: MultiGraph, v: int, max_edges: int):
-    """Connected edge sets S, 1 <= |S| <= max_edges, whose subgraph contains v.
-
-    Output is deterministic: sorted edge-id tuples in shortlex order.
-    """
-    if not (0 <= v < G.vertex_count):
-        raise ValueError(f"vertex {v} out of range")
-    if max_edges < 0:
-        raise ValueError("max_edges must be >= 0")
-    return _shortlex_sets(G, G.incident(v), max_edges)
-
-
-def connected_edge_supersets(G: MultiGraph, eid: int, max_edges: int):
-    """Connected edge sets containing edge eid, |S| <= max_edges, shortlex."""
-    if not (0 <= eid < G.edge_count):
-        raise ValueError(f"edge {eid} out of range")
-    return _shortlex_sets(G, [eid], max_edges)
-
-
 def connected_edge_sets(G: MultiGraph, max_edges: int):
     """All connected edge sets with 1 <= |S| <= max_edges, shortlex."""
     return _shortlex_sets(G, range(G.edge_count), max_edges)

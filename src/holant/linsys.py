@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .bounds import region_bounds
 from .errors import GateExceeded, ParseError
-from .families import FAMILY_VISIT_GATE, family_sum
+from .families import family_sum
 from .graph import MultiGraph, _read_header, _strip_comments, bfs_order, mask_vertices
 
 SUPPORT_BOX_GATE = 10**6
@@ -286,8 +286,7 @@ def weighted_count(sys: LinearSystem) -> LinsysReport:
         factor *= sum(sys.weights[j] ** x for x in range(sys.caps[j] + 1))
     pool = enumerate_vector_polymers(sys)
     items = [(p.rmask, 0, p.weight(sys)) for p in pool]
-    fam = family_sum(items, bfs_order(sys.n, build_hypergraph(sys).edges),
-                     gate=FAMILY_VISIT_GATE)
+    fam = family_sum(items, bfs_order(sys.n, build_hypergraph(sys).edges))
     return LinsysReport(
         value=factor * fam[0],
         polymer_count=len(pool),
@@ -438,7 +437,7 @@ def pm_polynomial_graph(G: MultiGraph, matching, z: complex,
         raise ValueError(f"unknown mode {mode!r}")
     zc = complex(z)
     items = [(mask, 0, zc ** len(cyc)) for cyc, mask in alternating_cycle_polymers(G, matching)]
-    return family_sum(items, bfs_order(G.vertex_count, G.edges), gate=FAMILY_VISIT_GATE)[0]
+    return family_sum(items, bfs_order(G.vertex_count, G.edges))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,13 @@ from dataclasses import dataclass
 from statistics import median
 
 from .bounds import _gated_full_pool, kp_margins, region_bounds
-from .errors import ConditionViolated, InvalidFugacity, RegionViolation, UnsupportedWeights
+from .errors import (
+    ConditionViolated,
+    GateExceeded,
+    InvalidFugacity,
+    RegionViolation,
+    UnsupportedWeights,
+)
 from .graph import MultiGraph
 from .polymers import (
     ColouredPolymer,
@@ -34,6 +40,7 @@ from .signatures import SignatureAssignment
 
 DEFAULT_XI = 0.75
 _STRIDE = 2  # chain steps between FPRAS samples
+CHAIN_STEP_GATE = 2 * 10**7  # chain steps one call may plan
 
 
 def tau_floor(kappa: int, delta: int) -> float:
@@ -245,6 +252,11 @@ class PolymerChain:
             self.step(state, rng)
 
 
+def _gate_chain_steps(steps: int) -> None:
+    if steps > CHAIN_STEP_GATE:
+        raise GateExceeded(f"{steps} planned chain steps exceed gate {CHAIN_STEP_GATE}")
+
+
 def _chain_worker(task):
     chain, fn, indices, args = task
     return [fn(chain, i, *args) for i in indices]
@@ -279,18 +291,18 @@ def sample_assignments(G: MultiGraph, assign: SignatureAssignment, z, eps: float
     """trials independent eps-approximate Gibbs samples (one chain each).
 
     Each trial runs mixing_time(G, eps) steps on its own substream; output is
-    identical for any jobs >= 1.
+    identical for any jobs >= 1. Raises GateExceeded, before the chain is
+    built, when trials * mixing_time exceeds CHAIN_STEP_GATE.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if G.edge_count == 0:
         return [()] * trials
+    _require_nonneg(assign, z)
+    steps = mixing_time(G, eps)
+    _gate_chain_steps(trials * steps)
     chain = PolymerChain(G, assign, z)
-    return _chain_map(chain, _sample_trial, trials, jobs, mixing_time(G, eps), seed)
-
-
-def sample_assignment(G, assign, z, eps, seed, **kw):
-    return sample_assignments(G, assign, z, eps, seed, trials=1, **kw)[0]
+    return _chain_map(chain, _sample_trial, trials, jobs, steps, seed)
 
 
 @dataclass
@@ -341,7 +353,9 @@ def fpras_estimate(G: MultiGraph, assign: SignatureAssignment, z, eps: float,
     (x_{k-1}/x_k)^{total edges}, whose mean is Z(x_{k-1})/Z(x_k). The product
     telescopes to 1/Z(1); the estimate is the median over independent
     repetitions of prefactor / product. Repetitions use disjoint substreams,
-    so jobs > 1 returns the identical report.
+    so jobs > 1 returns the identical report. Raises GateExceeded, before the
+    chain is built, when the reps * K * (burn + 2S) planned steps exceed
+    CHAIN_STEP_GATE.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -354,6 +368,8 @@ def fpras_estimate(G: MultiGraph, assign: SignatureAssignment, z, eps: float,
     K = max(2, min(2 * G.edge_count, 24))
     S = math.ceil(32.0 / eps**2)
     burn = mixing_time(G, 0.05)
+    steps = reps * K * (burn + S * _STRIDE)
+    _gate_chain_steps(steps)
     chain = PolymerChain(G, assign, zr)
     estimates = _chain_map(chain, _run_rep, reps, jobs, seed, K, S, burn, prefactor)
     return FprasReport(
@@ -365,6 +381,6 @@ def fpras_estimate(G: MultiGraph, assign: SignatureAssignment, z, eps: float,
         seed=seed,
         burn=burn,
         stride=_STRIDE,
-        chain_steps=reps * K * (burn + S * _STRIDE),
+        chain_steps=steps,
         certificate=chain.certificate,
     )

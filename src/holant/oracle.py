@@ -1,22 +1,37 @@
-"""Brute-force reference computations.
+"""Reference computations: everything the production paths are tested against.
 
-Exponential-time, gate-guarded, and deliberately free of the algorithmic
-machinery used by the production paths: enumeration over all edge assignments
-(for the Holant sum) and over all compatible polymer families (for the polymer
-partition function). Everything else in the package is tested against these.
+Exponential-time, gate-guarded, and free of the production machinery: brute
+force over edge assignments (`brute_holant`, `exact_gibbs`) and over
+compatible polymer families (`brute_polymer_z`); the textbook polymer pool
+(`connected_edge_subgraphs`, `connected_edge_supersets`, `enumerate_polymers`)
+with weights computed polymer by polymer (`polymer_weight`, `weight_map`); and
+the cluster expansion (`ursell`, `enumerate_clusters`,
+`cluster_log_coefficients`). No production module imports it; the command
+line uses `brute_holant` for its `oracle` subcommand.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
-from .errors import DegenerateDistribution, GateExceeded, InvalidFugacity, UnsupportedWeights
-from .graph import MultiGraph
+from .errors import (
+    DegenerateDistribution,
+    GateExceeded,
+    InvalidFugacity,
+    NotInF0,
+    UnsupportedWeights,
+)
+from .graph import MultiGraph, _shortlex_sets, connected_edge_sets
+from .polymers import ColouredPolymer, colour_supports
 from .signatures import SignatureAssignment
 
 ASSIGNMENT_GATE = 10**8
-FAMILY_VISIT_GATE = 2 * 10**7
+BRUTE_FAMILY_GATE = 2 * 10**7
+URSELL_NODE_GATE = 22
+CLUSTER_GATE = 5 * 10**6
 
 
 @dataclass
@@ -85,8 +100,8 @@ def brute_polymer_z(polymers, weights) -> complex:
     def rec(start: int, occupied: int, prod_w: complex) -> complex:
         nonlocal visits
         visits += 1
-        if visits > FAMILY_VISIT_GATE:
-            raise GateExceeded(f"family enumeration exceeded {FAMILY_VISIT_GATE} visits")
+        if visits > BRUTE_FAMILY_GATE:
+            raise GateExceeded(f"family enumeration exceeded {BRUTE_FAMILY_GATE} visits")
         total = prod_w
         for j in range(start, n):
             if masks[j] & occupied == 0:
@@ -109,3 +124,269 @@ def exact_gibbs(G: MultiGraph, assign: SignatureAssignment, z) -> dict:
     if total <= 0:
         raise DegenerateDistribution("partition function is zero; no distribution")
     return {sigma: w.real / total for sigma, w in res.table.items()}
+
+
+# ---------------------------------------------------------------------------
+# Anchored connected edge sets, the coloured polymer pool and its weights
+
+
+def connected_edge_subgraphs(G: MultiGraph, v: int, max_edges: int):
+    """Connected edge sets S, 1 <= |S| <= max_edges, whose subgraph contains v.
+
+    Output is deterministic: sorted edge-id tuples in shortlex order.
+    """
+    if not (0 <= v < G.vertex_count):
+        raise ValueError(f"vertex {v} out of range")
+    if max_edges < 0:
+        raise ValueError("max_edges must be >= 0")
+    return _shortlex_sets(G, G.incident(v), max_edges)
+
+
+def connected_edge_supersets(G: MultiGraph, eid: int, max_edges: int):
+    """Connected edge sets containing edge eid, |S| <= max_edges, shortlex."""
+    if not (0 <= eid < G.edge_count):
+        raise ValueError(f"edge {eid} out of range")
+    return _shortlex_sets(G, [eid], max_edges)
+
+
+def enumerate_polymers(G: MultiGraph, kappa: int, max_edges: int,
+                       anchor: int | None = None):
+    """All coloured polymers with |E(gamma)| <= max_edges.
+
+    anchor (a vertex id) restricts to polymers whose subgraph contains it.
+    Order is deterministic: supports shortlex, colourings lexicographic.
+    """
+    if anchor is None:
+        supports = connected_edge_sets(G, max_edges)
+    else:
+        supports = connected_edge_subgraphs(G, anchor, max_edges)
+    return colour_supports(G, kappa, supports)
+
+
+def polymer_weight(G: MultiGraph, assign: SignatureAssignment, z,
+                   polymer: ColouredPolymer) -> complex:
+    """Phi(gamma) = prod_i (z_i/z_0)^{#edges coloured i} * prod_{v in V(gamma)} f_v(...) / f_v(0).
+
+    Each vertex evaluates its signature on the tuple over all its incident
+    edges in canonical rank order, with edges outside the polymer at colour 0.
+    """
+    z = tuple(complex(t) for t in z)
+    if z[0] == 0:
+        raise InvalidFugacity("z_0 must be nonzero")
+    colour_of = dict(zip(polymer.edges, polymer.colours))
+    for c in polymer.colours:
+        if c >= len(z):
+            raise InvalidFugacity(f"colour {c} has no fugacity (len(z) = {len(z)})")
+    w = 1 + 0j
+    for c in polymer.colours:
+        w *= z[c] / z[0]
+    for v in polymer.vertices():
+        s = assign.sig(v)
+        if s.table[0] == 0:
+            raise NotInF0(f"vertex {v}: signature {s.name!r} has f(0,...,0) = 0")
+        w *= assign.vertex_value(v, lambda e: colour_of.get(e, 0)) / s.f0
+    return w
+
+
+def weight_map(G: MultiGraph, assign: SignatureAssignment, z, polymers) -> dict:
+    return {p: polymer_weight(G, assign, z, p) for p in polymers}
+
+
+# ---------------------------------------------------------------------------
+# Ursell function
+
+
+def _normalise_edges(k: int, edges):
+    out = set()
+    for i, j in edges:
+        if not (0 <= i < k and 0 <= j < k) or i == j:
+            raise ValueError(f"bad edge ({i},{j}) for {k} nodes")
+        out.add((min(i, j), max(i, j)))
+    return tuple(sorted(out))
+
+
+@lru_cache(maxsize=200_000)
+def _ursell_cached(k: int, edges) -> int:
+    adj = [0] * k
+    for i, j in edges:
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    full = (1 << k) - 1
+
+    # edgeless[S]: no edge of H inside S; built up by lowest bit
+    edgeless = bytearray(full + 1)
+    edgeless[0] = 1
+    for S in range(1, full + 1):
+        b = S & -S
+        rest = S ^ b
+        edgeless[S] = 1 if edgeless[rest] and (adj[b.bit_length() - 1] & S) == 0 else 0
+
+    # C[S] = sum over spanning connected edge subsets of H[S] of (-1)^{#edges};
+    # recurrence peels off the component of the lowest node b:
+    # [S edgeless] = sum_{T ni b} C[T] * [S \ T edgeless]
+    C = [0] * (full + 1)
+    for S in range(1, full + 1):
+        b = S & -S
+        rest = S ^ b
+        total = int(edgeless[S])
+        U = rest
+        while U:
+            if edgeless[U]:
+                total -= C[S ^ U]
+            U = (U - 1) & rest
+        C[S] = total
+    return C[full]
+
+
+def ursell(k: int, edges) -> int:
+    """Sum of (-1)^{|A|} over spanning connected edge subsets A of H.
+
+    H must be connected (callers construct clusters, whose incompatibility
+    graphs are connected by definition). Exact integer arithmetic.
+    """
+    if k < 1:
+        raise ValueError("need at least one node")
+    if k > URSELL_NODE_GATE:
+        raise GateExceeded(f"ursell on {k} nodes exceeds gate {URSELL_NODE_GATE}")
+    edges = _normalise_edges(k, edges)
+    # connectivity check
+    adj = [0] * k
+    for i, j in edges:
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    seen = 1
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        m = adj[v] & ~seen
+        while m:
+            b = m & -m
+            seen |= b
+            stack.append(b.bit_length() - 1)
+            m ^= b
+    if seen != (1 << k) - 1:
+        raise ValueError("incompatibility graph must be connected")
+    return _ursell_cached(k, edges)
+
+
+# ---------------------------------------------------------------------------
+# Clusters
+
+
+@dataclass(frozen=True)
+class Cluster:
+    """Connected multiset of polymers: distinct polymers plus multiplicities."""
+
+    polymers: tuple
+    mults: tuple
+    total_size: int
+    ursell_value: int
+
+    def weight(self, wmap) -> complex:
+        w = complex(self.ursell_value)
+        for p, m in zip(self.polymers, self.mults):
+            w *= wmap[p] ** m
+            w /= math.factorial(m)
+        return w
+
+
+def _expanded_ursell(sizes_adj, mults) -> int:
+    """Ursell of the copy-expanded incompatibility graph.
+
+    sizes_adj: tuple of support-graph edges (i, j) with i < j (positions into
+    the support); identical copies are always mutually incompatible, so each
+    support position contributes a clique of its multiplicity.
+    """
+    offsets = [0]
+    for m in mults:
+        offsets.append(offsets[-1] + m)
+    k = offsets[-1]
+    edges = []
+    for pos, m in enumerate(mults):
+        nodes = range(offsets[pos], offsets[pos + 1])
+        edges += [(a, b) for a in nodes for b in nodes if a < b]
+    for i, j in sizes_adj:
+        edges += [
+            (a, b)
+            for a in range(offsets[i], offsets[i + 1])
+            for b in range(offsets[j], offsets[j + 1])
+        ]
+    return ursell(k, edges)
+
+
+def enumerate_clusters(polymers, max_total: int):
+    """All clusters of total size <= max_total over the given polymer pool.
+
+    Deterministic order: supports are grown exactly once each (seed order with
+    banned predecessors, as for connected subgraphs), multiplicity vectors in
+    lexicographic order.
+    """
+    pool = sorted((p for p in polymers if p.size <= max_total),
+                  key=lambda p: p.sort_key())
+    n = len(pool)
+    masks = [p.vmask for p in pool]
+    sizes = [p.size for p in pool]
+    out = []
+    budget = [CLUSTER_GATE]
+
+    def emit(support, support_adj):
+        szs = [sizes[i] for i in support]
+        polys = tuple(pool[i] for i in support)
+        t = len(support)
+        tail = [0] * (t + 1)
+        for i in range(t - 1, -1, -1):
+            tail[i] = tail[i + 1] + szs[i]
+
+        def mults_dfs(pos, used, acc):
+            if pos == t:
+                budget[0] -= 1
+                if budget[0] < 0:
+                    raise GateExceeded(f"more than {CLUSTER_GATE} clusters")
+                u = _expanded_ursell(support_adj, tuple(acc))
+                out.append(Cluster(polys, tuple(acc), used, u))
+                return
+            s = szs[pos]
+            mult = 1
+            while used + mult * s + tail[pos + 1] <= max_total:
+                acc.append(mult)
+                mults_dfs(pos + 1, used + mult * s, acc)
+                acc.pop()
+                mult += 1
+
+        mults_dfs(0, 0, [])
+
+    def grow(support, smask, ssize, banned):
+        adj = tuple(
+            (a, b)
+            for a in range(len(support))
+            for b in range(a + 1, len(support))
+            if masks[support[a]] & masks[support[b]]
+        )
+        emit(support, adj)
+        cand = [
+            j
+            for j in range(n)
+            if j not in banned
+            and j not in support
+            and masks[j] & smask
+            and ssize + sizes[j] <= max_total
+        ]
+        newly: set = set()
+        for j in cand:
+            grow(support + [j], smask | masks[j], ssize + sizes[j], banned | newly)
+            newly.add(j)
+
+    banned_seeds: set = set()
+    for i in range(n):
+        grow([i], masks[i], sizes[i], set(banned_seeds))
+        banned_seeds.add(i)
+    return out
+
+
+def cluster_log_coefficients(clusters, wmap, m: int):
+    """a_1..a_m from an explicit cluster list."""
+    a = [0j] * (m + 1)
+    for cl in clusters:
+        if cl.total_size <= m:
+            a[cl.total_size] += cl.weight(wmap)
+    return a[1:]

@@ -11,8 +11,11 @@ With z_0 != 0 and every signature in F0 (f(0,...,0) != 0),
 
     holant(G, pi, z) = z_0^{|E|} * prod_v f_v(0) * Z(polymers, Phi)
 
-where Phi is `polymer_weight` below and Z sums prod Phi over compatible
-families (empty family contributes 1).
+where Z sums prod Phi over compatible families (empty family contributes 1)
+and Phi(gamma) = prod_i (z_i/z_0)^{#edges coloured i} * prod_{v in V(gamma)}
+f_v(...) / f_v(0), each vertex reading its signature with the edges outside
+gamma at colour 0 (`live_polymers` below; `holant.oracle.polymer_weight` is
+the polymer-by-polymer reference).
 """
 
 from __future__ import annotations
@@ -22,14 +25,7 @@ from itertools import product
 import numpy as np
 
 from .errors import InvalidFugacity, NotInF0
-from .graph import (
-    MultiGraph,
-    connected_edge_sets,
-    connected_edge_subgraphs,
-    grow_edge_sets,
-    is_connected_edge_set,
-    mask_vertices,
-)
+from .graph import MultiGraph, grow_edge_sets, is_connected_edge_set, mask_vertices
 from .signatures import Signature, SignatureAssignment
 
 
@@ -95,20 +91,6 @@ def incompatible(a: ColouredPolymer, b: ColouredPolymer) -> bool:
     return (a.vmask & b.vmask) != 0
 
 
-def enumerate_polymers(G: MultiGraph, kappa: int, max_edges: int,
-                       anchor: int | None = None):
-    """All coloured polymers with |E(gamma)| <= max_edges.
-
-    anchor (a vertex id) restricts to polymers whose subgraph contains it.
-    Order is deterministic: supports shortlex, colourings lexicographic.
-    """
-    if anchor is None:
-        supports = connected_edge_sets(G, max_edges)
-    else:
-        supports = connected_edge_subgraphs(G, anchor, max_edges)
-    return colour_supports(G, kappa, supports)
-
-
 def colour_supports(G: MultiGraph, kappa: int, supports):
     """Every colouring by 1..kappa of each support, in support order and
     lexicographic colouring order."""
@@ -122,31 +104,6 @@ def colour_supports(G: MultiGraph, kappa: int, supports):
         for colouring in product(range(1, kappa + 1), repeat=len(S)):
             out.append(ColouredPolymer(S, colouring, vmask))
     return out
-
-
-def polymer_weight(G: MultiGraph, assign: SignatureAssignment, z,
-                   polymer: ColouredPolymer) -> complex:
-    """Phi(gamma) = prod_i (z_i/z_0)^{#edges coloured i} * prod_{v in V(gamma)} f_v(...) / f_v(0).
-
-    Each vertex evaluates its signature on the tuple over all its incident
-    edges in canonical rank order, with edges outside the polymer at colour 0.
-    """
-    z = tuple(complex(t) for t in z)
-    if z[0] == 0:
-        raise InvalidFugacity("z_0 must be nonzero")
-    colour_of = dict(zip(polymer.edges, polymer.colours))
-    for c in polymer.colours:
-        if c >= len(z):
-            raise InvalidFugacity(f"colour {c} has no fugacity (len(z) = {len(z)})")
-    w = 1 + 0j
-    for c in polymer.colours:
-        w *= z[c] / z[0]
-    for v in polymer.vertices():
-        s = assign.sig(v)
-        if s.table[0] == 0:
-            raise NotInF0(f"vertex {v}: signature {s.name!r} has f(0,...,0) = 0")
-        w *= assign.vertex_value(v, lambda e: colour_of.get(e, 0)) / s.f0
-    return w
 
 
 def extension_table(s: Signature) -> np.ndarray:
@@ -168,9 +125,10 @@ def live_polymers(G: MultiGraph, assign: SignatureAssignment, z, max_edges: int)
     """(polymer, weight) pairs of nonzero weight with |E(gamma)| <= max_edges.
 
     Sorted by `ColouredPolymer.sort_key`, so the polymers come in
-    `enumerate_polymers` order, and each weight is bitwise equal to
-    `polymer_weight` (for finite tables and fugacities). Raises the errors
-    polymer_weight raises on the single-edge polymers, which lead that order.
+    `oracle.enumerate_polymers` order, and each weight is bitwise equal to
+    `oracle.polymer_weight` (for finite tables and fugacities). Raises the
+    errors polymer_weight raises on the single-edge polymers, which lead
+    that order.
 
     One walk (`graph.grow_edge_sets`) grows each connected support and its
     colouring together, keeping the signature index of every touched vertex
@@ -243,10 +201,6 @@ def live_polymers(G: MultiGraph, assign: SignatureAssignment, z, max_edges: int)
     grow_edge_sets(G, range(G.edge_count), max_edges, visit, extend)
     out.sort(key=lambda pw: pw[0].sort_key())
     return out
-
-
-def weight_map(G: MultiGraph, assign: SignatureAssignment, z, polymers) -> dict:
-    return {p: polymer_weight(G, assign, z, p) for p in polymers}
 
 
 # ---------------------------------------------------------------------------

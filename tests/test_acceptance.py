@@ -14,35 +14,35 @@ from contextlib import contextmanager
 
 from holant import (
     MultiGraph,
-    PolymerChain,
     SignatureAssignment,
     approx_polynomial_report,
     approx_problem_report,
     brute_holant,
     brute_polymer_z,
     brute_weighted_count,
-    connected_edge_subgraphs,
-    derive_seed,
-    enumerate_polymers,
     exact_gibbs,
     fpras_estimate,
-    holant_prefactor,
-    linsys_region,
     make_signature,
-    perfect_matchings,
     pm_polynomial_graph,
     pm_polynomial_hypergraph,
     region_bounds,
     sample_assignments,
-    truncation_order,
     uniform_assignment,
-    ursell,
     verify_kp,
-    weight_map,
     weighted_count,
     Hypergraph,
     LinearSystem,
 )
+from holant.expansion import truncation_order
+from holant.linsys import linsys_region, perfect_matchings
+from holant.mcmc import PolymerChain, derive_seed
+from holant.oracle import (
+    connected_edge_subgraphs,
+    enumerate_polymers,
+    ursell,
+    weight_map,
+)
+from holant.polymers import holant_prefactor
 from holant.graph import is_connected_edge_set
 
 import helpers

@@ -8,12 +8,11 @@ from holant import (
     MultiGraph,
     SignatureAssignment,
     make_signature,
-    q_factor_fugacity,
-    q_factor_problem,
     region_bounds,
     uniform_assignment,
     verify_kp,
 )
+from holant.bounds import q_factor_fugacity, q_factor_problem
 
 from helpers import MASTER_SEED, c3, corpus, half_bound_z, k2
 

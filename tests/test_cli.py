@@ -9,20 +9,23 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import pytest
 
 from holant import (
     MultiGraph,
     brute_weighted_count,
+    parse_matrix_file,
+    uniform_assignment,
+)
+from holant.oracle import (
     cluster_log_coefficients,
     enumerate_clusters,
     enumerate_polymers,
-    holant_prefactor,
-    parse_matrix_file,
-    uniform_assignment,
     weight_map,
 )
+from holant.polymers import holant_prefactor
 from holant.cli import main, parse_complex, parse_z
 from holant.errors import ParseError
 
@@ -343,6 +346,17 @@ def test_linsys_region_skipped_when_r_below_2(capsys, files):
 def test_linsys_gate_exits_4(capsys, files):
     assert main(["linsys", "--matrix", files["matrix_gate"]]) == 4
     assert "error:" in capsys.readouterr().err
+
+
+def test_count_mcmc_step_gate_exits_4_fast(capsys, files):
+    # reps * K * (burn + 2S) = 1 * 2 * (30 + 2 * 8,000,000) = 32,000,060 planned
+    # steps, over the 2e7 chain-step gate
+    t0 = time.perf_counter()
+    rc = main(["count-mcmc", "--graph", files["k2"], "--sig", "matching",
+               "--z", "1,0.001", "--eps", "0.002", "--reps", "1"])
+    assert rc == 4
+    assert time.perf_counter() - t0 < 1.0
+    assert "planned chain steps exceed gate" in capsys.readouterr().err
 
 
 def test_pm_graph_modes(capsys, files):

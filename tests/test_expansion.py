@@ -8,33 +8,33 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from holant import (
-    Cluster,
     MultiGraph,
     RegionViolation,
     approx_polynomial_report,
     approx_problem_report,
-    approximate_holant_polynomial,
-    approximate_holant_problem,
     brute_holant,
     brute_polymer_z,
+    make_signature,
+    region_bounds,
+    uniform_assignment,
+    SignatureAssignment,
+)
+from holant.expansion import (
+    family_poly_coefficients,
+    log_z_coefficients,
+    series_log,
+    truncation_order,
+)
+from holant.oracle import (
+    Cluster,
     cluster_log_coefficients,
     enumerate_clusters,
     enumerate_polymers,
-    even_parity_signature,
-    family_poly_coefficients,
-    holant_prefactor,
-    incompatible,
-    log_z_coefficients,
-    make_signature,
-    matching_signature,
-    region_bounds,
-    series_log,
-    truncation_order,
-    uniform_assignment,
     ursell,
     weight_map,
-    SignatureAssignment,
 )
+from holant.polymers import holant_prefactor, incompatible
+from holant.signatures import even_parity_signature, matching_signature
 
 from helpers import (
     MASTER_SEED,
@@ -322,14 +322,14 @@ def test_truncation_order_values():
 def test_approx_c3_example():
     G = c3()
     a = uniform_assignment(G, "matching")
-    val = approximate_holant_polynomial(G, a, (1.0, 0.01), 0.01)
+    val = approx_polynomial_report(G, a, (1.0, 0.01), 0.01).value
     assert abs(val / 1.03 - 1) <= 0.01
 
 
 def test_approx_k2_example():
     G = k2()
     a = uniform_assignment(G, "matching")
-    val = approximate_holant_polynomial(G, a, (1.0, 0.02), 1e-3)
+    val = approx_polynomial_report(G, a, (1.0, 0.02), 1e-3).value
     assert abs(val / 1.02 - 1) <= 1e-3
 
 
@@ -346,9 +346,9 @@ def test_approx_boundary_rejected_force_overrides():
     a = uniform_assignment(G, "matching")
     b = region_bounds("holant-poly", delta=2, kappa=1, r1=1.0).bound
     with pytest.raises(RegionViolation):
-        approximate_holant_polynomial(G, a, (1.0, b), 0.01)  # q = 1 exactly
+        approx_polynomial_report(G, a, (1.0, b), 0.01)  # q = 1 exactly
     # force runs without the guarantee; here convergence still holds in practice
-    val = approximate_holant_polynomial(G, a, (1.0, b), 0.01, force=True)
+    val = approx_polynomial_report(G, a, (1.0, b), 0.01, force=True).value
     assert abs(val / (1 + 3 * b) - 1) <= 0.05
 
 
@@ -368,7 +368,7 @@ def test_problem_threshold_and_flat_instances():
 def test_problem_r_zero_returns_prefactor():
     G = k2()
     a = SignatureAssignment(G, [make_signature([2.0, 0.0], 1, 1)] * 2)
-    val = approximate_holant_problem(G, a, 0.01)
+    val = approx_problem_report(G, a, 0.01).value
     assert rel_close(val, 4.0)
 
 
@@ -381,7 +381,7 @@ def test_problem_star_example_is_outside_region():
     a = SignatureAssignment(G, [centre, leaf, leaf, leaf])
     assert a.ratio_r_class() == 1.0
     with pytest.raises(RegionViolation):
-        approximate_holant_problem(G, a, 0.01)
+        approx_problem_report(G, a, 0.01)
 
 
 def test_fptas_report_fields():

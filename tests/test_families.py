@@ -6,17 +6,16 @@ from types import SimpleNamespace
 
 import pytest
 
-import holant.expansion as expansion_mod
+import holant.families as families_mod
 from holant import (
     GateExceeded,
     MultiGraph,
     approx_polynomial_report,
     brute_polymer_z,
-    enumerate_polymers,
-    family_poly_coefficients,
-    log_z_coefficients,
     uniform_assignment,
 )
+from holant.expansion import family_poly_coefficients, log_z_coefficients
+from holant.oracle import enumerate_polymers
 from holant.families import family_sum
 from holant.graph import bfs_order, mask_vertices
 
@@ -115,7 +114,7 @@ def test_expansion_family_gate(monkeypatch):
     a = uniform_assignment(G, "matching")
     z = half_bound_z(G, a)
     assert log_z_coefficients(G, a, z, 8).family_states > 5
-    monkeypatch.setattr(expansion_mod, "FAMILY_VISIT_GATE", 5)
+    monkeypatch.setattr(families_mod, "FAMILY_VISIT_GATE", 5)
     with pytest.raises(GateExceeded):
         log_z_coefficients(G, a, z, 8)
 

@@ -8,10 +8,9 @@ from hypothesis import given, settings, strategies as st
 from holant import (
     MultiGraph,
     ParseError,
-    connected_edge_sets,
-    connected_edge_subgraphs,
-    connected_edge_supersets,
 )
+from holant.graph import connected_edge_sets
+from holant.oracle import connected_edge_subgraphs, connected_edge_supersets
 from holant.graph import is_connected_edge_set
 
 from helpers import MASTER_SEED, c3, random_graph

@@ -1,0 +1,119 @@
+"""The package API and the line between production code and the references.
+
+`holant` exports a fixed set of names, the layer functions are imported from
+their own modules, and every reference computation lives in `holant.oracle`,
+which no production module imports. The package re-exports four of its names,
+and the command line uses only `brute_holant`, for its `oracle` subcommand.
+"""
+
+import ast
+import inspect
+import types
+from pathlib import Path
+
+import holant
+from holant import (
+    bounds,
+    cli,
+    errors,
+    expansion,
+    families,
+    graph,
+    linsys,
+    mcmc,
+    polymers,
+    signatures,
+)
+
+API = sorted([
+    # errors
+    "ConditionViolated", "DegenerateDistribution", "GateExceeded", "HolantError",
+    "InvalidFugacity", "NotInF0", "ParseError", "RegionViolation", "UnsupportedWeights",
+    # graphs and signatures
+    "MultiGraph", "Signature", "SignatureAssignment", "make_signature",
+    "uniform_assignment", "assignment_from_json", "assignment_to_json",
+    # deterministic approximation
+    "approx_polynomial_report", "approx_problem_report", "ApproxReport",
+    # chain
+    "sample_assignments", "fpras_estimate", "FprasReport", "mixing_time", "tau_floor",
+    # regions and certificates
+    "region_bounds", "RegionReport", "FAMILIES", "verify_kp", "KpReport",
+    # linear systems and perfect matchings
+    "weighted_count", "LinearSystem", "LinsysReport", "parse_matrix_file", "Hypergraph",
+    "pm_polynomial_graph", "pm_polynomial_hypergraph", "parse_pm_file",
+    "brute_weighted_count",
+    # exact references
+    "brute_holant", "exact_gibbs", "brute_polymer_z", "ExactResult",
+])
+
+SRC = Path(holant.__file__).parent
+PRODUCTION = (holant, bounds, cli, errors, expansion, families, graph, linsys, mcmc,
+              polymers, signatures)
+REFERENCES = ("polymer_weight", "enumerate_polymers", "weight_map", "ursell",
+              "enumerate_clusters")
+
+
+def test_package_exports_the_api_and_nothing_else():
+    assert len(API) == 42
+    assert sorted(holant.__all__) == API
+    for name in API:
+        assert getattr(holant, name) is not None
+    public = sorted(
+        name for name, value in vars(holant).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert public == API
+
+
+def _oracle_imports(tree):
+    """Names imported from holant.oracle, one list per import statement."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = ("." * node.level) + (node.module or "")
+            if module in (".oracle", "holant.oracle"):
+                found.append(sorted(alias.name for alias in node.names))
+            elif module in (".", "holant") and any(a.name == "oracle" for a in node.names):
+                found.append(["oracle"])
+        elif isinstance(node, ast.Import):
+            if any(a.name == "holant.oracle" for a in node.names):
+                found.append(["holant.oracle"])
+    return found
+
+
+def test_only_the_cli_imports_the_references():
+    seen = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "oracle.py":
+            continue
+        seen.add(path.name)
+        found = _oracle_imports(ast.parse(path.read_text()))
+        if path.name == "cli.py":
+            assert found == [["brute_holant"]]
+        elif path.name == "__init__.py":  # the four exported references
+            assert found == [["ExactResult", "brute_holant", "brute_polymer_z", "exact_gibbs"]]
+        else:
+            assert found == [], path.name
+    assert {"__init__.py", "bounds.py", "cli.py", "expansion.py", "mcmc.py"} <= seen
+
+
+def test_production_modules_hold_no_reference():
+    for module in PRODUCTION:
+        for name in REFERENCES:
+            assert not hasattr(module, name), (module.__name__, name)
+
+
+def test_one_family_visit_gate():
+    bindings = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                name = node.id
+            elif isinstance(node, ast.alias):
+                name = node.asname or node.name
+            else:
+                continue
+            if name == "FAMILY_VISIT_GATE":
+                bindings.append(path.name)
+    assert bindings == ["families.py"]
+    assert "gate" not in inspect.signature(families.family_sum).parameters

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import holant.families as families_mod
 import holant.linsys as linsys_mod
 from holant.cli import main
 from holant import (
@@ -15,19 +16,21 @@ from holant import (
     LinearSystem,
     MultiGraph,
     ParseError,
-    VectorPolymer,
-    alternating_cycle_polymers,
     brute_weighted_count,
-    build_hypergraph,
-    enumerate_vector_polymers,
-    linsys_region,
     parse_matrix_file,
     parse_pm_file,
-    perfect_matchings,
     pm_polynomial_graph,
     pm_polynomial_hypergraph,
     region_bounds,
     weighted_count,
+)
+from holant.linsys import (
+    VectorPolymer,
+    alternating_cycle_polymers,
+    build_hypergraph,
+    enumerate_vector_polymers,
+    linsys_region,
+    perfect_matchings,
 )
 
 from helpers import MASTER_SEED, c4, k2, k4, rel_close
@@ -225,7 +228,7 @@ def test_support_box_gate(monkeypatch):
 
 
 def test_family_visit_gate(monkeypatch):
-    monkeypatch.setattr(linsys_mod, "FAMILY_VISIT_GATE", 3)
+    monkeypatch.setattr(families_mod, "FAMILY_VISIT_GATE", 3)
     sys = LinearSystem([[1, -1, 0, 0], [0, 0, 1, -1]], [1] * 4, [0.5] * 4)
     with pytest.raises(GateExceeded):
         weighted_count(sys)
@@ -636,7 +639,7 @@ def test_pm_family_gate(monkeypatch):
     matching = tuple(G.edges.index((i, i + 1)) for i in (0, 2, 4, 6))
     assert rel_close(pm_polynomial_graph(G, matching, 0.5),
                      pm_polynomial_graph(G, matching, 0.5, mode="exact"))
-    monkeypatch.setattr(linsys_mod, "FAMILY_VISIT_GATE", 3)
+    monkeypatch.setattr(families_mod, "FAMILY_VISIT_GATE", 3)
     with pytest.raises(GateExceeded):
         pm_polynomial_graph(G, matching, 0.5)
 

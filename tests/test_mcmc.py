@@ -4,29 +4,32 @@ from collections import Counter
 
 import pytest
 
+import holant.mcmc as mcmc_mod
 from holant import (
     ConditionViolated,
+    GateExceeded,
     InvalidFugacity,
     MultiGraph,
     NotInF0,
     RegionViolation,
     SignatureAssignment,
     UnsupportedWeights,
-    check_mixing_condition,
-    check_sampling_condition,
-    derive_seed,
     exact_gibbs,
     fpras_estimate,
     make_signature,
     mixing_time,
     region_bounds,
-    sample_assignment,
     sample_assignments,
-    substream,
     tau_floor,
     uniform_assignment,
 )
-from holant.mcmc import PolymerChain
+from holant.mcmc import (
+    PolymerChain,
+    check_mixing_condition,
+    check_sampling_condition,
+    derive_seed,
+    substream,
+)
 
 from helpers import MASTER_SEED, c3, k2, p3, p4, rel_close
 
@@ -181,7 +184,7 @@ def test_sampler_deterministic_and_jobs_equivalent():
 def test_sample_assignment_single():
     G = k2()
     a = uniform_assignment(G, "matching")
-    sigma = sample_assignment(G, a, mcmc_z(G), 0.1, seed=7)
+    sigma = sample_assignments(G, a, mcmc_z(G), 0.1, seed=7)[0]
     assert sigma in ((0,), (1,))
 
 
@@ -317,3 +320,32 @@ def test_chain_build_raises_invalid_fugacity_for_a_short_z():
     assign = SignatureAssignment(G, [sig, sig])
     with pytest.raises(InvalidFugacity, match=r"colour 2 has no fugacity \(len\(z\) = 2\)"):
         PolymerChain(G, assign, (1.0, 0.1), check="none")
+
+
+def test_chain_step_gate_at_the_exact_plan(monkeypatch):
+    G = k2()
+    a = uniform_assignment(G, "matching")
+    z = mcmc_z(G)
+    eps, reps, trials = 0.5, 2, 3
+    K, S, burn = 2, math.ceil(32 / eps**2), mixing_time(G, 0.05)
+    plan = reps * K * (burn + 2 * S)
+    rep = fpras_estimate(G, a, z, eps, seed=1, reps=reps)
+    assert rep.chain_steps == plan
+    samples = sample_assignments(G, a, z, 0.1, seed=1, trials=trials)
+    sample_plan = trials * mixing_time(G, 0.1)
+
+    monkeypatch.setattr(mcmc_mod, "CHAIN_STEP_GATE", plan)
+    assert fpras_estimate(G, a, z, eps, seed=1, reps=reps) == rep
+    monkeypatch.setattr(mcmc_mod, "CHAIN_STEP_GATE", sample_plan)
+    assert sample_assignments(G, a, z, 0.1, seed=1, trials=trials) == samples
+
+    def no_chain(*args, **kwargs):
+        raise AssertionError("chain built past the step gate")
+
+    monkeypatch.setattr(mcmc_mod, "PolymerChain", no_chain)
+    monkeypatch.setattr(mcmc_mod, "CHAIN_STEP_GATE", plan - 1)
+    with pytest.raises(GateExceeded, match=f"{plan} planned chain steps"):
+        fpras_estimate(G, a, z, eps, seed=1, reps=reps)
+    monkeypatch.setattr(mcmc_mod, "CHAIN_STEP_GATE", sample_plan - 1)
+    with pytest.raises(GateExceeded, match=f"{sample_plan} planned chain steps"):
+        sample_assignments(G, a, z, 0.1, seed=1, trials=trials)

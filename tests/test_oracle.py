@@ -11,13 +11,12 @@ from holant import (
     UnsupportedWeights,
     brute_holant,
     brute_polymer_z,
-    enumerate_polymers,
     exact_gibbs,
-    holant_prefactor,
     make_signature,
     uniform_assignment,
-    weight_map,
 )
+from holant.oracle import enumerate_polymers, weight_map
+from holant.polymers import holant_prefactor
 import holant.oracle
 
 from helpers import MASTER_SEED, c3, corpus, k2, rel_close
@@ -124,7 +123,7 @@ def test_assignment_gate():
 
 
 def test_family_visit_gate(monkeypatch):
-    monkeypatch.setattr(holant.oracle, "FAMILY_VISIT_GATE", 10)
+    monkeypatch.setattr(holant.oracle, "BRUTE_FAMILY_GATE", 10)
     sites = [SimpleNamespace(vmask=1 << i) for i in range(8)]
     with pytest.raises(GateExceeded):
         brute_polymer_z(sites, [0.5] * 8)

@@ -10,24 +10,31 @@ from holant import (
     NotInF0,
     Signature,
     SignatureAssignment,
-    assignment_to_family,
     brute_holant,
-    compact_domain,
+    make_signature,
+    uniform_assignment,
+)
+from holant.bounds import _gated_full_pool
+from holant.mcmc import PolymerChain
+from holant.oracle import (
     connected_edge_supersets,
     enumerate_polymers,
+    polymer_weight,
+    weight_map,
+)
+from holant.polymers import (
+    ColouredPolymer,
+    assignment_to_family,
+    compact_domain,
+    extension_table,
     family_to_assignment,
     holant_prefactor,
     incompatible,
+    live_polymers,
     make_polymer,
-    make_signature,
-    matching_signature,
-    polymer_weight,
     relabel_ground,
-    uniform_assignment,
-    weight_map,
 )
-from holant.mcmc import PolymerChain
-from holant.polymers import ColouredPolymer, extension_table, live_polymers
+from holant.signatures import matching_signature
 
 from helpers import (
     MASTER_SEED,
@@ -256,6 +263,21 @@ def test_live_polymers_equal_filtered_enumeration():
         for m in range(1, G.edge_count + 1):
             ref = [(p, weights[p]) for p in enumerate_polymers(G, kappa, m) if weights[p] != 0]
             assert _bits(live_polymers(G, assign, z, m)) == _bits(ref)
+
+
+def test_full_pool_weights_equal_polymer_weight():
+    # the verify-kp / direct-certificate pool keeps zero-weight polymers; its
+    # weights come from one live_polymers walk. polymer_weight can return a
+    # signed zero (-0j) where the pool has 0j, and every reader of the pool
+    # takes abs(w) or w.real > 0, so zeros compare as 0j.
+    rng = random.Random(MASTER_SEED + 13)
+    for _ in range(300):
+        kappa = rng.choice([1, 2, 3])
+        G, assign, z = _random_sparse_instance(rng, kappa, 6 if kappa < 3 else 4)
+        pool, weights = _gated_full_pool(G, assign, z)
+        assert pool == enumerate_polymers(G, kappa, G.edge_count)
+        ref = [polymer_weight(G, assign, z, p) for p in pool]
+        assert [repr(w) for w in weights] == [repr(w if w != 0 else 0j) for w in ref]
 
 
 def test_live_polymers_of_matching_are_single_edges():

@@ -12,11 +12,13 @@ from holant import (
     SignatureAssignment,
     assignment_from_json,
     assignment_to_json,
+    make_signature,
+    uniform_assignment,
+)
+from holant.signatures import (
     builtin_signature,
     even_parity_signature,
-    make_signature,
     matching_signature,
-    uniform_assignment,
 )
 
 from helpers import MASTER_SEED, c3, p3, random_f0_assignment, random_graph
