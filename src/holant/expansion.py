@@ -21,13 +21,14 @@ truncation order m chosen from the certified zero-free radius q.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import q_factor_fugacity, q_factor_problem, region_bounds
-from .errors import InvalidFugacity, RegionViolation
+from .errors import ConditionViolated, InvalidFugacity, RegionViolation
 from .families import FamilySum, family_sum
 from .graph import MultiGraph, bfs_order, mask_vertices
 from .polymers import compact_domain, holant_prefactor, live_polymers
@@ -148,6 +149,30 @@ class ApproxReport:
     family_states: int  # family-kernel transitions behind the coefficients
 
 
+def _check_zero_free_bound(coefficients, d: int, q: float) -> None:
+    """Raise ConditionViolated when some |a_j| > (1 + 1e-9) d / (j q^j).
+
+    A polynomial Z(x) with Z(0) = 1, degree <= d and no zeros in |x| < q has
+    log Z(x) = sum_i log(1 - x / zeta_i) over its zeros, so
+    a_j = -(1/j) sum_i zeta_i^{-j} and |a_j| <= d / (j q^j) (Barvinok,
+    Combinatorics and Complexity of Partition Functions, 2016, Sec. 2.2). A
+    coefficient past that bound was lost to float64 cancellation in
+    `series_log`, so its truncated sum carries no eps guarantee. Compared in
+    logs, so that q^j cannot overflow.
+    """
+    log_q = math.log(q)
+    for j, a in enumerate(coefficients, 1):
+        if a == 0:
+            continue
+        log_bound = math.log(d / j) - j * log_q
+        if math.log(abs(a)) > log_bound + math.log1p(1e-9):
+            raise ConditionViolated(
+                f"|a_{j}| = {abs(a):.6g} exceeds the zero-free bound |E|/(j q^j) = "
+                f"{math.exp(log_bound):.6g} (|E| = {d}, q = {q:.6g}): the coefficients "
+                "lost their precision, so the approximation is not certified"
+            )
+
+
 def _truncated_report(G: MultiGraph, assign: SignatureAssignment, z, prefactor,
                       theorem: str, q: float, bound: float, eps: float,
                       order: int | None) -> ApproxReport:
@@ -155,7 +180,10 @@ def _truncated_report(G: MultiGraph, assign: SignatureAssignment, z, prefactor,
 
     m is `order` when given, the certified order for ratio 1/q when q > 1,
     and 2|E| + 10 otherwise (a forced run outside the region). An instance
-    without edges or non-ground values has log Z = 0.
+    without edges or non-ground values has log Z = 0. When q > 1, raises
+    ConditionViolated if a coefficient breaks the zero-free bound of
+    `_check_zero_free_bound` or the value is zero or not finite; a forced run
+    (q <= 1) carries no guarantee and reports what it computes.
     """
     if G.edge_count == 0 or assign.kappa == 0:
         series = TaylorSeries((), 0)
@@ -169,9 +197,18 @@ def _truncated_report(G: MultiGraph, assign: SignatureAssignment, z, prefactor,
         else:
             m = 2 * G.edge_count + 10
         series = log_z_coefficients(G, assign, z, m)
+        if q > 1.0:
+            _check_zero_free_bound(series.coefficients, G.edge_count, q)
     total = series.evaluate(1.0)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        value = complex(prefactor * np.exp(total))
+    if q > 1.0 and (value == 0 or not cmath.isfinite(value)):
+        raise ConditionViolated(
+            f"approximation evaluates to {value} (prefactor {prefactor}, truncated "
+            f"log series {total:.6g}), outside float range: no certified value"
+        )
     return ApproxReport(
-        value=complex(prefactor * np.exp(total)),
+        value=value,
         theorem=theorem,
         q=q,
         order=series.order,

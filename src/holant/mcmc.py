@@ -11,6 +11,16 @@ lists the polymers containing e0 with at most k edges, and accepts polymer
 gamma with probability Phi(gamma) e^{rho |E(gamma)|}, so that the overall
 output probability is exactly Phi(gamma). rho = tau - 2 - ln(kappa*Delta),
 where tau certifies Phi(gamma) <= e^{-tau |E(gamma)|}.
+
+`PolymerChain.run` is the one stepping loop: `step` is `run(state, 1, rng)`,
+and `mu0` and `run` share `_draw`. The loop inlines the uniform edge draw as
+Random.randrange does it (getrandbits of |E|.bit_length() bits, rejecting
+values >= |E|), skips the logarithm when the first mu0 uniform already gives
+k = 0, and finds the size-<= k candidates by bisection. It draws the same
+numbers in the same order as one randrange, mu0 and coin flip per step, so
+every seeded `sample` and `count-mcmc` output is fixed draw for draw.
+`run(state, steps, rng, stride)` also returns the state's total edge count
+after every stride-th step, the FPRAS readings of one annealing stage.
 """
 
 from __future__ import annotations
@@ -18,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from statistics import median
 
@@ -157,6 +168,9 @@ class PolymerChain:
             self._certify()
         self.tau = tau_floor(self.kappa, delta)
         self.rho = self.tau - 2.0 - math.log(self.kappa * delta)
+        # a first mu0 uniform above e^{-rho} gives k = 0; the 1e-9 keeps the
+        # skipped values clear of rounding in int(-log(u) / rho)
+        self._k0 = math.exp(-self.rho) * (1.0 + 1e-9)
         # per-edge candidate polymers, weights at scale 1, in sort_key order
         # (so ascending by size): one walk over the live pool fills them all
         self._base: list = [[] for _ in range(G.edge_count)]
@@ -200,22 +214,22 @@ class PolymerChain:
             for p, w in entries:
                 acc += w * x**p.size * math.exp(self.rho * p.size)
                 cum.append(acc)
-            self._lists.append((entries, cum))
+            self._lists.append((entries, cum, [p.size for p, _ in entries]))
 
     def mu0(self, e0: int, rng: random.Random):
         """One draw from the single-polymer distribution at edge e0 (or None)."""
         u = rng.random()
+        if u > self._k0:
+            return None
+        return self._draw(e0, u, rng)
+
+    def _draw(self, e0: int, u: float, rng: random.Random):
+        """The rest of a mu0 draw at e0, given its first uniform u <= _k0."""
         k = int(-math.log(u) / self.rho)  # P(k >= i) = e^{-rho i}
         if k == 0:
             return None
-        entries, cum = self._lists[e0]
-        # restrict to polymers with size <= k
-        hi = 0
-        for p, _ in entries:
-            if p.size <= k:
-                hi += 1
-            else:
-                break
+        entries, cum, sizes = self._lists[e0]
+        hi = bisect_right(sizes, k)  # polymers with size <= k (entries ascend by size)
         if hi == 0:
             return None
         total = cum[hi - 1]
@@ -227,29 +241,62 @@ class PolymerChain:
         u2 = rng.random()
         if u2 >= total:
             return None
-        lo = 0
-        while cum[lo] <= u2:
-            lo += 1
-        return entries[lo][0]
+        return entries[bisect_right(cum, u2)][0]
 
     def fresh_state(self) -> ChainState:
         return ChainState(self.G)
 
     def step(self, state: ChainState, rng: random.Random):
-        e0 = rng.randrange(self.G.edge_count)
-        owner = state.edge_owner[e0]
-        if owner is not None:
-            if rng.random() < 0.5:
-                state.remove(owner)
-            return
-        p = self.mu0(e0, rng)
-        if p is not None and (p.vmask & state.occupied) == 0:
-            if rng.random() < 0.5:
-                state.add(p)
+        self.run(state, 1, rng)
 
-    def run(self, state: ChainState, steps: int, rng: random.Random):
+    def run(self, state: ChainState, steps: int, rng: random.Random,
+            stride: int = 0) -> list:
+        """Advance state by steps chain steps; return state.total_edges read
+        after every stride-th step (no readings when stride is 0).
+
+        Draws the same random numbers in the same order as one
+        rng.randrange(|E|) per step for e0, then mu0 and the coin flips, so a
+        seeded run is reproducible draw for draw.
+        """
+        n = self.G.edge_count
+        if n == 0 and steps > 0:
+            raise ValueError("the chain has no edges to step on")
+        bits = n.bit_length()
+        getrandbits = rng.getrandbits
+        uniform = rng.random
+        edge_owner = state.edge_owner
+        k0 = self._k0
+        draw = self._draw
+        readings = []
+        left = stride or -1  # steps to the next reading; never 0 without a stride
         for _ in range(steps):
-            self.step(state, rng)
+            # rng.randrange(n), as Random._randbelow_with_getrandbits draws it
+            e0 = getrandbits(bits)
+            while e0 >= n:
+                e0 = getrandbits(bits)
+            owner = edge_owner[e0]
+            if owner is not None:
+                if uniform() < 0.5:
+                    state.polymers.discard(owner)
+                    state.occupied ^= owner.vmask
+                    state.total_edges -= owner.size
+                    for e in owner.edges:
+                        edge_owner[e] = None
+            else:
+                u = uniform()
+                if u <= k0:  # otherwise the size budget k is 0
+                    p = draw(e0, u, rng)
+                    if p is not None and not p.vmask & state.occupied and uniform() < 0.5:
+                        state.polymers.add(p)
+                        state.occupied |= p.vmask
+                        state.total_edges += p.size
+                        for e in p.edges:
+                            edge_owner[e] = p
+            left -= 1
+            if not left:
+                readings.append(state.total_edges)
+                left = stride
+        return readings
 
 
 def _gate_chain_steps(steps: int) -> None:
@@ -330,9 +377,8 @@ def _run_rep(chain: PolymerChain, rep: int, seed: int, K: int, S: int,
         chain.set_scale(x_k)
         chain.run(state, burn, rng)
         acc = 0.0
-        for _ in range(S):
-            chain.run(state, _STRIDE, rng)
-            acc += ratio**state.total_edges
+        for t in chain.run(state, S * _STRIDE, rng, _STRIDE):
+            acc += ratio**t
         mean = acc / S
         if mean <= 0.0:
             raise ConditionViolated(

@@ -1,12 +1,14 @@
-"""Shared random-instance generators for the test suite.
+"""Shared random-instance generators and references for the test suite.
 
 Everything is driven by explicit random.Random objects seeded from
 MASTER_SEED so failures reproduce exactly.
 """
 
+import math
 import random
 
 from holant import (
+    ConditionViolated,
     MultiGraph,
     SignatureAssignment,
     make_signature,
@@ -131,3 +133,49 @@ def k4():
 
 def star(k):
     return MultiGraph(k + 1, [(0, i + 1) for i in range(k)])
+
+
+# the polymer-chain step as one call per step, kept as the reference that the
+# fused `PolymerChain.run` loop must follow draw for draw
+def reference_mu0(chain, e0, rng):
+    """One mu0 draw at e0: a linear scan of the size-ascending candidates."""
+    u = rng.random()
+    k = int(-math.log(u) / chain.rho)  # P(k >= i) = e^{-rho i}
+    if k == 0:
+        return None
+    entries, cum = chain._lists[e0][:2]
+    hi = 0
+    for p, _ in entries:
+        if p.size <= k:
+            hi += 1
+        else:
+            break
+    if hi == 0:
+        return None
+    total = cum[hi - 1]
+    if total > 1.0 + 1e-9:
+        raise ConditionViolated(
+            f"mu0 acceptance mass {total:.6g} > 1 at edge {e0}; "
+            "weights violate the sampling condition for this tau"
+        )
+    u2 = rng.random()
+    if u2 >= total:
+        return None
+    lo = 0
+    while cum[lo] <= u2:
+        lo += 1
+    return entries[lo][0]
+
+
+def reference_step(chain, state, rng):
+    """One chain step: remove the owner of a uniform edge, or insert a mu0 draw."""
+    e0 = rng.randrange(chain.G.edge_count)
+    owner = state.edge_owner[e0]
+    if owner is not None:
+        if rng.random() < 0.5:
+            state.remove(owner)
+        return
+    p = reference_mu0(chain, e0, rng)
+    if p is not None and (p.vmask & state.occupied) == 0:
+        if rng.random() < 0.5:
+            state.add(p)

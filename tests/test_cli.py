@@ -29,7 +29,7 @@ from holant.polymers import holant_prefactor
 from holant.cli import main, parse_complex, parse_z
 from holant.errors import ParseError
 
-from helpers import rel_close
+from helpers import half_bound_z, rel_close
 
 K2_TEXT = "2 1\n0 1\n"
 C3_TEXT = "3 3\n0 1\n1 2\n0 2\n"
@@ -169,6 +169,22 @@ def test_approx_problem_route_region_violation(capsys, files):
     assert main(["approx", "--graph", files["c3"], "--sig", "matching",
                  "--eps", "0.1"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_approx_lost_precision_exits_2(capsys, tmp_path):
+    # C1500 matching at half the region bound: the series breaks the
+    # zero-free coefficient bound, so no value is printed
+    n = 1500
+    text = f"{n} {n}\n" + "".join(f"{i} {(i + 1) % n}\n" for i in range(n))
+    graph = tmp_path / "c1500.txt"
+    graph.write_text(text)
+    G = MultiGraph.from_text(text)
+    z1 = half_bound_z(G, uniform_assignment(G, "matching"))[1].real
+    assert main(["approx", "--graph", str(graph), "--sig", "matching",
+                 "--z", f"1,{z1!r}", "--eps", "0.1", "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exceeds the zero-free bound" in captured.err
 
 
 def test_approx_force_overrides_region(capsys, files):

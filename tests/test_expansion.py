@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from holant import (
+    ConditionViolated,
     MultiGraph,
     RegionViolation,
     approx_polynomial_report,
@@ -350,6 +351,42 @@ def test_approx_boundary_rejected_force_overrides():
     # force runs without the guarantee; here convergence still holds in practice
     val = approx_polynomial_report(G, a, (1.0, b), 0.01, force=True).value
     assert abs(val / (1 + 3 * b) - 1) <= 0.05
+
+
+def _cycle_matching(n):
+    G = MultiGraph(n, [(i, (i + 1) % n) for i in range(n)])
+    return G, uniform_assignment(G, "matching")
+
+
+def test_approx_long_cycles_raise_instead_of_a_wrong_value():
+    # C_n matching at half the region bound against the closed form
+    # log Z = n ln l1 + ln(1 + (l2/l1)^n), l = (1 +- sqrt(1 + 4 t)) / 2. At
+    # n = 1500 the float64 series log is off by 0.14 in log Z (> eps), and at
+    # n = 3000 it evaluates to 0j; both break |a_j| <= |E| / (j q^j)
+    eps = 0.1
+    for n in (1000, 1500, 3000):
+        G, a = _cycle_matching(n)
+        z = half_bound_z(G, a)
+        if n == 1000:
+            r = math.sqrt(1 + 4 * z[1].real)
+            l1, l2 = (1 + r) / 2, (1 - r) / 2
+            log_z = n * math.log(l1) + math.log1p((l2 / l1) ** n)
+            rep = approx_polynomial_report(G, a, z, eps)
+            assert abs(rep.value / math.exp(log_z) - 1) <= eps
+        else:
+            with pytest.raises(ConditionViolated, match="exceeds the zero-free bound"):
+                approx_polynomial_report(G, a, z, eps)
+
+
+def test_approx_raises_when_the_value_leaves_float_range():
+    # matching tables scaled by 1e-200 or 1e200 on C3: the prefactor
+    # prod f(0) = 1e-600 or 1e600 underflows to 0 or overflows
+    G = c3()
+    for scale in (1e-200, 1e200):
+        sig = make_signature([scale, scale, scale, 0.0], 2, 1)
+        a = SignatureAssignment(G, [sig] * 3)
+        with pytest.raises(ConditionViolated, match="outside float range"):
+            approx_polynomial_report(G, a, (1.0, 0.01), 0.1)
 
 
 def test_problem_threshold_and_flat_instances():

@@ -31,7 +31,17 @@ from holant.mcmc import (
     substream,
 )
 
-from helpers import MASTER_SEED, c3, k2, p3, p4, rel_close
+from helpers import (
+    MASTER_SEED,
+    c3,
+    k2,
+    p3,
+    p4,
+    random_graph,
+    reference_mu0,
+    reference_step,
+    rel_close,
+)
 
 
 def mcmc_z(G, kappa=1, r1=1.0, frac=0.5):
@@ -349,3 +359,133 @@ def test_chain_step_gate_at_the_exact_plan(monkeypatch):
     monkeypatch.setattr(mcmc_mod, "CHAIN_STEP_GATE", sample_plan - 1)
     with pytest.raises(GateExceeded, match=f"{sample_plan} planned chain steps"):
         sample_assignments(G, a, z, 0.1, seed=1, trials=trials)
+
+
+def _nonneg_instance(rng):
+    """Random graph and non-negative tables, kappa 1-3, with f(0) > 0."""
+    G = random_graph(rng, max_edges=6)
+    kappa = rng.randint(1, 3)
+    sigs = []
+    for v in range(G.vertex_count):
+        size = (kappa + 1) ** G.degree(v)
+        tab = [rng.choice([0.0, rng.uniform(0.2, 1.0)]) for _ in range(size)]
+        tab[0] = rng.uniform(0.5, 1.0)
+        sigs.append(make_signature(tab, G.degree(v), kappa))
+    return G, SignatureAssignment(G, sigs), kappa
+
+
+def _busy(chain):
+    """chain at the scale that puts its largest mu0 acceptance mass near 0.9."""
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        chain.set_scale(mid)
+        if max(cum[-1] for _, cum, _ in chain._lists if cum) <= 0.9:
+            lo = mid
+        else:
+            hi = mid
+    chain.set_scale(lo)
+    return chain
+
+
+def _busy_chain(rng):
+    """Unchecked busy chain on a random instance with two candidates at some edge."""
+    while True:
+        G, a, kappa = _nonneg_instance(rng)
+        chain = PolymerChain(G, a, [1.0] + [1.0] * kappa, check="none")
+        if any(len(entries) > 1 for entries in chain._base):
+            return _busy(chain)
+
+
+def _assert_same_state(fast, slow):
+    assert fast.edge_owner == slow.edge_owner
+    assert (fast.occupied, fast.total_edges) == (slow.occupied, slow.total_edges)
+    assert fast.polymers == slow.polymers
+
+
+def test_run_follows_reference_step_draw_for_draw():
+    # P3 whose middle vertex rejects exactly one occupied edge: its only
+    # polymer is the whole path, so size-2 insertions happen
+    G = p3()
+    leaf = make_signature([1.0, 1.0], 1, 1)
+    middle = make_signature([1.0, 0.0, 0.0, 1.0], 2, 1)
+    path_chain = _busy(PolymerChain(G, SignatureAssignment(G, [leaf, middle, leaf]),
+                                    (1.0, 1.0), check="none"))
+    rng = random.Random(MASTER_SEED + 21)
+    runs = [(path_chain, 200000)] + [(_busy_chain(rng), 3000) for _ in range(40)]
+    inserted_sizes = Counter()
+    for case, (chain, steps) in enumerate(runs):
+        fast, slow = chain.fresh_state(), chain.fresh_state()
+        r_fast, r_slow = random.Random(case), random.Random(case)
+        for _ in range(steps):
+            before = set(slow.polymers)
+            chain.run(fast, 1, r_fast)
+            reference_step(chain, slow, r_slow)
+            inserted_sizes.update(p.size for p in slow.polymers - before)
+            _assert_same_state(fast, slow)
+        assert r_fast.getstate() == r_slow.getstate()
+        # strided readings, including a trailing part-stride that gives none
+        stride = 1 + case % 7
+        readings = chain.run(fast, 500, r_fast, stride)
+        expect = []
+        for i in range(1, 501):
+            reference_step(chain, slow, r_slow)
+            if i % stride == 0:
+                expect.append(slow.total_edges)
+        assert readings == expect
+        _assert_same_state(fast, slow)
+        assert r_fast.getstate() == r_slow.getstate()
+    assert inserted_sizes[1] >= 50
+    assert sum(c for size, c in inserted_sizes.items() if size >= 2) >= 10
+
+
+def test_step_and_mu0_follow_the_reference():
+    rng = random.Random(MASTER_SEED + 22)
+    for case in range(10):
+        chain = _busy_chain(rng)
+        fast, slow = chain.fresh_state(), chain.fresh_state()
+        r_fast, r_slow = random.Random(case), random.Random(case)
+        for _ in range(500):
+            chain.step(fast, r_fast)
+            reference_step(chain, slow, r_slow)
+        assert fast.edge_owner == slow.edge_owner
+        for e0 in range(chain.G.edge_count):
+            for _ in range(200):
+                assert chain.mu0(e0, r_fast) is reference_mu0(chain, e0, r_slow)
+        assert r_fast.getstate() == r_slow.getstate()
+
+
+def test_inlined_edge_draw_is_randrange():
+    # with every polymer weight zero, a step draws only e0 and the size budget
+    for n in range(1, 131):
+        G = MultiGraph(n + 1, [(i, i + 1) for i in range(n)])
+        chain = PolymerChain(G, uniform_assignment(G, "matching"), (1.0, 0.0), check="none")
+        r_fast, r_slow = random.Random(n), random.Random(n)
+        chain.run(chain.fresh_state(), 300, r_fast)
+        for _ in range(300):
+            r_slow.randrange(n)
+            r_slow.random()
+        assert r_fast.getstate() == r_slow.getstate()
+    # no edges: an error where getrandbits(0) would loop for ever
+    G = MultiGraph(2, [])
+    chain = PolymerChain(G, uniform_assignment(G, "matching"), (1.0, 0.1), check="none")
+    assert chain.run(chain.fresh_state(), 0, random.Random(0)) == []
+    with pytest.raises(ValueError, match="no edges"):
+        chain.run(chain.fresh_state(), 1, random.Random(0))
+
+
+def test_mu0_mass_above_one_raises():
+    # K2 matching at z1 = 0.5: the single-edge polymer has acceptance mass
+    # 0.5 e^rho = 0.5 e^3 > 1
+    G = k2()
+    chain = PolymerChain(G, uniform_assignment(G, "matching"), (1.0, 0.5), check="none")
+    message = ("mu0 acceptance mass 10.0428 > 1 at edge 0; "
+               "weights violate the sampling condition for this tau")
+    rng = random.Random(MASTER_SEED + 23)
+    with pytest.raises(ConditionViolated) as info:
+        for _ in range(1000):
+            chain.mu0(0, rng)
+    assert str(info.value) == message
+    with pytest.raises(ConditionViolated) as info:
+        chain.run(chain.fresh_state(), 1000, rng)
+    assert str(info.value) == message
