@@ -125,18 +125,15 @@ def _cmd_approx(args) -> int:
     assign = _load_assignment(G, args.sig)
     if args.z:
         z = _resolve_z(args, assign.kappa)
-        rep = approx_polynomial_report(G, assign, z, args.eps, force=args.force,
-                                       order=args.order)
+        rep = approx_polynomial_report(G, assign, z, args.eps, order=args.order)
     else:
         z = tuple([1.0 + 0j] * (assign.kappa + 1))
-        rep = approx_problem_report(G, assign, args.eps, force=args.force,
-                                    order=args.order)
+        rep = approx_problem_report(G, assign, args.eps, order=args.order)
     _emit(args, {
         "command": "approx",
         "inputs": {
             "graph": args.graph, "sig": args.sig,
-            "z": [_c(t) for t in z], "eps": args.eps,
-            "force": args.force, "order": args.order,
+            "z": [_c(t) for t in z], "eps": args.eps, "order": args.order,
         },
         "diagnostics": {
             "theorem": rep.theorem,
@@ -300,7 +297,7 @@ def _cmd_pm(args) -> int:
     else:
         mode = "exact" if args.mode == "polymer" else args.mode
         out = pm_polynomial_hypergraph(instance, matching, z, mode=mode)
-    if args.mode == "bound" or (kind == "hyper" and mode == "bound"):
+    if args.mode == "bound":
         result = dict(out.values, bound=out.bound)
     else:
         result = {"value": _c(out)}
@@ -336,8 +333,6 @@ def build_parser() -> _Parser:
     p.add_argument("--sig", required=True)
     p.add_argument("--z", help="fugacities z0,z1,...; omit for the all-ones problem")
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--force", action="store_true",
-                   help="run outside the certified region (no guarantee)")
     p.add_argument("--order", type=int, default=None,
                    help="override the truncation order")
     _add_common(p)

@@ -178,12 +178,11 @@ def _truncated_report(G: MultiGraph, assign: SignatureAssignment, z, prefactor,
                       order: int | None) -> ApproxReport:
     """prefactor * exp(a_1 + ... + a_m) for a compacted (assign, z).
 
-    m is `order` when given, the certified order for ratio 1/q when q > 1,
-    and 2|E| + 10 otherwise (a forced run outside the region). An instance
-    without edges or non-ground values has log Z = 0. When q > 1, raises
-    ConditionViolated if a coefficient breaks the zero-free bound of
-    `_check_zero_free_bound` or the value is zero or not finite; a forced run
-    (q <= 1) carries no guarantee and reports what it computes.
+    q > 1 is the certified zero-free radius, and m is `order` when given, else
+    the certified order for ratio 1/q. An instance without edges or non-ground
+    values has log Z = 0. Raises ConditionViolated if a coefficient breaks the
+    zero-free bound of `_check_zero_free_bound` or the value is zero or not
+    finite.
     """
     if G.edge_count == 0 or assign.kappa == 0:
         series = TaylorSeries((), 0)
@@ -192,17 +191,14 @@ def _truncated_report(G: MultiGraph, assign: SignatureAssignment, z, prefactor,
             m = int(order)
             if m < 1:
                 raise ValueError("order must be >= 1")
-        elif q > 1.0:
-            m = truncation_order(G.edge_count, eps, 1.0 / q)
         else:
-            m = 2 * G.edge_count + 10
+            m = truncation_order(G.edge_count, eps, 1.0 / q)
         series = log_z_coefficients(G, assign, z, m)
-        if q > 1.0:
-            _check_zero_free_bound(series.coefficients, G.edge_count, q)
+        _check_zero_free_bound(series.coefficients, G.edge_count, q)
     total = series.evaluate(1.0)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         value = complex(prefactor * np.exp(total))
-    if q > 1.0 and (value == 0 or not cmath.isfinite(value)):
+    if value == 0 or not cmath.isfinite(value):
         raise ConditionViolated(
             f"approximation evaluates to {value} (prefactor {prefactor}, truncated "
             f"log series {total:.6g}), outside float range: no certified value"
@@ -222,13 +218,11 @@ def _truncated_report(G: MultiGraph, assign: SignatureAssignment, z, prefactor,
 
 
 def approx_polynomial_report(G: MultiGraph, assign: SignatureAssignment, z,
-                             eps: float, force: bool = False,
-                             order: int | None = None) -> ApproxReport:
+                             eps: float, order: int | None = None) -> ApproxReport:
     """Multiplicative eps-approximation of the Holant polynomial at fugacity z.
 
-    Certified whenever every |z_i|/|z_0| is inside the fugacity region; with
-    force=True the pipeline runs outside the region (no guarantee) using the
-    given truncation order, or 2|E|+10 if none is supplied.
+    Certified whenever every |z_i|/|z_0| is inside the fugacity region;
+    raises RegionViolation outside it.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -243,20 +237,19 @@ def approx_polynomial_report(G: MultiGraph, assign: SignatureAssignment, z,
         r1 = assign.r1()
         bound = region_bounds("holant-poly", delta=delta, kappa=assign.kappa, r1=r1).bound
         q = q_factor_fugacity(delta, assign.kappa, r1, z)
-        if q <= 1.0 and not force:
+        if q <= 1.0:
             raise RegionViolation(
-                f"fugacity ratio exceeds region bound {bound:.6g} (q = {q:.6g} <= 1); "
-                "pass force=True to run without a guarantee"
+                f"fugacity ratio exceeds region bound {bound:.6g} (q = {q:.6g} <= 1)"
             )
     return _truncated_report(G, assign, z, prefactor, "fugacity", q, bound, eps, order)
 
 
 def approx_problem_report(G: MultiGraph, assign: SignatureAssignment,
-                          eps: float, force: bool = False,
-                          order: int | None = None) -> ApproxReport:
+                          eps: float, order: int | None = None) -> ApproxReport:
     """Multiplicative eps-approximation of the Holant problem (all fugacities 1).
 
-    Certified whenever r(F) is below the small-signature threshold.
+    Certified whenever r(F) is below the small-signature threshold; raises
+    RegionViolation otherwise.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -268,9 +261,9 @@ def approx_problem_report(G: MultiGraph, assign: SignatureAssignment,
         r_class = assign.ratio_r_class()
         bound = region_bounds("holant-problem", delta=delta, kappa=assign.kappa).bound
         q = q_factor_problem(delta, assign.kappa, r_class)
-        if q <= 1.0 and not force:
+        if q <= 1.0:
             raise RegionViolation(
                 f"r(F) = {r_class:.6g} is not below threshold {bound:.6g} scaled for "
-                f"x = 1 (q = {q:.6g} <= 1); pass force=True to run without a guarantee"
+                f"x = 1 (q = {q:.6g} <= 1)"
             )
     return _truncated_report(G, assign, z, prefactor, "problem", q, bound, eps, order)

@@ -4,9 +4,18 @@ Everything downstream (signature argument tuples, polymer colourings, edge
 assignments) is indexed against the canonical order fixed here: edges sorted
 by (min endpoint, max endpoint), and each vertex's incident edges listed in
 increasing edge id.
+
+`grow_edge_sets` is the package's one exactly-once walk over connected edge
+sets. It also takes hypergraphs (two hyperedges are adjacent when they share
+a vertex), so the polymer supports of G and the column supports of a linear
+system (`holant.linsys`) come from the same walk. Its state is three edge
+bitmasks: the set, its frontier and the banned edges.
 """
 
 from __future__ import annotations
+
+from functools import reduce
+from operator import or_
 
 from .errors import ParseError
 
@@ -224,15 +233,23 @@ def _once(e):
     return (e,)
 
 
-def grow_edge_sets(G: MultiGraph, seeds, max_edges: int, visit, extend=_once):
+def grow_edge_sets(G, seeds, max_edges: int, visit, extend=_once):
     """Call visit(stack) once for every connected edge set with at most
     max_edges edges that contains at least one seed.
 
-    stack lists the set's edges in the order they were added; visit must copy
-    what it keeps. Seeds are processed in order; sets whose least seed is
-    seeds[t] are grown with seeds[:t] forbidden, which makes the walk
-    exactly-once: each connected superset is built by always extending with a
-    boundary edge and banning an extension for all later sibling branches.
+    G is a `MultiGraph` or any hypergraph (such as `linsys.Hypergraph`) with
+    vertex_count, edges[e] a collection of vertices and incident(v); two edges
+    are adjacent when they share a vertex. stack lists the set's edges in the
+    order they were added; visit must copy what it keeps. Seeds are processed
+    in order; sets whose least seed is seeds[t] are grown with seeds[:t]
+    forbidden, which makes the walk exactly-once: each connected superset is
+    built by always extending with a boundary edge and banning an extension
+    for all later sibling branches.
+
+    The walk keeps its state on edge bitmasks: cur (the set's edges),
+    frontier (every edge touching a vertex of the set) and banned. The
+    candidates are frontier & ~cur & ~banned, tried in ascending edge order,
+    and each joins banned once its branch is done.
 
     extend(e) is the per-edge hook, called once edge e has joined the set. The
     walk descends once for each item of the iterable it returns, so a hook can
@@ -241,35 +258,34 @@ def grow_edge_sets(G: MultiGraph, seeds, max_edges: int, visit, extend=_once):
     """
     if max_edges < 1:
         return
-    banned_seeds: set = set()
+    inc = [sum(1 << e for e in G.incident(v)) for v in range(G.vertex_count)]
+    # touch[e]: mask of the edges that share a vertex with e, e included
+    touch = [reduce(or_, [inc[v] for v in vs], 0) for vs in G.edges]
+    banned = 0
     for seed in seeds:
-        if seed in banned_seeds:
+        bit = 1 << seed
+        if banned & bit:
             continue
-        u, v = G.edges[seed]
         for _ in extend(seed):
-            _grow(G, [seed], {u, v}, set(banned_seeds), max_edges, visit, extend)
-        banned_seeds.add(seed)
+            _grow(touch, [seed], bit, touch[seed], banned, max_edges, visit, extend)
+        banned |= bit
 
 
-def _grow(G, stack_edges, vset, banned, max_edges, visit, extend):
-    visit(stack_edges)
-    if len(stack_edges) == max_edges:
+def _grow(touch, stack, cur, frontier, banned, max_edges, visit, extend):
+    visit(stack)
+    if len(stack) == max_edges:
         return
-    in_cur = set(stack_edges)
-    cand = sorted(
-        {e for x in vset for e in G.incident(x)} - in_cur - banned
-    )
-    newly: set = set()
-    for e in cand:
-        u, v = G.edges[e]
-        added = [x for x in (u, v) if x not in vset]
-        stack_edges.append(e)
-        vset.update(added)
+    cand = frontier & ~(cur | banned)
+    while cand:
+        bit = cand & -cand
+        cand ^= bit
+        e = bit.bit_length() - 1
+        stack.append(e)
         for _ in extend(e):
-            _grow(G, stack_edges, vset, banned | newly, max_edges, visit, extend)
-        stack_edges.pop()
-        vset.difference_update(added)
-        newly.add(e)
+            _grow(touch, stack, cur | bit, frontier | touch[e], banned, max_edges,
+                  visit, extend)
+        stack.pop()
+        banned |= bit
 
 
 def _shortlex_sets(G, seeds, max_edges: int):

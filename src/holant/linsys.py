@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from .bounds import region_bounds
 from .errors import GateExceeded, ParseError
 from .families import family_sum
-from .graph import MultiGraph, _read_header, _strip_comments, bfs_order, mask_vertices
+from .graph import (MultiGraph, _read_header, _strip_comments, bfs_order, grow_edge_sets,
+                    mask_vertices)
 
 SUPPORT_BOX_GATE = 10**6
 SUPPORT_COUNT_GATE = 10**6
@@ -176,50 +177,31 @@ class VectorPolymer:
         return w
 
 
-def _connected_column_sets(n_cols: int, col_rows):
-    """Connected subsets of live columns (connectivity via shared rows).
-
-    A generator: each support is yielded before its extensions, and the
-    full list of supports is never built.
-    """
-
-    def grow(support, rmask, banned_now):
-        yield tuple(support)
-        newly: set = set()
-        for t in range(n_cols):
-            if t in banned_now or t in support or not col_rows[t] & rmask:
-                continue
-            yield from grow(support + [t], rmask | col_rows[t], banned_now | newly)
-            newly.add(t)
-
-    for t in range(n_cols):
-        yield from grow([t], col_rows[t], set(range(t)))
-
-
 def enumerate_vector_polymers(sys: LinearSystem):
     """All vector polymers of the system (gate-guarded).
 
-    For each connected column support, the entries 1..cap_j are assigned
-    column by column in support order. Each touched row is checked once, as
-    soon as its last support column has a value, and a branch stops at the
-    first row whose sum is nonzero. A support is skipped outright when some
-    touched row meets only one of its columns, since that row's sum is a
-    nonzero entry times a value >= 1. The box gate bounds every support
-    before any of this pruning, and the count gate bounds the number of
-    supports walked.
+    The connected column supports are the connected edge sets of H_A, walked
+    once each by `graph.grow_edge_sets`. For each support, the entries
+    1..cap_j are assigned column by column in support order. Each touched row
+    is checked once, as soon as its last support column has a value, and a
+    branch stops at the first row whose sum is nonzero. A support is skipped
+    outright when some touched row meets only one of its columns, since that
+    row's sum is a nonzero entry times a value >= 1. The box gate bounds
+    every support before any of this pruning, and the count gate bounds the
+    number of supports walked.
     """
     live = sys.live_columns()
-    col_rows = []
-    for j in live:
-        mask = 0
-        for i in range(sys.n):
-            if sys.rows[i][j] != 0:
-                mask |= 1 << i
-        col_rows.append(mask)
+    H = build_hypergraph(sys)
+    col_rows = [sum(1 << i for i in rows) for rows in H.edges]
     out = []
-    for count, support in enumerate(_connected_column_sets(len(live), col_rows), 1):
+    count = 0
+
+    def visit(stack):
+        nonlocal count
+        count += 1
         if count > SUPPORT_COUNT_GATE:
             raise GateExceeded(f"more than {SUPPORT_COUNT_GATE} connected column supports")
+        support = tuple(stack)
         box = 1
         for t in support:
             box *= sys.caps[live[t]]
@@ -235,7 +217,7 @@ def enumerate_vector_polymers(sys: LinearSystem):
             for i in mask_vertices(col_rows[t]):
                 last[i] = pos
         if shared != rmask:
-            continue  # a row meeting one support column cannot sum to zero
+            return  # a row meeting one support column cannot sum to zero
         cols = [live[t] for t in support]
         # checks[pos]: coefficients over cols[:pos + 1] of each row whose
         # last support column is cols[pos]
@@ -259,6 +241,8 @@ def enumerate_vector_polymers(sys: LinearSystem):
         rec(0, [])
         if len(out) > VECTOR_POOL_GATE:
             raise GateExceeded(f"polymer pool exceeds {VECTOR_POOL_GATE}")
+
+    grow_edge_sets(H, range(H.edge_count), H.edge_count, visit)
     out.sort(key=lambda p: (len(p.values), p.values))
     return out
 

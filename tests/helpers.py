@@ -179,3 +179,39 @@ def reference_step(chain, state, rng):
     if p is not None and (p.vmask & state.occupied) == 0:
         if rng.random() < 0.5:
             state.add(p)
+
+
+# the connected-set walk on vertex sets, kept as the reference that the
+# bitmask walk `graph.grow_edge_sets` must follow visit for visit
+def reference_grow(G, seeds, max_edges, visit, extend=lambda e: (e,)):
+    """grow_edge_sets, with the set's vertices and the banned edges as sets."""
+    if max_edges < 1:
+        return
+    banned_seeds: set = set()
+    for seed in seeds:
+        if seed in banned_seeds:
+            continue
+        for _ in extend(seed):
+            _reference_grow(G, [seed], set(G.edges[seed]), set(banned_seeds),
+                            max_edges, visit, extend)
+        banned_seeds.add(seed)
+
+
+def _reference_grow(G, stack_edges, vset, banned, max_edges, visit, extend):
+    visit(stack_edges)
+    if len(stack_edges) == max_edges:
+        return
+    in_cur = set(stack_edges)
+    cand = sorted(
+        {e for x in vset for e in G.incident(x)} - in_cur - banned
+    )
+    newly: set = set()
+    for e in cand:
+        added = [x for x in G.edges[e] if x not in vset]
+        stack_edges.append(e)
+        vset.update(added)
+        for _ in extend(e):
+            _reference_grow(G, stack_edges, vset, banned | newly, max_edges, visit, extend)
+        stack_edges.pop()
+        vset.difference_update(added)
+        newly.add(e)

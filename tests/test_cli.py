@@ -111,7 +111,7 @@ def test_version_and_help(capsys):
 def test_subcommand_help_lists_flags(capsys):
     assert main(["approx", "--help"]) == 0
     text = capsys.readouterr().out
-    for flag in ("--graph", "--sig", "--z", "--eps", "--force",
+    for flag in ("--graph", "--sig", "--z", "--eps",
                  "--order", "--format", "--out"):
         assert flag in text
 
@@ -185,14 +185,6 @@ def test_approx_lost_precision_exits_2(capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "exceeds the zero-free bound" in captured.err
-
-
-def test_approx_force_overrides_region(capsys, files):
-    rep = run_json(capsys, [
-        "approx", "--graph", files["c3"], "--sig", "matching",
-        "--eps", "0.1", "--force",
-    ])
-    assert rep["inputs"]["force"] is True
 
 
 def test_approx_f0_zero_exits_3(capsys, files):
@@ -450,10 +442,18 @@ def test_approx_reports_family_states(capsys, files):
 
 
 def test_removed_approx_options_exit_1(capsys, files):
-    # --method (one coefficient route is left) and --jobs (approx is
-    # deterministic and single-process) are usage errors now
+    # --method (one coefficient route is left), --jobs (approx is
+    # deterministic and single-process) and --force (approx runs only inside
+    # the certified region) are usage errors now
     argv = ["approx", "--graph", files["c4"], "--sig", "matching",
             "--z", "1,0.01", "--eps", "0.01"]
     assert main(argv + ["--jobs", "2"]) == 1
     assert main(argv + ["--method", "series"]) == 1
+    assert main(argv + ["--force"]) == 1
+    # C3 matching without --z, which a forced run printed as 0.0 (the value
+    # is 4), is a region error with nothing on stdout
+    c3 = ["approx", "--graph", files["c3"], "--sig", "matching", "--eps", "0.1"]
+    assert main(c3 + ["--force"]) == 1
     capsys.readouterr()
+    assert main(c3) == 2
+    assert capsys.readouterr().out == ""

@@ -348,9 +348,6 @@ def test_approx_boundary_rejected_force_overrides():
     b = region_bounds("holant-poly", delta=2, kappa=1, r1=1.0).bound
     with pytest.raises(RegionViolation):
         approx_polynomial_report(G, a, (1.0, b), 0.01)  # q = 1 exactly
-    # force runs without the guarantee; here convergence still holds in practice
-    val = approx_polynomial_report(G, a, (1.0, b), 0.01, force=True).value
-    assert abs(val / (1 + 3 * b) - 1) <= 0.05
 
 
 def _cycle_matching(n):

@@ -9,11 +9,12 @@ from holant import (
     MultiGraph,
     ParseError,
 )
-from holant.graph import connected_edge_sets
+from holant.graph import connected_edge_sets, grow_edge_sets
+from holant.linsys import Hypergraph
 from holant.oracle import connected_edge_subgraphs, connected_edge_supersets
 from holant.graph import is_connected_edge_set
 
-from helpers import MASTER_SEED, c3, random_graph
+from helpers import MASTER_SEED, c3, random_graph, reference_grow
 
 
 def brute_connected_sets(G, v=None, max_edges=None, anchor_edge=None):
@@ -129,3 +130,87 @@ def test_connected_check():
     assert is_connected_edge_set(G, (0,))
     with pytest.raises(ValueError):
         is_connected_edge_set(G, ())  # empty set has no connectivity status
+
+
+def random_hypergraph(rng, max_edges=7, max_vertices=6):
+    """Hyperedges of 1-3 distinct vertices; the same hyperedge may repeat."""
+    n = rng.randint(1, max_vertices)
+    m = rng.randint(1, max_edges)
+    return Hypergraph(n, [rng.sample(range(n), rng.randint(1, min(3, n)))
+                          for _ in range(m)])
+
+
+def brute_connected_hyperedge_sets(H, max_edges):
+    """Every nonempty set of at most max_edges hyperedges whose members are
+    connected through shared vertices, shortlex."""
+    out = []
+    for size in range(1, max_edges + 1):
+        for sub in itertools.combinations(range(H.edge_count), size):
+            reached, verts = {sub[0]}, set(H.edges[sub[0]])
+            grew = True
+            while grew:
+                grew = False
+                for e in sub:
+                    if e not in reached and verts & H.edges[e]:
+                        reached.add(e)
+                        verts |= H.edges[e]
+                        grew = True
+            if len(reached) == size:
+                out.append(sub)
+    return out
+
+
+def _walk_trace(walk, G, seeds, max_edges, hook_counts):
+    """Every visit (the stack) and hook call (the edge), in walk order.
+
+    hook_counts is None for the default hook; otherwise the i-th hook call
+    yields hook_counts[i % len(hook_counts)] times.
+    """
+    trace = []
+    calls = [0]
+
+    def visit(stack):
+        trace.append(tuple(stack))
+
+    def extend(e):
+        trace.append(("extend", e))
+        calls[0] += 1
+        return range(hook_counts[(calls[0] - 1) % len(hook_counts)])
+
+    if hook_counts is None:
+        walk(G, seeds, max_edges, visit)
+    else:
+        walk(G, seeds, max_edges, visit, extend)
+    return trace
+
+
+def test_grow_edge_sets_follows_reference_walk():
+    # the bitmask walk visits the same stacks in the same order as the
+    # vertex-set reference, on graphs and on hypergraphs, for every size cap,
+    # every seed kind and a hook that yields 0, 1 or 2 times
+    rng = random.Random(MASTER_SEED + 4)
+    visits = 0
+    for trial in range(240):
+        if trial % 2:
+            G = random_hypergraph(rng)
+        else:
+            G = random_graph(rng, max_edges=8, max_degree=4)
+        seed_lists = [range(G.edge_count), [rng.randrange(G.edge_count)]]
+        seed_lists += [G.incident(v) for v in range(G.vertex_count)]
+        hooks = [None, [rng.choice((0, 1, 1, 1, 2)) for _ in range(rng.randint(1, 5))]]
+        for max_edges in range(1, G.edge_count + 1):
+            for seeds in seed_lists:
+                for counts in hooks:
+                    got = _walk_trace(grow_edge_sets, G, seeds, max_edges, counts)
+                    want = _walk_trace(reference_grow, G, seeds, max_edges, counts)
+                    assert got == want
+                    visits += len(got)
+    assert visits > 10**5
+
+
+def test_hypergraph_connected_sets_match_brute_force():
+    rng = random.Random(MASTER_SEED + 5)
+    for _ in range(60):
+        H = random_hypergraph(rng)
+        for k in range(1, H.edge_count + 1):
+            assert connected_edge_sets(H, k) == brute_connected_hyperedge_sets(H, k)
