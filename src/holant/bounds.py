@@ -9,6 +9,7 @@ smaller).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -166,6 +167,8 @@ def q_factor_fugacity(delta: int, kappa: int, r1: float, z) -> float:
     ratio 1/q. Returns inf when every non-ground fugacity is zero.
     """
     z = tuple(complex(t) for t in z)
+    if not all(cmath.isfinite(t) for t in z):
+        raise InvalidFugacity("fugacities must be finite")
     if z[0] == 0:
         raise InvalidFugacity("z_0 must be nonzero")
     ratios = [abs(t) / abs(z[0]) for t in z[1:]]

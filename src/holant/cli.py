@@ -9,6 +9,7 @@ identical result.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 from pathlib import Path
@@ -59,7 +60,10 @@ def parse_z(text: str):
     parts = [p for p in text.split(",") if p.strip()]
     if not parts:
         raise ParseError("empty fugacity vector")
-    return tuple(parse_complex(p) for p in parts)
+    z = tuple(parse_complex(p) for p in parts)
+    if not all(cmath.isfinite(t) for t in z):
+        raise InvalidFugacity(f"fugacities must be finite, got {text!r}")
+    return z
 
 
 def _load_graph(path: str) -> MultiGraph:
@@ -141,6 +145,9 @@ def _cmd_approx(args) -> int:
             "truncation_order": rep.order,
             "pool_size": rep.pool_size,
             "family_states": rep.family_states,
+            "remainder": rep.remainder,
+            "last_coefficient": rep.last_coefficient,
+            "decay": rep.decay,
             "region_bound": rep.region_bound,
             "prefactor": _c(rep.prefactor),
         },

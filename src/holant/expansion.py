@@ -16,7 +16,9 @@ size <= m at a cost exponential in m, lives in `holant.oracle` as the
 independent reference that the tests check this route against.
 
 The approximation itself is prefactor * exp(sum_{j<=m} a_j) with the
-truncation order m chosen from the certified zero-free radius q.
+truncation order m chosen from the certified zero-free radius q: the
+smallest m whose certified remainder (`truncation_remainder`) is at most
+ln(1 + eps).
 """
 
 from __future__ import annotations
@@ -66,9 +68,8 @@ def series_log(c, m: int):
     for j in range(1, m + 1):
         cj = c[j] if j < len(c) else 0j
         acc = 0j
-        for i in range(1, j):
-            if 0 <= j - i < len(c):
-                acc += i * a[i] * c[j - i]
+        for i in range(max(1, j - len(c) + 1), j):  # c[j - i] = 0 past len(c)
+            acc += i * a[i] * c[j - i]
         a[j] = cj - acc / j
     return a[1:]
 
@@ -121,18 +122,70 @@ def log_z_coefficients(G: MultiGraph, assign: SignatureAssignment, z, m: int) ->
 # Truncation and the approximation pipeline
 
 
-def truncation_order(d: int, eps: float, ratio: float) -> int:
-    """Smallest safe truncation order ceil(log(d/eps) / (1 - ratio)).
+def _require_eps(eps: float) -> None:
+    if not 0 < eps < math.inf:
+        raise ValueError("eps must be positive and finite")
 
-    d: polynomial degree (edge count); ratio = |x|/q must be < 1.
+
+def _require_ratio(ratio: float) -> None:
+    if not 0.0 <= ratio < 1.0:
+        raise RegionViolation(f"|x|/q = {ratio} is not inside [0, 1)")
+
+
+def truncation_order(d: int, eps: float, ratio: float) -> int:
+    """The paper's closed-form order ceil(log(d/eps) / (1 - ratio)).
+
+    d: polynomial degree (edge count); ratio = |x|/q must be < 1. `approx`
+    no longer calls it: it uses the sharper `certified_order`.
     """
     if d < 1:
         raise ValueError("degree must be >= 1")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if not 0.0 <= ratio < 1.0:
-        raise RegionViolation(f"|x|/q = {ratio} is not inside [0, 1)")
+    _require_eps(eps)
+    _require_ratio(ratio)
     return max(1, math.ceil(math.log(d / eps) / (1.0 - ratio)))
+
+
+def truncation_remainder(d: int, m: int, ratio: float) -> float:
+    """Certified bound d r^{m+1} / ((m+1)(1-r)) on |log Z - T_m|, r = ratio.
+
+    T_m is the order-m Taylor polynomial of log Z at |x| = r q, where Z has
+    degree <= d and no zeros in |x| < q (Barvinok, Combinatorics and
+    Complexity of Partition Functions, 2016, Lemma 2.2.1). Evaluated in
+    logs, so that r^{m+1} cannot underflow before the division by (m+1)(1-r)
+    does; 0.0 when r = 0.
+    """
+    if d < 1:
+        raise ValueError("degree must be >= 1")
+    if m < 0:
+        raise ValueError("m must be >= 0")
+    _require_ratio(ratio)
+    if ratio == 0.0:
+        return 0.0
+    log_rem = (math.log(d) + (m + 1) * math.log(ratio)
+               - math.log(m + 1) - math.log1p(-ratio))
+    return math.exp(log_rem)
+
+
+def certified_order(d: int, eps: float, ratio: float) -> int:
+    """Smallest m >= 1 with truncation_remainder(d, m, ratio) <= ln(1 + eps).
+
+    A log error |delta| <= ln(1 + eps) gives |e^delta - 1| <= eps and
+    |arg e^delta| <= eps, the multiplicative eps guarantee. The remainder
+    falls strictly with m, so m is found by doubling and then bisection in
+    O(log m) evaluations, even for a ratio just below 1.
+    """
+    _require_eps(eps)
+    target = math.log1p(eps)
+    lo, hi = 0, 1  # the order sought is in (lo, hi] once remainder(hi) <= target
+    while truncation_remainder(d, hi, ratio) > target:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if truncation_remainder(d, mid, ratio) > target:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 @dataclass
@@ -147,6 +200,20 @@ class ApproxReport:
     prefactor: complex
     log_tail: complex  # the truncated series total actually exponentiated
     family_states: int  # family-kernel transitions behind the coefficients
+    remainder: float  # certified bound on |log Z - log_tail| at this order
+    coefficients: tuple  # a_1 .. a_m
+
+    @property
+    def last_coefficient(self) -> float:
+        """|a_m|, 0.0 without coefficients."""
+        return abs(self.coefficients[-1]) if self.coefficients else 0.0
+
+    @property
+    def decay(self) -> float | None:
+        """|a_m| / |a_{m-1}|; None when m < 2 or a_{m-1} = 0."""
+        if len(self.coefficients) < 2 or self.coefficients[-2] == 0:
+            return None
+        return abs(self.coefficients[-1]) / abs(self.coefficients[-2])
 
 
 def _check_zero_free_bound(coefficients, d: int, q: float) -> None:
@@ -179,11 +246,14 @@ def _truncated_report(G: MultiGraph, assign: SignatureAssignment, z, prefactor,
     """prefactor * exp(a_1 + ... + a_m) for a compacted (assign, z).
 
     q > 1 is the certified zero-free radius, and m is `order` when given, else
-    the certified order for ratio 1/q. An instance without edges or non-ground
-    values has log Z = 0. Raises ConditionViolated if a coefficient breaks the
-    zero-free bound of `_check_zero_free_bound` or the value is zero or not
-    finite.
+    the certified order for ratio 1/q. The report carries the certified
+    remainder at the m used, which exceeds ln(1 + eps) only when `order` is
+    set below the certified order. An instance without edges or non-ground
+    values has log Z = 0 and remainder 0. Raises ConditionViolated if a
+    coefficient breaks the zero-free bound of `_check_zero_free_bound` or the
+    value is zero or not finite.
     """
+    remainder = 0.0
     if G.edge_count == 0 or assign.kappa == 0:
         series = TaylorSeries((), 0)
     else:
@@ -192,7 +262,8 @@ def _truncated_report(G: MultiGraph, assign: SignatureAssignment, z, prefactor,
             if m < 1:
                 raise ValueError("order must be >= 1")
         else:
-            m = truncation_order(G.edge_count, eps, 1.0 / q)
+            m = certified_order(G.edge_count, eps, 1.0 / q)
+        remainder = truncation_remainder(G.edge_count, m, 1.0 / q)
         series = log_z_coefficients(G, assign, z, m)
         _check_zero_free_bound(series.coefficients, G.edge_count, q)
     total = series.evaluate(1.0)
@@ -214,6 +285,8 @@ def _truncated_report(G: MultiGraph, assign: SignatureAssignment, z, prefactor,
         prefactor=prefactor,
         log_tail=total,
         family_states=series.family_states,
+        remainder=remainder,
+        coefficients=series.coefficients,
     )
 
 
@@ -224,8 +297,7 @@ def approx_polynomial_report(G: MultiGraph, assign: SignatureAssignment, z,
     Certified whenever every |z_i|/|z_0| is inside the fugacity region;
     raises RegionViolation outside it.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _require_eps(eps)
     z = tuple(complex(t) for t in z)
     if len(z) != assign.kappa + 1:
         raise InvalidFugacity(f"need {assign.kappa + 1} fugacities, got {len(z)}")
@@ -251,8 +323,7 @@ def approx_problem_report(G: MultiGraph, assign: SignatureAssignment,
     Certified whenever r(F) is below the small-signature threshold; raises
     RegionViolation otherwise.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _require_eps(eps)
     z = tuple([1.0 + 0j] * (assign.kappa + 1))
     prefactor = holant_prefactor(G, assign, z)
     q = bound = math.inf

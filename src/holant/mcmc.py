@@ -25,6 +25,7 @@ after every stride-th step, the FPRAS readings of one annealing stage.
 
 from __future__ import annotations
 
+import cmath
 import hashlib
 import math
 import random
@@ -73,8 +74,8 @@ def derive_seed(*parts) -> int:
 def mixing_time(G: MultiGraph, eps: float, xi: float = DEFAULT_XI) -> int:
     if not 0 < xi < 1:
         raise ValueError("xi must be in (0, 1)")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise ValueError("eps must be positive and finite")
     n = max(1, G.vertex_count)
     t = 2.0 * G.edge_count * math.log(n / eps) / (1.0 - xi)
     return max(1, math.ceil(t))
@@ -82,6 +83,8 @@ def mixing_time(G: MultiGraph, eps: float, xi: float = DEFAULT_XI) -> int:
 
 def _require_nonneg(assign: SignatureAssignment, z):
     z = tuple(complex(t) for t in z)
+    if not all(cmath.isfinite(t) for t in z):
+        raise InvalidFugacity("fugacities must be finite")
     if any(t.imag != 0 or t.real < 0 for t in z):
         raise UnsupportedWeights("chain requires non-negative real fugacities")
     if z[0].real <= 0:
@@ -343,10 +346,10 @@ def sample_assignments(G: MultiGraph, assign: SignatureAssignment, z, eps: float
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    steps = mixing_time(G, eps)
     if G.edge_count == 0:
         return [()] * trials
     _require_nonneg(assign, z)
-    steps = mixing_time(G, eps)
     _gate_chain_steps(trials * steps)
     chain = PolymerChain(G, assign, z)
     return _chain_map(chain, _sample_trial, trials, jobs, steps, seed)
@@ -403,8 +406,8 @@ def fpras_estimate(G: MultiGraph, assign: SignatureAssignment, z, eps: float,
     chain is built, when the reps * K * (burn + 2S) planned steps exceed
     CHAIN_STEP_GATE.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise ValueError("eps must be positive and finite")
     if reps < 1:
         raise ValueError("reps must be >= 1")
     zr = _require_nonneg(assign, z)

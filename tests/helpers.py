@@ -215,3 +215,18 @@ def _reference_grow(G, stack_edges, vset, banned, max_edges, visit, extend):
         stack_edges.pop()
         vset.difference_update(added)
         newly.add(e)
+
+
+# the series log with its inner loop over every i < j, kept as the reference
+# that `expansion.series_log`, which starts the loop where c[j - i] exists,
+# must match bit for bit
+def reference_series_log(c, m):
+    a = [0j] * (m + 1)
+    for j in range(1, m + 1):
+        cj = c[j] if j < len(c) else 0j
+        acc = 0j
+        for i in range(1, j):
+            if 0 <= j - i < len(c):
+                acc += i * a[i] * c[j - i]
+        a[j] = cj - acc / j
+    return a[1:]

@@ -5,6 +5,7 @@ import pytest
 
 from holant import (
     GateExceeded,
+    InvalidFugacity,
     MultiGraph,
     SignatureAssignment,
     make_signature,
@@ -189,6 +190,9 @@ def test_q_factor_fugacity():
     assert q_factor_fugacity(2, 1, 1.0, (1.0, 0.5 * b)) == pytest.approx(2.0, rel=1e-12)
     assert math.isinf(q_factor_fugacity(2, 1, 1.0, (1.0, 0.0)))
     assert q_factor_fugacity(2, 1, 1.0, (1.0, b)) == pytest.approx(1.0, rel=1e-12)
+    for bad in ((1.0, math.nan), (1.0, math.inf), (math.inf, 0.1), (1.0, complex(0, math.nan))):
+        with pytest.raises(InvalidFugacity, match="fugacities must be finite"):
+            q_factor_fugacity(2, 1, 1.0, bad)
 
 
 def test_q_factor_problem():

@@ -27,7 +27,7 @@ from holant.oracle import (
 )
 from holant.polymers import holant_prefactor
 from holant.cli import main, parse_complex, parse_z
-from holant.errors import ParseError
+from holant.errors import InvalidFugacity, ParseError
 
 from helpers import half_bound_z, rel_close
 
@@ -92,6 +92,10 @@ def test_parse_z():
     assert parse_z("1, 0.5i") == (1 + 0j, 0.5j)
     with pytest.raises(ParseError):
         parse_z(",,")
+    # "inf" does not parse ("i" reads as the imaginary unit), but 1e999 is inf
+    for text in ("1,nan", "1,1e999", "nan", "1,-1e999+0.5i", "1,nanj"):
+        with pytest.raises(InvalidFugacity, match="fugacities must be finite"):
+            parse_z(text)
 
 
 # ---------------------------------------------------------------------------
@@ -172,11 +176,11 @@ def test_approx_problem_route_region_violation(capsys, files):
 
 
 def test_approx_lost_precision_exits_2(capsys, tmp_path):
-    # C1500 matching at half the region bound: the series breaks the
+    # C3000 matching at half the region bound: the series breaks the
     # zero-free coefficient bound, so no value is printed
-    n = 1500
+    n = 3000
     text = f"{n} {n}\n" + "".join(f"{i} {(i + 1) % n}\n" for i in range(n))
-    graph = tmp_path / "c1500.txt"
+    graph = tmp_path / "c3000.txt"
     graph.write_text(text)
     G = MultiGraph.from_text(text)
     z1 = half_bound_z(G, uniform_assignment(G, "matching"))[1].real
@@ -439,6 +443,49 @@ def test_approx_reports_family_states(capsys, files):
             "--z", "1,0.01", "--eps", "0.01"]
     rep = run_json(capsys, argv)
     assert rep["diagnostics"]["family_states"] > 0
+
+
+def test_approx_reports_remainder_and_decay(capsys, files):
+    argv = ["approx", "--graph", files["c4"], "--sig", "even-parity:0.02",
+            "--z", "1,0.02", "--eps", "0.01"]
+    diag = run_json(capsys, argv)["diagnostics"]
+    assert 0 < diag["remainder"] <= math.log1p(0.01)
+    assert diag["last_coefficient"] > 0
+    assert diag["decay"] > 0
+    # an --order override reports its own remainder; at m = 1 there is no decay
+    diag = run_json(capsys, argv + ["--order", "1"])["diagnostics"]
+    assert diag["truncation_order"] == 1
+    assert diag["remainder"] > math.log1p(0.01)
+    assert diag["decay"] is None
+
+
+def test_approx_high_order_is_linear_in_the_order(capsys, files):
+    # the series log touches only the len(c) coefficients of the polynomial,
+    # so order 100000 on C3 stays within a 5 s budget
+    argv = ["approx", "--graph", files["c3"], "--sig", "matching",
+            "--z", "1,0.01", "--eps", "0.1", "--order", "100000"]
+    t0 = time.perf_counter()
+    rep = run_json(capsys, argv)
+    assert time.perf_counter() - t0 < 5.0
+    assert rep["diagnostics"]["truncation_order"] == 100000
+    assert rel_close(complex(*rep["result"]["value"]), 1.03, 1e-12)
+
+
+def test_non_finite_eps_and_fugacities_exit_1(capsys, files):
+    for cmd in ("approx", "sample", "count-mcmc"):
+        base = [cmd, "--graph", files["k2"], "--sig", "matching"]
+        if cmd != "approx":
+            base += ["--seed", "1"]
+        for eps in ("nan", "inf"):
+            assert main(base + ["--z", "1,0.001", "--eps", eps]) == 1, (cmd, eps)
+            err = capsys.readouterr().err
+            assert "eps must be positive and finite" in err
+            assert "Traceback" not in err
+        for z in ("1,nan", "1,1e999", "nan,0.001"):
+            assert main(base + ["--z", z, "--eps", "0.2"]) == 1, (cmd, z)
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "fugacities must be finite" in captured.err
 
 
 def test_removed_approx_options_exit_1(capsys, files):

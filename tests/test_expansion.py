@@ -3,12 +3,14 @@ import functools
 import itertools
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from holant import (
     ConditionViolated,
+    InvalidFugacity,
     MultiGraph,
     RegionViolation,
     approx_polynomial_report,
@@ -21,10 +23,12 @@ from holant import (
     SignatureAssignment,
 )
 from holant.expansion import (
+    certified_order,
     family_poly_coefficients,
     log_z_coefficients,
     series_log,
     truncation_order,
+    truncation_remainder,
 )
 from holant.oracle import (
     Cluster,
@@ -41,9 +45,11 @@ from helpers import (
     MASTER_SEED,
     c3,
     corpus,
+    flat_problem_assignment,
     half_bound_z,
     k2,
     random_graph,
+    reference_series_log,
     rel_close,
     star,
 )
@@ -320,6 +326,119 @@ def test_truncation_order_values():
         truncation_order(5, 0.1, 1.7)
 
 
+def _bits(values):
+    return [(complex(v).real.hex(), complex(v).imag.hex()) for v in values]
+
+
+def test_series_log_matches_the_full_loop_bitwise():
+    rng = random.Random(MASTER_SEED + 16)
+    for _ in range(60):
+        length = rng.randint(1, 9)
+        scale = rng.uniform(0.05, 0.6)
+        c = [1.0 + 0j] + [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * scale**j
+                          for j in range(1, length)]
+        for m in sorted({1, max(1, length - 2), length + 2, 20 * length + 40}):
+            assert _bits(series_log(c, m)) == _bits(reference_series_log(c, m))
+
+
+def test_truncation_remainder_values():
+    assert truncation_remainder(6, 10, 0.0) == 0.0
+    assert rel_close(truncation_remainder(6, 10, 0.5), 6 * 0.5**11 / (11 * 0.5), 1e-12)
+    assert rel_close(truncation_remainder(1, 0, 0.9), 0.9 / 0.1, 1e-12)
+    # r^{m+1} = 2^-1075 alone underflows to 0; the remainder does not
+    assert 0.0 < truncation_remainder(10**4, 1074, 0.5) < 1e-300
+    assert truncation_remainder(10**4, 10**9, 0.5) == 0.0
+    with pytest.raises(RegionViolation):
+        truncation_remainder(5, 3, 1.0)
+    with pytest.raises(RegionViolation):
+        truncation_remainder(5, 3, math.nan)
+
+
+ORDER_DEGREES = (1, 2, 3, 10, 100, 1000, 10**4)
+ORDER_EPS = (1e-6, 1e-4, 1e-2, 0.1, 0.5, 1.0)
+ORDER_RATIOS = (0.0, 0.01, 0.1, 0.25, 0.5, 0.6, 0.75, 0.9, 0.99, 0.999)
+
+
+def test_certified_order_is_the_smallest_certified_order():
+    for d, eps, r in itertools.product(ORDER_DEGREES, ORDER_EPS, ORDER_RATIOS):
+        m = certified_order(d, eps, r)
+        target = math.log1p(eps)
+        assert m >= 1
+        assert truncation_remainder(d, m, r) <= target
+        if m > 1:
+            assert truncation_remainder(d, m - 1, r) > target, (d, eps, r)
+        if r <= 0.5 and eps <= 1:
+            assert m <= truncation_order(d, eps, r), (d, eps, r)
+
+
+def test_certified_order_just_inside_the_radius_is_fast():
+    r = 1 - 1e-12
+    best = math.inf
+    for _ in range(3):
+        t0 = time.perf_counter()
+        m = certified_order(10, 0.1, r)
+        best = min(best, time.perf_counter() - t0)
+    assert best < 0.01
+    assert truncation_remainder(10, m, r) <= math.log1p(0.1) < truncation_remainder(10, m - 1, r)
+
+
+def test_orders_reject_bad_eps_and_ratio():
+    for eps in (0.0, -1.0, math.nan, math.inf):
+        for fn in (certified_order, truncation_order):
+            with pytest.raises(ValueError, match="eps must be positive and finite"):
+                fn(5, eps, 0.5)
+    for r in (1.0, 1.5, -0.1, math.nan):
+        with pytest.raises(RegionViolation):
+            certified_order(5, 0.1, r)
+
+
+def test_reported_remainder_bounds_the_true_log_error():
+    # the tier-1 corpus at half the bound, and the flat problem instances
+    cases = [(G, a, half_bound_z(G, a)) for G, a in corpus(200)]
+    rng = random.Random(MASTER_SEED + 102)
+    for _ in range(60):
+        G = random_graph(rng, max_edges=8, max_degree=3)
+        cases.append((G, flat_problem_assignment(G, kappa=1, scale=0.5), None))
+    for G, a, z in cases:
+        exact = brute_holant(G, a, z or (1.0, 1.0)).value
+        for eps in (0.1, 0.01):
+            if z is None:
+                rep = approx_problem_report(G, a, eps)
+            else:
+                rep = approx_polynomial_report(G, a, z, eps)
+            assert rep.remainder <= math.log1p(eps)
+            assert abs(cmath.log(rep.value / exact)) <= rep.remainder + 1e-12
+
+
+def test_order_override_reports_its_own_remainder():
+    G = c3()
+    a = uniform_assignment(G, "matching")
+    z = half_bound_z(G, a)
+    rep = approx_polynomial_report(G, a, z, 1e-6, order=1)
+    assert rep.order == 1
+    assert rep.remainder == truncation_remainder(3, 1, 1 / rep.q)
+    assert rep.remainder > math.log1p(1e-6)
+    assert rep.decay is None
+    assert rep.last_coefficient == abs(rep.coefficients[0])
+    full = approx_polynomial_report(G, a, z, 1e-6)
+    assert full.order == certified_order(3, 1e-6, 1 / full.q)
+    assert full.remainder <= math.log1p(1e-6)
+    assert full.decay == abs(full.coefficients[-1]) / abs(full.coefficients[-2])
+
+
+def test_approx_rejects_non_finite_eps_and_fugacities():
+    G = c3()
+    a = uniform_assignment(G, "matching")
+    for eps in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            approx_polynomial_report(G, a, (1.0, 0.01), eps)
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            approx_problem_report(G, a, eps)
+    for bad in (math.nan, math.inf, complex(0.01, math.nan)):
+        with pytest.raises(InvalidFugacity, match="fugacities must be finite"):
+            approx_polynomial_report(G, a, (1.0, bad), 0.1)
+
+
 def test_approx_c3_example():
     G = c3()
     a = uniform_assignment(G, "matching")
@@ -358,13 +477,14 @@ def _cycle_matching(n):
 def test_approx_long_cycles_raise_instead_of_a_wrong_value():
     # C_n matching at half the region bound against the closed form
     # log Z = n ln l1 + ln(1 + (l2/l1)^n), l = (1 +- sqrt(1 + 4 t)) / 2. At
-    # n = 1500 the float64 series log is off by 0.14 in log Z (> eps), and at
-    # n = 3000 it evaluates to 0j; both break |a_j| <= |E| / (j q^j)
+    # the certified order C1000 and C1500 come within eps (log errors 1.2e-7
+    # and 3.1e-5); at n = 3000 and 5000 float64 cancellation in the series
+    # log breaks |a_j| <= |E| / (j q^j), so no value is reported
     eps = 0.1
-    for n in (1000, 1500, 3000):
+    for n in (1000, 1500, 3000, 5000):
         G, a = _cycle_matching(n)
         z = half_bound_z(G, a)
-        if n == 1000:
+        if n <= 1500:
             r = math.sqrt(1 + 4 * z[1].real)
             l1, l2 = (1 + r) / 2, (1 - r) / 2
             log_z = n * math.log(l1) + math.log1p((l2 / l1) ** n)

@@ -315,6 +315,26 @@ def test_fpras_outside_region_raises():
         fpras_estimate(G, a, (1.0, 0.05), 0.1, seed=1)
 
 
+def test_chain_entry_points_reject_non_finite_eps_and_fugacities():
+    G = c3()
+    a = uniform_assignment(G, "matching")
+    z = mcmc_z(G)
+    edgeless = MultiGraph(3, [])
+    for eps in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            mixing_time(G, eps)
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            fpras_estimate(G, a, z, eps, seed=1)
+        for H in (G, edgeless):
+            with pytest.raises(ValueError, match="eps must be positive and finite"):
+                sample_assignments(H, uniform_assignment(H, "matching"), z, eps, seed=1)
+    for bad in ((1.0, math.nan), (1.0, math.inf), (math.nan, 0.0)):
+        with pytest.raises(InvalidFugacity, match="fugacities must be finite"):
+            sample_assignments(G, a, bad, 0.1, seed=1)
+        with pytest.raises(InvalidFugacity, match="fugacities must be finite"):
+            fpras_estimate(G, a, bad, 0.1, seed=1)
+
+
 def test_chain_build_raises_not_in_f0_for_the_vertex():
     G = p3()
     leaf = make_signature([1.0, 1.0], 1, 1)
