@@ -27,8 +27,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .bounds import q_factor_fugacity, q_factor_problem, region_bounds
 from .errors import ConditionViolated, InvalidFugacity, RegionViolation
 from .families import FamilySum, family_sum
@@ -267,8 +265,10 @@ def _truncated_report(G: MultiGraph, assign: SignatureAssignment, z, prefactor,
         series = log_z_coefficients(G, assign, z, m)
         _check_zero_free_bound(series.coefficients, G.edge_count, q)
     total = series.evaluate(1.0)
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        value = complex(prefactor * np.exp(total))
+    try:
+        value = prefactor * cmath.exp(total)
+    except OverflowError:  # exp(total) alone is past the float range
+        value = complex(math.inf)
     if value == 0 or not cmath.isfinite(value):
         raise ConditionViolated(
             f"approximation evaluates to {value} (prefactor {prefactor}, truncated "

@@ -22,8 +22,6 @@ from __future__ import annotations
 
 from itertools import product
 
-import numpy as np
-
 from .errors import InvalidFugacity, NotInF0
 from .graph import MultiGraph, grow_edge_sets, is_connected_edge_set, mask_vertices
 from .signatures import Signature, SignatureAssignment
@@ -106,19 +104,28 @@ def colour_supports(G: MultiGraph, kappa: int, supports):
     return out
 
 
-def extension_table(s: Signature) -> np.ndarray:
+def extension_table(s: Signature) -> list:
     """Flat boolean table: ext[i] is True when some extension of index i has
     a nonzero value in s.
 
     An extension of an argument tuple gives some of its 0 arguments a colour
-    1..kappa; the tuple itself is one. Built by an upward closure over the
-    axes of the (kappa+1)^d grid. For `matching` it is "popcount <= 1".
+    1..kappa; the tuple itself is one. Built by an upward closure, one axis
+    at a time, on the table as a bitset (bit i of an int for index i): at
+    stride st, each index whose digit there is 0 takes in the bits of the
+    indices with digit 1..kappa. For `matching` it is "popcount <= 1".
     """
-    g = (s.table != 0).reshape((s.kappa + 1,) * s.arity)
-    for axis in range(s.arity):
-        h = np.moveaxis(g, axis, 0)  # a view: writing h writes g
-        h[0] |= h[1:].any(axis=0)
-    return g.reshape(-1)
+    base, n = s.kappa + 1, len(s.table)
+    bits = int("".join(["1" if v else "0" for v in reversed(s.table)]), 2)
+    st = 1
+    while st < n:
+        zero_digit, period = (1 << st) - 1, base * st  # indices with digit 0 at st
+        while period < n:
+            zero_digit |= zero_digit << period
+            period *= 2
+        for c in range(1, base):
+            bits |= (bits >> (c * st)) & zero_digit
+        st *= base
+    return list(map("1".__eq__, format(bits, f"0{n}b")[::-1]))
 
 
 def live_polymers(G: MultiGraph, assign: SignatureAssignment, z, max_edges: int):
@@ -160,7 +167,7 @@ def live_polymers(G: MultiGraph, assign: SignatureAssignment, z, max_edges: int)
     tables: dict = {}
     for s in assign.sigs:
         if id(s) not in tables:
-            tables[id(s)] = (extension_table(s).tolist(), s.table.tolist(), s.f0)
+            tables[id(s)] = (extension_table(s), s.table, s.f0)
     ext, vals, f0 = zip(*(tables[id(s)] for s in assign.sigs))
     # per edge: each endpoint with the radix weight of the edge's position there
     ends = [
@@ -194,7 +201,7 @@ def live_polymers(G: MultiGraph, assign: SignatureAssignment, z, max_edges: int)
         for e in edges:
             vmask |= bits[e]
         for x in mask_vertices(vmask):
-            w *= complex(vals[x][idx[x]]) / f0[x]
+            w *= vals[x][idx[x]] / f0[x]
         if w != 0:
             out.append((ColouredPolymer(edges, cols, vmask), w))
 
@@ -270,8 +277,10 @@ def _remap_domain(assign: SignatureAssignment, idx) -> SignatureAssignment:
     for s in assign.sigs:
         key = id(s)
         if key not in cache:
-            grid = s.table.reshape((base,) * s.arity)
-            table = grid[np.ix_(*[idx] * s.arity)].reshape(-1)
+            pos = [0]  # old index of every new tuple, one argument at a time
+            for _ in range(s.arity):
+                pos = [j * base + i for j in pos for i in idx]
+            table = [s.table[j] for j in pos]
             cache[key] = Signature(arity=s.arity, kappa=len(idx) - 1, table=table, name=s.name)
         sigs.append(cache[key])
     return SignatureAssignment(assign.G, sigs)

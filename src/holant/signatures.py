@@ -1,7 +1,7 @@
 """Signatures (local constraint functions) and per-vertex assignments.
 
-A signature of arity d over domain {0, ..., kappa} is a dense table of
-(kappa+1)^d complex values, indexed row-major: the tuple (x_1, ..., x_d) lives
+A signature of arity d over domain {0, ..., kappa} is a tuple of (kappa+1)^d
+complex values, indexed row-major: the tuple (x_1, ..., x_d) lives
 at index sum x_i * (kappa+1)^(d-i), so the first argument is the most
 significant digit. Argument position at a vertex is the canonical rank of
 the incident edge (graph.MultiGraph keeps incident lists sorted by edge id).
@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .errors import GateExceeded, NotInF0, ParseError
 from .graph import MultiGraph
@@ -24,10 +22,11 @@ TABLE_GATE = 10**7  # refuse to materialise tables beyond this many entries
 class Signature:
     arity: int
     kappa: int
-    table: np.ndarray = field(compare=False)
+    table: tuple = field(compare=False)  # any iterable of numbers; stored as complex
     name: str = "table"
 
     def __post_init__(self):
+        object.__setattr__(self, "table", tuple(map(complex, self.table)))
         expected = (self.kappa + 1) ** self.arity
         if len(self.table) != expected:
             raise ValueError(f"table has {len(self.table)} entries, expected {expected}")
@@ -44,11 +43,11 @@ class Signature:
         return idx
 
     def __call__(self, x) -> complex:
-        return complex(self.table[self.index(x)])
+        return self.table[self.index(x)]
 
     @property
     def f0(self) -> complex:
-        return complex(self.table[0])
+        return self.table[0]
 
     def in_f0(self) -> bool:
         return self.table[0] != 0
@@ -59,11 +58,10 @@ class Signature:
             raise NotInF0(f"signature {self.name!r} has f(0,...,0) = 0")
         if self.arity == 0:
             return 0.0
-        mags = np.abs(self.table)
-        return float(mags[1:].max() / mags[0])
+        return max(abs(v) for v in self.table[1:]) / abs(self.table[0])
 
     def is_nonneg_real(self) -> bool:
-        return bool(np.all(self.table.imag == 0) and np.all(self.table.real >= 0))
+        return all(v.imag == 0 and v.real >= 0 for v in self.table)
 
 
 def _check_gate(kappa: int, arity: int):
@@ -75,26 +73,20 @@ def _check_gate(kappa: int, arity: int):
 
 def make_signature(values, arity: int, kappa: int, name: str = "table") -> Signature:
     _check_gate(kappa, arity)
-    table = np.asarray(values, dtype=complex)
-    return Signature(arity=arity, kappa=kappa, table=table, name=name)
+    return Signature(arity=arity, kappa=kappa, table=values, name=name)
 
 
 def matching_signature(arity: int) -> Signature:
     """Boolean 'at most one incident edge occupied' signature."""
     _check_gate(1, arity)
-    table = np.zeros(2**arity, dtype=complex)
-    for idx in range(2**arity):
-        if bin(idx).count("1") <= 1:
-            table[idx] = 1.0
+    table = [1.0 if bin(idx).count("1") <= 1 else 0.0 for idx in range(2**arity)]
     return Signature(arity=arity, kappa=1, table=table, name="matching")
 
 
 def even_parity_signature(arity: int, weight: complex) -> Signature:
     """1 on even Hamming weight, `weight` on odd (Boolean domain)."""
     _check_gate(1, arity)
-    table = np.empty(2**arity, dtype=complex)
-    for idx in range(2**arity):
-        table[idx] = 1.0 if bin(idx).count("1") % 2 == 0 else weight
+    table = [weight if bin(idx).count("1") % 2 else 1.0 for idx in range(2**arity)]
     return Signature(arity=arity, kappa=1, table=table, name="even-parity")
 
 
@@ -169,17 +161,15 @@ class SignatureAssignment:
         radix = self._radix[v]
         for p, e in enumerate(self.G.incident(v)):
             idx += colour_of_edge(e) * radix[p]
-        return complex(self.sigs[v].table[idx])
+        return self.sigs[v].table[idx]
 
     def is_nonneg_real(self) -> bool:
         return all(s.is_nonneg_real() for s in self.sigs)
 
 
-def uniform_assignment(G: MultiGraph, name: str, weight: complex | None = None,
-                       kappa: int = 1) -> SignatureAssignment:
-    """Builtin signature at every vertex, arity taken from the degree."""
-    if kappa != 1:
-        raise ValueError("builtin signatures are Boolean (kappa = 1)")
+def uniform_assignment(G: MultiGraph, name: str,
+                       weight: complex | None = None) -> SignatureAssignment:
+    """Builtin (Boolean) signature at every vertex, arity taken from the degree."""
     cache: dict = {}
     sigs = []
     for v in range(G.vertex_count):
@@ -266,7 +256,7 @@ def signature_to_spec(sig: Signature) -> dict:
         "table": {
             "kappa": sig.kappa,
             "arity": sig.arity,
-            "values": [[v.real, v.imag] for v in map(complex, sig.table)],
+            "values": [[v.real, v.imag] for v in sig.table],
         }
     }
 

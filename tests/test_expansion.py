@@ -22,7 +22,9 @@ from holant import (
     uniform_assignment,
     SignatureAssignment,
 )
+from holant import expansion
 from holant.expansion import (
+    TaylorSeries,
     certified_order,
     family_poly_coefficients,
     log_z_coefficients,
@@ -504,6 +506,23 @@ def test_approx_raises_when_the_value_leaves_float_range():
         a = SignatureAssignment(G, [sig] * 3)
         with pytest.raises(ConditionViolated, match="outside float range"):
             approx_polynomial_report(G, a, (1.0, 0.01), 0.1)
+
+
+def test_approx_raises_when_exp_of_the_series_overflows(monkeypatch):
+    # exp(total) overflows once Re(total) > ~709.78. No instance in reach gets
+    # there inside the region: long cycles lose their precision first (above).
+    # So the series is a constructed one, a_1 = 710 on C_2000, which is inside
+    # the zero-free bound |a_1| <= |E|/q.
+    with pytest.raises(OverflowError):
+        cmath.exp(710)
+    G, a = _cycle_matching(2000)
+
+    def constructed(G, assign, z, m):
+        return TaylorSeries((710.0 + 0j,) + (0j,) * (m - 1), pool_size=0)
+
+    monkeypatch.setattr(expansion, "log_z_coefficients", constructed)
+    with pytest.raises(ConditionViolated, match="outside float range"):
+        approx_polynomial_report(G, a, half_bound_z(G, a), 0.1)
 
 
 def test_problem_threshold_and_flat_instances():

@@ -4,10 +4,12 @@
 their own modules, and every reference computation lives in `holant.oracle`,
 which no production module imports. The package re-exports four of its names,
 and the command line uses only `brute_holant`, for its `oracle` subcommand.
+Every module of the package imports only the standard library and itself.
 """
 
 import ast
 import inspect
+import sys
 import types
 from pathlib import Path
 
@@ -117,3 +119,17 @@ def test_one_family_visit_gate():
                 bindings.append(path.name)
     assert bindings == ["families.py"]
     assert "gate" not in inspect.signature(families.family_sum).parameters
+
+
+def test_modules_import_only_the_standard_library():
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top == "holant" or top in sys.stdlib_module_names, (path.name, name)

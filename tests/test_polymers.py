@@ -184,18 +184,13 @@ def test_weight_scaling_invariance():
     G, assign = random_instance(rng, max_edges=6)
     z = tuple([1.0] + [0.2] * assign.kappa)
     pols = enumerate_polymers(G, assign.kappa, G.edge_count)
-    scaled = SignatureAssignment(
-        G,
-        [
-            Signature(
-                arity=s.arity,
-                kappa=s.kappa,
-                table=s.table * complex(rng.uniform(0.5, 2.0), rng.uniform(-1, 1)),
-                name=s.name,
-            )
-            for s in assign.sigs
-        ],
-    )
+
+    def rescaled(s):
+        k = complex(rng.uniform(0.5, 2.0), rng.uniform(-1, 1))
+        return Signature(arity=s.arity, kappa=s.kappa, table=[v * k for v in s.table],
+                         name=s.name)
+
+    scaled = SignatureAssignment(G, [rescaled(s) for s in assign.sigs])
     for p in pols:
         w1 = polymer_weight(G, assign, z, p)
         w2 = polymer_weight(G, scaled, z, p)
@@ -229,6 +224,27 @@ def test_compact_domain_drops_zero_fugacities():
     assert a2.kappa == 1
     after = brute_holant(G, a2, z2).value
     assert rel_close(after, before)
+
+
+def test_remapped_tables_read_the_old_table_per_tuple():
+    # new(x) == old(idx[x_1], ..., idx[x_d]), where idx swaps 0 and a colour
+    # (relabel_ground) or lists the kept values (compact_domain)
+    rng = random.Random(MASTER_SEED + 13)
+    for _ in range(20):
+        kappa = rng.choice([1, 2, 3])
+        G = random_graph(rng, max_edges=6, max_degree=4)
+        assign = random_f0_assignment(rng, G, kappa)
+        colour = rng.randint(0, kappa)
+        perm = list(range(kappa + 1))
+        perm[0], perm[colour] = colour, 0
+        z = tuple([1.0] + [rng.choice([0.0, 0.3]) for _ in range(kappa)])
+        compacted, _, kept = compact_domain(assign, z)
+        assert kept == tuple([0] + [c for c in range(1, kappa + 1) if z[c] != 0])
+        for new, idx in ((relabel_ground(assign, z, colour)[0], perm), (compacted, kept)):
+            for old_s, new_s in zip(assign.sigs, new.sigs):
+                assert new_s.kappa == len(idx) - 1
+                for x in product(range(len(idx)), repeat=new_s.arity):
+                    assert new_s(x) == old_s(tuple(idx[xi] for xi in x))
 
 
 def _random_sparse_instance(rng, kappa, max_edges):
@@ -292,7 +308,24 @@ def test_live_polymers_of_matching_are_single_edges():
 def test_extension_table_of_matching_is_popcount_at_most_one():
     for d in range(6):
         ext = extension_table(matching_signature(d))
-        assert ext.tolist() == [bin(i).count("1") <= 1 for i in range(2**d)]
+        assert ext == [bin(i).count("1") <= 1 for i in range(2**d)]
+
+
+def test_extension_table_against_brute_force():
+    # ext[x] is True when setting some 0 arguments of x to colours 1..kappa
+    # (or none) reaches a nonzero entry
+    rng = random.Random(MASTER_SEED + 14)
+    for kappa in (1, 2, 3):
+        for d in range(6):
+            for p_zero in (0.5, 0.9, 0.99):
+                tab = [0.0 if rng.random() < p_zero else 1.0 for _ in range((kappa + 1) ** d)]
+                s = make_signature(tab, d, kappa)
+                brute = [
+                    any(s(y) != 0 for y in product(*[range(kappa + 1) if xi == 0 else (xi,)
+                                                     for xi in x]))
+                    for x in product(range(kappa + 1), repeat=d)
+                ]
+                assert extension_table(s) == brute
 
 
 def test_chain_candidate_lists_equal_per_edge_superset_construction():

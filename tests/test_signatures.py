@@ -33,6 +33,15 @@ def test_matching_builtin_values():
     assert list(f.table) == [1, 1, 1, 0]
 
 
+def test_signature_table_is_a_tuple_of_complex():
+    values = [1, 0.5, 2j, 0]
+    for given_as in (list, tuple, iter):
+        f = Signature(arity=2, kappa=1, table=given_as(values))
+        assert f.table == (1 + 0j, 0.5 + 0j, 2j, 0j)
+        assert all(type(v) is complex for v in f.table)
+    assert make_signature((v for v in range(4)), 2, 1).table == (0j, 1 + 0j, 2 + 0j, 3 + 0j)
+
+
 def test_matching_arity_zero_is_scalar_one():
     f = matching_signature(0)
     assert f(()) == 1
@@ -177,7 +186,9 @@ def test_json_errors():
 
 
 def test_uniform_assignment_requires_boolean_domain():
-    with pytest.raises(ValueError):
+    # builtin signatures are Boolean, and no parameter asks for another domain
+    assert uniform_assignment(c3(), "matching").kappa == 1
+    with pytest.raises(TypeError):
         uniform_assignment(c3(), "matching", kappa=2)
     with pytest.raises(ValueError):
         builtin_signature("nope", 2)
