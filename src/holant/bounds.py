@@ -9,14 +9,13 @@ smaller).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
-from .errors import GateExceeded, InvalidFugacity
+from .errors import GateExceeded
 from .graph import MultiGraph, connected_edge_sets
 from .polymers import colour_supports, live_polymers
-from .signatures import SignatureAssignment
+from .signatures import SignatureAssignment, check_fugacities
 
 _E = math.e
 _SQRT5 = math.sqrt(5.0)
@@ -166,11 +165,7 @@ def q_factor_fugacity(delta: int, kappa: int, r1: float, z) -> float:
     q > 1 means strictly inside the region; the truncated expansion then uses
     ratio 1/q. Returns inf when every non-ground fugacity is zero.
     """
-    z = tuple(complex(t) for t in z)
-    if not all(cmath.isfinite(t) for t in z):
-        raise InvalidFugacity("fugacities must be finite")
-    if z[0] == 0:
-        raise InvalidFugacity("z_0 must be nonzero")
+    z = check_fugacities(z, kappa)
     ratios = [abs(t) / abs(z[0]) for t in z[1:]]
     worst = max(ratios, default=0.0)
     if worst == 0.0:
@@ -253,6 +248,7 @@ def verify_kp(G: MultiGraph, assign: SignatureAssignment, z,
     (size="vertices"). Certification uses non-strict inequality. A False
     report means the certificate fails, not that Z has a zero.
     """
+    z = check_fugacities(z, assign.kappa)
     if size not in ("edges", "vertices"):
         raise ValueError("size must be 'edges' or 'vertices'")
     if alpha <= 0:
@@ -261,7 +257,7 @@ def verify_kp(G: MultiGraph, assign: SignatureAssignment, z,
     if size == "edges":
         a_vals = [alpha * p.size for p in pool]
     else:
-        a_vals = [alpha * bin(p.vmask).count("1") for p in pool]
+        a_vals = [alpha * p.vmask.bit_count() for p in pool]
     terms = [abs(w) * math.exp(a) for w, a in zip(weights, a_vals)]
     margins = kp_margins([p.vmask for p in pool], terms, a_vals)
     worst = max(margins, default=float("-inf"))

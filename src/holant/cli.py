@@ -66,10 +66,6 @@ def parse_z(text: str):
     return z
 
 
-def _load_graph(path: str) -> MultiGraph:
-    return MultiGraph.from_text(Path(path).read_text())
-
-
 def _load_assignment(G: MultiGraph, sig: str):
     if Path(sig).is_file():
         return assignment_from_json(G, Path(sig).read_text())
@@ -82,13 +78,17 @@ def _load_assignment(G: MultiGraph, sig: str):
     )
 
 
-def _resolve_z(args, kappa: int):
-    if getattr(args, "z", None):
-        z = parse_z(args.z)
-        if len(z) != kappa + 1:
-            raise InvalidFugacity(f"need {kappa + 1} fugacities, got {len(z)}")
-        return z
-    return tuple([1.0 + 0j] * (kappa + 1))
+def _instance(args):
+    """(G, assign, z, inputs) from --graph, --sig and --z; z defaults to all ones.
+
+    The library function that takes z checks it (`signatures.check_fugacities`;
+    `oracle.brute_holant` checks only its length, so it allows z_0 = 0).
+    inputs holds the three for the report.
+    """
+    G = MultiGraph.from_text(Path(args.graph).read_text())
+    assign = _load_assignment(G, args.sig)
+    z = parse_z(args.z) if args.z else tuple([1.0 + 0j] * (assign.kappa + 1))
+    return G, assign, z, {"graph": args.graph, "sig": args.sig, "z": [_c(t) for t in z]}
 
 
 def _resolve_seed(args, *parts) -> int:
@@ -125,20 +125,14 @@ def _print_text(report: dict, indent: str = "") -> None:
 
 
 def _cmd_approx(args) -> int:
-    G = _load_graph(args.graph)
-    assign = _load_assignment(G, args.sig)
+    G, assign, z, inputs = _instance(args)
     if args.z:
-        z = _resolve_z(args, assign.kappa)
         rep = approx_polynomial_report(G, assign, z, args.eps, order=args.order)
     else:
-        z = tuple([1.0 + 0j] * (assign.kappa + 1))
         rep = approx_problem_report(G, assign, args.eps, order=args.order)
     _emit(args, {
         "command": "approx",
-        "inputs": {
-            "graph": args.graph, "sig": args.sig,
-            "z": [_c(t) for t in z], "eps": args.eps, "order": args.order,
-        },
+        "inputs": dict(inputs, eps=args.eps, order=args.order),
         "diagnostics": {
             "theorem": rep.theorem,
             "q": rep.q,
@@ -157,19 +151,14 @@ def _cmd_approx(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    G = _load_graph(args.graph)
-    assign = _load_assignment(G, args.sig)
-    z = _resolve_z(args, assign.kappa)
+    G, assign, z, inputs = _instance(args)
     seed = _resolve_seed(args, G.to_text(), args.sig, args.z or "1", args.eps)
     sigmas = sample_assignments(
         G, assign, z, args.eps, seed, trials=args.trials, jobs=args.jobs
     )
     _emit(args, {
         "command": "sample",
-        "inputs": {
-            "graph": args.graph, "sig": args.sig,
-            "z": [_c(t) for t in z], "eps": args.eps, "trials": args.trials,
-        },
+        "inputs": dict(inputs, eps=args.eps, trials=args.trials),
         "seed": seed,
         "diagnostics": {"mixing_steps": mixing_time(G, args.eps)},
         "result": {"assignments": [list(s) for s in sigmas]},
@@ -178,17 +167,12 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_count_mcmc(args) -> int:
-    G = _load_graph(args.graph)
-    assign = _load_assignment(G, args.sig)
-    z = _resolve_z(args, assign.kappa)
+    G, assign, z, inputs = _instance(args)
     seed = _resolve_seed(args, G.to_text(), args.sig, args.z or "1", args.eps)
     rep = fpras_estimate(G, assign, z, args.eps, seed, reps=args.reps, jobs=args.jobs)
     _emit(args, {
         "command": "count-mcmc",
-        "inputs": {
-            "graph": args.graph, "sig": args.sig,
-            "z": [_c(t) for t in z], "eps": args.eps, "reps": args.reps,
-        },
+        "inputs": dict(inputs, eps=args.eps, reps=args.reps),
         "seed": seed,
         "diagnostics": {
             "stages": rep.stages,
@@ -203,13 +187,11 @@ def _cmd_count_mcmc(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    G = _load_graph(args.graph)
-    assign = _load_assignment(G, args.sig)
-    z = _resolve_z(args, assign.kappa)
+    G, assign, z, inputs = _instance(args)
     res = brute_holant(G, assign, z, keep_table=args.table)
     report = {
         "command": "oracle",
-        "inputs": {"graph": args.graph, "sig": args.sig, "z": [_c(t) for t in z]},
+        "inputs": inputs,
         "result": {"value": _c(res.value), "terms": res.terms},
     }
     if args.table:
@@ -253,16 +235,11 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_verify_kp(args) -> int:
-    G = _load_graph(args.graph)
-    assign = _load_assignment(G, args.sig)
-    z = _resolve_z(args, assign.kappa)
+    G, assign, z, inputs = _instance(args)
     rep = verify_kp(G, assign, z, alpha=args.alpha, size=args.size)
     _emit(args, {
         "command": "verify-kp",
-        "inputs": {
-            "graph": args.graph, "sig": args.sig, "z": [_c(t) for t in z],
-            "alpha": args.alpha, "size": args.size,
-        },
+        "inputs": dict(inputs, alpha=args.alpha, size=args.size),
         "result": {
             "certified": rep.certified,
             "worst_margin": rep.worst_margin,
@@ -320,6 +297,13 @@ def _cmd_pm(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _add_instance(p: argparse.ArgumentParser):
+    p.add_argument("--graph", required=True)
+    p.add_argument("--sig", required=True)
+    p.add_argument("--z", help="fugacities z0,z1,...; default all ones, which approx "
+                               "treats as the Holant problem")
+
+
 def _add_common(p: argparse.ArgumentParser, with_seed: bool = False):
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", help="also write the JSON report to this path")
@@ -336,9 +320,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("approx", help="deterministic eps-approximation")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--sig", required=True)
-    p.add_argument("--z", help="fugacities z0,z1,...; omit for the all-ones problem")
+    _add_instance(p)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--order", type=int, default=None,
                    help="override the truncation order")
@@ -346,27 +328,21 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_approx)
 
     p = sub.add_parser("sample", help="eps-approximate Gibbs samples")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--sig", required=True)
-    p.add_argument("--z")
+    _add_instance(p)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--trials", type=int, default=1)
     _add_common(p, with_seed=True)
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("count-mcmc", help="randomised (annealed) counting")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--sig", required=True)
-    p.add_argument("--z")
+    _add_instance(p)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--reps", type=int, default=3)
     _add_common(p, with_seed=True)
     p.set_defaults(func=_cmd_count_mcmc)
 
     p = sub.add_parser("oracle", help="exact brute-force reference value")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--sig", required=True)
-    p.add_argument("--z")
+    _add_instance(p)
     p.add_argument("--table", action="store_true",
                    help="include per-assignment weights in the report")
     _add_common(p)
@@ -384,9 +360,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("verify-kp", help="check the convergence certificate")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--sig", required=True)
-    p.add_argument("--z")
+    _add_instance(p)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--size", choices=("edges", "vertices"), default="edges")
     _add_common(p)

@@ -28,11 +28,11 @@ import math
 from dataclasses import dataclass
 
 from .bounds import q_factor_fugacity, q_factor_problem, region_bounds
-from .errors import ConditionViolated, InvalidFugacity, RegionViolation
+from .errors import ConditionViolated, RegionViolation
 from .families import FamilySum, family_sum
 from .graph import MultiGraph, bfs_order, mask_vertices
 from .polymers import compact_domain, holant_prefactor, live_polymers
-from .signatures import SignatureAssignment
+from .signatures import SignatureAssignment, check_fugacities
 
 
 # ---------------------------------------------------------------------------
@@ -106,8 +106,7 @@ def log_z_coefficients(G: MultiGraph, assign: SignatureAssignment, z, m: int) ->
     """
     if m < 0:
         raise ValueError("m must be >= 0")
-    if len(z) != assign.kappa + 1:
-        raise InvalidFugacity(f"need {assign.kappa + 1} fugacities, got {len(z)}")
+    z = check_fugacities(z, assign.kappa)
     if assign.kappa == 0 or G.edge_count == 0 or m == 0:
         return TaylorSeries(tuple([0j] * m), 0)
     live = live_polymers(G, assign, z, min(m, G.edge_count))
@@ -121,6 +120,7 @@ def log_z_coefficients(G: MultiGraph, assign: SignatureAssignment, z, m: int) ->
 
 
 def _require_eps(eps: float) -> None:
+    """The one eps rule of the approximation and chain entry points."""
     if not 0 < eps < math.inf:
         raise ValueError("eps must be positive and finite")
 
@@ -298,9 +298,7 @@ def approx_polynomial_report(G: MultiGraph, assign: SignatureAssignment, z,
     raises RegionViolation outside it.
     """
     _require_eps(eps)
-    z = tuple(complex(t) for t in z)
-    if len(z) != assign.kappa + 1:
-        raise InvalidFugacity(f"need {assign.kappa + 1} fugacities, got {len(z)}")
+    z = check_fugacities(z, assign.kappa)
     prefactor = holant_prefactor(G, assign, z)
     assign, z, _ = compact_domain(assign, z)
     q = bound = math.inf

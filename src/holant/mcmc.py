@@ -25,7 +25,6 @@ after every stride-th step, the FPRAS readings of one annealing stage.
 
 from __future__ import annotations
 
-import cmath
 import hashlib
 import math
 import random
@@ -34,13 +33,8 @@ from dataclasses import dataclass
 from statistics import median
 
 from .bounds import _gated_full_pool, kp_margins, region_bounds
-from .errors import (
-    ConditionViolated,
-    GateExceeded,
-    InvalidFugacity,
-    RegionViolation,
-    UnsupportedWeights,
-)
+from .errors import ConditionViolated, GateExceeded, RegionViolation, UnsupportedWeights
+from .expansion import _require_eps
 from .graph import MultiGraph
 from .polymers import (
     ColouredPolymer,
@@ -48,7 +42,7 @@ from .polymers import (
     holant_prefactor,
     live_polymers,
 )
-from .signatures import SignatureAssignment
+from .signatures import SignatureAssignment, check_fugacities
 
 DEFAULT_XI = 0.75
 _STRIDE = 2  # chain steps between FPRAS samples
@@ -71,24 +65,19 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def mixing_time(G: MultiGraph, eps: float, xi: float = DEFAULT_XI) -> int:
-    if not 0 < xi < 1:
-        raise ValueError("xi must be in (0, 1)")
-    if not 0 < eps < math.inf:
-        raise ValueError("eps must be positive and finite")
+def mixing_time(G: MultiGraph, eps: float) -> int:
+    """2|E| ln(n/eps) / (1 - xi) chain steps, rounded up, with xi = DEFAULT_XI:
+    8|E| ln(n/eps)."""
+    _require_eps(eps)
     n = max(1, G.vertex_count)
-    t = 2.0 * G.edge_count * math.log(n / eps) / (1.0 - xi)
+    t = 2.0 * G.edge_count * math.log(n / eps) / (1.0 - DEFAULT_XI)
     return max(1, math.ceil(t))
 
 
 def _require_nonneg(assign: SignatureAssignment, z):
-    z = tuple(complex(t) for t in z)
-    if not all(cmath.isfinite(t) for t in z):
-        raise InvalidFugacity("fugacities must be finite")
+    z = check_fugacities(z, assign.kappa)
     if any(t.imag != 0 or t.real < 0 for t in z):
         raise UnsupportedWeights("chain requires non-negative real fugacities")
-    if z[0].real <= 0:
-        raise InvalidFugacity("z_0 must be positive")
     if not assign.is_nonneg_real():
         raise UnsupportedWeights("chain requires non-negative real signature tables")
     return tuple(t.real for t in z)
@@ -106,16 +95,14 @@ def check_sampling_condition(G: MultiGraph, assign: SignatureAssignment, z):
     return tau_star >= need, tau_star, need
 
 
-def check_mixing_condition(G: MultiGraph, assign: SignatureAssignment, z,
-                           xi: float = DEFAULT_XI):
-    """(ok, worst margin) for sum_{g' incompatible} |E(g')| Phi(g') <= xi |E(g)|."""
-    if not 0 < xi < 1:
-        raise ValueError("xi must be in (0, 1)")
+def check_mixing_condition(G: MultiGraph, assign: SignatureAssignment, z):
+    """(ok, worst margin) for sum_{g' incompatible} |E(g')| Phi(g') <= xi |E(g)|,
+    xi = DEFAULT_XI."""
     zr = _require_nonneg(assign, z)
     pool, weights = _gated_full_pool(G, assign, zr)
     margins = kp_margins([p.vmask for p in pool],
                          [p.size * w.real for p, w in zip(pool, weights)],
-                         [xi * p.size for p in pool])
+                         [DEFAULT_XI * p.size for p in pool])
     return not any(m > 0 for m in margins), max(margins, default=float("-inf"))
 
 
@@ -149,7 +136,8 @@ class ChainState:
 class PolymerChain:
     """Bound instance: certified parameters plus per-edge mu0 candidate lists.
 
-    tau is tau_floor(kappa, Delta) and the mixing condition uses DEFAULT_XI.
+    tau is tau_floor(kappa, Delta), and the mixing condition fixes xi at
+    DEFAULT_XI = 0.75.
     check: "auto" accepts the instance when the fugacity ratios sit inside the
     chain region bound, falling back to direct verification of the sampling
     and mixing conditions on the full (gated) pool (certificate "region" or
@@ -347,9 +335,9 @@ def sample_assignments(G: MultiGraph, assign: SignatureAssignment, z, eps: float
     if trials < 1:
         raise ValueError("trials must be >= 1")
     steps = mixing_time(G, eps)
+    _require_nonneg(assign, z)
     if G.edge_count == 0:
         return [()] * trials
-    _require_nonneg(assign, z)
     _gate_chain_steps(trials * steps)
     chain = PolymerChain(G, assign, z)
     return _chain_map(chain, _sample_trial, trials, jobs, steps, seed)
@@ -406,8 +394,7 @@ def fpras_estimate(G: MultiGraph, assign: SignatureAssignment, z, eps: float,
     chain is built, when the reps * K * (burn + 2S) planned steps exceed
     CHAIN_STEP_GATE.
     """
-    if not 0 < eps < math.inf:
-        raise ValueError("eps must be positive and finite")
+    _require_eps(eps)
     if reps < 1:
         raise ValueError("reps must be >= 1")
     zr = _require_nonneg(assign, z)

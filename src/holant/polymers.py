@@ -24,7 +24,7 @@ from itertools import product
 
 from .errors import InvalidFugacity, NotInF0
 from .graph import MultiGraph, grow_edge_sets, is_connected_edge_set, mask_vertices
-from .signatures import Signature, SignatureAssignment
+from .signatures import Signature, SignatureAssignment, check_fugacities
 
 
 class ColouredPolymer:
@@ -133,9 +133,9 @@ def live_polymers(G: MultiGraph, assign: SignatureAssignment, z, max_edges: int)
 
     Sorted by `ColouredPolymer.sort_key`, so the polymers come in
     `oracle.enumerate_polymers` order, and each weight is bitwise equal to
-    `oracle.polymer_weight` (for finite tables and fugacities). Raises the
-    errors polymer_weight raises on the single-edge polymers, which lead
-    that order.
+    `oracle.polymer_weight` (for finite tables). Raises InvalidFugacity for
+    a z that `check_fugacities` rejects, and the NotInF0 that polymer_weight
+    raises on the single-edge polymers, which lead that order.
 
     One walk (`graph.grow_edge_sets`) grows each connected support and its
     colouring together, keeping the signature index of every touched vertex
@@ -148,20 +148,15 @@ def live_polymers(G: MultiGraph, assign: SignatureAssignment, z, max_edges: int)
     kappa = assign.kappa
     if kappa < 1:
         raise ValueError("kappa must be >= 1")
+    z = check_fugacities(z, kappa)
     if max_edges < 1 or G.edge_count == 0:
         return []
-    z = tuple(complex(t) for t in z)
-    if z[0] == 0:
-        raise InvalidFugacity("z_0 must be nonzero")
-    # polymer_weight's checks, in its order, on ((e,), (c,)) for every e and c
+    # polymer_weight's NotInF0 check, in its order, on every single-edge polymer
     for u, v in G.edges:
-        for c in range(1, kappa + 1):
-            if c >= len(z):
-                raise InvalidFugacity(f"colour {c} has no fugacity (len(z) = {len(z)})")
-            for x in (u, v):
-                s = assign.sig(x)
-                if s.table[0] == 0:
-                    raise NotInF0(f"vertex {x}: signature {s.name!r} has f(0,...,0) = 0")
+        for x in (u, v):
+            s = assign.sig(x)
+            if s.table[0] == 0:
+                raise NotInF0(f"vertex {x}: signature {s.name!r} has f(0,...,0) = 0")
     ratio = [z[c] / z[0] for c in range(kappa + 1)]
     colours = [c for c in range(1, kappa + 1) if z[c] != 0]
     tables: dict = {}
@@ -259,9 +254,7 @@ def assignment_to_family(G: MultiGraph, sigma) -> list:
 
 
 def holant_prefactor(G: MultiGraph, assign: SignatureAssignment, z) -> complex:
-    z = tuple(complex(t) for t in z)
-    if z[0] == 0:
-        raise InvalidFugacity("z_0 must be nonzero")
+    z = check_fugacities(z, assign.kappa)
     return z[0] ** G.edge_count * assign.f0_product()
 
 
@@ -312,14 +305,9 @@ def compact_domain(assign: SignatureAssignment, z):
     partition function while shrinking the polymer pool.
     Returns (assignment, z, kept) where kept maps new value -> old value.
     """
-    kappa = assign.kappa
-    z = tuple(complex(t) for t in z)
-    if len(z) != kappa + 1:
-        raise InvalidFugacity(f"need {kappa + 1} fugacities, got {len(z)}")
-    if z[0] == 0:
-        raise InvalidFugacity("z_0 must be nonzero")
-    kept = [0] + [i for i in range(1, kappa + 1) if z[i] != 0]
-    if len(kept) == kappa + 1:
+    z = check_fugacities(z, assign.kappa)
+    kept = [0] + [i for i in range(1, len(z)) if z[i] != 0]
+    if len(kept) == len(z):
         return assign, z, tuple(kept)
     new_z = tuple(z[i] for i in kept)
     return _remap_domain(assign, kept), new_z, tuple(kept)

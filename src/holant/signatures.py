@@ -9,10 +9,11 @@ the incident edge (graph.MultiGraph keeps incident lists sorted by edge id).
 
 from __future__ import annotations
 
+import cmath
 import json
 from dataclasses import dataclass, field
 
-from .errors import GateExceeded, NotInF0, ParseError
+from .errors import GateExceeded, InvalidFugacity, NotInF0, ParseError
 from .graph import MultiGraph
 
 TABLE_GATE = 10**7  # refuse to materialise tables beyond this many entries
@@ -64,6 +65,22 @@ class Signature:
         return all(v.imag == 0 and v.real >= 0 for v in self.table)
 
 
+def check_fugacities(z, kappa: int) -> tuple:
+    """z as a tuple of kappa+1 finite complex numbers with z_0 != 0.
+
+    The one rule for a fugacity vector: every algorithm reads the ratios
+    z_i/z_0. Raises InvalidFugacity otherwise.
+    """
+    z = tuple(map(complex, z))
+    if len(z) != kappa + 1:
+        raise InvalidFugacity(f"need {kappa + 1} fugacities, got {len(z)}")
+    if not all(map(cmath.isfinite, z)):
+        raise InvalidFugacity("fugacities must be finite")
+    if z[0] == 0:
+        raise InvalidFugacity("z_0 must be nonzero")
+    return z
+
+
 def _check_gate(kappa: int, arity: int):
     if (kappa + 1) ** arity > TABLE_GATE:
         raise GateExceeded(
@@ -79,14 +96,14 @@ def make_signature(values, arity: int, kappa: int, name: str = "table") -> Signa
 def matching_signature(arity: int) -> Signature:
     """Boolean 'at most one incident edge occupied' signature."""
     _check_gate(1, arity)
-    table = [1.0 if bin(idx).count("1") <= 1 else 0.0 for idx in range(2**arity)]
+    table = [1.0 if idx.bit_count() <= 1 else 0.0 for idx in range(2**arity)]
     return Signature(arity=arity, kappa=1, table=table, name="matching")
 
 
 def even_parity_signature(arity: int, weight: complex) -> Signature:
     """1 on even Hamming weight, `weight` on odd (Boolean domain)."""
     _check_gate(1, arity)
-    table = [weight if bin(idx).count("1") % 2 else 1.0 for idx in range(2**arity)]
+    table = [weight if idx.bit_count() % 2 else 1.0 for idx in range(2**arity)]
     return Signature(arity=arity, kappa=1, table=table, name="even-parity")
 
 

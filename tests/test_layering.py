@@ -4,7 +4,8 @@
 their own modules, and every reference computation lives in `holant.oracle`,
 which no production module imports. The package re-exports four of its names,
 and the command line uses only `brute_holant`, for its `oracle` subcommand.
-Every module of the package imports only the standard library and itself.
+Every module of the package imports only the standard library and itself, and
+one function each holds the fugacity rule and the eps rule.
 """
 
 import ast
@@ -119,6 +120,35 @@ def test_one_family_visit_gate():
                 bindings.append(path.name)
     assert bindings == ["families.py"]
     assert "gate" not in inspect.signature(families.family_sum).parameters
+
+
+def _raisers(*phrases):
+    """(module, function) of every raise whose text holds one of phrases."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Raise) and any(
+                        p in ast.unparse(node) for p in phrases
+                    ):
+                        found.add((path.name, fn.name))
+    return sorted(found)
+
+
+def test_one_fugacity_rule():
+    raisers = _raisers("fugacities, got", "fugacities must be finite", "z_0 must be")
+    outside_oracle = [r for r in raisers if r[0] != "oracle.py"]
+    assert outside_oracle == [
+        ("cli.py", "parse_z"),  # reads outside text
+        ("polymers.py", "relabel_ground"),  # only permutes z
+        ("signatures.py", "check_fugacities"),
+    ]
+
+
+def test_one_eps_rule():
+    assert _raisers("eps must be positive and finite") == [("expansion.py", "_require_eps")]
+    assert mcmc._require_eps is expansion._require_eps
 
 
 def test_modules_import_only_the_standard_library():

@@ -58,10 +58,8 @@ def test_tau_floor():
 
 def test_mixing_time_formula():
     G = MultiGraph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
-    assert mixing_time(G, 0.05, xi=0.5) == math.ceil(24 * math.log(80))
-    assert mixing_time(G, 0.05, xi=0.5) == 106
-    with pytest.raises(ValueError):
-        mixing_time(G, 0.05, xi=1.0)
+    assert mixing_time(G, 0.05) == math.ceil(48 * math.log(80))
+    assert mixing_time(G, 0.05) == 211
 
 
 def test_sampling_condition_k2():
@@ -79,10 +77,10 @@ def test_sampling_condition_k2():
 def test_mixing_condition_k2():
     G = k2()
     a = uniform_assignment(G, "matching")
-    ok, worst = check_mixing_condition(G, a, (1.0, 0.9), xi=0.5)
+    ok, worst = check_mixing_condition(G, a, (1.0, 0.8))
     assert not ok
-    assert worst == pytest.approx(0.9 - 0.5, rel=1e-9)
-    ok2, _ = check_mixing_condition(G, a, (1.0, 0.1), xi=0.5)
+    assert worst == pytest.approx(0.8 - 0.75, rel=1e-9)
+    ok2, _ = check_mixing_condition(G, a, (1.0, 0.7))
     assert ok2
 
 
@@ -348,7 +346,7 @@ def test_chain_build_raises_invalid_fugacity_for_a_short_z():
     G = k2()
     sig = make_signature([1.0, 0.5, 0.5], 1, 2)  # kappa = 2
     assign = SignatureAssignment(G, [sig, sig])
-    with pytest.raises(InvalidFugacity, match=r"colour 2 has no fugacity \(len\(z\) = 2\)"):
+    with pytest.raises(InvalidFugacity, match=r"^need 3 fugacities, got 2$"):
         PolymerChain(G, assign, (1.0, 0.1), check="none")
 
 
