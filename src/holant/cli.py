@@ -127,12 +127,12 @@ def _print_text(report: dict, indent: str = "") -> None:
 def _cmd_approx(args) -> int:
     G, assign, z, inputs = _instance(args)
     if args.z:
-        rep = approx_polynomial_report(G, assign, z, args.eps, order=args.order)
+        rep = approx_polynomial_report(G, assign, z, args.eps)
     else:
-        rep = approx_problem_report(G, assign, args.eps, order=args.order)
+        rep = approx_problem_report(G, assign, args.eps)
     _emit(args, {
         "command": "approx",
-        "inputs": dict(inputs, eps=args.eps, order=args.order),
+        "inputs": dict(inputs, eps=args.eps),
         "diagnostics": {
             "theorem": rep.theorem,
             "q": rep.q,
@@ -301,7 +301,8 @@ def _add_instance(p: argparse.ArgumentParser):
     p.add_argument("--graph", required=True)
     p.add_argument("--sig", required=True)
     p.add_argument("--z", help="fugacities z0,z1,...; default all ones, which approx "
-                               "treats as the Holant problem")
+                               "treats as the Holant problem; write a negative z0 "
+                               "as --z=-1,0.5")
 
 
 def _add_common(p: argparse.ArgumentParser, with_seed: bool = False):
@@ -322,8 +323,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("approx", help="deterministic eps-approximation")
     _add_instance(p)
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--order", type=int, default=None,
-                   help="override the truncation order")
     _add_common(p)
     p.set_defaults(func=_cmd_approx)
 

@@ -1,24 +1,32 @@
 """Cluster expansion of log Z and the truncation-based approximation.
 
-The Taylor coefficients a_j of log Z(polymers, Phi * x^{|E(gamma)|}) around
-x = 0 come from one route. The partition function is a polynomial in x of
-degree <= |E(G)| because family members are vertex-disjoint. Its exact
-coefficients up to x^m come from the family kernel of `holant.families`, a
-DP over a BFS order of G's vertices whose state is the set of vertices that
-chosen polymers cover ahead. Its cost is the number of states times the
-polymers starting at each vertex (reported as `family_states`), not the
-number of compatible families, which grows exponentially with |E|. The
-formal power-series logarithm then yields every a_j.
+`approx` has one path: an entry point (`approx_polynomial_report`,
+`approx_problem_report`) checks the region and computes the zero-free
+radius q, `certified_order` fixes the truncation order m from q and eps, and
+`log_z_coefficients` returns the Taylor coefficients a_1..a_m of
+log Z(polymers, Phi * x^{|E(gamma)|}) around x = 0. Those coefficients are
+checked against the zero-free bound, and the value is
+prefactor * exp(a_1 + ... + a_m).
+
+`log_z_coefficients` itself is one route. `polymers.live_polymers` grows the
+polymers of nonzero weight with at most m edges. The partition function is
+a polynomial in x of degree <= |E(G)| because family members are
+vertex-disjoint, and its exact coefficients up to x^m come from
+`families.family_sum`, a DP over a BFS order of G's vertices whose state is
+the set of vertices that chosen polymers cover ahead. Its cost is the number
+of states times the polymers starting at each vertex (reported as
+`family_states`), not the number of compatible families, which grows
+exponentially with |E|. The formal power-series logarithm `series_log` then
+yields every a_j.
 
 The textbook cluster sum, which adds ursell(H) / prod(mult_i!) *
 prod Phi^mult_i over connected multisets of polymers (clusters) of total
 size <= m at a cost exponential in m, lives in `holant.oracle` as the
 independent reference that the tests check this route against.
 
-The approximation itself is prefactor * exp(sum_{j<=m} a_j) with the
-truncation order m chosen from the certified zero-free radius q: the
-smallest m whose certified remainder (`truncation_remainder`) is at most
-ln(1 + eps).
+The truncation order is always the certified one: the smallest m whose
+certified remainder (`truncation_remainder`) is at most ln(1 + eps), so
+every report's remainder is at most ln(1 + eps).
 """
 
 from __future__ import annotations
@@ -29,33 +37,14 @@ from dataclasses import dataclass
 
 from .bounds import q_factor_fugacity, q_factor_problem, region_bounds
 from .errors import ConditionViolated, RegionViolation
-from .families import FamilySum, family_sum
-from .graph import MultiGraph, bfs_order, mask_vertices
+from .families import family_sum
+from .graph import MultiGraph, bfs_order
 from .polymers import compact_domain, holant_prefactor, live_polymers
 from .signatures import SignatureAssignment, check_fugacities
 
 
 # ---------------------------------------------------------------------------
-# Exact family polynomial + formal log
-
-
-def family_poly_coefficients(polymers, weights, cap: int, order=None) -> FamilySum:
-    """Coefficients c_0..c_cap of Z(x) = sum_families prod Phi x^{total size}.
-
-    Exact, by the frontier kernel `families.family_sum`: its cost is the
-    number of kernel states times the polymers starting at each vertex, not
-    the number of families. order: the vertex order the kernel walks; any
-    order gives the same coefficients, and a BFS order of the graph
-    (`graph.bfs_order`) keeps the states few. Default: ascending vertex ids.
-    Zero-weight polymers are left out.
-    """
-    items = [(p.vmask, p.size, w) for p, w in zip(polymers, weights) if w != 0]
-    if order is None:
-        union = 0
-        for mask, _, _ in items:
-            union |= mask
-        order = mask_vertices(union)
-    return family_sum(items, order, cap)
+# Coefficients of log Z: family polynomial, then formal log
 
 
 def series_log(c, m: int):
@@ -72,27 +61,11 @@ def series_log(c, m: int):
     return a[1:]
 
 
-# ---------------------------------------------------------------------------
-# Coefficient front end
-
-
 @dataclass
 class TaylorSeries:
     coefficients: tuple  # a_1 .. a_m
     pool_size: int
     family_states: int = 0  # family-kernel transitions behind the coefficients
-
-    @property
-    def order(self) -> int:
-        return len(self.coefficients)
-
-    def evaluate(self, x: complex = 1.0) -> complex:
-        total = 0j
-        xp = 1 + 0j
-        for a in self.coefficients:
-            xp *= x
-            total += a * xp
-        return total
 
 
 def log_z_coefficients(G: MultiGraph, assign: SignatureAssignment, z, m: int) -> TaylorSeries:
@@ -100,18 +73,22 @@ def log_z_coefficients(G: MultiGraph, assign: SignatureAssignment, z, m: int) ->
 
     Only polymers with at most min(m, |E|) edges can contribute, and only
     those of nonzero weight are grown (`polymers.live_polymers`), so a domain
-    value of zero fugacity is never tried. The approximation reports still
-    pass the input through `compact_domain` first, which shrinks the
-    signature tables the walk reads.
+    value of zero fugacity is never tried. Their exact family polynomial
+    c_0..c_min(m, |E|) comes from `families.family_sum` over a BFS order of
+    G, and `series_log` turns it into a_1..a_m. Without edges, or at m = 0,
+    the pool is empty, c = (1,) and every a_j is 0. The approximation
+    reports still pass the input through `compact_domain` first, which
+    shrinks the signature tables the walk reads.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
     z = check_fugacities(z, assign.kappa)
-    if assign.kappa == 0 or G.edge_count == 0 or m == 0:
+    if assign.kappa == 0:  # one colour: no polymer to grow
         return TaylorSeries(tuple([0j] * m), 0)
-    live = live_polymers(G, assign, z, min(m, G.edge_count))
-    fam = family_poly_coefficients([p for p, _ in live], [w for _, w in live],
-                                   min(m, G.edge_count), bfs_order(G.vertex_count, G.edges))
+    cap = min(m, G.edge_count)
+    live = live_polymers(G, assign, z, cap)
+    fam = family_sum([(p.vmask, p.size, w) for p, w in live],
+                     bfs_order(G.vertex_count, G.edges), cap)
     return TaylorSeries(tuple(series_log(fam, m)), len(live), fam.transitions)
 
 
@@ -196,9 +173,8 @@ class ApproxReport:
     eps: float
     region_bound: float
     prefactor: complex
-    log_tail: complex  # the truncated series total actually exponentiated
     family_states: int  # family-kernel transitions behind the coefficients
-    remainder: float  # certified bound on |log Z - log_tail| at this order
+    remainder: float  # certified bound on |log Z - (a_1 + ... + a_m)|, <= ln(1 + eps)
     coefficients: tuple  # a_1 .. a_m
 
     @property
@@ -239,32 +215,24 @@ def _check_zero_free_bound(coefficients, d: int, q: float) -> None:
 
 
 def _truncated_report(G: MultiGraph, assign: SignatureAssignment, z, prefactor,
-                      theorem: str, q: float, bound: float, eps: float,
-                      order: int | None) -> ApproxReport:
+                      theorem: str, q: float, bound: float, eps: float) -> ApproxReport:
     """prefactor * exp(a_1 + ... + a_m) for a compacted (assign, z).
 
-    q > 1 is the certified zero-free radius, and m is `order` when given, else
-    the certified order for ratio 1/q. The report carries the certified
-    remainder at the m used, which exceeds ln(1 + eps) only when `order` is
-    set below the certified order. An instance without edges or non-ground
-    values has log Z = 0 and remainder 0. Raises ConditionViolated if a
+    q > 1 is the certified zero-free radius, and m is the certified order for
+    ratio 1/q, so the report's certified remainder at m is at most
+    ln(1 + eps). An instance without edges or non-ground values has
+    log Z = 0, m = 0 and remainder 0. Raises ConditionViolated if a
     coefficient breaks the zero-free bound of `_check_zero_free_bound` or the
     value is zero or not finite.
     """
     remainder = 0.0
-    if G.edge_count == 0 or assign.kappa == 0:
-        series = TaylorSeries((), 0)
-    else:
-        if order is not None:
-            m = int(order)
-            if m < 1:
-                raise ValueError("order must be >= 1")
-        else:
-            m = certified_order(G.edge_count, eps, 1.0 / q)
+    series = TaylorSeries((), 0)
+    if G.edge_count and assign.kappa:
+        m = certified_order(G.edge_count, eps, 1.0 / q)
         remainder = truncation_remainder(G.edge_count, m, 1.0 / q)
         series = log_z_coefficients(G, assign, z, m)
         _check_zero_free_bound(series.coefficients, G.edge_count, q)
-    total = series.evaluate(1.0)
+    total = sum(series.coefficients, 0j)
     try:
         value = prefactor * cmath.exp(total)
     except OverflowError:  # exp(total) alone is past the float range
@@ -278,12 +246,11 @@ def _truncated_report(G: MultiGraph, assign: SignatureAssignment, z, prefactor,
         value=value,
         theorem=theorem,
         q=q,
-        order=series.order,
+        order=len(series.coefficients),
         pool_size=series.pool_size,
         eps=eps,
         region_bound=bound,
         prefactor=prefactor,
-        log_tail=total,
         family_states=series.family_states,
         remainder=remainder,
         coefficients=series.coefficients,
@@ -291,7 +258,7 @@ def _truncated_report(G: MultiGraph, assign: SignatureAssignment, z, prefactor,
 
 
 def approx_polynomial_report(G: MultiGraph, assign: SignatureAssignment, z,
-                             eps: float, order: int | None = None) -> ApproxReport:
+                             eps: float) -> ApproxReport:
     """Multiplicative eps-approximation of the Holant polynomial at fugacity z.
 
     Certified whenever every |z_i|/|z_0| is inside the fugacity region;
@@ -311,11 +278,11 @@ def approx_polynomial_report(G: MultiGraph, assign: SignatureAssignment, z,
             raise RegionViolation(
                 f"fugacity ratio exceeds region bound {bound:.6g} (q = {q:.6g} <= 1)"
             )
-    return _truncated_report(G, assign, z, prefactor, "fugacity", q, bound, eps, order)
+    return _truncated_report(G, assign, z, prefactor, "fugacity", q, bound, eps)
 
 
 def approx_problem_report(G: MultiGraph, assign: SignatureAssignment,
-                          eps: float, order: int | None = None) -> ApproxReport:
+                          eps: float) -> ApproxReport:
     """Multiplicative eps-approximation of the Holant problem (all fugacities 1).
 
     Certified whenever r(F) is below the small-signature threshold; raises
@@ -325,7 +292,7 @@ def approx_problem_report(G: MultiGraph, assign: SignatureAssignment,
     z = tuple([1.0 + 0j] * (assign.kappa + 1))
     prefactor = holant_prefactor(G, assign, z)
     q = bound = math.inf
-    if G.edge_count:
+    if G.edge_count and assign.kappa:
         delta = G.max_degree()
         r_class = assign.ratio_r_class()
         bound = region_bounds("holant-problem", delta=delta, kappa=assign.kappa).bound
@@ -335,4 +302,4 @@ def approx_problem_report(G: MultiGraph, assign: SignatureAssignment,
                 f"r(F) = {r_class:.6g} is not below threshold {bound:.6g} scaled for "
                 f"x = 1 (q = {q:.6g} <= 1)"
             )
-    return _truncated_report(G, assign, z, prefactor, "problem", q, bound, eps, order)
+    return _truncated_report(G, assign, z, prefactor, "problem", q, bound, eps)

@@ -54,12 +54,13 @@ class Signature:
         return self.table[0] != 0
 
     def ratio_r(self) -> float:
-        """max_{x != 0} |f(x)| / |f(0)|; zero for arity-0 signatures."""
+        """max_{x != 0} |f(x)| / |f(0)|; zero when f(0) is the only entry.
+
+        That is the case at arity 0 and at kappa = 0, whatever the arity.
+        """
         if not self.in_f0():
             raise NotInF0(f"signature {self.name!r} has f(0,...,0) = 0")
-        if self.arity == 0:
-            return 0.0
-        return max(abs(v) for v in self.table[1:]) / abs(self.table[0])
+        return max((abs(v) for v in self.table[1:]), default=0.0) / abs(self.table[0])
 
     def is_nonneg_real(self) -> bool:
         return all(v.imag == 0 and v.real >= 0 for v in self.table)
@@ -96,14 +97,15 @@ def make_signature(values, arity: int, kappa: int, name: str = "table") -> Signa
 def matching_signature(arity: int) -> Signature:
     """Boolean 'at most one incident edge occupied' signature."""
     _check_gate(1, arity)
-    table = [1.0 if idx.bit_count() <= 1 else 0.0 for idx in range(2**arity)]
+    table = [1 + 0j if idx.bit_count() <= 1 else 0j for idx in range(2**arity)]
     return Signature(arity=arity, kappa=1, table=table, name="matching")
 
 
 def even_parity_signature(arity: int, weight: complex) -> Signature:
     """1 on even Hamming weight, `weight` on odd (Boolean domain)."""
     _check_gate(1, arity)
-    table = [weight if idx.bit_count() % 2 else 1.0 for idx in range(2**arity)]
+    weight = complex(weight)
+    table = [weight if idx.bit_count() % 2 else 1 + 0j for idx in range(2**arity)]
     return Signature(arity=arity, kappa=1, table=table, name="even-parity")
 
 

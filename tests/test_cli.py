@@ -15,6 +15,7 @@ import pytest
 
 from holant import (
     MultiGraph,
+    brute_holant,
     brute_weighted_count,
     parse_matrix_file,
     uniform_assignment,
@@ -45,6 +46,7 @@ HYPER_PM_TEXT = "6 4\n0 1 2\n3 4 5\n0 1 3\n2 4 5\nmatching: 0 1\n"
 F0_ZERO_SIG = json.dumps(
     {"default": {"table": {"kappa": 1, "arity": 1, "values": [[0, 0], [1, 0]]}}}
 )
+KAPPA0_SIG = json.dumps({"default": {"table": {"kappa": 0, "arity": 2, "values": [2]}}})
 
 
 @pytest.fixture
@@ -64,6 +66,7 @@ def files(tmp_path):
         "gpm": write("c4pm.txt", GRAPH_PM_TEXT),
         "hpm": write("hpm.txt", HYPER_PM_TEXT),
         "f0zero": write("f0zero.json", F0_ZERO_SIG),
+        "kappa0": write("kappa0.json", KAPPA0_SIG),
         "tmp": str(tmp_path),
     }
 
@@ -115,9 +118,17 @@ def test_version_and_help(capsys):
 def test_subcommand_help_lists_flags(capsys):
     assert main(["approx", "--help"]) == 0
     text = capsys.readouterr().out
-    for flag in ("--graph", "--sig", "--z", "--eps",
-                 "--order", "--format", "--out"):
+    for flag in ("--graph", "--sig", "--z", "--eps", "--format", "--out"):
         assert flag in text
+
+
+def test_approx_has_no_order_override(capsys, files):
+    # approx always runs at the certified order; an order flag is a usage error
+    argv = ["approx", "--graph", files["c3"], "--sig", "matching",
+            "--z", "1,0.01", "--eps", "0.1"]
+    assert main(argv) == 0
+    assert main(argv + ["--order", "6"]) == 1
+    assert "--order" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_1(capsys):
@@ -144,18 +155,21 @@ def test_approx_polynomial_route(capsys, files):
 
 
 def test_approx_methods_agree(capsys, files):
-    # the explicit cluster sum is the reference for the truncated series; a
-    # fixed small order keeps its multiset enumeration affordable
+    # the explicit cluster sum is the reference for the truncated series; an
+    # eps whose certified order is 6 keeps its multiset enumeration affordable
     argv = ["approx", "--graph", files["c4"], "--sig", "even-parity:0.02",
-            "--z", "1,0.02", "--eps", "0.01", "--order", "6"]
-    value = complex(*run_json(capsys, argv)["result"]["value"])
+            "--z", "1,0.02", "--eps", "0.05"]
+    rep = run_json(capsys, argv)
+    value = complex(*rep["result"]["value"])
+    m = rep["diagnostics"]["truncation_order"]
+    assert m == 6
     G = MultiGraph.from_text(C4_TEXT)
     a = uniform_assignment(G, "even-parity", 0.02)
     z = (1.0, 0.02)
     pool = enumerate_polymers(G, 1, G.edge_count)
     wmap = weight_map(G, a, z, pool)
     live = [p for p in pool if wmap[p] != 0]
-    coeffs = cluster_log_coefficients(enumerate_clusters(live, 6), wmap, 6)
+    coeffs = cluster_log_coefficients(enumerate_clusters(live, m), wmap, m)
     assert rel_close(value, holant_prefactor(G, a, z) * cmath.exp(sum(coeffs)), 1e-10)
 
 
@@ -166,6 +180,31 @@ def test_approx_matches_oracle(capsys, files):
     va = complex(*approx["result"]["value"])
     vo = complex(*oracle["result"]["value"])
     assert abs(va / vo - 1) <= 0.01
+
+
+def test_kappa_zero_approx_matches_oracle_and_chains_exit_1(capsys, files):
+    # one colour: Z = f(0)^|V| = 8 on C3, with or without --z
+    argv = ["--graph", files["c3"], "--sig", files["kappa0"]]
+    oracle = run_json(capsys, ["oracle"] + argv)["result"]["value"]
+    assert oracle == [8.0, 0.0]
+    for z in ([], ["--z", "1"]):
+        rep = run_json(capsys, ["approx"] + argv + z + ["--eps", "0.1"])
+        assert rep["result"]["value"] == oracle
+    # the chains have no kappa = 0 region, and say so
+    for cmd in ("sample", "count-mcmc"):
+        assert main([cmd] + argv + ["--eps", "0.1", "--seed", "1"]) == 1
+        assert "need delta,kappa >= 1 and r1 >= 1" in capsys.readouterr().err
+
+
+def test_negative_first_fugacity_needs_the_equals_form(capsys, files):
+    # argparse reads "-1,0.5" after a space as an option, so that form exits 1
+    argv = ["oracle", "--graph", files["c3"], "--sig", "matching"]
+    assert main(argv + ["--z", "-1,0.5"]) == 1
+    assert "--z: expected one argument" in capsys.readouterr().err
+    rep = run_json(capsys, argv + ["--z=-1,0.5"])
+    G = MultiGraph.from_text(C3_TEXT)
+    exact = brute_holant(G, uniform_assignment(G, "matching"), (-1.0, 0.5)).value
+    assert complex(*rep["result"]["value"]) == exact == 0.5
 
 
 def test_approx_problem_route_region_violation(capsys, files):
@@ -452,23 +491,13 @@ def test_approx_reports_remainder_and_decay(capsys, files):
     assert 0 < diag["remainder"] <= math.log1p(0.01)
     assert diag["last_coefficient"] > 0
     assert diag["decay"] > 0
-    # an --order override reports its own remainder; at m = 1 there is no decay
-    diag = run_json(capsys, argv + ["--order", "1"])["diagnostics"]
-    assert diag["truncation_order"] == 1
-    assert diag["remainder"] > math.log1p(0.01)
-    assert diag["decay"] is None
-
-
-def test_approx_high_order_is_linear_in_the_order(capsys, files):
-    # the series log touches only the len(c) coefficients of the polynomial,
-    # so order 100000 on C3 stays within a 5 s budget
+    # a fugacity far inside the region certifies m = 1, where there is no decay
     argv = ["approx", "--graph", files["c3"], "--sig", "matching",
-            "--z", "1,0.01", "--eps", "0.1", "--order", "100000"]
-    t0 = time.perf_counter()
-    rep = run_json(capsys, argv)
-    assert time.perf_counter() - t0 < 5.0
-    assert rep["diagnostics"]["truncation_order"] == 100000
-    assert rel_close(complex(*rep["result"]["value"]), 1.03, 1e-12)
+            "--z", "1,1e-9", "--eps", "1e-6"]
+    diag = run_json(capsys, argv)["diagnostics"]
+    assert diag["truncation_order"] == 1
+    assert 0 < diag["remainder"] <= math.log1p(1e-6)
+    assert diag["decay"] is None
 
 
 def test_non_finite_eps_and_fugacities_exit_1(capsys, files):

@@ -26,12 +26,12 @@ from holant import expansion
 from holant.expansion import (
     TaylorSeries,
     certified_order,
-    family_poly_coefficients,
     log_z_coefficients,
     series_log,
     truncation_order,
     truncation_remainder,
 )
+from holant.families import family_sum
 from holant.oracle import (
     Cluster,
     cluster_log_coefficients,
@@ -290,13 +290,14 @@ def test_series_error_decreases_to_zero():
         assert err(12) <= err(3) + 1e-15
 
 
-def test_family_poly_coefficients_are_exact_polynomial():
+def test_family_sum_is_exact_polynomial():
     G = c3()
     a = uniform_assignment(G, "matching")
     t = 0.3
     pols = enumerate_polymers(G, 1, 3)
     wm = weight_map(G, a, (1.0, t), pols)
-    c = family_poly_coefficients(pols, [wm[p] for p in pols], G.edge_count)
+    c = family_sum([(p.vmask, p.size, wm[p]) for p in pols], list(range(G.vertex_count)),
+                   G.edge_count)
     # Z(x) = sum_j c_j x^j must hit the brute polymer Z at x=1
     assert rel_close(sum(c), brute_polymer_z(pols, wm))
     assert rel_close(c[0], 1.0)
@@ -412,20 +413,33 @@ def test_reported_remainder_bounds_the_true_log_error():
             assert abs(cmath.log(rep.value / exact)) <= rep.remainder + 1e-12
 
 
-def test_order_override_reports_its_own_remainder():
+def test_report_carries_the_remainder_at_its_certified_order():
     G = c3()
     a = uniform_assignment(G, "matching")
-    z = half_bound_z(G, a)
-    rep = approx_polynomial_report(G, a, z, 1e-6, order=1)
+    # a fugacity far inside the region certifies m = 1, where there is no decay
+    rep = approx_polynomial_report(G, a, (1.0, 1e-9), 1e-6)
     assert rep.order == 1
     assert rep.remainder == truncation_remainder(3, 1, 1 / rep.q)
-    assert rep.remainder > math.log1p(1e-6)
+    assert rep.remainder <= math.log1p(1e-6)
     assert rep.decay is None
     assert rep.last_coefficient == abs(rep.coefficients[0])
+    z = half_bound_z(G, a)
     full = approx_polynomial_report(G, a, z, 1e-6)
     assert full.order == certified_order(3, 1e-6, 1 / full.q)
     assert full.remainder <= math.log1p(1e-6)
     assert full.decay == abs(full.coefficients[-1]) / abs(full.coefficients[-2])
+
+
+def test_series_log_high_order_is_linear_in_the_order():
+    # the series log touches only the len(c) coefficients of the polynomial,
+    # so order 100000 of C3 matching at z_1 = 0.01, Z(x) = 1 + 0.03 x, stays
+    # within a 5 s budget
+    c = (1 + 0j, 0.03 + 0j, 0j, 0j)
+    t0 = time.perf_counter()
+    a = series_log(c, 100000)
+    assert time.perf_counter() - t0 < 5.0
+    assert len(a) == 100000
+    assert rel_close(cmath.exp(sum(a, 0j)), 1.03, 1e-12)
 
 
 def test_approx_rejects_non_finite_eps_and_fugacities():
@@ -461,6 +475,18 @@ def test_approx_edgeless_graph():
     a = SignatureAssignment(G, sigs)
     rep = approx_polynomial_report(G, a, (1.0, 0.1), 0.01)
     assert rel_close(rep.value, 8.0)
+
+
+def test_kappa_zero_signature_gives_the_oracle_value():
+    # one colour, so Z = f(0)^|V|; r(F) of a one-entry table is 0
+    G = c3()
+    sig = make_signature([2.0], 2, 0)
+    assert sig.ratio_r() == 0.0
+    a = SignatureAssignment(G, [sig] * 3)
+    exact = brute_holant(G, a, (1.0,)).value
+    assert exact == 8.0
+    assert approx_problem_report(G, a, 0.1).value == exact
+    assert approx_polynomial_report(G, a, (1.0,), 0.1).value == exact
 
 
 def test_approx_boundary_rejected_force_overrides():
