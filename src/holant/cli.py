@@ -153,14 +153,20 @@ def _cmd_approx(args) -> int:
 def _cmd_sample(args) -> int:
     G, assign, z, inputs = _instance(args)
     seed = _resolve_seed(args, G.to_text(), args.sig, args.z or "1", args.eps)
+    moves: dict = {}
     sigmas = sample_assignments(
-        G, assign, z, args.eps, seed, trials=args.trials, jobs=args.jobs
+        G, assign, z, args.eps, seed, trials=args.trials, jobs=args.jobs, moves=moves
     )
+    steps = mixing_time(G, args.eps)
     _emit(args, {
         "command": "sample",
         "inputs": dict(inputs, eps=args.eps, trials=args.trials),
         "seed": seed,
-        "diagnostics": {"mixing_steps": mixing_time(G, args.eps)},
+        "diagnostics": {
+            "mixing_steps": steps,
+            "chain_steps": args.trials * steps,
+            "moves": moves,
+        },
         "result": {"assignments": [list(s) for s in sigmas]},
     })
     return 0
@@ -178,6 +184,7 @@ def _cmd_count_mcmc(args) -> int:
             "stages": rep.stages,
             "samples_per_stage": rep.samples_per_stage,
             "chain_steps": rep.chain_steps,
+            "moves": rep.moves,
             "certificate": rep.certificate,
             "estimates": rep.estimates,
         },

@@ -12,13 +12,17 @@ gamma with probability Phi(gamma) e^{rho |E(gamma)|}, so that the overall
 output probability is exactly Phi(gamma). rho = tau - 2 - ln(kappa*Delta),
 where tau certifies Phi(gamma) <= e^{-tau |E(gamma)|}.
 
-`PolymerChain.run` is the one stepping loop: `step` is `run(state, 1, rng)`,
-and `mu0` and `run` share `_draw`. The loop inlines the uniform edge draw as
-Random.randrange does it (getrandbits of |E|.bit_length() bits, rejecting
-values >= |E|), skips the logarithm when the first mu0 uniform already gives
-k = 0, and finds the size-<= k candidates by bisection. It draws the same
-numbers in the same order as one randrange, mu0 and coin flip per step, so
-every seeded `sample` and `count-mcmc` output is fixed draw for draw.
+`PolymerChain.run` is the one stepping loop, and `step` is `run(state, 1, rng)`.
+It simulates the chain rejection-free (the "n-fold way" of Bortz, Kalos and
+Lebowitz): a step is null, and cannot change the state, when its edge is
+covered and its coin gives no removal, or when its edge is uncovered and the
+first mu0 uniform gives size budget k = 0. While the state is unchanged a step
+is non-null with the constant probability p = c/(2|E|) + (1 - c/|E|) e^-rho,
+c the covered edge count, so one uniform draws the geometric number of null
+steps to skip, and each loop iteration is one non-null step: a removal at a
+uniform covered edge, or an insertion attempt at a uniform uncovered edge with
+the first mu0 uniform drawn on (0, e^-rho]. The chain's law is exactly that of
+the step above, but the random stream is not the one-draw-per-step stream.
 `run(state, steps, rng, stride)` also returns the state's total edge count
 after every stride-th step, the FPRAS readings of one annealing stage.
 """
@@ -29,8 +33,7 @@ import hashlib
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
-from statistics import median
+from dataclasses import dataclass, field
 
 from .bounds import _gated_full_pool, kp_margins, region_bounds
 from .errors import ConditionViolated, GateExceeded, RegionViolation, UnsupportedWeights
@@ -107,13 +110,16 @@ def check_mixing_condition(G: MultiGraph, assign: SignatureAssignment, z):
 
 
 class ChainState:
-    """Current compatible family with per-edge ownership."""
+    """Current compatible family with per-edge ownership, and in moves the
+    counts of non-null steps `PolymerChain.run` visited and of the insertions
+    and removals among them."""
 
     def __init__(self, G: MultiGraph):
         self.edge_owner = [None] * G.edge_count
         self.occupied = 0
         self.total_edges = 0
         self.polymers: set = set()
+        self.moves = {"visited": 0, "inserted": 0, "removed": 0}
 
     def add(self, p: ColouredPolymer):
         self.polymers.add(p)
@@ -162,6 +168,13 @@ class PolymerChain:
         # a first mu0 uniform above e^{-rho} gives k = 0; the 1e-9 keeps the
         # skipped values clear of rounding in int(-log(u) / rho)
         self._k0 = math.exp(-self.rho) * (1.0 + 1e-9)
+        # per covered edge count c: P(removal step), P(non-null step) and
+        # ln P(null step), for a step of `run`
+        n = G.edge_count
+        self._rates = []
+        for c in range(n + 1) if n else ():
+            move_p = c / (2 * n) + (1.0 - c / n) * self._k0
+            self._rates.append((c / (2 * n), move_p, math.log1p(-move_p)))
         # per-edge candidate polymers, weights at scale 1, in sort_key order
         # (so ascending by size): one walk over the live pool fills them all
         self._base: list = [[] for _ in range(G.edge_count)]
@@ -169,6 +182,11 @@ class PolymerChain:
             if w.real > 0:
                 for e in p.edges:
                     self._base[e].append((p, w.real))
+        # the scale-free parts of the mu0 acceptance masses w x^{|E|} e^{rho |E|}
+        self._sizes = [[p.size for p, _ in entries] for entries in self._base]
+        self._tilted = [[w * math.exp(self.rho * p.size) for p, w in entries]
+                        for entries in self._base]
+        self._max_size = max((sizes[-1] for sizes in self._sizes if sizes), default=0)
         self.scale = None
         self.set_scale(1.0)
 
@@ -198,14 +216,15 @@ class PolymerChain:
         if x == self.scale:
             return
         self.scale = x
+        power = [x**s for s in range(self._max_size + 1)]
         self._lists = []
-        for entries in self._base:
+        for entries, tilted, sizes in zip(self._base, self._tilted, self._sizes):
             cum = []
             acc = 0.0
-            for p, w in entries:
-                acc += w * x**p.size * math.exp(self.rho * p.size)
+            for t, s in zip(tilted, sizes):
+                acc += t * power[s]
                 cum.append(acc)
-            self._lists.append((entries, cum, [p.size for p, _ in entries]))
+            self._lists.append((entries, cum, sizes))
 
     def mu0(self, e0: int, rng: random.Random):
         """One draw from the single-polymer distribution at edge e0 (or None)."""
@@ -245,48 +264,69 @@ class PolymerChain:
         """Advance state by steps chain steps; return state.total_edges read
         after every stride-th step (no readings when stride is 0).
 
-        Draws the same random numbers in the same order as one
-        rng.randrange(|E|) per step for e0, then mu0 and the coin flips, so a
-        seeded run is reproducible draw for draw.
+        Each iteration visits one non-null step: it draws the geometric count
+        of null steps before it, with P(count >= i) = (1 - p)^i, and then the
+        step itself. Null steps leave the state, so a skipped block reads the
+        unchanged covered edge count c at each of its stride multiples, and a
+        skip past steps ends the call (the skip is memoryless, so cutting it
+        there changes no law). A removal draws its covered edge by rejection
+        among all edges, |E|/c draws on average, and removals come at rate
+        c/(2|E|) per step; an insertion attempt draws its uncovered edge the
+        same way. So the expected work per simulated step stays O(1).
         """
         n = self.G.edge_count
-        if n == 0 and steps > 0:
+        if steps <= 0:
+            return []
+        if n == 0:
             raise ValueError("the chain has no edges to step on")
         bits = n.bit_length()
         getrandbits = rng.getrandbits
         uniform = rng.random
+        log = math.log
         edge_owner = state.edge_owner
         k0 = self._k0
         draw = self._draw
+        rates = self._rates
+        moves = state.moves
         readings = []
-        left = stride or -1  # steps to the next reading; never 0 without a stride
-        for _ in range(steps):
-            # rng.randrange(n), as Random._randbelow_with_getrandbits draws it
-            e0 = getrandbits(bits)
-            while e0 >= n:
+        done = 0  # steps simulated so far
+        while True:
+            c = state.total_edges
+            remove_p, move_p, log_stay = rates[c]
+            t = done + 1 + int(log(1.0 - uniform()) / log_stay)  # the next non-null step
+            if t > steps:
+                if stride:
+                    readings += [c] * (steps // stride - done // stride)
+                break
+            if stride:
+                readings += [c] * ((t - 1) // stride - done // stride)
+            moves["visited"] += 1
+            if uniform() * move_p < remove_p:
                 e0 = getrandbits(bits)
-            owner = edge_owner[e0]
-            if owner is not None:
-                if uniform() < 0.5:
-                    state.polymers.discard(owner)
-                    state.occupied ^= owner.vmask
-                    state.total_edges -= owner.size
-                    for e in owner.edges:
-                        edge_owner[e] = None
+                while e0 >= n or edge_owner[e0] is None:
+                    e0 = getrandbits(bits)
+                owner = edge_owner[e0]
+                state.polymers.discard(owner)
+                state.occupied ^= owner.vmask
+                state.total_edges -= owner.size
+                for e in owner.edges:
+                    edge_owner[e] = None
+                moves["removed"] += 1
             else:
-                u = uniform()
-                if u <= k0:  # otherwise the size budget k is 0
-                    p = draw(e0, u, rng)
-                    if p is not None and not p.vmask & state.occupied and uniform() < 0.5:
-                        state.polymers.add(p)
-                        state.occupied |= p.vmask
-                        state.total_edges += p.size
-                        for e in p.edges:
-                            edge_owner[e] = p
-            left -= 1
-            if not left:
+                e0 = getrandbits(bits)
+                while e0 >= n or edge_owner[e0] is not None:
+                    e0 = getrandbits(bits)
+                p = draw(e0, k0 * (1.0 - uniform()), rng)  # first mu0 uniform on (0, k0]
+                if p is not None and not p.vmask & state.occupied and uniform() < 0.5:
+                    state.polymers.add(p)
+                    state.occupied |= p.vmask
+                    state.total_edges += p.size
+                    for e in p.edges:
+                        edge_owner[e] = p
+                    moves["inserted"] += 1
+            if stride and not t % stride:
                 readings.append(state.total_edges)
-                left = stride
+            done = t
         return readings
 
 
@@ -318,29 +358,53 @@ def _chain_map(chain: PolymerChain, fn, count: int, jobs: int, *args) -> list:
     return [parts[i % workers][i // workers] for i in range(count)]
 
 
+def _sum_moves(parts) -> dict:
+    """Key-wise sum of `ChainState.moves` dicts."""
+    total = {"visited": 0, "inserted": 0, "removed": 0}
+    for part in parts:
+        for key in total:
+            total[key] += part[key]
+    return total
+
+
+def _median(values) -> float:
+    """The middle value, or the mean of the two middle values, as
+    statistics.median returns it."""
+    s = sorted(values)
+    h = len(s) // 2
+    return s[h] if len(s) % 2 else (s[h - 1] + s[h]) / 2
+
+
 def _sample_trial(chain: PolymerChain, trial: int, steps: int, seed: int):
     state = chain.fresh_state()
     chain.run(state, steps, substream(seed, trial))
-    return family_to_assignment(chain.G, state.family())
+    return family_to_assignment(chain.G, state.family()), state.moves
 
 
 def sample_assignments(G: MultiGraph, assign: SignatureAssignment, z, eps: float,
-                       seed: int, trials: int = 1, jobs: int = 1):
+                       seed: int, trials: int = 1, jobs: int = 1,
+                       moves: dict | None = None):
     """trials independent eps-approximate Gibbs samples (one chain each).
 
     Each trial runs mixing_time(G, eps) steps on its own substream; output is
-    identical for any jobs >= 1. Raises GateExceeded, before the chain is
-    built, when trials * mixing_time exceeds CHAIN_STEP_GATE.
+    identical for any jobs >= 1. When moves is a dict, the chains' move
+    counts (`ChainState.moves`) summed over the trials are written into it.
+    Raises GateExceeded, before the chain is built, when
+    trials * mixing_time exceeds CHAIN_STEP_GATE.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     steps = mixing_time(G, eps)
     _require_nonneg(assign, z)
     if G.edge_count == 0:
-        return [()] * trials
-    _gate_chain_steps(trials * steps)
-    chain = PolymerChain(G, assign, z)
-    return _chain_map(chain, _sample_trial, trials, jobs, steps, seed)
+        results = [((), _sum_moves(()))] * trials
+    else:
+        _gate_chain_steps(trials * steps)
+        chain = PolymerChain(G, assign, z)
+        results = _chain_map(chain, _sample_trial, trials, jobs, steps, seed)
+    if moves is not None:
+        moves.update(_sum_moves(m for _, m in results))
+    return [a for a, _ in results]
 
 
 @dataclass
@@ -355,10 +419,11 @@ class FprasReport:
     stride: int
     chain_steps: int = 0
     certificate: str = "none"
+    moves: dict = field(default_factory=lambda: _sum_moves(()))
 
 
 def _run_rep(chain: PolymerChain, rep: int, seed: int, K: int, S: int,
-             burn: int, prefactor: float) -> float:
+             burn: int, prefactor: float):
     rng = substream(seed, rep)
     state = chain.fresh_state()
     log_prod = 0.0
@@ -367,16 +432,17 @@ def _run_rep(chain: PolymerChain, rep: int, seed: int, K: int, S: int,
         ratio = (k - 1) / k  # x_{k-1} / x_k
         chain.set_scale(x_k)
         chain.run(state, burn, rng)
+        readings = chain.run(state, S * _STRIDE, rng, _STRIDE)
         acc = 0.0
-        for t in chain.run(state, S * _STRIDE, rng, _STRIDE):
-            acc += ratio**t
+        for t in sorted(set(readings)):  # few distinct edge counts, in long runs
+            acc += readings.count(t) * ratio**t
         mean = acc / S
         if mean <= 0.0:
             raise ConditionViolated(
                 f"stage {k}/{K} ratio estimate is zero; increase samples"
             )
         log_prod += math.log(mean)
-    return prefactor * math.exp(-log_prod)
+    return prefactor * math.exp(-log_prod), state.moves
 
 
 def fpras_estimate(G: MultiGraph, assign: SignatureAssignment, z, eps: float,
@@ -407,9 +473,10 @@ def fpras_estimate(G: MultiGraph, assign: SignatureAssignment, z, eps: float,
     steps = reps * K * (burn + S * _STRIDE)
     _gate_chain_steps(steps)
     chain = PolymerChain(G, assign, zr)
-    estimates = _chain_map(chain, _run_rep, reps, jobs, seed, K, S, burn, prefactor)
+    results = _chain_map(chain, _run_rep, reps, jobs, seed, K, S, burn, prefactor)
+    estimates = [e for e, _ in results]
     return FprasReport(
-        value=float(median(estimates)),
+        value=float(_median(estimates)),
         estimates=estimates,
         stages=K,
         samples_per_stage=S,
@@ -419,4 +486,5 @@ def fpras_estimate(G: MultiGraph, assign: SignatureAssignment, z, eps: float,
         stride=_STRIDE,
         chain_steps=steps,
         certificate=chain.certificate,
+        moves=_sum_moves(m for _, m in results),
     )

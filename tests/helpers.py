@@ -135,8 +135,9 @@ def star(k):
     return MultiGraph(k + 1, [(0, i + 1) for i in range(k)])
 
 
-# the polymer-chain step as one call per step, kept as the reference that the
-# fused `PolymerChain.run` loop must follow draw for draw
+# the polymer-chain step as one call per step, and its exact one-step law:
+# `PolymerChain.mu0` must follow reference_mu0 draw for draw, and the
+# rejection-free `PolymerChain.run` loop must follow reference_step in law
 def reference_mu0(chain, e0, rng):
     """One mu0 draw at e0: a linear scan of the size-ascending candidates."""
     u = rng.random()
@@ -179,6 +180,33 @@ def reference_step(chain, state, rng):
     if p is not None and (p.vmask & state.occupied) == 0:
         if rng.random() < 0.5:
             state.add(p)
+
+
+def step_kernel(chain, family):
+    """{next family: probability} of one reference_step from family (a
+    frozenset of polymers): removal 1/(2|E|) per covered edge, insertion
+    (1/|E|) Phi_x(gamma) (1/2) per edge of each compatible candidate gamma."""
+    n = chain.G.edge_count
+    owner, occupied = {}, 0
+    for p in family:
+        occupied |= p.vmask
+        owner.update((e, p) for e in p.edges)
+    law = {}
+    for e in range(n):
+        if e in owner:
+            nxt = family - {owner[e]}
+            law[nxt] = law.get(nxt, 0.0) + 1 / (2 * n)
+            continue
+        entries, cum = chain._lists[e][:2]
+        prev = 0.0
+        for (p, _), acc in zip(entries, cum):
+            phi = (acc - prev) * math.exp(-chain.rho * p.size)  # cum holds Phi e^{rho |E|}
+            prev = acc
+            if not p.vmask & occupied:
+                nxt = family | {p}
+                law[nxt] = law.get(nxt, 0.0) + phi / (2 * n)
+    law[family] = law.get(family, 0.0) + 1.0 - sum(law.values())
+    return law
 
 
 # the connected-set walk on vertex sets, kept as the reference that the

@@ -1,10 +1,11 @@
 """Pinned `count-mcmc` and `sample` output: the chain's random stream, draw for draw.
 
-The digests were recorded with the one-call-per-step chain kernel that the
-fused `PolymerChain.run` loop replaced, for one seed each, on C10 matching
-(single-edge polymers only) and C10 even-parity(0.5) (whose pool has
-polymers of every size). A change to the chain that moves any random draw
-changes one of these outputs; `--jobs 2` must print the same bytes.
+The digests were recorded with the rejection-free `PolymerChain.run` loop,
+which draws one geometric skip over the null steps and then one non-null
+step per iteration, for one seed each, on C10 matching (single-edge polymers
+only) and C10 even-parity(0.5) (whose pool has polymers of every size). The
+reports include the chain's move counts. A change to the chain that moves any
+random draw changes one of these outputs; `--jobs 2` must print the same bytes.
 """
 
 import hashlib
@@ -17,13 +18,13 @@ C10 = "10 10\n" + "".join(f"{i} {(i + 1) % 10}\n" for i in range(10))
 
 GOLDEN = {
     ("count-mcmc", "matching", "1"):
-        "ed0307d35fd8f0bb8c6303a3ce0c867b7cb162679ed1ea5316666933aa3033bc",
+        "7b833053700b4209cfe7cf2a6e7357188e43ae04d1e9a7d07e350619ce29b6da",
     ("count-mcmc", "even-parity:0.5", "1"):
-        "f67fce0dc4fc594dfb86a44722f62b5c7d7697fccb761902099a531e0c2ab512",
+        "1586ede398bb39ab6db0e5c60b3ef4028bf6b02a5dec54cfcb7cce9b56b1c474",
     ("sample", "matching", "2"):
-        "cc507bd0d264de3117333ef7210e856cd3ce34eee370acd8932f795bb5e72504",
+        "9612da0c6a56c18a9c6ab6585e7ab656c4a372246576667d8e225f9c5c9088b6",
     ("sample", "even-parity:0.5", "2"):
-        "f994381e5d5175c85625b201fa106b3edf236e37553dcd971580dede583878d1",
+        "b7d7784a22346e546cc7d53ce4c2ec59c87d7e638e3c32fe10dc947b8bc6aeb3",
 }
 
 

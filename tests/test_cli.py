@@ -18,6 +18,7 @@ from holant import (
     brute_holant,
     brute_weighted_count,
     parse_matrix_file,
+    region_bounds,
     uniform_assignment,
 )
 from holant.oracle import (
@@ -310,6 +311,23 @@ def test_count_mcmc(capsys, files):
     assert rep["diagnostics"]["stages"] >= 2
     assert run_json(capsys, argv) == rep
     assert run_json(capsys, argv + ["--jobs", "2"]) == rep
+
+
+def test_chain_reports_count_moves_and_skip_the_null_steps(capsys, tmp_path):
+    # C10 matching at half the mcmc-poly bound: a step is non-null with
+    # probability about e^-rho = 1.25 %, and the loop visits only those steps
+    graph = tmp_path / "c10.txt"
+    graph.write_text("10 10\n" + "".join(f"{i} {(i + 1) % 10}\n" for i in range(10)))
+    z1 = 0.5 * region_bounds("mcmc-poly", delta=2, kappa=1, r1=1.0).bound
+    common = ["--graph", str(graph), "--sig", "matching", "--z", f"1,{z1!r}", "--seed", "1"]
+    for argv in (["count-mcmc", "--eps", "0.3"], ["sample", "--eps", "0.05", "--trials", "50"]):
+        rep = run_json(capsys, argv + common)
+        diag = rep["diagnostics"]
+        moves = diag["moves"]
+        assert 0 < moves["visited"] <= 0.03 * diag["chain_steps"]
+        assert moves["removed"] <= moves["inserted"] <= moves["visited"]
+        assert run_json(capsys, argv + common + ["--jobs", "2"]) == rep
+    assert diag["chain_steps"] == 50 * diag["mixing_steps"]
 
 
 def test_count_mcmc_zero_reps_exits_1(capsys, files):

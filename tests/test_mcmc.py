@@ -1,5 +1,6 @@
 import math
 import random
+import statistics
 from collections import Counter
 
 import pytest
@@ -41,6 +42,7 @@ from helpers import (
     reference_mu0,
     reference_step,
     rel_close,
+    step_kernel,
 )
 
 
@@ -415,81 +417,134 @@ def _busy_chain(rng):
             return _busy(chain)
 
 
-def _assert_same_state(fast, slow):
-    assert fast.edge_owner == slow.edge_owner
-    assert (fast.occupied, fast.total_edges) == (slow.occupied, slow.total_edges)
-    assert fast.polymers == slow.polymers
+def _packed(chain):
+    """The family that takes, edge by edge, the first candidate compatible so far."""
+    state = chain.fresh_state()
+    for entries in chain._base:
+        for p, _ in entries:
+            if not p.vmask & state.occupied:
+                state.add(p)
+                break
+    return frozenset(state.polymers)
 
 
-def test_run_follows_reference_step_draw_for_draw():
+def _start(chain, family):
+    state = chain.fresh_state()
+    for p in family:
+        state.add(p)
+    return state
+
+
+def _exact_laws(chain, start, steps, stride):
+    """Exact laws of the family after steps steps from start, and of the
+    tuple of total edge counts read after every stride-th step."""
+    kernels = {}
+    dist = {(start, ()): 1.0}
+    for i in range(1, steps + 1):
+        nxt = {}
+        for (fam, reads), q in dist.items():
+            if fam not in kernels:
+                kernels[fam] = step_kernel(chain, fam)
+            for to, r in kernels[fam].items():
+                key = (to, reads + (sum(p.size for p in to),) if i % stride == 0 else reads)
+                nxt[key] = nxt.get(key, 0.0) + q * r
+        dist = {key: q for key, q in nxt.items() if q > 1e-13}
+    families, readings = {}, {}
+    for (fam, reads), q in dist.items():
+        families[fam] = families.get(fam, 0.0) + q
+        readings[reads] = readings.get(reads, 0.0) + q
+    return families, readings
+
+
+def _chi2_999(df):
+    """0.999 quantile of chi-square(df), Wilson-Hilferty."""
+    h = 2.0 / (9.0 * df)
+    return df * (1.0 - h + 3.090 * math.sqrt(h)) ** 3
+
+
+def _assert_follows(observed, law, n):
+    """Chi-square test of n draws against law; cells under 5 expected are pooled."""
+    assert set(observed) <= set(law), "a draw the exact law gives probability 0"
+    big = sorted((k for k in law if law[k] * n >= 5), key=lambda k: -law[k])
+    obs = [observed[k] for k in big]
+    exp = [law[k] * n for k in big]
+    rest_o, rest_e = n - sum(obs), n - sum(exp)
+    if rest_e >= 5 or not big:
+        obs.append(rest_o)
+        exp.append(rest_e)
+    else:
+        obs[-1] += rest_o
+        exp[-1] += rest_e
+    if len(obs) > 1:
+        assert chi2_stat(obs, exp) <= _chi2_999(len(obs) - 1)
+
+
+def test_run_follows_the_step_kernel_in_law():
     # P3 whose middle vertex rejects exactly one occupied edge: its only
-    # polymer is the whole path, so size-2 insertions happen
+    # polymer is the whole path, so size-2 polymers move
     G = p3()
     leaf = make_signature([1.0, 1.0], 1, 1)
     middle = make_signature([1.0, 0.0, 0.0, 1.0], 2, 1)
     path_chain = _busy(PolymerChain(G, SignatureAssignment(G, [leaf, middle, leaf]),
                                     (1.0, 1.0), check="none"))
+    # matching on two disjoint edges and on P4, with rho = 3 and 3 + 2 ln 2,
+    # insert most often, also next to a covered edge
+    quick = [_busy(PolymerChain(G, uniform_assignment(G, "matching"), (1.0, 1.0),
+                                check="none"))
+             for G in (MultiGraph(4, [(0, 1), (2, 3)]), p4())]
     rng = random.Random(MASTER_SEED + 21)
-    runs = [(path_chain, 200000)] + [(_busy_chain(rng), 3000) for _ in range(40)]
-    inserted_sizes = Counter()
-    for case, (chain, steps) in enumerate(runs):
-        fast, slow = chain.fresh_state(), chain.fresh_state()
-        r_fast, r_slow = random.Random(case), random.Random(case)
-        for _ in range(steps):
-            before = set(slow.polymers)
-            chain.run(fast, 1, r_fast)
-            reference_step(chain, slow, r_slow)
-            inserted_sizes.update(p.size for p in slow.polymers - before)
-            _assert_same_state(fast, slow)
-        assert r_fast.getstate() == r_slow.getstate()
-        # strided readings, including a trailing part-stride that gives none
-        stride = 1 + case % 7
-        readings = chain.run(fast, 500, r_fast, stride)
-        expect = []
-        for i in range(1, 501):
-            reference_step(chain, slow, r_slow)
-            if i % stride == 0:
-                expect.append(slow.total_edges)
-        assert readings == expect
-        _assert_same_state(fast, slow)
-        assert r_fast.getstate() == r_slow.getstate()
-    assert inserted_sizes[1] >= 50
-    assert sum(c for size, c in inserted_sizes.items() if size >= 2) >= 10
+    chains = [path_chain] + quick + [_busy_chain(rng) for _ in range(3)]
+    n = 10000
+    multi_edge = 0
+    for case, chain in enumerate(chains):
+        r = random.Random(case)
+        for start in (frozenset(), _packed(chain)):
+            for steps, stride in ((1, 1), (7, 3), (40, 13)):
+                families, readings = _exact_laws(chain, start, steps, stride)
+                seen_families, seen_readings = Counter(), Counter()
+                for _ in range(n):
+                    state = _start(chain, start)
+                    seen_readings[tuple(chain.run(state, steps, r, stride))] += 1
+                    seen_families[frozenset(state.polymers)] += 1
+                _assert_follows(seen_families, families, n)
+                _assert_follows(seen_readings, readings, n)
+                multi_edge += sum(c for fam, c in seen_families.items()
+                                  if fam != start and any(p.size > 1 for p in fam ^ start))
+        # the kernel is the law of the reference step
+        seen = Counter()
+        for _ in range(n):
+            state = _start(chain, start)
+            reference_step(chain, state, r)
+            seen[frozenset(state.polymers)] += 1
+        _assert_follows(seen, step_kernel(chain, start), n)
+    assert multi_edge >= 100
 
 
-def test_step_and_mu0_follow_the_reference():
+def test_mu0_follows_the_reference():
     rng = random.Random(MASTER_SEED + 22)
     for case in range(10):
         chain = _busy_chain(rng)
-        fast, slow = chain.fresh_state(), chain.fresh_state()
         r_fast, r_slow = random.Random(case), random.Random(case)
-        for _ in range(500):
-            chain.step(fast, r_fast)
-            reference_step(chain, slow, r_slow)
-        assert fast.edge_owner == slow.edge_owner
         for e0 in range(chain.G.edge_count):
             for _ in range(200):
                 assert chain.mu0(e0, r_fast) is reference_mu0(chain, e0, r_slow)
         assert r_fast.getstate() == r_slow.getstate()
 
 
-def test_inlined_edge_draw_is_randrange():
-    # with every polymer weight zero, a step draws only e0 and the size budget
-    for n in range(1, 131):
-        G = MultiGraph(n + 1, [(i, i + 1) for i in range(n)])
-        chain = PolymerChain(G, uniform_assignment(G, "matching"), (1.0, 0.0), check="none")
-        r_fast, r_slow = random.Random(n), random.Random(n)
-        chain.run(chain.fresh_state(), 300, r_fast)
-        for _ in range(300):
-            r_slow.randrange(n)
-            r_slow.random()
-        assert r_fast.getstate() == r_slow.getstate()
-    # no edges: an error where getrandbits(0) would loop for ever
+def test_run_without_edges_raises():
     G = MultiGraph(2, [])
     chain = PolymerChain(G, uniform_assignment(G, "matching"), (1.0, 0.1), check="none")
     assert chain.run(chain.fresh_state(), 0, random.Random(0)) == []
     with pytest.raises(ValueError, match="no edges"):
         chain.run(chain.fresh_state(), 1, random.Random(0))
+
+
+def test_median_is_statistics_median():
+    rng = random.Random(MASTER_SEED + 24)
+    for count in range(1, 7):
+        for _ in range(100):
+            values = [rng.choice([1.0, rng.uniform(0.9, 1.1)]) for _ in range(count)]
+            assert mcmc_mod._median(values) == statistics.median(values)
 
 
 def test_mu0_mass_above_one_raises():
