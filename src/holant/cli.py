@@ -111,6 +111,16 @@ def _emit(args, report: dict) -> None:
         _print_text(report)
 
 
+def _region(bound, *args, **params) -> dict:
+    """A region report as values plus bound, or {"skipped": why} when the
+    bound raises ValueError (the instance lies outside its family)."""
+    try:
+        rep = bound(*args, **params)
+    except ValueError as exc:
+        return {"skipped": str(exc)}
+    return dict(rep.values, bound=rep.bound)
+
+
 def _print_text(report: dict, indent: str = "") -> None:
     for key, value in report.items():
         if isinstance(value, dict):
@@ -223,14 +233,9 @@ def _cmd_bounds(args) -> int:
                 missing = [k for k in keys if params[k] is None]
                 raise ParseError(f"family {family!r} needs --{' --'.join(missing)}")
             continue
-        try:
-            rep = region_bounds(family, **{k: params[k] for k in keys})
-        except ValueError as exc:
-            if args.family != "all":
-                raise
-            table[family] = {"skipped": str(exc)}
-            continue
-        table[family] = dict(rep.values, bound=rep.bound)
+        table[family] = _region(region_bounds, family, **{k: params[k] for k in keys})
+        if "skipped" in table[family] and args.family != "all":
+            raise ValueError(table[family]["skipped"])
     if not table:
         raise ParseError("no family applicable to the given parameters")
     _emit(args, {
@@ -264,13 +269,8 @@ def _cmd_linsys(args) -> int:
         "polymer_count": rep.polymer_count,
         "family_count": rep.family_count,
         "dropped_columns": rep.dropped_columns,
+        "region": _region(linsys_region, system),
     }
-    r = system.row_support()
-    if r >= 2:
-        region = linsys_region(system)
-        result["region"] = dict(region.values, bound=region.bound)
-    else:
-        result["region"] = {"skipped": f"row support r = {r} < 2"}
     _emit(args, {
         "command": "linsys",
         "inputs": {"matrix": args.matrix},
@@ -283,20 +283,15 @@ def _cmd_pm(args) -> int:
     instance, matching, kind = parse_pm_file(Path(args.instance).read_text())
     z = parse_complex(args.zc)
     if kind == "graph":
-        mode = args.mode
-        out = pm_polynomial_graph(instance, matching, z, mode=mode)
+        value = pm_polynomial_graph(instance, matching, z)
+        region = _region(region_bounds, "graph-pm", delta=instance.max_degree())
     else:
-        mode = "exact" if args.mode == "polymer" else args.mode
-        out = pm_polynomial_hypergraph(instance, matching, z, mode=mode)
-    if args.mode == "bound":
-        result = dict(out.values, bound=out.bound)
-    else:
-        result = {"value": _c(out)}
+        value = pm_polynomial_hypergraph(instance, matching, z)
+        region = _region(pm_polynomial_hypergraph, instance, matching, z, mode="bound")
     _emit(args, {
         "command": "pm",
-        "inputs": {"instance": args.instance, "z": _c(z), "mode": args.mode,
-                   "kind": kind},
-        "result": result,
+        "inputs": {"instance": args.instance, "z": _c(z), "kind": kind},
+        "result": {"value": _c(value), "region": region},
     })
     return 0
 
@@ -380,8 +375,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("pm", help="perfect-matching polynomial")
     p.add_argument("--instance", required=True)
     p.add_argument("--zc", required=True, help="complex evaluation point")
-    p.add_argument("--mode", choices=("polymer", "exact", "bound"),
-                   default="polymer")
     _add_common(p)
     p.set_defaults(func=_cmd_pm)
 

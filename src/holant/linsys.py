@@ -9,8 +9,12 @@ row sets intersect; compatible families sum to solutions, so the weighted
 count w(X) = sum_x prod_j w_j^{x_j} equals the polymer partition function.
 
 Matchings: given a hypergraph H with a reference perfect matching M,
-Z(H, M, z) = sum over perfect matchings M' of z^{|M xor M'|}. For graphs the
-polymers are M-alternating cycles weighted z^{#cycle edges}.
+Z(H, M, z) = sum over perfect matchings M' of z^{|M xor M'|}. A polymer is
+a connected component of M xor M': a set A of M-edges and a set B of non-M
+edges that perfectly matches the vertices of A, with A u B connected,
+weighted z^{|A| + |B|}. Compatible polymers are vertex-disjoint, and each
+M' is one compatible family. On a graph the polymers are the M-alternating
+cycles.
 """
 
 from __future__ import annotations
@@ -70,13 +74,10 @@ class Hypergraph:
         return sizes.pop() if len(sizes) == 1 else None
 
     def is_perfect_matching(self, eids) -> bool:
-        seen: set = set()
-        for i in eids:
-            e = self.edges[i]
-            if e & seen:
-                return False
-            seen |= e
-        return len(seen) == self.vertex_count
+        if any(not 0 <= i < len(self.edges) for i in eids):
+            return False
+        covered = [v for i in eids for v in self.edges[i]]
+        return len(covered) == len(set(covered)) == self.vertex_count
 
 
 def perfect_matchings(H: Hypergraph, gate: int = PM_GATE):
@@ -320,14 +321,76 @@ def brute_weighted_count(sys: LinearSystem) -> complex:
 # Perfect-matching polynomials
 
 
+def alternating_cycle_polymers(H, matching):
+    """All M-alternating polymers (see the module docstring) as (edge-id
+    tuple, vertex mask) pairs, sorted by (size, ids). H is a Hypergraph, or a
+    MultiGraph (same `edges`, `incident`, `vertex_count`), where they are
+    the M-alternating cycles.
+
+    The walk starts at the M-edge of the polymer's least vertex r and never
+    enters a vertex below r. Each step covers the largest vertex of V(A) that
+    B leaves open, by each non-M edge there that misses B and the vertices
+    below r, and pulls in the M-edge of every vertex that edge newly reaches.
+    That B-edge is forced, so each polymer is built exactly once; on a graph
+    the largest open vertex is the far end of the path.
+    """
+    masks = [sum(1 << v for v in e) for e in H.edges]
+    mate = [None] * H.vertex_count  # M-edge id at each vertex
+    for i in map(int, matching):
+        if not 0 <= i < len(masks):
+            raise ValueError(f"matching edge id {i} out of range")
+        for v in H.edges[i]:
+            if mate[v] is not None:
+                raise ValueError("matching edges overlap")
+            mate[v] = i
+    if None in mate:
+        raise ValueError("reference set is not a perfect matching")
+    found = []
+
+    def grow(va, cov, taken, below):
+        # va: V(A); cov: vertices B covers; taken: edge ids; below: vertices < r
+        open_ = va & ~cov
+        if not open_:
+            found.append((tuple(mask_vertices(taken)), va))
+            return
+        v = open_.bit_length() - 1
+        blocked = cov | below
+        for e in H.incident(v):
+            if e == mate[v] or masks[e] & blocked:
+                continue
+            nva, ntaken, new = va, taken | 1 << e, masks[e] & ~va
+            while new:  # pull in the M-edges of the new vertices; else-branch: none cut
+                a = mate[(new & -new).bit_length() - 1]
+                if masks[a] & below:
+                    break
+                nva |= masks[a]
+                ntaken |= 1 << a
+                new &= ~masks[a]
+            else:
+                grow(nva, cov | masks[e], ntaken, below)
+
+    for r, a in enumerate(mate):
+        if (masks[a] & -masks[a]) == 1 << r:  # r is the least vertex of its M-edge
+            grow(masks[a], 0, 1 << a, (1 << r) - 1)
+    found.sort(key=lambda p: (len(p[0]), p[0]))
+    return found
+
+
 def pm_polynomial_hypergraph(H: Hypergraph, matching, z: complex,
-                             mode: str = "exact"):
+                             mode: str = "polymer"):
     """Z(H, M, z) = sum over perfect matchings M' of z^{|M xor M'|}.
 
-    mode "exact" enumerates matchings; "bound" returns the region report for
-    (Delta, uniformity k) without evaluating.
+    mode "polymer" sums z^{|A| + |B|} over vertex-disjoint families of
+    M-alternating polymers (`alternating_cycle_polymers`), one family per M';
+    "exact" enumerates the perfect matchings, the reference route; "bound"
+    returns the region report for (Delta, uniformity k) without evaluating.
     """
     matching = tuple(sorted(int(i) for i in matching))
+    if mode == "polymer":
+        zc = complex(z)
+        items = [(mask, 0, zc ** len(ids))
+                 for ids, mask in alternating_cycle_polymers(H, matching)]
+        return family_sum(items, bfs_order(H.vertex_count, H.edges))[0]
     if not H.is_perfect_matching(matching):
         raise ValueError("reference set is not a perfect matching")
     if mode == "bound":
@@ -345,83 +408,16 @@ def pm_polynomial_hypergraph(H: Hypergraph, matching, z: complex,
     return total
 
 
-def alternating_cycle_polymers(G: MultiGraph, matching):
-    """All M-alternating cycles, as (edge-id tuple, vertex mask) pairs.
-
-    Every vertex on such a cycle uses exactly its matching edge and one
-    non-matching edge, so cycles are even and traversal from the least vertex
-    along its matching edge enumerates each exactly once.
-    """
-    matching = tuple(sorted(int(i) for i in matching))
-    partner = {}
-    for i in matching:
-        u, v = G.edges[i]
-        if u in partner or v in partner:
-            raise ValueError("matching edges overlap")
-        partner[u], partner[v] = v, u
-    if len(partner) != G.vertex_count:
-        raise ValueError("reference set is not a perfect matching")
-    in_m = set(matching)
-    eid = {}
-    for i, (u, v) in enumerate(G.edges):
-        eid[(u, v)] = eid[(v, u)] = i
-    cycles = []
-
-    def walk(base, cur, path_edges, visited):
-        # arrived at cur on a matching edge; leave on a non-matching edge
-        for e in G.incident(cur):
-            if e in in_m or e in path_edges:
-                continue
-            u, v = G.edges[e]
-            nxt = v if u == cur else u
-            if nxt == base:
-                cycles.append(tuple(sorted(path_edges + [e])))
-                continue
-            if nxt <= base or nxt in visited:
-                continue
-            m_edge = eid[(nxt, partner[nxt])]
-            after = partner[nxt]
-            if after == base or after <= base or after in visited:
-                # matching edge must continue the cycle to a fresh vertex
-                # (after == base is impossible: base's matching edge started the walk)
-                continue
-            walk(base, after,
-                 path_edges + [e, m_edge], visited | {nxt, after})
-
-    for base in range(G.vertex_count):
-        mate = partner[base]
-        if mate < base:
-            continue
-        start_edge = eid[(base, mate)]
-        walk(base, mate, [start_edge], {base, mate})
-    cycles = sorted(set(cycles), key=lambda t: (len(t), t))
-    out = []
-    for cyc in cycles:
-        vmask = 0
-        for v in G.edge_vertices(cyc):
-            vmask |= 1 << v
-        out.append((cyc, vmask))
-    return out
-
-
 def pm_polynomial_graph(G: MultiGraph, matching, z: complex,
                         mode: str = "polymer"):
     """Z(G, M, z) over perfect matchings of a graph.
 
-    mode "polymer" sums z^{|E(cycle)|} over vertex-disjoint families of
-    M-alternating cycles; "exact" enumerates matchings directly; "bound"
-    returns the region report for max degree Delta.
+    mode "bound" returns the region report for max degree Delta; any other
+    mode is `pm_polynomial_hypergraph`'s on G as a 2-uniform hypergraph.
     """
     if mode == "bound":
         return region_bounds("graph-pm", delta=G.max_degree())
-    if mode == "exact":
-        H = Hypergraph(G.vertex_count, [G.edges[i] for i in range(G.edge_count)])
-        return pm_polynomial_hypergraph(H, matching, z, "exact")
-    if mode != "polymer":
-        raise ValueError(f"unknown mode {mode!r}")
-    zc = complex(z)
-    items = [(mask, 0, zc ** len(cyc)) for cyc, mask in alternating_cycle_polymers(G, matching)]
-    return family_sum(items, bfs_order(G.vertex_count, G.edges))[0]
+    return pm_polynomial_hypergraph(Hypergraph(G.vertex_count, G.edges), matching, z, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -493,6 +489,8 @@ def parse_pm_file(text: str):
             rows.append([int(p) for p in line.split()])
         except ValueError as exc:
             raise ParseError(f"bad edge line {line!r}") from exc
+    if any(not 0 <= i < m for i in matching):
+        raise ParseError(f"matching edge ids must lie in 0..{m - 1}, got {matching}")
     if all(len(r) == 2 for r in rows):
         try:
             return MultiGraph(n, rows), matching, "graph"

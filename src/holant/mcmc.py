@@ -198,8 +198,13 @@ class PolymerChain:
         if max(ratios, default=0.0) <= bound:
             self.certificate = "region"
             return
-        ok_s, tau_star, need = check_sampling_condition(self.G, self.assign, self.z)
-        ok_m, worst = check_mixing_condition(self.G, self.assign, self.z)
+        try:
+            ok_s, tau_star, need = check_sampling_condition(self.G, self.assign, self.z)
+            ok_m, worst = check_mixing_condition(self.G, self.assign, self.z)
+        except GateExceeded as exc:
+            raise RegionViolation(f"instance not certified for the chain: fugacity ratio "
+                                  f"bound {bound:.6g} violated and direct verification "
+                                  f"was gated ({exc})") from exc
         if ok_s and ok_m:
             self.certificate = "direct"
             return

@@ -43,6 +43,8 @@ MATRIX_GATE_TEXT = "1 2\n1 -1\ncaps: 2000 2000\nweights: 0.1 0.0 0.1 0.0\n"
 
 GRAPH_PM_TEXT = "4 4\n0 1\n1 2\n2 3\n0 3\nmatching: 0 3\n"
 HYPER_PM_TEXT = "6 4\n0 1 2\n3 4 5\n0 1 3\n2 4 5\nmatching: 0 1\n"
+K2_PM_TEXT = "2 1\n0 1\nmatching: 0\n"
+MIXED_PM_TEXT = "5 2\n0 1\n2 3 4\nmatching: 0 1\n"
 
 F0_ZERO_SIG = json.dumps(
     {"default": {"table": {"kappa": 1, "arity": 1, "values": [[0, 0], [1, 0]]}}}
@@ -66,6 +68,8 @@ def files(tmp_path):
         "matrix_gate": write("mg.txt", MATRIX_GATE_TEXT),
         "gpm": write("c4pm.txt", GRAPH_PM_TEXT),
         "hpm": write("hpm.txt", HYPER_PM_TEXT),
+        "k2pm": write("k2pm.txt", K2_PM_TEXT),
+        "mixedpm": write("mixedpm.txt", MIXED_PM_TEXT),
         "f0zero": write("f0zero.json", F0_ZERO_SIG),
         "kappa0": write("kappa0.json", KAPPA0_SIG),
         "tmp": str(tmp_path),
@@ -342,6 +346,17 @@ def test_count_mcmc_region_violation(capsys, files):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["count-mcmc", "sample"])
+def test_chain_outside_region_exits_2_when_direct_checks_are_gated(capsys, tmp_path, command):
+    # C40 at z1 = 0.01, above the mcmc-poly bound and too large for the
+    # direct checks: a region violation (exit 2), not a size gate (exit 4)
+    path = tmp_path / "c40.txt"
+    path.write_text(MultiGraph(40, [(i, (i + 1) % 40) for i in range(40)]).to_text())
+    assert main([command, "--graph", str(path), "--sig", "matching",
+                 "--z", "1,0.01", "--eps", "0.1"]) == 2
+    assert "bound" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # bounds
 
@@ -429,14 +444,28 @@ def test_count_mcmc_step_gate_exits_4_fast(capsys, files):
 
 
 def test_pm_graph_modes(capsys, files):
+    # pm evaluates by the polymer route only; its report carries the
+    # graph-pm region of the instance, and --mode is gone
     rep = run_json(capsys, ["pm", "--instance", files["gpm"], "--zc", "0.5"])
     assert rel_close(complex(*rep["result"]["value"]), 1 + 0.5**4)
-    exact = run_json(capsys, ["pm", "--instance", files["gpm"], "--zc", "0.5",
-                              "--mode", "exact"])
-    assert exact["result"]["value"] == rep["result"]["value"]
-    bound = run_json(capsys, ["pm", "--instance", files["gpm"], "--zc", "0",
-                              "--mode", "bound"])
-    assert "bound" in bound["result"]
+    assert rep["result"]["region"]["bound"] == region_bounds("graph-pm", delta=2).bound
+    assert "mode" not in rep["inputs"]
+    assert main(["pm", "--instance", files["gpm"], "--zc", "0.5", "--mode", "exact"]) == 1
+    assert "--mode" in capsys.readouterr().err
+
+
+def test_pm_region_skipped_below_delta_2(capsys, files):
+    rep = run_json(capsys, ["pm", "--instance", files["k2pm"], "--zc", "0.5"])
+    assert complex(*rep["result"]["value"]) == 1
+    assert "delta >= 2" in rep["result"]["region"]["skipped"]
+
+
+@pytest.mark.parametrize("matching", ["0 99", "0 -1"])
+def test_pm_matching_id_out_of_range_exits_1(capsys, tmp_path, matching):
+    path = tmp_path / "pm.txt"
+    path.write_text(f"4 4\n0 1\n1 2\n2 3\n0 3\nmatching: {matching}\n")
+    assert main(["pm", "--instance", str(path), "--zc", "0.5"]) == 1
+    assert "must lie in 0..3" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text", ["matching: 0\n", "# note\nmatching: 1\n"])
@@ -454,12 +483,15 @@ def test_pm_accepts_i_suffix(capsys, files):
 
 
 def test_pm_hypergraph(capsys, files):
+    # the hypergraph runs the same polymer route, with the hyper-pm region
     rep = run_json(capsys, ["pm", "--instance", files["hpm"], "--zc", "0.5"])
     assert rep["inputs"]["kind"] == "hyper"
-    assert rel_close(complex(*rep["result"]["value"]), 1 + 0.5**4)
-    bound = run_json(capsys, ["pm", "--instance", files["hpm"], "--zc", "0",
-                              "--mode", "bound"])
-    assert rel_close(bound["result"]["bound"], 1 / (4 * math.e))
+    assert rep["result"]["value"] == [1.0625, 0.0]
+    assert rel_close(rep["result"]["region"]["bound"], 1 / (4 * math.e))
+    assert main(["pm", "--instance", files["hpm"], "--zc", "0", "--mode", "bound"]) == 1
+    mixed = run_json(capsys, ["pm", "--instance", files["mixedpm"], "--zc", "0.5"])
+    assert complex(*mixed["result"]["value"]) == 1
+    assert "uniform" in mixed["result"]["region"]["skipped"]
 
 
 # ---------------------------------------------------------------------------

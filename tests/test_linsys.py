@@ -98,6 +98,8 @@ def test_is_perfect_matching():
     assert H.is_perfect_matching((2, 3))
     assert not H.is_perfect_matching((0, 2))  # overlap at 0,1
     assert not H.is_perfect_matching((0,))  # leaves 3,4,5 uncovered
+    assert not H.is_perfect_matching((0, 7))  # no edge 7
+    assert not H.is_perfect_matching((-1, 0))  # ids do not wrap around
 
 
 def test_perfect_matchings_enumeration():
@@ -503,6 +505,80 @@ def test_pm_graph_polymer_matches_exact():
         assert rel_close(poly, exact)
 
 
+def planted_matching_hypergraph(rng, blocks, extra):
+    """Vertices split into M-edges of sizes 1-3, plus `extra` random edges of
+    sizes 1-3, some of them repeats of an edge already there; labels
+    shuffled. Returns (H, matching)."""
+    sizes = [rng.randint(1, 3) for _ in range(blocks)]
+    n = sum(sizes)
+    label = list(range(n))
+    rng.shuffle(label)
+    edges, start = [], 0
+    for k in sizes:
+        edges.append([label[v] for v in range(start, start + k)])
+        start += k
+    for _ in range(extra):
+        if rng.random() < 0.2:
+            edges.append(list(rng.choice(edges)))
+        else:
+            edges.append(rng.sample(range(n), rng.randint(1, min(3, n))))
+    order = list(range(len(edges)))
+    rng.shuffle(order)
+    H = Hypergraph(n, [edges[i] for i in order])
+    return H, tuple(sorted(order.index(i) for i in range(blocks)))
+
+
+def connected_differences(H, matching):
+    """(sorted ids, vertex mask) of every connected component of M xor M'
+    over the perfect matchings M' of H (a graph or a hypergraph), from the
+    exhaustive search."""
+    masks = [sum(1 << v for v in e) for e in H.edges]
+    out = set()
+    for other in perfect_matchings(Hypergraph(H.vertex_count, H.edges)):
+        diff = set(matching) ^ set(other)
+        while diff:
+            comp, vmask = set(), 0
+            grow = [diff.pop()]
+            while grow:
+                e = grow.pop()
+                comp.add(e)
+                vmask |= masks[e]
+                hit = [f for f in diff if masks[f] & vmask]
+                diff.difference_update(hit)
+                grow += hit
+            out.add((tuple(sorted(comp)), vmask))
+    return out
+
+
+def test_alternating_polymers_are_the_connected_differences():
+    rng = random.Random(MASTER_SEED + 38)
+    cases = [planted_matching_graph(rng, rng.randint(2, 6), rng.randint(0, 8))
+             for _ in range(40)]
+    cases += [planted_matching_hypergraph(rng, rng.randint(1, 6), rng.randint(0, 9))
+              for _ in range(120)]
+    for H, matching in cases:
+        pool = alternating_cycle_polymers(H, matching)
+        assert pool == sorted(set(pool), key=lambda p: (len(p[0]), p[0]))
+        assert set(pool) == connected_differences(H, matching)
+
+
+def test_pm_hypergraph_polymer_matches_exact():
+    rng = random.Random(MASTER_SEED + 39)
+    for _ in range(60):
+        H, matching = planted_matching_hypergraph(rng, rng.randint(1, 6), rng.randint(0, 9))
+        z = complex(rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8))
+        poly = pm_polynomial_hypergraph(H, matching, z)
+        exact = pm_polynomial_hypergraph(H, matching, z, mode="exact")
+        assert abs(poly - exact) <= 1e-9 * abs(exact)
+
+
+def test_alternating_polymers_check_the_matching():
+    H = Hypergraph(6, [(0, 1, 2), (3, 4, 5), (0, 1, 3), (2, 4, 5)])
+    for bad in [(0, 7), (0, -1), (0, 0, 1), (0, 2), (0,)]:
+        with pytest.raises(ValueError):
+            alternating_cycle_polymers(H, bad)
+
+
 def test_alternating_cycle_neighbour_counts():
     # cycles of length i incompatible with a fixed polymer never exceed
     # |V(polymer)| * (Delta-1)^(i-1)
@@ -617,6 +693,8 @@ def test_parse_pm_file_mixed_sizes_is_hyper():
         "4\n0 1\nmatching: 0\n",
         "matching: 0\n",  # no header line at all
         "# note\nmatching: 1\n",
+        "4 4\n0 1\n1 2\n2 3\n0 3\nmatching: 0 99\n",  # no edge 99
+        "4 4\n0 1\n1 2\n2 3\n0 3\nmatching: 0 -1\n",  # -1 is not edge 3
     ],
 )
 def test_parse_pm_file_errors(text):

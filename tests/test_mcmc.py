@@ -111,6 +111,17 @@ def test_chain_rejects_outside_region():
         PolymerChain(G, a, (1.0, 0.05))
 
 
+def test_chain_outside_region_with_gated_direct_checks_is_a_region_violation():
+    # C40 has too many edges for the direct checks, whose own GateExceeded
+    # would otherwise read as a size gate (exit 4) rather than a bound (exit 2)
+    G = MultiGraph(40, [(i, (i + 1) % 40) for i in range(40)])
+    a = uniform_assignment(G, "matching")
+    with pytest.raises(GateExceeded):
+        check_sampling_condition(G, a, (1.0, 0.01))
+    with pytest.raises(RegionViolation, match="bound"):
+        PolymerChain(G, a, (1.0, 0.01))
+
+
 def test_chain_direct_certification_beyond_region_bound():
     # r1 = 1.5 shrinks the closed-form bound by r1^2, but the actual polymer
     # weight is z1 * 1.5 * 0.5, so direct condition checks still certify.
