@@ -14,6 +14,7 @@ from holant import (
     brute_polymer_z,
     uniform_assignment,
 )
+from holant.graph import mask_vertices
 from holant.oracle import enumerate_polymers, weight_map
 from holant.polymers import holant_prefactor
 
@@ -25,7 +26,7 @@ z = (1.0, 0.3)
 pols = enumerate_polymers(G, assign.kappa, G.edge_count)
 print("coloured polymers on C4:", len(pols))
 for p in pols[:4]:
-    print("  polymer", p.edges, "colours", p.colours, "vertices", p.vertices())
+    print("  polymer", p.edges, "colours", p.colours, "vertices", mask_vertices(p.vmask))
 
 # each polymer weight divides out the vertex scores of the empty colouring
 wm = weight_map(G, assign, z, pols)

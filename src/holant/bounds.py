@@ -84,7 +84,8 @@ def region_bounds(family: str, **params) -> RegionReport:
         delta = int(params["delta"])
         kappa = 1 if family == "boolean" else int(params["kappa"])
         r1 = float(params["r1"])
-        _require(delta >= 1 and kappa >= 1 and r1 >= 1.0, "need delta,kappa >= 1 and r1 >= 1")
+        _require(delta >= 1 and kappa >= 1 and 1.0 <= r1 < math.inf,
+                 "need delta,kappa >= 1 and r1 >= 1 (r1 finite)")
         values = _fugacity_core(delta, kappa, r1)
         return RegionReport(family, dict(params, kappa=kappa), values, values["simple"])
 
@@ -114,7 +115,8 @@ def region_bounds(family: str, **params) -> RegionReport:
 
     if family == "mcmc-poly":
         delta, kappa, r1 = int(params["delta"]), int(params["kappa"]), float(params["r1"])
-        _require(delta >= 1 and kappa >= 1 and r1 >= 1.0, "need delta,kappa >= 1 and r1 >= 1")
+        _require(delta >= 1 and kappa >= 1 and 1.0 <= r1 < math.inf,
+                 "need delta,kappa >= 1 and r1 >= 1 (r1 finite)")
         v = 1.0 / ((delta * kappa) ** 3 * _E**5 * r1**2)
         return RegionReport(family, dict(params), {"simple": v}, v)
 
@@ -251,8 +253,8 @@ def verify_kp(G: MultiGraph, assign: SignatureAssignment, z,
     z = check_fugacities(z, assign.kappa)
     if size not in ("edges", "vertices"):
         raise ValueError("size must be 'edges' or 'vertices'")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < math.inf:
+        raise ValueError("alpha must be positive and finite")
     pool, weights = _gated_full_pool(G, assign, z)
     if size == "edges":
         a_vals = [alpha * p.size for p in pool]

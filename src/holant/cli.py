@@ -35,6 +35,7 @@ from .linsys import (
     parse_pm_file,
     pm_polynomial_graph,
     pm_polynomial_hypergraph,
+    pm_region,
     weighted_count,
 )
 from .mcmc import derive_seed, fpras_estimate, mixing_time, sample_assignments
@@ -98,7 +99,10 @@ def _resolve_seed(args, *parts) -> int:
 
 
 def _c(v: complex):
+    """[re, im] of a finite result; ConditionViolated (exit 2) past float range."""
     v = complex(v)
+    if not cmath.isfinite(v):
+        raise ConditionViolated(f"result evaluates to {v}, outside float range: no value")
     return [v.real, v.imag]
 
 
@@ -282,12 +286,11 @@ def _cmd_linsys(args) -> int:
 def _cmd_pm(args) -> int:
     instance, matching, kind = parse_pm_file(Path(args.instance).read_text())
     z = parse_complex(args.zc)
-    if kind == "graph":
-        value = pm_polynomial_graph(instance, matching, z)
-        region = _region(region_bounds, "graph-pm", delta=instance.max_degree())
-    else:
-        value = pm_polynomial_hypergraph(instance, matching, z)
-        region = _region(pm_polynomial_hypergraph, instance, matching, z, mode="bound")
+    if not cmath.isfinite(z):
+        raise ParseError(f"--zc must be finite, got {args.zc!r}")
+    pm = pm_polynomial_graph if kind == "graph" else pm_polynomial_hypergraph
+    value = pm(instance, matching, z)
+    region = _region(pm_region, instance)
     _emit(args, {
         "command": "pm",
         "inputs": {"instance": args.instance, "z": _c(z), "kind": kind},
@@ -391,6 +394,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (RegionViolation, ConditionViolated) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:  # complex ** int past the float range raises
+        print(f"error: {exc}, outside float range: no value", file=sys.stderr)
         return 2
     except (NotInF0, UnsupportedWeights, DegenerateDistribution) as exc:
         print(f"error: {exc}", file=sys.stderr)

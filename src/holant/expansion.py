@@ -107,19 +107,6 @@ def _require_ratio(ratio: float) -> None:
         raise RegionViolation(f"|x|/q = {ratio} is not inside [0, 1)")
 
 
-def truncation_order(d: int, eps: float, ratio: float) -> int:
-    """The paper's closed-form order ceil(log(d/eps) / (1 - ratio)).
-
-    d: polynomial degree (edge count); ratio = |x|/q must be < 1. `approx`
-    no longer calls it: it uses the sharper `certified_order`.
-    """
-    if d < 1:
-        raise ValueError("degree must be >= 1")
-    _require_eps(eps)
-    _require_ratio(ratio)
-    return max(1, math.ceil(math.log(d / eps) / (1.0 - ratio)))
-
-
 def truncation_remainder(d: int, m: int, ratio: float) -> float:
     """Certified bound d r^{m+1} / ((m+1)(1-r)) on |log Z - T_m|, r = ratio.
 

@@ -58,9 +58,6 @@ class MultiGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def endpoints(self, eid: int):
-        return self.edges[eid]
-
     def incident(self, v: int):
         """Edge ids at v, ascending (canonical rank order)."""
         return self._incident[v]
@@ -204,29 +201,6 @@ def _parse_graph_lines(lines) -> MultiGraph:
         return MultiGraph(n, edges)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
-
-
-def is_connected_edge_set(G: MultiGraph, eids) -> bool:
-    """True iff the subgraph spanned by the edge ids is connected (and nonempty)."""
-    eids = list(eids)
-    if not eids:
-        raise ValueError("empty edge set has no connectivity status")
-    eset = set(eids)
-    start = G.edges[eids[0]][0]
-    seen_v = {start}
-    stack = [start]
-    seen_e = set()
-    while stack:
-        v = stack.pop()
-        for e in G.incident(v):
-            if e in eset and e not in seen_e:
-                seen_e.add(e)
-                u, w = G.edges[e]
-                for x in (u, w):
-                    if x not in seen_v:
-                        seen_v.add(x)
-                        stack.append(x)
-    return len(seen_e) == len(eset)
 
 
 def _once(e):

@@ -19,6 +19,7 @@ cycles.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 from .bounds import region_bounds
@@ -128,6 +129,8 @@ class LinearSystem:
             raise ValueError("caps must be >= 1")
         self.caps = [int(c) for c in self.caps]
         self.weights = [complex(w) for w in self.weights]
+        if not all(map(cmath.isfinite, self.weights)):
+            raise ValueError("weights must be finite")
 
     @property
     def n(self) -> int:
@@ -287,6 +290,17 @@ def linsys_region(sys: LinearSystem):
     )
 
 
+def pm_region(instance):
+    """Region report of a perfect-matching instance: graph-pm for a MultiGraph
+    (max degree Delta), hyper-pm for a Hypergraph (Delta and uniformity k)."""
+    if isinstance(instance, MultiGraph):
+        return region_bounds("graph-pm", delta=instance.max_degree())
+    k = instance.uniformity()
+    if k is None:
+        raise ValueError("region bound needs a uniform hypergraph")
+    return region_bounds("hyper-pm", delta=instance.max_degree(), k=k)
+
+
 def brute_weighted_count(sys: LinearSystem) -> complex:
     """Direct sum over the full box (independent of the polymer route)."""
     box = 1
@@ -382,8 +396,8 @@ def pm_polynomial_hypergraph(H: Hypergraph, matching, z: complex,
 
     mode "polymer" sums z^{|A| + |B|} over vertex-disjoint families of
     M-alternating polymers (`alternating_cycle_polymers`), one family per M';
-    "exact" enumerates the perfect matchings, the reference route; "bound"
-    returns the region report for (Delta, uniformity k) without evaluating.
+    "exact" enumerates the perfect matchings, the reference route.
+    `pm_region` gives the instance's region report.
     """
     matching = tuple(sorted(int(i) for i in matching))
     if mode == "polymer":
@@ -391,15 +405,10 @@ def pm_polynomial_hypergraph(H: Hypergraph, matching, z: complex,
         items = [(mask, 0, zc ** len(ids))
                  for ids, mask in alternating_cycle_polymers(H, matching)]
         return family_sum(items, bfs_order(H.vertex_count, H.edges))[0]
-    if not H.is_perfect_matching(matching):
-        raise ValueError("reference set is not a perfect matching")
-    if mode == "bound":
-        k = H.uniformity()
-        if k is None:
-            raise ValueError("region bound needs a uniform hypergraph")
-        return region_bounds("hyper-pm", delta=H.max_degree(), k=k)
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
+    if not H.is_perfect_matching(matching):
+        raise ValueError("reference set is not a perfect matching")
     mset = set(matching)
     total = 0j
     for other in perfect_matchings(H):
@@ -410,13 +419,8 @@ def pm_polynomial_hypergraph(H: Hypergraph, matching, z: complex,
 
 def pm_polynomial_graph(G: MultiGraph, matching, z: complex,
                         mode: str = "polymer"):
-    """Z(G, M, z) over perfect matchings of a graph.
-
-    mode "bound" returns the region report for max degree Delta; any other
-    mode is `pm_polynomial_hypergraph`'s on G as a 2-uniform hypergraph.
-    """
-    if mode == "bound":
-        return region_bounds("graph-pm", delta=G.max_degree())
+    """Z(G, M, z) over perfect matchings of a graph: `pm_polynomial_hypergraph`
+    on G as a 2-uniform hypergraph, in the same modes."""
     return pm_polynomial_hypergraph(Hypergraph(G.vertex_count, G.edges), matching, z, mode)
 
 

@@ -12,17 +12,17 @@ gamma with probability Phi(gamma) e^{rho |E(gamma)|}, so that the overall
 output probability is exactly Phi(gamma). rho = tau - 2 - ln(kappa*Delta),
 where tau certifies Phi(gamma) <= e^{-tau |E(gamma)|}.
 
-`PolymerChain.run` is the one stepping loop, and `step` is `run(state, 1, rng)`.
-It simulates the chain rejection-free (the "n-fold way" of Bortz, Kalos and
-Lebowitz): a step is null, and cannot change the state, when its edge is
-covered and its coin gives no removal, or when its edge is uncovered and the
-first mu0 uniform gives size budget k = 0. While the state is unchanged a step
-is non-null with the constant probability p = c/(2|E|) + (1 - c/|E|) e^-rho,
-c the covered edge count, so one uniform draws the geometric number of null
-steps to skip, and each loop iteration is one non-null step: a removal at a
-uniform covered edge, or an insertion attempt at a uniform uncovered edge with
-the first mu0 uniform drawn on (0, e^-rho]. The chain's law is exactly that of
-the step above, but the random stream is not the one-draw-per-step stream.
+`PolymerChain.run` is the one stepping loop. It simulates the chain
+rejection-free (the "n-fold way" of Bortz, Kalos and Lebowitz): a step is
+null, and cannot change the state, when its edge is covered and its coin
+gives no removal, or when its edge is uncovered and the first mu0 uniform
+gives size budget k = 0. While the state is unchanged a step is non-null with
+the constant probability p = c/(2|E|) + (1 - c/|E|) e^-rho, c the covered edge
+count, so one uniform draws the geometric number of null steps to skip, and
+each loop iteration is one non-null step: a removal at a uniform covered
+edge, or an insertion attempt at a uniform uncovered edge with the first mu0
+uniform drawn on (0, e^-rho]. The chain's law is exactly that of the step
+above, but the random stream is not the one-draw-per-step stream.
 `run(state, steps, rng, stride)` also returns the state's total edge count
 after every stride-th step, the FPRAS readings of one annealing stage.
 """
@@ -86,27 +86,23 @@ def _require_nonneg(assign: SignatureAssignment, z):
     return tuple(t.real for t in z)
 
 
-def check_sampling_condition(G: MultiGraph, assign: SignatureAssignment, z):
-    """(ok, tau_star, tau_required): largest tau with Phi <= e^{-tau |E|} pool-wide."""
+def check_chain_conditions(G: MultiGraph, assign: SignatureAssignment, z):
+    """The sampling and the mixing condition, both on one gated full pool.
+
+    Returns ((ok, tau_star, tau_required), (ok, worst margin)): tau_star is the
+    largest tau with Phi <= e^{-tau |E|} pool-wide, and the margin is the
+    worst of sum_{g' incompatible} |E(g')| Phi(g') - xi |E(g)|, xi = DEFAULT_XI.
+    """
     zr = _require_nonneg(assign, z)
     pool, weights = _gated_full_pool(G, assign, zr)
-    tau_star = math.inf
-    for p, w in zip(pool, weights):
-        if w.real > 0:
-            tau_star = min(tau_star, -math.log(w.real) / p.size)
+    tau_star = min((-math.log(w.real) / p.size for p, w in zip(pool, weights) if w.real > 0),
+                   default=math.inf)
     need = tau_floor(assign.kappa, max(1, G.max_degree()))
-    return tau_star >= need, tau_star, need
-
-
-def check_mixing_condition(G: MultiGraph, assign: SignatureAssignment, z):
-    """(ok, worst margin) for sum_{g' incompatible} |E(g')| Phi(g') <= xi |E(g)|,
-    xi = DEFAULT_XI."""
-    zr = _require_nonneg(assign, z)
-    pool, weights = _gated_full_pool(G, assign, zr)
     margins = kp_margins([p.vmask for p in pool],
                          [p.size * w.real for p, w in zip(pool, weights)],
                          [DEFAULT_XI * p.size for p in pool])
-    return not any(m > 0 for m in margins), max(margins, default=float("-inf"))
+    worst = max(margins, default=float("-inf"))
+    return (tau_star >= need, tau_star, need), (not any(m > 0 for m in margins), worst)
 
 
 class ChainState:
@@ -120,20 +116,6 @@ class ChainState:
         self.total_edges = 0
         self.polymers: set = set()
         self.moves = {"visited": 0, "inserted": 0, "removed": 0}
-
-    def add(self, p: ColouredPolymer):
-        self.polymers.add(p)
-        self.occupied |= p.vmask
-        self.total_edges += p.size
-        for e in p.edges:
-            self.edge_owner[e] = p
-
-    def remove(self, p: ColouredPolymer):
-        self.polymers.discard(p)
-        self.occupied ^= p.vmask
-        self.total_edges -= p.size
-        for e in p.edges:
-            self.edge_owner[e] = None
 
     def family(self):
         return sorted(self.polymers, key=ColouredPolymer.sort_key)
@@ -199,8 +181,8 @@ class PolymerChain:
             self.certificate = "region"
             return
         try:
-            ok_s, tau_star, need = check_sampling_condition(self.G, self.assign, self.z)
-            ok_m, worst = check_mixing_condition(self.G, self.assign, self.z)
+            (ok_s, tau_star, need), (ok_m, worst) = check_chain_conditions(
+                self.G, self.assign, self.z)
         except GateExceeded as exc:
             raise RegionViolation(f"instance not certified for the chain: fugacity ratio "
                                   f"bound {bound:.6g} violated and direct verification "
@@ -260,9 +242,6 @@ class PolymerChain:
 
     def fresh_state(self) -> ChainState:
         return ChainState(self.G)
-
-    def step(self, state: ChainState, rng: random.Random):
-        self.run(state, 1, rng)
 
     def run(self, state: ChainState, steps: int, rng: random.Random,
             stride: int = 0) -> list:

@@ -1,13 +1,16 @@
 """Reference computations: everything the production paths are tested against.
 
 Exponential-time, gate-guarded, and free of the production machinery: brute
-force over edge assignments (`brute_holant`, `exact_gibbs`) and over
-compatible polymer families (`brute_polymer_z`); the textbook polymer pool
-(`connected_edge_subgraphs`, `connected_edge_supersets`, `enumerate_polymers`)
-with weights computed polymer by polymer (`polymer_weight`, `weight_map`); and
-the cluster expansion (`ursell`, `enumerate_clusters`,
-`cluster_log_coefficients`). No production module imports it; the command
-line uses `brute_holant` for its `oracle` subcommand.
+force over edge assignments (`brute_holant`, `exact_gibbs`, each signature
+read by `vertex_value`) and over compatible polymer families
+(`brute_polymer_z`); the textbook polymer pool (`connected_edge_subgraphs`,
+`connected_edge_supersets`, `enumerate_polymers`) with weights computed
+polymer by polymer (`polymer_weight`, `weight_map`); the inverse of
+`polymers.family_to_assignment` (`assignment_to_family`, built on
+`make_polymer` and `is_connected_edge_set`); the paper's closed-form
+truncation order (`truncation_order`); and the cluster expansion (`ursell`,
+`enumerate_clusters`, `cluster_log_coefficients`). No production module
+imports it; the command line uses `brute_holant` for its `oracle` subcommand.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ from .errors import (
     NotInF0,
     UnsupportedWeights,
 )
-from .graph import MultiGraph, _shortlex_sets, connected_edge_sets
+from .expansion import _require_eps, _require_ratio
+from .graph import MultiGraph, _shortlex_sets, connected_edge_sets, mask_vertices
 from .polymers import ColouredPolymer, colour_supports
 from .signatures import SignatureAssignment
 
@@ -41,12 +45,22 @@ class ExactResult:
     table: dict | None = None
 
 
+def vertex_value(assign: SignatureAssignment, v: int, colour_of_edge) -> complex:
+    """f_v with each incident edge's colour from a mapping eid -> colour,
+    the edges in canonical rank order (the first is the most significant digit)."""
+    s = assign.sig(v)
+    idx = 0
+    for e in assign.G.incident(v):
+        idx = idx * (s.kappa + 1) + colour_of_edge(e)
+    return s.table[idx]
+
+
 def assignment_weight(G: MultiGraph, assign: SignatureAssignment, z, sigma) -> complex:
     """prod_v f_v(sigma restricted to v) * prod_i z_i^{#edges at value i}."""
     z = tuple(complex(t) for t in z)
     w = 1 + 0j
     for v in range(G.vertex_count):
-        w *= assign.vertex_value(v, lambda e: sigma[e])
+        w *= vertex_value(assign, v, sigma.__getitem__)
         if w == 0:
             return 0j
     for i in range(len(z)):
@@ -180,16 +194,86 @@ def polymer_weight(G: MultiGraph, assign: SignatureAssignment, z,
     w = 1 + 0j
     for c in polymer.colours:
         w *= z[c] / z[0]
-    for v in polymer.vertices():
+    for v in mask_vertices(polymer.vmask):
         s = assign.sig(v)
         if s.table[0] == 0:
             raise NotInF0(f"vertex {v}: signature {s.name!r} has f(0,...,0) = 0")
-        w *= assign.vertex_value(v, lambda e: colour_of.get(e, 0)) / s.f0
+        w *= vertex_value(assign, v, lambda e: colour_of.get(e, 0)) / s.f0
     return w
 
 
 def weight_map(G: MultiGraph, assign: SignatureAssignment, z, polymers) -> dict:
     return {p: polymer_weight(G, assign, z, p) for p in polymers}
+
+
+# ---------------------------------------------------------------------------
+# Families as edge assignments, and the closed-form truncation order
+
+
+def is_connected_edge_set(G: MultiGraph, eids) -> bool:
+    """True iff the subgraph spanned by the edge ids is connected (and nonempty)."""
+    eset = set(eids)
+    if not eset:
+        raise ValueError("empty edge set has no connectivity status")
+    todo = [min(eset)]
+    seen = set(todo)
+    while todo:
+        for v in G.edges[todo.pop()]:
+            for f in G.incident(v):
+                if f in eset and f not in seen:
+                    seen.add(f)
+                    todo.append(f)
+    return seen == eset
+
+
+def make_polymer(G: MultiGraph, edges, colours, kappa: int | None = None) -> ColouredPolymer:
+    """A checked polymer: colours in 1..kappa on a connected set of distinct
+    edges, both reordered by edge id."""
+    edges, colours = tuple(edges), tuple(colours)
+    if len(edges) != len(colours):
+        raise ValueError("edges and colours must align")
+    if len(set(edges)) != len(edges):
+        raise ValueError("repeated edge id in polymer")
+    pairs = sorted(zip(edges, colours))
+    for _, c in pairs:
+        if c < 1 or (kappa is not None and c > kappa):
+            raise ValueError(f"colour {c} outside 1..{kappa}")
+    if not is_connected_edge_set(G, edges):
+        raise ValueError("polymer support is not connected")
+    vmask = sum(1 << v for v in G.edge_vertices(edges))
+    return ColouredPolymer([e for e, _ in pairs], [c for _, c in pairs], vmask)
+
+
+def assignment_to_family(G: MultiGraph, sigma) -> list:
+    """Connected components of the non-ground subgraph, as coloured polymers
+    in `ColouredPolymer.sort_key` order: the inverse of
+    `polymers.family_to_assignment`."""
+    sigma = tuple(sigma)
+    if len(sigma) != G.edge_count:
+        raise ValueError(f"assignment length {len(sigma)} != edge count {G.edge_count}")
+    comps: list = []  # (vertex set, edge ids) of each component so far
+    for e in range(G.edge_count):
+        if sigma[e]:
+            meet = [c for c in comps if c[0] & set(G.edges[e])]
+            comps = [c for c in comps if c not in meet]
+            comps.append((set(G.edges[e]).union(*(c[0] for c in meet)),
+                          [e] + [f for c in meet for f in c[1]]))
+    family = [make_polymer(G, ids, [sigma[e] for e in ids]) for _, ids in comps]
+    return sorted(family, key=ColouredPolymer.sort_key)
+
+
+def truncation_order(d: int, eps: float, ratio: float) -> int:
+    """The paper's closed-form order ceil(log(d/eps) / (1 - ratio)).
+
+    d: polynomial degree (edge count); ratio = |x|/q must be < 1. `approx`
+    uses the sharper `expansion.certified_order`, which never exceeds it for
+    ratio <= 1/2 and eps <= 1.
+    """
+    if d < 1:
+        raise ValueError("degree must be >= 1")
+    _require_eps(eps)
+    _require_ratio(ratio)
+    return max(1, math.ceil(math.log(d / eps) / (1.0 - ratio)))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from __future__ import annotations
 from itertools import product
 
 from .errors import InvalidFugacity, NotInF0
-from .graph import MultiGraph, grow_edge_sets, is_connected_edge_set, mask_vertices
+from .graph import MultiGraph, grow_edge_sets, mask_vertices
 from .signatures import Signature, SignatureAssignment, check_fugacities
 
 
@@ -42,9 +42,6 @@ class ColouredPolymer:
     def size(self) -> int:
         return len(self.edges)
 
-    def vertices(self):
-        return mask_vertices(self.vmask)
-
     def sort_key(self):
         return (len(self.edges), self.edges, self.colours)
 
@@ -60,33 +57,6 @@ class ColouredPolymer:
 
     def __repr__(self):
         return f"ColouredPolymer(edges={self.edges}, colours={self.colours})"
-
-
-def make_polymer(G: MultiGraph, edges, colours, kappa: int | None = None) -> ColouredPolymer:
-    edges = tuple(edges)
-    colours = tuple(colours)
-    if len(edges) != len(colours):
-        raise ValueError("edges and colours must align")
-    if len(set(edges)) != len(edges):
-        raise ValueError("repeated edge id in polymer")
-    if tuple(sorted(edges)) != edges:
-        order = sorted(range(len(edges)), key=lambda i: edges[i])
-        edges = tuple(edges[i] for i in order)
-        colours = tuple(colours[i] for i in order)
-    for c in colours:
-        if c < 1 or (kappa is not None and c > kappa):
-            raise ValueError(f"colour {c} outside 1..{kappa}")
-    if not is_connected_edge_set(G, edges):
-        raise ValueError("polymer support is not connected")
-    vmask = 0
-    for v in G.edge_vertices(edges):
-        vmask |= 1 << v
-    return ColouredPolymer(edges, colours, vmask)
-
-
-def incompatible(a: ColouredPolymer, b: ColouredPolymer) -> bool:
-    """Vertex sets intersect; reflexive by construction."""
-    return (a.vmask & b.vmask) != 0
 
 
 def colour_supports(G: MultiGraph, kappa: int, supports):
@@ -206,11 +176,12 @@ def live_polymers(G: MultiGraph, assign: SignatureAssignment, z, max_edges: int)
 
 
 # ---------------------------------------------------------------------------
-# Bijection between compatible families and edge assignments
+# Compatible families as edge assignments
 
 
 def family_to_assignment(G: MultiGraph, family) -> tuple:
-    """Edge assignment sigma for a compatible family (ground colour elsewhere)."""
+    """Edge assignment sigma for a compatible family (ground colour elsewhere);
+    `oracle.assignment_to_family` is the inverse."""
     sigma = [0] * G.edge_count
     occupied = 0
     for p in family:
@@ -220,37 +191,6 @@ def family_to_assignment(G: MultiGraph, family) -> tuple:
         for e, c in zip(p.edges, p.colours):
             sigma[e] = c
     return tuple(sigma)
-
-
-def assignment_to_family(G: MultiGraph, sigma) -> list:
-    """Connected components of the non-ground subgraph, as coloured polymers."""
-    sigma = tuple(sigma)
-    if len(sigma) != G.edge_count:
-        raise ValueError(f"assignment length {len(sigma)} != edge count {G.edge_count}")
-    live = [e for e in range(G.edge_count) if sigma[e] != 0]
-    unseen = set(live)
-    family = []
-    for e0 in live:
-        if e0 not in unseen:
-            continue
-        comp = {e0}
-        unseen.discard(e0)
-        stack = list(G.edges[e0])
-        seen_v = set(stack)
-        while stack:
-            v = stack.pop()
-            for e in G.incident(v):
-                if sigma[e] != 0 and e in unseen:
-                    unseen.discard(e)
-                    comp.add(e)
-                for x in G.edges[e] if sigma[e] != 0 else ():
-                    if x not in seen_v:
-                        seen_v.add(x)
-                        stack.append(x)
-        edges = tuple(sorted(comp))
-        family.append(make_polymer(G, edges, tuple(sigma[e] for e in edges)))
-    family.sort(key=ColouredPolymer.sort_key)
-    return family
 
 
 def holant_prefactor(G: MultiGraph, assign: SignatureAssignment, z) -> complex:

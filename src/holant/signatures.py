@@ -31,6 +31,8 @@ class Signature:
         expected = (self.kappa + 1) ** self.arity
         if len(self.table) != expected:
             raise ValueError(f"table has {len(self.table)} entries, expected {expected}")
+        if not all(map(cmath.isfinite, self.table)):
+            raise ValueError(f"signature {self.name!r} has a non-finite table entry")
 
     def index(self, x) -> int:
         if len(x) != self.arity:
@@ -173,14 +175,6 @@ class SignatureAssignment:
 
     def r1(self) -> float:
         return max(1.0, self.ratio_r_class())
-
-    def vertex_value(self, v: int, colour_of_edge) -> complex:
-        """Evaluate f_v with each incident edge's colour from a mapping eid -> colour."""
-        idx = 0
-        radix = self._radix[v]
-        for p, e in enumerate(self.G.incident(v)):
-            idx += colour_of_edge(e) * radix[p]
-        return self.sigs[v].table[idx]
 
     def is_nonneg_real(self) -> bool:
         return all(s.is_nonneg_real() for s in self.sigs)

@@ -168,18 +168,32 @@ def reference_mu0(chain, e0, rng):
     return entries[lo][0]
 
 
+def toggle(state, p):
+    """Insert polymer p into a chain state, or remove it when it is there,
+    with the bookkeeping that `PolymerChain.run` does inline."""
+    inserting = p not in state.polymers
+    if inserting:
+        state.polymers.add(p)
+    else:
+        state.polymers.discard(p)
+    state.occupied ^= p.vmask
+    state.total_edges += p.size if inserting else -p.size
+    for e in p.edges:
+        state.edge_owner[e] = p if inserting else None
+
+
 def reference_step(chain, state, rng):
     """One chain step: remove the owner of a uniform edge, or insert a mu0 draw."""
     e0 = rng.randrange(chain.G.edge_count)
     owner = state.edge_owner[e0]
     if owner is not None:
         if rng.random() < 0.5:
-            state.remove(owner)
+            toggle(state, owner)
         return
     p = reference_mu0(chain, e0, rng)
     if p is not None and (p.vmask & state.occupied) == 0:
         if rng.random() < 0.5:
-            state.add(p)
+            toggle(state, p)
 
 
 def step_kernel(chain, family):

@@ -33,17 +33,17 @@ from holant import (
     Hypergraph,
     LinearSystem,
 )
-from holant.expansion import truncation_order
 from holant.linsys import linsys_region, perfect_matchings
 from holant.mcmc import PolymerChain, derive_seed
 from holant.oracle import (
     connected_edge_subgraphs,
     enumerate_polymers,
+    is_connected_edge_set,
+    truncation_order,
     ursell,
     weight_map,
 )
 from holant.polymers import holant_prefactor
-from holant.graph import is_connected_edge_set
 
 import helpers
 from helpers import (

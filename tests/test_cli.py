@@ -583,3 +583,70 @@ def test_removed_approx_options_exit_1(capsys, files):
     capsys.readouterr()
     assert main(c3) == 2
     assert capsys.readouterr().out == ""
+
+
+# ---------------------------------------------------------------------------
+# Non-finite inputs and results
+
+
+def _fails(capsys, argv, code, phrase):
+    """main(argv) exits code, with phrase on stderr and nothing on stdout."""
+    assert main(argv + ["--format", "json"]) == code, argv
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert phrase in captured.err and "Traceback" not in captured.err, captured.err
+
+
+def test_pm_non_finite_zc_exits_1(capsys, files):
+    for zc in ("nan", "1e999", "1+nanj"):
+        _fails(capsys, ["pm", "--instance", files["gpm"], "--zc", zc], 1, "--zc must be finite")
+
+
+def test_non_finite_signature_entries_exit_1(capsys, files, tmp_path):
+    for w in ("nan", "1e999"):
+        _fails(capsys, ["oracle", "--graph", files["c3"], "--sig", f"even-parity:{w}"], 1,
+               "non-finite table entry")
+    specs = [{"table": {"kappa": 1, "arity": 2, "values": [1, 0, 0, math.nan]}},
+             {"builtin": "even-parity", "weight": math.inf}]
+    for spec in specs:
+        path = tmp_path / "sig.json"
+        path.write_text(json.dumps({"default": spec}))
+        _fails(capsys, ["oracle", "--graph", files["c3"], "--sig", str(path)], 1,
+               "non-finite table entry")
+
+
+def test_verify_kp_non_finite_alpha_exits_1(capsys, files):
+    for alpha in ("nan", "inf"):
+        _fails(capsys, ["verify-kp", "--graph", files["k2"], "--sig", "matching",
+                        "--z", "1,0.1", "--alpha", alpha], 1, "alpha must be positive")
+
+
+def test_bounds_infinite_r1_exits_1(capsys):
+    for family in ("holant-poly", "mcmc-poly", "boolean"):
+        _fails(capsys, ["bounds", "--family", family, "--delta", "3", "--kappa", "1",
+                        "--r1", "inf"], 1, "r1 >= 1")
+    rep = run_json(capsys, ["bounds", "--delta", "3", "--kappa", "1", "--r1", "inf"])
+    assert "skipped" in rep["result"]["holant-poly"]
+    assert rel_close(rep["result"]["matching"]["bound"], 1 / (5 * math.e))
+
+
+def test_linsys_non_finite_weight_exits_1(capsys, tmp_path):
+    path = tmp_path / "m.txt"
+    for weights in ("nan 0.0 0.5 0.0", "0.5 0.0 0.5 inf"):
+        path.write_text(f"1 2\n1 -1\ncaps: 1 1\nweights: {weights}\n")
+        _fails(capsys, ["linsys", "--matrix", str(path)], 1, "weights must be finite")
+
+
+def test_results_past_float_range_exit_2(capsys, files, tmp_path):
+    # z^4 = 1e800 on the alternating 4-cycle, and w^2 = 1e400 on the solution (1, 1)
+    for pm in ("gpm", "hpm"):
+        _fails(capsys, ["pm", "--instance", files[pm], "--zc", "1e200"], 2,
+               "outside float range")
+    path = tmp_path / "m.txt"
+    path.write_text("1 2\n1 -1\ncaps: 1 1\nweights: 1e200 0 1e200 0\n")
+    _fails(capsys, ["linsys", "--matrix", str(path)], 2, "outside float range")
+    # two odd vertices give 1e400; z_1^2 = 1e400 raises OverflowError in complex **
+    _fails(capsys, ["oracle", "--graph", files["c3"], "--sig", "even-parity:1e200"], 2,
+           "outside float range")
+    _fails(capsys, ["oracle", "--graph", files["c4"], "--sig", "matching", "--z", "1,1e200"],
+           2, "outside float range")

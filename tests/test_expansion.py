@@ -28,7 +28,6 @@ from holant.expansion import (
     certified_order,
     log_z_coefficients,
     series_log,
-    truncation_order,
     truncation_remainder,
 )
 from holant.families import family_sum
@@ -37,10 +36,11 @@ from holant.oracle import (
     cluster_log_coefficients,
     enumerate_clusters,
     enumerate_polymers,
+    truncation_order,
     ursell,
     weight_map,
 )
-from holant.polymers import holant_prefactor, incompatible
+from holant.polymers import holant_prefactor
 from holant.signatures import even_parity_signature, matching_signature
 
 from helpers import (
@@ -159,8 +159,8 @@ def brute_clusters(polymers, max_total):
                 adj = {a: set() for a in range(len(nodes))}
                 for a in range(len(nodes)):
                     for b in range(a + 1, len(nodes)):
-                        if nodes[a] == nodes[b] or incompatible(
-                            polymers[nodes[a]], polymers[nodes[b]]
+                        if nodes[a] == nodes[b] or (
+                            polymers[nodes[a]].vmask & polymers[nodes[b]].vmask
                         ):
                             adj[a].add(b)
                             adj[b].add(a)
@@ -607,7 +607,7 @@ def _grid(rows, cols):
 
 def _matching_polynomial(G, lam):
     """sum over matchings M of lam^|M|, memoised over masks of unmatched vertices."""
-    nbrs = [[u + v - x for u, v in (G.endpoints(e) for e in G.incident(x))]
+    nbrs = [[u + v - x for u, v in (G.edges[e] for e in G.incident(x))]
             for x in range(G.vertex_count)]
 
     @functools.lru_cache(maxsize=None)

@@ -25,7 +25,7 @@ from holant import (
 from holant.bounds import q_factor_fugacity
 from holant.cli import main
 from holant.expansion import log_z_coefficients
-from holant.mcmc import PolymerChain, check_mixing_condition, check_sampling_condition
+from holant.mcmc import PolymerChain, check_chain_conditions
 from holant.polymers import compact_domain, holant_prefactor, live_polymers
 from holant.signatures import check_fugacities
 
@@ -49,8 +49,7 @@ ENTRY_POINTS = {
     "log_z_coefficients": lambda G, a, z: log_z_coefficients(G, a, z, 2),
     "approx_polynomial_report": lambda G, a, z: approx_polynomial_report(G, a, z, 0.1),
     "verify_kp": lambda G, a, z: verify_kp(G, a, z),
-    "check_sampling_condition": lambda G, a, z: check_sampling_condition(G, a, z),
-    "check_mixing_condition": lambda G, a, z: check_mixing_condition(G, a, z),
+    "check_chain_conditions": lambda G, a, z: check_chain_conditions(G, a, z),
     "PolymerChain": lambda G, a, z: PolymerChain(G, a, z),
     "sample_assignments": lambda G, a, z: sample_assignments(G, a, z, 0.1, seed=1),
     "fpras_estimate": lambda G, a, z: fpras_estimate(G, a, z, 0.5, seed=1, reps=1),

@@ -11,8 +11,8 @@ from holant import (
 )
 from holant.graph import connected_edge_sets, grow_edge_sets
 from holant.linsys import Hypergraph
-from holant.oracle import connected_edge_subgraphs, connected_edge_supersets
-from holant.graph import is_connected_edge_set
+from holant.oracle import (connected_edge_subgraphs, connected_edge_supersets,
+                           is_connected_edge_set)
 
 from helpers import MASTER_SEED, c3, random_graph, reference_grow
 

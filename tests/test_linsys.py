@@ -32,6 +32,7 @@ from holant.linsys import (
     enumerate_vector_polymers,
     linsys_region,
     perfect_matchings,
+    pm_region,
 )
 
 from helpers import MASTER_SEED, c4, k2, k4, rel_close
@@ -399,13 +400,13 @@ def test_pm_hypergraph_validation():
     with pytest.raises(ValueError):
         pm_polynomial_hypergraph(H, (0, 1), 0.5, mode="nope")
     mixed = Hypergraph(5, [(0, 1), (2, 3, 4)])
-    with pytest.raises(ValueError):
-        pm_polynomial_hypergraph(mixed, (0, 1), 0.5, mode="bound")
+    with pytest.raises(ValueError, match="region bound needs a uniform hypergraph"):
+        pm_region(mixed)
 
 
 def test_pm_hypergraph_bound_mode():
     two = Hypergraph(6, [(0, 1, 2), (3, 4, 5)])
-    rep = pm_polynomial_hypergraph(two, (0, 1), 0.0, mode="bound")
+    rep = pm_region(two)
     assert rep.family == "hyper-pm"
     assert rel_close(rep.bound, 1 / (3 * math.e))
     dense = Hypergraph(
@@ -416,7 +417,7 @@ def test_pm_hypergraph_bound_mode():
             (0, 4, 8),
         ],
     )
-    rep = pm_polynomial_hypergraph(dense, (0, 1, 2), 0.0, mode="bound")
+    rep = pm_region(dense)
     assert rel_close(rep.bound, 1 / (5 * math.e))
 
 
@@ -464,9 +465,11 @@ def test_pm_graph_matching_validation():
 
 
 def test_pm_graph_bound_mode():
-    rep = pm_polynomial_graph(k4(), (0, 5), 0.0, mode="bound")
+    rep = pm_region(k4())
     assert rep.family == "graph-pm"
     assert rel_close(rep.bound, region_bounds("graph-pm", delta=3).bound)
+    with pytest.raises(ValueError, match="unknown mode 'bound'"):
+        pm_polynomial_graph(k4(), (0, 5), 0.0, mode="bound")
 
 
 def planted_matching_graph(rng, pairs, extra):

@@ -26,8 +26,7 @@ from holant import (
 )
 from holant.mcmc import (
     PolymerChain,
-    check_mixing_condition,
-    check_sampling_condition,
+    check_chain_conditions,
     derive_seed,
     substream,
 )
@@ -43,6 +42,7 @@ from helpers import (
     reference_step,
     rel_close,
     step_kernel,
+    toggle,
 )
 
 
@@ -67,11 +67,11 @@ def test_mixing_time_formula():
 def test_sampling_condition_k2():
     G = k2()
     a = uniform_assignment(G, "matching")
-    ok, tau_star, need = check_sampling_condition(G, a, (1.0, math.e ** -9))
+    (ok, tau_star, need), _ = check_chain_conditions(G, a, (1.0, math.e ** -9))
     assert ok
     assert tau_star == pytest.approx(9.0, rel=1e-9)
     assert need == pytest.approx(5.0)
-    ok2, tau2, _ = check_sampling_condition(G, a, (1.0, 0.1))
+    (ok2, tau2, _), _ = check_chain_conditions(G, a, (1.0, 0.1))
     assert not ok2
     assert tau2 == pytest.approx(-math.log(0.1), rel=1e-9)
 
@@ -79,10 +79,10 @@ def test_sampling_condition_k2():
 def test_mixing_condition_k2():
     G = k2()
     a = uniform_assignment(G, "matching")
-    ok, worst = check_mixing_condition(G, a, (1.0, 0.8))
+    _, (ok, worst) = check_chain_conditions(G, a, (1.0, 0.8))
     assert not ok
     assert worst == pytest.approx(0.8 - 0.75, rel=1e-9)
-    ok2, _ = check_mixing_condition(G, a, (1.0, 0.7))
+    _, (ok2, _) = check_chain_conditions(G, a, (1.0, 0.7))
     assert ok2
 
 
@@ -90,8 +90,7 @@ def test_conditions_hold_inside_region():
     for G in (k2(), c3(), p4()):
         a = uniform_assignment(G, "matching")
         z = mcmc_z(G)
-        ok_s, _, _ = check_sampling_condition(G, a, z)
-        ok_m, _ = check_mixing_condition(G, a, z)
+        (ok_s, _, _), (ok_m, _) = check_chain_conditions(G, a, z)
         assert ok_s and ok_m
 
 
@@ -117,9 +116,22 @@ def test_chain_outside_region_with_gated_direct_checks_is_a_region_violation():
     G = MultiGraph(40, [(i, (i + 1) % 40) for i in range(40)])
     a = uniform_assignment(G, "matching")
     with pytest.raises(GateExceeded):
-        check_sampling_condition(G, a, (1.0, 0.01))
+        check_chain_conditions(G, a, (1.0, 0.01))
     with pytest.raises(RegionViolation, match="bound"):
         PolymerChain(G, a, (1.0, 0.01))
+
+
+def test_direct_checks_build_the_full_pool_once(monkeypatch):
+    calls = []
+    full_pool = mcmc_mod._gated_full_pool
+    monkeypatch.setattr(mcmc_mod, "_gated_full_pool",
+                        lambda *args: calls.append(args) or full_pool(*args))
+    G = c3()
+    a = uniform_assignment(G, "matching")
+    with pytest.raises(RegionViolation, match=r"direct checks give tau\* = 2\.99573 "
+                       r"\(need >= 7\.07944\), mixing margin -0\.6"):
+        PolymerChain(G, a, (1.0, 0.05))
+    assert len(calls) == 1
 
 
 def test_chain_direct_certification_beyond_region_bound():
@@ -217,7 +229,7 @@ def test_chain_state_space_preserved():
     rng = random.Random(5)
     state = chain.fresh_state()
     for _ in range(3000):
-        chain.step(state, rng)
+        chain.run(state, 1, rng)
         fam = state.family()
         for i in range(len(fam)):
             for j in range(i + 1, len(fam)):
@@ -238,7 +250,7 @@ def test_detailed_balance_empirical():
     trans = Counter()
     prev = tuple(state.family())
     for _ in range(n):
-        chain.step(state, rng)
+        chain.run(state, 1, rng)
         cur = tuple(state.family())
         trans[(len(prev), len(cur))] += 1
         prev = cur
@@ -434,7 +446,7 @@ def _packed(chain):
     for entries in chain._base:
         for p, _ in entries:
             if not p.vmask & state.occupied:
-                state.add(p)
+                toggle(state, p)
                 break
     return frozenset(state.polymers)
 
@@ -442,7 +454,7 @@ def _packed(chain):
 def _start(chain, family):
     state = chain.fresh_state()
     for p in family:
-        state.add(p)
+        toggle(state, p)
     return state
 
 

@@ -15,6 +15,7 @@ from holant import (
     make_signature,
     uniform_assignment,
 )
+from holant.oracle import vertex_value
 from holant.signatures import (
     builtin_signature,
     even_parity_signature,
@@ -145,7 +146,7 @@ def test_vertex_value_uses_canonical_edge_positions():
     f = make_signature(tab, 2, 1)
     b = SignatureAssignment(G, [matching_signature(1), f, matching_signature(1)])
     colours = {0: 1, 1: 0}
-    assert b.vertex_value(1, colours.__getitem__) == 30  # index (1,0) -> 2
+    assert vertex_value(b, 1, colours.__getitem__) == 30  # index (1,0) -> 2
 
 
 def test_json_round_trip_identical_tables():
