@@ -49,7 +49,9 @@ ENTRY_POINTS = {
     "log_z_coefficients": lambda G, a, z: log_z_coefficients(G, a, z, 2),
     "approx_polynomial_report": lambda G, a, z: approx_polynomial_report(G, a, z, 0.1),
     "verify_kp": lambda G, a, z: verify_kp(G, a, z),
-    "check_chain_conditions": lambda G, a, z: check_chain_conditions(G, a, z),
+    # the sampling and the mixing half of check_chain_conditions' result
+    "check_sampling_condition": lambda G, a, z: check_chain_conditions(G, a, z)[0],
+    "check_mixing_condition": lambda G, a, z: check_chain_conditions(G, a, z)[1],
     "PolymerChain": lambda G, a, z: PolymerChain(G, a, z),
     "sample_assignments": lambda G, a, z: sample_assignments(G, a, z, 0.1, seed=1),
     "fpras_estimate": lambda G, a, z: fpras_estimate(G, a, z, 0.5, seed=1, reps=1),
