@@ -26,6 +26,7 @@ from .errors import (
     ParseError,
     RegionViolation,
     UnsupportedWeights,
+    outside_float_range,
 )
 from .expansion import approx_polynomial_report, approx_problem_report
 from .graph import MultiGraph
@@ -102,7 +103,7 @@ def _c(v: complex):
     """[re, im] of a finite result; ConditionViolated (exit 2) past float range."""
     v = complex(v)
     if not cmath.isfinite(v):
-        raise ConditionViolated(f"result evaluates to {v}, outside float range: no value")
+        raise outside_float_range(v)
     return [v.real, v.imag]
 
 
@@ -396,7 +397,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OverflowError as exc:  # complex ** int past the float range raises
-        print(f"error: {exc}, outside float range: no value", file=sys.stderr)
+        print(f"error: {outside_float_range(exc)}", file=sys.stderr)
         return 2
     except (NotInF0, UnsupportedWeights, DegenerateDistribution) as exc:
         print(f"error: {exc}", file=sys.stderr)

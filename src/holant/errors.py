@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one error for a result
+past the float range."""
 
 
 class HolantError(Exception):
@@ -35,3 +36,10 @@ class DegenerateDistribution(HolantError, ValueError):
 
 class GateExceeded(HolantError, RuntimeError):
     """Requested exhaustive computation exceeds the configured size gate."""
+
+
+def outside_float_range(cause) -> ConditionViolated:
+    """The error for a result past the float range: cause is the non-finite
+    value, or the OverflowError that complex ** int raised on the way to it."""
+    what = cause if isinstance(cause, OverflowError) else f"result evaluates to {cause}"
+    return ConditionViolated(f"{what}, outside float range: no value")

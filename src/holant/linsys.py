@@ -23,7 +23,7 @@ import cmath
 from dataclasses import dataclass
 
 from .bounds import region_bounds
-from .errors import GateExceeded, ParseError
+from .errors import GateExceeded, ParseError, outside_float_range
 from .families import family_sum
 from .graph import (MultiGraph, _read_header, _strip_comments, bfs_order, grow_edge_sets,
                     mask_vertices)
@@ -265,18 +265,25 @@ def weighted_count(sys: LinearSystem) -> LinsysReport:
     All-zero columns are unconstrained; they factor out of the sum as
     prod over dropped j of (1 + w_j + ... + w_j^{cap_j}). family_count is
     the exact number of compatible families: one per solution on the live
-    columns.
+    columns. Raises ConditionViolated when the value lies past the float
+    range.
     """
     live = set(sys.live_columns())
     dropped = [j for j in range(sys.m) if j not in live]
-    factor = 1 + 0j
-    for j in dropped:
-        factor *= sum(sys.weights[j] ** x for x in range(sys.caps[j] + 1))
     pool = enumerate_vector_polymers(sys)
-    items = [(p.rmask, 0, p.weight(sys)) for p in pool]
+    try:
+        factor = 1 + 0j
+        for j in dropped:
+            factor *= sum(sys.weights[j] ** x for x in range(sys.caps[j] + 1))
+        items = [(p.rmask, 0, p.weight(sys)) for p in pool]
+    except OverflowError as exc:  # complex ** int past the float range raises
+        raise outside_float_range(exc) from exc
     fam = family_sum(items, bfs_order(sys.n, build_hypergraph(sys).edges))
+    value = factor * fam[0]
+    if not cmath.isfinite(value):
+        raise outside_float_range(value)
     return LinsysReport(
-        value=factor * fam[0],
+        value=value,
         polymer_count=len(pool),
         family_count=fam.families,
         dropped_columns=dropped,
@@ -397,14 +404,21 @@ def pm_polynomial_hypergraph(H: Hypergraph, matching, z: complex,
     mode "polymer" sums z^{|A| + |B|} over vertex-disjoint families of
     M-alternating polymers (`alternating_cycle_polymers`), one family per M';
     "exact" enumerates the perfect matchings, the reference route.
-    `pm_region` gives the instance's region report.
+    `pm_region` gives the instance's region report. In polymer mode a value
+    past the float range raises ConditionViolated.
     """
     matching = tuple(sorted(int(i) for i in matching))
     if mode == "polymer":
         zc = complex(z)
-        items = [(mask, 0, zc ** len(ids))
-                 for ids, mask in alternating_cycle_polymers(H, matching)]
-        return family_sum(items, bfs_order(H.vertex_count, H.edges))[0]
+        polymers = alternating_cycle_polymers(H, matching)
+        try:
+            items = [(mask, 0, zc ** len(ids)) for ids, mask in polymers]
+        except OverflowError as exc:  # complex ** int past the float range raises
+            raise outside_float_range(exc) from exc
+        value = family_sum(items, bfs_order(H.vertex_count, H.edges))[0]
+        if not cmath.isfinite(value):
+            raise outside_float_range(value)
+        return value
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
     if not H.is_perfect_matching(matching):

@@ -10,7 +10,10 @@ mu0 draws a geometric size budget k with P(k = i) = (1 - e^-rho) e^-rho*i,
 lists the polymers containing e0 with at most k edges, and accepts polymer
 gamma with probability Phi(gamma) e^{rho |E(gamma)|}, so that the overall
 output probability is exactly Phi(gamma). rho = tau - 2 - ln(kappa*Delta),
-where tau certifies Phi(gamma) <= e^{-tau |E(gamma)|}.
+where tau certifies Phi(gamma) <= e^{-tau |E(gamma)|}. `run` draws the first
+uniform as k0 (1 - random()) >= k0 2^-53 (k0 just above e^-rho; random() has
+53 bits), so k never exceeds reach = floor(-ln(k0 2^-53) / rho), and the chain
+lists only the live polymers up to reach edges: no larger one is ever drawn.
 
 `PolymerChain.run` is the one stepping loop. It simulates the chain
 rejection-free (the "n-fold way" of Bortz, Kalos and Lebowitz): a step is
@@ -114,11 +117,10 @@ class ChainState:
         self.edge_owner = [None] * G.edge_count
         self.occupied = 0
         self.total_edges = 0
-        self.polymers: set = set()
         self.moves = {"visited": 0, "inserted": 0, "removed": 0}
 
     def family(self):
-        return sorted(self.polymers, key=ColouredPolymer.sort_key)
+        return sorted({p for p in self.edge_owner if p is not None}, key=ColouredPolymer.sort_key)
 
 
 class PolymerChain:
@@ -157,10 +159,12 @@ class PolymerChain:
         for c in range(n + 1) if n else ():
             move_p = c / (2 * n) + (1.0 - c / n) * self._k0
             self._rates.append((c / (2 * n), move_p, math.log1p(-move_p)))
-        # per-edge candidate polymers, weights at scale 1, in sort_key order
-        # (so ascending by size): one walk over the live pool fills them all
-        self._base: list = [[] for _ in range(G.edge_count)]
-        for p, w in live_polymers(G, assign, self.z, G.edge_count):
+        # per-edge candidate polymers up to _reach edges, the largest size
+        # budget a draw of `run` can give (module docstring), weights at scale 1,
+        # in sort_key order (so ascending by size), all from one live-pool walk
+        self._reach = int(-math.log(self._k0 * 2.0**-53) / self.rho)
+        self._base: list = [[] for _ in range(n)]
+        for p, w in live_polymers(G, assign, self.z, min(n, self._reach)):
             if w.real > 0:
                 for e in p.edges:
                     self._base[e].append((p, w.real))
@@ -168,8 +172,6 @@ class PolymerChain:
         self._sizes = [[p.size for p, _ in entries] for entries in self._base]
         self._tilted = [[w * math.exp(self.rho * p.size) for p, w in entries]
                         for entries in self._base]
-        self._max_size = max((sizes[-1] for sizes in self._sizes if sizes), default=0)
-        self.scale = None
         self.set_scale(1.0)
 
     def _certify(self):
@@ -200,18 +202,15 @@ class PolymerChain:
         """Scale every weight by x^{|E(gamma)|} (annealing parameter)."""
         if not 0.0 <= x <= 1.0:
             raise ValueError("scale must be in [0, 1]")
-        if x == self.scale:
-            return
-        self.scale = x
-        power = [x**s for s in range(self._max_size + 1)]
-        self._lists = []
-        for entries, tilted, sizes in zip(self._base, self._tilted, self._sizes):
+        power = [x**s for s in range(self._reach + 1)]
+        self._cum = []
+        for tilted, sizes in zip(self._tilted, self._sizes):
             cum = []
             acc = 0.0
             for t, s in zip(tilted, sizes):
                 acc += t * power[s]
                 cum.append(acc)
-            self._lists.append((entries, cum, sizes))
+            self._cum.append(cum)
 
     def mu0(self, e0: int, rng: random.Random):
         """One draw from the single-polymer distribution at edge e0 (or None)."""
@@ -225,8 +224,8 @@ class PolymerChain:
         k = int(-math.log(u) / self.rho)  # P(k >= i) = e^{-rho i}
         if k == 0:
             return None
-        entries, cum, sizes = self._lists[e0]
-        hi = bisect_right(sizes, k)  # polymers with size <= k (entries ascend by size)
+        cum, sizes = self._cum[e0], self._sizes[e0]
+        hi = bisect_right(sizes, k)  # polymers with size <= k (sizes ascend)
         if hi == 0:
             return None
         total = cum[hi - 1]
@@ -238,7 +237,7 @@ class PolymerChain:
         u2 = rng.random()
         if u2 >= total:
             return None
-        return entries[bisect_right(cum, u2)][0]
+        return self._base[e0][bisect_right(cum, u2)][0]
 
     def fresh_state(self) -> ChainState:
         return ChainState(self.G)
@@ -290,7 +289,6 @@ class PolymerChain:
                 while e0 >= n or edge_owner[e0] is None:
                     e0 = getrandbits(bits)
                 owner = edge_owner[e0]
-                state.polymers.discard(owner)
                 state.occupied ^= owner.vmask
                 state.total_edges -= owner.size
                 for e in owner.edges:
@@ -302,7 +300,6 @@ class PolymerChain:
                     e0 = getrandbits(bits)
                 p = draw(e0, k0 * (1.0 - uniform()), rng)  # first mu0 uniform on (0, k0]
                 if p is not None and not p.vmask & state.occupied and uniform() < 0.5:
-                    state.polymers.add(p)
                     state.occupied |= p.vmask
                     state.total_edges += p.size
                     for e in p.edges:

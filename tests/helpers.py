@@ -144,7 +144,7 @@ def reference_mu0(chain, e0, rng):
     k = int(-math.log(u) / chain.rho)  # P(k >= i) = e^{-rho i}
     if k == 0:
         return None
-    entries, cum = chain._lists[e0][:2]
+    entries, cum = chain._base[e0], chain._cum[e0]
     hi = 0
     for p, _ in entries:
         if p.size <= k:
@@ -171,11 +171,7 @@ def reference_mu0(chain, e0, rng):
 def toggle(state, p):
     """Insert polymer p into a chain state, or remove it when it is there,
     with the bookkeeping that `PolymerChain.run` does inline."""
-    inserting = p not in state.polymers
-    if inserting:
-        state.polymers.add(p)
-    else:
-        state.polymers.discard(p)
+    inserting = state.edge_owner[p.edges[0]] != p
     state.occupied ^= p.vmask
     state.total_edges += p.size if inserting else -p.size
     for e in p.edges:
@@ -211,7 +207,7 @@ def step_kernel(chain, family):
             nxt = family - {owner[e]}
             law[nxt] = law.get(nxt, 0.0) + 1 / (2 * n)
             continue
-        entries, cum = chain._lists[e][:2]
+        entries, cum = chain._base[e], chain._cum[e]
         prev = 0.0
         for (p, _), acc in zip(entries, cum):
             phi = (acc - prev) * math.exp(-chain.rho * p.size)  # cum holds Phi e^{rho |E|}

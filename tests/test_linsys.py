@@ -12,6 +12,7 @@ import holant.linsys as linsys_mod
 from holant.cli import main
 from holant.graph import connected_edge_sets
 from holant import (
+    ConditionViolated,
     GateExceeded,
     Hypergraph,
     LinearSystem,
@@ -453,6 +454,29 @@ def test_pm_graph_c4_and_k4():
     assert rel_close(pm_polynomial_graph(c4(), (1, 2), z), 1 + z**4)
     assert rel_close(pm_polynomial_graph(k4(), (0, 5), z), 1 + 2 * z**4)
     assert rel_close(pm_polynomial_graph(k4(), (0, 5), z, mode="exact"), 1 + 2 * z**4)
+
+
+def test_results_past_float_range_raise_condition_violated():
+    # z^4 = 1e800 on the alternating 4-cycle, z^2 on the two parallel edges,
+    # w^2 = 1e400 on the solution (1, 1) and on a dropped column with cap 2
+    nan = "result evaluates to (nan+nanj), outside float range: no value"
+    overflow = "complex exponentiation, outside float range: no value"
+    cases = [
+        (lambda: pm_polynomial_graph(c4(), (0, 3), 1e200), nan),
+        (lambda: pm_polynomial_hypergraph(Hypergraph(2, [(0, 1), (0, 1)]), (0,), 1e200),
+         overflow),
+        (lambda: weighted_count(LinearSystem([[1, -1]], [1, 1], [1e200, 1e200])), nan),
+        (lambda: weighted_count(LinearSystem([[1, -1]], [2, 2], [1e200, 1e200])), overflow),
+        (lambda: weighted_count(LinearSystem([[1, 0]], [1, 2], [0.5, 1e200])), overflow),
+    ]
+    for call, message in cases:
+        with pytest.raises(ConditionViolated) as info:
+            call()
+        assert str(info.value) == message
+    # large but finite values still come back
+    assert rel_close(pm_polynomial_graph(c4(), (0, 3), 1e50), 1e200)
+    assert rel_close(weighted_count(LinearSystem([[1, -1]], [1, 1], [1e100, 1e100])).value,
+                     1e200)
 
 
 def test_pm_graph_matching_validation():

@@ -1,3 +1,4 @@
+import copy
 import math
 import random
 import statistics
@@ -30,11 +31,13 @@ from holant.mcmc import (
     derive_seed,
     substream,
 )
+from holant.polymers import live_polymers
 
 from helpers import (
     MASTER_SEED,
     c3,
     k2,
+    k4,
     p3,
     p4,
     random_graph,
@@ -417,17 +420,22 @@ def _nonneg_instance(rng):
     return G, SignatureAssignment(G, sigs), kappa
 
 
-def _busy(chain):
-    """chain at the scale that puts its largest mu0 acceptance mass near 0.9."""
+def _busy_scale(chain):
+    """The scale that puts the chain's largest mu0 acceptance mass near 0.9."""
     lo, hi = 0.0, 1.0
     for _ in range(60):
         mid = (lo + hi) / 2
         chain.set_scale(mid)
-        if max(cum[-1] for _, cum, _ in chain._lists if cum) <= 0.9:
+        if max(cum[-1] for cum in chain._cum if cum) <= 0.9:
             lo = mid
         else:
             hi = mid
-    chain.set_scale(lo)
+    return lo
+
+
+def _busy(chain):
+    """chain at `_busy_scale`."""
+    chain.set_scale(_busy_scale(chain))
     return chain
 
 
@@ -448,7 +456,7 @@ def _packed(chain):
             if not p.vmask & state.occupied:
                 toggle(state, p)
                 break
-    return frozenset(state.polymers)
+    return frozenset(state.family())
 
 
 def _start(chain, family):
@@ -528,7 +536,7 @@ def test_run_follows_the_step_kernel_in_law():
                 for _ in range(n):
                     state = _start(chain, start)
                     seen_readings[tuple(chain.run(state, steps, r, stride))] += 1
-                    seen_families[frozenset(state.polymers)] += 1
+                    seen_families[frozenset(state.family())] += 1
                 _assert_follows(seen_families, families, n)
                 _assert_follows(seen_readings, readings, n)
                 multi_edge += sum(c for fam, c in seen_families.items()
@@ -538,7 +546,7 @@ def test_run_follows_the_step_kernel_in_law():
         for _ in range(n):
             state = _start(chain, start)
             reference_step(chain, state, r)
-            seen[frozenset(state.polymers)] += 1
+            seen[frozenset(state.family())] += 1
         _assert_follows(seen, step_kernel(chain, start), n)
     assert multi_edge >= 100
 
@@ -585,3 +593,67 @@ def test_mu0_mass_above_one_raises():
     with pytest.raises(ConditionViolated) as info:
         chain.run(chain.fresh_state(), 1000, rng)
     assert str(info.value) == message
+
+
+class _TopRandom(random.Random):
+    """random() always at its largest value: random.Random returns multiples
+    of 2^-53 below 1."""
+
+    def random(self):
+        return 1.0 - 2.0**-53
+
+
+def test_reach_is_the_largest_size_budget_run_draws():
+    rng = random.Random(MASTER_SEED + 25)
+    for _ in range(20):
+        chain = _busy_chain(rng)
+        assert int(-math.log(chain._k0 * 2.0**-53) / chain.rho) == chain._reach
+        budgets = []
+        draw = chain._draw
+
+        def spy(e0, u, r, chain=chain, draw=draw):
+            budgets.append(int(-math.log(u) / chain.rho))
+            return draw(e0, u, r)
+
+        # every first mu0 uniform run draws is k0 (1 - random()) at its smallest
+        chain._draw = spy
+        chain.run(chain.fresh_state(), 10**6, _TopRandom(0))
+        assert budgets and set(budgets) == {chain._reach}
+
+
+def test_capped_chain_runs_as_its_uncapped_twin():
+    # polymers above _reach edges are never drawn: a twin that lists every
+    # live polymer ends each seeded run in the same state. K4 with kappa = 3
+    # (_reach 5), C10 even-parity (_reach 9) and C12 with kappa = 1 (_reach 9)
+    C10, C12 = (MultiGraph(n, [(i, (i + 1) % n) for i in range(n)]) for n in (10, 12))
+    ones = [make_signature([1.0] * 4 ** 3, 3, 3)] * 4
+    cases = [(k4(), SignatureAssignment(k4(), ones), (1.0, 1.0, 1.0, 1.0)),
+             (C10, uniform_assignment(C10, "even-parity", 0.5), (1.0, 1.0)),
+             (C12, SignatureAssignment(C12, [make_signature([1.0, 0.7, 0.7, 0.4], 2, 1)] * 12),
+              (1.0, 1.0))]
+    for G, a, z in cases:
+        chain = PolymerChain(G, a, z, check="none")
+        twin = copy.copy(chain)
+        twin._reach = G.edge_count  # so that set_scale powers every size
+        twin._base = [[] for _ in range(G.edge_count)]
+        for p, w in live_polymers(G, a, chain.z, G.edge_count):
+            for e in p.edges:
+                twin._base[e].append((p, w.real))
+        twin._sizes = [[p.size for p, _ in entries] for entries in twin._base]
+        twin._tilted = [[w * math.exp(chain.rho * p.size) for p, w in entries]
+                        for entries in twin._base]
+        assert chain._reach < G.edge_count
+        assert max(map(max, twin._sizes)) > chain._reach == max(map(max, chain._sizes))
+        x = _busy_scale(chain)
+        chain.set_scale(x)
+        twin.set_scale(x)
+        steps = math.ceil(2000 / chain._k0)  # about 2000 insertion attempts
+        for seed in range(3):
+            ends = []
+            for c in (chain, twin):
+                state = c.fresh_state()
+                readings = c.run(state, steps, random.Random(seed), steps // 100)
+                ends.append((state.family(), state.edge_owner, state.occupied,
+                             state.total_edges, state.moves, readings))
+            assert ends[0] == ends[1]
+            assert ends[0][4]["inserted"] >= 100

@@ -40,6 +40,7 @@ from helpers import (
     MASTER_SEED,
     c3,
     k2,
+    k4,
     p3,
     random_f0_assignment,
     random_graph,
@@ -328,30 +329,54 @@ def test_extension_table_against_brute_force():
                 assert extension_table(s) == brute
 
 
+def _random_tables(rng, G, kappa, zeros):
+    """Random non-negative tables, each entry zero with probability zeros,
+    with f(0) >= 0.5."""
+    sigs = []
+    for v in range(G.vertex_count):
+        d = G.degree(v)
+        tab = [0.0 if rng.random() < zeros else rng.uniform(0.0, 1.0)
+               for _ in range((kappa + 1) ** d)]
+        tab[0] = rng.uniform(0.5, 1.0)
+        sigs.append(make_signature(tab, d, kappa))
+    return SignatureAssignment(G, sigs)
+
+
+def _assert_chain_lists_are_supersets(G, assign, z):
+    """The chain's candidates at each edge e0 are the live polymers on the
+    connected supersets of e0 with up to min(|E|, _reach) edges."""
+    chain = PolymerChain(G, assign, z, check="none")
+    for e0 in range(G.edge_count):
+        entries = []
+        for S in connected_edge_supersets(G, e0, min(G.edge_count, chain._reach)):
+            vmask = sum(1 << v for v in G.edge_vertices(S))
+            for colouring in product(range(1, assign.kappa + 1), repeat=len(S)):
+                p = ColouredPolymer(S, colouring, vmask)
+                w = polymer_weight(G, assign, z, p).real
+                if w > 0:
+                    entries.append((p, w))
+        entries.sort(key=lambda t: (t[0].size, t[0].sort_key()))
+        assert [(p.edges, p.colours, p.vmask, w) for p, w in chain._base[e0]] == \
+            [(p.edges, p.colours, p.vmask, w) for p, w in entries]
+    return chain
+
+
 def test_chain_candidate_lists_equal_per_edge_superset_construction():
     rng = random.Random(MASTER_SEED + 12)
     for _ in range(40):
         kappa = rng.choice([1, 2])
         G = random_graph(rng, max_edges=6, max_degree=3)
-        sigs = []
-        for v in range(G.vertex_count):
-            d = G.degree(v)
-            tab = [0.0 if rng.random() < 0.4 else rng.uniform(0.0, 1.0)
-                   for _ in range((kappa + 1) ** d)]
-            tab[0] = rng.uniform(0.5, 1.0)
-            sigs.append(make_signature(tab, d, kappa))
-        assign = SignatureAssignment(G, sigs)
+        assign = _random_tables(rng, G, kappa, 0.4)
         z = tuple([1.0] + [rng.choice([0.0, rng.uniform(0.01, 0.2)]) for _ in range(kappa)])
-        chain = PolymerChain(G, assign, z, check="none")
-        for e0 in range(G.edge_count):
-            entries = []
-            for S in connected_edge_supersets(G, e0, G.edge_count):
-                vmask = sum(1 << v for v in G.edge_vertices(S))
-                for colouring in product(range(1, kappa + 1), repeat=len(S)):
-                    p = ColouredPolymer(S, colouring, vmask)
-                    w = polymer_weight(G, assign, z, p).real
-                    if w > 0:
-                        entries.append((p, w))
-            entries.sort(key=lambda t: (t[0].size, t[0].sort_key()))
-            assert [(p.edges, p.colours, p.vmask, w) for p, w in chain._base[e0]] == \
-                [(p.edges, p.colours, p.vmask, w) for p, w in entries]
+        _assert_chain_lists_are_supersets(G, assign, z)
+    # graphs with more edges than _reach (5 on K4 with kappa = 3, 7 on K5, 9
+    # on C12) and, with tables free of zeros, live polymers above it
+    K5 = MultiGraph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
+    C12 = MultiGraph(12, [(i, (i + 1) % 12) for i in range(12)])
+    for G, kappa, reach in ((k4(), 3, 5), (K5, 1, 7), (C12, 1, 9)):
+        z = tuple([1.0] + [rng.uniform(0.01, 0.2) for _ in range(kappa)])
+        assign = _random_tables(rng, G, kappa, 0.0)
+        chain = _assert_chain_lists_are_supersets(G, assign, z)
+        assert chain._reach == reach
+        assert max(p.size for p, _ in live_polymers(G, assign, z, G.edge_count)) > reach
+        assert max(p.size for entries in chain._base for p, _ in entries) == reach
