@@ -11,10 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import product
+from operator import or_
 
-from .errors import GateExceeded
+from . import errors
+from .errors import past_gate
 from .graph import MultiGraph, connected_edge_sets
-from .polymers import colour_supports, live_polymers
+from .polymers import ColouredPolymer, live_polymers
 from .signatures import SignatureAssignment, check_fugacities
 
 _E = math.e
@@ -33,10 +37,6 @@ FAMILY_PARAMS = {
     "graph-pm": ("delta",),
 }
 FAMILIES = tuple(FAMILY_PARAMS)
-
-KP_EDGE_GATE = 12
-KP_KAPPA_GATE = 3
-KP_POOL_GATE = 2 * 10**6
 
 
 @dataclass
@@ -226,18 +226,23 @@ def kp_margins(vmasks, terms, a_vals):
 def _gated_full_pool(G: MultiGraph, assign: SignatureAssignment, z):
     """Every polymer of the instance, zero-weight ones included, and its weight.
 
-    The weights come from one `live_polymers` walk; a polymer the walk does
-    not return weighs 0.
+    The supports come from one walk, each coloured by 1..kappa in
+    lexicographic order, and the weights from one `live_polymers` walk; a
+    polymer the second walk does not return weighs 0. Each walk charges its
+    own work. Between the two, the pool size sum kappa^|S| and the (distinct
+    vertex masks)^2 pairs of the `kp_margins` loop are charged, so an
+    instance whose pool or margins would pass `errors.WORK_GATE` raises
+    GateExceeded before any colouring, weight or margin.
     """
-    if G.edge_count > KP_EDGE_GATE or assign.kappa > KP_KAPPA_GATE:
-        raise GateExceeded(
-            f"full polymer enumeration gated at |E| <= {KP_EDGE_GATE}, kappa <= {KP_KAPPA_GATE}"
-        )
+    kappa = assign.kappa
     supports = connected_edge_sets(G, G.edge_count)
-    pool_size = sum(assign.kappa ** len(S) for S in supports)
-    if pool_size > KP_POOL_GATE:
-        raise GateExceeded(f"pool of {pool_size} polymers exceeds gate {KP_POOL_GATE}")
-    pool = colour_supports(G, assign.kappa, supports)
+    bits = [(1 << u) | (1 << v) for u, v in G.edges]
+    vmasks = [reduce(or_, [bits[e] for e in S]) for S in supports]
+    work = sum(kappa ** len(S) for S in supports) + len(set(vmasks)) ** 2
+    if work > errors.WORK_GATE:
+        raise past_gate(work, "pool polymers and vertex-mask pairs")
+    pool = [ColouredPolymer(S, colouring, vmask) for S, vmask in zip(supports, vmasks)
+            for colouring in product(range(1, kappa + 1), repeat=len(S))]
     live = dict(live_polymers(G, assign, z, G.edge_count))
     return pool, [live.get(p, 0j) for p in pool]
 

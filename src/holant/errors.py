@@ -1,5 +1,13 @@
-"""Exception types shared across the package, and the one error for a result
-past the float range."""
+"""Exception types shared across the package, the one error for a result
+past the float range, and the one work gate.
+
+Every loop that can run long charges the elementary work it does, and work
+known in advance is charged before the loop starts; a call raises
+GateExceeded (`past_gate`) once the work it has charged passes WORK_GATE,
+which each site reads at call time.
+"""
+
+WORK_GATE = 2 * 10**7
 
 
 class HolantError(Exception):
@@ -35,7 +43,7 @@ class DegenerateDistribution(HolantError, ValueError):
 
 
 class GateExceeded(HolantError, RuntimeError):
-    """Requested exhaustive computation exceeds the configured size gate."""
+    """A computation charged more work than WORK_GATE allows."""
 
 
 def outside_float_range(cause) -> ConditionViolated:
@@ -43,3 +51,9 @@ def outside_float_range(cause) -> ConditionViolated:
     value, or the OverflowError that complex ** int raised on the way to it."""
     what = cause if isinstance(cause, OverflowError) else f"result evaluates to {cause}"
     return ConditionViolated(f"{what}, outside float range: no value")
+
+
+def past_gate(work: int, what: str) -> GateExceeded:
+    """The error for a call that has charged work units of what, past
+    WORK_GATE."""
+    return GateExceeded(f"{work} {what} exceed gate {WORK_GATE}")

@@ -29,10 +29,9 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import add
 
-from .errors import GateExceeded
+from . import errors
+from .errors import past_gate
 from .graph import mask_vertices
-
-FAMILY_VISIT_GATE = 2 * 10**7
 
 
 @dataclass(frozen=True)
@@ -63,8 +62,9 @@ def family_sum(items, order, cap: int = 0) -> FamilySum:
 
     items: (mask, size, weight) triples with nonempty masks; items of size
     > cap cannot contribute and are left out. order: the vertices, each
-    once; it must list every vertex of every item. Raises GateExceeded once
-    the DP makes more than FAMILY_VISIT_GATE transitions (read at call time).
+    once; it must list every vertex of every item. Each transition adds a
+    series of cap + 1 terms, so the DP charges transitions * (cap + 1) and
+    raises GateExceeded once that passes `errors.WORK_GATE`.
     """
     pos = {v: i for i, v in enumerate(order)}
     if len(pos) != len(order):
@@ -83,7 +83,7 @@ def family_sum(items, order, cap: int = 0) -> FamilySum:
         starts[first].append((mask ^ (1 << order[first]), size, weight))
         touched |= mask
 
-    gate = FAMILY_VISIT_GATE
+    bound = errors.WORK_GATE // (cap + 1)
     layer = {0: ((1 + 0j,) + (0j,) * cap, 1)}
     transitions = 0
     for v, here in zip(order, starts):
@@ -99,8 +99,8 @@ def family_sum(items, order, cap: int = 0) -> FamilySum:
                 moves += [(state | rest, _shifted(coeffs, size, weight))
                           for rest, size, weight in here if not rest & state]
             transitions += len(moves)
-            if transitions > gate:
-                raise GateExceeded(f"family kernel exceeded {gate} transitions")
+            if transitions > bound:
+                raise past_gate(transitions * (cap + 1), "family-kernel series terms")
             for key, c in moves:
                 old = nxt.get(key)
                 nxt[key] = (c, count) if old is None else \

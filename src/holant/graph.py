@@ -9,7 +9,8 @@ increasing edge id.
 sets. It also takes hypergraphs (two hyperedges are adjacent when they share
 a vertex), so the polymer supports of G and the column supports of a linear
 system (`holant.linsys`) come from the same walk. Its state is three edge
-bitmasks: the set, its frontier and the banned edges.
+bitmasks: the set, its frontier and the banned edges, and it charges the
+size of every set it visits against the work gate (`holant.errors`).
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from __future__ import annotations
 from functools import reduce
 from operator import or_
 
-from .errors import ParseError
+from . import errors
+from .errors import ParseError, past_gate
 
 
 class MultiGraph:
@@ -229,37 +231,48 @@ def grow_edge_sets(G, seeds, max_edges: int, visit, extend=_once):
     walk descends once for each item of the iterable it returns, so a hook can
     try several states for e in turn (setting each before yielding it) or
     none, which cuts every superset grown from there.
+
+    Every visited set charges its size, and visit may return further work
+    units of its own to charge (None for none); the walk raises GateExceeded
+    once the total passes `errors.WORK_GATE`.
     """
     if max_edges < 1:
         return
     inc = [sum(1 << e for e in G.incident(v)) for v in range(G.vertex_count)]
     # touch[e]: mask of the edges that share a vertex with e, e included
     touch = [reduce(or_, [inc[v] for v in vs], 0) for vs in G.edges]
+    bound = errors.WORK_GATE
+    spent = 0
+
+    def grow(stack, cur, frontier, banned):
+        nonlocal spent
+        spent += len(stack) + (visit(stack) or 0)
+        if spent > bound:
+            raise past_gate(spent, "units of edge-set walk")
+        if len(stack) == max_edges:
+            return
+        cand = frontier & ~(cur | banned)
+        while cand:
+            bit = cand & -cand
+            cand ^= bit
+            e = bit.bit_length() - 1
+            stack.append(e)
+            for _ in extend(e):
+                grow(stack, cur | bit, frontier | touch[e], banned)
+            stack.pop()
+            banned |= bit
+
     banned = 0
-    for seed in seeds:
-        bit = 1 << seed
-        if banned & bit:
-            continue
-        for _ in extend(seed):
-            _grow(touch, [seed], bit, touch[seed], banned, max_edges, visit, extend)
-        banned |= bit
-
-
-def _grow(touch, stack, cur, frontier, banned, max_edges, visit, extend):
-    visit(stack)
-    if len(stack) == max_edges:
-        return
-    cand = frontier & ~(cur | banned)
-    while cand:
-        bit = cand & -cand
-        cand ^= bit
-        e = bit.bit_length() - 1
-        stack.append(e)
-        for _ in extend(e):
-            _grow(touch, stack, cur | bit, frontier | touch[e], banned, max_edges,
-                  visit, extend)
-        stack.pop()
-        banned |= bit
+    try:
+        for seed in seeds:
+            bit = 1 << seed
+            if banned & bit:
+                continue
+            for _ in extend(seed):
+                grow([seed], bit, touch[seed], banned)
+            banned |= bit
+    finally:
+        del grow  # grow refers to itself: free the walk now, not at the next GC
 
 
 def _shortlex_sets(G, seeds, max_edges: int):

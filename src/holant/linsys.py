@@ -22,16 +22,14 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
+from . import errors
 from .bounds import region_bounds
-from .errors import GateExceeded, ParseError, outside_float_range
+from .errors import GateExceeded, ParseError, outside_float_range, past_gate
 from .families import family_sum
 from .graph import (MultiGraph, _read_header, _strip_comments, bfs_order, grow_edge_sets,
                     mask_vertices)
 
-SUPPORT_BOX_GATE = 10**6
-SUPPORT_COUNT_GATE = 10**6
-VECTOR_POOL_GATE = 10**6
-PM_GATE = 10**6
+SUPPORT_BOX_GATE = 10**6  # the box `brute_weighted_count` may sweep
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +79,7 @@ class Hypergraph:
         return len(covered) == len(set(covered)) == self.vertex_count
 
 
-def perfect_matchings(H: Hypergraph, gate: int = PM_GATE):
+def perfect_matchings(H: Hypergraph, gate: int = errors.WORK_GATE):
     """All perfect matchings (sorted edge-id tuples) by exhaustive cover search."""
     out = []
     visits = [0]
@@ -182,7 +180,7 @@ class VectorPolymer:
 
 
 def enumerate_vector_polymers(sys: LinearSystem):
-    """All vector polymers of the system (gate-guarded).
+    """All vector polymers of the system.
 
     The connected column supports are the connected edge sets of H_A, walked
     once each by `graph.grow_edge_sets`. For each support, the entries
@@ -190,29 +188,27 @@ def enumerate_vector_polymers(sys: LinearSystem):
     is checked once, as soon as its last support column has a value, and a
     branch stops at the first row whose sum is nonzero. A support is skipped
     outright when some touched row meets only one of its columns, since that
-    row's sum is a nonzero entry times a value >= 1. The box gate bounds
-    every support before any of this pruning, and the count gate bounds the
-    number of supports walked.
+    row's sum is a nonzero entry times a value >= 1.
+
+    The walk charges each support's size, and each polymer found adds its
+    number of values to the same count (GateExceeded once the count passes
+    `errors.WORK_GATE`). Each support's box, the product of its caps, is
+    checked against the gate before any of this pruning, as if every box
+    vector were tried.
     """
     live = sys.live_columns()
     H = build_hypergraph(sys)
     col_rows = [sum(1 << i for i in rows) for rows in H.edges]
     out = []
-    count = 0
+    gate = errors.WORK_GATE
 
     def visit(stack):
-        nonlocal count
-        count += 1
-        if count > SUPPORT_COUNT_GATE:
-            raise GateExceeded(f"more than {SUPPORT_COUNT_GATE} connected column supports")
         support = tuple(stack)
         box = 1
         for t in support:
             box *= sys.caps[live[t]]
-        if box > SUPPORT_BOX_GATE:
-            raise GateExceeded(
-                f"support {support} has {box} candidate vectors (gate {SUPPORT_BOX_GATE})"
-            )
+        if box > gate:
+            raise past_gate(box, f"candidate vectors on support {support}")
         rmask = shared = 0  # touched rows; rows meeting two or more columns
         last = {}  # touched row -> position of its last support column
         for pos, t in enumerate(support):
@@ -221,7 +217,7 @@ def enumerate_vector_polymers(sys: LinearSystem):
             for i in mask_vertices(col_rows[t]):
                 last[i] = pos
         if shared != rmask:
-            return  # a row meeting one support column cannot sum to zero
+            return None  # a row meeting one support column cannot sum to zero
         cols = [live[t] for t in support]
         # checks[pos]: coefficients over cols[:pos + 1] of each row whose
         # last support column is cols[pos]
@@ -242,9 +238,9 @@ def enumerate_vector_polymers(sys: LinearSystem):
                     rec(pos + 1, vec)
                 vec.pop()
 
+        found = len(out)
         rec(0, [])
-        if len(out) > VECTOR_POOL_GATE:
-            raise GateExceeded(f"polymer pool exceeds {VECTOR_POOL_GATE}")
+        return (len(out) - found) * len(cols)  # the values of the polymers found
 
     grow_edge_sets(H, range(H.edge_count), H.edge_count, visit)
     out.sort(key=lambda p: (len(p.values), p.values))
@@ -353,7 +349,9 @@ def alternating_cycle_polymers(H, matching):
     B leaves open, by each non-M edge there that misses B and the vertices
     below r, and pulls in the M-edge of every vertex that edge newly reaches.
     That B-edge is forced, so each polymer is built exactly once; on a graph
-    the largest open vertex is the far end of the path.
+    the largest open vertex is the far end of the path. Each step charges one
+    unit, and the walk raises GateExceeded once it has taken more steps than
+    `errors.WORK_GATE`.
     """
     masks = [sum(1 << v for v in e) for e in H.edges]
     mate = [None] * H.vertex_count  # M-edge id at each vertex
@@ -367,9 +365,15 @@ def alternating_cycle_polymers(H, matching):
     if None in mate:
         raise ValueError("reference set is not a perfect matching")
     found = []
+    bound = errors.WORK_GATE
+    steps = 0
 
     def grow(va, cov, taken, below):
         # va: V(A); cov: vertices B covers; taken: edge ids; below: vertices < r
+        nonlocal steps
+        steps += 1
+        if steps > bound:
+            raise past_gate(steps, "alternating-walk steps")
         open_ = va & ~cov
         if not open_:
             found.append((tuple(mask_vertices(taken)), va))

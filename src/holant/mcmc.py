@@ -34,12 +34,15 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
+from . import errors
 from .bounds import _gated_full_pool, kp_margins, region_bounds
-from .errors import ConditionViolated, GateExceeded, RegionViolation, UnsupportedWeights
+from .errors import (ConditionViolated, GateExceeded, RegionViolation, UnsupportedWeights,
+                     past_gate)
 from .expansion import _require_eps
 from .graph import MultiGraph
 from .polymers import (
@@ -52,7 +55,6 @@ from .signatures import SignatureAssignment, check_fugacities
 
 DEFAULT_XI = 0.75
 _STRIDE = 2  # chain steps between FPRAS samples
-CHAIN_STEP_GATE = 2 * 10**7  # chain steps one call may plan
 
 
 def tau_floor(kappa: int, delta: int) -> float:
@@ -312,8 +314,8 @@ class PolymerChain:
 
 
 def _gate_chain_steps(steps: int) -> None:
-    if steps > CHAIN_STEP_GATE:
-        raise GateExceeded(f"{steps} planned chain steps exceed gate {CHAIN_STEP_GATE}")
+    if steps > errors.WORK_GATE:
+        raise past_gate(steps, "planned chain steps")
 
 
 def _chain_worker(task):
@@ -322,17 +324,18 @@ def _chain_worker(task):
 
 
 def _chain_map(chain: PolymerChain, fn, count: int, jobs: int, *args) -> list:
-    """[fn(chain, i, *args) for i in range(count)], over up to jobs processes.
+    """[fn(chain, i, *args) for i in range(count)], over up to jobs processes
+    and no more than the host's CPUs.
 
     The indices are dealt round-robin to the workers, and each worker gets one
     pickled copy of the parent's certified chain. fn must draw from its own
-    substream per index, so the result does not depend on jobs.
+    substream per index, so the result does not depend on the worker count.
     """
-    if jobs <= 1 or count <= 1:
+    workers = min(jobs, count, os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(chain, i, *args) for i in range(count)]
     from concurrent.futures import ProcessPoolExecutor
 
-    workers = min(jobs, count)
     tasks = [(chain, fn, range(w, count, workers), args) for w in range(workers)]
     with ProcessPoolExecutor(max_workers=workers) as ex:
         parts = list(ex.map(_chain_worker, tasks))
@@ -371,10 +374,12 @@ def sample_assignments(G: MultiGraph, assign: SignatureAssignment, z, eps: float
     identical for any jobs >= 1. When moves is a dict, the chains' move
     counts (`ChainState.moves`) summed over the trials are written into it.
     Raises GateExceeded, before the chain is built, when
-    trials * mixing_time exceeds CHAIN_STEP_GATE.
+    trials * mixing_time exceeds `errors.WORK_GATE`.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     steps = mixing_time(G, eps)
     _require_nonneg(assign, z)
     if G.edge_count == 0:
@@ -439,11 +444,13 @@ def fpras_estimate(G: MultiGraph, assign: SignatureAssignment, z, eps: float,
     repetitions of prefactor / product. Repetitions use disjoint substreams,
     so jobs > 1 returns the identical report. Raises GateExceeded, before the
     chain is built, when the reps * K * (burn + 2S) planned steps exceed
-    CHAIN_STEP_GATE.
+    `errors.WORK_GATE`.
     """
     _require_eps(eps)
     if reps < 1:
         raise ValueError("reps must be >= 1")
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     zr = _require_nonneg(assign, z)
     prefactor = holant_prefactor(G, assign, z).real
     if G.edge_count == 0:

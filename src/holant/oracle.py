@@ -29,7 +29,7 @@ from .errors import (
 )
 from .expansion import _require_eps, _require_ratio
 from .graph import MultiGraph, _shortlex_sets, connected_edge_sets, mask_vertices
-from .polymers import ColouredPolymer, colour_supports
+from .polymers import ColouredPolymer
 from .signatures import SignatureAssignment
 
 ASSIGNMENT_GATE = 10**8
@@ -170,11 +170,18 @@ def enumerate_polymers(G: MultiGraph, kappa: int, max_edges: int,
     anchor (a vertex id) restricts to polymers whose subgraph contains it.
     Order is deterministic: supports shortlex, colourings lexicographic.
     """
+    if kappa < 1:
+        raise ValueError("kappa must be >= 1")
     if anchor is None:
         supports = connected_edge_sets(G, max_edges)
     else:
         supports = connected_edge_subgraphs(G, anchor, max_edges)
-    return colour_supports(G, kappa, supports)
+    out = []
+    for S in supports:
+        vmask = sum(1 << v for v in G.edge_vertices(S))
+        out += [ColouredPolymer(S, colouring, vmask)
+                for colouring in product(range(1, kappa + 1), repeat=len(S))]
+    return out
 
 
 def polymer_weight(G: MultiGraph, assign: SignatureAssignment, z,

@@ -20,8 +20,6 @@ the polymer-by-polymer reference).
 
 from __future__ import annotations
 
-from itertools import product
-
 from .errors import InvalidFugacity, NotInF0
 from .graph import MultiGraph, grow_edge_sets, mask_vertices
 from .signatures import Signature, SignatureAssignment, check_fugacities
@@ -57,21 +55,6 @@ class ColouredPolymer:
 
     def __repr__(self):
         return f"ColouredPolymer(edges={self.edges}, colours={self.colours})"
-
-
-def colour_supports(G: MultiGraph, kappa: int, supports):
-    """Every colouring by 1..kappa of each support, in support order and
-    lexicographic colouring order."""
-    if kappa < 1:
-        raise ValueError("kappa must be >= 1")
-    out = []
-    for S in supports:
-        vmask = 0
-        for v in G.edge_vertices(S):
-            vmask |= 1 << v
-        for colouring in product(range(1, kappa + 1), repeat=len(S)):
-            out.append(ColouredPolymer(S, colouring, vmask))
-    return out
 
 
 def extension_table(s: Signature) -> list:
@@ -113,7 +96,8 @@ def live_polymers(G: MultiGraph, assign: SignatureAssignment, z, max_edges: int)
     branch is cut as soon as a touched vertex's index has no nonzero
     extension (`extension_table`): every polymer grown from there only
     extends that index further, so it weighs zero. Only live polymers and
-    the branches leading to them are visited.
+    the branches leading to them are visited, and the walk raises
+    GateExceeded once their sizes add up past `errors.WORK_GATE`.
     """
     kappa = assign.kappa
     if kappa < 1:

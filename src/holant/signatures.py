@@ -13,10 +13,9 @@ import cmath
 import json
 from dataclasses import dataclass, field
 
-from .errors import GateExceeded, InvalidFugacity, NotInF0, ParseError
+from . import errors
+from .errors import InvalidFugacity, NotInF0, ParseError, past_gate
 from .graph import MultiGraph
-
-TABLE_GATE = 10**7  # refuse to materialise tables beyond this many entries
 
 
 @dataclass(frozen=True)
@@ -85,10 +84,10 @@ def check_fugacities(z, kappa: int) -> tuple:
 
 
 def _check_gate(kappa: int, arity: int):
-    if (kappa + 1) ** arity > TABLE_GATE:
-        raise GateExceeded(
-            f"signature table of size {(kappa + 1) ** arity} exceeds gate {TABLE_GATE}"
-        )
+    """Charge a table's (kappa+1)^arity entries before it is built."""
+    entries = (kappa + 1) ** arity
+    if entries > errors.WORK_GATE:
+        raise past_gate(entries, "signature table entries")
 
 
 def make_signature(values, arity: int, kappa: int, name: str = "table") -> Signature:

@@ -13,7 +13,8 @@ from holant import (
     uniform_assignment,
     verify_kp,
 )
-from holant.bounds import q_factor_fugacity, q_factor_problem
+from holant.bounds import KpReport, kp_margins, q_factor_fugacity, q_factor_problem
+from holant.oracle import enumerate_polymers, weight_map
 
 from helpers import MASTER_SEED, c3, corpus, half_bound_z, k2
 
@@ -229,10 +230,52 @@ def test_verify_kp_vertex_size():
     assert rep.size == "vertices"
 
 
+def _grid(rows, cols):
+    cell = lambda r, c: r * cols + c
+    edges = [(cell(r, c), cell(r, c + 1)) for r in range(rows) for c in range(cols - 1)]
+    edges += [(cell(r, c), cell(r + 1, c)) for r in range(rows - 1) for c in range(cols)]
+    return MultiGraph(rows * cols, edges)
+
+
+def _kp_reference(G, assign, z):
+    """verify_kp's edge-size report at alpha 1, from the textbook pool."""
+    pool = enumerate_polymers(G, assign.kappa, G.edge_count)
+    wmap = weight_map(G, assign, z, pool)
+    a_vals = [float(p.size) for p in pool]
+    margins = kp_margins([p.vmask for p in pool],
+                         [abs(wmap[p]) * math.exp(a) for p, a in zip(pool, a_vals)], a_vals)
+    return KpReport(certified=all(m <= 0.0 for m in margins), worst_margin=max(margins),
+                    margins=margins, polymer_count=len(pool), alpha=1.0, size="edges")
+
+
+def test_verify_kp_matches_the_textbook_pool_past_the_old_shape_gates():
+    # a path of 13 edges, C40 and the 3x4 grid (17 edges) passed the old edge
+    # gate of 12, and the kappa = 4 table its kappa gate of 3
+    rng = random.Random(MASTER_SEED + 18)
+    G = c3()
+    sig = make_signature([1.0] + [rng.uniform(-1, 1) for _ in range(24)], 2, 4)
+    cases = [
+        (MultiGraph(14, [(i, i + 1) for i in range(13)]), "matching", (1.0, 0.01)),
+        (MultiGraph(40, [(i, (i + 1) % 40) for i in range(40)]), "matching", (1.0, 0.01)),
+        (_grid(3, 4), 0.5, (1.0, 0.004)),
+        (G, SignatureAssignment(G, [sig] * 3), (1.0, 0.01, 0.02, 0.03, 0.04)),
+    ]
+    for G, sig, z in cases:
+        if sig == "matching":
+            assign = uniform_assignment(G, "matching")
+        elif sig == 0.5:
+            assign = uniform_assignment(G, "even-parity", 0.5)
+        else:
+            assign = sig
+        assert verify_kp(G, assign, z) == _kp_reference(G, assign, z)
+
+
 def test_verify_kp_gate():
-    G = MultiGraph(14, [(i, i + 1) for i in range(13)])
+    # C100 has 9,901 connected edge sets on about 9,800 vertex masks, whose
+    # 9.6e7 mask pairs pass the work gate before any weight is computed
+    G = MultiGraph(100, [(i, (i + 1) % 100) for i in range(100)])
     a = uniform_assignment(G, "matching")
-    with pytest.raises(GateExceeded):
+    with pytest.raises(GateExceeded, match="vertex-mask pairs"):
         verify_kp(G, a, (1.0, 0.01))
 
 

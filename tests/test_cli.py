@@ -39,7 +39,7 @@ C4_TEXT = "4 4\n0 1\n1 2\n2 3\n0 3\n"
 
 MATRIX_TEXT = "1 2\n1 -1\ncaps: 1 1\nweights: 0.5 0.0 0.5 0.0\n"
 MATRIX_R1_TEXT = "1 1\n1\ncaps: 2\nweights: 0.5 0.0\n"
-MATRIX_GATE_TEXT = "1 2\n1 -1\ncaps: 2000 2000\nweights: 0.1 0.0 0.1 0.0\n"
+MATRIX_GATE_TEXT = "1 2\n1 -1\ncaps: 5000 5000\nweights: 0.1 0.0 0.1 0.0\n"
 
 GRAPH_PM_TEXT = "4 4\n0 1\n1 2\n2 3\n0 3\nmatching: 0 3\n"
 HYPER_PM_TEXT = "6 4\n0 1 2\n3 4 5\n0 1 3\n2 4 5\nmatching: 0 1\n"
@@ -292,6 +292,13 @@ def test_sample_jobs_bitwise_equal(capsys, files):
     assert run_json(capsys, argv) == run_json(capsys, argv + ["--jobs", "2"])
 
 
+@pytest.mark.parametrize("command", ["sample", "count-mcmc"])
+def test_jobs_below_one_is_a_usage_error(capsys, files, command):
+    assert main([command, "--graph", files["c3"], "--sig", "matching", "--z", "1,0.0004",
+                 "--eps", "0.2", "--jobs", "0"]) == 1
+    assert "jobs must be >= 1" in capsys.readouterr().err
+
+
 def test_sample_derived_seed_is_stable(capsys, files):
     argv = ["sample", "--graph", files["k2"]] + SAMPLE_ARGS
     a = run_json(capsys, argv)
@@ -348,10 +355,10 @@ def test_count_mcmc_region_violation(capsys, files):
 
 @pytest.mark.parametrize("command", ["count-mcmc", "sample"])
 def test_chain_outside_region_exits_2_when_direct_checks_are_gated(capsys, tmp_path, command):
-    # C40 at z1 = 0.01, above the mcmc-poly bound and too large for the
+    # C100 at z1 = 0.01, above the mcmc-poly bound and too large for the
     # direct checks: a region violation (exit 2), not a size gate (exit 4)
-    path = tmp_path / "c40.txt"
-    path.write_text(MultiGraph(40, [(i, (i + 1) % 40) for i in range(40)]).to_text())
+    path = tmp_path / "c100.txt"
+    path.write_text(MultiGraph(100, [(i, (i + 1) % 100) for i in range(100)]).to_text())
     assert main([command, "--graph", str(path), "--sig", "matching",
                  "--z", "1,0.01", "--eps", "0.1"]) == 2
     assert "bound" in capsys.readouterr().err
@@ -430,6 +437,37 @@ def test_linsys_region_skipped_when_r_below_2(capsys, files):
 def test_linsys_gate_exits_4(capsys, files):
     assert main(["linsys", "--matrix", files["matrix_gate"]]) == 4
     assert "error:" in capsys.readouterr().err
+
+
+def _deep_walk_files(tmp_path):
+    """Three inputs whose walks nest deeper than the recursion limit."""
+    C = MultiGraph(2000, [(i, (i + 1) % 2000) for i in range(2000)])
+    alternate = [C.edges.index((i, i + 1)) for i in range(0, 2000, 2)]
+    pm = tmp_path / "c2000pm.txt"  # one polymer: the whole cycle
+    pm.write_text(C.to_text() + "matching: " + " ".join(map(str, alternate)) + "\n")
+    n = 900  # the directed 900-cycle: flow conservation, one column per arc
+    rows = [[1 if i == j else -1 if i == (j + 1) % n else 0 for j in range(n)]
+            for i in range(n)]
+    matrix = tmp_path / "dcycle900.txt"
+    matrix.write_text(f"{n} {n}\n" + "".join(" ".join(map(str, r)) + "\n" for r in rows)
+                      + "caps: " + " ".join(["1"] * n) + "\n"
+                      + "weights: " + " ".join(["0.05 0.0"] * n) + "\n")
+    path = tmp_path / "p1101.txt"
+    path.write_text(MultiGraph(1101, [(i, i + 1) for i in range(1100)]).to_text())
+    return [
+        ["pm", "--instance", str(pm), "--zc", "0.1"],
+        ["linsys", "--matrix", str(matrix)],
+        ["verify-kp", "--graph", str(path), "--sig", "matching", "--z", "1,0.01"],
+    ]
+
+
+def test_walks_past_the_recursion_limit_exit_4(capsys, tmp_path):
+    for argv in _deep_walk_files(tmp_path):
+        t0 = time.perf_counter()
+        assert main(argv) == 4, argv[0]
+        assert time.perf_counter() - t0 < 5.0, argv[0]
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "recursion limit" in err, argv[0]
 
 
 def test_count_mcmc_step_gate_exits_4_fast(capsys, files):

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-import holant.families as families_mod
+import holant.errors as errors
 from holant import (
     GateExceeded,
     MultiGraph,
@@ -15,6 +15,7 @@ from holant import (
     uniform_assignment,
 )
 from holant.expansion import log_z_coefficients
+from holant.polymers import live_polymers
 from holant.oracle import enumerate_polymers
 from holant.families import family_sum
 from holant.graph import bfs_order, mask_vertices
@@ -111,13 +112,21 @@ def test_bfs_order_is_a_permutation():
 
 
 def test_expansion_family_gate(monkeypatch):
+    # each transition adds a series of cap + 1 = 9 terms; the walk under the
+    # kernel charges only the 8 live single edges
     G = cycle(8)
     a = uniform_assignment(G, "matching")
     z = half_bound_z(G, a)
-    assert log_z_coefficients(G, a, z, 8).family_states > 5
-    monkeypatch.setattr(families_mod, "FAMILY_VISIT_GATE", 5)
-    with pytest.raises(GateExceeded):
+    terms = 9 * log_z_coefficients(G, a, z, 8).family_states
+    assert terms > 8
+    monkeypatch.setattr(errors, "WORK_GATE", terms)
+    log_z_coefficients(G, a, z, 8)
+    monkeypatch.setattr(errors, "WORK_GATE", terms - 1)
+    with pytest.raises(GateExceeded, match="family-kernel series terms"):
         log_z_coefficients(G, a, z, 8)
+    monkeypatch.setattr(errors, "WORK_GATE", 7)
+    with pytest.raises(GateExceeded, match="^8 units of edge-set walk"):
+        live_polymers(G, a, z, 8)
 
 
 def test_approx_on_c200_matching_within_eps_of_closed_form():

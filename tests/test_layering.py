@@ -60,6 +60,7 @@ REFERENCES = ("polymer_weight", "enumerate_polymers", "weight_map", "ursell",
 # production definitions that nothing in the package reaches, each on purpose
 UNREACHED = {
     "cli._Parser.error": "argparse calls it",
+    "graph.MultiGraph.edge_vertices": "criteria 01 and 07 and the reference pool read it",
     "mcmc.PolymerChain.mu0": "criterion 10 reads it",
     "polymers.relabel_ground": "the low-temperature approx route (ROADMAP) will call it",
 }
@@ -179,20 +180,41 @@ def test_every_production_definition_is_reached():
     assert _unreached() == sorted(UNREACHED)
 
 
-def test_one_family_visit_gate():
-    bindings = []
+def _bindings():
+    """(module, name) of every name bound anywhere in the production modules."""
+    found = []
     for path in sorted(SRC.glob("*.py")):
+        if path.name == "oracle.py":
+            continue
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
-                name = node.id
+                found.append((path.name, node.id))
             elif isinstance(node, ast.alias):
-                name = node.asname or node.name
-            else:
-                continue
-            if name == "FAMILY_VISIT_GATE":
-                bindings.append(path.name)
-    assert bindings == ["families.py"]
+                found.append((path.name, node.asname or node.name))
+    return found
+
+
+def test_one_work_gate():
+    gates = sorted({b for b in _bindings() if b[1].endswith("_GATE")})
+    # the reference brute_weighted_count keeps its box gate for bench/refs.py
+    assert gates == [("errors.py", "WORK_GATE"), ("linsys.py", "SUPPORT_BOX_GATE")]
+    assert [b for b in _bindings() if b[1] == "WORK_GATE"] == [("errors.py", "WORK_GATE")]
     assert "gate" not in inspect.signature(families.family_sum).parameters
+    # every production GateExceeded comes from errors.past_gate, except in
+    # the two references that bench/refs.py runs with their gates lifted
+    raisers = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "oracle.py":
+            continue
+        for top in ast.parse(path.read_text()).body:  # by top-level definition
+            raisers += [(path.name, getattr(top, "name", None)) for node in ast.walk(top)
+                        if isinstance(node, ast.Call)
+                        and ast.unparse(node.func).endswith("GateExceeded")]
+    assert sorted(raisers) == [
+        ("errors.py", "past_gate"),
+        ("linsys.py", "brute_weighted_count"),
+        ("linsys.py", "perfect_matchings"),
+    ]
 
 
 def _raisers(*phrases):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import holant.families as families_mod
+import holant.errors as errors
 import holant.linsys as linsys_mod
 from holant.cli import main
 from holant.graph import connected_edge_sets
@@ -224,16 +224,19 @@ def test_pool_is_sorted_and_unique():
 
 
 def test_support_box_gate(monkeypatch):
+    # the production search checks each support's box against the work gate,
+    # the reference sweep the whole box against its own gate
+    monkeypatch.setattr(errors, "WORK_GATE", 100)
     monkeypatch.setattr(linsys_mod, "SUPPORT_BOX_GATE", 100)
     sys = LinearSystem([[1, -1]], [30, 30], [0.1, 0.1])
-    with pytest.raises(GateExceeded):
+    with pytest.raises(GateExceeded, match="900 candidate vectors"):
         enumerate_vector_polymers(sys)
     with pytest.raises(GateExceeded):
         brute_weighted_count(sys)
 
 
 def test_family_visit_gate(monkeypatch):
-    monkeypatch.setattr(families_mod, "FAMILY_VISIT_GATE", 3)
+    monkeypatch.setattr(errors, "WORK_GATE", 3)
     sys = LinearSystem([[1, -1, 0, 0], [0, 0, 1, -1]], [1] * 4, [0.5] * 4)
     with pytest.raises(GateExceeded):
         weighted_count(sys)
@@ -745,9 +748,11 @@ def test_pm_family_gate(monkeypatch):
     matching = tuple(G.edges.index((i, i + 1)) for i in (0, 2, 4, 6))
     assert rel_close(pm_polynomial_graph(G, matching, 0.5),
                      pm_polynomial_graph(G, matching, 0.5, mode="exact"))
-    monkeypatch.setattr(families_mod, "FAMILY_VISIT_GATE", 3)
+    monkeypatch.setattr(errors, "WORK_GATE", 3)
     with pytest.raises(GateExceeded):
         pm_polynomial_graph(G, matching, 0.5)
+    with pytest.raises(GateExceeded, match="alternating-walk steps"):
+        alternating_cycle_polymers(G, matching)
 
 
 # ---------------------------------------------------------------------------
@@ -820,7 +825,7 @@ def test_pool_matches_brute_reference():
 def test_box_gate_fires_before_the_one_column_prune(monkeypatch):
     # on the support {0, 1}, row 1 meets only column 1, so the support holds
     # no polymer; its box of 900 is still over the gate
-    monkeypatch.setattr(linsys_mod, "SUPPORT_BOX_GATE", 100)
+    monkeypatch.setattr(errors, "WORK_GATE", 100)
     sys = LinearSystem([[1, -1], [0, 1]], [30, 30], [0.1, 0.1])
     with pytest.raises(GateExceeded):
         enumerate_vector_polymers(sys)
@@ -840,15 +845,17 @@ def test_sixteen_cycle_with_chord_closed_form():
 
 def test_support_count_gate(monkeypatch, tmp_path, capsys):
     # the directed 8-cycle with chords 0 -> 4 and 4 -> 0 has many connected
-    # column supports but few polymers; the gate bounds the supports walked
+    # column supports but few polymers; the walk charges each support's size
+    # and each polymer's number of values to one count
     sys = LinearSystem(circulation(8, [(0, 4), (4, 0)]), [1] * 10, [0.5] * 10)
-    supports = len(connected_edge_sets(build_hypergraph(sys), sys.m))
-    assert supports > 100
-    monkeypatch.setattr(linsys_mod, "SUPPORT_COUNT_GATE", supports)
+    supports = connected_edge_sets(build_hypergraph(sys), sys.m)
+    assert len(supports) > 100
+    work = sum(map(len, supports)) + sum(len(p.values) for p in enumerate_vector_polymers(sys))
+    monkeypatch.setattr(errors, "WORK_GATE", work)
     pool = enumerate_vector_polymers(sys)
     assert sorted((tuple(sorted(p.values)), p.rmask) for p in pool) == reference_pool(sys)
-    monkeypatch.setattr(linsys_mod, "SUPPORT_COUNT_GATE", supports - 1)
-    with pytest.raises(GateExceeded):
+    monkeypatch.setattr(errors, "WORK_GATE", work - 1)
+    with pytest.raises(GateExceeded, match=f"^{work} units of edge-set walk exceed gate"):
         enumerate_vector_polymers(sys)
     matrix = tmp_path / "chorded.txt"
     matrix.write_text(
@@ -858,7 +865,7 @@ def test_support_count_gate(monkeypatch, tmp_path, capsys):
         + "weights: " + " ".join(["0.5 0.0"] * sys.m) + "\n"
     )
     assert main(["linsys", "--matrix", str(matrix)]) == 4
-    assert "connected column supports" in capsys.readouterr().err
-    monkeypatch.setattr(linsys_mod, "SUPPORT_COUNT_GATE", supports)
+    assert "units of edge-set walk" in capsys.readouterr().err
+    monkeypatch.setattr(errors, "WORK_GATE", work)
     assert main(["linsys", "--matrix", str(matrix)]) == 0
     capsys.readouterr()

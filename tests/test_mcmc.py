@@ -1,11 +1,14 @@
+import concurrent.futures
 import copy
 import math
+import os
 import random
 import statistics
 from collections import Counter
 
 import pytest
 
+import holant.errors as errors
 import holant.mcmc as mcmc_mod
 from holant import (
     ConditionViolated,
@@ -114,9 +117,10 @@ def test_chain_rejects_outside_region():
 
 
 def test_chain_outside_region_with_gated_direct_checks_is_a_region_violation():
-    # C40 has too many edges for the direct checks, whose own GateExceeded
-    # would otherwise read as a size gate (exit 4) rather than a bound (exit 2)
-    G = MultiGraph(40, [(i, (i + 1) % 40) for i in range(40)])
+    # C100's direct checks pass the work gate (9.6e7 vertex-mask pairs), and
+    # their GateExceeded would otherwise read as a size gate (exit 4) rather
+    # than a bound (exit 2)
+    G = MultiGraph(100, [(i, (i + 1) % 100) for i in range(100)])
     a = uniform_assignment(G, "matching")
     with pytest.raises(GateExceeded):
         check_chain_conditions(G, a, (1.0, 0.01))
@@ -297,6 +301,38 @@ def test_fpras_deterministic_and_jobs_equivalent():
     assert r1.value == r3.value
 
 
+def test_jobs_are_capped_at_the_cpu_count(monkeypatch):
+    # a fake pool that records its size and maps in-process, so no process starts
+    asked = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    G = c3()
+    a = uniform_assignment(G, "matching")
+    z = mcmc_z(G)
+    serial = sample_assignments(G, a, z, 0.1, seed=5, trials=50, jobs=1)
+    assert sample_assignments(G, a, z, 0.1, seed=5, trials=50, jobs=10**4) == serial
+    cpus = os.cpu_count() or 1
+    assert asked == ([min(50, cpus)] if cpus > 1 else [])
+    for jobs in (0, -1):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            sample_assignments(G, a, z, 0.1, seed=5, trials=50, jobs=jobs)
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            fpras_estimate(G, a, z, 0.5, seed=5, jobs=jobs)
+
+
 @pytest.mark.parametrize("jobs", [2, 3])
 def test_uneven_chunks_match_serial(jobs):
     # 7 trials and 5 reps do not split evenly over 2 or 3 workers
@@ -390,19 +426,19 @@ def test_chain_step_gate_at_the_exact_plan(monkeypatch):
     samples = sample_assignments(G, a, z, 0.1, seed=1, trials=trials)
     sample_plan = trials * mixing_time(G, 0.1)
 
-    monkeypatch.setattr(mcmc_mod, "CHAIN_STEP_GATE", plan)
+    monkeypatch.setattr(errors, "WORK_GATE", plan)
     assert fpras_estimate(G, a, z, eps, seed=1, reps=reps) == rep
-    monkeypatch.setattr(mcmc_mod, "CHAIN_STEP_GATE", sample_plan)
+    monkeypatch.setattr(errors, "WORK_GATE", sample_plan)
     assert sample_assignments(G, a, z, 0.1, seed=1, trials=trials) == samples
 
     def no_chain(*args, **kwargs):
         raise AssertionError("chain built past the step gate")
 
     monkeypatch.setattr(mcmc_mod, "PolymerChain", no_chain)
-    monkeypatch.setattr(mcmc_mod, "CHAIN_STEP_GATE", plan - 1)
+    monkeypatch.setattr(errors, "WORK_GATE", plan - 1)
     with pytest.raises(GateExceeded, match=f"{plan} planned chain steps"):
         fpras_estimate(G, a, z, eps, seed=1, reps=reps)
-    monkeypatch.setattr(mcmc_mod, "CHAIN_STEP_GATE", sample_plan - 1)
+    monkeypatch.setattr(errors, "WORK_GATE", sample_plan - 1)
     with pytest.raises(GateExceeded, match=f"{sample_plan} planned chain steps"):
         sample_assignments(G, a, z, 0.1, seed=1, trials=trials)
 

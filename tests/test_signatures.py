@@ -4,7 +4,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import holant.errors as errors
 from holant import (
+    GateExceeded,
     MultiGraph,
     NotInF0,
     ParseError,
@@ -23,6 +25,16 @@ from holant.signatures import (
 )
 
 from helpers import MASTER_SEED, c3, p3, random_f0_assignment, random_graph
+
+
+def test_table_gate_charges_the_entries_before_the_build(monkeypatch):
+    monkeypatch.setattr(errors, "WORK_GATE", 16)
+    assert len(matching_signature(4).table) == 16
+    assert len(make_signature([1.0] * 9, 2, 2).table) == 9
+    with pytest.raises(GateExceeded, match="^32 signature table entries exceed gate 16$"):
+        even_parity_signature(5, 0.5)
+    with pytest.raises(GateExceeded, match="^27 signature table entries"):
+        make_signature([1.0] * 27, 3, 2)
 
 
 def test_matching_builtin_values():
