@@ -13,12 +13,12 @@ import math
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import product
-from operator import or_
+from operator import mul, or_
 
 from . import errors
 from .errors import past_gate
-from .graph import MultiGraph, connected_edge_sets
-from .polymers import ColouredPolymer, live_polymers
+from .graph import MultiGraph, connected_edge_sets, mask_vertices
+from .polymers import ColouredPolymer, weight_tables
 from .signatures import SignatureAssignment, check_fugacities
 
 _E = math.e
@@ -226,25 +226,43 @@ def kp_margins(vmasks, terms, a_vals):
 def _gated_full_pool(G: MultiGraph, assign: SignatureAssignment, z):
     """Every polymer of the instance, zero-weight ones included, and its weight.
 
-    The supports come from one walk, each coloured by 1..kappa in
-    lexicographic order, and the weights from one `live_polymers` walk; a
-    polymer the second walk does not return weighs 0. Each walk charges its
-    own work. Between the two, the pool size sum kappa^|S| and the (distinct
-    vertex masks)^2 pairs of the `kp_margins` loop are charged, so an
-    instance whose pool or margins would pass `errors.WORK_GATE` raises
-    GateExceeded before any colouring, weight or margin.
+    The supports come from one walk, shortlex, and one pass then colours each
+    by 1..kappa in lexicographic order and weighs it from
+    `polymers.weight_tables`, bitwise as `oracle.polymer_weight` does (a zero
+    weight as 0j). The walk charges its own work; the pool size sum
+    kappa^|S| and the (distinct vertex masks)^2 pairs of the `kp_margins`
+    loop are charged after it, so an instance whose pool or margins would
+    pass `errors.WORK_GATE` raises GateExceeded before any colouring, weight
+    or margin, and before the InvalidFugacity or NotInF0 of the weights.
     """
     kappa = assign.kappa
     supports = connected_edge_sets(G, G.edge_count)
     bits = [(1 << u) | (1 << v) for u, v in G.edges]
     vmasks = [reduce(or_, [bits[e] for e in S]) for S in supports]
-    work = sum(kappa ** len(S) for S in supports) + len(set(vmasks)) ** 2
+    masks = set(vmasks)
+    work = sum(kappa ** len(S) for S in supports) + len(masks) ** 2
     if work > errors.WORK_GATE:
         raise past_gate(work, "pool polymers and vertex-mask pairs")
-    pool = [ColouredPolymer(S, colouring, vmask) for S, vmask in zip(supports, vmasks)
-            for colouring in product(range(1, kappa + 1), repeat=len(S))]
-    live = dict(live_polymers(G, assign, z, G.edge_count))
-    return pool, [live.get(p, 0j) for p in pool]
+    ratio, ends, quot = weight_tables(G, assign, check_fugacities(z, kappa))
+    verts = {m: mask_vertices(m) for m in masks}
+    idx = [0] * G.vertex_count  # signature indices, back to 0 after each polymer
+    sized: dict = {}  # size -> every colouring of that size, with its ratio product
+    pool, weights = [], []
+    for S, vmask in zip(supports, vmasks):
+        if len(S) not in sized:
+            sized[len(S)] = [(cols, reduce(mul, [ratio[c] for c in cols], 1 + 0j))
+                             for cols in product(range(1, kappa + 1), repeat=len(S))]
+        at = [ends[e] for e in S]
+        for cols, w in sized[len(S)]:
+            for (u, ru, v, rv), c in zip(at, cols):
+                idx[u] += c * ru
+                idx[v] += c * rv
+            for x in verts[vmask]:
+                w *= quot[x][idx[x]]
+                idx[x] = 0
+            pool.append(ColouredPolymer(S, cols, vmask))
+            weights.append(w if w else 0j)
+    return pool, weights
 
 
 def verify_kp(G: MultiGraph, assign: SignatureAssignment, z,

@@ -7,16 +7,22 @@ from holant import (
     GateExceeded,
     InvalidFugacity,
     MultiGraph,
+    NotInF0,
     SignatureAssignment,
     make_signature,
     region_bounds,
     uniform_assignment,
     verify_kp,
 )
+from holant import bounds as bounds_mod
+from holant import graph as graph_mod
+from holant import polymers as polymers_mod
 from holant.bounds import KpReport, kp_margins, q_factor_fugacity, q_factor_problem
+from holant.mcmc import check_chain_conditions
 from holant.oracle import enumerate_polymers, weight_map
+from holant.polymers import live_polymers
 
-from helpers import MASTER_SEED, c3, corpus, half_bound_z, k2
+from helpers import MASTER_SEED, c3, corpus, half_bound_z, k2, p3, random_sparse_instance
 
 
 E = math.e
@@ -268,6 +274,56 @@ def test_verify_kp_matches_the_textbook_pool_past_the_old_shape_gates():
         else:
             assign = sig
         assert verify_kp(G, assign, z) == _kp_reference(G, assign, z)
+
+
+def test_verify_kp_matches_the_textbook_pool_on_sparse_instances():
+    # tables with zero entries and fugacities that are exactly zero, where
+    # most of the pool weighs 0 and the weights come from one colouring pass
+    rng = random.Random(MASTER_SEED + 19)
+    for _ in range(50):
+        kappa = rng.choice([1, 2, 3])
+        G, assign, z = random_sparse_instance(rng, kappa, 6 if kappa < 3 else 4)
+        assert verify_kp(G, assign, z) == _kp_reference(G, assign, z)
+
+
+def test_full_pool_walks_once_and_never_grows_live_polymers(monkeypatch):
+    walks, grow = [], graph_mod.grow_edge_sets
+
+    def counting(*args):
+        walks.append(args[2])
+        return grow(*args)
+
+    monkeypatch.setattr(graph_mod, "grow_edge_sets", counting)
+    monkeypatch.setattr(polymers_mod, "grow_edge_sets", counting)
+    for module in (polymers_mod, bounds_mod):
+        monkeypatch.setattr(module, "live_polymers",
+                            lambda *args: pytest.fail("live_polymers called"), raising=False)
+    G = _grid(3, 3)
+    a = uniform_assignment(G, "even-parity", 0.5)
+    report = verify_kp(G, a, (1.0, 0.004))
+    assert walks == [G.edge_count]
+    assert report.polymer_count == len(enumerate_polymers(G, 1, G.edge_count))
+
+
+def test_verify_kp_keeps_the_error_order_of_the_weights():
+    # a vertex outside F0 raises live_polymers' NotInF0, word for word, and
+    # a gated instance raises GateExceeded before it looks at any signature
+    G = p3()
+    a = SignatureAssignment(G, [make_signature([1, 1], 1, 1), make_signature([1, 1, 1, 0], 2, 1),
+                                make_signature([0, 1], 1, 1)])
+    with pytest.raises(NotInF0) as want:
+        live_polymers(G, a, (1.0, 0.1), G.edge_count)
+    with pytest.raises(NotInF0) as got:
+        verify_kp(G, a, (1.0, 0.1))
+    assert str(got.value) == str(want.value) == "vertex 2: signature 'table' has f(0,...,0) = 0"
+    G = MultiGraph(100, [(i, (i + 1) % 100) for i in range(100)])
+    sigs = list(uniform_assignment(G, "matching").sigs)
+    sigs[50] = make_signature([0, 1, 1, 0], 2, 1)
+    a = SignatureAssignment(G, sigs)
+    for check in (lambda: verify_kp(G, a, (1.0, 0.01)),
+                  lambda: check_chain_conditions(G, a, (1.0, 0.01))):
+        with pytest.raises(GateExceeded, match="vertex-mask pairs"):
+            check()
 
 
 def test_verify_kp_gate():
