@@ -18,7 +18,7 @@ from operator import mul, or_
 from . import errors
 from .errors import past_gate
 from .graph import MultiGraph, connected_edge_sets, mask_vertices
-from .polymers import ColouredPolymer, weight_tables
+from .polymers import ColouredPolymer, extension_table, weight_tables
 from .signatures import SignatureAssignment, check_fugacities
 
 _E = math.e
@@ -228,12 +228,19 @@ def _gated_full_pool(G: MultiGraph, assign: SignatureAssignment, z):
 
     The supports come from one walk, shortlex, and one pass then colours each
     by 1..kappa in lexicographic order and weighs it from
-    `polymers.weight_tables`, bitwise as `oracle.polymer_weight` does (a zero
-    weight as 0j). The walk charges its own work; the pool size sum
-    kappa^|S| and the (distinct vertex masks)^2 pairs of the `kp_margins`
-    loop are charged after it, so an instance whose pool or margins would
-    pass `errors.WORK_GATE` raises GateExceeded before any colouring, weight
-    or margin, and before the InvalidFugacity or NotInF0 of the weights.
+    `polymers.weight_tables` and per-signature tables of f(i)/f(0), bitwise
+    as `oracle.polymer_weight` does (a zero weight as 0j). The walk charges
+    its own work; the pool size sum kappa^|S| and the (distinct vertex
+    masks)^2 pairs of the `kp_margins` loop are charged after it, so an
+    instance whose pool or margins would pass `errors.WORK_GATE` raises
+    GateExceeded before any colouring, weight or margin, and before the
+    ValueError, InvalidFugacity or NotInF0 of the weights. The pass then
+    charges what the `live_polymers` walk over all sizes charges, |S| for
+    each colouring by nonzero-fugacity colours whose vertex indices all have
+    a nonzero extension, so it stops on the instances that walk stops on
+    (its order differs, so the count in the message can differ by less than
+    |E|). It tallies only when sum |S| c^|S|, c the number of such colours,
+    could pass the gate.
     """
     kappa = assign.kappa
     supports = connected_edge_sets(G, G.edge_count)
@@ -243,21 +250,40 @@ def _gated_full_pool(G: MultiGraph, assign: SignatureAssignment, z):
     work = sum(kappa ** len(S) for S in supports) + len(masks) ** 2
     if work > errors.WORK_GATE:
         raise past_gate(work, "pool polymers and vertex-mask pairs")
-    ratio, ends, quot = weight_tables(G, assign, check_fugacities(z, kappa))
+    if kappa < 1:
+        raise ValueError("kappa must be >= 1")
+    z = check_fugacities(z, kappa)
+    ratio, ends = weight_tables(G, assign, z)
+    colours = sum(1 for c in z[1:] if c != 0)
+    tally = sum(len(S) * colours ** len(S) for S in supports) > errors.WORK_GATE
+    tables: dict = {}
+    for s in assign.sigs:
+        if id(s) not in tables:
+            tables[id(s)] = ([t / s.f0 for t in s.table] if s.f0 else None,
+                             extension_table(s) if tally else None)
+    quot, ext = zip(*(tables[id(s)] for s in assign.sigs))
+    spent = 0
     verts = {m: mask_vertices(m) for m in masks}
     idx = [0] * G.vertex_count  # signature indices, back to 0 after each polymer
-    sized: dict = {}  # size -> every colouring of that size, with its ratio product
+    sized: dict = {}  # size -> each colouring, its ratio product, all colours nonzero
     pool, weights = [], []
     for S, vmask in zip(supports, vmasks):
-        if len(S) not in sized:
-            sized[len(S)] = [(cols, reduce(mul, [ratio[c] for c in cols], 1 + 0j))
-                             for cols in product(range(1, kappa + 1), repeat=len(S))]
+        n = len(S)
+        if n not in sized:
+            sized[n] = [(cols, reduce(mul, [ratio[c] for c in cols], 1 + 0j),
+                         all([z[c] != 0 for c in cols]))
+                        for cols in product(range(1, kappa + 1), repeat=n)]
         at = [ends[e] for e in S]
-        for cols, w in sized[len(S)]:
+        vs = verts[vmask]
+        for cols, w, nonzero in sized[n]:
             for (u, ru, v, rv), c in zip(at, cols):
                 idx[u] += c * ru
                 idx[v] += c * rv
-            for x in verts[vmask]:
+            if tally and nonzero and all([ext[x][idx[x]] for x in vs]):
+                spent += n
+                if spent > errors.WORK_GATE:
+                    raise past_gate(spent, "units of edge-set walk")
+            for x in vs:
                 w *= quot[x][idx[x]]
                 idx[x] = 0
             pool.append(ColouredPolymer(S, cols, vmask))

@@ -82,14 +82,14 @@ def extension_table(s: Signature) -> list:
 
 
 def weight_tables(G: MultiGraph, assign: SignatureAssignment, z):
-    """The factors of every polymer weight, for a z `check_fugacities` passed.
+    """The edge factors of every polymer weight, for a z `check_fugacities`
+    passed.
 
-    Returns (ratio, ends, quot): ratio[c] = z_c / z_0; ends[e] = (u, ru, v,
-    rv), each endpoint of edge e with the radix weight of e's position there;
-    quot[x][i] = f_x(i) / f_x(0), None at a vertex on no edge whose f_x(0) is
-    0. A polymer weighs 1 times ratio[c] for each edge colour in edge order,
-    then quot[x][idx_x] for each vertex in ascending order, idx_x the sum of
-    colour times radix over x's edges in the polymer: `oracle.polymer_weight`'s
+    Returns (ratio, ends): ratio[c] = z_c / z_0; ends[e] = (u, ru, v, rv),
+    each endpoint of edge e with the radix weight of e's position there. A
+    polymer weighs 1 times ratio[c] for each edge colour in edge order, then
+    f_x(idx_x) / f_x(0) for each vertex x in ascending order, idx_x the sum
+    of colour times radix over x's edges in the polymer: `oracle.polymer_weight`'s
     factors in its order, so the weights agree bit for bit. Raises the NotInF0
     that polymer_weight raises on the single-edge polymers, which lead
     `oracle.enumerate_polymers` order.
@@ -105,11 +105,7 @@ def weight_tables(G: MultiGraph, assign: SignatureAssignment, z):
          v, assign._radix[v][assign.edge_position(v, e)])
         for e, (u, v) in enumerate(G.edges)
     ]
-    tables: dict = {}
-    for s in assign.sigs:
-        if id(s) not in tables and s.f0:
-            tables[id(s)] = [t / s.f0 for t in s.table]
-    return ratio, ends, [tables.get(id(s)) for s in assign.sigs]
+    return ratio, ends
 
 
 def live_polymers(G: MultiGraph, assign: SignatureAssignment, z, max_edges: int):
@@ -136,13 +132,13 @@ def live_polymers(G: MultiGraph, assign: SignatureAssignment, z, max_edges: int)
     z = check_fugacities(z, kappa)
     if max_edges < 1 or G.edge_count == 0:
         return []
-    ratio, ends, quot = weight_tables(G, assign, z)
+    ratio, ends = weight_tables(G, assign, z)
     colours = [c for c in range(1, kappa + 1) if z[c] != 0]
     tables: dict = {}
     for s in assign.sigs:
         if id(s) not in tables:
-            tables[id(s)] = extension_table(s)
-    ext = [tables[id(s)] for s in assign.sigs]
+            tables[id(s)] = (extension_table(s), s.table, s.f0)
+    ext, vals, f0 = zip(*(tables[id(s)] for s in assign.sigs))
     bits = [(1 << u) | (1 << v) for u, v in G.edges]
     idx = [0] * G.vertex_count
     colour = [0] * G.edge_count
@@ -169,7 +165,7 @@ def live_polymers(G: MultiGraph, assign: SignatureAssignment, z, max_edges: int)
         for e in edges:
             vmask |= bits[e]
         for x in mask_vertices(vmask):
-            w *= quot[x][idx[x]]
+            w *= vals[x][idx[x]] / f0[x]
         if w != 0:
             out.append((ColouredPolymer(edges, cols, vmask), w))
 

@@ -73,25 +73,6 @@ def random_instance(rng, max_edges=8, max_degree=3, rmax=None):
     return G, random_f0_assignment(rng, G, kappa, rmax=rmax)
 
 
-def random_sparse_instance(rng, kappa, max_edges):
-    """Random graph and tables with zero entries (f(0) kept nonzero), plus
-    complex fugacities of which some non-ground ones are exactly zero."""
-    G = random_graph(rng, max_edges=max_edges, max_degree=3)
-    sigs = []
-    for v in range(G.vertex_count):
-        d = G.degree(v)
-        p_zero = rng.choice([0.0, 0.3, 0.7])
-        tab = [0j if rng.random() < p_zero
-               else complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-               for _ in range((kappa + 1) ** d)]
-        tab[0] = complex(rng.uniform(0.4, 1.0), rng.uniform(-0.5, 0.5))
-        sigs.append(make_signature(tab, d, kappa))
-    z = [complex(rng.uniform(0.5, 1.5), rng.uniform(-0.5, 0.5))]
-    z += [0j if rng.random() < 0.25 else complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-          for _ in range(kappa)]
-    return G, SignatureAssignment(G, sigs), tuple(z)
-
-
 def corpus(count, seed=MASTER_SEED, **kw):
     rng = random.Random(seed)
     return [random_instance(rng, **kw) for _ in range(count)]

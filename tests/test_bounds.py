@@ -14,7 +14,7 @@ from holant import (
     uniform_assignment,
     verify_kp,
 )
-from holant import bounds as bounds_mod
+from holant import errors
 from holant import graph as graph_mod
 from holant import polymers as polymers_mod
 from holant.bounds import KpReport, kp_margins, q_factor_fugacity, q_factor_problem
@@ -22,7 +22,7 @@ from holant.mcmc import check_chain_conditions
 from holant.oracle import enumerate_polymers, weight_map
 from holant.polymers import live_polymers
 
-from helpers import MASTER_SEED, c3, corpus, half_bound_z, k2, p3, random_sparse_instance
+from helpers import MASTER_SEED, c3, corpus, half_bound_z, k2, p3
 
 
 E = math.e
@@ -276,17 +276,9 @@ def test_verify_kp_matches_the_textbook_pool_past_the_old_shape_gates():
         assert verify_kp(G, assign, z) == _kp_reference(G, assign, z)
 
 
-def test_verify_kp_matches_the_textbook_pool_on_sparse_instances():
-    # tables with zero entries and fugacities that are exactly zero, where
-    # most of the pool weighs 0 and the weights come from one colouring pass
-    rng = random.Random(MASTER_SEED + 19)
-    for _ in range(50):
-        kappa = rng.choice([1, 2, 3])
-        G, assign, z = random_sparse_instance(rng, kappa, 6 if kappa < 3 else 4)
-        assert verify_kp(G, assign, z) == _kp_reference(G, assign, z)
-
-
 def test_full_pool_walks_once_and_never_grows_live_polymers(monkeypatch):
+    # live_polymers walks through polymers.grow_edge_sets, so a call to it
+    # would show as a second walk
     walks, grow = [], graph_mod.grow_edge_sets
 
     def counting(*args):
@@ -295,14 +287,46 @@ def test_full_pool_walks_once_and_never_grows_live_polymers(monkeypatch):
 
     monkeypatch.setattr(graph_mod, "grow_edge_sets", counting)
     monkeypatch.setattr(polymers_mod, "grow_edge_sets", counting)
-    for module in (polymers_mod, bounds_mod):
-        monkeypatch.setattr(module, "live_polymers",
-                            lambda *args: pytest.fail("live_polymers called"), raising=False)
     G = _grid(3, 3)
     a = uniform_assignment(G, "even-parity", 0.5)
     report = verify_kp(G, a, (1.0, 0.004))
     assert walks == [G.edge_count]
     assert report.polymer_count == len(enumerate_polymers(G, 1, G.edge_count))
+
+
+def test_full_pool_charges_what_a_live_walk_charges(monkeypatch):
+    # the colouring pass charges |S| for each colouring a live_polymers walk
+    # over all sizes visits: colours of nonzero fugacity (the third z) whose
+    # indices all extend to a nonzero entry (the zero entries cut some). At a
+    # gate one below that walk's total both stop and name the total, at the
+    # total both answer; the pool and mask-pair charge stays below it
+    def path(n, mid):
+        G = MultiGraph(n, [(i, i + 1) for i in range(n - 1)])
+        end = make_signature([1, 0.5, 0.5], 1, 2)
+        sigs = [end] + [make_signature([1] + [0.1 * k for k in range(1, 9)], 2, 2)] * (n - 2)
+        sigs[mid] = make_signature([1] + [0.1 * k for k in range(1, 8)] + [0], 2, 2)
+        return G, SignatureAssignment(G, sigs + [end])
+
+    P10 = path(10, 1)
+    star = MultiGraph(5, [(0, v) for v in range(1, 5)])
+    star_a = SignatureAssignment(star, [make_signature([1] + [0.1] * 1294 + [0], 4, 5)]
+                                 + [make_signature([1] + [0.5] * 5, 1, 5)] * 4)
+    walk, units = polymers_mod.grow_edge_sets, []
+    monkeypatch.setattr(polymers_mod, "grow_edge_sets", lambda G, seeds, m, visit, extend: walk(
+        G, seeds, m, lambda stack: units.append(len(stack)) or visit(stack), extend))
+    for G, a, z in (P10 + ((1, 0.01, 0.01),), (star, star_a, (1,) + (0.01,) * 5),
+                    (star, star_a, (1, 0.01, 0.01, 0, 0.01, 0.01))):
+        units.clear()
+        monkeypatch.setattr(errors, "WORK_GATE", 10**9)
+        live_polymers(G, a, z, G.edge_count)
+        total = sum(units)
+        monkeypatch.setattr(errors, "WORK_GATE", total)
+        assert verify_kp(G, a, z).polymer_count == len(enumerate_polymers(G, a.kappa, G.edge_count))
+        monkeypatch.setattr(errors, "WORK_GATE", total - 1)
+        for check in (verify_kp, lambda *args: live_polymers(*args, G.edge_count)):
+            with pytest.raises(GateExceeded) as err:
+                check(G, a, z)
+            assert str(err.value) == f"{total} units of edge-set walk exceed gate {total - 1}"
 
 
 def test_verify_kp_keeps_the_error_order_of_the_weights():

@@ -201,6 +201,12 @@ def test_kappa_zero_approx_matches_oracle_and_chains_exit_1(capsys, files):
         assert "need delta,kappa >= 1 and r1 >= 1" in capsys.readouterr().err
 
 
+def test_kappa_zero_verify_kp_exits_1(capsys, files):
+    # a pool of no polymers would certify vacuously; the weights refuse kappa 0
+    assert main(["verify-kp", "--graph", files["c3"], "--sig", files["kappa0"]]) == 1
+    assert "kappa must be >= 1" in capsys.readouterr().err
+
+
 def test_negative_first_fugacity_needs_the_equals_form(capsys, files):
     # argparse reads "-1,0.5" after a space as an option, so that form exits 1
     argv = ["oracle", "--graph", files["c3"], "--sig", "matching"]

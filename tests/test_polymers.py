@@ -45,7 +45,6 @@ from helpers import (
     random_f0_assignment,
     random_graph,
     random_instance,
-    random_sparse_instance as _random_sparse_instance,
     rel_close,
 )
 
@@ -247,6 +246,25 @@ def test_remapped_tables_read_the_old_table_per_tuple():
                 assert new_s.kappa == len(idx) - 1
                 for x in product(range(len(idx)), repeat=new_s.arity):
                     assert new_s(x) == old_s(tuple(idx[xi] for xi in x))
+
+
+def _random_sparse_instance(rng, kappa, max_edges):
+    """Random graph and tables with zero entries (f(0) kept nonzero), plus
+    complex fugacities of which some non-ground ones are exactly zero."""
+    G = random_graph(rng, max_edges=max_edges, max_degree=3)
+    sigs = []
+    for v in range(G.vertex_count):
+        d = G.degree(v)
+        p_zero = rng.choice([0.0, 0.3, 0.7])
+        tab = [0j if rng.random() < p_zero
+               else complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+               for _ in range((kappa + 1) ** d)]
+        tab[0] = complex(rng.uniform(0.4, 1.0), rng.uniform(-0.5, 0.5))
+        sigs.append(make_signature(tab, d, kappa))
+    z = [complex(rng.uniform(0.5, 1.5), rng.uniform(-0.5, 0.5))]
+    z += [0j if rng.random() < 0.25 else complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+          for _ in range(kappa)]
+    return G, SignatureAssignment(G, sigs), tuple(z)
 
 
 def _bits(pairs):
