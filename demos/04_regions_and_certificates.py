@@ -34,6 +34,5 @@ G = MultiGraph.from_text("3 3\n0 1\n1 2\n0 2\n")
 assign = uniform_assignment(G, "matching")
 for z1 in (0.05, 0.2, 0.5):
     rep = verify_kp(G, assign, (1.0, z1))
-    worst = max(rep.margins)
     print(f"z1 = {z1:4.2f}  certified = {str(rep.certified):5s}  "
-          f"worst margin = {worst:+.4f}")
+          f"worst margin = {rep.worst_margin:+.4f}")

@@ -18,7 +18,7 @@ from operator import mul, or_
 from . import errors
 from .errors import past_gate
 from .graph import MultiGraph, connected_edge_sets, mask_vertices
-from .polymers import ColouredPolymer, extension_table, weight_tables
+from .polymers import weight_tables
 from .signatures import SignatureAssignment, check_fugacities
 
 _E = math.e
@@ -193,7 +193,6 @@ def q_factor_problem(delta: int, kappa: int, r_class: float) -> float:
 class KpReport:
     certified: bool
     worst_margin: float
-    margins: list
     polymer_count: int
     alpha: float
     size: str
@@ -206,89 +205,76 @@ class KpReport:
         )
 
 
-def kp_margins(vmasks, terms, a_vals):
-    """Per-polymer margins sum_{gamma' incompatible} |Phi| e^{a} - a(gamma).
+def kp_margins(pool, factors, a_vals):
+    """Per-support margins sum_{gamma' incompatible} |Phi(gamma')| factor(gamma') - a(gamma).
 
-    terms must already be |Phi(gamma')| * exp(a(gamma')). Incompatibility is
-    vertex-mask intersection (reflexive), so the sums collapse per distinct
-    mask.
+    pool is `_gated_full_pool`'s; factors and a_vals hold one value per
+    support, shared by all its colourings. Incompatibility is vertex-mask
+    intersection (reflexive), so the sums collapse per distinct mask: each
+    colouring adds |w| * factor to its mask, in pool order.
     """
     agg: dict = {}
-    for mask, t in zip(vmasks, terms):
-        agg[mask] = agg.get(mask, 0.0) + t
-    keys = list(agg)
-    lhs = {
-        k: sum(v for k2, v in agg.items() if k & k2) for k in keys
-    }
-    return [lhs[m] - a for m, a in zip(vmasks, a_vals)]
+    for (mask, _, weights), factor in zip(pool, factors):
+        t = agg.get(mask, 0.0)
+        for w in weights:
+            t += abs(w) * factor
+        agg[mask] = t
+    lhs = {k: sum(v for k2, v in agg.items() if k & k2) for k in agg}
+    return [lhs[mask] - a for (mask, _, _), a in zip(pool, a_vals)]
 
 
 def _gated_full_pool(G: MultiGraph, assign: SignatureAssignment, z):
-    """Every polymer of the instance, zero-weight ones included, and its weight.
+    """Every polymer of the instance, zero-weight ones included, by support.
 
-    The supports come from one walk, shortlex, and one pass then colours each
-    by 1..kappa in lexicographic order and weighs it from
-    `polymers.weight_tables` and per-signature tables of f(i)/f(0), bitwise
-    as `oracle.polymer_weight` does (a zero weight as 0j). The walk charges
-    its own work; the pool size sum kappa^|S| and the (distinct vertex
-    masks)^2 pairs of the `kp_margins` loop are charged after it, so an
-    instance whose pool or margins would pass `errors.WORK_GATE` raises
-    GateExceeded before any colouring, weight or margin, and before the
-    ValueError, InvalidFugacity or NotInF0 of the weights. The pass then
-    charges what the `live_polymers` walk over all sizes charges, |S| for
-    each colouring by nonzero-fugacity colours whose vertex indices all have
-    a nonzero extension, so it stops on the instances that walk stops on
-    (its order differs, so the count in the message can differ by less than
-    |E|). It tallies only when sum |S| c^|S|, c the number of such colours,
-    could pass the gate.
+    Returns one (vmask, |S|, weights) entry per connected support S, shortlex
+    from one walk, with the weights of S's kappa^|S| colourings by 1..kappa in
+    lexicographic order: `oracle.enumerate_polymers` order. One pass weighs
+    each colouring from `polymers.weight_tables` and per-signature tables of
+    f(i)/f(0), bitwise as `oracle.polymer_weight` does (a zero weight as 0j).
+    The walk charges its own work; the pass's, |S| for every colouring, and
+    the (distinct vertex masks)^2 pairs of the `kp_margins` loop are charged
+    once after it, so an instance past `errors.WORK_GATE` raises GateExceeded
+    before any weight, and before the ValueError, InvalidFugacity or NotInF0
+    of the weights.
     """
     kappa = assign.kappa
     supports = connected_edge_sets(G, G.edge_count)
     bits = [(1 << u) | (1 << v) for u, v in G.edges]
     vmasks = [reduce(or_, [bits[e] for e in S]) for S in supports]
-    masks = set(vmasks)
-    work = sum(kappa ** len(S) for S in supports) + len(masks) ** 2
+    verts = {m: mask_vertices(m) for m in vmasks}
+    work = sum(len(S) * kappa ** len(S) for S in supports) + len(verts) ** 2
     if work > errors.WORK_GATE:
-        raise past_gate(work, "pool polymers and vertex-mask pairs")
+        raise past_gate(work, "colouring units and vertex-mask pairs")
     if kappa < 1:
         raise ValueError("kappa must be >= 1")
     z = check_fugacities(z, kappa)
     ratio, ends = weight_tables(G, assign, z)
-    colours = sum(1 for c in z[1:] if c != 0)
-    tally = sum(len(S) * colours ** len(S) for S in supports) > errors.WORK_GATE
     tables: dict = {}
     for s in assign.sigs:
         if id(s) not in tables:
-            tables[id(s)] = ([t / s.f0 for t in s.table] if s.f0 else None,
-                             extension_table(s) if tally else None)
-    quot, ext = zip(*(tables[id(s)] for s in assign.sigs))
-    spent = 0
-    verts = {m: mask_vertices(m) for m in masks}
-    idx = [0] * G.vertex_count  # signature indices, back to 0 after each polymer
-    sized: dict = {}  # size -> each colouring, its ratio product, all colours nonzero
-    pool, weights = [], []
+            tables[id(s)] = [t / s.f0 for t in s.table] if s.f0 else None
+    quot = [tables[id(s)] for s in assign.sigs]
+    idx = [0] * G.vertex_count  # signature indices, back to 0 after each colouring
+    pool, size = [], 0
     for S, vmask in zip(supports, vmasks):
         n = len(S)
-        if n not in sized:
-            sized[n] = [(cols, reduce(mul, [ratio[c] for c in cols], 1 + 0j),
-                         all([z[c] != 0 for c in cols]))
-                        for cols in product(range(1, kappa + 1), repeat=n)]
+        if n != size:  # shortlex, so each size's colourings are built once, then dropped
+            size = n
+            colourings = [(cols, reduce(mul, [ratio[c] for c in cols], 1 + 0j))
+                          for cols in product(range(1, kappa + 1), repeat=n)]
         at = [ends[e] for e in S]
         vs = verts[vmask]
-        for cols, w, nonzero in sized[n]:
+        weights = []
+        for cols, w in colourings:
             for (u, ru, v, rv), c in zip(at, cols):
                 idx[u] += c * ru
                 idx[v] += c * rv
-            if tally and nonzero and all([ext[x][idx[x]] for x in vs]):
-                spent += n
-                if spent > errors.WORK_GATE:
-                    raise past_gate(spent, "units of edge-set walk")
             for x in vs:
                 w *= quot[x][idx[x]]
                 idx[x] = 0
-            pool.append(ColouredPolymer(S, cols, vmask))
             weights.append(w if w else 0j)
-    return pool, weights
+        pool.append((vmask, n, weights))
+    return pool
 
 
 def verify_kp(G: MultiGraph, assign: SignatureAssignment, z,
@@ -304,19 +290,16 @@ def verify_kp(G: MultiGraph, assign: SignatureAssignment, z,
         raise ValueError("size must be 'edges' or 'vertices'")
     if not 0 < alpha < math.inf:
         raise ValueError("alpha must be positive and finite")
-    pool, weights = _gated_full_pool(G, assign, z)
+    pool = _gated_full_pool(G, assign, z)
     if size == "edges":
-        a_vals = [alpha * p.size for p in pool]
+        a_vals = [alpha * n for _, n, _ in pool]
     else:
-        a_vals = [alpha * p.vmask.bit_count() for p in pool]
-    terms = [abs(w) * math.exp(a) for w, a in zip(weights, a_vals)]
-    margins = kp_margins([p.vmask for p in pool], terms, a_vals)
-    worst = max(margins, default=float("-inf"))
+        a_vals = [alpha * vmask.bit_count() for vmask, _, _ in pool]
+    margins = kp_margins(pool, [math.exp(a) for a in a_vals], a_vals)
     return KpReport(
         certified=all(m <= 0.0 for m in margins),
-        worst_margin=worst,
-        margins=margins,
-        polymer_count=len(pool),
+        worst_margin=max(margins, default=float("-inf")),
+        polymer_count=sum(len(weights) for _, _, weights in pool),
         alpha=alpha,
         size=size,
     )

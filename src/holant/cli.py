@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -108,11 +109,24 @@ def _c(v: complex):
     return [v.real, v.imag]
 
 
+def _json_safe(value):
+    """value with each non-finite float (an infinite q, or the worst margin of
+    an empty pool) as None, which JSON can hold."""
+    if isinstance(value, dict):
+        return {k: _json_safe(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def _emit(args, report: dict) -> None:
+    text = json.dumps(_json_safe(report), indent=2, sort_keys=True, allow_nan=False)
     if getattr(args, "out", None):
-        Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        Path(args.out).write_text(text + "\n")
     if getattr(args, "format", "text") == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(text)
     else:
         _print_text(report)
 

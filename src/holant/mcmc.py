@@ -99,13 +99,11 @@ def check_chain_conditions(G: MultiGraph, assign: SignatureAssignment, z):
     worst of sum_{g' incompatible} |E(g')| Phi(g') - xi |E(g)|, xi = DEFAULT_XI.
     """
     zr = _require_nonneg(assign, z)
-    pool, weights = _gated_full_pool(G, assign, zr)
-    tau_star = min((-math.log(w.real) / p.size for p, w in zip(pool, weights) if w.real > 0),
-                   default=math.inf)
+    pool = _gated_full_pool(G, assign, zr)
+    tau_star = min((-math.log(w.real) / n for _, n, weights in pool for w in weights
+                    if w.real > 0), default=math.inf)
     need = tau_floor(assign.kappa, max(1, G.max_degree()))
-    margins = kp_margins([p.vmask for p in pool],
-                         [p.size * w.real for p, w in zip(pool, weights)],
-                         [DEFAULT_XI * p.size for p in pool])
+    margins = kp_margins(pool, [n for _, n, _ in pool], [DEFAULT_XI * n for _, n, _ in pool])
     worst = max(margins, default=float("-inf"))
     return (tau_star >= need, tau_star, need), (not any(m > 0 for m in margins), worst)
 

@@ -243,28 +243,44 @@ def _grid(rows, cols):
     return MultiGraph(rows * cols, edges)
 
 
-def _kp_reference(G, assign, z):
-    """verify_kp's edge-size report at alpha 1, from the textbook pool."""
+def _kp_reference(G, assign, z, settings):
+    """verify_kp's report at each (alpha, size) of settings, from the textbook
+    pool with one margin per polymer: the terms |Phi| e^a summed per vertex
+    mask in pool order, then over the masks that meet the polymer's, in order
+    of first appearance."""
     pool = enumerate_polymers(G, assign.kappa, G.edge_count)
     wmap = weight_map(G, assign, z, pool)
-    a_vals = [float(p.size) for p in pool]
-    margins = kp_margins([p.vmask for p in pool],
-                         [abs(wmap[p]) * math.exp(a) for p, a in zip(pool, a_vals)], a_vals)
-    return KpReport(certified=all(m <= 0.0 for m in margins), worst_margin=max(margins),
-                    margins=margins, polymer_count=len(pool), alpha=1.0, size="edges")
+    reports = []
+    for alpha, size in settings:
+        a_vals = [alpha * (p.size if size == "edges" else p.vmask.bit_count()) for p in pool]
+        agg = {}
+        for p, a in zip(pool, a_vals):
+            agg[p.vmask] = agg.get(p.vmask, 0.0) + abs(wmap[p]) * math.exp(a)
+        lhs = {mask: sum(t for m, t in agg.items() if m & mask) for mask in agg}
+        margins = [lhs[p.vmask] - a for p, a in zip(pool, a_vals)]
+        reports.append(KpReport(certified=all(m <= 0.0 for m in margins),
+                                worst_margin=max(margins), polymer_count=len(pool),
+                                alpha=alpha, size=size))
+    return reports
 
 
 def test_verify_kp_matches_the_textbook_pool_past_the_old_shape_gates():
     # a path of 13 edges, C40 and the 3x4 grid (17 edges) passed the old edge
-    # gate of 12, and the kappa = 4 table its kappa gate of 3
+    # gate of 12, and the kappa = 4 table its kappa gate of 3; the kappa = 2
+    # path has zero entries in its table and a zero fugacity
     rng = random.Random(MASTER_SEED + 18)
     G = c3()
     sig = make_signature([1.0] + [rng.uniform(-1, 1) for _ in range(24)], 2, 4)
+    P6 = MultiGraph(6, [(i, i + 1) for i in range(5)])
+    end = make_signature([1, 0.5, -0.5j], 1, 2)
+    inner = make_signature([1, 0.3, 0, 0.3j, 0, 0.2, -0.3, 0, 0.1], 2, 2)
     cases = [
         (MultiGraph(14, [(i, i + 1) for i in range(13)]), "matching", (1.0, 0.01)),
         (MultiGraph(40, [(i, (i + 1) % 40) for i in range(40)]), "matching", (1.0, 0.01)),
         (_grid(3, 4), 0.5, (1.0, 0.004)),
         (G, SignatureAssignment(G, [sig] * 3), (1.0, 0.01, 0.02, 0.03, 0.04)),
+        (P6, SignatureAssignment(P6, [end] + [inner] * 4 + [end]), (1.0, 0.2, 0)),
+        (P6, SignatureAssignment(P6, [end] + [inner] * 4 + [end]), (1.0, 0.05j, 0.1)),
     ]
     for G, sig, z in cases:
         if sig == "matching":
@@ -273,7 +289,9 @@ def test_verify_kp_matches_the_textbook_pool_past_the_old_shape_gates():
             assign = uniform_assignment(G, "even-parity", 0.5)
         else:
             assign = sig
-        assert verify_kp(G, assign, z) == _kp_reference(G, assign, z)
+        settings = ((1.0, "edges"), (0.7, "vertices"))
+        got = [verify_kp(G, assign, z, alpha=alpha, size=size) for alpha, size in settings]
+        assert list(map(repr, got)) == list(map(repr, _kp_reference(G, assign, z, settings)))
 
 
 def test_full_pool_walks_once_and_never_grows_live_polymers(monkeypatch):
@@ -294,39 +312,39 @@ def test_full_pool_walks_once_and_never_grows_live_polymers(monkeypatch):
     assert report.polymer_count == len(enumerate_polymers(G, 1, G.edge_count))
 
 
-def test_full_pool_charges_what_a_live_walk_charges(monkeypatch):
-    # the colouring pass charges |S| for each colouring a live_polymers walk
-    # over all sizes visits: colours of nonzero fugacity (the third z) whose
-    # indices all extend to a nonzero entry (the zero entries cut some). At a
-    # gate one below that walk's total both stop and name the total, at the
-    # total both answer; the pool and mask-pair charge stays below it
-    def path(n, mid):
+def test_full_pool_charges_its_colouring_pass_up_front(monkeypatch):
+    # verify_kp charges |S| for each of the kappa^|S| colourings of every
+    # support S, plus the squared count of distinct vertex masks, once and
+    # before any weight: at a gate of exactly that total it answers, one
+    # below it raises with the total, and it does so before the NotInF0 of a
+    # vertex with f(0) = 0
+    def path(n, f0):
         G = MultiGraph(n, [(i, i + 1) for i in range(n - 1)])
         end = make_signature([1, 0.5, 0.5], 1, 2)
-        sigs = [end] + [make_signature([1] + [0.1 * k for k in range(1, 9)], 2, 2)] * (n - 2)
-        sigs[mid] = make_signature([1] + [0.1 * k for k in range(1, 8)] + [0], 2, 2)
-        return G, SignatureAssignment(G, sigs + [end])
+        inner = make_signature([1] + [0.1 * k for k in range(1, 9)], 2, 2)
+        sigs = [end] + [inner] * (n - 2) + [end]
+        sigs[3] = make_signature([f0, 0.3, 0.3, 0.3, 0, 0, 0.3, 0, 0], 2, 2)
+        return G, SignatureAssignment(G, sigs)
 
-    P10 = path(10, 1)
     star = MultiGraph(5, [(0, v) for v in range(1, 5)])
     star_a = SignatureAssignment(star, [make_signature([1] + [0.1] * 1294 + [0], 4, 5)]
                                  + [make_signature([1] + [0.5] * 5, 1, 5)] * 4)
-    walk, units = polymers_mod.grow_edge_sets, []
-    monkeypatch.setattr(polymers_mod, "grow_edge_sets", lambda G, seeds, m, visit, extend: walk(
-        G, seeds, m, lambda stack: units.append(len(stack)) or visit(stack), extend))
-    for G, a, z in (P10 + ((1, 0.01, 0.01),), (star, star_a, (1,) + (0.01,) * 5),
-                    (star, star_a, (1, 0.01, 0.01, 0, 0.01, 0.01))):
-        units.clear()
-        monkeypatch.setattr(errors, "WORK_GATE", 10**9)
-        live_polymers(G, a, z, G.edge_count)
-        total = sum(units)
-        monkeypatch.setattr(errors, "WORK_GATE", total)
-        assert verify_kp(G, a, z).polymer_count == len(enumerate_polymers(G, a.kappa, G.edge_count))
+    for (G, a), z in ((path(10, 1), (1, 0.01, 0.01)), (path(10, 1), (1, 0.01, 0)),
+                      ((star, star_a), (1, 0.01, 0.01, 0, 0.01, 0.01)),
+                      (path(10, 0), (1, 0.01, 0.01))):
+        pool = enumerate_polymers(G, a.kappa, G.edge_count)
+        total = sum(p.size for p in pool) + len({p.vmask for p in pool}) ** 2
         monkeypatch.setattr(errors, "WORK_GATE", total - 1)
-        for check in (verify_kp, lambda *args: live_polymers(*args, G.edge_count)):
-            with pytest.raises(GateExceeded) as err:
-                check(G, a, z)
-            assert str(err.value) == f"{total} units of edge-set walk exceed gate {total - 1}"
+        with pytest.raises(GateExceeded) as err:
+            verify_kp(G, a, z)
+        assert str(err.value) == (f"{total} colouring units and vertex-mask pairs "
+                                  f"exceed gate {total - 1}")
+        monkeypatch.setattr(errors, "WORK_GATE", total)
+        if a.sigs[3].f0:
+            assert verify_kp(G, a, z).polymer_count == len(pool)
+        else:
+            with pytest.raises(NotInF0, match="vertex 3"):
+                verify_kp(G, a, z)
 
 
 def test_verify_kp_keeps_the_error_order_of_the_weights():

@@ -552,6 +552,33 @@ def test_out_file_matches_stdout(capsys, files):
         assert json.load(fh) == rep
 
 
+def test_json_reports_hold_no_infinity(capsys, files, tmp_path):
+    # an edgeless graph has no polymers, so its worst margin is -inf, and it
+    # or a zero fugacity makes q and the region bound inf; JSON has no
+    # infinity, so these read null
+    edgeless = tmp_path / "e3.txt"
+    edgeless.write_text("3 0\n")
+
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    approx = ["approx", "--sig", "matching", "--eps", "0.1"]
+    for argv, section, keys in (
+        (["verify-kp", "--graph", str(edgeless), "--sig", "matching"], "result",
+         ("worst_margin",)),
+        (approx + ["--graph", str(edgeless), "--z", "1,0.1"], "diagnostics",
+         ("q", "region_bound")),
+        (approx + ["--graph", files["c3"], "--z", "1,0"], "diagnostics",
+         ("q", "region_bound")),
+    ):
+        out = files["tmp"] + "/report.json"
+        assert main(argv + ["--format", "json", "--out", out]) == 0
+        rep = json.loads(capsys.readouterr().out, parse_constant=reject)
+        with open(out) as fh:
+            assert json.load(fh, parse_constant=reject) == rep
+        assert [rep[section][k] for k in keys] == [None] * len(keys)
+
+
 def test_text_format_prints_nested_keys(capsys, files):
     rc = main(["oracle", "--graph", files["k2"], "--sig", "matching"])
     assert rc == 0

@@ -34,6 +34,7 @@ from holant.mcmc import (
     derive_seed,
     substream,
 )
+from holant.oracle import enumerate_polymers, weight_map
 from holant.polymers import live_polymers
 
 from helpers import (
@@ -139,6 +140,39 @@ def test_direct_checks_build_the_full_pool_once(monkeypatch):
                        r"\(need >= 7\.07944\), mixing margin -0\.6"):
         PolymerChain(G, a, (1.0, 0.05))
     assert len(calls) == 1
+
+
+def test_direct_checks_match_the_textbook_pool():
+    # tau* and the worst mixing margin, bit for bit, from the textbook pool
+    # with one margin per polymer: the terms |E| Phi summed per vertex mask in
+    # pool order, then over the masks that meet the polymer's. The tables have
+    # zero entries and some fugacities are zero.
+    rng = random.Random(MASTER_SEED + 31)
+    for _ in range(200):
+        kappa = rng.choice([1, 2, 3])
+        G = random_graph(rng, max_edges=6 if kappa < 3 else 4, max_degree=3)
+        sigs = []
+        for v in range(G.vertex_count):
+            d = G.degree(v)
+            tab = [0.0 if rng.random() < 0.4 else rng.uniform(0, 1)
+                   for _ in range((kappa + 1) ** d)]
+            tab[0] = rng.uniform(0.4, 1.0)
+            sigs.append(make_signature(tab, d, kappa))
+        a = SignatureAssignment(G, sigs)
+        z = (rng.uniform(0.5, 1.5),) + tuple(
+            0.0 if rng.random() < 0.3 else rng.uniform(0, 0.2) for _ in range(kappa))
+        pool = enumerate_polymers(G, kappa, G.edge_count)
+        wmap = weight_map(G, a, z, pool)
+        tau_star = min((-math.log(wmap[p].real) / p.size for p in pool if wmap[p].real > 0),
+                       default=math.inf)
+        agg = {}
+        for p in pool:
+            agg[p.vmask] = agg.get(p.vmask, 0.0) + p.size * wmap[p].real
+        lhs = {mask: sum(t for m, t in agg.items() if m & mask) for mask in agg}
+        margins = [lhs[p.vmask] - mcmc_mod.DEFAULT_XI * p.size for p in pool]
+        need = tau_floor(kappa, max(1, G.max_degree()))
+        want = (tau_star >= need, tau_star, need), (all(m <= 0 for m in margins), max(margins))
+        assert repr(check_chain_conditions(G, a, z)) == repr(want)
 
 
 def test_chain_direct_certification_beyond_region_bound():

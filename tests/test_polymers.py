@@ -283,18 +283,22 @@ def test_live_polymers_equal_filtered_enumeration():
 
 
 def test_full_pool_weights_equal_polymer_weight():
-    # the verify-kp / direct-certificate pool keeps zero-weight polymers; its
-    # weights come from one live_polymers walk. polymer_weight can return a
-    # signed zero (-0j) where the pool has 0j, and every reader of the pool
-    # takes abs(w) or w.real > 0, so zeros compare as 0j.
+    # the verify-kp / direct-certificate pool keeps zero-weight polymers, one
+    # (vmask, size, weights) entry per support whose colourings weigh in
+    # enumerate_polymers order, all from one colouring pass. polymer_weight
+    # can return a signed zero (-0j) where the pool has 0j, and every reader
+    # of the pool takes abs(w) or w.real > 0, so zeros compare as 0j.
     rng = random.Random(MASTER_SEED + 13)
     for _ in range(300):
         kappa = rng.choice([1, 2, 3])
         G, assign, z = _random_sparse_instance(rng, kappa, 6 if kappa < 3 else 4)
-        pool, weights = _gated_full_pool(G, assign, z)
-        assert pool == enumerate_polymers(G, kappa, G.edge_count)
-        ref = [polymer_weight(G, assign, z, p) for p in pool]
-        assert [repr(w) for w in weights] == [repr(w if w != 0 else 0j) for w in ref]
+        pool = _gated_full_pool(G, assign, z)
+        ref = enumerate_polymers(G, kappa, G.edge_count)
+        assert [(vmask, n) for vmask, n, weights in pool for _ in weights] == \
+            [(p.vmask, p.size) for p in ref]
+        weights = [w for _, _, ws in pool for w in ws]
+        want = [polymer_weight(G, assign, z, p) for p in ref]
+        assert [repr(w) for w in weights] == [repr(w if w != 0 else 0j) for w in want]
 
 
 def test_live_polymers_of_matching_are_single_edges():
