@@ -276,6 +276,8 @@ def _cmd_verify_kp(args) -> int:
             "certified": rep.certified,
             "worst_margin": rep.worst_margin,
             "polymer_count": rep.polymer_count,
+            "order": rep.order,
+            "tail": rep.tail,
         },
     })
     return 0

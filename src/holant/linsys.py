@@ -184,11 +184,13 @@ def enumerate_vector_polymers(sys: LinearSystem):
 
     The connected column supports are the connected edge sets of H_A, walked
     once each by `graph.grow_edge_sets`. For each support, the entries
-    1..cap_j are assigned column by column in support order. Each touched row
-    is checked once, as soon as its last support column has a value, and a
-    branch stops at the first row whose sum is nonzero. A support is skipped
-    outright when some touched row meets only one of its columns, since that
-    row's sum is a nonzero entry times a value >= 1.
+    1..cap_j are assigned column by column in support order, keeping every
+    touched row's sum so far. A row closes at its last support column: there
+    the one value that brings its sum to zero is the only one tried, and a
+    branch stops when that value is not an integer in 1..cap_j or leaves
+    another row closing there nonzero. A support is skipped outright when
+    some touched row meets only one of its columns, since that row's sum is a
+    nonzero entry times a value >= 1.
 
     The walk charges each support's size, and each polymer found adds its
     number of values to the same count (GateExceeded once the count passes
@@ -199,6 +201,8 @@ def enumerate_vector_polymers(sys: LinearSystem):
     live = sys.live_columns()
     H = build_hypergraph(sys)
     col_rows = [sum(1 << i for i in rows) for rows in H.edges]
+    # entries[t]: (row, coefficient) of each nonzero of live column t
+    entries = [[(i, sys.rows[i][j]) for i in sorted(H.edges[t])] for t, j in enumerate(live)]
     out = []
     gate = errors.WORK_GATE
 
@@ -214,32 +218,41 @@ def enumerate_vector_polymers(sys: LinearSystem):
         for pos, t in enumerate(support):
             shared |= rmask & col_rows[t]
             rmask |= col_rows[t]
-            for i in mask_vertices(col_rows[t]):
+            for i, _ in entries[t]:
                 last[i] = pos
         if shared != rmask:
             return None  # a row meeting one support column cannot sum to zero
         cols = [live[t] for t in support]
-        # checks[pos]: coefficients over cols[:pos + 1] of each row whose
-        # last support column is cols[pos]
-        checks = [[] for _ in cols]
-        for i, pos in last.items():
-            checks[pos].append([sys.rows[i][j] for j in cols[: pos + 1]])
+        ents = [entries[t] for t in support]
+        # closing[pos]: (row, coefficient) of each row whose last column is pos
+        closing = [[(i, a) for i, a in ents[pos] if last[i] == pos] for pos in range(len(cols))]
+        residual = dict.fromkeys(last, 0)  # each touched row's sum over the values so far
+        vec = []
 
-        def rec(pos, vec):
+        def rec(pos):
             if pos == len(cols):
                 out.append(VectorPolymer(tuple(zip(cols, vec)), rmask))
                 return
-            for x in range(1, sys.caps[cols[pos]] + 1):
+            cap = sys.caps[cols[pos]]
+            if closing[pos]:
+                (i, a), *rest = closing[pos]
+                x, rem = divmod(-residual[i], a)
+                if rem or not 1 <= x <= cap or any(residual[k] + b * x for k, b in rest):
+                    return
+                values = (x,)
+            else:
+                values = range(1, cap + 1)
+            for x in values:
+                for i, a in ents[pos]:
+                    residual[i] += a * x
                 vec.append(x)
-                if all(
-                    sum(a * v for a, v in zip(coefs, vec)) == 0
-                    for coefs in checks[pos]
-                ):
-                    rec(pos + 1, vec)
+                rec(pos + 1)
                 vec.pop()
+                for i, a in ents[pos]:
+                    residual[i] -= a * x
 
         found = len(out)
-        rec(0, [])
+        rec(0)
         return (len(out) - found) * len(cols)  # the values of the polymers found
 
     grow_edge_sets(H, range(H.edge_count), H.edge_count, visit)

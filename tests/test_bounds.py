@@ -17,9 +17,9 @@ from holant import (
 from holant import errors
 from holant import graph as graph_mod
 from holant import polymers as polymers_mod
-from holant.bounds import KpReport, kp_margins, q_factor_fugacity, q_factor_problem
+from holant.bounds import KpReport, q_factor_fugacity, q_factor_problem
 from holant.mcmc import check_chain_conditions
-from holant.oracle import enumerate_polymers, weight_map
+from holant.oracle import enumerate_polymers, polymer_weight, weight_map
 from holant.polymers import live_polymers
 
 from helpers import MASTER_SEED, c3, corpus, half_bound_z, k2, p3
@@ -213,12 +213,15 @@ def test_q_factor_problem():
 def test_verify_kp_k2_example():
     G = k2()
     a = uniform_assignment(G, "matching")
+    # one live polymer, the edge itself, through each vertex and no tail:
+    # L(v) = |z1| e^1 against theta = alpha / 2
     rep = verify_kp(G, a, (1.0, 0.1))
     assert rep.certified
-    assert rep.worst_margin == pytest.approx(0.1 * E - 1.0, rel=1e-9)
+    assert rep.worst_margin == pytest.approx(0.1 * E - 0.5, rel=1e-9)
+    assert (rep.order, rep.tail, rep.polymer_count) == (1, 0.0, 1)
     rep2 = verify_kp(G, a, (1.0, 0.5))
     assert not rep2.certified
-    assert rep2.worst_margin == pytest.approx(0.5 * E - 1.0, rel=1e-9)
+    assert rep2.worst_margin == pytest.approx(0.5 * E - 0.5, rel=1e-9)
 
 
 def test_verify_kp_certifies_inside_region():
@@ -244,13 +247,12 @@ def _grid(rows, cols):
 
 
 def _kp_reference(G, assign, z, settings):
-    """verify_kp's report at each (alpha, size) of settings, from the textbook
-    pool with one margin per polymer: the terms |Phi| e^a summed per vertex
-    mask in pool order, then over the masks that meet the polymer's, in order
-    of first appearance."""
+    """Whether the Kotecky-Preiss condition holds at each (alpha, size) of
+    settings, from the textbook full pool with one margin per polymer: the
+    terms |Phi| e^a summed over the polymers that meet it."""
     pool = enumerate_polymers(G, assign.kappa, G.edge_count)
     wmap = weight_map(G, assign, z, pool)
-    reports = []
+    out = []
     for alpha, size in settings:
         a_vals = [alpha * (p.size if size == "edges" else p.vmask.bit_count()) for p in pool]
         agg = {}
@@ -258,10 +260,42 @@ def _kp_reference(G, assign, z, settings):
             agg[p.vmask] = agg.get(p.vmask, 0.0) + abs(wmap[p]) * math.exp(a)
         lhs = {mask: sum(t for m, t in agg.items() if m & mask) for mask in agg}
         margins = [lhs[p.vmask] - a for p, a in zip(pool, a_vals)]
-        reports.append(KpReport(certified=all(m <= 0.0 for m in margins),
-                                worst_margin=max(margins), polymer_count=len(pool),
-                                alpha=alpha, size=size))
-    return reports
+        out.append(all(m <= 0.0 for m in margins))
+    return out
+
+
+def _local_kp_reference(G, assign, z, alpha, size):
+    """verify_kp's report from the textbook: L(v) as the sum of |Phi| e^a
+    over `enumerate_polymers` through v of at most m = min(|E|, 4) edges,
+    weighed one by one by `polymer_weight`, plus deg(v) T, with T the plain
+    sum of its terms (e(2 Delta - 2))^{k-1} s^k R^{k+1} e^{a_k}."""
+    m = min(G.edge_count, 4)
+    a_of = lambda p: alpha * (p.size if size == "edges" else p.vmask.bit_count())
+    live = [p for p in enumerate_polymers(G, assign.kappa, m)
+            if polymer_weight(G, assign, z, p) != 0] if m else []
+    load = [sum(abs(polymer_weight(G, assign, z, p)) * math.exp(a_of(p))
+                for p in enumerate_polymers(G, assign.kappa, m, anchor=v))
+            if G.degree(v) else 0.0 for v in range(G.vertex_count)]
+    delta = G.max_degree()
+    s = sum(abs(complex(t) / complex(z[0])) for t in z[1:])
+    R = max([1.0] + [abs(x / f.table[0]) for v, f in enumerate(assign.sigs)
+                     if G.degree(v) for x in f.table])
+    T = sum((E * (2 * delta - 2)) ** (k - 1) * s ** k * R ** (k + 1)
+            * math.exp(alpha * (k if size == "edges" else k + 1))
+            for k in range(m + 1, G.edge_count + 1))
+    theta = alpha if size == "vertices" else alpha / 2
+    margins = [load[v] + G.degree(v) * T - theta
+               for v in range(G.vertex_count) if G.degree(v)]
+    return KpReport(certified=all(x <= 0.0 for x in margins),
+                    worst_margin=max(margins, default=-math.inf), polymer_count=len(live),
+                    alpha=alpha, size=size, order=m, tail=delta * T)
+
+
+def _assert_same_report(got, want):
+    assert (got.certified, got.polymer_count, got.order, got.alpha, got.size) == \
+        (want.certified, want.polymer_count, want.order, want.alpha, want.size)
+    assert got.tail == pytest.approx(want.tail, rel=1e-12, abs=1e-300)
+    assert got.worst_margin == pytest.approx(want.worst_margin, rel=1e-12, abs=1e-12)
 
 
 def test_verify_kp_matches_the_textbook_pool_past_the_old_shape_gates():
@@ -289,14 +323,45 @@ def test_verify_kp_matches_the_textbook_pool_past_the_old_shape_gates():
             assign = uniform_assignment(G, "even-parity", 0.5)
         else:
             assign = sig
-        settings = ((1.0, "edges"), (0.7, "vertices"))
-        got = [verify_kp(G, assign, z, alpha=alpha, size=size) for alpha, size in settings]
-        assert list(map(repr, got)) == list(map(repr, _kp_reference(G, assign, z, settings)))
+        for alpha, size in ((1.0, "edges"), (0.7, "vertices")):
+            _assert_same_report(verify_kp(G, assign, z, alpha=alpha, size=size),
+                                _local_kp_reference(G, assign, z, alpha, size))
+
+
+def test_verify_kp_is_exact_against_the_textbook_local_sums():
+    # random graphs up to 8 edges (so some have a tail) with dense complex
+    # tables, from far inside to far outside the region, at both sizes
+    rng = random.Random(MASTER_SEED + 41)
+    for G, assign in corpus(60, seed=MASTER_SEED + 41, max_edges=8):
+        z = half_bound_z(G, assign, rng.choice([0.5, 2.0, 8.0, 40.0]))
+        for alpha, size in ((1.0, "edges"), (0.7, "vertices"), (2.5, "edges")):
+            _assert_same_report(verify_kp(G, assign, z, alpha=alpha, size=size),
+                                _local_kp_reference(G, assign, z, alpha, size))
+
+
+def test_local_certificate_is_sound():
+    # whenever the per-vertex sums certify, the full pool satisfies the
+    # condition too; at and inside the region bound they certify every case
+    # the full pool does
+    rejected = 0
+    for G, assign in corpus(200, seed=MASTER_SEED + 43, max_edges=6):
+        for frac in (0.5, 1.0, 2.0, 4.0, 8.0):
+            z = half_bound_z(G, assign, frac)
+            settings = ((1.0, "edges"), (1.0, "vertices"))
+            full = _kp_reference(G, assign, z, settings)
+            for (alpha, size), full_ok in zip(settings, full):
+                local_ok = verify_kp(G, assign, z, alpha=alpha, size=size).certified
+                assert full_ok or not local_ok, (G.edges, assign.kappa, frac, size)
+                if frac <= 1.0:
+                    assert local_ok or not full_ok, (G.edges, assign.kappa, frac, size)
+                rejected += not local_ok
+    assert rejected > 0  # the scales reach past what the certificate accepts
 
 
 def test_full_pool_walks_once_and_never_grows_live_polymers(monkeypatch):
-    # live_polymers walks through polymers.grow_edge_sets, so a call to it
-    # would show as a second walk
+    # the chain's direct checks walk the supports once, to |E| edges; a call
+    # to live_polymers (through polymers.grow_edge_sets) would show as a
+    # second walk. verify_kp walks once too, to m = min(|E|, 4) edges.
     walks, grow = [], graph_mod.grow_edge_sets
 
     def counting(*args):
@@ -307,13 +372,16 @@ def test_full_pool_walks_once_and_never_grows_live_polymers(monkeypatch):
     monkeypatch.setattr(polymers_mod, "grow_edge_sets", counting)
     G = _grid(3, 3)
     a = uniform_assignment(G, "even-parity", 0.5)
-    report = verify_kp(G, a, (1.0, 0.004))
+    check_chain_conditions(G, a, (1.0, 0.004))
     assert walks == [G.edge_count]
-    assert report.polymer_count == len(enumerate_polymers(G, 1, G.edge_count))
+    walks.clear()
+    report = verify_kp(G, a, (1.0, 0.004))
+    assert walks == [4] and report.order == 4
+    assert report.polymer_count == len(live_polymers(G, a, (1.0, 0.004), 4))
 
 
 def test_full_pool_charges_its_colouring_pass_up_front(monkeypatch):
-    # verify_kp charges |S| for each of the kappa^|S| colourings of every
+    # the chain's direct checks charge |S| for each of the kappa^|S| colourings of every
     # support S, plus the squared count of distinct vertex masks, once and
     # before any weight: at a gate of exactly that total it answers, one
     # below it raises with the total, and it does so before the NotInF0 of a
@@ -336,20 +404,22 @@ def test_full_pool_charges_its_colouring_pass_up_front(monkeypatch):
         total = sum(p.size for p in pool) + len({p.vmask for p in pool}) ** 2
         monkeypatch.setattr(errors, "WORK_GATE", total - 1)
         with pytest.raises(GateExceeded) as err:
-            verify_kp(G, a, z)
+            check_chain_conditions(G, a, z)
         assert str(err.value) == (f"{total} colouring units and vertex-mask pairs "
                                   f"exceed gate {total - 1}")
         monkeypatch.setattr(errors, "WORK_GATE", total)
         if a.sigs[3].f0:
-            assert verify_kp(G, a, z).polymer_count == len(pool)
+            check_chain_conditions(G, a, z)
         else:
             with pytest.raises(NotInF0, match="vertex 3"):
-                verify_kp(G, a, z)
+                check_chain_conditions(G, a, z)
 
 
 def test_verify_kp_keeps_the_error_order_of_the_weights():
-    # a vertex outside F0 raises live_polymers' NotInF0, word for word, and
-    # a gated instance raises GateExceeded before it looks at any signature
+    # a vertex outside F0 raises live_polymers' NotInF0, word for word; the
+    # chain's direct checks on a gated instance raise GateExceeded before
+    # they look at any signature, while verify_kp's walk on C100 is small
+    # and meets the signature
     G = p3()
     a = SignatureAssignment(G, [make_signature([1, 1], 1, 1), make_signature([1, 1, 1, 0], 2, 1),
                                 make_signature([0, 1], 1, 1)])
@@ -362,18 +432,22 @@ def test_verify_kp_keeps_the_error_order_of_the_weights():
     sigs = list(uniform_assignment(G, "matching").sigs)
     sigs[50] = make_signature([0, 1, 1, 0], 2, 1)
     a = SignatureAssignment(G, sigs)
-    for check in (lambda: verify_kp(G, a, (1.0, 0.01)),
-                  lambda: check_chain_conditions(G, a, (1.0, 0.01))):
-        with pytest.raises(GateExceeded, match="vertex-mask pairs"):
-            check()
+    with pytest.raises(NotInF0, match="vertex 50: signature 'table' has f"):
+        verify_kp(G, a, (1.0, 0.01))
+    with pytest.raises(GateExceeded, match="vertex-mask pairs"):
+        check_chain_conditions(G, a, (1.0, 0.01))
 
 
-def test_verify_kp_gate():
-    # C100 has 9,901 connected edge sets on about 9,800 vertex masks, whose
-    # 9.6e7 mask pairs pass the work gate before any weight is computed
+def test_verify_kp_gate(monkeypatch):
+    # C100's full pool (9.6e7 vertex-mask pairs) passes the work gate, but
+    # verify_kp walks only the live polymers of up to 4 edges: under matching
+    # the 100 single edges, charging one unit each
     G = MultiGraph(100, [(i, (i + 1) % 100) for i in range(100)])
     a = uniform_assignment(G, "matching")
-    with pytest.raises(GateExceeded, match="vertex-mask pairs"):
+    rep = verify_kp(G, a, (1.0, 0.01))
+    assert rep.certified and rep.order == 4 and rep.polymer_count == 100
+    monkeypatch.setattr(errors, "WORK_GATE", 99)
+    with pytest.raises(GateExceeded, match="^100 units of edge-set walk exceed gate 99$"):
         verify_kp(G, a, (1.0, 0.01))
 
 

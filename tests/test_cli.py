@@ -411,7 +411,8 @@ def test_verify_kp_certifies(capsys, files):
         "verify-kp", "--graph", files["k2"], "--sig", "matching", "--z", "1,0.1",
     ])
     assert rep["result"]["certified"] is True
-    assert rel_close(rep["result"]["worst_margin"], 0.1 * math.e - 1)
+    assert rel_close(rep["result"]["worst_margin"], 0.1 * math.e - 0.5)
+    assert (rep["result"]["order"], rep["result"]["tail"]) == (1, 0.0)
 
 
 def test_verify_kp_rejects_but_exits_0(capsys, files):
@@ -446,7 +447,7 @@ def test_linsys_gate_exits_4(capsys, files):
 
 
 def _deep_walk_files(tmp_path):
-    """Three inputs whose walks nest deeper than the recursion limit."""
+    """Two inputs whose walks nest deeper than the recursion limit."""
     C = MultiGraph(2000, [(i, (i + 1) % 2000) for i in range(2000)])
     alternate = [C.edges.index((i, i + 1)) for i in range(0, 2000, 2)]
     pm = tmp_path / "c2000pm.txt"  # one polymer: the whole cycle
@@ -458,12 +459,9 @@ def _deep_walk_files(tmp_path):
     matrix.write_text(f"{n} {n}\n" + "".join(" ".join(map(str, r)) + "\n" for r in rows)
                       + "caps: " + " ".join(["1"] * n) + "\n"
                       + "weights: " + " ".join(["0.05 0.0"] * n) + "\n")
-    path = tmp_path / "p1101.txt"
-    path.write_text(MultiGraph(1101, [(i, i + 1) for i in range(1100)]).to_text())
     return [
         ["pm", "--instance", str(pm), "--zc", "0.1"],
         ["linsys", "--matrix", str(matrix)],
-        ["verify-kp", "--graph", str(path), "--sig", "matching", "--z", "1,0.01"],
     ]
 
 
@@ -474,6 +472,20 @@ def test_walks_past_the_recursion_limit_exit_4(capsys, tmp_path):
         assert time.perf_counter() - t0 < 5.0, argv[0]
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "recursion limit" in err, argv[0]
+
+
+def test_verify_kp_answers_on_a_long_path(capsys, tmp_path):
+    # the full pool of P1101 nests its walk 1,100 deep; verify-kp walks
+    # polymers of at most 4 edges and bounds the longer ones analytically
+    path = tmp_path / "p1101.txt"
+    path.write_text(MultiGraph(1101, [(i, i + 1) for i in range(1100)]).to_text())
+    t0 = time.perf_counter()
+    rep = run_json(capsys, ["verify-kp", "--graph", str(path), "--sig", "matching",
+                            "--z", "1,0.01"])
+    assert time.perf_counter() - t0 < 5.0
+    assert rep["result"]["certified"] is True
+    assert (rep["result"]["order"], rep["result"]["polymer_count"]) == (4, 1100)
+    assert 0 < rep["result"]["tail"] < 1e-4
 
 
 def test_count_mcmc_step_gate_exits_4_fast(capsys, files):

@@ -283,7 +283,7 @@ def test_live_polymers_equal_filtered_enumeration():
 
 
 def test_full_pool_weights_equal_polymer_weight():
-    # the verify-kp / direct-certificate pool keeps zero-weight polymers, one
+    # the chain's direct-certificate pool keeps zero-weight polymers, one
     # (vmask, size, weights) entry per support whose colourings weigh in
     # enumerate_polymers order, all from one colouring pass. polymer_weight
     # can return a signed zero (-0j) where the pool has 0j, and every reader
