@@ -9,9 +9,9 @@ smaller).
 `verify_kp` certifies the Kotecky-Preiss condition of one instance from
 per-vertex sums over its live polymers of at most `KP_ORDER` edges plus an
 analytic bound on the larger ones, so its cost grows with |V|, not with the
-number of connected edge sets. The chain's direct checks still sum over the
-full pool (`_gated_full_pool`, `kp_margins`): the vertex split would halve
-their mixing margin.
+number of connected edge sets. It and the chain's direct checks
+(`mcmc.check_chain_conditions`) fold their sums from the one weighing walk,
+`polymers.walk_live`.
 """
 
 from __future__ import annotations
@@ -19,14 +19,9 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import reduce
-from itertools import product
-from operator import mul, or_
 
-from . import errors
-from .errors import past_gate
-from .graph import MultiGraph, connected_edge_sets, mask_vertices
-from .polymers import live_polymers, weight_tables
+from .graph import MultiGraph
+from .polymers import walk_live
 from .signatures import SignatureAssignment, check_fugacities
 
 _E = math.e
@@ -217,80 +212,6 @@ class KpReport:
         )
 
 
-def kp_margins(pool, factors, a_vals):
-    """Per-support margins sum_{gamma' incompatible} |Phi(gamma')| factor(gamma') - a(gamma),
-    the mixing condition of `mcmc.check_chain_conditions`.
-
-    pool is `_gated_full_pool`'s; factors and a_vals hold one value per
-    support, shared by all its colourings. Incompatibility is vertex-mask
-    intersection (reflexive), so the sums collapse per distinct mask: each
-    colouring adds |w| * factor to its mask, in pool order.
-    """
-    agg: dict = {}
-    for (mask, _, weights), factor in zip(pool, factors):
-        t = agg.get(mask, 0.0)
-        for w in weights:
-            t += abs(w) * factor
-        agg[mask] = t
-    lhs = {k: sum(v for k2, v in agg.items() if k & k2) for k in agg}
-    return [lhs[mask] - a for (mask, _, _), a in zip(pool, a_vals)]
-
-
-def _gated_full_pool(G: MultiGraph, assign: SignatureAssignment, z):
-    """Every polymer of the instance, zero-weight ones included, by support,
-    for the chain's direct checks (`mcmc.check_chain_conditions`).
-
-    Returns one (vmask, |S|, weights) entry per connected support S, shortlex
-    from one walk, with the weights of S's kappa^|S| colourings by 1..kappa in
-    lexicographic order: `oracle.enumerate_polymers` order. One pass weighs
-    each colouring from `polymers.weight_tables` and per-signature tables of
-    f(i)/f(0), bitwise as `oracle.polymer_weight` does (a zero weight as 0j).
-    The walk charges its own work; the pass's, |S| for every colouring, and
-    the (distinct vertex masks)^2 pairs of the `kp_margins` loop are charged
-    once after it, so an instance past `errors.WORK_GATE` raises GateExceeded
-    before any weight, and before the ValueError, InvalidFugacity or NotInF0
-    of the weights.
-    """
-    kappa = assign.kappa
-    supports = connected_edge_sets(G, G.edge_count)
-    bits = [(1 << u) | (1 << v) for u, v in G.edges]
-    vmasks = [reduce(or_, [bits[e] for e in S]) for S in supports]
-    verts = {m: mask_vertices(m) for m in set(vmasks)}
-    work = sum(len(S) * kappa ** len(S) for S in supports) + len(verts) ** 2
-    if work > errors.WORK_GATE:
-        raise past_gate(work, "colouring units and vertex-mask pairs")
-    if kappa < 1:
-        raise ValueError("kappa must be >= 1")
-    z = check_fugacities(z, kappa)
-    ratio, ends = weight_tables(G, assign, z)
-    tables: dict = {}
-    for s in assign.sigs:
-        if id(s) not in tables:
-            tables[id(s)] = [t / s.f0 for t in s.table] if s.f0 else None
-    quot = [tables[id(s)] for s in assign.sigs]
-    idx = [0] * G.vertex_count  # signature indices, back to 0 after each colouring
-    pool, size = [], 0
-    for S, vmask in zip(supports, vmasks):
-        n = len(S)
-        if n != size:  # shortlex, so each size's colourings are built once, then dropped
-            size = n
-            colourings = [(cols, reduce(mul, [ratio[c] for c in cols], 1 + 0j))
-                          for cols in product(range(1, kappa + 1), repeat=n)]
-        at = [ends[e] for e in S]
-        vs = verts[vmask]
-        weights = []
-        for cols, w in colourings:
-            for (u, ru, v, rv), c in zip(at, cols):
-                idx[u] += c * ru
-                idx[v] += c * rv
-            for x in vs:
-                w *= quot[x][idx[x]]
-                idx[x] = 0
-            weights.append(w if w else 0j)
-        pool.append((vmask, n, weights))
-    return pool
-
-
 KP_ORDER = 4  # the largest polymers verify_kp lists; the tail bounds the rest
 
 
@@ -346,7 +267,7 @@ def verify_kp(G: MultiGraph, assign: SignatureAssignment, z,
                + deg(v) T,
 
     m = min(|E|, KP_ORDER) (`order`), the live polymers come from one
-    `polymers.live_polymers` walk, and T (`_kp_tail`) bounds the rest
+    `polymers.walk_live`, and T (`_kp_tail`) bounds the rest
     through each edge at v. Hence L(v) <= theta at every vertex certifies
     the condition, with theta = alpha for "vertices" and alpha / 2 for
     "edges" (|V(gamma)| <= 2 |E(gamma)|). worst_margin is the largest
@@ -361,12 +282,17 @@ def verify_kp(G: MultiGraph, assign: SignatureAssignment, z,
     if not 0 < alpha < math.inf:
         raise ValueError("alpha must be positive and finite")
     order = min(G.edge_count, KP_ORDER)
-    live = live_polymers(G, assign, z, order)
     load = [0.0] * G.vertex_count
-    for p, w in live:
-        t = abs(w) * _exp(alpha * (p.size if size == "edges" else p.vmask.bit_count()))
-        for x in mask_vertices(p.vmask):
+    count = 0
+
+    def keep(edges, _, __, vertices, w):
+        nonlocal count
+        count += 1
+        t = abs(w) * _exp(alpha * len(edges if size == "edges" else vertices))
+        for x in vertices:
             load[x] += t
+
+    walk_live(G, assign, z, order, keep)
     tail = _kp_tail(G, assign, z, alpha, size, order)
     theta = alpha if size == "vertices" else alpha / 2
     margins = [load[v] + G.degree(v) * tail - theta
@@ -374,7 +300,7 @@ def verify_kp(G: MultiGraph, assign: SignatureAssignment, z,
     return KpReport(
         certified=all(m <= 0.0 for m in margins),
         worst_margin=max(margins, default=float("-inf")),
-        polymer_count=len(live),
+        polymer_count=count,
         alpha=alpha,
         size=size,
         order=order,

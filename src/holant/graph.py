@@ -273,14 +273,3 @@ def grow_edge_sets(G, seeds, max_edges: int, visit, extend=_once):
             banned |= bit
     finally:
         del grow  # grow refers to itself: free the walk now, not at the next GC
-
-
-def _shortlex_sets(G, seeds, max_edges: int):
-    out: list = []
-    grow_edge_sets(G, seeds, max_edges, lambda stack: out.append(tuple(sorted(stack))))
-    return sorted(out, key=lambda t: (len(t), t))
-
-
-def connected_edge_sets(G: MultiGraph, max_edges: int):
-    """All connected edge sets with 1 <= |S| <= max_edges, shortlex."""
-    return _shortlex_sets(G, range(G.edge_count), max_edges)

@@ -40,16 +40,17 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from . import errors
-from .bounds import _gated_full_pool, kp_margins, region_bounds
+from .bounds import region_bounds
 from .errors import (ConditionViolated, GateExceeded, RegionViolation, UnsupportedWeights,
                      past_gate)
 from .expansion import _require_eps
-from .graph import MultiGraph
+from .graph import MultiGraph, mask_vertices
 from .polymers import (
     ColouredPolymer,
     family_to_assignment,
     holant_prefactor,
     live_polymers,
+    walk_live,
 )
 from .signatures import SignatureAssignment, check_fugacities
 
@@ -92,18 +93,43 @@ def _require_nonneg(assign: SignatureAssignment, z):
 
 
 def check_chain_conditions(G: MultiGraph, assign: SignatureAssignment, z):
-    """The sampling and the mixing condition, both on one gated full pool.
+    """The sampling and the mixing condition, both folded from one `walk_live`
+    to |E| edges.
 
     Returns ((ok, tau_star, tau_required), (ok, worst margin)): tau_star is the
-    largest tau with Phi <= e^{-tau |E|} pool-wide, and the margin is the
-    worst of sum_{g' incompatible} |E(g')| Phi(g') - xi |E(g)|, xi = DEFAULT_XI.
+    largest tau with Phi(g) <= e^{-tau |E(g)|} for every polymer g, and the
+    mixing margin of g is sum_{g' incompatible} |E(g')| Phi(g') - xi |E(g)|,
+    xi = DEFAULT_XI. Both need only the live polymers: a zero-weight g bounds
+    nothing in the first, and adds nothing to any sum in the second.
+
+    The margins are taken at the single edges only, and they decide the
+    mixing condition exactly. Every g' that meets a connected support S meets
+    some edge e of S, and xi |S| is the sum of xi over the edges of S, so
+    margin(S) <= sum_{e in S} margin(e): when no edge margin is positive, no
+    margin is. Each g' adds |E(g')| Phi(g') to its vertex mask, and the
+    margin of e = {u, v} sums the masks that meet u or v, minus xi. worst is
+    the largest edge margin, which is the largest margin overall whenever
+    the condition holds.
     """
     zr = _require_nonneg(assign, z)
-    pool = _gated_full_pool(G, assign, zr)
-    tau_star = min((-math.log(w.real) / n for _, n, weights in pool for w in weights
-                    if w.real > 0), default=math.inf)
+    agg: dict = {}
+    tau_star = math.inf
+
+    def keep(edges, _, vmask, __, w):
+        nonlocal tau_star
+        agg[vmask] = agg.get(vmask, 0.0) + len(edges) * w.real
+        tau_star = min(tau_star, -math.log(w.real) / len(edges))
+
+    walk_live(G, assign, zr, G.edge_count, keep)
     need = tau_floor(assign.kappa, max(1, G.max_degree()))
-    margins = kp_margins(pool, [n for _, n, _ in pool], [DEFAULT_XI * n for _, n, _ in pool])
+    inc = [sum(1 << e for e in G.incident(v)) for v in range(G.vertex_count)]
+    margins = [-DEFAULT_XI] * G.edge_count
+    for vmask, t in agg.items():
+        touched = 0  # the edges that meet vmask
+        for x in mask_vertices(vmask):
+            touched |= inc[x]
+        for e in mask_vertices(touched):  # set bits of an edge mask: edge ids
+            margins[e] += t
     worst = max(margins, default=float("-inf"))
     return (tau_star >= need, tau_star, need), (not any(m > 0 for m in margins), worst)
 
@@ -129,9 +155,10 @@ class PolymerChain:
     tau is tau_floor(kappa, Delta), and the mixing condition fixes xi at
     DEFAULT_XI = 0.75.
     check: "auto" accepts the instance when the fugacity ratios sit inside the
-    chain region bound, falling back to direct verification of the sampling
-    and mixing conditions on the full (gated) pool (certificate "region" or
-    "direct"); "none" trusts the caller (certificate "none").
+    chain region bound, falling back to `check_chain_conditions`, the direct
+    checks of the sampling and mixing conditions on the live polymers
+    (certificate "region" or "direct"); "none" trusts the caller (certificate
+    "none"). A direct check past the work gate is a RegionViolation.
     """
 
     def __init__(self, G: MultiGraph, assign: SignatureAssignment, z,

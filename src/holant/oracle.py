@@ -3,9 +3,10 @@
 Exponential-time, gate-guarded, and free of the production machinery: brute
 force over edge assignments (`brute_holant`, `exact_gibbs`, each signature
 read by `vertex_value`) and over compatible polymer families
-(`brute_polymer_z`); the textbook polymer pool (`connected_edge_subgraphs`,
-`connected_edge_supersets`, `enumerate_polymers`) with weights computed
-polymer by polymer (`polymer_weight`, `weight_map`); the inverse of
+(`brute_polymer_z`); the textbook polymer pool (`connected_edge_sets`,
+`connected_edge_subgraphs`, `connected_edge_supersets`,
+`enumerate_polymers`) with weights computed polymer by polymer
+(`polymer_weight`, `weight_map`); the inverse of
 `polymers.family_to_assignment` (`assignment_to_family`, built on
 `make_polymer` and `is_connected_edge_set`); the paper's closed-form
 truncation order (`truncation_order`); and the cluster expansion (`ursell`,
@@ -28,7 +29,7 @@ from .errors import (
     UnsupportedWeights,
 )
 from .expansion import _require_eps, _require_ratio
-from .graph import MultiGraph, _shortlex_sets, connected_edge_sets, mask_vertices
+from .graph import MultiGraph, grow_edge_sets, mask_vertices
 from .polymers import ColouredPolymer
 from .signatures import SignatureAssignment
 
@@ -142,6 +143,18 @@ def exact_gibbs(G: MultiGraph, assign: SignatureAssignment, z) -> dict:
 
 # ---------------------------------------------------------------------------
 # Anchored connected edge sets, the coloured polymer pool and its weights
+
+
+def _shortlex_sets(G, seeds, max_edges: int):
+    out: list = []
+    grow_edge_sets(G, seeds, max_edges, lambda stack: out.append(tuple(sorted(stack))))
+    return sorted(out, key=lambda t: (len(t), t))
+
+
+def connected_edge_sets(G, max_edges: int):
+    """All connected edge sets with 1 <= |S| <= max_edges, shortlex; G a
+    `MultiGraph` or any hypergraph `graph.grow_edge_sets` takes."""
+    return _shortlex_sets(G, range(G.edge_count), max_edges)
 
 
 def connected_edge_subgraphs(G: MultiGraph, v: int, max_edges: int):

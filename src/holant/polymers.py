@@ -14,8 +14,8 @@ With z_0 != 0 and every signature in F0 (f(0,...,0) != 0),
 where Z sums prod Phi over compatible families (empty family contributes 1)
 and Phi(gamma) = prod_i (z_i/z_0)^{#edges coloured i} * prod_{v in V(gamma)}
 f_v(...) / f_v(0), each vertex reading its signature with the edges outside
-gamma at colour 0 (`live_polymers` below; `holant.oracle.polymer_weight` is
-the polymer-by-polymer reference).
+gamma at colour 0 (`walk_live` below; `holant.oracle.polymer_weight` is the
+polymer-by-polymer reference).
 """
 
 from __future__ import annotations
@@ -108,14 +108,17 @@ def weight_tables(G: MultiGraph, assign: SignatureAssignment, z):
     return ratio, ends
 
 
-def live_polymers(G: MultiGraph, assign: SignatureAssignment, z, max_edges: int):
-    """(polymer, weight) pairs of nonzero weight with |E(gamma)| <= max_edges.
+def walk_live(G: MultiGraph, assign: SignatureAssignment, z, max_edges: int, keep):
+    """Call keep(edges, colours, vmask, vertices, w) once for each polymer of
+    nonzero weight w with |E(gamma)| <= max_edges, in walk order: edges
+    ascending, colours alongside, vertices the ascending ids of vmask. This
+    is the package's one weighing pass; `live_polymers` and the certificates
+    (`mcmc.check_chain_conditions`, `bounds.verify_kp`) fold from it.
 
-    Sorted by `ColouredPolymer.sort_key`, so the polymers come in
-    `oracle.enumerate_polymers` order, and each weight is bitwise equal to
-    `oracle.polymer_weight` (for finite tables). Raises InvalidFugacity for
-    a z that `check_fugacities` rejects, and the NotInF0 that polymer_weight
-    raises on the single-edge polymers, which lead that order.
+    Each w is bitwise equal to `oracle.polymer_weight` (for finite tables).
+    Raises InvalidFugacity for a z that `check_fugacities` rejects, and the
+    NotInF0 that polymer_weight raises on the single-edge polymers, which
+    lead `oracle.enumerate_polymers` order.
 
     One walk (`graph.grow_edge_sets`) grows each connected support and its
     colouring together, keeping the signature index of every touched vertex
@@ -131,18 +134,18 @@ def live_polymers(G: MultiGraph, assign: SignatureAssignment, z, max_edges: int)
         raise ValueError("kappa must be >= 1")
     z = check_fugacities(z, kappa)
     if max_edges < 1 or G.edge_count == 0:
-        return []
+        return
     ratio, ends = weight_tables(G, assign, z)
     colours = [c for c in range(1, kappa + 1) if z[c] != 0]
     tables: dict = {}
     for s in assign.sigs:
-        if id(s) not in tables:
-            tables[id(s)] = (extension_table(s), s.table, s.f0)
-    ext, vals, f0 = zip(*(tables[id(s)] for s in assign.sigs))
+        if id(s) not in tables:  # f / f(0), None off F0 (only at edgeless vertices here)
+            quot = [t / s.f0 for t in s.table] if s.f0 else None
+            tables[id(s)] = (extension_table(s), quot)
+    ext, quot = zip(*(tables[id(s)] for s in assign.sigs))
     bits = [(1 << u) | (1 << v) for u, v in G.edges]
     idx = [0] * G.vertex_count
     colour = [0] * G.edge_count
-    out: list = []
 
     def extend(e):
         u, ru, v, rv = ends[e]
@@ -164,12 +167,29 @@ def live_polymers(G: MultiGraph, assign: SignatureAssignment, z, max_edges: int)
         vmask = 0
         for e in edges:
             vmask |= bits[e]
-        for x in mask_vertices(vmask):
-            w *= vals[x][idx[x]] / f0[x]
+        vertices = mask_vertices(vmask)
+        for x in vertices:
+            w *= quot[x][idx[x]]
         if w != 0:
-            out.append((ColouredPolymer(edges, cols, vmask), w))
+            keep(edges, cols, vmask, vertices, w)
 
     grow_edge_sets(G, range(G.edge_count), max_edges, visit, extend)
+
+
+def live_polymers(G: MultiGraph, assign: SignatureAssignment, z, max_edges: int):
+    """(polymer, weight) pairs of nonzero weight with |E(gamma)| <= max_edges,
+    from one `walk_live`.
+
+    Sorted by `ColouredPolymer.sort_key`, so the polymers come in
+    `oracle.enumerate_polymers` order, each weight bitwise equal to
+    `oracle.polymer_weight` (for finite tables); raises what `walk_live` raises.
+    """
+    out: list = []
+
+    def keep(edges, cols, vmask, _, w):
+        out.append((ColouredPolymer(edges, cols, vmask), w))
+
+    walk_live(G, assign, z, max_edges, keep)
     out.sort(key=lambda pw: pw[0].sort_key())
     return out
 

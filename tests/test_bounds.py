@@ -15,7 +15,6 @@ from holant import (
     verify_kp,
 )
 from holant import errors
-from holant import graph as graph_mod
 from holant import polymers as polymers_mod
 from holant.bounds import KpReport, q_factor_fugacity, q_factor_problem
 from holant.mcmc import check_chain_conditions
@@ -358,17 +357,16 @@ def test_local_certificate_is_sound():
     assert rejected > 0  # the scales reach past what the certificate accepts
 
 
-def test_full_pool_walks_once_and_never_grows_live_polymers(monkeypatch):
-    # the chain's direct checks walk the supports once, to |E| edges; a call
-    # to live_polymers (through polymers.grow_edge_sets) would show as a
-    # second walk. verify_kp walks once too, to m = min(|E|, 4) edges.
-    walks, grow = [], graph_mod.grow_edge_sets
+def test_direct_checks_and_verify_kp_walk_once(monkeypatch):
+    # the chain's direct checks walk the live polymers once, to |E| edges, and
+    # verify_kp once, to m = min(|E|, 4) edges; a call to live_polymers would
+    # show as a second walk
+    walks, grow = [], polymers_mod.grow_edge_sets
 
     def counting(*args):
         walks.append(args[2])
         return grow(*args)
 
-    monkeypatch.setattr(graph_mod, "grow_edge_sets", counting)
     monkeypatch.setattr(polymers_mod, "grow_edge_sets", counting)
     G = _grid(3, 3)
     a = uniform_assignment(G, "even-parity", 0.5)
@@ -380,12 +378,11 @@ def test_full_pool_walks_once_and_never_grows_live_polymers(monkeypatch):
     assert report.polymer_count == len(live_polymers(G, a, (1.0, 0.004), 4))
 
 
-def test_full_pool_charges_its_colouring_pass_up_front(monkeypatch):
-    # the chain's direct checks charge |S| for each of the kappa^|S| colourings of every
-    # support S, plus the squared count of distinct vertex masks, once and
-    # before any weight: at a gate of exactly that total it answers, one
-    # below it raises with the total, and it does so before the NotInF0 of a
-    # vertex with f(0) = 0
+def test_direct_checks_charge_only_their_walk(monkeypatch):
+    # the chain's direct checks charge nothing past their live-polymer walk,
+    # |S| for every set it visits: at a gate of exactly that total they
+    # answer, and one below it they raise the walk's GateExceeded. A vertex
+    # with f(0) = 0 raises NotInF0 before the walk starts, at any gate.
     def path(n, f0):
         G = MultiGraph(n, [(i, i + 1) for i in range(n - 1)])
         end = make_signature([1, 0.5, 0.5], 1, 2)
@@ -394,32 +391,39 @@ def test_full_pool_charges_its_colouring_pass_up_front(monkeypatch):
         sigs[3] = make_signature([f0, 0.3, 0.3, 0.3, 0, 0, 0.3, 0, 0], 2, 2)
         return G, SignatureAssignment(G, sigs)
 
+    units, grow, gate = [], polymers_mod.grow_edge_sets, errors.WORK_GATE
+
+    def counting(G, seeds, max_edges, visit, extend):
+        return grow(G, seeds, max_edges, lambda stack: units.append(len(stack)) or visit(stack),
+                    extend)
+
     star = MultiGraph(5, [(0, v) for v in range(1, 5)])
     star_a = SignatureAssignment(star, [make_signature([1] + [0.1] * 1294 + [0], 4, 5)]
                                  + [make_signature([1] + [0.5] * 5, 1, 5)] * 4)
     for (G, a), z in ((path(10, 1), (1, 0.01, 0.01)), (path(10, 1), (1, 0.01, 0)),
-                      ((star, star_a), (1, 0.01, 0.01, 0, 0.01, 0.01)),
-                      (path(10, 0), (1, 0.01, 0.01))):
-        pool = enumerate_polymers(G, a.kappa, G.edge_count)
-        total = sum(p.size for p in pool) + len({p.vmask for p in pool}) ** 2
+                      ((star, star_a), (1, 0.01, 0.01, 0, 0.01, 0.01))):
+        units.clear()
+        monkeypatch.setattr(errors, "WORK_GATE", gate)
+        monkeypatch.setattr(polymers_mod, "grow_edge_sets", counting)
+        want = check_chain_conditions(G, a, z)
+        monkeypatch.setattr(polymers_mod, "grow_edge_sets", grow)
+        total = sum(units)
         monkeypatch.setattr(errors, "WORK_GATE", total - 1)
         with pytest.raises(GateExceeded) as err:
             check_chain_conditions(G, a, z)
-        assert str(err.value) == (f"{total} colouring units and vertex-mask pairs "
-                                  f"exceed gate {total - 1}")
+        assert str(err.value) == f"{total} units of edge-set walk exceed gate {total - 1}"
         monkeypatch.setattr(errors, "WORK_GATE", total)
-        if a.sigs[3].f0:
-            check_chain_conditions(G, a, z)
-        else:
-            with pytest.raises(NotInF0, match="vertex 3"):
-                check_chain_conditions(G, a, z)
+        assert check_chain_conditions(G, a, z) == want
+    G, a = path(10, 0)
+    monkeypatch.setattr(errors, "WORK_GATE", 0)
+    with pytest.raises(NotInF0, match="vertex 3"):
+        check_chain_conditions(G, a, (1, 0.01, 0.01))
 
 
 def test_verify_kp_keeps_the_error_order_of_the_weights():
-    # a vertex outside F0 raises live_polymers' NotInF0, word for word; the
-    # chain's direct checks on a gated instance raise GateExceeded before
-    # they look at any signature, while verify_kp's walk on C100 is small
-    # and meets the signature
+    # a vertex outside F0 raises live_polymers' NotInF0, word for word, in
+    # verify_kp and in the chain's direct checks, whose walks on C100 are small
+    # and meet the signature
     G = p3()
     a = SignatureAssignment(G, [make_signature([1, 1], 1, 1), make_signature([1, 1, 1, 0], 2, 1),
                                 make_signature([0, 1], 1, 1)])
@@ -434,14 +438,13 @@ def test_verify_kp_keeps_the_error_order_of_the_weights():
     a = SignatureAssignment(G, sigs)
     with pytest.raises(NotInF0, match="vertex 50: signature 'table' has f"):
         verify_kp(G, a, (1.0, 0.01))
-    with pytest.raises(GateExceeded, match="vertex-mask pairs"):
+    with pytest.raises(NotInF0, match="vertex 50: signature 'table' has f"):
         check_chain_conditions(G, a, (1.0, 0.01))
 
 
 def test_verify_kp_gate(monkeypatch):
-    # C100's full pool (9.6e7 vertex-mask pairs) passes the work gate, but
-    # verify_kp walks only the live polymers of up to 4 edges: under matching
-    # the 100 single edges, charging one unit each
+    # verify_kp walks only the live polymers of up to 4 edges: on C100 under
+    # matching the 100 single edges, charging one unit each
     G = MultiGraph(100, [(i, (i + 1) % 100) for i in range(100)])
     a = uniform_assignment(G, "matching")
     rep = verify_kp(G, a, (1.0, 0.01))

@@ -29,6 +29,7 @@ from holant.oracle import (
 )
 from holant.polymers import holant_prefactor
 from holant.cli import main, parse_complex, parse_z
+from holant import errors
 from holant.errors import InvalidFugacity, ParseError
 
 from helpers import half_bound_z, rel_close
@@ -359,15 +360,49 @@ def test_count_mcmc_region_violation(capsys, files):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("command", ["count-mcmc", "sample"])
-def test_chain_outside_region_exits_2_when_direct_checks_are_gated(capsys, tmp_path, command):
-    # C100 at z1 = 0.01, above the mcmc-poly bound and too large for the
-    # direct checks: a region violation (exit 2), not a size gate (exit 4)
+def _c100(tmp_path):
     path = tmp_path / "c100.txt"
     path.write_text(MultiGraph(100, [(i, (i + 1) % 100) for i in range(100)]).to_text())
-    assert main([command, "--graph", str(path), "--sig", "matching",
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["count-mcmc", "sample"])
+def test_chain_outside_region_exits_2_from_the_direct_checks(capsys, tmp_path, command):
+    # C100 at z1 = 0.01 lies above the mcmc-poly bound, and the direct checks
+    # find tau* = -ln 0.01 below the floor: a region violation (exit 2)
+    assert main([command, "--graph", _c100(tmp_path), "--sig", "matching",
                  "--z", "1,0.01", "--eps", "0.1"]) == 2
-    assert "bound" in capsys.readouterr().err
+    assert "direct checks give tau* = 4.60517" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["count-mcmc", "sample"])
+def test_chain_outside_region_exits_2_when_direct_checks_are_gated(capsys, tmp_path,
+                                                                   monkeypatch, command):
+    # the 4x4 grid with even-parity at z1 = 0.004: every support is live, so
+    # the direct checks walk past a gate that the planned chain steps pass,
+    # and the gated checks are a region violation (exit 2), not a size gate
+    # (exit 4)
+    E = [(4 * r + c, 4 * r + c + 1) for r in range(4) for c in range(3)]
+    E += [(4 * r + c, 4 * r + c + 4) for r in range(3) for c in range(4)]
+    path = tmp_path / "grid4x4.txt"
+    path.write_text(MultiGraph(16, E).to_text())
+    monkeypatch.setattr(errors, "WORK_GATE", 200_000)
+    assert main([command, "--graph", str(path), "--sig", "even-parity:0.5",
+                 "--z", "1,0.004", "--eps", "0.5"]) == 2
+    err = capsys.readouterr().err
+    assert "bound" in err and "was gated" in err and "units of edge-set walk" in err
+
+
+def test_sample_outside_region_exits_2_on_a_long_cycle(capsys, tmp_path):
+    # C10^4: the direct checks walk its 10^4 single edges, once each, and
+    # never nest deeper than one edge
+    path = tmp_path / "c10000.txt"
+    path.write_text(MultiGraph(10000, [(i, (i + 1) % 10000) for i in range(10000)]).to_text())
+    t0 = time.perf_counter()
+    assert main(["sample", "--graph", str(path), "--sig", "matching", "--z", "1,0.001",
+                 "--eps", "0.1"]) == 2
+    assert time.perf_counter() - t0 < 5.0
+    assert "direct checks give tau* = 6.90776 (need >= 7.07944)" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

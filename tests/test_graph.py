@@ -9,10 +9,10 @@ from holant import (
     MultiGraph,
     ParseError,
 )
-from holant.graph import connected_edge_sets, grow_edge_sets
+from holant.graph import grow_edge_sets
 from holant.linsys import Hypergraph
-from holant.oracle import (connected_edge_subgraphs, connected_edge_supersets,
-                           is_connected_edge_set)
+from holant.oracle import (connected_edge_sets, connected_edge_subgraphs,
+                           connected_edge_supersets, is_connected_edge_set)
 
 from helpers import MASTER_SEED, c3, random_graph, reference_grow
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import holant.errors as errors
 import holant.linsys as linsys_mod
 from holant.cli import main
-from holant.graph import connected_edge_sets
+from holant.oracle import connected_edge_sets
 from holant import (
     ConditionViolated,
     GateExceeded,

@@ -4,12 +4,14 @@ import math
 import os
 import random
 import statistics
+import time
 from collections import Counter
 
 import pytest
 
 import holant.errors as errors
 import holant.mcmc as mcmc_mod
+import holant.polymers as polymers_mod
 from holant import (
     ConditionViolated,
     GateExceeded,
@@ -117,37 +119,53 @@ def test_chain_rejects_outside_region():
         PolymerChain(G, a, (1.0, 0.05))
 
 
-def test_chain_outside_region_with_gated_direct_checks_is_a_region_violation():
-    # C100's direct checks pass the work gate (9.6e7 vertex-mask pairs), and
-    # their GateExceeded would otherwise read as a size gate (exit 4) rather
-    # than a bound (exit 2)
+def test_chain_outside_region_with_gated_direct_checks_is_a_region_violation(monkeypatch):
+    # C100 at z1 = 0.01 lies outside the mcmc-poly bound; its direct checks
+    # walk only the 100 single edges and answer. Below the walk's 100 units
+    # their GateExceeded would read as a size gate (exit 4) rather than a
+    # bound (exit 2), so the chain raises a RegionViolation that says so.
     G = MultiGraph(100, [(i, (i + 1) % 100) for i in range(100)])
     a = uniform_assignment(G, "matching")
+    (ok, tau_star, need), _ = check_chain_conditions(G, a, (1.0, 0.01))
+    assert not ok and tau_star == pytest.approx(-math.log(0.01))
+    with pytest.raises(RegionViolation, match=r"direct checks give tau\* = 4\.60517 "
+                       r"\(need >= 7\.07944\)"):
+        PolymerChain(G, a, (1.0, 0.01))
+    monkeypatch.setattr(errors, "WORK_GATE", 99)
     with pytest.raises(GateExceeded):
         check_chain_conditions(G, a, (1.0, 0.01))
-    with pytest.raises(RegionViolation, match="bound"):
+    with pytest.raises(RegionViolation, match="bound .* violated and direct verification "
+                       "was gated"):
         PolymerChain(G, a, (1.0, 0.01))
 
 
-def test_direct_checks_build_the_full_pool_once(monkeypatch):
-    calls = []
-    full_pool = mcmc_mod._gated_full_pool
-    monkeypatch.setattr(mcmc_mod, "_gated_full_pool",
-                        lambda *args: calls.append(args) or full_pool(*args))
+def test_direct_checks_walk_the_live_polymers_once(monkeypatch):
+    walks, grow = [], polymers_mod.grow_edge_sets
+
+    def counting(*args):
+        walks.append(args[2])
+        return grow(*args)
+
+    monkeypatch.setattr(polymers_mod, "grow_edge_sets", counting)
     G = c3()
     a = uniform_assignment(G, "matching")
     with pytest.raises(RegionViolation, match=r"direct checks give tau\* = 2\.99573 "
                        r"\(need >= 7\.07944\), mixing margin -0\.6"):
         PolymerChain(G, a, (1.0, 0.05))
-    assert len(calls) == 1
+    assert walks == [G.edge_count]
 
 
 def test_direct_checks_match_the_textbook_pool():
-    # tau* and the worst mixing margin, bit for bit, from the textbook pool
-    # with one margin per polymer: the terms |E| Phi summed per vertex mask in
-    # pool order, then over the masks that meet the polymer's. The tables have
-    # zero entries and some fugacities are zero.
+    # against the textbook pool with one margin per polymer, zero-weight
+    # ones included: the terms |E| Phi summed per vertex mask in pool order,
+    # then over the masks that meet the polymer's. tau* is the same bit for
+    # bit, the mixing verdict is the same, and the worst margin is the
+    # textbook's largest single-edge margin (the direct checks take margins
+    # at the edges only), which is its largest margin overall when the
+    # condition holds. The tables have zero entries and some fugacities are
+    # zero.
     rng = random.Random(MASTER_SEED + 31)
+    certified = 0
     for _ in range(200):
         kappa = rng.choice([1, 2, 3])
         G = random_graph(rng, max_edges=6 if kappa < 3 else 4, max_degree=3)
@@ -171,8 +189,29 @@ def test_direct_checks_match_the_textbook_pool():
         lhs = {mask: sum(t for m, t in agg.items() if m & mask) for mask in agg}
         margins = [lhs[p.vmask] - mcmc_mod.DEFAULT_XI * p.size for p in pool]
         need = tau_floor(kappa, max(1, G.max_degree()))
-        want = (tau_star >= need, tau_star, need), (all(m <= 0 for m in margins), max(margins))
-        assert repr(check_chain_conditions(G, a, z)) == repr(want)
+        sampling, (ok, worst) = check_chain_conditions(G, a, z)
+        assert repr(sampling) == repr((tau_star >= need, tau_star, need))
+        assert ok == all(m <= 0 for m in margins)
+        edge_worst = max(m for p, m in zip(pool, margins) if p.size == 1)
+        assert worst == pytest.approx(edge_worst, rel=1e-12)
+        if ok:
+            certified += 1
+            assert worst == pytest.approx(max(margins), rel=1e-12)
+    assert 0 < certified < 200
+
+
+def test_direct_checks_answer_fast_with_one_live_polymer_per_edge():
+    # C100 and the 10x10 grid with matching: one live polymer per edge,
+    # against some 1e8 and past 2e7 connected edge sets
+    grid = MultiGraph(100, [(10 * r + c, 10 * r + c + 1) for r in range(10) for c in range(9)]
+                      + [(10 * r + c, 10 * r + c + 10) for r in range(9) for c in range(10)])
+    cycle = MultiGraph(100, [(i, (i + 1) % 100) for i in range(100)])
+    for G, z1 in ((cycle, 0.01), (grid, 1e-3)):
+        a = uniform_assignment(G, "matching")
+        t0 = time.perf_counter()
+        (ok, tau_star, _), (ok_m, _) = check_chain_conditions(G, a, (1.0, z1))
+        assert time.perf_counter() - t0 < 1.0
+        assert tau_star == pytest.approx(-math.log(z1)) and not ok and ok_m
 
 
 def test_chain_direct_certification_beyond_region_bound():
@@ -190,6 +229,16 @@ def test_chain_direct_certification_beyond_region_bound():
     # inside the closed form the certificate is the region itself
     chain2 = PolymerChain(G, a, (1.0, 0.5 * b))
     assert chain2.certificate == "region"
+    # the same tables alternating on C100, at delta = 2: every edge weighs
+    # z1 * 1.5 * 0.5, and the direct checks certify from the 100 edges
+    G = MultiGraph(100, [(i, (i + 1) % 100) for i in range(100)])
+    a = SignatureAssignment(G, [make_signature([1, 1.5, 1.5, 0], 2, 1),
+                                make_signature([1, 0.5, 0.5, 0], 2, 1)] * 50)
+    z1 = 5e-4
+    assert z1 > region_bounds("mcmc-poly", delta=2, kappa=1, r1=1.5).bound
+    t0 = time.perf_counter()
+    assert PolymerChain(G, a, (1.0, z1)).certificate == "direct"
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_mu0_masses_match_weights():

@@ -14,7 +14,6 @@ from holant import (
     make_signature,
     uniform_assignment,
 )
-from holant.bounds import _gated_full_pool
 from holant.graph import mask_vertices
 from holant.mcmc import PolymerChain
 from holant.oracle import (
@@ -282,23 +281,17 @@ def test_live_polymers_equal_filtered_enumeration():
             assert _bits(live_polymers(G, assign, z, m)) == _bits(ref)
 
 
-def test_full_pool_weights_equal_polymer_weight():
-    # the chain's direct-certificate pool keeps zero-weight polymers, one
-    # (vmask, size, weights) entry per support whose colourings weigh in
-    # enumerate_polymers order, all from one colouring pass. polymer_weight
-    # can return a signed zero (-0j) where the pool has 0j, and every reader
-    # of the pool takes abs(w) or w.real > 0, so zeros compare as 0j.
+def test_live_polymers_ignore_an_isolated_vertex_outside_f0():
+    # an edgeless vertex with f() = 0 is in no polymer, so it neither raises
+    # nor changes the pool: the walk builds no f / f(0) table for it
     rng = random.Random(MASTER_SEED + 13)
-    for _ in range(300):
+    for _ in range(100):
         kappa = rng.choice([1, 2, 3])
         G, assign, z = _random_sparse_instance(rng, kappa, 6 if kappa < 3 else 4)
-        pool = _gated_full_pool(G, assign, z)
-        ref = enumerate_polymers(G, kappa, G.edge_count)
-        assert [(vmask, n) for vmask, n, weights in pool for _ in weights] == \
-            [(p.vmask, p.size) for p in ref]
-        weights = [w for _, _, ws in pool for w in ws]
-        want = [polymer_weight(G, assign, z, p) for p in ref]
-        assert [repr(w) for w in weights] == [repr(w if w != 0 else 0j) for w in want]
+        H = MultiGraph(G.vertex_count + 1, G.edges)
+        lone = SignatureAssignment(H, list(assign.sigs) + [make_signature([0], 0, kappa)])
+        assert _bits(live_polymers(H, lone, z, H.edge_count)) == \
+            _bits(live_polymers(G, assign, z, G.edge_count))
 
 
 def test_live_polymers_of_matching_are_single_edges():
