@@ -5,12 +5,19 @@ violation; 3 unsupported weights / signature not in F0; 4 work gate exceeded,
 or a walk too deep for the recursion limit.
 Reports carry the resolved inputs and the seed, so a report replays to the
 identical result.
+
+`main(argv)` may be called repeatedly in one process, as the benchmark and
+the tests do. It builds its parser once per process, on the first call, and
+every later call reuses it; the one-shot console script builds it once, as
+before. Each call parses into a fresh namespace, so no call sees another's
+options. `holant --help` shows the two paragraphs above this one.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import sys
@@ -122,10 +129,15 @@ def _json_safe(value):
 
 
 def _emit(args, report: dict) -> None:
-    text = json.dumps(_json_safe(report), indent=2, sort_keys=True, allow_nan=False)
-    if getattr(args, "out", None):
-        Path(args.out).write_text(text + "\n")
-    if getattr(args, "format", "text") == "json":
+    """Print the report as text or JSON and write its JSON to --out if given;
+    the JSON is built only when one of the two uses it."""
+    as_json = getattr(args, "format", "text") == "json"
+    out = getattr(args, "out", None)
+    if as_json or out:
+        text = json.dumps(_json_safe(report), indent=2, sort_keys=True, allow_nan=False)
+    if out:
+        Path(out).write_text(text + "\n")
+    if as_json:
         print(text)
     else:
         _print_text(report)
@@ -338,8 +350,16 @@ def _add_common(p: argparse.ArgumentParser, with_seed: bool = False):
                        help="RNG seed (default: derived from the instance)")
 
 
+@functools.cache
 def build_parser() -> _Parser:
-    parser = _Parser(prog="holant", description=__doc__)
+    """The one parser of this process, built on the first call.
+
+    Sharing it between calls is safe: `parse_args` copies the defaults into a
+    fresh namespace, and usage, help and version output look up sys.stdout,
+    sys.stderr and the terminal width when they are printed.
+    """
+    description = __doc__ and "\n\n".join(__doc__.split("\n\n")[:2])  # None under -OO
+    parser = _Parser(prog="holant", description=description)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 

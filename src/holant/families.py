@@ -25,13 +25,13 @@ states per vertex while its number of families grows exponentially.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import add
 
 from . import errors
 from .errors import past_gate
-from .graph import mask_vertices
 
 
 @dataclass(frozen=True)
@@ -57,6 +57,28 @@ def _shifted(coeffs, size: int, weight):
     return (0j,) * size + tuple(weight * c for c in coeffs[:len(coeffs) - size])
 
 
+def _prefix_masks(order) -> list:
+    """prefix[i]: the mask of order[:i + 1]; ValueError if a vertex repeats."""
+    prefix, seen = [], 0
+    for v in order:
+        if seen >> v & 1:
+            raise ValueError("order lists a vertex twice")
+        seen |= 1 << v
+        prefix.append(seen)
+    return prefix
+
+
+def _first_position(mask: int, prefix: list) -> int:
+    """Position in the order of the first vertex of a nonempty mask, from the
+    order's `_prefix_masks`: the first prefix that meets the mask. ValueError
+    names the lowest vertex of the mask that the order lacks."""
+    missing = mask & ~(prefix[-1] if prefix else 0)
+    if missing:
+        v = (missing & -missing).bit_length() - 1
+        raise ValueError(f"vertex {v} of an item is not in the order")
+    return bisect_left(prefix, 1, key=mask.__and__)
+
+
 def family_sum(items, order, cap: int = 0) -> FamilySum:
     """sum over families of prod weight * x^{total size}, truncated at x^cap.
 
@@ -66,9 +88,7 @@ def family_sum(items, order, cap: int = 0) -> FamilySum:
     series of cap + 1 terms, so the DP charges transitions * (cap + 1) and
     raises GateExceeded once that passes `errors.WORK_GATE`.
     """
-    pos = {v: i for i, v in enumerate(order)}
-    if len(pos) != len(order):
-        raise ValueError("order lists a vertex twice")
+    prefix = _prefix_masks(order)
     starts = [[] for _ in order]
     touched = 0
     for mask, size, weight in items:
@@ -76,10 +96,7 @@ def family_sum(items, order, cap: int = 0) -> FamilySum:
             continue
         if not mask:
             raise ValueError("items need a nonempty vertex mask")
-        try:
-            first = min(pos[v] for v in mask_vertices(mask))
-        except KeyError as exc:
-            raise ValueError(f"vertex {exc.args[0]} of an item is not in the order") from None
+        first = _first_position(mask, prefix)
         starts[first].append((mask ^ (1 << order[first]), size, weight))
         touched |= mask
 

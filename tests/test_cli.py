@@ -1,15 +1,19 @@
 """End-to-end coverage of the command-line interface.
 
-Every test drives holant.cli.main directly (fast, in-process); one subprocess
-smoke test checks the module really is executable.
+Every test drives holant.cli.main directly (fast, in-process); two tests also
+run the module in a fresh interpreter, to check that it is executable and that
+repeated in-process calls report what one-shot runs report.
 """
 
 import cmath
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -28,7 +32,7 @@ from holant.oracle import (
     weight_map,
 )
 from holant.polymers import holant_prefactor
-from holant.cli import main, parse_complex, parse_z
+from holant.cli import build_parser, main, parse_complex, parse_z
 from holant import errors
 from holant.errors import InvalidFugacity, ParseError
 
@@ -145,6 +149,48 @@ def test_usage_errors_exit_1(capsys):
     capsys.readouterr()
 
 
+def test_repeated_in_process_calls_are_independent(capsys, files):
+    # main builds its parser once per process; no call may see another's
+    # options, and each report equals that of a fresh interpreter
+    assert build_parser() is build_parser()
+    out = files["tmp"] + "/a.json"
+    approx = ["approx", "--graph", files["k2"], "--sig", "matching", "--z", "1,0.05",
+              "--eps", "0.01", "--out", out]
+    linsys = ["linsys", "--matrix", files["matrix"]]
+    seeded = ["sample", "--graph", files["k2"]] + SAMPLE_ARGS + ["--seed", "5"]
+    derived = seeded[:-2]
+    reports = {}
+    reports["approx"] = run_json(capsys, approx)
+    with open(out) as fh:
+        assert json.load(fh) == reports["approx"]
+    Path(out).unlink()
+    reports["linsys"] = run_json(capsys, linsys)
+    assert not Path(out).exists()  # linsys has no --out, so it writes no file
+    reports["seeded"] = run_json(capsys, seeded)
+    reports["derived"] = run_json(capsys, derived)
+    assert reports["seeded"]["seed"] == 5 and reports["derived"]["seed"] != 5
+    # a call without --format prints text after JSON calls
+    assert main(linsys) == 0
+    assert capsys.readouterr().out.startswith("command: linsys\n")
+    # usage, help and version go to the streams of the call that prints them
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        assert main(["approx", "--graph", files["k2"]]) == 1
+    assert err.getvalue().startswith("usage: holant approx") and "required" in err.getvalue()
+    assert run_json(capsys, linsys) == reports["linsys"]
+    for flag in ("--help", "--version"):
+        assert main([flag]) == 0
+        first = capsys.readouterr().out
+        with contextlib.redirect_stdout(io.StringIO()) as again:
+            assert main([flag]) == 0
+        assert first and again.getvalue() == first
+    for name, argv in (("approx", approx), ("linsys", linsys), ("seeded", seeded),
+                       ("derived", derived)):
+        proc = subprocess.run([sys.executable, "-m", "holant.cli", *argv, "--format", "json"],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == reports[name], name
+
+
 # ---------------------------------------------------------------------------
 # approx
 
@@ -160,7 +206,7 @@ def test_approx_polynomial_route(capsys, files):
     assert abs(value - 1.05) <= 0.01  # exact K2 matching value is 1 + z1
 
 
-def test_approx_methods_agree(capsys, files):
+def test_approx_agrees_with_the_cluster_sum(capsys, files):
     # the explicit cluster sum is the reference for the truncated series; an
     # eps whose certified order is 6 keeps its multiset enumeration affordable
     argv = ["approx", "--graph", files["c4"], "--sig", "even-parity:0.02",

@@ -17,7 +17,7 @@ from holant import (
 from holant.expansion import log_z_coefficients
 from holant.polymers import live_polymers
 from holant.oracle import enumerate_polymers
-from holant.families import family_sum
+from holant.families import _first_position, _prefix_masks, family_sum
 from holant.graph import bfs_order, mask_vertices
 
 from helpers import MASTER_SEED, half_bound_z, rel_close
@@ -100,6 +100,27 @@ def test_family_sum_rejects_bad_orders():
         family_sum([(0b1, 0, 1.0)], [0, 0])
     with pytest.raises(ValueError):
         family_sum([(0, 0, 1.0)], [0])
+
+
+def test_first_position_equals_the_least_position_of_a_vertex():
+    # the prefix-mask bisection against the plain minimum over the decoded
+    # mask, on orders that list a random subset of the vertices
+    rng = random.Random(MASTER_SEED + 73)
+    for _ in range(300):
+        n = rng.choice((rng.randint(1, 12), rng.randint(60, 140)))
+        order = rng.sample(range(n), rng.randint(0, n))
+        pos = {v: i for i, v in enumerate(order)}
+        prefix = _prefix_masks(order)
+        for _ in range(5):
+            mask = sum(1 << v for v in rng.sample(range(n), rng.randint(1, min(4, n))))
+            try:
+                want = min(pos[v] for v in mask_vertices(mask))
+            except KeyError as exc:
+                with pytest.raises(ValueError) as err:
+                    _first_position(mask, prefix)
+                assert str(err.value) == f"vertex {exc.args[0]} of an item is not in the order"
+            else:
+                assert _first_position(mask, prefix) == want
 
 
 def test_bfs_order_is_a_permutation():
