@@ -118,10 +118,13 @@ def _c(v: complex):
 
 def _json_safe(value):
     """value with each non-finite float (an infinite q, or the worst margin of
-    an empty pool) as None, which JSON can hold."""
+    an empty pool) as None, which JSON can hold. A list or tuple of ints only
+    (such as a sampled assignment) is returned as it is."""
     if isinstance(value, dict):
         return {k: _json_safe(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
+        if set(map(type, value)) <= {int}:
+            return value
         return [_json_safe(v) for v in value]
     if isinstance(value, float) and not math.isfinite(value):
         return None

@@ -205,7 +205,7 @@ def _parse_graph_lines(lines) -> MultiGraph:
         raise ParseError(str(exc)) from exc
 
 
-def _once(e):
+def _once(e, banned):
     return (e,)
 
 
@@ -227,10 +227,12 @@ def grow_edge_sets(G, seeds, max_edges: int, visit, extend=_once):
     candidates are frontier & ~cur & ~banned, tried in ascending edge order,
     and each joins banned once its branch is done.
 
-    extend(e) is the per-edge hook, called once edge e has joined the set. The
-    walk descends once for each item of the iterable it returns, so a hook can
-    try several states for e in turn (setting each before yielding it) or
-    none, which cuts every superset grown from there.
+    extend(e, banned) is the per-edge hook, called once edge e has joined the
+    set. banned is the mask of the edges that no set grown from there may
+    hold; no edge of the set is in it. The walk descends once for each item
+    of the iterable it returns, so a hook can try several states for e in
+    turn (setting each before yielding it) or none, which cuts the set and
+    every superset grown from it.
 
     Every visited set charges its size, and visit may return further work
     units of its own to charge (None for none); the walk raises GateExceeded
@@ -257,7 +259,7 @@ def grow_edge_sets(G, seeds, max_edges: int, visit, extend=_once):
             cand ^= bit
             e = bit.bit_length() - 1
             stack.append(e)
-            for _ in extend(e):
+            for _ in extend(e, banned):
                 grow(stack, cur | bit, frontier | touch[e], banned)
             stack.pop()
             banned |= bit
@@ -268,7 +270,7 @@ def grow_edge_sets(G, seeds, max_edges: int, visit, extend=_once):
             bit = 1 << seed
             if banned & bit:
                 continue
-            for _ in extend(seed):
+            for _ in extend(seed, banned):
                 grow([seed], bit, touch[seed], banned)
             banned |= bit
     finally:

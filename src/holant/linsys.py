@@ -182,46 +182,76 @@ class VectorPolymer:
 def enumerate_vector_polymers(sys: LinearSystem):
     """All vector polymers of the system.
 
-    The connected column supports are the connected edge sets of H_A, walked
-    once each by `graph.grow_edge_sets`. For each support, the entries
-    1..cap_j are assigned column by column in support order, keeping every
-    touched row's sum so far. A row closes at its last support column: there
-    the one value that brings its sum to zero is the only one tried, and a
-    branch stops when that value is not an integer in 1..cap_j or leaves
-    another row closing there nonzero. A support is skipped outright when
-    some touched row meets only one of its columns, since that row's sum is a
-    nonzero entry times a value >= 1.
+    The connected column supports are the connected edge sets of H_A, grown
+    once each by `graph.grow_edge_sets`. Every value is >= 1, so a row sums
+    to zero only if the support holds a column of each sign in it. The
+    walk's per-column hook keeps, as the support grows, the touched rows and
+    those with a positive and with a negative column in it. It cuts the
+    support and every superset grown from it once some touched row lacks a
+    column of one sign both in the support and among the columns the walk
+    may still add (those outside its banned mask).
 
-    The walk charges each support's size, and each polymer found adds its
-    number of values to the same count (GateExceeded once the count passes
-    `errors.WORK_GATE`). Each support's box, the product of its caps, is
-    checked against the gate before any of this pruning, as if every box
-    vector were tried.
+    For each support the walk visits, the entries 1..cap_j are assigned
+    column by column in support order, keeping every touched row's sum so
+    far. A row closes at its last support column: there the one value that
+    brings its sum to zero is the only one tried, and a branch stops when
+    that value is not an integer in 1..cap_j or leaves another row closing
+    there nonzero. A support with a touched row of one sign only is skipped
+    before any value is tried.
+
+    The walk charges each visited support's size, and each polymer found
+    adds its number of values to the same count (GateExceeded once the count
+    passes `errors.WORK_GATE`). The hook checks each support's box, the
+    product of its caps, against the gate before it decides to cut, so every
+    support the walk forms is checked as if every box vector were tried.
     """
     live = sys.live_columns()
     H = build_hypergraph(sys)
     col_rows = [sum(1 << i for i in rows) for rows in H.edges]
     # entries[t]: (row, coefficient) of each nonzero of live column t
     entries = [[(i, sys.rows[i][j]) for i in sorted(H.edges[t])] for t, j in enumerate(live)]
+    # col_plus[t], col_minus[t]: rows where column t is positive, negative;
+    # row_plus[i], row_minus[i]: columns that are positive, negative in row i
+    col_plus, col_minus = [0] * len(live), [0] * len(live)
+    row_plus, row_minus = [0] * sys.n, [0] * sys.n
+    for t, ents in enumerate(entries):
+        for i, a in ents:
+            if a > 0:
+                col_plus[t] |= 1 << i
+                row_plus[i] |= 1 << t
+            else:
+                col_minus[t] |= 1 << i
+                row_minus[i] |= 1 << t
     out = []
     gate = errors.WORK_GATE
+    chosen = []  # the support the hook has grown
+    box, rmask, plus, minus = 1, 0, 0, 0  # its caps' product, touched rows, rows with each sign
+
+    def extend(t, banned):
+        nonlocal box, rmask, plus, minus
+        saved = box, rmask, plus, minus
+        chosen.append(t)
+        box *= sys.caps[live[t]]
+        if box > gate:
+            raise past_gate(box, f"candidate vectors on support {tuple(chosen)}")
+        rmask |= col_rows[t]
+        plus |= col_plus[t]
+        minus |= col_minus[t]
+        free = ~banned  # the set's columns and those it may still add
+        if (all(row_plus[i] & free for i in mask_vertices(rmask & ~plus))
+                and all(row_minus[i] & free for i in mask_vertices(rmask & ~minus))):
+            yield t
+        box, rmask, plus, minus = saved
+        chosen.pop()
 
     def visit(stack):
+        if plus & minus != rmask:
+            return None  # a row of one sign cannot sum to zero
         support = tuple(stack)
-        box = 1
-        for t in support:
-            box *= sys.caps[live[t]]
-        if box > gate:
-            raise past_gate(box, f"candidate vectors on support {support}")
-        rmask = shared = 0  # touched rows; rows meeting two or more columns
         last = {}  # touched row -> position of its last support column
         for pos, t in enumerate(support):
-            shared |= rmask & col_rows[t]
-            rmask |= col_rows[t]
             for i, _ in entries[t]:
                 last[i] = pos
-        if shared != rmask:
-            return None  # a row meeting one support column cannot sum to zero
         cols = [live[t] for t in support]
         ents = [entries[t] for t in support]
         # closing[pos]: (row, coefficient) of each row whose last column is pos
@@ -255,7 +285,7 @@ def enumerate_vector_polymers(sys: LinearSystem):
         rec(0)
         return (len(out) - found) * len(cols)  # the values of the polymers found
 
-    grow_edge_sets(H, range(H.edge_count), H.edge_count, visit)
+    grow_edge_sets(H, range(H.edge_count), H.edge_count, visit, extend)
     out.sort(key=lambda p: (len(p.values), p.values))
     return out
 

@@ -147,7 +147,7 @@ def walk_live(G: MultiGraph, assign: SignatureAssignment, z, max_edges: int, kee
     idx = [0] * G.vertex_count
     colour = [0] * G.edge_count
 
-    def extend(e):
+    def extend(e, banned):
         u, ru, v, rv = ends[e]
         iu, iv = idx[u], idx[v]
         ext_u, ext_v = ext[u], ext[v]

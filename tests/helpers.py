@@ -221,15 +221,16 @@ def step_kernel(chain, family):
 
 # the connected-set walk on vertex sets, kept as the reference that the
 # bitmask walk `graph.grow_edge_sets` must follow visit for visit
-def reference_grow(G, seeds, max_edges, visit, extend=lambda e: (e,)):
-    """grow_edge_sets, with the set's vertices and the banned edges as sets."""
+def reference_grow(G, seeds, max_edges, visit, extend=lambda e, banned: (e,)):
+    """grow_edge_sets, with the set's vertices and the banned edges as sets;
+    the hook gets the banned set."""
     if max_edges < 1:
         return
     banned_seeds: set = set()
     for seed in seeds:
         if seed in banned_seeds:
             continue
-        for _ in extend(seed):
+        for _ in extend(seed, set(banned_seeds)):
             _reference_grow(G, [seed], set(G.edges[seed]), set(banned_seeds),
                             max_edges, visit, extend)
         banned_seeds.add(seed)
@@ -248,7 +249,7 @@ def _reference_grow(G, stack_edges, vset, banned, max_edges, visit, extend):
         added = [x for x in G.edges[e] if x not in vset]
         stack_edges.append(e)
         vset.update(added)
-        for _ in extend(e):
+        for _ in extend(e, banned | newly):
             _reference_grow(G, stack_edges, vset, banned | newly, max_edges, visit, extend)
         stack_edges.pop()
         vset.difference_update(added)

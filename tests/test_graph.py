@@ -9,7 +9,7 @@ from holant import (
     MultiGraph,
     ParseError,
 )
-from holant.graph import grow_edge_sets
+from holant.graph import grow_edge_sets, mask_vertices
 from holant.linsys import Hypergraph
 from holant.oracle import (connected_edge_sets, connected_edge_subgraphs,
                            connected_edge_supersets, is_connected_edge_set)
@@ -161,7 +161,8 @@ def brute_connected_hyperedge_sets(H, max_edges):
 
 
 def _walk_trace(walk, G, seeds, max_edges, hook_counts):
-    """Every visit (the stack) and hook call (the edge), in walk order.
+    """Every visit (the stack) and hook call (the edge and the banned edges,
+    ascending), in walk order.
 
     hook_counts is None for the default hook; otherwise the i-th hook call
     yields hook_counts[i % len(hook_counts)] times.
@@ -172,8 +173,9 @@ def _walk_trace(walk, G, seeds, max_edges, hook_counts):
     def visit(stack):
         trace.append(tuple(stack))
 
-    def extend(e):
-        trace.append(("extend", e))
+    def extend(e, banned):
+        banned = sorted(banned) if isinstance(banned, set) else mask_vertices(banned)
+        trace.append(("extend", e, tuple(banned)))
         calls[0] += 1
         return range(hook_counts[(calls[0] - 1) % len(hook_counts)])
 
@@ -186,10 +188,11 @@ def _walk_trace(walk, G, seeds, max_edges, hook_counts):
 
 def test_grow_edge_sets_follows_reference_walk():
     # the bitmask walk visits the same stacks in the same order as the
-    # vertex-set reference, on graphs and on hypergraphs, for every size cap,
-    # every seed kind and a hook that yields 0, 1 or 2 times
+    # vertex-set reference, and passes its hook the same banned edges, on
+    # graphs and on hypergraphs, for every size cap, every seed kind and a
+    # hook that yields 0, 1 or 2 times
     rng = random.Random(MASTER_SEED + 4)
-    visits = 0
+    visits = banned_calls = 0
     for trial in range(240):
         if trial % 2:
             G = random_hypergraph(rng)
@@ -205,7 +208,9 @@ def test_grow_edge_sets_follows_reference_walk():
                     want = _walk_trace(reference_grow, G, seeds, max_edges, counts)
                     assert got == want
                     visits += len(got)
+                    banned_calls += sum(1 for t in got if t[0] == "extend" and t[2])
     assert visits > 10**5
+    assert banned_calls > 10**4
 
 
 def test_hypergraph_connected_sets_match_brute_force():

@@ -1,7 +1,9 @@
 """Linear-system solution counting and perfect-matching polynomials."""
 
+import json
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -770,6 +772,17 @@ def circulation(n, chords):
     return rows
 
 
+def write_matrix(path, sys):
+    """Write sys as a `linsys --matrix` file (real weights) and return path."""
+    path.write_text(
+        f"{sys.n} {sys.m}\n"
+        + "".join(" ".join(map(str, row)) + "\n" for row in sys.rows)
+        + "caps: " + " ".join(map(str, sys.caps)) + "\n"
+        + "weights: " + " ".join(f"{w.real!r} 0.0" for w in sys.weights) + "\n"
+    )
+    return path
+
+
 def reference_pool(sys):
     """(sorted values, rmask) of every nonzero box solution whose support is
     connected through shared rows, from the brute-force solution list."""
@@ -811,6 +824,16 @@ def test_pool_matches_brute_reference():
         rows = [[rng.randint(-2, 2) for _ in range(m)] for _ in range(n)]
         caps = [rng.randint(1, 3) for _ in range(m)]
         cases.append(LinearSystem(rows, caps, [0.5] * m))
+    # mixed-sign, non-unit coefficients, every other system with a row of one
+    # sign, which the walk's sign rule cuts on: the pruned pool is still exact
+    for trial in range(300):
+        n, m = rng.randint(1, 3), rng.randint(3, 6)
+        rows = [[rng.choice((0, 0, -2, -1, 1, 2, 3)) for _ in range(m)] for _ in range(n)]
+        if trial % 2:
+            one = rng.randrange(n)
+            rows[one] = [abs(a) for a in rows[one]]
+        caps = [rng.randint(1, 3) for _ in range(m)]
+        cases.append(LinearSystem(rows, caps, [0.5] * m))
     found = 0
     for sys in cases:
         pool = enumerate_vector_polymers(sys)
@@ -819,7 +842,7 @@ def test_pool_matches_brute_reference():
         keys = [(len(p.values), p.values) for p in pool]
         assert keys == sorted(keys)
         found += len(pool)
-    assert found > 50
+    assert found > 300
 
 
 def test_box_gate_fires_before_the_one_column_prune(monkeypatch):
@@ -845,27 +868,71 @@ def test_sixteen_cycle_with_chord_closed_form():
 
 def test_support_count_gate(monkeypatch, tmp_path, capsys):
     # the directed 8-cycle with chords 0 -> 4 and 4 -> 0 has many connected
-    # column supports but few polymers; the walk charges each support's size
-    # and each polymer's number of values to one count
+    # column supports but few polymers; the walk cuts a support once some
+    # touched row can no longer get a column of each sign, and charges each
+    # support it visits its size and each polymer its number of values, to
+    # one count
     sys = LinearSystem(circulation(8, [(0, 4), (4, 0)]), [1] * 10, [0.5] * 10)
     supports = connected_edge_sets(build_hypergraph(sys), sys.m)
+    visited, grow = [], linsys_mod.grow_edge_sets
+
+    def counting(G, seeds, max_edges, visit, extend):
+        return grow(G, seeds, max_edges,
+                    lambda stack: visited.append(len(stack)) or visit(stack), extend)
+
+    monkeypatch.setattr(linsys_mod, "grow_edge_sets", counting)
+    work = sum(len(p.values) for p in enumerate_vector_polymers(sys))
+    monkeypatch.setattr(linsys_mod, "grow_edge_sets", grow)
+    work += sum(visited)
     assert len(supports) > 100
-    work = sum(map(len, supports)) + sum(len(p.values) for p in enumerate_vector_polymers(sys))
+    assert 0 < len(visited) < len(supports)
     monkeypatch.setattr(errors, "WORK_GATE", work)
     pool = enumerate_vector_polymers(sys)
     assert sorted((tuple(sorted(p.values)), p.rmask) for p in pool) == reference_pool(sys)
     monkeypatch.setattr(errors, "WORK_GATE", work - 1)
     with pytest.raises(GateExceeded, match=f"^{work} units of edge-set walk exceed gate"):
         enumerate_vector_polymers(sys)
-    matrix = tmp_path / "chorded.txt"
-    matrix.write_text(
-        f"{sys.n} {sys.m}\n"
-        + "".join(" ".join(map(str, row)) + "\n" for row in sys.rows)
-        + "caps: " + " ".join(["1"] * sys.m) + "\n"
-        + "weights: " + " ".join(["0.5 0.0"] * sys.m) + "\n"
-    )
+    matrix = write_matrix(tmp_path / "chorded.txt", sys)
     assert main(["linsys", "--matrix", str(matrix)]) == 4
     assert "units of edge-set walk" in capsys.readouterr().err
     monkeypatch.setattr(errors, "WORK_GATE", work)
     assert main(["linsys", "--matrix", str(matrix)]) == 0
     capsys.readouterr()
+
+
+def chorded_cycle_circulations(n, chords, w):
+    """Sum of w^(sum x) over the 0/1 circulations of the directed n-cycle
+    plus chord arcs. Each chord subset S fixes the cycle arcs up to one
+    shift c: arc i -> i + 1 carries c - (net outflow of S over vertices
+    0..i), and each shift that keeps every arc in {0, 1} is one solution."""
+    total = 0j
+    for k in range(2 ** len(chords)):
+        chosen = [uv for b, uv in enumerate(chords) if k >> b & 1]
+        net = [0] * n
+        for u, v in chosen:
+            net[u] += 1
+            net[v] -= 1
+        g = [-sum(net[: i + 1]) for i in range(n)]
+        for c in range(-max(g), 2 - min(g)):
+            arcs = [c + gi for gi in g]
+            if all(x in (0, 1) for x in arcs):
+                total += w ** (sum(arcs) + len(chosen))
+    return total
+
+
+def test_chorded_cycles_answer_fast(tmp_path, capsys):
+    # the directed 24-cycle with chords 0 -> 8, 8 -> 16, 16 -> 0 has 218,372
+    # connected column supports but 9 polymers, and the 30-cycle with four
+    # chords has more supports than the work gate allows; the sign rule cuts
+    # both walks down to a few hundred supports
+    sys = LinearSystem(circulation(24, [(0, 8), (8, 16), (16, 0)]), [1] * 27, [0.05] * 27)
+    assert len(enumerate_vector_polymers(sys)) == 9
+    chords = [(0, 10), (10, 20), (20, 0), (5, 25)]
+    matrix = write_matrix(tmp_path / "cycle30.txt",
+                          LinearSystem(circulation(30, chords), [1] * 34, [0.05] * 34))
+    t0 = time.perf_counter()
+    assert main(["linsys", "--matrix", str(matrix), "--format", "json"]) == 0
+    assert time.perf_counter() - t0 < 1.0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["polymer_count"] == 12
+    assert rel_close(complex(*result["value"]), chorded_cycle_circulations(30, chords, 0.05))
