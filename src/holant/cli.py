@@ -1,8 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 success; 1 parse/usage error; 2 region or runtime-condition
-violation; 3 unsupported weights / signature not in F0; 4 work gate exceeded,
-or a walk too deep for the recursion limit.
+violation; 3 unsupported weights / signature not in F0; 4 work gate exceeded.
 Reports carry the resolved inputs and the seed, so a report replays to the
 identical result.
 
@@ -439,10 +438,6 @@ def main(argv=None) -> int:
     except OverflowError as exc:  # complex ** int past the float range raises
         print(f"error: {outside_float_range(exc)}", file=sys.stderr)
         return 2
-    except RecursionError:  # a walk nested deeper than the interpreter allows
-        print(f"error: walk deeper than the recursion limit ({sys.getrecursionlimit()})",
-              file=sys.stderr)
-        return 4
     except (NotInF0, UnsupportedWeights, DegenerateDistribution) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

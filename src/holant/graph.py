@@ -10,7 +10,9 @@ sets. It also takes hypergraphs (two hyperedges are adjacent when they share
 a vertex), so the polymer supports of G and the column supports of a linear
 system (`holant.linsys`) come from the same walk. Its state is three edge
 bitmasks: the set, its frontier and the banned edges, and it charges the
-size of every set it visits against the work gate (`holant.errors`).
+size of every set it visits against the work gate (`holant.errors`). It
+keeps its path on an explicit stack, so its depth is bounded by its
+max_edges, not by the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -225,7 +227,10 @@ def grow_edge_sets(G, seeds, max_edges: int, visit, extend=_once):
     The walk keeps its state on edge bitmasks: cur (the set's edges),
     frontier (every edge touching a vertex of the set) and banned. The
     candidates are frontier & ~cur & ~banned, tried in ascending edge order,
-    and each joins banned once its branch is done.
+    and each joins banned once its branch is done. The path is a list of
+    generators, one per set on it, each yielding the set's children while
+    its hook's state is set: the walk's depth is bounded by max_edges, not by
+    the interpreter's recursion limit.
 
     extend(e, banned) is the per-edge hook, called once edge e has joined the
     set. banned is the mask of the edges that no set grown from there may
@@ -245,33 +250,30 @@ def grow_edge_sets(G, seeds, max_edges: int, visit, extend=_once):
     touch = [reduce(or_, [inc[v] for v in vs], 0) for vs in G.edges]
     bound = errors.WORK_GATE
     spent = 0
+    stack = []
 
-    def grow(stack, cur, frontier, banned):
-        nonlocal spent
-        spent += len(stack) + (visit(stack) or 0)
-        if spent > bound:
-            raise past_gate(spent, "units of edge-set walk")
-        if len(stack) == max_edges:
-            return
-        cand = frontier & ~(cur | banned)
-        while cand:
-            bit = cand & -cand
-            cand ^= bit
-            e = bit.bit_length() - 1
+    def branches(cur, frontier, banned, edges):
+        # the sets cur + e for each e of edges in turn, once per item of
+        # extend(e, banned), with e banned once its branches are done
+        for e in edges:
+            bit = 1 << e
+            if banned & bit:
+                continue
             stack.append(e)
             for _ in extend(e, banned):
-                grow(stack, cur | bit, frontier | touch[e], banned)
+                yield cur | bit, frontier | touch[e], banned
             stack.pop()
             banned |= bit
 
-    banned = 0
-    try:
-        for seed in seeds:
-            bit = 1 << seed
-            if banned & bit:
-                continue
-            for _ in extend(seed, banned):
-                grow([seed], bit, touch[seed], banned)
-            banned |= bit
-    finally:
-        del grow  # grow refers to itself: free the walk now, not at the next GC
+    path = [branches(0, 0, 0, seeds)]  # one generator per set on the path, the empty set first
+    while path:
+        for cur, frontier, banned in path[-1]:
+            spent += len(stack) + (visit(stack) or 0)
+            if spent > bound:
+                raise past_gate(spent, "units of edge-set walk")
+            if len(stack) < max_edges:
+                path.append(branches(cur, frontier, banned,
+                                     mask_vertices(frontier & ~(cur | banned))))
+                break
+        else:
+            path.pop()

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from itertools import compress
 
 from . import errors
 from .bounds import region_bounds
@@ -129,6 +130,9 @@ class LinearSystem:
         self.weights = [complex(w) for w in self.weights]
         if not all(map(cmath.isfinite, self.weights)):
             raise ValueError("weights must be finite")
+        # column_rows[j]: the rows where column j is nonzero, ascending; the
+        # one read of the matrix that the walks and the region bound use
+        self.column_rows = [tuple(compress(range(n), col)) for col in zip(*self.rows)]
 
     @property
     def n(self) -> int:
@@ -140,25 +144,24 @@ class LinearSystem:
 
     def row_support(self) -> int:
         """r: most nonzeros in any row."""
-        return max(sum(1 for a in row if a != 0) for row in self.rows)
+        counts = [0] * self.n
+        for rows in self.column_rows:
+            for i in rows:
+                counts[i] += 1
+        return max(counts)
 
     def col_support(self) -> int:
         """c: most nonzeros in any column."""
-        return max(
-            sum(1 for row in self.rows if row[j] != 0) for j in range(self.m)
-        )
+        return max(map(len, self.column_rows))
 
     def live_columns(self):
         """Columns that appear in some row; all-zero columns are unconstrained."""
-        return [j for j in range(self.m) if any(row[j] != 0 for row in self.rows)]
+        return [j for j, rows in enumerate(self.column_rows) if rows]
 
 
 def build_hypergraph(sys: LinearSystem) -> Hypergraph:
     """H_A on the live columns: hyperedge j = rows where column j is nonzero."""
-    edges = []
-    for j in sys.live_columns():
-        edges.append([i for i in range(sys.n) if sys.rows[i][j] != 0])
-    return Hypergraph(sys.n, edges)
+    return Hypergraph(sys.n, [rows for rows in sys.column_rows if rows])
 
 
 @dataclass(frozen=True)
@@ -209,7 +212,7 @@ def enumerate_vector_polymers(sys: LinearSystem):
     H = build_hypergraph(sys)
     col_rows = [sum(1 << i for i in rows) for rows in H.edges]
     # entries[t]: (row, coefficient) of each nonzero of live column t
-    entries = [[(i, sys.rows[i][j]) for i in sorted(H.edges[t])] for t, j in enumerate(live)]
+    entries = [[(i, sys.rows[i][j]) for i in sys.column_rows[j]] for j in live]
     # col_plus[t], col_minus[t]: rows where column t is positive, negative;
     # row_plus[i], row_minus[i]: columns that are positive, negative in row i
     col_plus, col_minus = [0] * len(live), [0] * len(live)
@@ -256,33 +259,27 @@ def enumerate_vector_polymers(sys: LinearSystem):
         ents = [entries[t] for t in support]
         # closing[pos]: (row, coefficient) of each row whose last column is pos
         closing = [[(i, a) for i, a in ents[pos] if last[i] == pos] for pos in range(len(cols))]
-        residual = dict.fromkeys(last, 0)  # each touched row's sum over the values so far
-        vec = []
-
-        def rec(pos):
+        found = len(out)
+        todo = [(0, (), dict.fromkeys(last, 0))]  # (position, values so far, row sums)
+        while todo:
+            pos, vec, residual = todo.pop()
             if pos == len(cols):
                 out.append(VectorPolymer(tuple(zip(cols, vec)), rmask))
-                return
+                continue
             cap = sys.caps[cols[pos]]
             if closing[pos]:
                 (i, a), *rest = closing[pos]
                 x, rem = divmod(-residual[i], a)
                 if rem or not 1 <= x <= cap or any(residual[k] + b * x for k, b in rest):
-                    return
+                    continue
                 values = (x,)
             else:
                 values = range(1, cap + 1)
             for x in values:
+                nxt = residual.copy()
                 for i, a in ents[pos]:
-                    residual[i] += a * x
-                vec.append(x)
-                rec(pos + 1)
-                vec.pop()
-                for i, a in ents[pos]:
-                    residual[i] -= a * x
-
-        found = len(out)
-        rec(0)
+                    nxt[i] += a * x
+                todo.append((pos + 1, vec + (x,), nxt))
         return (len(out) - found) * len(cols)  # the values of the polymers found
 
     grow_edge_sets(H, range(H.edge_count), H.edge_count, visit, extend)
@@ -410,17 +407,19 @@ def alternating_cycle_polymers(H, matching):
     found = []
     bound = errors.WORK_GATE
     steps = 0
-
-    def grow(va, cov, taken, below):
-        # va: V(A); cov: vertices B covers; taken: edge ids; below: vertices < r
-        nonlocal steps
+    # (va, cov, taken, below): V(A), the vertices B covers, the edge ids, the
+    # vertices below r; one per root r, the least vertex of its M-edge
+    todo = [(masks[a], 0, 1 << a, (1 << r) - 1) for r, a in enumerate(mate)
+            if (masks[a] & -masks[a]) == 1 << r]
+    while todo:
+        va, cov, taken, below = todo.pop()
         steps += 1
         if steps > bound:
             raise past_gate(steps, "alternating-walk steps")
         open_ = va & ~cov
         if not open_:
             found.append((tuple(mask_vertices(taken)), va))
-            return
+            continue
         v = open_.bit_length() - 1
         blocked = cov | below
         for e in H.incident(v):
@@ -435,11 +434,7 @@ def alternating_cycle_polymers(H, matching):
                 ntaken |= 1 << a
                 new &= ~masks[a]
             else:
-                grow(nva, cov | masks[e], ntaken, below)
-
-    for r, a in enumerate(mate):
-        if (masks[a] & -masks[a]) == 1 << r:  # r is the least vertex of its M-edge
-            grow(masks[a], 0, 1 << a, (1 << r) - 1)
+                todo.append((nva, cov | masks[e], ntaken, below))
     found.sort(key=lambda p: (len(p[0]), p[0]))
     return found
 

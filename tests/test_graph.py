@@ -213,6 +213,15 @@ def test_grow_edge_sets_follows_reference_walk():
     assert banned_calls > 10**4
 
 
+def test_grow_edge_sets_walks_deeper_than_the_recursion_limit():
+    # the sets of P1501 that hold its end edge are its 1,500 prefixes; the
+    # walk nests 1,500 deep, bounded by max_edges and not by the interpreter
+    P = MultiGraph(1501, [(i, i + 1) for i in range(1500)])
+    sizes = []
+    grow_edge_sets(P, [0], 1500, lambda stack: sizes.append(len(stack)))
+    assert sizes == list(range(1, 1501))
+
+
 def test_hypergraph_connected_sets_match_brute_force():
     rng = random.Random(MASTER_SEED + 5)
     for _ in range(60):

@@ -6,7 +6,8 @@ which no production module imports. The package re-exports four of its names,
 and the command line uses only `brute_holant`, for its `oracle` subcommand.
 Every production definition is reached from the command line or the API.
 Every module of the package imports only the standard library and itself, and
-one function each holds the fugacity rule and the eps rule.
+one function each holds the fugacity rule and the eps rule. No production walk
+calls itself.
 """
 
 import ast
@@ -258,3 +259,34 @@ def test_modules_import_only_the_standard_library():
             for name in names:
                 top = name.split(".")[0]
                 assert top == "holant" or top in sys.stdlib_module_names, (path.name, name)
+
+
+def _self_callers(path):
+    """(file, top-level def, def) of each def in path that calls its own name."""
+    found = []
+
+    def scan(node, top):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                if any(isinstance(c, ast.Call) and isinstance(c.func, ast.Name)
+                       and c.func.id == child.name for c in ast.walk(child)):
+                    found.append((path.name, top or child.name, child.name))
+                scan(child, top or child.name)
+            else:
+                scan(child, top)
+
+    scan(ast.parse(path.read_text()), None)
+    return found
+
+
+def test_production_walks_never_recurse():
+    # a walk that recurses once per step nests as deep as its input, past
+    # the interpreter's recursion limit; what still recurses is the report
+    # printing, as deep as a report nests, and the exact references of linsys
+    found = sorted(hit for m in PRODUCTION for hit in _self_callers(Path(m.__file__)))
+    assert found == [
+        ("cli.py", "_json_safe", "_json_safe"),
+        ("cli.py", "_print_text", "_print_text"),
+        ("linsys.py", "brute_weighted_count", "rec"),
+        ("linsys.py", "perfect_matchings", "rec"),
+    ]
