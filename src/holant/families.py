@@ -16,6 +16,12 @@ mask misses the state. Each family is built along exactly one path, and two
 items can only meet at a vertex that is still in the state, so the result is
 exact for any order that lists every vertex of every item.
 
+At cap 0, where `linsys` and `pm` run, a state's value is the plain number
+c_0 rather than a 1-tuple, so a transition multiplies and adds numbers
+instead of building tuples. Both value algebras do the same float
+operations in the same order, so the values agree bit for bit, and the
+result is a 1-tuple either way.
+
 The order only sets the number of distinct states per vertex, and the cost
 is the number of transitions: the sum over vertices of states x (1 + items
 starting there). A breadth-first order (`graph.bfs_order`) keeps the states
@@ -54,7 +60,17 @@ class FamilySum(Sequence):
 
 
 def _shifted(coeffs, size: int, weight):
-    return (0j,) * size + tuple(weight * c for c in coeffs[:len(coeffs) - size])
+    # a list comprehension builds the tuple faster than a generator does
+    return (0j,) * size + tuple([weight * c for c in coeffs[:len(coeffs) - size]])
+
+
+def _series_add(a, b):
+    return tuple(map(add, a, b))
+
+
+def _times(c, size: int, weight):
+    """`_shifted` on the number c_0 alone, where size is 0."""
+    return weight * c
 
 
 def _prefix_masks(order) -> list:
@@ -84,7 +100,9 @@ def family_sum(items, order, cap: int = 0) -> FamilySum:
 
     items: (mask, size, weight) triples with nonempty masks; items of size
     > cap cannot contribute and are left out. order: the vertices, each
-    once; it must list every vertex of every item. Each transition adds a
+    once; it must list every vertex of every item. A state's value is the
+    truncated polynomial as a (cap + 1)-tuple, or at cap 0 the number c_0,
+    which the result wraps back into a 1-tuple. Each transition adds a
     series of cap + 1 terms, so the DP charges transitions * (cap + 1) and
     raises GateExceeded once that passes `errors.WORK_GATE`.
     """
@@ -101,7 +119,11 @@ def family_sum(items, order, cap: int = 0) -> FamilySum:
         touched |= mask
 
     bound = errors.WORK_GATE // (cap + 1)
-    layer = {0: ((1 + 0j,) + (0j,) * cap, 1)}
+    if cap:  # a value is the series c_0..c_cap
+        one, shift, plus = (1 + 0j,) + (0j,) * cap, _shifted, _series_add
+    else:  # a value is the number c_0; every item has size 0
+        one, shift, plus = 1 + 0j, _times, add
+    layer = {0: (one, 1)}
     transitions = 0
     for v, here in zip(order, starts):
         bit = 1 << v
@@ -113,15 +135,14 @@ def family_sum(items, order, cap: int = 0) -> FamilySum:
                 moves = [(state ^ bit, coeffs)]
             else:
                 moves = [(state, coeffs)]
-                moves += [(state | rest, _shifted(coeffs, size, weight))
+                moves += [(state | rest, shift(coeffs, size, weight))
                           for rest, size, weight in here if not rest & state]
             transitions += len(moves)
             if transitions > bound:
                 raise past_gate(transitions * (cap + 1), "family-kernel series terms")
             for key, c in moves:
                 old = nxt.get(key)
-                nxt[key] = (c, count) if old is None else \
-                    (tuple(map(add, old[0], c)), old[1] + count)
+                nxt[key] = (c, count) if old is None else (plus(old[0], c), old[1] + count)
         layer = nxt
     coeffs, count = layer[0]
-    return FamilySum(coeffs, count, transitions)
+    return FamilySum(coeffs if cap else (coeffs,), count, transitions)

@@ -386,12 +386,18 @@ def alternating_cycle_polymers(H, matching):
 
     The walk starts at the M-edge of the polymer's least vertex r and never
     enters a vertex below r. Each step covers the largest vertex of V(A) that
-    B leaves open, by each non-M edge there that misses B and the vertices
-    below r, and pulls in the M-edge of every vertex that edge newly reaches.
+    B leaves open, by each non-M edge there that misses B and whose vertices'
+    M-edges miss the vertices below r, and takes that edge with those M-edges.
     That B-edge is forced, so each polymer is built exactly once; on a graph
-    the largest open vertex is the far end of the path. Each step charges one
-    unit, and the walk raises GateExceeded once it has taken more steps than
-    `errors.WORK_GATE`.
+    the largest open vertex is the far end of the path. Since the M-edges
+    partition V and every vertex of V(A) has its M-edge in A, taking a non-M
+    edge e always adds the same three masks: e's vertices to B's cover,
+    pulled(e) (e's vertices and their M-edges' vertices) to V(A), and the ids
+    of e and those M-edges. The walk reads them from a table `moves[v]` of
+    the non-M edges at v, built once. A root r whose moves all pull in a
+    vertex below r is skipped: the B-edge that covers r could not be taken.
+    Each step charges one unit, and the walk raises GateExceeded once it has
+    taken more steps than `errors.WORK_GATE`.
     """
     masks = [sum(1 << v for v in e) for e in H.edges]
     mate = [None] * H.vertex_count  # M-edge id at each vertex
@@ -404,13 +410,28 @@ def alternating_cycle_polymers(H, matching):
             mate[v] = i
     if None in mate:
         raise ValueError("reference set is not a perfect matching")
+    step = []  # per edge e: (covered, pulled, ids), the three masks taking e adds
+    for e, covered in enumerate(masks):
+        pulled, ids = covered, 1 << e
+        for u in H.edges[e]:
+            pulled |= masks[mate[u]]
+            ids |= 1 << mate[u]
+        step.append((covered, pulled, ids))
+    # moves[v]: the steps of the non-M edges at v, in ascending edge id
+    moves = [[step[e] for e in H.incident(v) if e != mate[v]]
+             for v in range(H.vertex_count)]
     found = []
     bound = errors.WORK_GATE
     steps = 0
     # (va, cov, taken, below): V(A), the vertices B covers, the edge ids, the
-    # vertices below r; one per root r, the least vertex of its M-edge
-    todo = [(masks[a], 0, 1 << a, (1 << r) - 1) for r, a in enumerate(mate)
-            if (masks[a] & -masks[a]) == 1 << r]
+    # vertices below r; one per root r, the least vertex of its M-edge, that
+    # has a move clear of the vertices below it
+    todo = []
+    for r, a in enumerate(mate):
+        below = (1 << r) - 1
+        if (masks[a] & -masks[a]) == 1 << r and \
+                any(not pulled & below for _, pulled, _ in moves[r]):
+            todo.append((masks[a], 0, 1 << a, below))
     while todo:
         va, cov, taken, below = todo.pop()
         steps += 1
@@ -420,21 +441,10 @@ def alternating_cycle_polymers(H, matching):
         if not open_:
             found.append((tuple(mask_vertices(taken)), va))
             continue
-        v = open_.bit_length() - 1
-        blocked = cov | below
-        for e in H.incident(v):
-            if e == mate[v] or masks[e] & blocked:
-                continue
-            nva, ntaken, new = va, taken | 1 << e, masks[e] & ~va
-            while new:  # pull in the M-edges of the new vertices; else-branch: none cut
-                a = mate[(new & -new).bit_length() - 1]
-                if masks[a] & below:
-                    break
-                nva |= masks[a]
-                ntaken |= 1 << a
-                new &= ~masks[a]
-            else:
-                todo.append((nva, cov | masks[e], ntaken, below))
+        # va never meets below, so va | pulled is V(A) after the move
+        for covered, pulled, ids in moves[open_.bit_length() - 1]:
+            if not (covered & cov or pulled & below):
+                todo.append((va | pulled, cov | covered, taken | ids, below))
     found.sort(key=lambda p: (len(p[0]), p[0]))
     return found
 

@@ -93,6 +93,21 @@ def test_family_sum_on_a_64_plus_vertex_graph():
         assert max(p.vmask for p in pool).bit_length() > 64
 
 
+def test_cap_zero_number_equals_the_series_c0_bit_for_bit():
+    # at cap 0 the kernel carries c_0 as a number, at cap 1 as the first
+    # term of a series; both do the same float operations in the same order
+    rng = random.Random(MASTER_SEED + 79)
+    for trial in range(60):
+        n = rng.randint(1, 10) if trial % 4 else rng.randint(64, 80)
+        items = [(m, 0, w) for m, _, w in random_items(rng, n, rng.randint(0, 14))]
+        order = rng.sample(range(n), n)
+        number, series = family_sum(items, order, 0), family_sum(items, order, 1)
+        assert number.coefficients[0] == series.coefficients[0]
+        assert repr(number.coefficients[0]) == repr(series.coefficients[0])
+        assert (number.families, number.transitions) == (series.families, series.transitions)
+        assert len(number.coefficients) == 1 and type(number.coefficients[0]) is complex
+
+
 def test_family_sum_rejects_bad_orders():
     with pytest.raises(ValueError):
         family_sum([(0b101, 0, 1.0)], [0, 1])

@@ -757,6 +757,18 @@ def test_pm_family_gate(monkeypatch):
         alternating_cycle_polymers(G, matching)
 
 
+def test_pm_walk_on_a_long_cycle_is_linear(monkeypatch):
+    # with alternate edges matched, every root but vertex 0 has only moves
+    # that pull in a vertex below it, so the walk follows one path of n / 2
+    # steps from vertex 0 instead of one path per root (about n^2 / 8 steps)
+    n = 2000
+    G = MultiGraph(n, [(i, (i + 1) % n) for i in range(n)])
+    matching = tuple(G.edges.index((i, i + 1)) for i in range(0, n, 2))
+    monkeypatch.setattr(errors, "WORK_GATE", 2000)
+    pool = alternating_cycle_polymers(G, matching)
+    assert pool == [(tuple(range(n)), (1 << n) - 1)]
+
+
 # ---------------------------------------------------------------------------
 # Linear systems: the pruned vector-polymer search
 
