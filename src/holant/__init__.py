@@ -24,9 +24,8 @@ from .errors import (
     UnsupportedWeights,
 )
 from .expansion import ApproxReport, approx_polynomial_report, approx_problem_report
-from .graph import MultiGraph
+from .graph import Hypergraph, MultiGraph
 from .linsys import (
-    Hypergraph,
     LinearSystem,
     LinsysReport,
     brute_weighted_count,

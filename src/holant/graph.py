@@ -1,18 +1,23 @@
-"""Simple undirected graphs with a canonical edge order.
+"""The incidence structure every polymer model lives on, and the one walk
+over its connected edge sets.
 
-Everything downstream (signature argument tuples, polymer colourings, edge
-assignments) is indexed against the canonical order fixed here: edges sorted
-by (min endpoint, max endpoint), and each vertex's incident edges listed in
-increasing edge id.
+`Hypergraph` holds vertices 0..n-1 and edges that are sets of vertices, and
+a graph, `MultiGraph`, is its 2-uniform subclass. Everything downstream
+(signature argument tuples, polymer colourings, edge assignments) is indexed
+against a graph's canonical order, fixed here: edges sorted by (min endpoint,
+max endpoint), and each vertex's incident edges listed in increasing edge
+id. The walks read the bitmask form of the incidence from `edge_masks` (the
+vertices of each edge) and `incident_masks` (the edges at each vertex), and
+build no other.
 
 `grow_edge_sets` is the package's one exactly-once walk over connected edge
-sets. It also takes hypergraphs (two hyperedges are adjacent when they share
-a vertex), so the polymer supports of G and the column supports of a linear
-system (`holant.linsys`) come from the same walk. Its state is three edge
-bitmasks: the set, its frontier and the banned edges, and it charges the
-size of every set it visits against the work gate (`holant.errors`). It
-keeps its path on an explicit stack, so its depth is bounded by its
-max_edges, not by the interpreter's recursion limit.
+sets. Two edges are adjacent when they share a vertex, so the polymer
+supports of G and the column supports of a linear system (`holant.linsys`)
+come from the same walk. Its state is three edge bitmasks: the set, its
+frontier and the banned edges, and it charges the size of every set it
+visits against the work gate (`holant.errors`). It keeps its path on an
+explicit stack, so its depth is bounded by its max_edges, not by the
+interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -24,46 +29,43 @@ from . import errors
 from .errors import ParseError, past_gate
 
 
-class MultiGraph:
-    """Undirected graph without loops or parallel edges.
-
-    The name reflects the interface (edge ids are first-class, all bookkeeping
-    is per-edge); the current implementation rejects parallel edges because
-    every consumer in this package works on simple graphs.
-    """
+class Hypergraph:
+    """Vertices 0..n-1 and edges, each a frozenset of distinct vertices, kept
+    in the given order: an edge's id is its position in `edges`. Each call
+    of `edge_masks` or `incident_masks` builds its list anew."""
 
     def __init__(self, vertex_count: int, edges):
         if vertex_count < 0:
             raise ValueError("vertex_count must be >= 0")
-        seen = set()
-        canon = []
-        for u, v in edges:
-            u, v = int(u), int(v)
-            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-                raise ValueError(f"edge ({u},{v}) out of range for {vertex_count} vertices")
-            if u == v:
-                raise ValueError(f"loop at vertex {u} not allowed")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise ValueError(f"duplicate edge {key}")
-            seen.add(key)
-            canon.append(key)
-        canon.sort()
         self.vertex_count = vertex_count
-        self.edges = tuple(canon)
+        self.edges = self._canonical(edges)
         inc = [[] for _ in range(vertex_count)]
-        for eid, (u, v) in enumerate(self.edges):
-            inc[u].append(eid)
-            inc[v].append(eid)
-        # incident edge ids are ascending, so list position == canonical rank
-        self._incident = tuple(tuple(lst) for lst in inc)
+        for i, e in enumerate(self.edges):
+            for v in e:
+                inc[v].append(i)
+        self._incident = tuple(tuple(x) for x in inc)
+
+    def _canonical(self, edges) -> tuple:
+        out = []
+        for e in edges:
+            vs = [int(v) for v in e]
+            if not vs:
+                raise ValueError("empty hyperedge")
+            if any(not 0 <= v < self.vertex_count for v in vs):
+                raise ValueError(f"hyperedge {sorted(vs)} out of range")
+            e = frozenset(vs)
+            if len(e) < len(vs):
+                v = next(v for v in vs if vs.count(v) > 1)
+                raise ValueError(f"vertex {v} repeated in hyperedge {vs}")
+            out.append(e)
+        return tuple(out)
 
     @property
     def edge_count(self) -> int:
         return len(self.edges)
 
     def incident(self, v: int):
-        """Edge ids at v, ascending (canonical rank order)."""
+        """Edge ids at v, ascending."""
         return self._incident[v]
 
     def degree(self, v: int) -> int:
@@ -74,13 +76,53 @@ class MultiGraph:
             return 0
         return max(len(i) for i in self._incident)
 
+    def uniformity(self) -> int | None:
+        sizes = {len(e) for e in self.edges}
+        return sizes.pop() if len(sizes) == 1 else None
+
+    def is_perfect_matching(self, eids) -> bool:
+        if any(not 0 <= i < len(self.edges) for i in eids):
+            return False
+        covered = [v for i in eids for v in self.edges[i]]
+        return len(covered) == len(set(covered)) == self.vertex_count
+
+    def edge_masks(self) -> list:
+        """Per edge id, the bitmask of its vertices."""
+        return [sum(1 << v for v in e) for e in self.edges]
+
+    def incident_masks(self) -> list:
+        """Per vertex, the bitmask of the ids of its edges."""
+        return [sum(1 << e for e in inc) for inc in self._incident]
+
+
+class MultiGraph(Hypergraph):
+    """Undirected graph without loops or parallel edges: the 2-uniform
+    Hypergraph whose edges are (u, v) pairs with u < v, in canonical order.
+
+    The name reflects the interface (edge ids are first-class, all bookkeeping
+    is per-edge); the current implementation rejects parallel edges because
+    every consumer in this package works on simple graphs.
+    """
+
+    def _canonical(self, edges) -> tuple:
+        seen = set()
+        canon = []
+        for u, v in edges:
+            u, v = int(u), int(v)
+            if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
+                raise ValueError(f"edge ({u},{v}) out of range for {self.vertex_count} vertices")
+            if u == v:
+                raise ValueError(f"loop at vertex {u} not allowed")
+            key = (min(u, v), max(u, v))
+            if key in seen:
+                raise ValueError(f"duplicate edge {key}")
+            seen.add(key)
+            canon.append(key)
+        # sorted edges list every vertex's incident ids in canonical rank order
+        return tuple(sorted(canon))
+
     def edge_vertices(self, eids) -> set:
-        out = set()
-        for e in eids:
-            u, v = self.edges[e]
-            out.add(u)
-            out.add(v)
-        return out
+        return {v for e in eids for v in self.edges[e]}
 
     def __eq__(self, other):
         return (
@@ -102,7 +144,12 @@ class MultiGraph:
 
     @classmethod
     def from_text(cls, text: str) -> "MultiGraph":
-        return _parse_graph_lines(_strip_comments(text))
+        lines = _strip_comments(text)
+        n, edges = _read_edges(lines, "graph")
+        for line, e in zip(lines[1:], edges):
+            if len(e) != 2:
+                raise ParseError(f"expected edge line 'u v', got {line!r}")
+        return _build(cls, n, edges)
 
 
 def mask_vertices(mask: int) -> list:
@@ -188,21 +235,26 @@ def _read_header(lines, what: str):
         raise ParseError(f"bad header {lines[0]!r}") from exc
 
 
-def _parse_graph_lines(lines) -> MultiGraph:
-    n, m = _read_header(lines, "graph")
+def _read_edges(lines, what: str):
+    """(n, edges) of a comment-stripped line file: an 'n m' header, then m
+    edge lines of int vertex ids (lists, as written). Graph files and
+    perfect-matching instances (`linsys.parse_pm_file`) both read theirs here."""
+    n, m = _read_header(lines, what)
     if len(lines) - 1 != m:
         raise ParseError(f"header promises {m} edges, file has {len(lines) - 1}")
     edges = []
     for line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(f"expected edge line 'u v', got {line!r}")
         try:
-            edges.append((int(parts[0]), int(parts[1])))
+            edges.append([int(p) for p in line.split()])
         except ValueError as exc:
             raise ParseError(f"bad edge line {line!r}") from exc
+    return n, edges
+
+
+def _build(cls, *args):
+    """cls(*args), with the ValueError of an invalid input as a ParseError."""
     try:
-        return MultiGraph(n, edges)
+        return cls(*args)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 
@@ -215,9 +267,8 @@ def grow_edge_sets(G, seeds, max_edges: int, visit, extend=_once):
     """Call visit(stack) once for every connected edge set with at most
     max_edges edges that contains at least one seed.
 
-    G is a `MultiGraph` or any hypergraph (such as `linsys.Hypergraph`) with
-    vertex_count, edges[e] a collection of vertices and incident(v); two edges
-    are adjacent when they share a vertex. stack lists the set's edges in the
+    G is a `Hypergraph` (a `MultiGraph` included); two edges are adjacent
+    when they share a vertex. stack lists the set's edges in the
     order they were added; visit must copy what it keeps. Seeds are processed
     in order; sets whose least seed is seeds[t] are grown with seeds[:t]
     forbidden, which makes the walk exactly-once: each connected superset is
@@ -245,7 +296,7 @@ def grow_edge_sets(G, seeds, max_edges: int, visit, extend=_once):
     """
     if max_edges < 1:
         return
-    inc = [sum(1 << e for e in G.incident(v)) for v in range(G.vertex_count)]
+    inc = G.incident_masks()
     # touch[e]: mask of the edges that share a vertex with e, e included
     touch = [reduce(or_, [inc[v] for v in vs], 0) for vs in G.edges]
     bound = errors.WORK_GATE

@@ -15,6 +15,10 @@ edges that perfectly matches the vertices of A, with A u B connected,
 weighted z^{|A| + |B|}. Compatible polymers are vertex-disjoint, and each
 M' is one compatible family. On a graph the polymers are the M-alternating
 cycles.
+
+Both models live on `graph.Hypergraph`, which `holant.linsys` re-imports:
+H_A is `build_hypergraph(sys)`, and a graph instance is a `MultiGraph`, its
+2-uniform subclass, which every function here takes as it is.
 """
 
 from __future__ import annotations
@@ -27,80 +31,36 @@ from . import errors
 from .bounds import region_bounds
 from .errors import GateExceeded, ParseError, outside_float_range, past_gate
 from .families import family_sum
-from .graph import (MultiGraph, _read_header, _strip_comments, bfs_order, grow_edge_sets,
-                    mask_vertices)
+from .graph import (Hypergraph, MultiGraph, _build, _read_edges, _read_header, _strip_comments,
+                    bfs_order, grow_edge_sets, mask_vertices)
 
 SUPPORT_BOX_GATE = 10**6  # the box `brute_weighted_count` may sweep
 
 
-# ---------------------------------------------------------------------------
-# Hypergraphs
-
-
-class Hypergraph:
-    def __init__(self, vertex_count: int, edges):
-        if vertex_count < 0:
-            raise ValueError("vertex_count must be >= 0")
-        canon = []
-        for e in edges:
-            e = frozenset(int(v) for v in e)
-            if not e:
-                raise ValueError("empty hyperedge")
-            if any(not 0 <= v < vertex_count for v in e):
-                raise ValueError(f"hyperedge {sorted(e)} out of range")
-            canon.append(e)
-        self.vertex_count = vertex_count
-        self.edges = tuple(canon)
-        inc = [[] for _ in range(vertex_count)]
-        for i, e in enumerate(self.edges):
-            for v in e:
-                inc[v].append(i)
-        self._incident = tuple(tuple(x) for x in inc)
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
-    def incident(self, v: int):
-        return self._incident[v]
-
-    def max_degree(self) -> int:
-        if self.vertex_count == 0:
-            return 0
-        return max(len(i) for i in self._incident)
-
-    def uniformity(self) -> int | None:
-        sizes = {len(e) for e in self.edges}
-        return sizes.pop() if len(sizes) == 1 else None
-
-    def is_perfect_matching(self, eids) -> bool:
-        if any(not 0 <= i < len(self.edges) for i in eids):
-            return False
-        covered = [v for i in eids for v in self.edges[i]]
-        return len(covered) == len(set(covered)) == self.vertex_count
-
-
 def perfect_matchings(H: Hypergraph, gate: int = errors.WORK_GATE):
-    """All perfect matchings (sorted edge-id tuples) by exhaustive cover search."""
+    """All perfect matchings (sorted edge-id tuples) of a Hypergraph or a
+    MultiGraph, by exhaustive cover search on vertex bitmasks."""
+    masks = H.edge_masks()
+    full = (1 << H.vertex_count) - 1
     out = []
-    visits = [0]
+    visits = 0
 
-    def rec(covered: frozenset, chosen):
-        visits[0] += 1
-        if visits[0] > gate:
+    def rec(covered: int, chosen):
+        nonlocal visits
+        visits += 1
+        if visits > gate:
             raise GateExceeded(f"matching enumeration exceeded {gate} nodes")
-        if len(covered) == H.vertex_count:
+        if covered == full:
             out.append(tuple(chosen))
             return
-        v = min(x for x in range(H.vertex_count) if x not in covered)
+        v = (~covered & (covered + 1)).bit_length() - 1  # the least uncovered vertex
         for i in H.incident(v):
-            e = H.edges[i]
-            if not (e & covered):
+            if not masks[i] & covered:
                 chosen.append(i)
-                rec(covered | e, chosen)
+                rec(covered | masks[i], chosen)
                 chosen.pop()
 
-    rec(frozenset(), [])
+    rec(0, [])
     out.sort()
     return out
 
@@ -210,7 +170,7 @@ def enumerate_vector_polymers(sys: LinearSystem):
     """
     live = sys.live_columns()
     H = build_hypergraph(sys)
-    col_rows = [sum(1 << i for i in rows) for rows in H.edges]
+    col_rows = H.edge_masks()
     # entries[t]: (row, coefficient) of each nonzero of live column t
     entries = [[(i, sys.rows[i][j]) for i in sys.column_rows[j]] for j in live]
     # col_plus[t], col_minus[t]: rows where column t is positive, negative;
@@ -314,7 +274,8 @@ def weighted_count(sys: LinearSystem) -> LinsysReport:
         items = [(p.rmask, 0, p.weight(sys)) for p in pool]
     except OverflowError as exc:  # complex ** int past the float range raises
         raise outside_float_range(exc) from exc
-    fam = family_sum(items, bfs_order(sys.n, build_hypergraph(sys).edges))
+    # H_A's order: the empty row tuple of a dead column adds no neighbour
+    fam = family_sum(items, bfs_order(sys.n, sys.column_rows))
     value = factor * fam[0]
     if not cmath.isfinite(value):
         raise outside_float_range(value)
@@ -381,8 +342,7 @@ def brute_weighted_count(sys: LinearSystem) -> complex:
 def alternating_cycle_polymers(H, matching):
     """All M-alternating polymers (see the module docstring) as (edge-id
     tuple, vertex mask) pairs, sorted by (size, ids). H is a Hypergraph, or a
-    MultiGraph (same `edges`, `incident`, `vertex_count`), where they are
-    the M-alternating cycles.
+    MultiGraph, where they are the M-alternating cycles.
 
     The walk starts at the M-edge of the polymer's least vertex r and never
     enters a vertex below r. Each step covers the largest vertex of V(A) that
@@ -399,7 +359,7 @@ def alternating_cycle_polymers(H, matching):
     Each step charges one unit, and the walk raises GateExceeded once it has
     taken more steps than `errors.WORK_GATE`.
     """
-    masks = [sum(1 << v for v in e) for e in H.edges]
+    masks = H.edge_masks()
     mate = [None] * H.vertex_count  # M-edge id at each vertex
     for i in map(int, matching):
         if not 0 <= i < len(masks):
@@ -486,8 +446,8 @@ def pm_polynomial_hypergraph(H: Hypergraph, matching, z: complex,
 def pm_polynomial_graph(G: MultiGraph, matching, z: complex,
                         mode: str = "polymer"):
     """Z(G, M, z) over perfect matchings of a graph: `pm_polynomial_hypergraph`
-    on G as a 2-uniform hypergraph, in the same modes."""
-    return pm_polynomial_hypergraph(Hypergraph(G.vertex_count, G.edges), matching, z, mode)
+    on G, the 2-uniform hypergraph, in the same modes."""
+    return pm_polynomial_hypergraph(G, matching, z, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -529,10 +489,7 @@ def parse_matrix_file(text: str) -> LinearSystem:
         raise ParseError(f"bad weights line {weights_line!r}") from exc
     if len(caps) != m:
         raise ParseError(f"caps line needs {m} entries")
-    try:
-        return LinearSystem(rows, caps, weights)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    return _build(LinearSystem, rows, caps, weights)
 
 
 def parse_pm_file(text: str):
@@ -550,23 +507,9 @@ def parse_pm_file(text: str):
         lines = lines[:-1]
     elif lines:
         raise ParseError("instance file needs a 'matching: ...' line")
-    n, m = _read_header(lines, "instance")
-    if len(lines) - 1 != m:
-        raise ParseError(f"header promises {m} edges, file has {len(lines) - 1}")
-    rows = []
-    for line in lines[1:]:
-        try:
-            rows.append([int(p) for p in line.split()])
-        except ValueError as exc:
-            raise ParseError(f"bad edge line {line!r}") from exc
-    if any(not 0 <= i < m for i in matching):
-        raise ParseError(f"matching edge ids must lie in 0..{m - 1}, got {matching}")
-    if all(len(r) == 2 for r in rows):
-        try:
-            return MultiGraph(n, rows), matching, "graph"
-        except ValueError as exc:
-            raise ParseError(str(exc)) from exc
-    try:
-        return Hypergraph(n, rows), matching, "hyper"
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    n, edges = _read_edges(lines, "instance")
+    if any(not 0 <= i < len(edges) for i in matching):
+        raise ParseError(f"matching edge ids must lie in 0..{len(edges) - 1}, got {matching}")
+    if all(len(e) == 2 for e in edges):
+        return _build(MultiGraph, n, edges), matching, "graph"
+    return _build(Hypergraph, n, edges), matching, "hyper"

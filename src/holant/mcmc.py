@@ -122,7 +122,7 @@ def check_chain_conditions(G: MultiGraph, assign: SignatureAssignment, z):
 
     walk_live(G, assign, zr, G.edge_count, keep)
     need = tau_floor(assign.kappa, max(1, G.max_degree()))
-    inc = [sum(1 << e for e in G.incident(v)) for v in range(G.vertex_count)]
+    inc = G.incident_masks()
     margins = [-DEFAULT_XI] * G.edge_count
     for vmask, t in agg.items():
         touched = 0  # the edges that meet vmask

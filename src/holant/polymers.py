@@ -81,33 +81,6 @@ def extension_table(s: Signature) -> list:
     return list(map("1".__eq__, format(bits, f"0{n}b")[::-1]))
 
 
-def weight_tables(G: MultiGraph, assign: SignatureAssignment, z):
-    """The edge factors of every polymer weight, for a z `check_fugacities`
-    passed.
-
-    Returns (ratio, ends): ratio[c] = z_c / z_0; ends[e] = (u, ru, v, rv),
-    each endpoint of edge e with the radix weight of e's position there. A
-    polymer weighs 1 times ratio[c] for each edge colour in edge order, then
-    f_x(idx_x) / f_x(0) for each vertex x in ascending order, idx_x the sum
-    of colour times radix over x's edges in the polymer: `oracle.polymer_weight`'s
-    factors in its order, so the weights agree bit for bit. Raises the NotInF0
-    that polymer_weight raises on the single-edge polymers, which lead
-    `oracle.enumerate_polymers` order.
-    """
-    for u, v in G.edges:
-        for x in (u, v):
-            s = assign.sig(x)
-            if s.table[0] == 0:
-                raise NotInF0(f"vertex {x}: signature {s.name!r} has f(0,...,0) = 0")
-    ratio = [z[c] / z[0] for c in range(assign.kappa + 1)]
-    ends = [
-        (u, assign._radix[u][assign.edge_position(u, e)],
-         v, assign._radix[v][assign.edge_position(v, e)])
-        for e, (u, v) in enumerate(G.edges)
-    ]
-    return ratio, ends
-
-
 def walk_live(G: MultiGraph, assign: SignatureAssignment, z, max_edges: int, keep):
     """Call keep(edges, colours, vmask, vertices, w) once for each polymer of
     nonzero weight w with |E(gamma)| <= max_edges, in walk order: edges
@@ -135,7 +108,22 @@ def walk_live(G: MultiGraph, assign: SignatureAssignment, z, max_edges: int, kee
     z = check_fugacities(z, kappa)
     if max_edges < 1 or G.edge_count == 0:
         return
-    ratio, ends = weight_tables(G, assign, z)
+    for u, v in G.edges:
+        for x in (u, v):
+            s = assign.sig(x)
+            if s.table[0] == 0:
+                raise NotInF0(f"vertex {x}: signature {s.name!r} has f(0,...,0) = 0")
+    # a polymer weighs 1 times ratio[c] for each edge colour in edge order,
+    # then f_x(idx_x) / f_x(0) for each vertex x in ascending order: the
+    # factors of `oracle.polymer_weight` in its order, so the weights agree
+    # bit for bit; ends[e] = (u, ru, v, rv), each end of e with the radix
+    # weight of e's position there
+    ratio = [z[c] / z[0] for c in range(kappa + 1)]
+    ends = [
+        (u, assign._radix[u][assign.edge_position(u, e)],
+         v, assign._radix[v][assign.edge_position(v, e)])
+        for e, (u, v) in enumerate(G.edges)
+    ]
     colours = [c for c in range(1, kappa + 1) if z[c] != 0]
     tables: dict = {}
     for s in assign.sigs:
@@ -143,7 +131,7 @@ def walk_live(G: MultiGraph, assign: SignatureAssignment, z, max_edges: int, kee
             quot = [t / s.f0 for t in s.table] if s.f0 else None
             tables[id(s)] = (extension_table(s), quot)
     ext, quot = zip(*(tables[id(s)] for s in assign.sigs))
-    bits = [(1 << u) | (1 << v) for u, v in G.edges]
+    bits = G.edge_masks()
     idx = [0] * G.vertex_count
     colour = [0] * G.edge_count
 

@@ -618,6 +618,13 @@ def test_pm_without_header_exits_1(capsys, tmp_path, text):
     assert "empty instance file" in capsys.readouterr().err
 
 
+def test_pm_hyperedge_with_a_repeated_vertex_exits_1(capsys, tmp_path):
+    path = tmp_path / "pm.txt"
+    path.write_text("3 2\n0 0 1\n2\nmatching: 0 1\n")
+    assert main(["pm", "--instance", str(path), "--zc", "0.5"]) == 1
+    assert "vertex 0 repeated in hyperedge" in capsys.readouterr().err
+
+
 def test_pm_accepts_i_suffix(capsys, files):
     rep = run_json(capsys, ["pm", "--instance", files["gpm"], "--zc", "0.5+0.1i"])
     z = 0.5 + 0.1j

@@ -10,7 +10,7 @@ from holant import (
     ParseError,
 )
 from holant.graph import grow_edge_sets, mask_vertices
-from holant.linsys import Hypergraph
+from holant.graph import Hypergraph
 from holant.oracle import (connected_edge_sets, connected_edge_subgraphs,
                            connected_edge_supersets, is_connected_edge_set)
 
@@ -228,3 +228,16 @@ def test_hypergraph_connected_sets_match_brute_force():
         H = random_hypergraph(rng)
         for k in range(1, H.edge_count + 1):
             assert connected_edge_sets(H, k) == brute_connected_hyperedge_sets(H, k)
+
+
+def test_masks_equal_the_expressions_they_replace():
+    rng = random.Random(MASTER_SEED + 12)
+    for _ in range(60):
+        for G in (random_graph(rng), random_hypergraph(rng)):
+            # grow_edge_sets' and check_chain_conditions' inc
+            assert G.incident_masks() == [sum(1 << e for e in G.incident(v))
+                                          for v in range(G.vertex_count)]
+            # alternating_cycle_polymers' masks, enumerate_vector_polymers' col_rows
+            assert G.edge_masks() == [sum(1 << v for v in e) for e in G.edges]
+            if isinstance(G, MultiGraph):  # walk_live's bits
+                assert G.edge_masks() == [(1 << u) | (1 << v) for u, v in G.edges]

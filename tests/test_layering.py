@@ -79,6 +79,24 @@ def test_package_exports_the_api_and_nothing_else():
     assert public == API
 
 
+def test_one_incidence_type():
+    assert linsys.Hypergraph is graph.Hypergraph
+    assert issubclass(graph.MultiGraph, graph.Hypergraph)
+    # outside graph.py, no comprehension turns `edges` or `incident(v)` into
+    # bitmasks: the walks read them from edge_masks() and incident_masks()
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name in ("graph.py", "oracle.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.ListComp, ast.GeneratorExp)) and any(
+                    isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.LShift)
+                    for sub in ast.walk(node)) and \
+                    {"edges", "incident"} & _names([g.iter for g in node.generators]):
+                found.append((path.name, ast.unparse(node)))
+    assert found == []
+
+
 def _oracle_imports(tree):
     """Names imported from holant.oracle, one list per import statement."""
     found = []

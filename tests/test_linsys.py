@@ -38,7 +38,7 @@ from holant.linsys import (
     pm_region,
 )
 
-from helpers import MASTER_SEED, c4, k2, k4, rel_close
+from helpers import MASTER_SEED, c4, k2, k4, random_graph, rel_close
 
 
 def random_system(rng, n_max=4, m_max=5, cap_max=2, wmax=0.6):
@@ -94,6 +94,9 @@ def test_hypergraph_validation():
         Hypergraph(3, [()])
     with pytest.raises(ValueError):
         Hypergraph(3, [(0, 3)])
+    # a vertex listed twice is an error, not the smaller edge {0, 1}
+    with pytest.raises(ValueError, match="vertex 0 repeated in hyperedge"):
+        Hypergraph(3, [(0, 0, 1)])
 
 
 def test_is_perfect_matching():
@@ -537,6 +540,23 @@ def test_pm_graph_polymer_matches_exact():
         assert rel_close(poly, exact)
 
 
+def test_graph_routes_are_the_hypergraph_routes_on_a_copy():
+    # a MultiGraph is the 2-uniform Hypergraph: the same matchings, and
+    # pm_polynomial_graph bit for bit the hypergraph route on a copy of G
+    rng = random.Random(MASTER_SEED + 48)
+    for _ in range(40):
+        G, matching = planted_matching_graph(rng, rng.randint(1, 5), rng.randint(0, 6))
+        H = Hypergraph(G.vertex_count, G.edges)
+        assert perfect_matchings(G) == perfect_matchings(H)
+        z = complex(rng.uniform(-0.7, 0.7), rng.uniform(-0.7, 0.7))
+        for mode in ("polymer", "exact"):
+            assert repr(pm_polynomial_graph(G, matching, z, mode)) == \
+                repr(pm_polynomial_hypergraph(H, matching, z, mode))
+    for _ in range(40):  # mostly graphs without a perfect matching
+        G = random_graph(rng, max_edges=9, max_degree=4)
+        assert perfect_matchings(G) == perfect_matchings(Hypergraph(G.vertex_count, G.edges))
+
+
 def planted_matching_hypergraph(rng, blocks, extra):
     """Vertices split into M-edges of sizes 1-3, plus `extra` random edges of
     sizes 1-3, some of them repeats of an edge already there; labels
@@ -566,7 +586,7 @@ def connected_differences(H, matching):
     exhaustive search."""
     masks = [sum(1 << v for v in e) for e in H.edges]
     out = set()
-    for other in perfect_matchings(Hypergraph(H.vertex_count, H.edges)):
+    for other in perfect_matchings(H):
         diff = set(matching) ^ set(other)
         while diff:
             comp, vmask = set(), 0
@@ -722,6 +742,7 @@ def test_parse_pm_file_mixed_sizes_is_hyper():
         "4 1\n0 1\nmatching: x\n",
         "4 2\n0 1\nmatching: 0\n",  # header promises 2 edges
         "2 1\n0 0\nmatching: 0\n",  # loop rejected by graph validation
+        "3 2\n0 0 1\n2\nmatching: 0 1\n",  # vertex 0 twice in one hyperedge
         "4\n0 1\nmatching: 0\n",
         "matching: 0\n",  # no header line at all
         "# note\nmatching: 1\n",
