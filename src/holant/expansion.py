@@ -87,9 +87,9 @@ def log_z_coefficients(G: MultiGraph, assign: SignatureAssignment, z, m: int) ->
         return TaylorSeries(tuple([0j] * m), 0)
     cap = min(m, G.edge_count)
     live = live_polymers(G, assign, z, cap)
-    fam = family_sum([(p.vmask, p.size, w) for p, w in live],
-                     bfs_order(G.vertex_count, G.edges), cap)
-    return TaylorSeries(tuple(series_log(fam, m)), len(live), fam.transitions)
+    c, transitions = family_sum([(p.vmask, p.size, w) for p, w in live],
+                                bfs_order(G.vertex_count, G.edges), cap)
+    return TaylorSeries(tuple(series_log(c, m)), len(live), transitions)
 
 
 # ---------------------------------------------------------------------------

@@ -9,18 +9,22 @@ on the rows of a linear system.
 `family_sum` walks the vertices in a given order. A state is the mask of
 vertices that the items chosen so far cover at or after the current vertex;
 its value is the truncated polynomial c_0..c_cap of prod weight *
-x^{total size} summed over the partial families that reach it, plus their
-exact number. At vertex v a state either drops v (v is covered), or leaves v
-uncovered, or takes an item whose first vertex in the order is v and whose
-mask misses the state. Each family is built along exactly one path, and two
-items can only meet at a vertex that is still in the state, so the result is
-exact for any order that lists every vertex of every item.
+x^{total size} summed over the partial families that reach it. At vertex v
+a state either drops v (v is covered), or leaves v uncovered, or takes an
+item whose first vertex in the order is v and whose mask misses the state.
+Each family is built along exactly one path, and two items can only meet at
+a vertex that is still in the state, so the result is exact for any order
+that lists every vertex of every item.
 
-At cap 0, where `linsys` and `pm` run, a state's value is the plain number
-c_0 rather than a 1-tuple, so a transition multiplies and adds numbers
-instead of building tuples. Both value algebras do the same float
-operations in the same order, so the values agree bit for bit, and the
-result is a 1-tuple either way.
+A value is only ever multiplied by weights and added, starting from the
+integer 1, so the coefficients take the number type of the weights: complex
+weights give complex sums, Fraction weights exact ones, and unit int weights
+count the families exactly. The number of families is the same sum at unit
+weights, which is how `linsys` counts them. At cap 0, where `linsys` and
+`pm` run, a state's value is the plain number c_0 rather than a 1-tuple, so
+a transition multiplies and adds numbers instead of building tuples. Both
+value algebras do the same operations in the same order, so the values agree
+bit for bit, and the result is a 1-tuple either way.
 
 The order only sets the number of distinct states per vertex, and the cost
 is the number of transitions: the sum over vertices of states x (1 + items
@@ -32,36 +36,15 @@ states per vertex while its number of families grows exponentially.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Sequence
-from dataclasses import dataclass
 from operator import add
 
 from . import errors
 from .errors import past_gate
 
 
-@dataclass(frozen=True)
-class FamilySum(Sequence):
-    """c_0..c_cap of the family polynomial, indexable as a sequence.
-
-    families: exact number of compatible families of the items of size
-    <= cap, whatever their total size; transitions: DP transitions made.
-    """
-
-    coefficients: tuple
-    families: int
-    transitions: int
-
-    def __len__(self):
-        return len(self.coefficients)
-
-    def __getitem__(self, j):
-        return self.coefficients[j]
-
-
 def _shifted(coeffs, size: int, weight):
     # a list comprehension builds the tuple faster than a generator does
-    return (0j,) * size + tuple([weight * c for c in coeffs[:len(coeffs) - size]])
+    return (0,) * size + tuple([weight * c for c in coeffs[:len(coeffs) - size]])
 
 
 def _series_add(a, b):
@@ -95,16 +78,19 @@ def _first_position(mask: int, prefix: list) -> int:
     return bisect_left(prefix, 1, key=mask.__and__)
 
 
-def family_sum(items, order, cap: int = 0) -> FamilySum:
-    """sum over families of prod weight * x^{total size}, truncated at x^cap.
+def family_sum(items, order, cap: int = 0):
+    """(c_0..c_cap, transitions): the sum over families of prod weight *
+    x^{total size}, truncated at x^cap, and the DP transitions it took.
 
     items: (mask, size, weight) triples with nonempty masks; items of size
     > cap cannot contribute and are left out. order: the vertices, each
     once; it must list every vertex of every item. A state's value is the
     truncated polynomial as a (cap + 1)-tuple, or at cap 0 the number c_0,
-    which the result wraps back into a 1-tuple. Each transition adds a
-    series of cap + 1 terms, so the DP charges transitions * (cap + 1) and
-    raises GateExceeded once that passes `errors.WORK_GATE`.
+    which the result wraps back into a 1-tuple. The coefficients take the
+    number type of the weights, and without an item c_0 is the integer 1 and
+    every other coefficient the integer 0. Each transition adds a series of
+    cap + 1 terms, so the DP charges transitions * (cap + 1) and raises
+    GateExceeded once that passes `errors.WORK_GATE`.
     """
     prefix = _prefix_masks(order)
     starts = [[] for _ in order]
@@ -120,17 +106,17 @@ def family_sum(items, order, cap: int = 0) -> FamilySum:
 
     bound = errors.WORK_GATE // (cap + 1)
     if cap:  # a value is the series c_0..c_cap
-        one, shift, plus = (1 + 0j,) + (0j,) * cap, _shifted, _series_add
+        one, shift, plus = (1,) + (0,) * cap, _shifted, _series_add
     else:  # a value is the number c_0; every item has size 0
-        one, shift, plus = 1 + 0j, _times, add
-    layer = {0: (one, 1)}
+        one, shift, plus = 1, _times, add
+    layer = {0: one}
     transitions = 0
     for v, here in zip(order, starts):
         bit = 1 << v
         if not touched & bit:
             continue
         nxt: dict = {}
-        for state, (coeffs, count) in layer.items():
+        for state, coeffs in layer.items():
             if state & bit:
                 moves = [(state ^ bit, coeffs)]
             else:
@@ -142,7 +128,6 @@ def family_sum(items, order, cap: int = 0) -> FamilySum:
                 raise past_gate(transitions * (cap + 1), "family-kernel series terms")
             for key, c in moves:
                 old = nxt.get(key)
-                nxt[key] = (c, count) if old is None else (plus(old[0], c), old[1] + count)
+                nxt[key] = c if old is None else plus(old, c)
         layer = nxt
-    coeffs, count = layer[0]
-    return FamilySum(coeffs if cap else (coeffs,), count, transitions)
+    return (layer[0] if cap else (layer[0],)), transitions

@@ -39,28 +39,26 @@ SUPPORT_BOX_GATE = 10**6  # the box `brute_weighted_count` may sweep
 
 def perfect_matchings(H: Hypergraph, gate: int = errors.WORK_GATE):
     """All perfect matchings (sorted edge-id tuples) of a Hypergraph or a
-    MultiGraph, by exhaustive cover search on vertex bitmasks."""
+    MultiGraph, by exhaustive cover search on vertex bitmasks. Each search
+    node covers the least uncovered vertex by each edge there that misses the
+    cover; the search raises GateExceeded once it has visited more than gate
+    nodes."""
     masks = H.edge_masks()
     full = (1 << H.vertex_count) - 1
     out = []
     visits = 0
-
-    def rec(covered: int, chosen):
-        nonlocal visits
+    todo = [(0, ())]  # (covered vertices, edge ids chosen), one per search node
+    while todo:
+        covered, chosen = todo.pop()
         visits += 1
         if visits > gate:
             raise GateExceeded(f"matching enumeration exceeded {gate} nodes")
         if covered == full:
-            out.append(tuple(chosen))
-            return
+            out.append(chosen)
+            continue
         v = (~covered & (covered + 1)).bit_length() - 1  # the least uncovered vertex
-        for i in H.incident(v):
-            if not masks[i] & covered:
-                chosen.append(i)
-                rec(covered | masks[i], chosen)
-                chosen.pop()
-
-    rec(0, [])
+        todo += [(covered | masks[i], chosen + (i,))
+                 for i in H.incident(v) if not masks[i] & covered]
     out.sort()
     return out
 
@@ -260,9 +258,9 @@ def weighted_count(sys: LinearSystem) -> LinsysReport:
 
     All-zero columns are unconstrained; they factor out of the sum as
     prod over dropped j of (1 + w_j + ... + w_j^{cap_j}). family_count is
-    the exact number of compatible families: one per solution on the live
-    columns. Raises ConditionViolated when the value lies past the float
-    range.
+    the exact number of compatible families, one per solution on the live
+    columns: the same family sum at unit int weights. Raises
+    ConditionViolated when the value lies past the float range.
     """
     live = set(sys.live_columns())
     dropped = [j for j in range(sys.m) if j not in live]
@@ -275,14 +273,16 @@ def weighted_count(sys: LinearSystem) -> LinsysReport:
     except OverflowError as exc:  # complex ** int past the float range raises
         raise outside_float_range(exc) from exc
     # H_A's order: the empty row tuple of a dead column adds no neighbour
-    fam = family_sum(items, bfs_order(sys.n, sys.column_rows))
-    value = factor * fam[0]
+    order = bfs_order(sys.n, sys.column_rows)
+    (total,), _ = family_sum(items, order)
+    value = factor * total
     if not cmath.isfinite(value):
         raise outside_float_range(value)
+    (count,), _ = family_sum([(p.rmask, 0, 1) for p in pool], order)
     return LinsysReport(
         value=value,
         polymer_count=len(pool),
-        family_count=fam.families,
+        family_count=count,
         dropped_columns=dropped,
     )
 
@@ -427,7 +427,8 @@ def pm_polynomial_hypergraph(H: Hypergraph, matching, z: complex,
             items = [(mask, 0, zc ** len(ids)) for ids, mask in polymers]
         except OverflowError as exc:  # complex ** int past the float range raises
             raise outside_float_range(exc) from exc
-        value = family_sum(items, bfs_order(H.vertex_count, H.edges))[0]
+        (value,), _ = family_sum(items, bfs_order(H.vertex_count, H.edges))
+        value = complex(value)  # the integer 1 without a polymer
         if not cmath.isfinite(value):
             raise outside_float_range(value)
         return value
@@ -496,7 +497,10 @@ def parse_pm_file(text: str):
     """Graph or hypergraph file with a trailing 'matching: id id ...' line.
 
     Returns (instance, matching, kind) with kind "graph" when every edge line
-    has two vertices, else "hyper".
+    has two vertices, else "hyper". A graph's matching ids index its
+    canonical edge order (the (u, v) pairs with u < v, sorted), which the
+    MultiGraph builds from the lines; a hypergraph's index the lines in file
+    order.
     """
     lines = _strip_comments(text)
     if lines and lines[-1].startswith("matching:"):

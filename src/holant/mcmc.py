@@ -173,6 +173,7 @@ class PolymerChain:
         self.delta = delta
         self.certificate = "none"
         if check != "none" and G.edge_count > 0:
+            assign.check_f0()  # names the vertex, which `_certify`'s r(F) cannot
             self._certify()
         self.tau = tau_floor(self.kappa, delta)
         self.rho = self.tau - 2.0 - math.log(self.kappa * delta)

@@ -116,14 +116,15 @@ def walk_live(G: MultiGraph, assign: SignatureAssignment, z, max_edges: int, kee
     # a polymer weighs 1 times ratio[c] for each edge colour in edge order,
     # then f_x(idx_x) / f_x(0) for each vertex x in ascending order: the
     # factors of `oracle.polymer_weight` in its order, so the weights agree
-    # bit for bit; ends[e] = (u, ru, v, rv), each end of e with the radix
-    # weight of e's position there
+    # bit for bit; ends[e] = [u, ru, v, rv], each end x of e with the digit
+    # weight (kappa + 1)^(d - 1 - p) of e there, p its rank in G.incident(x),
+    # as `oracle.vertex_value` reads the table
     ratio = [z[c] / z[0] for c in range(kappa + 1)]
-    ends = [
-        (u, assign._radix[u][assign.edge_position(u, e)],
-         v, assign._radix[v][assign.edge_position(v, e)])
-        for e, (u, v) in enumerate(G.edges)
-    ]
+    ends = [[] for _ in G.edges]
+    for x in range(G.vertex_count):  # u < v, so u's pair comes first
+        inc = G.incident(x)
+        for p, e in enumerate(inc):
+            ends[e] += (x, (kappa + 1) ** (len(inc) - 1 - p))
     colours = [c for c in range(1, kappa + 1) if z[c] != 0]
     tables: dict = {}
     for s in assign.sigs:

@@ -137,22 +137,9 @@ class SignatureAssignment:
         self.G = G
         self.sigs = tuple(sigs)
         self.kappa = kappas.pop() if kappas else 1
-        # radix weights per vertex: position p of d contributes value*(kappa+1)^(d-1-p)
-        base = self.kappa + 1
-        self._radix = tuple(
-            tuple(base ** (s.arity - 1 - p) for p in range(s.arity)) for s in sigs
-        )
-        self._edge_pos = {}
-        for v in range(G.vertex_count):
-            for p, e in enumerate(G.incident(v)):
-                self._edge_pos[(v, e)] = p
 
     def sig(self, v: int) -> Signature:
         return self.sigs[v]
-
-    def edge_position(self, v: int, e: int) -> int:
-        """Canonical argument position of edge e at vertex v."""
-        return self._edge_pos[(v, e)]
 
     def check_f0(self):
         for v, s in enumerate(self.sigs):

@@ -366,6 +366,18 @@ def test_sample_negative_fugacity_exits_3(capsys, files):
     capsys.readouterr()
 
 
+def test_sample_f0_zero_names_the_vertex(capsys, tmp_path, files):
+    # only vertex 1 lies off F0; the error names it, as approx's does
+    sig = tmp_path / "f0one.json"
+    sig.write_text(json.dumps({
+        "signatures": {"ok": {"table": {"kappa": 1, "arity": 1, "values": [[1, 0], [1, 0]]}},
+                       "bad": {"table": {"kappa": 1, "arity": 1, "values": [[0, 0], [1, 0]]}}},
+        "assignment": {"1": "bad"}, "default": "ok"}))
+    assert main(["sample", "--graph", files["k2"], "--sig", str(sig),
+                 "--z", "1,0.001", "--eps", "0.2"]) == 3
+    assert "vertex 1: signature 'table' has f(0,...,0) = 0" in capsys.readouterr().err
+
+
 def test_count_mcmc(capsys, files):
     argv = ["count-mcmc", "--graph", files["k2"], "--sig", "matching",
             "--z", "1,0.001", "--eps", "0.5", "--seed", "11"]

@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -51,6 +52,22 @@ def polynomial(coeffs, x):
     return sum(c * x**j for j, c in enumerate(coeffs))
 
 
+def brute_series(items, cap):
+    """c_0..c_cap over every subset of the items whose masks are disjoint."""
+    c = [0] * (cap + 1)
+    for subset in range(1 << len(items)):
+        cover, size, w = 0, 0, 1
+        for i, (mask, s, weight) in enumerate(items):
+            if subset >> i & 1:
+                if cover & mask:
+                    break
+                cover, size, w = cover | mask, size + s, w * weight
+        else:
+            if size <= cap:
+                c[size] += w
+    return c
+
+
 def test_family_sum_matches_brute_on_random_pools():
     rng = random.Random(MASTER_SEED + 71)
     for trial in range(40):
@@ -65,12 +82,14 @@ def test_family_sum_matches_brute_on_random_pools():
             moved = relabel(items, perm)
             order = list(range(n))
             rng.shuffle(order)
-            fam = family_sum(moved, order, cap=total)
+            fam, _ = family_sum(moved, order, cap=total)
             assert rel_close(polynomial(fam, x), ref, 1e-9)
-            assert fam.families == round(ref_count.real)
+            # the same sum at unit int weights counts the families exactly
+            count, _ = family_sum([(m, 0, 1) for m, _, _ in moved], order)
+            assert count == (round(ref_count.real),) and type(count[0]) is int
             # truncation keeps the low coefficients and drops nothing else
             cap = rng.randint(0, total)
-            low = family_sum(moved, order, cap=cap)
+            low, _ = family_sum(moved, order, cap=cap)
             assert len(low) == cap + 1
             for a, b in zip(low, fam):
                 assert abs(a - b) <= 1e-9 * max(1.0, abs(b))
@@ -88,7 +107,7 @@ def test_family_sum_on_a_64_plus_vertex_graph():
         weights = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in pool]
         cap = sum(p.size for p in pool)
         items = [(p.vmask, p.size, w) for p, w in zip(pool, weights)]
-        fam = family_sum(items, bfs_order(n, G.edges), cap)
+        fam, _ = family_sum(items, bfs_order(n, G.edges), cap)
         assert rel_close(sum(fam), brute_polymer_z(pool, weights), 1e-9)
         assert max(p.vmask for p in pool).bit_length() > 64
 
@@ -101,11 +120,33 @@ def test_cap_zero_number_equals_the_series_c0_bit_for_bit():
         n = rng.randint(1, 10) if trial % 4 else rng.randint(64, 80)
         items = [(m, 0, w) for m, _, w in random_items(rng, n, rng.randint(0, 14))]
         order = rng.sample(range(n), n)
-        number, series = family_sum(items, order, 0), family_sum(items, order, 1)
-        assert number.coefficients[0] == series.coefficients[0]
-        assert repr(number.coefficients[0]) == repr(series.coefficients[0])
-        assert (number.families, number.transitions) == (series.families, series.transitions)
-        assert len(number.coefficients) == 1 and type(number.coefficients[0]) is complex
+        (number,), transitions = family_sum(items, order, 0)
+        series, series_transitions = family_sum(items, order, 1)
+        assert number == series[0] and repr(number) == repr(series[0])
+        assert transitions == series_transitions
+        # complex weights give a complex sum; the empty pool the integer 1
+        assert type(number) is (complex if items else int)
+
+
+def test_fraction_weights_give_exact_coefficients():
+    rng = random.Random(MASTER_SEED + 74)
+    for _ in range(40):
+        n = rng.randint(1, 8)
+        items = [(m, s, Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+                 for m, s, _ in random_items(rng, n, rng.randint(1, 9))]
+        cap = rng.randint(1, 6)
+        fam, _ = family_sum(items, rng.sample(range(n), n), cap)
+        assert list(fam) == brute_series(items, cap)
+        assert all(type(c) in (int, Fraction) for c in fam)
+
+
+def test_an_empty_pool_sums_to_the_integer_one():
+    for cap in range(4):
+        fam, transitions = family_sum([], [2, 0, 1], cap)
+        assert fam == (1,) + (0,) * cap and transitions == 0
+        assert all(type(c) is int for c in fam)
+    # an item past the cap is left out, so the pool is empty
+    assert family_sum([(0b11, 2, 0.5j)], [0, 1], 1) == ((1, 0), 0)
 
 
 def test_family_sum_rejects_bad_orders():

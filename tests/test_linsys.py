@@ -127,6 +127,16 @@ def test_perfect_matchings_gate():
         perfect_matchings(K4, gate=2)
 
 
+def test_exact_mode_answers_on_c2400():
+    # the cover search nests one level per matching edge, 1,200 on C2400,
+    # past the interpreter's recursion limit for a recursive search
+    n = 2400
+    G = MultiGraph(n, [(i, (i + 1) % n) for i in range(n)])
+    M = [G.edges.index((i, i + 1)) for i in range(0, n, 2)]
+    exact = pm_polynomial_graph(G, M, 0.1, mode="exact")
+    assert exact == pm_polynomial_graph(G, M, 0.1) == 1 + 0j
+
+
 # ---------------------------------------------------------------------------
 # Linear systems: structure
 
@@ -764,6 +774,34 @@ def test_family_count_is_the_number_of_box_solutions():
         rep = weighted_count(sys)
         per_dropped = math.prod(sys.caps[j] + 1 for j in rep.dropped_columns)
         assert rep.family_count * per_dropped == len(brute_solutions(sys))
+
+
+def test_family_count_is_exact_past_float_precision():
+    # 40 disjoint directed 2-cycles with caps 2: x_a = x_b in {0, 1, 2} on
+    # each, so 3**40 families, which a float count would round
+    k = 40
+    rows = [[0] * (2 * k) for _ in range(2 * k)]
+    for c in range(k):
+        a, b = 2 * c, 2 * c + 1  # the rows of the cycle's two vertices
+        rows[a][a], rows[b][a] = 1, -1  # arc a -> b
+        rows[b][b], rows[a][b] = 1, -1  # arc b -> a
+    rep = weighted_count(LinearSystem(rows, [2] * (2 * k), [0.05] * (2 * k)))
+    assert rep.polymer_count == 2 * k
+    assert rep.family_count == 3**40 == 12157665459056928801
+    assert type(rep.family_count) is int
+    assert float(rep.family_count) != rep.family_count
+
+
+def test_empty_pools_still_give_complex_values():
+    # no nonzero solution and no alternating cycle: the family sum is the
+    # integer 1, and the reports stay complex
+    rep = weighted_count(LinearSystem([[1]], [1], [0.5]))
+    assert (rep.polymer_count, rep.family_count) == (0, 1)
+    assert type(rep.value) is complex and rep.value == 1
+    K2 = MultiGraph(2, [(0, 1)])
+    for value in (pm_polynomial_graph(K2, [0], 0.5),
+                  pm_polynomial_hypergraph(Hypergraph(2, [(0, 1)]), [0], 0.5)):
+        assert type(value) is complex and value == 1
 
 
 def test_pm_family_gate(monkeypatch):

@@ -151,9 +151,8 @@ def test_f0_check():
 def test_vertex_value_uses_canonical_edge_positions():
     # P3 edges: (0,1)=e0, (1,2)=e1; at vertex 1 position of e0 is 0, e1 is 1
     G = p3()
-    a = uniform_assignment(G, "matching")
-    assert a.edge_position(1, 0) == 0
-    assert a.edge_position(1, 1) == 1
+    assert G.incident(1).index(0) == 0
+    assert G.incident(1).index(1) == 1
     tab = [10, 20, 30, 40]  # f(a,b) = 10 + 20*b... distinguishable entries
     f = make_signature(tab, 2, 1)
     b = SignatureAssignment(G, [matching_signature(1), f, matching_signature(1)])
