@@ -165,30 +165,6 @@ def region_bounds(family: str, **params) -> RegionReport:
     raise AssertionError  # unreachable
 
 
-def q_factor_fugacity(delta: int, kappa: int, r1: float, z) -> float:
-    """q for the fugacity theorem: region radius over the largest |z_i|/|z_0|.
-
-    q > 1 means strictly inside the region; the truncated expansion then uses
-    ratio 1/q. Returns inf when every non-ground fugacity is zero.
-    """
-    z = check_fugacities(z, kappa)
-    ratios = [abs(t) / abs(z[0]) for t in z[1:]]
-    worst = max(ratios, default=0.0)
-    if worst == 0.0:
-        return math.inf
-    return region_bounds("holant-poly", delta=delta, kappa=kappa, r1=r1).bound / worst
-
-
-def q_factor_problem(delta: int, kappa: int, r_class: float) -> float:
-    """q for the Holant-problem theorem: (threshold / r(F))^(1/Delta)."""
-    if r_class < 0:
-        raise ValueError("r(F) must be >= 0")
-    if r_class == 0.0:
-        return math.inf
-    thr = region_bounds("holant-problem", delta=delta, kappa=kappa).bound
-    return (thr / r_class) ** (1.0 / delta)
-
-
 # ---------------------------------------------------------------------------
 # Kotecky-Preiss certificate
 

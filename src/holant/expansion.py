@@ -35,7 +35,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .bounds import q_factor_fugacity, q_factor_problem, region_bounds
+from .bounds import region_bounds
 from .errors import ConditionViolated, RegionViolation
 from .families import family_sum
 from .graph import MultiGraph, bfs_order
@@ -260,7 +260,9 @@ def approx_polynomial_report(G: MultiGraph, assign: SignatureAssignment, z,
         delta = G.max_degree()
         r1 = assign.r1()
         bound = region_bounds("holant-poly", delta=delta, kappa=assign.kappa, r1=r1).bound
-        q = q_factor_fugacity(delta, assign.kappa, r1, z)
+        # q: the region radius over the largest |z_i|/|z_0| (inf if that underflows to 0)
+        worst = max(abs(t) / abs(z[0]) for t in z[1:])
+        q = bound / worst if worst else math.inf
         if q <= 1.0:
             raise RegionViolation(
                 f"fugacity ratio exceeds region bound {bound:.6g} (q = {q:.6g} <= 1)"
@@ -283,7 +285,8 @@ def approx_problem_report(G: MultiGraph, assign: SignatureAssignment,
         delta = G.max_degree()
         r_class = assign.ratio_r_class()
         bound = region_bounds("holant-problem", delta=delta, kappa=assign.kappa).bound
-        q = q_factor_problem(delta, assign.kappa, r_class)
+        # q: the threshold over r(F), scaled to x = 1 by the Delta-th root
+        q = (bound / r_class) ** (1.0 / delta) if r_class else math.inf
         if q <= 1.0:
             raise RegionViolation(
                 f"r(F) = {r_class:.6g} is not below threshold {bound:.6g} scaled for "

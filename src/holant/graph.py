@@ -269,8 +269,8 @@ def grow_edge_sets(G, seeds, max_edges: int, visit, extend=_once):
 
     G is a `Hypergraph` (a `MultiGraph` included); two edges are adjacent
     when they share a vertex. stack lists the set's edges in the
-    order they were added; visit must copy what it keeps. Seeds are processed
-    in order; sets whose least seed is seeds[t] are grown with seeds[:t]
+    order they were added; visit must copy what it keeps. seeds are distinct
+    edge ids, processed in order; sets whose least seed is seeds[t] are grown with seeds[:t]
     forbidden, which makes the walk exactly-once: each connected superset is
     built by always extending with a boundary edge and banning an extension
     for all later sibling branches.
@@ -308,8 +308,6 @@ def grow_edge_sets(G, seeds, max_edges: int, visit, extend=_once):
         # extend(e, banned), with e banned once its branches are done
         for e in edges:
             bit = 1 << e
-            if banned & bit:
-                continue
             stack.append(e)
             for _ in extend(e, banned):
                 yield cur | bit, frontier | touch[e], banned

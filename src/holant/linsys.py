@@ -459,8 +459,9 @@ def parse_matrix_file(text: str) -> LinearSystem:
     """Header 'n m', n rows of m ints, 'caps: ...', 'weights: re im ...'."""
     lines = _strip_comments(text)
     n, m = _read_header(lines, "matrix")
-    if len(lines) < n + 3:
-        raise ParseError(f"need {n} rows plus caps and weights lines")
+    if len(lines) != n + 3:
+        raise ParseError(f"header promises {n} rows plus caps and weights lines, "
+                         f"file has {len(lines) - 1} lines")
     rows = []
     for line in lines[1 : n + 1]:
         parts = line.split()

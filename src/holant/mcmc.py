@@ -1,10 +1,17 @@
 """Polymer Markov chain: sampling from the Gibbs measure and annealed counting.
 
-Requires non-negative real weights. The chain state is a compatible family;
-one step picks a uniform edge e0 and either removes the polymer covering e0
-(probability 1/2) or, if e0 is uncovered, proposes a polymer containing e0
-from the single-polymer distribution mu0 and inserts it (probability 1/2)
-when it is compatible with the rest of the state.
+Requires non-negative real weights; the commands run the chain only on a
+certified instance. `certify_chain` decides the certificate: "region" inside the mcmc-poly
+region bound, else "direct" when the sampling and the mixing condition hold
+on the live polymers. Certifying is the command's step, not the chain's:
+`sample_assignments` and `fpras_estimate` go through `_chain_map`, which
+charges the planned steps, certifies once and then builds `PolymerChain`.
+
+The chain state is a compatible family; one step picks a uniform edge e0
+and either removes the polymer covering e0 (probability 1/2) or, if e0 is
+uncovered, proposes a polymer containing e0 from the single-polymer
+distribution mu0 and inserts it (probability 1/2) when it is compatible with
+the rest of the state.
 
 mu0 draws a geometric size budget k with P(k = i) = (1 - e^-rho) e^-rho*i,
 lists the polymers containing e0 with at most k edges, and accepts polymer
@@ -75,9 +82,11 @@ def derive_seed(*parts) -> int:
 
 
 def mixing_time(G: MultiGraph, eps: float) -> int:
-    """2|E| ln(n/eps) / (1 - xi) chain steps, rounded up, with xi = DEFAULT_XI:
-    8|E| ln(n/eps)."""
+    """2|E| ln(n/eps) / (1 - xi) chain steps, rounded up and at least 1, with
+    xi = DEFAULT_XI: 8|E| ln(n/eps). A graph without edges needs 0 steps."""
     _require_eps(eps)
+    if not G.edge_count:
+        return 0
     n = max(1, G.vertex_count)
     t = 2.0 * G.edge_count * math.log(n / eps) / (1.0 - DEFAULT_XI)
     return max(1, math.ceil(t))
@@ -149,34 +158,52 @@ class ChainState:
         return sorted({p for p in self.edge_owner if p is not None}, key=ColouredPolymer.sort_key)
 
 
+def certify_chain(G: MultiGraph, assign: SignatureAssignment, z) -> str:
+    """The chain's certificate for an instance: "region" when the fugacity
+    ratios sit inside the mcmc-poly region bound, else "direct" when
+    `check_chain_conditions`, the direct checks of the sampling and mixing
+    conditions on the live polymers, both hold.
+
+    Raises RegionViolation when neither certifies, also when the direct
+    checks pass the work gate, and NotInF0 naming the first vertex whose
+    table has f(0) = 0.
+    """
+    z = _require_nonneg(assign, z)
+    assign.check_f0()  # names the vertex, which r(F) below cannot
+    bound = region_bounds(
+        "mcmc-poly", delta=max(1, G.max_degree()), kappa=assign.kappa, r1=assign.r1()
+    ).bound
+    if max([zi / z[0] for zi in z[1:]], default=0.0) <= bound:
+        return "region"
+    try:
+        (ok_s, tau_star, need), (ok_m, worst) = check_chain_conditions(G, assign, z)
+    except GateExceeded as exc:
+        raise RegionViolation(f"instance not certified for the chain: fugacity ratio "
+                              f"bound {bound:.6g} violated and direct verification "
+                              f"was gated ({exc})") from exc
+    if ok_s and ok_m:
+        return "direct"
+    raise RegionViolation(
+        "instance not certified for the chain: "
+        f"fugacity ratio bound {bound:.6g} violated and direct checks give "
+        f"tau* = {tau_star:.6g} (need >= {need:.6g}), mixing margin {worst:.6g}"
+    )
+
+
 class PolymerChain:
-    """Bound instance: certified parameters plus per-edge mu0 candidate lists.
+    """Bound instance: chain parameters plus per-edge mu0 candidate lists.
 
     tau is tau_floor(kappa, Delta), and the mixing condition fixes xi at
-    DEFAULT_XI = 0.75.
-    check: "auto" accepts the instance when the fugacity ratios sit inside the
-    chain region bound, falling back to `check_chain_conditions`, the direct
-    checks of the sampling and mixing conditions on the live polymers
-    (certificate "region" or "direct"); "none" trusts the caller (certificate
-    "none"). A direct check past the work gate is a RegionViolation.
+    DEFAULT_XI = 0.75. The chain certifies nothing: the commands certify the
+    instance with `certify_chain` before they build it (`_chain_map`).
     """
 
-    def __init__(self, G: MultiGraph, assign: SignatureAssignment, z,
-                 check: str = "auto"):
-        if check not in ("auto", "none"):
-            raise ValueError(f"unknown check mode {check!r}")
+    def __init__(self, G: MultiGraph, assign: SignatureAssignment, z):
         self.G = G
-        self.assign = assign
         self.z = _require_nonneg(assign, z)
-        self.kappa = assign.kappa
-        delta = max(1, G.max_degree())
-        self.delta = delta
-        self.certificate = "none"
-        if check != "none" and G.edge_count > 0:
-            assign.check_f0()  # names the vertex, which `_certify`'s r(F) cannot
-            self._certify()
-        self.tau = tau_floor(self.kappa, delta)
-        self.rho = self.tau - 2.0 - math.log(self.kappa * delta)
+        kappa, delta = assign.kappa, max(1, G.max_degree())
+        self.tau = tau_floor(kappa, delta)
+        self.rho = self.tau - 2.0 - math.log(kappa * delta)
         # a first mu0 uniform above e^{-rho} gives k = 0; the 1e-9 keeps the
         # skipped values clear of rounding in int(-log(u) / rho)
         self._k0 = math.exp(-self.rho) * (1.0 + 1e-9)
@@ -189,42 +216,18 @@ class PolymerChain:
             self._rates.append((c / (2 * n), move_p, math.log1p(-move_p)))
         # per-edge candidate polymers up to _reach edges, the largest size
         # budget a draw of `run` can give (module docstring), weights at scale 1,
-        # in sort_key order (so ascending by size), all from one live-pool walk
+        # in sort_key order (so ascending by size), all from one live-pool walk;
+        # the weights of a non-negative instance's live polymers are positive
         self._reach = int(-math.log(self._k0 * 2.0**-53) / self.rho)
         self._base: list = [[] for _ in range(n)]
         for p, w in live_polymers(G, assign, self.z, min(n, self._reach)):
-            if w.real > 0:
-                for e in p.edges:
-                    self._base[e].append((p, w.real))
+            for e in p.edges:
+                self._base[e].append((p, w.real))
         # the scale-free parts of the mu0 acceptance masses w x^{|E|} e^{rho |E|}
         self._sizes = [[p.size for p, _ in entries] for entries in self._base]
         self._tilted = [[w * math.exp(self.rho * p.size) for p, w in entries]
                         for entries in self._base]
         self.set_scale(1.0)
-
-    def _certify(self):
-        ratios = [zi / self.z[0] for zi in self.z[1:]]
-        bound = region_bounds(
-            "mcmc-poly", delta=self.delta, kappa=self.kappa, r1=self.assign.r1()
-        ).bound
-        if max(ratios, default=0.0) <= bound:
-            self.certificate = "region"
-            return
-        try:
-            (ok_s, tau_star, need), (ok_m, worst) = check_chain_conditions(
-                self.G, self.assign, self.z)
-        except GateExceeded as exc:
-            raise RegionViolation(f"instance not certified for the chain: fugacity ratio "
-                                  f"bound {bound:.6g} violated and direct verification "
-                                  f"was gated ({exc})") from exc
-        if ok_s and ok_m:
-            self.certificate = "direct"
-            return
-        raise RegionViolation(
-            "instance not certified for the chain: "
-            f"fugacity ratio bound {bound:.6g} violated and direct checks give "
-            f"tau* = {tau_star:.6g} (need >= {need:.6g}), mixing margin {worst:.6g}"
-        )
 
     def set_scale(self, x: float):
         """Scale every weight by x^{|E(gamma)|} (annealing parameter)."""
@@ -339,33 +342,37 @@ class PolymerChain:
         return readings
 
 
-def _gate_chain_steps(steps: int) -> None:
-    if steps > errors.WORK_GATE:
-        raise past_gate(steps, "planned chain steps")
-
-
 def _chain_worker(task):
     chain, fn, indices, args = task
     return [fn(chain, i, *args) for i in indices]
 
 
-def _chain_map(chain: PolymerChain, fn, count: int, jobs: int, *args) -> list:
-    """[fn(chain, i, *args) for i in range(count)], over up to jobs processes
-    and no more than the host's CPUs.
+def _chain_map(G: MultiGraph, assign: SignatureAssignment, z, steps: int, fn,
+               count: int, jobs: int, *args) -> tuple:
+    """(certificate, [fn(chain, i, *args) for i in range(count)]) for the
+    instance's chain, over up to jobs processes and no more than the host's
+    CPUs.
 
-    The indices are dealt round-robin to the workers, and each worker gets one
-    pickled copy of the parent's certified chain. fn must draw from its own
-    substream per index, so the result does not depend on the worker count.
+    The one step of a chain command: it charges the steps the command plans
+    (GateExceeded past `errors.WORK_GATE`), certifies the instance with
+    `certify_chain`, and only then builds the chain. The indices are dealt
+    round-robin to the workers, and each worker gets one pickled copy of the
+    parent's chain. fn must draw from its own substream per index, so the
+    result does not depend on the worker count.
     """
+    if steps > errors.WORK_GATE:
+        raise past_gate(steps, "planned chain steps")
+    certificate = certify_chain(G, assign, z)
+    chain = PolymerChain(G, assign, z)
     workers = min(jobs, count, os.cpu_count() or 1)
     if workers <= 1:
-        return [fn(chain, i, *args) for i in range(count)]
+        return certificate, [fn(chain, i, *args) for i in range(count)]
     from concurrent.futures import ProcessPoolExecutor
 
     tasks = [(chain, fn, range(w, count, workers), args) for w in range(workers)]
     with ProcessPoolExecutor(max_workers=workers) as ex:
         parts = list(ex.map(_chain_worker, tasks))
-    return [parts[i % workers][i // workers] for i in range(count)]
+    return certificate, [parts[i % workers][i // workers] for i in range(count)]
 
 
 def _sum_moves(parts) -> dict:
@@ -399,8 +406,9 @@ def sample_assignments(G: MultiGraph, assign: SignatureAssignment, z, eps: float
     Each trial runs mixing_time(G, eps) steps on its own substream; output is
     identical for any jobs >= 1. When moves is a dict, the chains' move
     counts (`ChainState.moves`) summed over the trials are written into it.
-    Raises GateExceeded, before the chain is built, when
-    trials * mixing_time exceeds `errors.WORK_GATE`.
+    Raises GateExceeded when trials * mixing_time exceeds `errors.WORK_GATE`,
+    and RegionViolation when `certify_chain` refuses the instance, both
+    before the chain is built.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -411,9 +419,8 @@ def sample_assignments(G: MultiGraph, assign: SignatureAssignment, z, eps: float
     if G.edge_count == 0:
         results = [((), _sum_moves(()))] * trials
     else:
-        _gate_chain_steps(trials * steps)
-        chain = PolymerChain(G, assign, z)
-        results = _chain_map(chain, _sample_trial, trials, jobs, steps, seed)
+        _, results = _chain_map(G, assign, z, trials * steps, _sample_trial, trials,
+                                jobs, steps, seed)
     if moves is not None:
         moves.update(_sum_moves(m for _, m in results))
     return [a for a, _ in results]
@@ -468,9 +475,11 @@ def fpras_estimate(G: MultiGraph, assign: SignatureAssignment, z, eps: float,
     (x_{k-1}/x_k)^{total edges}, whose mean is Z(x_{k-1})/Z(x_k). The product
     telescopes to 1/Z(1); the estimate is the median over independent
     repetitions of prefactor / product. Repetitions use disjoint substreams,
-    so jobs > 1 returns the identical report. Raises GateExceeded, before the
-    chain is built, when the reps * K * (burn + 2S) planned steps exceed
-    `errors.WORK_GATE`.
+    so jobs > 1 returns the identical report. Raises GateExceeded when the
+    reps * K * (burn + 2S) planned steps exceed `errors.WORK_GATE`, and
+    RegionViolation when `certify_chain` refuses the instance, both before
+    the chain is built. A graph without edges needs no chain: its report
+    has certificate "none".
     """
     _require_eps(eps)
     if reps < 1:
@@ -485,9 +494,8 @@ def fpras_estimate(G: MultiGraph, assign: SignatureAssignment, z, eps: float,
     S = math.ceil(32.0 / eps**2)
     burn = mixing_time(G, 0.05)
     steps = reps * K * (burn + S * _STRIDE)
-    _gate_chain_steps(steps)
-    chain = PolymerChain(G, assign, zr)
-    results = _chain_map(chain, _run_rep, reps, jobs, seed, K, S, burn, prefactor)
+    certificate, results = _chain_map(G, assign, zr, steps, _run_rep, reps, jobs,
+                                      seed, K, S, burn, prefactor)
     estimates = [e for e, _ in results]
     return FprasReport(
         value=float(_median(estimates)),
@@ -499,6 +507,6 @@ def fpras_estimate(G: MultiGraph, assign: SignatureAssignment, z, eps: float,
         burn=burn,
         stride=_STRIDE,
         chain_steps=steps,
-        certificate=chain.certificate,
+        certificate=certificate,
         moves=_sum_moves(m for _, m in results),
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import cmath
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import errors
 from .errors import InvalidFugacity, NotInF0, ParseError, past_gate
@@ -22,7 +22,7 @@ from .graph import MultiGraph
 class Signature:
     arity: int
     kappa: int
-    table: tuple = field(compare=False)  # any iterable of numbers; stored as complex
+    table: tuple  # any iterable of numbers; stored as complex
     name: str = "table"
 
     def __post_init__(self):

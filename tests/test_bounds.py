@@ -5,7 +5,6 @@ import pytest
 
 from holant import (
     GateExceeded,
-    InvalidFugacity,
     MultiGraph,
     NotInF0,
     SignatureAssignment,
@@ -16,7 +15,7 @@ from holant import (
 )
 from holant import errors
 from holant import polymers as polymers_mod
-from holant.bounds import KpReport, q_factor_fugacity, q_factor_problem
+from holant.bounds import KpReport
 from holant.mcmc import check_chain_conditions
 from holant.oracle import enumerate_polymers, polymer_weight, weight_map
 from holant.polymers import live_polymers
@@ -189,24 +188,6 @@ def test_report_renders_as_table():
     text = str(rep)
     assert "holant-poly" in text
     assert "simple" in text and "optimal" in text
-
-
-def test_q_factor_fugacity():
-    b = region_bounds("holant-poly", delta=2, kappa=1, r1=1.0).bound
-    assert q_factor_fugacity(2, 1, 1.0, (1.0, 0.5 * b)) == pytest.approx(2.0, rel=1e-12)
-    assert math.isinf(q_factor_fugacity(2, 1, 1.0, (1.0, 0.0)))
-    assert q_factor_fugacity(2, 1, 1.0, (1.0, b)) == pytest.approx(1.0, rel=1e-12)
-    for bad in ((1.0, math.nan), (1.0, math.inf), (math.inf, 0.1), (1.0, complex(0, math.nan))):
-        with pytest.raises(InvalidFugacity, match="fugacities must be finite"):
-            q_factor_fugacity(2, 1, 1.0, bad)
-
-
-def test_q_factor_problem():
-    thr = region_bounds("holant-problem", delta=2, kappa=1).bound
-    assert q_factor_problem(2, 1, thr / 2) == pytest.approx(math.sqrt(2), rel=1e-12)
-    thr3 = region_bounds("holant-problem", delta=3, kappa=1).bound
-    assert q_factor_problem(3, 1, thr3 / 2) == pytest.approx(2 ** (1 / 3), rel=1e-12)
-    assert math.isinf(q_factor_problem(2, 1, 0.0))
 
 
 def test_verify_kp_k2_example():

@@ -366,6 +366,21 @@ def test_sample_negative_fugacity_exits_3(capsys, files):
     capsys.readouterr()
 
 
+def test_sample_negative_table_entry_exits_3(capsys, files):
+    assert main(["sample", "--graph", files["k2"], "--sig", "even-parity:-0.5",
+                 "--z", "1,0.001", "--eps", "0.2"]) == 3
+    assert "non-negative real signature tables" in capsys.readouterr().err
+
+
+def test_sample_without_edges_reports_no_chain_steps(capsys, tmp_path):
+    path = tmp_path / "e.txt"
+    path.write_text("2 0\n")
+    rep = run_json(capsys, ["sample", "--graph", str(path), "--sig", "matching",
+                            "--z", "1,0.1", "--eps", "0.1", "--trials", "2"])
+    assert rep["diagnostics"]["mixing_steps"] == rep["diagnostics"]["chain_steps"] == 0
+    assert rep["result"]["assignments"] == [[], []]
+
+
 def test_sample_f0_zero_names_the_vertex(capsys, tmp_path, files):
     # only vertex 1 lies off F0; the error names it, as approx's does
     sig = tmp_path / "f0one.json"
@@ -537,6 +552,14 @@ def test_linsys_region_skipped_when_r_below_2(capsys, files):
 def test_linsys_gate_exits_4(capsys, files):
     assert main(["linsys", "--matrix", files["matrix_gate"]]) == 4
     assert "error:" in capsys.readouterr().err
+
+
+def test_linsys_matrix_with_a_trailing_line_exits_1(capsys, tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_text(MATRIX_TEXT + "1 -1\n")
+    assert main(["linsys", "--matrix", str(path)]) == 1
+    assert "header promises 1 rows plus caps and weights lines, file has 4 lines" \
+        in capsys.readouterr().err
 
 
 def _deep_walk_files(tmp_path):

@@ -430,6 +430,35 @@ def test_report_carries_the_remainder_at_its_certified_order():
     assert full.decay == abs(full.coefficients[-1]) / abs(full.coefficients[-2])
 
 
+def test_approx_q_is_the_bound_over_the_worst_ratio():
+    # the fugacity entry point divides its region bound by max |z_i|/|z_0|;
+    # a ratio that is zero, or underflows to zero, leaves q infinite
+    G = c3()
+    a = uniform_assignment(G, "matching")
+    b = region_bounds("holant-poly", delta=2, kappa=1, r1=1.0).bound
+    rep = approx_polynomial_report(G, a, (1.0, 0.5 * b), 0.1)
+    assert (rep.q, rep.region_bound) == (b / (0.5 * b), b)
+    assert rep.q == pytest.approx(2.0, rel=1e-12)
+    assert math.isinf(approx_polynomial_report(G, a, (1.0, 0.0), 0.1).q)
+    H = k2()
+    assert math.isinf(approx_polynomial_report(H, uniform_assignment(H, "matching"),
+                                               (1e200, 1e-200), 0.1).q)
+    with pytest.raises(RegionViolation, match=r"\(q = 1 <= 1\)"):
+        approx_polynomial_report(G, a, (1.0, b), 0.1)
+
+
+def test_approx_problem_q_is_the_scaled_threshold():
+    # the problem entry point takes q = (threshold / r(F))^(1/Delta), and
+    # infinite q when r(F) = 0
+    for G, delta in ((c3(), 2), (star(3), 3)):
+        thr = region_bounds("holant-problem", delta=delta, kappa=1).bound
+        rep = approx_problem_report(G, flat_problem_assignment(G, scale=0.5), 0.1)
+        assert (rep.q, rep.region_bound) == ((thr / (0.5 * thr)) ** (1.0 / delta), thr)
+        assert rep.q == pytest.approx(2 ** (1 / delta), rel=1e-12)
+        zero = flat_problem_assignment(G, scale=0.0)
+        assert math.isinf(approx_problem_report(G, zero, 0.1).q)
+
+
 def test_series_log_high_order_is_linear_in_the_order():
     # the series log touches only the len(c) coefficients of the polynomial,
     # so order 100000 of C3 matching at z_1 = 0.01, Z(x) = 1 + 0.03 x, stays

@@ -22,10 +22,9 @@ from holant import (
     uniform_assignment,
     verify_kp,
 )
-from holant.bounds import q_factor_fugacity
 from holant.cli import main
 from holant.expansion import log_z_coefficients
-from holant.mcmc import PolymerChain, check_chain_conditions
+from holant.mcmc import PolymerChain, certify_chain, check_chain_conditions
 from holant.polymers import compact_domain, holant_prefactor, live_polymers
 from holant.signatures import check_fugacities
 
@@ -42,7 +41,6 @@ BAD_Z = {
 
 ENTRY_POINTS = {
     "check_fugacities": lambda G, a, z: check_fugacities(z, a.kappa),
-    "q_factor_fugacity": lambda G, a, z: q_factor_fugacity(2, a.kappa, 1.0, z),
     "compact_domain": lambda G, a, z: compact_domain(a, z),
     "holant_prefactor": lambda G, a, z: holant_prefactor(G, a, z),
     "live_polymers": lambda G, a, z: live_polymers(G, a, z, 2),
@@ -52,11 +50,12 @@ ENTRY_POINTS = {
     # the sampling and the mixing half of check_chain_conditions' result
     "check_sampling_condition": lambda G, a, z: check_chain_conditions(G, a, z)[0],
     "check_mixing_condition": lambda G, a, z: check_chain_conditions(G, a, z)[1],
+    "certify_chain": lambda G, a, z: certify_chain(G, a, z),
     "PolymerChain": lambda G, a, z: PolymerChain(G, a, z),
     "sample_assignments": lambda G, a, z: sample_assignments(G, a, z, 0.1, seed=1),
     "fpras_estimate": lambda G, a, z: fpras_estimate(G, a, z, 0.5, seed=1, reps=1),
 }
-GRAPH_FREE = ("check_fugacities", "q_factor_fugacity", "compact_domain")
+GRAPH_FREE = ("check_fugacities", "compact_domain")
 
 
 def test_check_fugacities_returns_a_tuple_of_complex():

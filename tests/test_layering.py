@@ -265,6 +265,30 @@ def test_one_eps_rule():
     assert mcmc._require_eps is expansion._require_eps
 
 
+def _calls(name):
+    """(module, top-level definition) of every production call to name, one
+    entry per call."""
+    found = []
+    for m in PRODUCTION:
+        path = Path(m.__file__)
+        for top in ast.parse(path.read_text()).body:
+            found += [(path.name, getattr(top, "name", None)) for node in ast.walk(top)
+                      if isinstance(node, ast.Call) and ast.unparse(node.func) == name]
+    return sorted(found)
+
+
+def test_each_entry_point_certifies_once():
+    # the chain commands charge, certify and build in one step, and each
+    # approx entry point takes q from the one region bound it computes
+    assert _calls("certify_chain") == [("mcmc.py", "_chain_map")]
+    assert _calls("PolymerChain") == [("mcmc.py", "_chain_map")]
+    assert [c for c in _calls("region_bounds") if c[0] in ("expansion.py", "mcmc.py")] == [
+        ("expansion.py", "approx_polynomial_report"),
+        ("expansion.py", "approx_problem_report"),
+        ("mcmc.py", "certify_chain"),
+    ]
+
+
 def test_modules_import_only_the_standard_library():
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):

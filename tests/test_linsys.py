@@ -137,6 +137,14 @@ def test_exact_mode_answers_on_c2400():
     assert exact == pm_polynomial_graph(G, M, 0.1) == 1 + 0j
 
 
+def test_exact_mode_rejects_a_reference_set_that_is_not_a_perfect_matching():
+    H = Hypergraph(6, [(0, 1, 2), (3, 4, 5), (0, 1, 3), (2, 4, 5)])
+    assert pm_polynomial_hypergraph(H, (0, 1), 0.5, mode="exact") == 1 + 0.5**4
+    for bad in ((0, 2), (0,), (0, 7)):
+        with pytest.raises(ValueError, match="reference set is not a perfect matching"):
+            pm_polynomial_hypergraph(H, bad, 0.5, mode="exact")
+
+
 # ---------------------------------------------------------------------------
 # Linear systems: structure
 
@@ -701,6 +709,14 @@ def test_parse_matrix_file():
 def test_parse_matrix_file_errors(text):
     with pytest.raises(ParseError):
         parse_matrix_file(text)
+
+
+def test_parse_matrix_file_rejects_lines_past_the_weights():
+    # the header promises n rows; a stray row after weights is an error, as
+    # an extra edge line is in a graph or pm file
+    with pytest.raises(ParseError, match="header promises 2 rows plus caps and weights "
+                       "lines, file has 5 lines"):
+        parse_matrix_file(MATRIX_TEXT + "1 0 -1\n")
 
 
 GRAPH_PM_TEXT = """\

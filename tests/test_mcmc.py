@@ -32,6 +32,7 @@ from holant import (
 )
 from holant.mcmc import (
     PolymerChain,
+    certify_chain,
     check_chain_conditions,
     derive_seed,
     substream,
@@ -71,6 +72,25 @@ def test_mixing_time_formula():
     G = MultiGraph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
     assert mixing_time(G, 0.05) == math.ceil(48 * math.log(80))
     assert mixing_time(G, 0.05) == 211
+
+
+def test_chain_commands_without_edges_run_no_chain(monkeypatch):
+    def no_chain(*args, **kwargs):
+        raise AssertionError("a chain was certified or built without edges")
+
+    monkeypatch.setattr(mcmc_mod, "certify_chain", no_chain)
+    monkeypatch.setattr(mcmc_mod, "PolymerChain", no_chain)
+    G = MultiGraph(2, [])
+    a = uniform_assignment(G, "matching")
+    assert mixing_time(G, 0.1) == 0
+    moves = {}
+    assert sample_assignments(G, a, (1.0, 0.1), 0.1, seed=1, trials=3, moves=moves) \
+        == [(), (), ()]
+    assert moves == {"visited": 0, "inserted": 0, "removed": 0}
+    rep = fpras_estimate(G, a, (2.0, 0.1), 0.5, seed=1, reps=2)
+    assert (rep.value, rep.estimates, rep.stages, rep.chain_steps, rep.certificate) == \
+        (1.0, [1.0, 1.0], 0, 0, "none")
+    assert rep.moves == {"visited": 0, "inserted": 0, "removed": 0}
 
 
 def test_sampling_condition_k2():
@@ -116,7 +136,36 @@ def test_chain_rejects_outside_region():
     G = c3()
     a = uniform_assignment(G, "matching")
     with pytest.raises(RegionViolation):
-        PolymerChain(G, a, (1.0, 0.05))
+        certify_chain(G, a, (1.0, 0.05))
+
+
+def test_chain_commands_certify_once_before_they_build(monkeypatch):
+    calls = []
+    certify, build = mcmc_mod.certify_chain, mcmc_mod.PolymerChain
+
+    def spy_certify(*args):
+        calls.append("certify")
+        return certify(*args)
+
+    def spy_build(*args):
+        calls.append("build")
+        return build(*args)
+
+    monkeypatch.setattr(mcmc_mod, "certify_chain", spy_certify)
+    monkeypatch.setattr(mcmc_mod, "PolymerChain", spy_build)
+    G = c3()
+    a = uniform_assignment(G, "matching")
+    sample_assignments(G, a, mcmc_z(G), 0.1, seed=1, trials=3)
+    assert calls == ["certify", "build"]
+    calls.clear()
+    assert fpras_estimate(G, a, mcmc_z(G), 0.5, seed=1, reps=2).certificate == "region"
+    assert calls == ["certify", "build"]
+    calls.clear()
+    for run in (lambda z: sample_assignments(G, a, z, 0.1, seed=1),
+                lambda z: fpras_estimate(G, a, z, 0.5, seed=1)):
+        with pytest.raises(RegionViolation):
+            run((1.0, 0.05))
+    assert calls == ["certify", "certify"]  # a refused instance is never built
 
 
 def test_chain_outside_region_with_gated_direct_checks_is_a_region_violation(monkeypatch):
@@ -130,13 +179,13 @@ def test_chain_outside_region_with_gated_direct_checks_is_a_region_violation(mon
     assert not ok and tau_star == pytest.approx(-math.log(0.01))
     with pytest.raises(RegionViolation, match=r"direct checks give tau\* = 4\.60517 "
                        r"\(need >= 7\.07944\)"):
-        PolymerChain(G, a, (1.0, 0.01))
+        certify_chain(G, a, (1.0, 0.01))
     monkeypatch.setattr(errors, "WORK_GATE", 99)
     with pytest.raises(GateExceeded):
         check_chain_conditions(G, a, (1.0, 0.01))
     with pytest.raises(RegionViolation, match="bound .* violated and direct verification "
                        "was gated"):
-        PolymerChain(G, a, (1.0, 0.01))
+        certify_chain(G, a, (1.0, 0.01))
 
 
 def test_direct_checks_walk_the_live_polymers_once(monkeypatch):
@@ -151,7 +200,7 @@ def test_direct_checks_walk_the_live_polymers_once(monkeypatch):
     a = uniform_assignment(G, "matching")
     with pytest.raises(RegionViolation, match=r"direct checks give tau\* = 2\.99573 "
                        r"\(need >= 7\.07944\), mixing margin -0\.6"):
-        PolymerChain(G, a, (1.0, 0.05))
+        certify_chain(G, a, (1.0, 0.05))
     assert walks == [G.edge_count]
 
 
@@ -224,11 +273,9 @@ def test_chain_direct_certification_beyond_region_bound():
     z1 = 5e-3
     b = region_bounds("mcmc-poly", delta=1, kappa=1, r1=1.5).bound
     assert z1 > b
-    chain = PolymerChain(G, a, (1.0, z1))
-    assert chain.certificate == "direct"
+    assert certify_chain(G, a, (1.0, z1)) == "direct"
     # inside the closed form the certificate is the region itself
-    chain2 = PolymerChain(G, a, (1.0, 0.5 * b))
-    assert chain2.certificate == "region"
+    assert certify_chain(G, a, (1.0, 0.5 * b)) == "region"
     # the same tables alternating on C100, at delta = 2: every edge weighs
     # z1 * 1.5 * 0.5, and the direct checks certify from the 100 edges
     G = MultiGraph(100, [(i, (i + 1) % 100) for i in range(100)])
@@ -237,7 +284,7 @@ def test_chain_direct_certification_beyond_region_bound():
     z1 = 5e-4
     assert z1 > region_bounds("mcmc-poly", delta=2, kappa=1, r1=1.5).bound
     t0 = time.perf_counter()
-    assert PolymerChain(G, a, (1.0, z1)).certificate == "direct"
+    assert certify_chain(G, a, (1.0, z1)) == "direct"
     assert time.perf_counter() - t0 < 1.0
 
 
@@ -486,7 +533,7 @@ def test_chain_build_raises_not_in_f0_for_the_vertex():
     middle = make_signature([0.0, 1.0, 1.0, 0.0], 2, 1)  # degree 2, f(0, 0) = 0
     assign = SignatureAssignment(G, [leaf, middle, leaf])
     with pytest.raises(NotInF0, match="vertex 1"):
-        PolymerChain(G, assign, (1.0, 0.1), check="none")
+        PolymerChain(G, assign, (1.0, 0.1))
 
 
 def test_chain_build_raises_invalid_fugacity_for_a_short_z():
@@ -494,7 +541,7 @@ def test_chain_build_raises_invalid_fugacity_for_a_short_z():
     sig = make_signature([1.0, 0.5, 0.5], 1, 2)  # kappa = 2
     assign = SignatureAssignment(G, [sig, sig])
     with pytest.raises(InvalidFugacity, match=r"^need 3 fugacities, got 2$"):
-        PolymerChain(G, assign, (1.0, 0.1), check="none")
+        PolymerChain(G, assign, (1.0, 0.1))
 
 
 def test_chain_step_gate_at_the_exact_plan(monkeypatch):
@@ -515,8 +562,9 @@ def test_chain_step_gate_at_the_exact_plan(monkeypatch):
     assert sample_assignments(G, a, z, 0.1, seed=1, trials=trials) == samples
 
     def no_chain(*args, **kwargs):
-        raise AssertionError("chain built past the step gate")
+        raise AssertionError("chain certified or built past the step gate")
 
+    monkeypatch.setattr(mcmc_mod, "certify_chain", no_chain)
     monkeypatch.setattr(mcmc_mod, "PolymerChain", no_chain)
     monkeypatch.setattr(errors, "WORK_GATE", plan - 1)
     with pytest.raises(GateExceeded, match=f"{plan} planned chain steps"):
@@ -559,10 +607,10 @@ def _busy(chain):
 
 
 def _busy_chain(rng):
-    """Unchecked busy chain on a random instance with two candidates at some edge."""
+    """Busy chain on a random, uncertified instance with two candidates at some edge."""
     while True:
         G, a, kappa = _nonneg_instance(rng)
-        chain = PolymerChain(G, a, [1.0] + [1.0] * kappa, check="none")
+        chain = PolymerChain(G, a, [1.0] + [1.0] * kappa)
         if any(len(entries) > 1 for entries in chain._base):
             return _busy(chain)
 
@@ -636,11 +684,10 @@ def test_run_follows_the_step_kernel_in_law():
     leaf = make_signature([1.0, 1.0], 1, 1)
     middle = make_signature([1.0, 0.0, 0.0, 1.0], 2, 1)
     path_chain = _busy(PolymerChain(G, SignatureAssignment(G, [leaf, middle, leaf]),
-                                    (1.0, 1.0), check="none"))
+                                    (1.0, 1.0)))
     # matching on two disjoint edges and on P4, with rho = 3 and 3 + 2 ln 2,
     # insert most often, also next to a covered edge
-    quick = [_busy(PolymerChain(G, uniform_assignment(G, "matching"), (1.0, 1.0),
-                                check="none"))
+    quick = [_busy(PolymerChain(G, uniform_assignment(G, "matching"), (1.0, 1.0)))
              for G in (MultiGraph(4, [(0, 1), (2, 3)]), p4())]
     rng = random.Random(MASTER_SEED + 21)
     chains = [path_chain] + quick + [_busy_chain(rng) for _ in range(3)]
@@ -683,10 +730,27 @@ def test_mu0_follows_the_reference():
 
 def test_run_without_edges_raises():
     G = MultiGraph(2, [])
-    chain = PolymerChain(G, uniform_assignment(G, "matching"), (1.0, 0.1), check="none")
+    chain = PolymerChain(G, uniform_assignment(G, "matching"), (1.0, 0.1))
     assert chain.run(chain.fresh_state(), 0, random.Random(0)) == []
     with pytest.raises(ValueError, match="no edges"):
         chain.run(chain.fresh_state(), 1, random.Random(0))
+
+
+def test_draw_without_a_candidate_within_the_budget_is_none():
+    # P3 whose middle table is zero on one coloured edge but not on two: the
+    # only polymer at edge 0 is the whole path, so a size budget of 1 finds
+    # no candidate, and the draw ends without a second uniform
+    G = p3()
+    leaf = make_signature([1.0, 1.0], 1, 1)
+    middle = make_signature([1.0, 0.0, 0.0, 1.0], 2, 1)
+    chain = PolymerChain(G, SignatureAssignment(G, [leaf, middle, leaf]), (1.0, 0.01))
+    assert chain._sizes[0] == [2]
+    rng = random.Random(0)
+    before = rng.getstate()
+    u = math.exp(-1.5 * chain.rho)  # size budget k = 1
+    assert int(-math.log(u) / chain.rho) == 1
+    assert chain._draw(0, u, rng) is None
+    assert rng.getstate() == before
 
 
 def test_median_is_statistics_median():
@@ -701,7 +765,7 @@ def test_mu0_mass_above_one_raises():
     # K2 matching at z1 = 0.5: the single-edge polymer has acceptance mass
     # 0.5 e^rho = 0.5 e^3 > 1
     G = k2()
-    chain = PolymerChain(G, uniform_assignment(G, "matching"), (1.0, 0.5), check="none")
+    chain = PolymerChain(G, uniform_assignment(G, "matching"), (1.0, 0.5))
     message = ("mu0 acceptance mass 10.0428 > 1 at edge 0; "
                "weights violate the sampling condition for this tau")
     rng = random.Random(MASTER_SEED + 23)
@@ -751,7 +815,7 @@ def test_capped_chain_runs_as_its_uncapped_twin():
              (C12, SignatureAssignment(C12, [make_signature([1.0, 0.7, 0.7, 0.4], 2, 1)] * 12),
               (1.0, 1.0))]
     for G, a, z in cases:
-        chain = PolymerChain(G, a, z, check="none")
+        chain = PolymerChain(G, a, z)
         twin = copy.copy(chain)
         twin._reach = G.edge_count  # so that set_scale powers every size
         twin._base = [[] for _ in range(G.edge_count)]

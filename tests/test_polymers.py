@@ -342,7 +342,7 @@ def _random_tables(rng, G, kappa, zeros):
 def _assert_chain_lists_are_supersets(G, assign, z):
     """The chain's candidates at each edge e0 are the live polymers on the
     connected supersets of e0 with up to min(|E|, _reach) edges."""
-    chain = PolymerChain(G, assign, z, check="none")
+    chain = PolymerChain(G, assign, z)
     for e0 in range(G.edge_count):
         entries = []
         for S in connected_edge_supersets(G, e0, min(G.edge_count, chain._reach)):

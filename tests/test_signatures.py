@@ -93,6 +93,15 @@ def test_ratio_r_even_parity():
     assert even_parity_signature(2, 4.0).ratio_r() == 4.0
 
 
+def test_signatures_compare_and_hash_by_table():
+    quarter, four = even_parity_signature(2, 0.25), even_parity_signature(2, 4.0)
+    assert quarter != four
+    assert len({quarter, four}) == 2
+    twin = even_parity_signature(2, 0.25)
+    assert twin == quarter and hash(twin) == hash(quarter)
+    assert make_signature([1, 2], 1, 1) == make_signature((1 + 0j, 2.0), 1, 1)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3,
