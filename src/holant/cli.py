@@ -320,6 +320,7 @@ def _cmd_pm(args) -> int:
     z = parse_complex(args.zc)
     if not cmath.isfinite(z):
         raise ParseError(f"--zc must be finite, got {args.zc!r}")
+    # one function under two names; the benchmark's pm span wraps the graph name
     pm = pm_polynomial_graph if kind == "graph" else pm_polynomial_hypergraph
     value = pm(instance, matching, z)
     region = _region(pm_region, instance)

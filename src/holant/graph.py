@@ -80,12 +80,6 @@ class Hypergraph:
         sizes = {len(e) for e in self.edges}
         return sizes.pop() if len(sizes) == 1 else None
 
-    def is_perfect_matching(self, eids) -> bool:
-        if any(not 0 <= i < len(self.edges) for i in eids):
-            return False
-        covered = [v for i in eids for v in self.edges[i]]
-        return len(covered) == len(set(covered)) == self.vertex_count
-
     def edge_masks(self) -> list:
         """Per edge id, the bitmask of its vertices."""
         return [sum(1 << v for v in e) for e in self.edges]

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, product
 
 from . import errors
 from .bounds import region_bounds
@@ -306,37 +306,43 @@ def pm_region(instance):
 
 
 def brute_weighted_count(sys: LinearSystem) -> complex:
-    """Direct sum over the full box (independent of the polymer route)."""
+    """Direct sum over the full box in lexicographic order (independent of
+    the polymer route)."""
     box = 1
     for c in sys.caps:
         box *= c + 1
     if box > SUPPORT_BOX_GATE:
         raise GateExceeded(f"{box} vectors exceed gate {SUPPORT_BOX_GATE}")
     total = 0j
-
-    def rec(j, vec):
-        nonlocal total
-        if j == sys.m:
-            if all(
-                sum(row[t] * vec[t] for t in range(sys.m)) == 0 for row in sys.rows
-            ):
-                w = 1 + 0j
-                for t in range(sys.m):
-                    if vec[t]:
-                        w *= sys.weights[t] ** vec[t]
-                total += w
-            return
-        for x in range(sys.caps[j] + 1):
-            vec.append(x)
-            rec(j + 1, vec)
-            vec.pop()
-
-    rec(0, [])
+    for vec in product(*[range(c + 1) for c in sys.caps]):
+        if all(sum(row[t] * vec[t] for t in range(sys.m)) == 0 for row in sys.rows):
+            w = 1 + 0j
+            for t in range(sys.m):
+                if vec[t]:
+                    w *= sys.weights[t] ** vec[t]
+            total += w
     return total
 
 
 # ---------------------------------------------------------------------------
 # Perfect-matching polynomials
+
+
+def _mates(H, matching) -> list:
+    """The matching-edge id at each vertex of H. Raises ValueError unless the
+    edge ids in matching form a perfect matching of H: an id out of range,
+    two matching edges that share a vertex, or a vertex left uncovered."""
+    mate = [None] * H.vertex_count
+    for i in map(int, matching):
+        if not 0 <= i < H.edge_count:
+            raise ValueError(f"matching edge id {i} out of range")
+        for v in H.edges[i]:
+            if mate[v] is not None:
+                raise ValueError("matching edges overlap")
+            mate[v] = i
+    if None in mate:
+        raise ValueError("reference set is not a perfect matching")
+    return mate
 
 
 def alternating_cycle_polymers(H, matching):
@@ -360,16 +366,7 @@ def alternating_cycle_polymers(H, matching):
     taken more steps than `errors.WORK_GATE`.
     """
     masks = H.edge_masks()
-    mate = [None] * H.vertex_count  # M-edge id at each vertex
-    for i in map(int, matching):
-        if not 0 <= i < len(masks):
-            raise ValueError(f"matching edge id {i} out of range")
-        for v in H.edges[i]:
-            if mate[v] is not None:
-                raise ValueError("matching edges overlap")
-            mate[v] = i
-    if None in mate:
-        raise ValueError("reference set is not a perfect matching")
+    mate = _mates(H, matching)
     step = []  # per edge e: (covered, pulled, ids), the three masks taking e adds
     for e, covered in enumerate(masks):
         pulled, ids = covered, 1 << e
@@ -411,15 +408,20 @@ def alternating_cycle_polymers(H, matching):
 
 def pm_polynomial_hypergraph(H: Hypergraph, matching, z: complex,
                              mode: str = "polymer"):
-    """Z(H, M, z) = sum over perfect matchings M' of z^{|M xor M'|}.
+    """Z(H, M, z) = sum over perfect matchings M' of z^{|M xor M'|}, for a
+    Hypergraph or a MultiGraph H; `pm_polynomial_graph` is the same function.
 
     mode "polymer" sums z^{|A| + |B|} over vertex-disjoint families of
     M-alternating polymers (`alternating_cycle_polymers`), one family per M';
     "exact" enumerates the perfect matchings, the reference route.
     `pm_region` gives the instance's region report. In polymer mode a value
     past the float range raises ConditionViolated.
+
+    Both modes check M, the edge ids in matching, the same way (`_mates`):
+    ValueError "matching edge id i out of range", "matching edges overlap",
+    or "reference set is not a perfect matching" when M leaves a vertex
+    uncovered.
     """
-    matching = tuple(sorted(int(i) for i in matching))
     if mode == "polymer":
         zc = complex(z)
         polymers = alternating_cycle_polymers(H, matching)
@@ -434,9 +436,8 @@ def pm_polynomial_hypergraph(H: Hypergraph, matching, z: complex,
         return value
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
-    if not H.is_perfect_matching(matching):
-        raise ValueError("reference set is not a perfect matching")
-    mset = set(matching)
+    _mates(H, matching)
+    mset = set(map(int, matching))
     total = 0j
     for other in perfect_matchings(H):
         diff = len(mset.symmetric_difference(other))
@@ -444,11 +445,7 @@ def pm_polynomial_hypergraph(H: Hypergraph, matching, z: complex,
     return total
 
 
-def pm_polynomial_graph(G: MultiGraph, matching, z: complex,
-                        mode: str = "polymer"):
-    """Z(G, M, z) over perfect matchings of a graph: `pm_polynomial_hypergraph`
-    on G, the 2-uniform hypergraph, in the same modes."""
-    return pm_polynomial_hypergraph(G, matching, z, mode)
+pm_polynomial_graph = pm_polynomial_hypergraph
 
 
 # ---------------------------------------------------------------------------

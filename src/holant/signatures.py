@@ -205,6 +205,8 @@ def _sig_from_spec(spec, arity: int) -> Signature:
             raise ParseError(f"bad table spec {t!r}") from exc
         if tab_arity != arity:
             raise ParseError(f"table arity {tab_arity} does not match vertex degree {arity}")
+        if not isinstance(values, list):
+            raise ParseError(f"table values must be a list, got {values!r}")
         vals = [_complex_from_json(v) for v in values]
         try:
             return make_signature(vals, tab_arity, kappa)
@@ -231,6 +233,9 @@ def assignment_from_json(G: MultiGraph, text: str) -> SignatureAssignment:
     named = doc.get("signatures", {})
     assignment = doc.get("assignment", {})
     default = doc.get("default")
+    for key, value in (("signatures", named), ("assignment", assignment)):
+        if not isinstance(value, dict):
+            raise ParseError(f"{key!r} must be an object, got {value!r}")
 
     def resolve(v: int) -> Signature:
         spec = assignment.get(str(v), default)

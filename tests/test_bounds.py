@@ -184,10 +184,17 @@ def test_optimal_at_least_simple():
 
 
 def test_report_renders_as_table():
-    rep = region_bounds("holant-poly", delta=3, kappa=2, r1=1.5)
-    text = str(rep)
-    assert "holant-poly" in text
-    assert "simple" in text and "optimal" in text
+    G = k2()
+    reports = [
+        (region_bounds("holant-poly", delta=3, kappa=2, r1=1.5),
+         ["holant-poly", "simple", "optimal"]),
+        (verify_kp(G, uniform_assignment(G, "matching"), (1.0, 0.1)),
+         ["KP condition certified", "from 1 live polymers of at most 1 edges",
+          "(a = 1.0 * edges)"]),
+    ]
+    for rep, words in reports:
+        text = str(rep)
+        assert all(w in text for w in words), text
 
 
 def test_verify_kp_k2_example():
@@ -217,6 +224,8 @@ def test_verify_kp_vertex_size():
     rep = verify_kp(G, a, (1.0, 0.01), size="vertices")
     assert rep.certified
     assert rep.size == "vertices"
+    with pytest.raises(ValueError, match="size must be 'edges' or 'vertices'"):
+        verify_kp(G, a, (1.0, 0.01), size="faces")
 
 
 def _grid(rows, cols):

@@ -826,6 +826,18 @@ def test_non_finite_signature_entries_exit_1(capsys, files, tmp_path):
                "non-finite table entry")
 
 
+def test_malformed_signature_file_exits_1(capsys, files, tmp_path):
+    # a wrong JSON type in the file is a parse error, not a raw TypeError
+    docs = [{"default": {"table": {"kappa": 1, "arity": 2, "values": 5}}},
+            {"assignment": [1, 2], "default": {"builtin": "matching"}},
+            {"signatures": ["a"], "default": "a"}]
+    for doc in docs:
+        path = tmp_path / "sig.json"
+        path.write_text(json.dumps(doc))
+        _fails(capsys, ["approx", "--graph", files["c3"], "--sig", str(path),
+                        "--z", "1,0.01", "--eps", "0.1"], 1, "must be")
+
+
 def test_verify_kp_non_finite_alpha_exits_1(capsys, files):
     for alpha in ("nan", "inf"):
         _fails(capsys, ["verify-kp", "--graph", files["k2"], "--sig", "matching",

@@ -235,6 +235,14 @@ def test_log_coefficients_k2_log1p():
     assert rel_close(coef[2], t ** 3 / 3)
 
 
+def test_log_coefficients_reject_a_negative_order_and_vanish_with_one_colour():
+    G = c3()
+    with pytest.raises(ValueError, match="m must be >= 0"):
+        log_z_coefficients(G, uniform_assignment(G, "matching"), (1.0, 0.1), -1)
+    one_colour = SignatureAssignment(G, [make_signature([2.0], 2, 0)] * G.vertex_count)
+    assert log_z_coefficients(G, one_colour, (1.0,), 3) == TaylorSeries((0j, 0j, 0j), 0)
+
+
 def test_c3_series_matches_oracle():
     G = c3()
     a = uniform_assignment(G, "matching")

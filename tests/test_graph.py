@@ -53,6 +53,10 @@ def test_parse_errors():
         MultiGraph.from_text("2 1\n0 5\n")  # endpoint out of range
     with pytest.raises(ParseError):
         MultiGraph.from_text("2 2\n0 1\n")  # edge count mismatch
+    with pytest.raises(ParseError, match="expected edge line 'u v'"):
+        MultiGraph.from_text("3 1\n0 1 2\n")  # three vertices on an edge line
+    with pytest.raises(ParseError, match="bad edge line"):
+        MultiGraph.from_text("2 1\n0 x\n")
 
 
 def test_loops_and_duplicates_rejected_in_constructor():

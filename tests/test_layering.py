@@ -6,8 +6,8 @@ which no production module imports. The package re-exports four of its names,
 and the command line uses only `brute_holant`, for its `oracle` subcommand.
 Every production definition is reached from the command line or the API.
 Every module of the package imports only the standard library and itself, and
-one function each holds the fugacity rule and the eps rule. No production walk
-calls itself.
+one function each holds the fugacity rule, the eps rule and the check of a
+reference matching. No production walk calls itself.
 """
 
 import ast
@@ -260,6 +260,16 @@ def test_one_fugacity_rule():
     ]
 
 
+def test_one_matching_rule():
+    # both pm modes check the reference matching in one place, and the
+    # graph and hypergraph entry points are one function
+    assert _raisers("matching edges overlap", "reference set is not a perfect matching") == [
+        ("linsys.py", "_mates"),
+    ]
+    assert not hasattr(graph.Hypergraph, "is_perfect_matching")
+    assert linsys.pm_polynomial_graph is linsys.pm_polynomial_hypergraph
+
+
 def test_one_eps_rule():
     assert _raisers("eps must be positive and finite") == [("expansion.py", "_require_eps")]
     assert mcmc._require_eps is expansion._require_eps
@@ -324,11 +334,9 @@ def _self_callers(path):
 def test_production_walks_never_recurse():
     # a walk that recurses once per step nests as deep as its input, past
     # the interpreter's recursion limit; what still recurses is the report
-    # printing, as deep as a report nests, and linsys's reference box sweep,
-    # as deep as the system has columns under a box of at most 10^6 vectors
+    # printing, as deep as a report nests
     found = sorted(hit for m in PRODUCTION for hit in _self_callers(Path(m.__file__)))
     assert found == [
         ("cli.py", "_json_safe", "_json_safe"),
         ("cli.py", "_print_text", "_print_text"),
-        ("linsys.py", "brute_weighted_count", "rec"),
     ]

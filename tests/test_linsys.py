@@ -99,14 +99,24 @@ def test_hypergraph_validation():
         Hypergraph(3, [(0, 0, 1)])
 
 
-def test_is_perfect_matching():
+def test_one_check_of_the_reference_matching():
+    # both modes read M through linsys._mates and refuse a bad M alike
     H = Hypergraph(6, [(0, 1, 2), (3, 4, 5), (0, 1, 3), (2, 4, 5)])
-    assert H.is_perfect_matching((0, 1))
-    assert H.is_perfect_matching((2, 3))
-    assert not H.is_perfect_matching((0, 2))  # overlap at 0,1
-    assert not H.is_perfect_matching((0,))  # leaves 3,4,5 uncovered
-    assert not H.is_perfect_matching((0, 7))  # no edge 7
-    assert not H.is_perfect_matching((-1, 0))  # ids do not wrap around
+    assert linsys_mod._mates(H, (0, 1)) == [0, 0, 0, 1, 1, 1]
+    assert linsys_mod._mates(H, (3, 2)) == [2, 2, 3, 2, 3, 3]  # in any order
+    for matching in ((0, 1), (2, 3)):
+        for mode in ("polymer", "exact"):
+            assert pm_polynomial_hypergraph(H, matching, 0.5, mode=mode) == 1 + 0.5**4
+    bad = [
+        ((0, 2), "matching edges overlap"),  # at 0, 1
+        ((0,), "reference set is not a perfect matching"),  # leaves 3, 4, 5 uncovered
+        ((0, 7), "matching edge id 7 out of range"),  # no edge 7
+        ((-1, 0), "matching edge id -1 out of range"),  # ids do not wrap around
+    ]
+    for matching, words in bad:
+        for mode in ("polymer", "exact"):
+            with pytest.raises(ValueError, match=words):
+                pm_polynomial_hypergraph(H, matching, 0.5, mode=mode)
 
 
 def test_perfect_matchings_enumeration():
@@ -140,8 +150,10 @@ def test_exact_mode_answers_on_c2400():
 def test_exact_mode_rejects_a_reference_set_that_is_not_a_perfect_matching():
     H = Hypergraph(6, [(0, 1, 2), (3, 4, 5), (0, 1, 3), (2, 4, 5)])
     assert pm_polynomial_hypergraph(H, (0, 1), 0.5, mode="exact") == 1 + 0.5**4
-    for bad in ((0, 2), (0,), (0, 7)):
-        with pytest.raises(ValueError, match="reference set is not a perfect matching"):
+    for bad, words in (((0, 2), "matching edges overlap"),
+                       ((0,), "reference set is not a perfect matching"),
+                       ((0, 7), "matching edge id 7 out of range")):
+        with pytest.raises(ValueError, match=words):
             pm_polynomial_hypergraph(H, bad, 0.5, mode="exact")
 
 
@@ -704,6 +716,10 @@ def test_parse_matrix_file():
         "1 2\n1 -1\ncaps: 1 1\nweights: 1 0 1\n",
         "1 2\n1 -1\ncaps: 1\nweights: 1 0 1 0\n",
         "1 2\n1 -1\ncaps: 1 0\nweights: 1 0 1 0\n",  # cap below 1
+        "1 2\n1 x\ncaps: 1 1\nweights: 1 0 1 0\n",  # bad row
+        "1 2\n1 -1\ncaps: 1 1\nw: 1 0 1 0\n",  # no weights line
+        "1 2\n1 -1\ncaps: 1 x\nweights: 1 0 1 0\n",  # bad caps line
+        "1 2\n1 -1\ncaps: 1 1\nweights: 1 0 x 0\n",  # bad weights line
     ],
 )
 def test_parse_matrix_file_errors(text):

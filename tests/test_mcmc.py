@@ -736,6 +736,17 @@ def test_run_without_edges_raises():
         chain.run(chain.fresh_state(), 1, random.Random(0))
 
 
+def test_no_trials_and_a_scale_outside_the_unit_interval_raise():
+    G = c3()
+    a = uniform_assignment(G, "matching")
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        sample_assignments(G, a, mcmc_z(G), 0.1, seed=5, trials=0)
+    chain = PolymerChain(G, a, mcmc_z(G))
+    for x in (-0.5, 1.5):
+        with pytest.raises(ValueError, match=r"scale must be in \[0, 1\]"):
+            chain.set_scale(x)
+
+
 def test_draw_without_a_candidate_within_the_budget_is_none():
     # P3 whose middle table is zero on one coloured edge but not on two: the
     # only polymer at edge 0 is the whole path, so a size budget of 1 finds

@@ -197,13 +197,22 @@ def test_json_errors():
     G = c3()
     with pytest.raises(ParseError):
         assignment_from_json(G, "not json")
-    with pytest.raises(ParseError):
-        assignment_from_json(G, json.dumps({"assignment": {"0": "missing"}}))
-    with pytest.raises(ParseError):
-        assignment_from_json(G, json.dumps({}))  # nothing for vertex 0
-    bad_table = {"default": {"table": {"kappa": 1, "arity": 1, "values": [[1, 0], [0, 0]]}}}
-    with pytest.raises(ParseError):
-        assignment_from_json(G, json.dumps(bad_table))  # arity != degree
+    bad_docs = [
+        {"assignment": {"0": "missing"}},
+        {},  # nothing for vertex 0
+        {"default": {"table": {"kappa": 1, "arity": 1, "values": [[1, 0], [0, 0]]}}},  # arity
+        [1, 2],  # not an object
+        {"default": 5},  # a spec that is not an object
+        {"default": {"table": {"kappa": 1, "values": [1, 0, 0, 1]}}},  # no arity
+        {"default": {"kind": "matching"}},  # neither builtin nor table
+        {"default": {"table": {"kappa": 1, "arity": 2, "values": [1, 0, 0, "x"]}}},
+        {"default": {"table": {"kappa": 1, "arity": 2, "values": 5}}},
+        {"assignment": [1, 2], "default": {"builtin": "matching"}},
+        {"signatures": ["a"], "default": "a"},
+    ]
+    for doc in bad_docs:
+        with pytest.raises(ParseError):
+            assignment_from_json(G, json.dumps(doc))
 
 
 def test_uniform_assignment_requires_boolean_domain():
