@@ -348,7 +348,7 @@ def _add_common(p: argparse.ArgumentParser, with_seed: bool = False):
     p.add_argument("--out", help="also write the JSON report to this path")
     if with_seed:
         p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes; 1 is the bitwise-reference mode")
+                       help="worker processes; every value prints the same output")
         p.add_argument("--seed", type=int, default=None,
                        help="RNG seed (default: derived from the instance)")
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from itertools import compress, product
+from itertools import chain, compress, product
 
 from . import errors
 from .bounds import region_bounds
@@ -82,9 +82,13 @@ class LinearSystem:
             raise ValueError("ragged matrix")
         if len(self.caps) != m or len(self.weights) != m:
             raise ValueError("caps and weights must have one entry per column")
-        if any(int(c) < 1 for c in self.caps):
+        if set(map(type, chain.from_iterable(self.rows))) - {int}:
+            raise ValueError("matrix entries must be integers")
+        if set(map(type, self.caps)) - {int}:
+            raise ValueError("caps must be integers")
+        if any(c < 1 for c in self.caps):
             raise ValueError("caps must be >= 1")
-        self.caps = [int(c) for c in self.caps]
+        self.caps = list(self.caps)
         self.weights = [complex(w) for w in self.weights]
         if not all(map(cmath.isfinite, self.weights)):
             raise ValueError("weights must be finite")

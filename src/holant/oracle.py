@@ -261,7 +261,7 @@ def make_polymer(G: MultiGraph, edges, colours, kappa: int | None = None) -> Col
     if not is_connected_edge_set(G, edges):
         raise ValueError("polymer support is not connected")
     vmask = sum(1 << v for v in G.edge_vertices(edges))
-    return ColouredPolymer([e for e, _ in pairs], [c for _, c in pairs], vmask)
+    return ColouredPolymer(*zip(*pairs), vmask)
 
 
 def assignment_to_family(G: MultiGraph, sigma) -> list:

@@ -15,26 +15,22 @@ where Z sums prod Phi over compatible families (empty family contributes 1)
 and Phi(gamma) = prod_i (z_i/z_0)^{#edges coloured i} * prod_{v in V(gamma)}
 f_v(...) / f_v(0), each vertex reading its signature with the edges outside
 gamma at colour 0 (`walk_live` below; `holant.oracle.polymer_weight` is the
-polymer-by-polymer reference).
+polymer-by-polymer reference; tables are read only through `Signature`).
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 from .errors import InvalidFugacity, NotInF0
 from .graph import MultiGraph, grow_edge_sets, mask_vertices
-from .signatures import Signature, SignatureAssignment, check_fugacities
+from .signatures import SignatureAssignment, check_fugacities
 
 
-class ColouredPolymer:
-    """Immutable (edges, colours) pair with a cached vertex bitmask."""
+class ColouredPolymer(namedtuple("ColouredPolymer", "edges colours vmask")):
+    """A polymer: edge ids ascending, colours alongside, and its vertex bitmask."""
 
-    __slots__ = ("edges", "colours", "vmask", "_hash")
-
-    def __init__(self, edges, colours, vmask):
-        self.edges = tuple(edges)
-        self.colours = tuple(colours)
-        self.vmask = vmask
-        self._hash = hash((self.edges, self.colours))
+    __slots__ = ()
 
     @property
     def size(self) -> int:
@@ -42,43 +38,6 @@ class ColouredPolymer:
 
     def sort_key(self):
         return (len(self.edges), self.edges, self.colours)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ColouredPolymer)
-            and self.edges == other.edges
-            and self.colours == other.colours
-        )
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return f"ColouredPolymer(edges={self.edges}, colours={self.colours})"
-
-
-def extension_table(s: Signature) -> list:
-    """Flat boolean table: ext[i] is True when some extension of index i has
-    a nonzero value in s.
-
-    An extension of an argument tuple gives some of its 0 arguments a colour
-    1..kappa; the tuple itself is one. Built by an upward closure, one axis
-    at a time, on the table as a bitset (bit i of an int for index i): at
-    stride st, each index whose digit there is 0 takes in the bits of the
-    indices with digit 1..kappa. For `matching` it is "popcount <= 1".
-    """
-    base, n = s.kappa + 1, len(s.table)
-    bits = int("".join(["1" if v else "0" for v in reversed(s.table)]), 2)
-    st = 1
-    while st < n:
-        zero_digit, period = (1 << st) - 1, base * st  # indices with digit 0 at st
-        while period < n:
-            zero_digit |= zero_digit << period
-            period *= 2
-        for c in range(1, base):
-            bits |= (bits >> (c * st)) & zero_digit
-        st *= base
-    return list(map("1".__eq__, format(bits, f"0{n}b")[::-1]))
 
 
 def walk_live(G: MultiGraph, assign: SignatureAssignment, z, max_edges: int, keep):
@@ -97,10 +56,12 @@ def walk_live(G: MultiGraph, assign: SignatureAssignment, z, max_edges: int, kee
     colouring together, keeping the signature index of every touched vertex
     as edges come and go. A colour of zero fugacity is never tried, and a
     branch is cut as soon as a touched vertex's index has no nonzero
-    extension (`extension_table`): every polymer grown from there only
+    extension (`Signature.extensions`): every polymer grown from there only
     extends that index further, so it weighs zero. Only live polymers and
     the branches leading to them are visited, and the walk raises
-    GateExceeded once their sizes add up past `errors.WORK_GATE`.
+    GateExceeded once their sizes add up past `errors.WORK_GATE`. Each
+    signature caches the tables read here (`Signature.digit_weights`,
+    `quotients`, `extensions`), so every walk shares them.
     """
     kappa = assign.kappa
     if kappa < 1:
@@ -111,27 +72,21 @@ def walk_live(G: MultiGraph, assign: SignatureAssignment, z, max_edges: int, kee
     for u, v in G.edges:
         for x in (u, v):
             s = assign.sig(x)
-            if s.table[0] == 0:
+            if not s.in_f0():
                 raise NotInF0(f"vertex {x}: signature {s.name!r} has f(0,...,0) = 0")
     # a polymer weighs 1 times ratio[c] for each edge colour in edge order,
     # then f_x(idx_x) / f_x(0) for each vertex x in ascending order: the
     # factors of `oracle.polymer_weight` in its order, so the weights agree
     # bit for bit; ends[e] = [u, ru, v, rv], each end x of e with the digit
-    # weight (kappa + 1)^(d - 1 - p) of e there, p its rank in G.incident(x),
-    # as `oracle.vertex_value` reads the table
+    # weight of e's rank in G.incident(x), as `oracle.vertex_value` reads it
     ratio = [z[c] / z[0] for c in range(kappa + 1)]
     ends = [[] for _ in G.edges]
-    for x in range(G.vertex_count):  # u < v, so u's pair comes first
-        inc = G.incident(x)
-        for p, e in enumerate(inc):
-            ends[e] += (x, (kappa + 1) ** (len(inc) - 1 - p))
+    for x, s in enumerate(assign.sigs):  # u < v, so u's pair comes first
+        for e, r in zip(G.incident(x), s.digit_weights):
+            ends[e] += (x, r)
     colours = [c for c in range(1, kappa + 1) if z[c] != 0]
-    tables: dict = {}
-    for s in assign.sigs:
-        if id(s) not in tables:  # f / f(0), None off F0 (only at edgeless vertices here)
-            quot = [t / s.f0 for t in s.table] if s.f0 else None
-            tables[id(s)] = (extension_table(s), quot)
-    ext, quot = zip(*(tables[id(s)] for s in assign.sigs))
+    ext = [s.extensions for s in assign.sigs]
+    quot = [s.quotients for s in assign.sigs]  # None off F0: edgeless vertices here
     bits = G.edge_masks()
     idx = [0] * G.vertex_count
     colour = [0] * G.edge_count
@@ -210,23 +165,6 @@ def holant_prefactor(G: MultiGraph, assign: SignatureAssignment, z) -> complex:
 # Domain preprocessing
 
 
-def _remap_domain(assign: SignatureAssignment, idx) -> SignatureAssignment:
-    """Every signature f replaced by (x_1..x_d) -> f(idx[x_1], ..., idx[x_d])."""
-    base = assign.kappa + 1
-    cache: dict = {}
-    sigs = []
-    for s in assign.sigs:
-        key = id(s)
-        if key not in cache:
-            pos = [0]  # old index of every new tuple, one argument at a time
-            for _ in range(s.arity):
-                pos = [j * base + i for j in pos for i in idx]
-            table = [s.table[j] for j in pos]
-            cache[key] = Signature(arity=s.arity, kappa=len(idx) - 1, table=table, name=s.name)
-        sigs.append(cache[key])
-    return SignatureAssignment(assign.G, sigs)
-
-
 def relabel_ground(assign: SignatureAssignment, z, colour: int):
     """Swap domain value `colour` with 0 in all signatures and in z.
 
@@ -242,7 +180,7 @@ def relabel_ground(assign: SignatureAssignment, z, colour: int):
     perm = list(range(kappa + 1))
     perm[0], perm[colour] = perm[colour], perm[0]
     new_z = tuple(z[perm[i]] for i in range(kappa + 1))
-    return _remap_domain(assign, perm), new_z
+    return assign.remap(perm), new_z
 
 
 def compact_domain(assign: SignatureAssignment, z):
@@ -258,4 +196,4 @@ def compact_domain(assign: SignatureAssignment, z):
     if len(kept) == len(z):
         return assign, z, tuple(kept)
     new_z = tuple(z[i] for i in kept)
-    return _remap_domain(assign, kept), new_z, tuple(kept)
+    return assign.remap(kept), new_z, tuple(kept)

@@ -5,6 +5,7 @@ complex values, indexed row-major: the tuple (x_1, ..., x_d) lives
 at index sum x_i * (kappa+1)^(d-i), so the first argument is the most
 significant digit. Argument position at a vertex is the canonical rank of
 the incident edge (graph.MultiGraph keeps incident lists sorted by edge id).
+No other production module reads a table: walks read what `Signature` caches.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import cmath
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import errors
 from .errors import InvalidFugacity, NotInF0, ParseError, past_gate
@@ -26,6 +28,7 @@ class Signature:
     name: str = "table"
 
     def __post_init__(self):
+        _check_shape(self.arity, self.kappa)
         object.__setattr__(self, "table", tuple(map(complex, self.table)))
         expected = (self.kappa + 1) ** self.arity
         if len(self.table) != expected:
@@ -66,6 +69,57 @@ class Signature:
     def is_nonneg_real(self) -> bool:
         return all(v.imag == 0 and v.real >= 0 for v in self.table)
 
+    @cached_property
+    def digit_weights(self) -> tuple:
+        """(kappa+1)^(d-1-p), the index step of argument p, for each p."""
+        base = self.kappa + 1
+        return tuple(base ** (self.arity - 1 - p) for p in range(self.arity))
+
+    @cached_property
+    def quotients(self) -> tuple | None:
+        """f / f(0) at every index, or None off F0."""
+        f0 = self.table[0]
+        return tuple([t / f0 for t in self.table]) if f0 else None
+
+    @cached_property
+    def extensions(self) -> tuple:
+        """ext[i] is True when some extension of index i has a nonzero value.
+
+        An extension of an argument tuple gives some of its 0 arguments a colour
+        1..kappa; the tuple itself is one. Built by an upward closure, one axis
+        at a time, on the table as a bitset (bit i of an int for index i): at
+        stride st, each index whose digit there is 0 takes in the bits of the
+        indices with digit 1..kappa. For `matching` it is "popcount <= 1".
+        """
+        base, n = self.kappa + 1, len(self.table)
+        bits = int("".join(["1" if v else "0" for v in reversed(self.table)]), 2)
+        st = 1
+        while st < n:
+            zero_digit, period = (1 << st) - 1, base * st  # indices with digit 0 at st
+            while period < n:
+                zero_digit |= zero_digit << period
+                period *= 2
+            for c in range(1, base):
+                bits |= (bits >> (c * st)) & zero_digit
+            st *= base
+        return tuple(map("1".__eq__, format(bits, f"0{n}b")[::-1]))
+
+    def remap(self, idx) -> Signature:
+        """(x_1..x_d) -> f(idx[x_1], ..., idx[x_d]), over domain 0..len(idx)-1."""
+        base = self.kappa + 1
+        pos = [0]  # old index of every new tuple, one argument at a time
+        for _ in range(self.arity):
+            pos = [j * base + i for j in pos for i in idx]
+        return Signature(arity=self.arity, kappa=len(idx) - 1,
+                         table=[self.table[j] for j in pos], name=self.name)
+
+
+def _check_shape(arity, kappa):
+    """Refuse an arity or kappa that is not an int >= 0."""
+    for field, value in (("arity", arity), ("kappa", kappa)):
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            raise ValueError(f"{field} must be an integer >= 0, got {value!r}")
+
 
 def check_fugacities(z, kappa: int) -> tuple:
     """z as a tuple of kappa+1 finite complex numbers with z_0 != 0.
@@ -85,6 +139,7 @@ def check_fugacities(z, kappa: int) -> tuple:
 
 def _check_gate(kappa: int, arity: int):
     """Charge a table's (kappa+1)^arity entries before it is built."""
+    _check_shape(arity, kappa)
     entries = (kappa + 1) ** arity
     if entries > errors.WORK_GATE:
         raise past_gate(entries, "signature table entries")
@@ -165,6 +220,12 @@ class SignatureAssignment:
     def is_nonneg_real(self) -> bool:
         return all(s.is_nonneg_real() for s in self.sigs)
 
+    def remap(self, idx) -> SignatureAssignment:
+        """`Signature.remap(idx)` of every signature, each distinct one once."""
+        new = {id(s): s for s in self.sigs}
+        new = {key: s.remap(idx) for key, s in new.items()}
+        return SignatureAssignment(self.G, [new[id(s)] for s in self.sigs])
+
 
 def uniform_assignment(G: MultiGraph, name: str,
                        weight: complex | None = None) -> SignatureAssignment:
@@ -200,9 +261,13 @@ def _sig_from_spec(spec, arity: int) -> Signature:
     if "table" in spec:
         t = spec["table"]
         try:
-            kappa, tab_arity, values = int(t["kappa"]), int(t["arity"]), t["values"]
+            kappa, tab_arity, values = t["kappa"], t["arity"], t["values"]
         except (KeyError, TypeError) as exc:
             raise ParseError(f"bad table spec {t!r}") from exc
+        try:
+            _check_shape(tab_arity, kappa)
+        except ValueError as exc:
+            raise ParseError(f"table {exc}") from exc
         if tab_arity != arity:
             raise ParseError(f"table arity {tab_arity} does not match vertex degree {arity}")
         if not isinstance(values, list):

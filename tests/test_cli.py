@@ -836,6 +836,15 @@ def test_malformed_signature_file_exits_1(capsys, files, tmp_path):
         path.write_text(json.dumps(doc))
         _fails(capsys, ["approx", "--graph", files["c3"], "--sig", str(path),
                         "--z", "1,0.01", "--eps", "0.1"], 1, "must be")
+    # a table's kappa and arity are JSON integers >= 0, never read through int()
+    for field, value in [("kappa", 1.5), ("kappa", True), ("kappa", "1"), ("kappa", -1),
+                         ("arity", 2.7), ("arity", "2"), ("arity", -1)]:
+        table = {"kappa": 1, "arity": 2, "values": [1, 0, 0, 1]}
+        table[field] = value
+        path = tmp_path / "sig.json"
+        path.write_text(json.dumps({"default": {"table": table}}))
+        _fails(capsys, ["approx", "--graph", files["c3"], "--sig", str(path),
+                        "--z", "1,0.01", "--eps", "0.1"], 1, f"table {field} must be")
 
 
 def test_verify_kp_non_finite_alpha_exits_1(capsys, files):

@@ -97,6 +97,24 @@ def test_one_incidence_type():
     assert found == []
 
 
+def test_signatures_own_the_table_format():
+    # every production read of a signature table goes through
+    # holant.signatures; cli.py reads only the oracle's ExactResult.table and
+    # its own --table flag
+    reads = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name in ("signatures.py", "oracle.py"):
+            continue
+        reads += [(path.name, ast.unparse(node)) for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.Attribute) and node.attr == "table"]
+    assert sorted(reads) == [("cli.py", "args.table"), ("cli.py", "args.table"),
+                             ("cli.py", "res.table")]
+    for name in ("extension_table", "_remap_domain"):
+        assert not hasattr(polymers, name)
+    assert issubclass(polymers.ColouredPolymer, tuple)
+    assert polymers.ColouredPolymer._fields == ("edges", "colours", "vmask")
+
+
 def _oracle_imports(tree):
     """Names imported from holant.oracle, one list per import statement."""
     found = []

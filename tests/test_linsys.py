@@ -172,7 +172,15 @@ def test_system_validation():
         LinearSystem([[1, 0]], [1, 1], [1])
     with pytest.raises(ValueError):
         LinearSystem([[1, 0]], [1, 0], [1, 1])
-    sys = LinearSystem([[1, -1]], ["2", 1], [0.5, 1])
+    # caps and entries are ints: a float cap is not read as its floor, and a
+    # string or a bool is not an integer
+    for caps in ([1.5, 1], ["2", 1], [2.0, 1], [True, 1]):
+        with pytest.raises(ValueError, match="caps must be integers"):
+            LinearSystem([[1, -1]], caps, [1, 1])
+    for row in ([1.5, -1], [1, "-1"], [True, -1], [1.0, -1]):
+        with pytest.raises(ValueError, match="matrix entries must be integers"):
+            LinearSystem([row], [1, 1], [1, 1])
+    sys = LinearSystem([[1, -1]], (2, 1), [0.5, 1])
     assert sys.caps == [2, 1] and sys.weights == [0.5 + 0j, 1 + 0j]
 
 

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from itertools import product
@@ -27,13 +28,11 @@ from holant.oracle import (
 from holant.polymers import (
     ColouredPolymer,
     compact_domain,
-    extension_table,
     family_to_assignment,
     holant_prefactor,
     live_polymers,
     relabel_ground,
 )
-from holant.signatures import matching_signature
 
 from helpers import (
     MASTER_SEED,
@@ -294,6 +293,28 @@ def test_live_polymers_ignore_an_isolated_vertex_outside_f0():
             _bits(live_polymers(G, assign, z, G.edge_count))
 
 
+def test_walks_build_each_signature_table_once(monkeypatch):
+    # extensions and quotients are cached on the signature: two walks over
+    # one assignment build them once per distinct signature, not per vertex
+    # or per walk
+    built = []
+    for name in ("extensions", "quotients"):
+        def counted(s, build=vars(Signature)[name].func, name=name):
+            built.append((name, id(s)))
+            return build(s)
+        prop = functools.cached_property(counted)
+        prop.__set_name__(Signature, name)
+        monkeypatch.setattr(Signature, name, prop)
+    G = MultiGraph(6, [(0, 1), (0, 3), (1, 2), (1, 4), (2, 5), (3, 4), (4, 5)])  # 2x3 grid
+    assign = uniform_assignment(G, "even-parity", 0.5)
+    first = live_polymers(G, assign, (1.0, 0.1), 4)
+    assert _bits(live_polymers(G, assign, (1.0, 0.1), 4)) == _bits(first)
+    distinct = {id(s) for s in assign.sigs}
+    assert len(distinct) == 2  # degrees 2 and 3
+    assert sorted(built) == sorted((name, key) for name in ("extensions", "quotients")
+                                   for key in distinct)
+
+
 def test_live_polymers_of_matching_are_single_edges():
     rng = random.Random(MASTER_SEED + 11)
     for _ in range(20):
@@ -301,29 +322,6 @@ def test_live_polymers_of_matching_are_single_edges():
         assign = uniform_assignment(G, "matching")
         live = live_polymers(G, assign, (1.0, 0.3), G.edge_count)
         assert [p.edges for p, _ in live] == [(e,) for e in range(G.edge_count)]
-
-
-def test_extension_table_of_matching_is_popcount_at_most_one():
-    for d in range(6):
-        ext = extension_table(matching_signature(d))
-        assert ext == [bin(i).count("1") <= 1 for i in range(2**d)]
-
-
-def test_extension_table_against_brute_force():
-    # ext[x] is True when setting some 0 arguments of x to colours 1..kappa
-    # (or none) reaches a nonzero entry
-    rng = random.Random(MASTER_SEED + 14)
-    for kappa in (1, 2, 3):
-        for d in range(6):
-            for p_zero in (0.5, 0.9, 0.99):
-                tab = [0.0 if rng.random() < p_zero else 1.0 for _ in range((kappa + 1) ** d)]
-                s = make_signature(tab, d, kappa)
-                brute = [
-                    any(s(y) != 0 for y in product(*[range(kappa + 1) if xi == 0 else (xi,)
-                                                     for xi in x]))
-                    for x in product(range(kappa + 1), repeat=d)
-                ]
-                assert extension_table(s) == brute
 
 
 def _random_tables(rng, G, kappa, zeros):

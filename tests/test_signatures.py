@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -213,6 +214,35 @@ def test_json_errors():
     for doc in bad_docs:
         with pytest.raises(ParseError):
             assignment_from_json(G, json.dumps(doc))
+    # kappa and arity are JSON integers >= 0, never read through int()
+    for field, value in BAD_SHAPES:
+        table = {"kappa": 1, "arity": 2, "values": [1, 0, 0, 1]}
+        table[field] = value
+        with pytest.raises(ParseError, match=f"table {field} must be an integer >= 0"):
+            assignment_from_json(G, json.dumps({"default": {"table": table}}))
+
+
+BAD_SHAPES = [("kappa", 1.5), ("kappa", True), ("kappa", "1"), ("kappa", -1),
+              ("arity", 2.7), ("arity", "2"), ("arity", -1)]
+
+
+def test_signature_refuses_a_bad_arity_or_kappa():
+    for field, value in BAD_SHAPES + [("arity", 2.0), ("kappa", None)]:
+        shape = {"arity": 2, "kappa": 1}
+        shape[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be an integer >= 0"):
+            make_signature([1, 0, 0, 1], **shape)
+        with pytest.raises(ValueError, match=f"{field} must be an integer >= 0"):
+            Signature(table=[1, 0, 0, 1], **shape)
+    with pytest.raises(ValueError, match="arity must be an integer >= 0"):
+        make_signature([], -1, 1)
+    with pytest.raises(ValueError, match="arity must be an integer >= 0"):
+        matching_signature(-1)
+    with pytest.raises(ValueError, match="kappa must be an integer >= 0"):
+        make_signature([1], 1, -1)
+    with pytest.raises(ValueError, match="arity must be an integer >= 0"):
+        make_signature([1], -1, -1)  # before the gate computes 0 ** -1
+    assert make_signature([1], 0, 0).table == (1 + 0j,)
 
 
 def test_uniform_assignment_requires_boolean_domain():
@@ -222,3 +252,26 @@ def test_uniform_assignment_requires_boolean_domain():
         uniform_assignment(c3(), "matching", kappa=2)
     with pytest.raises(ValueError):
         builtin_signature("nope", 2)
+
+
+def test_extensions_of_matching_are_popcount_at_most_one():
+    for d in range(6):
+        ext = matching_signature(d).extensions
+        assert ext == tuple(bin(i).count("1") <= 1 for i in range(2**d))
+
+
+def test_extensions_against_brute_force():
+    # ext[x] is True when setting some 0 arguments of x to colours 1..kappa
+    # (or none) reaches a nonzero entry
+    rng = random.Random(MASTER_SEED + 14)
+    for kappa in (1, 2, 3):
+        for d in range(6):
+            for p_zero in (0.5, 0.9, 0.99):
+                tab = [0.0 if rng.random() < p_zero else 1.0 for _ in range((kappa + 1) ** d)]
+                s = make_signature(tab, d, kappa)
+                brute = tuple(
+                    any(s(y) != 0 for y in product(*[range(kappa + 1) if xi == 0 else (xi,)
+                                                     for xi in x]))
+                    for x in product(range(kappa + 1), repeat=d)
+                )
+                assert s.extensions == brute
