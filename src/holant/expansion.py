@@ -12,7 +12,7 @@ prefactor * exp(a_1 + ... + a_m).
 polymers of nonzero weight with at most m edges. The partition function is
 a polynomial in x of degree <= |E(G)| because family members are
 vertex-disjoint, and its exact coefficients up to x^m come from
-`families.family_sum`, a DP over a BFS order of G's vertices whose state is
+`families.family_sum`, a DP over G's vertices in BFS order whose state is
 the set of vertices that chosen polymers cover ahead. Its cost is the number
 of states times the polymers starting at each vertex (reported as
 `family_states`), not the number of compatible families, which grows
@@ -35,10 +35,11 @@ import cmath
 import math
 from dataclasses import dataclass
 
+from . import errors
 from .bounds import region_bounds
-from .errors import ConditionViolated, RegionViolation
+from .errors import ConditionViolated, RegionViolation, past_gate
 from .families import family_sum
-from .graph import MultiGraph, bfs_order
+from .graph import MultiGraph
 from .polymers import compact_domain, holant_prefactor, live_polymers
 from .signatures import SignatureAssignment, check_fugacities
 
@@ -74,8 +75,8 @@ def log_z_coefficients(G: MultiGraph, assign: SignatureAssignment, z, m: int) ->
     Only polymers with at most min(m, |E|) edges can contribute, and only
     those of nonzero weight are grown (`polymers.live_polymers`), so a domain
     value of zero fugacity is never tried. Their exact family polynomial
-    c_0..c_min(m, |E|) comes from `families.family_sum` over a BFS order of
-    G, and `series_log` turns it into a_1..a_m. Without edges, or at m = 0,
+    c_0..c_min(m, |E|) comes from `families.family_sum` over G, and
+    `series_log` turns it into a_1..a_m. Without edges, or at m = 0,
     the pool is empty, c = (1,) and every a_j is 0. The approximation
     reports still pass the input through `compact_domain` first, which
     shrinks the signature tables the walk reads.
@@ -83,12 +84,15 @@ def log_z_coefficients(G: MultiGraph, assign: SignatureAssignment, z, m: int) ->
     if m < 0:
         raise ValueError("m must be >= 0")
     z = check_fugacities(z, assign.kappa)
+    # series_log's multiply-adds, known before the walk
+    terms = m * (min(m, G.edge_count) + 1)
+    if terms > errors.WORK_GATE:
+        raise past_gate(terms, "series-log terms")
     if assign.kappa == 0:  # one colour: no polymer to grow
         return TaylorSeries(tuple([0j] * m), 0)
     cap = min(m, G.edge_count)
     live = live_polymers(G, assign, z, cap)
-    c, transitions = family_sum([(p.vmask, p.size, w) for p, w in live],
-                                bfs_order(G.vertex_count, G.edges), cap)
+    c, transitions = family_sum([(p.vmask, p.size, w) for p, w in live], G, cap)
     return TaylorSeries(tuple(series_log(c, m)), len(live), transitions)
 
 

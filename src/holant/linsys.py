@@ -32,17 +32,19 @@ from .bounds import region_bounds
 from .errors import GateExceeded, ParseError, outside_float_range, past_gate
 from .families import family_sum
 from .graph import (Hypergraph, MultiGraph, _build, _read_edges, _read_header, _strip_comments,
-                    bfs_order, grow_edge_sets, mask_vertices)
+                    grow_edge_sets, mask_vertices)
 
 SUPPORT_BOX_GATE = 10**6  # the box `brute_weighted_count` may sweep
 
 
-def perfect_matchings(H: Hypergraph, gate: int = errors.WORK_GATE):
+def perfect_matchings(H: Hypergraph, gate: int | None = None):
     """All perfect matchings (sorted edge-id tuples) of a Hypergraph or a
     MultiGraph, by exhaustive cover search on vertex bitmasks. Each search
     node covers the least uncovered vertex by each edge there that misses the
     cover; the search raises GateExceeded once it has visited more than gate
-    nodes."""
+    nodes, by default `errors.WORK_GATE` as it is at call time."""
+    if gate is None:
+        gate = errors.WORK_GATE
     masks = H.edge_masks()
     full = (1 << H.vertex_count) - 1
     out = []
@@ -276,13 +278,12 @@ def weighted_count(sys: LinearSystem) -> LinsysReport:
         items = [(p.rmask, 0, p.weight(sys)) for p in pool]
     except OverflowError as exc:  # complex ** int past the float range raises
         raise outside_float_range(exc) from exc
-    # H_A's order: the empty row tuple of a dead column adds no neighbour
-    order = bfs_order(sys.n, sys.column_rows)
-    (total,), _ = family_sum(items, order)
+    H = build_hypergraph(sys)  # H_A, whose vertices the row masks cover
+    (total,), _ = family_sum(items, H)
     value = factor * total
     if not cmath.isfinite(value):
         raise outside_float_range(value)
-    (count,), _ = family_sum([(p.rmask, 0, 1) for p in pool], order)
+    (count,), _ = family_sum([(p.rmask, 0, 1) for p in pool], H)
     return LinsysReport(
         value=value,
         polymer_count=len(pool),
@@ -433,7 +434,7 @@ def pm_polynomial_hypergraph(H: Hypergraph, matching, z: complex,
             items = [(mask, 0, zc ** len(ids)) for ids, mask in polymers]
         except OverflowError as exc:  # complex ** int past the float range raises
             raise outside_float_range(exc) from exc
-        (value,), _ = family_sum(items, bfs_order(H.vertex_count, H.edges))
+        (value,), _ = family_sum(items, H)
         value = complex(value)  # the integer 1 without a polymer
         if not cmath.isfinite(value):
             raise outside_float_range(value)

@@ -208,22 +208,23 @@ class SignatureAssignment:
             out *= s.f0
         return out
 
+    def _distinct(self):
+        """Each distinct signature object once; most vertices share one."""
+        return {id(s): s for s in self.sigs}.values()
+
     def ratio_r_class(self) -> float:
         """r(F): worst ratio over the distinct signatures in use."""
-        if not self.sigs:
-            return 0.0
-        return max(s.ratio_r() for s in self.sigs)
+        return max((s.ratio_r() for s in self._distinct()), default=0.0)
 
     def r1(self) -> float:
         return max(1.0, self.ratio_r_class())
 
     def is_nonneg_real(self) -> bool:
-        return all(s.is_nonneg_real() for s in self.sigs)
+        return all(s.is_nonneg_real() for s in self._distinct())
 
     def remap(self, idx) -> SignatureAssignment:
         """`Signature.remap(idx)` of every signature, each distinct one once."""
-        new = {id(s): s for s in self.sigs}
-        new = {key: s.remap(idx) for key, s in new.items()}
+        new = {id(s): s.remap(idx) for s in self._distinct()}
         return SignatureAssignment(self.G, [new[id(s)] for s in self.sigs])
 
 

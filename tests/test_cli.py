@@ -288,6 +288,22 @@ def test_approx_lost_precision_exits_2(capsys, tmp_path):
     assert "exceeds the zero-free bound" in captured.err
 
 
+def test_approx_just_inside_the_bound_exits_4(capsys, tmp_path):
+    # C10 matching at (1 - 1e-12) of the region bound: the certified order is
+    # about 3.4e12, and its series log is refused before it is allocated
+    graph = tmp_path / "c10.txt"
+    graph.write_text("10 10\n" + "".join(f"{i} {(i + 1) % 10}\n" for i in range(10)))
+    z1 = (1 - 1e-12) * region_bounds("holant-poly", delta=2, kappa=1, r1=1.0).bound
+    t0 = time.perf_counter()
+    assert main(["approx", "--graph", str(graph), "--sig", "matching",
+                 "--z", f"1,{z1!r}", "--eps", "0.1"]) == 4
+    assert time.perf_counter() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "series-log terms" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_approx_f0_zero_exits_3(capsys, files):
     assert main(["approx", "--graph", files["k2"], "--sig", files["f0zero"],
                  "--z", "1,0.05", "--eps", "0.1"]) == 3

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from holant import (
     ConditionViolated,
+    GateExceeded,
     InvalidFugacity,
     MultiGraph,
     RegionViolation,
@@ -304,8 +305,7 @@ def test_family_sum_is_exact_polynomial():
     t = 0.3
     pols = enumerate_polymers(G, 1, 3)
     wm = weight_map(G, a, (1.0, t), pols)
-    c, _ = family_sum([(p.vmask, p.size, wm[p]) for p in pols], list(range(G.vertex_count)),
-                      G.edge_count)
+    c, _ = family_sum([(p.vmask, p.size, wm[p]) for p in pols], G, G.edge_count)
     # Z(x) = sum_j c_j x^j must hit the brute polymer Z at x=1
     assert rel_close(sum(c), brute_polymer_z(pols, wm))
     assert rel_close(c[0], 1.0)
@@ -391,6 +391,24 @@ def test_certified_order_just_inside_the_radius_is_fast():
         best = min(best, time.perf_counter() - t0)
     assert best < 0.01
     assert truncation_remainder(10, m, r) <= math.log1p(0.1) < truncation_remainder(10, m - 1, r)
+
+
+def test_series_log_is_charged_before_the_walk():
+    # just inside the region bound the certified order m grows like
+    # 1/(1 - |z|/bound); series_log's m * (min(m, |E|) + 1) multiply-adds
+    # are charged up front, before anything of size m is built
+    G = MultiGraph(10, [(i, (i + 1) % 10) for i in range(10)])
+    a = uniform_assignment(G, "matching")
+    bound = region_bounds("holant-poly", delta=2, kappa=1, r1=1.0).bound
+    t0 = time.perf_counter()
+    with pytest.raises(GateExceeded, match="series-log terms exceed gate"):
+        approx_polynomial_report(G, a, (1.0, (1 - 1e-12) * bound), 0.1)
+    assert time.perf_counter() - t0 < 1.0
+    assert approx_polynomial_report(G, a, (1.0, 0.99999 * bound), 0.1).order == 342274
+    # the one-colour branch builds m zeros, so it is charged too
+    one_colour = SignatureAssignment(G, [make_signature([2.0], 2, 0)] * G.vertex_count)
+    with pytest.raises(GateExceeded, match="series-log terms"):
+        log_z_coefficients(G, one_colour, (1.0,), 10**12)
 
 
 def test_orders_reject_bad_eps_and_ratio():

@@ -10,6 +10,7 @@ import pytest
 import holant.errors as errors
 from holant import (
     GateExceeded,
+    Hypergraph,
     MultiGraph,
     approx_polynomial_report,
     brute_polymer_z,
@@ -18,7 +19,7 @@ from holant import (
 from holant.expansion import log_z_coefficients
 from holant.polymers import live_polymers
 from holant.oracle import enumerate_polymers
-from holant.families import _first_position, _prefix_masks, family_sum
+from holant.families import family_sum
 from holant.graph import bfs_order, mask_vertices
 
 from helpers import MASTER_SEED, half_bound_z, rel_close
@@ -27,6 +28,12 @@ from helpers import MASTER_SEED, half_bound_z, rel_close
 def cycle(n, label=None):
     label = label or list(range(n))
     return MultiGraph(n, [(label[i], label[(i + 1) % n]) for i in range(n)])
+
+
+def along(order):
+    """The path through order: its BFS order is order or its reverse, so the
+    kernel walks the vertices in that order."""
+    return Hypergraph(len(order), list(zip(order, order[1:])))
 
 
 def random_items(rng, n, count):
@@ -82,14 +89,15 @@ def test_family_sum_matches_brute_on_random_pools():
             moved = relabel(items, perm)
             order = list(range(n))
             rng.shuffle(order)
-            fam, _ = family_sum(moved, order, cap=total)
+            path = along(order)
+            fam, _ = family_sum(moved, path, cap=total)
             assert rel_close(polynomial(fam, x), ref, 1e-9)
             # the same sum at unit int weights counts the families exactly
-            count, _ = family_sum([(m, 0, 1) for m, _, _ in moved], order)
+            count, _ = family_sum([(m, 0, 1) for m, _, _ in moved], path)
             assert count == (round(ref_count.real),) and type(count[0]) is int
             # truncation keeps the low coefficients and drops nothing else
             cap = rng.randint(0, total)
-            low, _ = family_sum(moved, order, cap=cap)
+            low, _ = family_sum(moved, path, cap=cap)
             assert len(low) == cap + 1
             for a, b in zip(low, fam):
                 assert abs(a - b) <= 1e-9 * max(1.0, abs(b))
@@ -107,7 +115,7 @@ def test_family_sum_on_a_64_plus_vertex_graph():
         weights = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in pool]
         cap = sum(p.size for p in pool)
         items = [(p.vmask, p.size, w) for p, w in zip(pool, weights)]
-        fam, _ = family_sum(items, bfs_order(n, G.edges), cap)
+        fam, _ = family_sum(items, G, cap)
         assert rel_close(sum(fam), brute_polymer_z(pool, weights), 1e-9)
         assert max(p.vmask for p in pool).bit_length() > 64
 
@@ -119,9 +127,9 @@ def test_cap_zero_number_equals_the_series_c0_bit_for_bit():
     for trial in range(60):
         n = rng.randint(1, 10) if trial % 4 else rng.randint(64, 80)
         items = [(m, 0, w) for m, _, w in random_items(rng, n, rng.randint(0, 14))]
-        order = rng.sample(range(n), n)
-        (number,), transitions = family_sum(items, order, 0)
-        series, series_transitions = family_sum(items, order, 1)
+        path = along(rng.sample(range(n), n))
+        (number,), transitions = family_sum(items, path, 0)
+        series, series_transitions = family_sum(items, path, 1)
         assert number == series[0] and repr(number) == repr(series[0])
         assert transitions == series_transitions
         # complex weights give a complex sum; the empty pool the integer 1
@@ -135,48 +143,23 @@ def test_fraction_weights_give_exact_coefficients():
         items = [(m, s, Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
                  for m, s, _ in random_items(rng, n, rng.randint(1, 9))]
         cap = rng.randint(1, 6)
-        fam, _ = family_sum(items, rng.sample(range(n), n), cap)
+        fam, _ = family_sum(items, along(rng.sample(range(n), n)), cap)
         assert list(fam) == brute_series(items, cap)
         assert all(type(c) in (int, Fraction) for c in fam)
 
 
 def test_an_empty_pool_sums_to_the_integer_one():
     for cap in range(4):
-        fam, transitions = family_sum([], [2, 0, 1], cap)
+        fam, transitions = family_sum([], along([2, 0, 1]), cap)
         assert fam == (1,) + (0,) * cap and transitions == 0
         assert all(type(c) is int for c in fam)
     # an item past the cap is left out, so the pool is empty
-    assert family_sum([(0b11, 2, 0.5j)], [0, 1], 1) == ((1, 0), 0)
+    assert family_sum([(0b11, 2, 0.5j)], along([0, 1]), 1) == ((1, 0), 0)
 
 
-def test_family_sum_rejects_bad_orders():
-    with pytest.raises(ValueError):
-        family_sum([(0b101, 0, 1.0)], [0, 1])
-    with pytest.raises(ValueError):
-        family_sum([(0b1, 0, 1.0)], [0, 0])
-    with pytest.raises(ValueError):
-        family_sum([(0, 0, 1.0)], [0])
-
-
-def test_first_position_equals_the_least_position_of_a_vertex():
-    # the prefix-mask bisection against the plain minimum over the decoded
-    # mask, on orders that list a random subset of the vertices
-    rng = random.Random(MASTER_SEED + 73)
-    for _ in range(300):
-        n = rng.choice((rng.randint(1, 12), rng.randint(60, 140)))
-        order = rng.sample(range(n), rng.randint(0, n))
-        pos = {v: i for i, v in enumerate(order)}
-        prefix = _prefix_masks(order)
-        for _ in range(5):
-            mask = sum(1 << v for v in rng.sample(range(n), rng.randint(1, min(4, n))))
-            try:
-                want = min(pos[v] for v in mask_vertices(mask))
-            except KeyError as exc:
-                with pytest.raises(ValueError) as err:
-                    _first_position(mask, prefix)
-                assert str(err.value) == f"vertex {exc.args[0]} of an item is not in the order"
-            else:
-                assert _first_position(mask, prefix) == want
+def test_family_sum_rejects_an_empty_mask():
+    with pytest.raises(ValueError, match="nonempty vertex mask"):
+        family_sum([(0, 0, 1.0)], along([0]))
 
 
 def test_bfs_order_is_a_permutation():
@@ -186,6 +169,14 @@ def test_bfs_order_is_a_permutation():
     # the path starts at one of its ends
     path = [v for v in order if v in (0, 1, 3, 4)]
     assert path in ([0, 3, 1, 4], [4, 1, 3, 0])
+
+
+def test_the_kernel_walks_a_path_from_one_end():
+    # the tests above pass along(order) to test the kernel in that order
+    rng = random.Random(MASTER_SEED + 75)
+    for _ in range(200):
+        order = rng.sample(range(n := rng.randint(1, 90)), n)
+        assert bfs_order(n, along(order).edges) in (order, order[::-1])
 
 
 def test_expansion_family_gate(monkeypatch):

@@ -317,6 +317,18 @@ def test_each_entry_point_certifies_once():
     ]
 
 
+def test_the_family_kernel_orders_its_instance():
+    # callers pass the hypergraph the items live on; only the kernel picks
+    # the vertex order, and it keeps no helper to check a given one
+    readers = [m.__name__ for m in PRODUCTION
+               if "bfs_order" in _names([ast.parse(Path(m.__file__).read_text())])]
+    assert readers == ["holant.families"]  # graph.py only defines it
+    assert [b for b in _bindings() if b[1] == "bfs_order"] == [("families.py", "bfs_order")]
+    assert _calls("bfs_order") == [("families.py", "family_sum")]
+    assert not hasattr(families, "_prefix_masks") and not hasattr(families, "_first_position")
+    assert list(inspect.signature(families.family_sum).parameters) == ["items", "H", "cap"]
+
+
 def test_modules_import_only_the_standard_library():
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):

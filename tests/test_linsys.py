@@ -137,6 +137,16 @@ def test_perfect_matchings_gate():
         perfect_matchings(K4, gate=2)
 
 
+def test_perfect_matchings_read_the_work_gate_at_call_time(monkeypatch):
+    K4 = MultiGraph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    assert len(perfect_matchings(K4)) == 3
+    monkeypatch.setattr(errors, "WORK_GATE", 3)
+    with pytest.raises(GateExceeded, match="exceeded 3 nodes"):
+        perfect_matchings(K4)
+    with pytest.raises(GateExceeded, match="exceeded 3 nodes"):
+        pm_polynomial_graph(K4, [0, 5], 0.5, mode="exact")
+
+
 def test_exact_mode_answers_on_c2400():
     # the cover search nests one level per matching edge, 1,200 on C2400,
     # past the interpreter's recursion limit for a recursive search

@@ -134,6 +134,27 @@ def test_class_ratio_and_r1():
     assert cassign.r1() == 3.0
 
 
+def test_whole_assignment_queries_read_each_distinct_signature_once(monkeypatch):
+    n = 1000
+    G = MultiGraph(n, [(i, (i + 1) % n) for i in range(n)])
+    a = uniform_assignment(G, "matching")  # one Signature at every vertex
+    calls = {"is_nonneg_real": 0, "ratio_r": 0, "remap": 0}
+    for name in calls:
+        def counted(self, *args, _name=name, _fn=getattr(Signature, name)):
+            calls[_name] += 1
+            return _fn(self, *args)
+        monkeypatch.setattr(Signature, name, counted)
+    assert a.is_nonneg_real() and a.ratio_r_class() == 1.0 and a.r1() == 1.0
+    assert a.remap([0, 1]).sigs == a.sigs
+    assert calls == {"is_nonneg_real": 1, "ratio_r": 2, "remap": 1}
+    # two distinct signatures, each read once
+    negative = make_signature([1, -1, -1, 0], 2, 1)
+    calls.update(dict.fromkeys(calls, 0))
+    b = SignatureAssignment(G, [negative if v % 2 else a.sig(0) for v in range(n)])
+    assert not b.is_nonneg_real() and b.ratio_r_class() == 1.0
+    assert calls["is_nonneg_real"] == 2 and calls["ratio_r"] == 2
+
+
 def test_assignment_validation():
     G = p3()
     with pytest.raises(ValueError):
