@@ -67,10 +67,10 @@ def parse_complex(text: str) -> complex:
 
 
 def parse_z(text: str):
-    parts = [p for p in text.split(",") if p.strip()]
-    if not parts:
-        raise ParseError("empty fugacity vector")
-    z = tuple(parse_complex(p) for p in parts)
+    parts = text.split(",")
+    if not all(p.strip() for p in parts):
+        raise ParseError(f"fugacity vector {text!r} has an empty entry")
+    z = tuple(map(parse_complex, parts))
     if not all(cmath.isfinite(t) for t in z):
         raise InvalidFugacity(f"fugacities must be finite, got {text!r}")
     return z

@@ -17,15 +17,18 @@ M' is one compatible family. On a graph the polymers are the M-alternating
 cycles.
 
 Both models live on `graph.Hypergraph`, which `holant.linsys` re-imports:
-H_A is `build_hypergraph(sys)`, and a graph instance is a `MultiGraph`, its
-2-uniform subclass, which every function here takes as it is.
+H_A is `LinearSystem.hypergraph`, built once with the system, and a graph
+instance is a `MultiGraph`, its 2-uniform subclass, which every function here
+takes as it is.
 """
 
 from __future__ import annotations
 
 import cmath
+from collections import namedtuple
 from dataclasses import dataclass
-from itertools import chain, compress, product
+from itertools import chain, product
+from math import prod
 
 from . import errors
 from .bounds import region_bounds
@@ -71,6 +74,11 @@ def perfect_matchings(H: Hypergraph, gate: int | None = None):
 
 @dataclass
 class LinearSystem:
+    """Ax = 0 with caps and weights. `__post_init__` reads the matrix once
+    into `columns[j]`, the nonzeros ((row, entry), ...) of column j with rows
+    ascending; `live`, the columns with a nonzero; and `hypergraph`, H_A on
+    the live columns, whose hyperedge t is column live[t]."""
+
     rows: list  # n lists of m ints
     caps: list  # per-variable cap kappa_j >= 1
     weights: list  # per-variable complex weight
@@ -94,9 +102,9 @@ class LinearSystem:
         self.weights = [complex(w) for w in self.weights]
         if not all(map(cmath.isfinite, self.weights)):
             raise ValueError("weights must be finite")
-        # column_rows[j]: the rows where column j is nonzero, ascending; the
-        # one read of the matrix that the walks and the region bound use
-        self.column_rows = [tuple(compress(range(n), col)) for col in zip(*self.rows)]
+        self.columns = [tuple((i, a) for i, a in enumerate(col) if a) for col in zip(*self.rows)]
+        self.live = [j for j, col in enumerate(self.columns) if col]
+        self.hypergraph = Hypergraph(n, [[i for i, _ in self.columns[j]] for j in self.live])
 
     @property
     def n(self) -> int:
@@ -106,44 +114,10 @@ class LinearSystem:
     def m(self) -> int:
         return len(self.rows[0])
 
-    def row_support(self) -> int:
-        """r: most nonzeros in any row."""
-        counts = [0] * self.n
-        for rows in self.column_rows:
-            for i in rows:
-                counts[i] += 1
-        return max(counts)
 
-    def col_support(self) -> int:
-        """c: most nonzeros in any column."""
-        return max(map(len, self.column_rows))
-
-    def live_columns(self):
-        """Columns that appear in some row; all-zero columns are unconstrained."""
-        return [j for j, rows in enumerate(self.column_rows) if rows]
-
-
-def build_hypergraph(sys: LinearSystem) -> Hypergraph:
-    """H_A on the live columns: hyperedge j = rows where column j is nonzero."""
-    return Hypergraph(sys.n, [rows for rows in sys.column_rows if rows])
-
-
-@dataclass(frozen=True)
-class VectorPolymer:
-    """Nonzero solution vector with connected support (values keyed by column)."""
-
-    values: tuple  # ((column, value), ...) in the order the support grew
-    rmask: int  # bitmask of touched rows
-
-    @property
-    def support(self):
-        return tuple(j for j, _ in self.values)
-
-    def weight(self, sys: LinearSystem) -> complex:
-        w = 1 + 0j
-        for j, x in self.values:
-            w *= sys.weights[j] ** x
-        return w
+# A nonzero solution vector with connected support: values ((column, value),
+# ...) in the order the support grew, and rmask, the bitmask of touched rows.
+VectorPolymer = namedtuple("VectorPolymer", "values rmask")
 
 
 def enumerate_vector_polymers(sys: LinearSystem):
@@ -172,11 +146,9 @@ def enumerate_vector_polymers(sys: LinearSystem):
     product of its caps, against the gate before it decides to cut, so every
     support the walk forms is checked as if every box vector were tried.
     """
-    live = sys.live_columns()
-    H = build_hypergraph(sys)
+    live, H = sys.live, sys.hypergraph
     col_rows = H.edge_masks()
-    # entries[t]: (row, coefficient) of each nonzero of live column t
-    entries = [[(i, sys.rows[i][j]) for i in sys.column_rows[j]] for j in live]
+    entries = [sys.columns[j] for j in live]  # the nonzeros of live column t
     # col_plus[t], col_minus[t]: rows where column t is positive, negative;
     # row_plus[i], row_minus[i]: columns that are positive, negative in row i
     col_plus, col_minus = [0] * len(live), [0] * len(live)
@@ -268,22 +240,22 @@ def weighted_count(sys: LinearSystem) -> LinsysReport:
     columns: the same family sum at unit int weights. Raises
     ConditionViolated when the value lies past the float range.
     """
-    live = set(sys.live_columns())
-    dropped = [j for j in range(sys.m) if j not in live]
+    dropped = [j for j, col in enumerate(sys.columns) if not col]
     pool = enumerate_vector_polymers(sys)
+    w = sys.weights
     try:
         factor = 1 + 0j
         for j in dropped:
-            factor *= sum(sys.weights[j] ** x for x in range(sys.caps[j] + 1))
-        items = [(p.rmask, 0, p.weight(sys)) for p in pool]
+            factor *= sum(w[j] ** x for x in range(sys.caps[j] + 1))
+        items = [(p.rmask, 0, prod((w[j] ** x for j, x in p.values), start=1 + 0j))
+                 for p in pool]
     except OverflowError as exc:  # complex ** int past the float range raises
         raise outside_float_range(exc) from exc
-    H = build_hypergraph(sys)  # H_A, whose vertices the row masks cover
-    (total,), _ = family_sum(items, H)
+    (total,), _ = family_sum(items, sys.hypergraph)
     value = factor * total
     if not cmath.isfinite(value):
         raise outside_float_range(value)
-    (count,), _ = family_sum([(p.rmask, 0, 1) for p in pool], H)
+    (count,), _ = family_sum([(p.rmask, 0, 1) for p in pool], sys.hypergraph)
     return LinsysReport(
         value=value,
         polymer_count=len(pool),
@@ -293,10 +265,12 @@ def weighted_count(sys: LinearSystem) -> LinsysReport:
 
 
 def linsys_region(sys: LinearSystem):
-    """Region report for the system's (r, c, kappa) parameters."""
-    return region_bounds(
-        "linsys", r=sys.row_support(), c=sys.col_support(), kappa=max(sys.caps)
-    )
+    """Region report for the system's (r, c, kappa) parameters: r, the most
+    nonzeros in a row, is H_A's maximum degree, and c, the most in a column,
+    its largest hyperedge."""
+    H = sys.hypergraph
+    return region_bounds("linsys", r=H.max_degree(),
+                         c=max(map(len, H.edges), default=0), kappa=max(sys.caps))
 
 
 def pm_region(instance):

@@ -408,7 +408,8 @@ def sample_assignments(G: MultiGraph, assign: SignatureAssignment, z, eps: float
     counts (`ChainState.moves`) summed over the trials are written into it.
     Raises GateExceeded when trials * mixing_time exceeds `errors.WORK_GATE`,
     and RegionViolation when `certify_chain` refuses the instance, both
-    before the chain is built.
+    before the chain is built; NotInF0 names a vertex off F0, also on a graph
+    without edges, which needs no chain.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -417,6 +418,7 @@ def sample_assignments(G: MultiGraph, assign: SignatureAssignment, z, eps: float
     steps = mixing_time(G, eps)
     _require_nonneg(assign, z)
     if G.edge_count == 0:
+        assign.check_f0()
         results = [((), _sum_moves(()))] * trials
     else:
         _, results = _chain_map(G, assign, z, trials * steps, _sample_trial, trials,

@@ -289,6 +289,8 @@ def assignment_from_json(G: MultiGraph, text: str) -> SignatureAssignment:
              "default": name-or-spec}
     Specs are {"builtin": "matching"}, {"builtin": "even-parity", "weight": w}
     or {"table": {"kappa": K, "arity": d, "values": [[re, im], ...]}}.
+    A spec that several vertices read (the default or a named one) builds one
+    Signature per arity, which they share.
     """
     try:
         doc = json.loads(text)
@@ -303,6 +305,8 @@ def assignment_from_json(G: MultiGraph, text: str) -> SignatureAssignment:
         if not isinstance(value, dict):
             raise ParseError(f"{key!r} must be an object, got {value!r}")
 
+    built = {}  # (id of a spec in doc, arity) -> its Signature, one per pair
+
     def resolve(v: int) -> Signature:
         spec = assignment.get(str(v), default)
         if spec is None:
@@ -311,7 +315,10 @@ def assignment_from_json(G: MultiGraph, text: str) -> SignatureAssignment:
             if spec not in named:
                 raise ParseError(f"vertex {v} references unknown signature {spec!r}")
             spec = named[spec]
-        return _sig_from_spec(spec, G.degree(v))
+        key = id(spec), G.degree(v)
+        if key not in built:
+            built[key] = _sig_from_spec(spec, key[1])
+        return built[key]
 
     sigs = [resolve(v) for v in range(G.vertex_count)]
     try:

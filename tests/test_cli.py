@@ -103,8 +103,10 @@ def test_parse_complex_accepts_i_and_j():
 def test_parse_z():
     assert parse_z("1,0.5,0.25") == (1 + 0j, 0.5 + 0j, 0.25 + 0j)
     assert parse_z("1, 0.5i") == (1 + 0j, 0.5j)
-    with pytest.raises(ParseError):
-        parse_z(",,")
+    # a blank entry is an error, never skipped
+    for text in (",,", "1,,0.5", "1,0.5,", ",1,0.5", "1, ,0.5", ""):
+        with pytest.raises(ParseError):
+            parse_z(text)
     # "inf" does not parse ("i" reads as the imaginary unit), but 1e999 is inf
     for text in ("1,nan", "1,1e999", "nan", "1,-1e999+0.5i", "1,nanj"):
         with pytest.raises(InvalidFugacity, match="fugacities must be finite"):
@@ -395,6 +397,20 @@ def test_sample_without_edges_reports_no_chain_steps(capsys, tmp_path):
                             "--z", "1,0.1", "--eps", "0.1", "--trials", "2"])
     assert rep["diagnostics"]["mixing_steps"] == rep["diagnostics"]["chain_steps"] == 0
     assert rep["result"]["assignments"] == [[], []]
+
+
+def test_sample_without_edges_checks_f0(capsys, tmp_path):
+    # Z = 0 on the edgeless graph whose arity-0 tables read 0: sample exits 3
+    # as count-mcmc and approx do, naming vertex 0
+    graph, sig = tmp_path / "e.txt", tmp_path / "zero.json"
+    graph.write_text("2 0\n")
+    sig.write_text(json.dumps({"default": {"table": {"kappa": 1, "arity": 0, "values": [0]}}}))
+    for cmd in ("sample", "count-mcmc", "approx"):
+        assert main([cmd, "--graph", str(graph), "--sig", str(sig), "--z", "1,0.1",
+                     "--eps", "0.1"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert "vertex 0: signature 'table' has f(0,...,0) = 0" in err
 
 
 def test_sample_f0_zero_names_the_vertex(capsys, tmp_path, files):

@@ -7,7 +7,8 @@ and the command line uses only `brute_holant`, for its `oracle` subcommand.
 Every production definition is reached from the command line or the API.
 Every module of the package imports only the standard library and itself, and
 one function each holds the fugacity rule, the eps rule and the check of a
-reference matching. No production walk calls itself.
+reference matching. No production walk calls itself, and a linear system
+reads its matrix once.
 """
 
 import ast
@@ -327,6 +328,23 @@ def test_the_family_kernel_orders_its_instance():
     assert _calls("bfs_order") == [("families.py", "family_sum")]
     assert not hasattr(families, "_prefix_masks") and not hasattr(families, "_first_position")
     assert list(inspect.signature(families.family_sum).parameters) == ["items", "H", "cap"]
+
+
+def test_a_linear_system_reads_its_matrix_once():
+    # LinearSystem builds its columns, live columns and H_A once, in
+    # __post_init__; nothing derives them again, and a vector polymer is a
+    # plain record
+    assert not hasattr(linsys, "build_hypergraph")
+    for name in ("column_rows", "live_columns", "row_support", "col_support"):
+        assert not hasattr(linsys.LinearSystem, name)
+    tree = ast.parse(Path(linsys.__file__).read_text())
+    builds = [node for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and ast.unparse(node.func) == "Hypergraph"]
+    cls = next(top for top in tree.body if getattr(top, "name", None) == "LinearSystem")
+    post_init = next(fn for fn in cls.body if getattr(fn, "name", None) == "__post_init__")
+    assert len(builds) == 1 and builds[0] in ast.walk(post_init)
+    assert issubclass(linsys.VectorPolymer, tuple)
+    assert linsys.VectorPolymer._fields == ("values", "rmask")
 
 
 def test_modules_import_only_the_standard_library():

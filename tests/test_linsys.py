@@ -29,9 +29,7 @@ from holant import (
     weighted_count,
 )
 from holant.linsys import (
-    VectorPolymer,
     alternating_cycle_polymers,
-    build_hypergraph,
     enumerate_vector_polymers,
     linsys_region,
     perfect_matchings,
@@ -197,28 +195,37 @@ def test_system_validation():
 def test_supports_and_live_columns():
     sys = LinearSystem([[1, -1, 0], [0, 1, -1]], [1, 1, 1], [1, 1, 1])
     assert sys.n == 2 and sys.m == 3
-    assert sys.row_support() == 2
-    assert sys.col_support() == 2
-    assert sys.live_columns() == [0, 1, 2]
+    assert sys.columns == [((0, 1),), ((0, -1), (1, 1)), ((1, -1),)]
+    assert [sys.hypergraph.degree(i) for i in range(sys.n)] == [2, 2]
+    assert sys.live == [0, 1, 2]
+    rep = linsys_region(sys)
+    assert (rep.params["r"], rep.params["c"]) == (2, 2)
     padded = LinearSystem([[1, 0, -1, 0]], [1, 1, 1, 1], [1, 1, 1, 1])
-    assert padded.live_columns() == [0, 2]
+    assert padded.live == [0, 2]
+    assert padded.columns[1] == padded.columns[3] == ()
+    rep = linsys_region(padded)
+    assert (rep.params["r"], rep.params["c"]) == (2, 1)
 
 
 def test_build_hypergraph():
     sys = LinearSystem([[1, -1, 0], [0, 1, -1]], [1, 1, 1], [1, 1, 1])
-    H = build_hypergraph(sys)
+    H = sys.hypergraph
     assert H.vertex_count == 2
     assert H.edges == (frozenset({0}), frozenset({0, 1}), frozenset({1}))
-    # all-zero columns contribute no hyperedge
-    padded = LinearSystem([[1, 0, -1]], [1, 1, 1], [1, 1, 1])
-    assert build_hypergraph(padded).edge_count == 2
+    # all-zero columns contribute no hyperedge; hyperedge t is column live[t]
+    padded = LinearSystem([[1, 0, -1], [0, 0, 2]], [1, 1, 1], [1, 1, 1])
+    assert padded.live == [0, 2]
+    assert padded.hypergraph.edges == (frozenset({0}), frozenset({0, 1}))
 
 
 def test_vector_polymer_weight():
+    # the solutions of x0 = x1 with caps 2 are (0,0), (1,1) and (2,2), each
+    # one polymer weighted w0^x0 * w1^x1
     sys = LinearSystem([[1, -1]], [2, 2], [2, 3j])
-    p = VectorPolymer(((0, 1), (1, 2)), 0b1)
-    assert p.support == (0, 1)
-    assert p.weight(sys) == 2 * (3j) ** 2
+    assert [p.values for p in enumerate_vector_polymers(sys)] == [((0, 1), (1, 1)),
+                                                                  ((0, 2), (1, 2))]
+    rep = weighted_count(sys)
+    assert rep.value == 1 + 2 * 3j + 2**2 * (3j) ** 2 == -35 + 6j
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +376,7 @@ def test_families_biject_with_solutions():
     for _ in range(20):
         sys = random_system(rng)
         pool = enumerate_vector_polymers(sys)
-        dropped = set(range(sys.m)) - set(sys.live_columns())
+        dropped = set(range(sys.m)) - set(sys.live)
         got = []
 
         def rec(start, occupied, vec):
@@ -402,12 +409,13 @@ def test_polymer_counts_per_column():
         pool = enumerate_vector_polymers(sys)
         if not pool:
             continue
-        r, c = sys.row_support(), sys.col_support()
+        H = sys.hypergraph
+        r, c = H.max_degree(), max(map(len, H.edges))
         kap = max(sys.caps)
-        for j in sys.live_columns():
+        for j in sys.live:
             by_size = {}
             for p in pool:
-                if j in p.support:
+                if j in (k for k, _ in p.values):
                     i = len(p.values)
                     by_size[i] = by_size.get(i, 0) + 1
             for i, cnt in by_size.items():
@@ -994,7 +1002,7 @@ def test_support_count_gate(monkeypatch, tmp_path, capsys):
     # support it visits its size and each polymer its number of values, to
     # one count
     sys = LinearSystem(circulation(8, [(0, 4), (4, 0)]), [1] * 10, [0.5] * 10)
-    supports = connected_edge_sets(build_hypergraph(sys), sys.m)
+    supports = connected_edge_sets(sys.hypergraph, sys.m)
     visited, grow = [], linsys_mod.grow_edge_sets
 
     def counting(G, seeds, max_edges, visit, extend):

@@ -93,6 +93,19 @@ def test_chain_commands_without_edges_run_no_chain(monkeypatch):
     assert rep.moves == {"visited": 0, "inserted": 0, "removed": 0}
 
 
+def test_sample_without_edges_checks_f0(monkeypatch):
+    # no chain is certified or built, but Z = 0 off F0 still raises
+    def no_chain(*args, **kwargs):
+        raise AssertionError("a chain was certified or built without edges")
+
+    monkeypatch.setattr(mcmc_mod, "certify_chain", no_chain)
+    monkeypatch.setattr(mcmc_mod, "PolymerChain", no_chain)
+    G = MultiGraph(2, [])
+    a = SignatureAssignment(G, [make_signature([0], 0, 1)] * 2)
+    with pytest.raises(NotInF0, match="vertex 0: signature 'table'"):
+        sample_assignments(G, a, (1.0, 0.1), 0.1, seed=1)
+
+
 def test_sampling_condition_k2():
     G = k2()
     a = uniform_assignment(G, "matching")

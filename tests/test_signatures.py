@@ -215,6 +215,26 @@ def test_json_builtin_and_default():
     assert b.sig(0)((0, 1)) == 0.5
 
 
+def test_json_builds_each_shared_spec_once():
+    # one Signature per (spec, arity): the default spec serves all six
+    # vertices of C6, a named spec every vertex that names it, and an inline
+    # per-vertex spec only its own vertex
+    G = MultiGraph(6, [(i, (i + 1) % 6) for i in range(6)])
+    table = {"table": {"kappa": 1, "arity": 2, "values": [1, 1, 1, 0]}}
+    a = assignment_from_json(G, json.dumps({"default": table}))
+    assert len({id(s) for s in a.sigs}) == 1
+    b = assignment_from_json(G, json.dumps({
+        "signatures": {"t": table}, "assignment": {"0": "t", "3": "t", "4": table},
+        "default": {"builtin": "matching"}}))
+    assert b.sig(0) is b.sig(3)
+    assert b.sig(4) is not b.sig(0) and b.sig(4).table == b.sig(0).table
+    assert b.sig(1) is b.sig(2) is b.sig(5)
+    P = MultiGraph(3, [(0, 1), (1, 2)])  # degrees 1, 2, 1: one build per arity
+    c = assignment_from_json(P, json.dumps({"default": {"builtin": "matching"}}))
+    assert c.sig(0) is c.sig(2) is not c.sig(1)
+    assert (c.sig(0).arity, c.sig(1).arity) == (1, 2)
+
+
 def test_json_errors():
     G = c3()
     with pytest.raises(ParseError):
