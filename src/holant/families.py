@@ -10,13 +10,24 @@ on the rows of a linear system.
 instance) and walks its vertices in H's breadth-first order
 (`graph.bfs_order`), which lists each vertex once. A state is the mask of
 vertices that the items chosen so far cover at or after the current vertex;
-its value is the truncated polynomial c_0..c_cap of prod weight *
-x^{total size} summed over the partial families that reach it. At vertex v
-a state either drops v (v is covered), or leaves v uncovered, or takes an
-item whose first vertex in the order is v and whose mask misses the state.
-Each family is built along exactly one path, and two items can only meet at
-a vertex that is still in the state, so the result would be exact for any
-order of the vertices.
+its value is the truncated polynomial of prod weight * x^{total size} summed
+over the partial families that reach it. At vertex v a state either drops v
+(v is covered), or leaves v uncovered, or takes an item whose first vertex in
+the order is v and whose mask misses the state. Each family is built along
+exactly one path, and two items can only meet at a vertex that is still in
+the state, so the result would be exact for any order of the vertices.
+
+Every family that reaches a state has a total size of at least some j, the
+state's least size, so its polynomial is zero below x^j, and a state holds
+only c_j..c_cap: a tuple of cap + 1 - j terms, which ends at c_cap whatever
+j is. Taking an item of size s shifts the tuple by s and cuts s terms off
+its end, and two values add term by term from their ends, so the longer
+head is kept. An item with j + s > cap would make an all-zero series, so it
+is never taken: the items at each vertex are sorted by size, and a state's
+item loop stops at the first item larger than cap - j. Skipping those
+moves drops no nonzero term, but it can change the order in which a
+state's live terms are added, so a capped sum can differ from the low terms
+of a longer one in the last bit.
 
 A value is only ever multiplied by weights and added, starting from the
 integer 1, so the coefficients take the number type of the weights: complex
@@ -30,7 +41,7 @@ bit for bit, and the result is a 1-tuple either way.
 
 The order only sets the number of distinct states per vertex, and the cost
 is the number of transitions: the sum over vertices of states x (1 + items
-starting there). The breadth-first order keeps the states to the items
+taken there). The breadth-first order keeps the states to the items
 crossing one BFS level, so a long cycle needs a handful of states per
 vertex while its number of families grows exponentially.
 """
@@ -39,7 +50,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import accumulate
-from operator import add, or_
+from operator import add, itemgetter, or_
 
 from . import errors
 from .errors import past_gate
@@ -48,11 +59,17 @@ from .graph import Hypergraph, bfs_order
 
 def _shifted(coeffs, size: int, weight):
     # a list comprehension builds the tuple faster than a generator does
-    return (0,) * size + tuple([weight * c for c in coeffs[:len(coeffs) - size]])
+    return tuple([weight * c for c in coeffs[:len(coeffs) - size]])
 
 
 def _series_add(a, b):
-    return tuple(map(add, a, b))
+    """a + b on two series that both end at c_cap; the longer head is kept."""
+    d = len(a) - len(b)
+    if not d:
+        return tuple(map(add, a, b))
+    if d > 0:
+        return a[:d] + tuple(map(add, a[d:], b))
+    return b[:-d] + tuple(map(add, a, b[-d:]))
 
 
 def _times(c, size: int, weight):
@@ -66,13 +83,17 @@ def family_sum(items, H: Hypergraph, cap: int = 0):
 
     items: (mask, size, weight) triples with nonempty masks over the
     vertices of H; items of size > cap cannot contribute and are left out.
-    A state's value is the truncated polynomial as a (cap + 1)-tuple, or at
-    cap 0 the number c_0, which the result wraps back into a 1-tuple. The
+    A state's value is the series c_j..c_cap as a tuple, where j is the
+    least total size of a family reaching the state, or at cap 0 the number
+    c_0, which the result wraps back into a 1-tuple; the empty family
+    reaches the last state, so the result has all cap + 1 terms. The
     coefficients take the number type of the weights, and without an item
     c_0 is the integer 1 and every other coefficient the integer 0. Each
-    transition adds a series of cap + 1 terms, so the DP charges
-    transitions * (cap + 1) and raises GateExceeded once that passes
-    `errors.WORK_GATE`.
+    vertex's items are sorted by size, and a state takes none larger than
+    cap - j. Each transition adds a series of at most cap + 1 terms, so the
+    DP charges transitions * (cap + 1), an upper bound on the terms added,
+    and raises GateExceeded once that passes `errors.WORK_GATE`. The charge
+    is checked after every state, whether it drops or keeps the vertex.
     """
     order = bfs_order(H.vertex_count, H.edges)
     # prefix[i]: the mask of order[:i + 1]; an item starts at the first
@@ -88,9 +109,11 @@ def family_sum(items, H: Hypergraph, cap: int = 0):
         first = bisect_left(prefix, 1, key=mask.__and__)
         starts[first].append((mask ^ (1 << order[first]), size, weight))
         touched |= mask
+    for here in starts:
+        here.sort(key=itemgetter(1))
 
     bound = errors.WORK_GATE // (cap + 1)
-    if cap:  # a value is the series c_0..c_cap
+    if cap:  # a value is the series c_j..c_cap
         one, shift, plus = (1,) + (0,) * cap, _shifted, _series_add
     else:  # a value is the number c_0; every item has size 0
         one, shift, plus = 1, _times, add
@@ -101,18 +124,27 @@ def family_sum(items, H: Hypergraph, cap: int = 0):
         if not touched & bit:
             continue
         nxt: dict = {}
+        get = nxt.get
         for state, coeffs in layer.items():
+            transitions += 1
             if state & bit:
-                moves = [(state ^ bit, coeffs)]
+                key = state ^ bit
+                old = get(key)
+                nxt[key] = coeffs if old is None else plus(old, coeffs)
             else:
-                moves = [(state, coeffs)]
-                moves += [(state | rest, shift(coeffs, size, weight))
-                          for rest, size, weight in here if not rest & state]
-            transitions += len(moves)
+                old = get(state)
+                nxt[state] = coeffs if old is None else plus(old, coeffs)
+                room = len(coeffs) - 1 if cap else 0  # cap - j
+                for rest, size, weight in here:
+                    if size > room:
+                        break
+                    if not rest & state:
+                        transitions += 1
+                        key = state | rest
+                        c = shift(coeffs, size, weight)
+                        old = get(key)
+                        nxt[key] = c if old is None else plus(old, c)
             if transitions > bound:
                 raise past_gate(transitions * (cap + 1), "family-kernel series terms")
-            for key, c in moves:
-                old = nxt.get(key)
-                nxt[key] = c if old is None else plus(old, c)
         layer = nxt
     return (layer[0] if cap else (layer[0],)), transitions

@@ -18,6 +18,7 @@ from holant import (
 )
 from holant.expansion import log_z_coefficients
 from holant.polymers import live_polymers
+from holant.linsys import alternating_cycle_polymers
 from holant.oracle import enumerate_polymers
 from holant.families import family_sum
 from holant.graph import bfs_order, mask_vertices
@@ -146,6 +147,47 @@ def test_fraction_weights_give_exact_coefficients():
         fam, _ = family_sum(items, along(rng.sample(range(n), n)), cap)
         assert list(fam) == brute_series(items, cap)
         assert all(type(c) in (int, Fraction) for c in fam)
+
+
+def test_the_cap_prunes_moves_and_keeps_the_low_terms():
+    # at cap = total size no move passes the cap, so nothing is pruned; a
+    # lower cap skips the moves that would make all-zero series. Weights
+    # with small integer parts keep the float sums exact, so the terms
+    # compare equal whatever order the live terms are added in
+    rng = random.Random(MASTER_SEED + 77)
+    fewer = 0
+    for _ in range(60):
+        n = rng.randint(2, 9)
+        cap = rng.randint(1, 3)
+        items = [(m, rng.randint(1, cap), complex(rng.randint(-3, 3), rng.randint(-3, 3)))
+                 for m, _, _ in random_items(rng, n, rng.randint(1, 12))]
+        total = max(cap, sum(s for _, s, _ in items))
+        path = along(rng.sample(range(n), n))
+        full, full_transitions = family_sum(items, path, total)
+        low, transitions = family_sum(items, path, cap)
+        assert low == full[:cap + 1]
+        assert transitions <= full_transitions
+        fewer += transitions < full_transitions
+        exact = [(m, s, Fraction(rng.randint(-9, 9), rng.randint(1, 9))) for m, s, _ in items]
+        assert list(family_sum(exact, path, cap)[0]) == brute_series(exact, cap)
+    assert fewer
+
+
+def test_cap_zero_gate_is_checked_on_every_path(monkeypatch):
+    # the pm items of the 4x4 grid with its rows matched in pairs; the kernel
+    # checks its charge after every state, a dropped vertex included
+    k = 4
+    G = MultiGraph(k * k, [(k * r + c, k * r + c + 1) for r in range(k) for c in range(k - 1)]
+                   + [(k * r + c, k * r + c + k) for r in range(k - 1) for c in range(k)])
+    M = [G.edges.index((k * r + c, k * r + c + 1)) for r in range(k) for c in range(0, k, 2)]
+    items = [(mask, 0, 0.1 ** len(ids)) for ids, mask in alternating_cycle_polymers(G, M)]
+    result, transitions = family_sum(items, G)
+    assert transitions > len(items)
+    monkeypatch.setattr(errors, "WORK_GATE", transitions)
+    assert family_sum(items, G) == (result, transitions)
+    monkeypatch.setattr(errors, "WORK_GATE", transitions - 1)
+    with pytest.raises(GateExceeded, match=f"^{transitions} family-kernel series terms"):
+        family_sum(items, G)
 
 
 def test_an_empty_pool_sums_to_the_integer_one():
