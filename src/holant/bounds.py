@@ -4,14 +4,19 @@ Every closed-form bound states a radius for |z_i|/|z_0| (or for r(F), or for
 the largest entry weight, depending on the family). Reports carry all the
 variants a family has: the theorem-stated form is `bound`, and `values` also
 holds the optimised-alpha form where one exists (the optimised form is never
-smaller).
+smaller). Two tables hold every family: `PARAM_TYPES` gives the type of each
+parameter (and the `bounds` command's flags), and `RADII` gives each family
+its parameter names and its radius function, one formula with its checks; a
+new radius is one function plus one entry.
 
 `verify_kp` certifies the Kotecky-Preiss condition of one instance from
 per-vertex sums over its live polymers of at most `KP_ORDER` edges plus an
 analytic bound on the larger ones, so its cost grows with |V|, not with the
 number of connected edge sets. It and the chain's direct checks
 (`mcmc.check_chain_conditions`) fold their sums from the one weighing walk,
-`polymers.walk_live`.
+`polymers.walk_live`, which refuses an assignment built for another graph
+and names the first vertex with edges whose signature is off F0; isolated
+vertices are exempt, and r(F) skips them too.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 
 from .graph import MultiGraph
 from .polymers import walk_live
@@ -27,20 +33,6 @@ from .signatures import SignatureAssignment, check_fugacities
 _E = math.e
 _SQRT5 = math.sqrt(5.0)
 _LOG_MAX = math.log(sys.float_info.max)
-
-# the parameters each bound family needs, in the order the CLI lists families
-FAMILY_PARAMS = {
-    "boolean": ("delta", "r1"),
-    "matching": ("delta",),
-    "holant-poly": ("delta", "kappa", "r1"),
-    "holant-problem": ("delta", "kappa"),
-    "mcmc-poly": ("delta", "kappa", "r1"),
-    "mcmc-problem": ("delta", "kappa"),
-    "linsys": ("r", "c", "kappa"),
-    "hyper-pm": ("delta", "k"),
-    "graph-pm": ("delta",),
-}
-FAMILIES = tuple(FAMILY_PARAMS)
 
 
 @dataclass
@@ -63,106 +55,110 @@ def _require(cond: bool, msg: str):
         raise ValueError(msg)
 
 
-def _fugacity_core(delta: int, kappa: int, r1: float) -> dict:
+def _fugacity(delta, kappa, r1):
+    _require(delta >= 1 and kappa >= 1 and 1.0 <= r1 < math.inf,
+             "need delta,kappa >= 1 and r1 >= 1 (r1 finite)")
     # general-alpha bound alpha / (r1 * delta * kappa * e^{alpha+1} * (alpha + r1));
     # alpha = 1 is the theorem statement, the stationary alpha is optimal
     simple = 1.0 / (delta * kappa * _E**2 * r1 * (r1 + 1.0))
     alpha = 0.5 * (math.sqrt(r1) * math.sqrt(r1 + 4.0) - r1)
     optimal = alpha / (r1 * delta * kappa * math.exp(alpha + 1.0) * (alpha + r1))
-    return {"simple": simple, "optimal": optimal, "alpha_opt": alpha}
+    return {"simple": simple, "optimal": optimal, "alpha_opt": alpha}, simple
+
+
+def _matching(delta):
+    _require(delta >= 1, "need delta >= 1")
+    v = 1.0 / (_E * (2 * delta - 1))
+    return {"simple": v}, v
+
+
+def _holant_problem(delta, kappa):
+    _require(delta >= 1 and kappa >= 1, "need delta, kappa >= 1")
+    edge_form = (delta * kappa * _E) ** (-delta / 2.0) / (2.0 * math.sqrt(_E))
+    vertex_form = 0.2058 * (kappa + 1.0) ** (-delta)
+    vertex_exact = ((_SQRT5 - 1.0) / ((_SQRT5 + 1.0) * math.exp((_SQRT5 - 1.0) / 2.0))
+                    * (kappa + 1.0) ** (-delta))
+    threshold = max(edge_form, vertex_form)
+    return {"edge_form": edge_form, "vertex_form": vertex_form,
+            "vertex_form_exact": vertex_exact, "threshold": threshold}, threshold
+
+
+def _mcmc_poly(delta, kappa, r1):
+    _require(delta >= 1 and kappa >= 1 and 1.0 <= r1 < math.inf,
+             "need delta,kappa >= 1 and r1 >= 1 (r1 finite)")
+    v = 1.0 / ((delta * kappa) ** 3 * _E**5 * r1**2)
+    return {"simple": v}, v
+
+
+def _mcmc_problem(delta, kappa):
+    _require(delta >= 1 and kappa >= 1, "need delta, kappa >= 1")
+    v = (delta * kappa) ** (-1.5 * delta) * math.exp(-2.5 * delta)
+    return {"simple": v}, v
+
+
+def _linsys(r, c, kappa):
+    _require(r >= 2, "row support r must be >= 2")
+    _require(c >= 1 and kappa >= 1, "need c, kappa >= 1")
+    simple = 1.0 / ((r * _E + 1.0) * c * kappa * math.sqrt(_E))
+    alpha = (math.sqrt(8.0 * _E * r + 1.0) - 1.0) / (4.0 * _E * r)
+    optimal = 2.0 * alpha / ((2.0 * r * _E * alpha + 1.0) * c * kappa * math.exp(alpha))
+    return {"simple": simple, "optimal": optimal, "alpha_opt": alpha}, simple
+
+
+def _hyper_pm(delta, k):
+    _require(delta >= 1 and k >= 2, "need delta >= 1 and uniformity k >= 2")
+    simple = 1.0 / ((delta - 1.0 + k) * _E)
+    if delta == 1:
+        return {"simple": simple, "optimal": simple, "alpha_opt": 1.0}, simple
+    alpha = (math.sqrt(k * k + 4.0 * (delta - 1.0) * k) - k) / (2.0 * (delta - 1.0))
+    optimal = alpha / ((alpha * (delta - 1.0) + k) * math.exp(alpha))
+    return {"simple": simple, "optimal": optimal, "alpha_opt": alpha}, simple
+
+
+def _graph_pm(delta):
+    _require(delta >= 2, "need delta >= 2 (a single-edge graph has no alternating cycles)")
+    printed = 1.0 / math.sqrt(4.85718 * (delta - 1.0))
+    exact = math.sqrt((3.0 - _SQRT5) / (2.0 * (delta - 1.0) * math.exp((_SQRT5 - 1.0) / 2.0)))
+    return {"printed": printed, "exact": exact}, printed
+
+
+PARAM_TYPES = {"delta": int, "kappa": int, "r1": float, "r": int, "c": int, "k": int}
+
+# family -> (the parameters it needs, its radius), in the order the CLI lists
+# families; a radius takes those parameters, converted by PARAM_TYPES, and
+# returns (values, bound)
+RADII = {
+    "boolean": (("delta", "r1"), partial(_fugacity, kappa=1)),
+    "matching": (("delta",), _matching),
+    "holant-poly": (("delta", "kappa", "r1"), _fugacity),
+    "holant-problem": (("delta", "kappa"), _holant_problem),
+    "mcmc-poly": (("delta", "kappa", "r1"), _mcmc_poly),
+    "mcmc-problem": (("delta", "kappa"), _mcmc_problem),
+    "linsys": (("r", "c", "kappa"), _linsys),
+    "hyper-pm": (("delta", "k"), _hyper_pm),
+    "graph-pm": (("delta",), _graph_pm),
+}
+FAMILIES = tuple(RADII)
 
 
 def region_bounds(family: str, **params) -> RegionReport:
     """Closed-form region radius for a bound family.
 
-    The parameters each family needs are FAMILY_PARAMS[family]; a missing one
-    raises ValueError.
+    The parameters each family needs are RADII[family][0]; a missing one
+    raises ValueError. Each is converted once by PARAM_TYPES; the report
+    lists the parameters as given, but the fugacity families' kappa as read.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
-    missing = [k for k in FAMILY_PARAMS[family] if params.get(k) is None]
+    names, radius = RADII[family]
+    missing = [k for k in names if params.get(k) is None]
     if missing:
         raise ValueError(f"family {family!r} needs {', '.join(missing)}")
-
-    if family in ("boolean", "holant-poly"):
-        delta = int(params["delta"])
-        kappa = 1 if family == "boolean" else int(params["kappa"])
-        r1 = float(params["r1"])
-        _require(delta >= 1 and kappa >= 1 and 1.0 <= r1 < math.inf,
-                 "need delta,kappa >= 1 and r1 >= 1 (r1 finite)")
-        values = _fugacity_core(delta, kappa, r1)
-        return RegionReport(family, dict(params, kappa=kappa), values, values["simple"])
-
-    if family == "matching":
-        delta = int(params["delta"])
-        _require(delta >= 1, "need delta >= 1")
-        v = 1.0 / (_E * (2 * delta - 1))
-        return RegionReport(family, dict(params), {"simple": v}, v)
-
-    if family == "holant-problem":
-        delta, kappa = int(params["delta"]), int(params["kappa"])
-        _require(delta >= 1 and kappa >= 1, "need delta, kappa >= 1")
-        edge_form = (delta * kappa * _E) ** (-delta / 2.0) / (2.0 * math.sqrt(_E))
-        vertex_form = 0.2058 * (kappa + 1.0) ** (-delta)
-        vertex_exact = (
-            (_SQRT5 - 1.0)
-            / ((_SQRT5 + 1.0) * math.exp((_SQRT5 - 1.0) / 2.0))
-            * (kappa + 1.0) ** (-delta)
-        )
-        values = {
-            "edge_form": edge_form,
-            "vertex_form": vertex_form,
-            "vertex_form_exact": vertex_exact,
-            "threshold": max(edge_form, vertex_form),
-        }
-        return RegionReport(family, dict(params), values, values["threshold"])
-
-    if family == "mcmc-poly":
-        delta, kappa, r1 = int(params["delta"]), int(params["kappa"]), float(params["r1"])
-        _require(delta >= 1 and kappa >= 1 and 1.0 <= r1 < math.inf,
-                 "need delta,kappa >= 1 and r1 >= 1 (r1 finite)")
-        v = 1.0 / ((delta * kappa) ** 3 * _E**5 * r1**2)
-        return RegionReport(family, dict(params), {"simple": v}, v)
-
-    if family == "mcmc-problem":
-        delta, kappa = int(params["delta"]), int(params["kappa"])
-        _require(delta >= 1 and kappa >= 1, "need delta, kappa >= 1")
-        v = (delta * kappa) ** (-1.5 * delta) * math.exp(-2.5 * delta)
-        return RegionReport(family, dict(params), {"simple": v}, v)
-
-    if family == "linsys":
-        r, c, kappa = int(params["r"]), int(params["c"]), int(params["kappa"])
-        _require(r >= 2, "row support r must be >= 2")
-        _require(c >= 1 and kappa >= 1, "need c, kappa >= 1")
-        simple = 1.0 / ((r * _E + 1.0) * c * kappa * math.sqrt(_E))
-        alpha = (math.sqrt(8.0 * _E * r + 1.0) - 1.0) / (4.0 * _E * r)
-        optimal = 2.0 * alpha / ((2.0 * r * _E * alpha + 1.0) * c * kappa * math.exp(alpha))
-        values = {"simple": simple, "optimal": optimal, "alpha_opt": alpha}
-        return RegionReport(family, dict(params), values, simple)
-
-    if family == "hyper-pm":
-        delta, k = int(params["delta"]), int(params["k"])
-        _require(delta >= 1 and k >= 2, "need delta >= 1 and uniformity k >= 2")
-        simple = 1.0 / ((delta - 1.0 + k) * _E)
-        if delta == 1:
-            values = {"simple": simple, "optimal": simple, "alpha_opt": 1.0}
-        else:
-            alpha = (math.sqrt(k * k + 4.0 * (delta - 1.0) * k) - k) / (2.0 * (delta - 1.0))
-            optimal = alpha / ((alpha * (delta - 1.0) + k) * math.exp(alpha))
-            values = {"simple": simple, "optimal": optimal, "alpha_opt": alpha}
-        return RegionReport(family, dict(params), values, simple)
-
-    if family == "graph-pm":
-        delta = int(params["delta"])
-        _require(delta >= 2, "need delta >= 2 (a single-edge graph has no alternating cycles)")
-        printed = 1.0 / math.sqrt(4.85718 * (delta - 1.0))
-        exact = math.sqrt(
-            (3.0 - _SQRT5) / (2.0 * (delta - 1.0) * math.exp((_SQRT5 - 1.0) / 2.0))
-        )
-        values = {"printed": printed, "exact": exact}
-        return RegionReport(family, dict(params), values, printed)
-
-    raise AssertionError  # unreachable
+    args = {k: PARAM_TYPES[k](params[k]) for k in names}
+    values, bound = radius(**args)
+    if getattr(radius, "func", radius) is _fugacity:  # boolean reads kappa = 1
+        params["kappa"] = dict(args, **getattr(radius, "keywords", {}))["kappa"]
+    return RegionReport(family, params, values, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +215,7 @@ def _kp_tail(G: MultiGraph, assign: SignatureAssignment, z, alpha: float, size: 
     s = sum(abs(t / z[0]) for t in z[1:])
     if n <= 0 or line_degree == 0 or s == 0:
         return 0.0
-    used = {id(f): f for v, f in enumerate(assign.sigs) if G.degree(v)}
-    log_r = math.log(max([1.0] + [f.ratio_r() for f in used.values()]))
+    log_r = math.log(assign.r1())
     log_grow = math.log(_E * line_degree)
     slope = log_grow + math.log(s) + log_r + alpha  # log term_k = first + slope * k
     first = -log_grow + log_r + (alpha if size == "vertices" else 0.0)

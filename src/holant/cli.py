@@ -23,7 +23,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .bounds import FAMILIES, FAMILY_PARAMS, region_bounds, verify_kp
+from .bounds import FAMILIES, PARAM_TYPES, RADII, region_bounds, verify_kp
 from .errors import (
     ConditionViolated,
     DegenerateDistribution,
@@ -255,13 +255,10 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_bounds(args) -> int:
     wanted = FAMILIES if args.family == "all" else (args.family,)
-    params = {
-        "delta": args.delta, "kappa": args.kappa, "r1": args.r1,
-        "r": args.r, "c": args.c, "k": args.k,
-    }
+    params = {k: getattr(args, k) for k in PARAM_TYPES}
     table = {}
     for family in wanted:
-        keys = FAMILY_PARAMS[family]
+        keys = RADII[family][0]
         if any(params[k] is None for k in keys):
             if args.family != "all":
                 missing = [k for k in keys if params[k] is None]
@@ -395,12 +392,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("bounds", help="print region bounds for parameters")
     p.add_argument("--family", default="all", choices=FAMILIES + ("all",))
-    p.add_argument("--delta", type=int)
-    p.add_argument("--kappa", type=int)
-    p.add_argument("--r1", type=float)
-    p.add_argument("--r", type=int)
-    p.add_argument("--c", type=int)
-    p.add_argument("--k", type=int)
+    for name, kind in PARAM_TYPES.items():
+        p.add_argument(f"--{name}", type=kind)
     _add_common(p)
     p.set_defaults(func=_cmd_bounds)
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .errors import InvalidFugacity, NotInF0
+from .errors import InvalidFugacity
 from .graph import MultiGraph, grow_edge_sets, mask_vertices
 from .signatures import SignatureAssignment, check_fugacities
 
@@ -48,9 +48,10 @@ def walk_live(G: MultiGraph, assign: SignatureAssignment, z, max_edges: int, kee
     (`mcmc.check_chain_conditions`, `bounds.verify_kp`) fold from it.
 
     Each w is bitwise equal to `oracle.polymer_weight` (for finite tables).
-    Raises InvalidFugacity for a z that `check_fugacities` rejects, and the
-    NotInF0 that polymer_weight raises on the single-edge polymers, which
-    lead `oracle.enumerate_polymers` order.
+    Raises ValueError for an assignment built for another graph
+    (`SignatureAssignment.check_graph`), InvalidFugacity for a z that
+    `check_fugacities` rejects, and NotInF0 naming the first vertex with
+    edges whose signature is off F0 (`SignatureAssignment.check_f0`).
 
     One walk (`graph.grow_edge_sets`) grows each connected support and its
     colouring together, keeping the signature index of every touched vertex
@@ -63,17 +64,14 @@ def walk_live(G: MultiGraph, assign: SignatureAssignment, z, max_edges: int, kee
     signature caches the tables read here (`Signature.digit_weights`,
     `quotients`, `extensions`), so every walk shares them.
     """
+    assign.check_graph(G)
     kappa = assign.kappa
     if kappa < 1:
         raise ValueError("kappa must be >= 1")
     z = check_fugacities(z, kappa)
     if max_edges < 1 or G.edge_count == 0:
         return
-    for u, v in G.edges:
-        for x in (u, v):
-            s = assign.sig(x)
-            if not s.in_f0():
-                raise NotInF0(f"vertex {x}: signature {s.name!r} has f(0,...,0) = 0")
+    assign.check_f0(x for x in range(G.vertex_count) if G.degree(x))
     # a polymer weighs 1 times ratio[c] for each edge colour in edge order,
     # then f_x(idx_x) / f_x(0) for each vertex x in ascending order: the
     # factors of `oracle.polymer_weight` in its order, so the weights agree
@@ -157,6 +155,7 @@ def family_to_assignment(G: MultiGraph, family) -> tuple:
 
 
 def holant_prefactor(G: MultiGraph, assign: SignatureAssignment, z) -> complex:
+    assign.check_graph(G)
     z = check_fugacities(z, assign.kappa)
     return z[0] ** G.edge_count * assign.f0_product()
 

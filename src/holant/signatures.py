@@ -196,8 +196,15 @@ class SignatureAssignment:
     def sig(self, v: int) -> Signature:
         return self.sigs[v]
 
-    def check_f0(self):
-        for v, s in enumerate(self.sigs):
+    def check_graph(self, G: MultiGraph):
+        """Refuse a graph other than the one these signatures were built for."""
+        if not (G is self.G or G == self.G):
+            raise ValueError("signature assignment is bound to another graph")
+
+    def check_f0(self, vertices=None):
+        """NotInF0 naming the first of `vertices` (default: all, ascending) off F0."""
+        for v in range(len(self.sigs)) if vertices is None else vertices:
+            s = self.sigs[v]
             if not s.in_f0():
                 raise NotInF0(f"vertex {v}: signature {s.name!r} has f(0,...,0) = 0")
 
@@ -213,8 +220,9 @@ class SignatureAssignment:
         return {id(s): s for s in self.sigs}.values()
 
     def ratio_r_class(self) -> float:
-        """r(F): worst ratio over the distinct signatures in use."""
-        return max((s.ratio_r() for s in self._distinct()), default=0.0)
+        """r(F): worst ratio over the distinct signatures in use, skipping
+        arity 0 (an isolated vertex, whose ratio is 0 in F0)."""
+        return max((s.ratio_r() for s in self._distinct() if s.arity), default=0.0)
 
     def r1(self) -> float:
         return max(1.0, self.ratio_r_class())
@@ -258,7 +266,10 @@ def _sig_from_spec(spec, arity: int) -> Signature:
         raise ParseError(f"signature spec must be an object, got {spec!r}")
     if "builtin" in spec:
         weight = _complex_from_json(spec["weight"]) if "weight" in spec else None
-        return builtin_signature(spec["builtin"], arity, weight)
+        try:
+            return builtin_signature(spec["builtin"], arity, weight)
+        except ValueError as exc:
+            raise ParseError(str(exc)) from exc
     if "table" in spec:
         t = spec["table"]
         try:

@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from holant import (
+    FAMILIES,
     MultiGraph,
     brute_holant,
     brute_weighted_count,
@@ -32,6 +33,7 @@ from holant.oracle import (
     weight_map,
 )
 from holant.polymers import holant_prefactor
+from holant.bounds import PARAM_TYPES
 from holant.cli import build_parser, main, parse_complex, parse_z
 from holant import errors
 from holant.errors import InvalidFugacity, ParseError
@@ -425,6 +427,20 @@ def test_sample_f0_zero_names_the_vertex(capsys, tmp_path, files):
     assert "vertex 1: signature 'table' has f(0,...,0) = 0" in capsys.readouterr().err
 
 
+def test_every_command_names_the_first_vertex_off_f0(capsys, tmp_path):
+    # vertices 1 and 3 lie off F0, and edge order meets 3 first; every
+    # command names vertex 1, the first in vertex order
+    graph, sig = tmp_path / "g.txt", tmp_path / "two.json"
+    graph.write_text("4 2\n0 3\n1 2\n")
+    bad = {"table": {"kappa": 1, "arity": 1, "values": [0, 1]}}
+    sig.write_text(json.dumps({"assignment": {"1": bad, "3": bad},
+                               "default": {"builtin": "matching"}}))
+    for cmd in ("approx", "sample", "count-mcmc", "verify-kp"):
+        eps = [] if cmd == "verify-kp" else ["--eps", "0.1"]
+        _fails(capsys, [cmd, "--graph", str(graph), "--sig", str(sig), "--z", "1,0.001", *eps],
+               3, "error: vertex 1: signature 'table' has f(0,...,0) = 0")
+
+
 def test_count_mcmc(capsys, files):
     argv = ["count-mcmc", "--graph", files["k2"], "--sig", "matching",
             "--z", "1,0.001", "--eps", "0.5", "--seed", "11"]
@@ -532,6 +548,21 @@ def test_bounds_single_family(capsys):
         "bounds", "--family", "linsys", "--r", "2", "--c", "1", "--kappa", "1",
     ])
     assert rel_close(rep["result"]["linsys"]["bound"], 0.09423206108755368)
+
+
+def test_bounds_flags_come_from_the_parameter_table(capsys):
+    # one flag per PARAM_TYPES entry; with all six given, every family answers
+    assert main(["bounds", "--help"]) == 0
+    help_text = capsys.readouterr().out
+    for name in PARAM_TYPES:
+        assert f"--{name} {name.upper()}" in help_text
+    given = {"delta": 3, "kappa": 2, "r1": 1.5, "r": 3, "c": 2, "k": 3}
+    rep = run_json(capsys, ["bounds"] + [a for k, v in given.items() for a in (f"--{k}", str(v))])
+    assert rep["inputs"] == given
+    assert sorted(rep["result"]) == sorted(FAMILIES) and len(FAMILIES) == 9
+    assert not any("skipped" in row for row in rep["result"].values())
+    assert rel_close(rep["result"]["boolean"]["bound"],
+                     region_bounds("holant-poly", delta=3, kappa=1, r1=1.5).bound)
 
 
 def test_bounds_errors(capsys):
@@ -877,6 +908,22 @@ def test_malformed_signature_file_exits_1(capsys, files, tmp_path):
         path.write_text(json.dumps({"default": {"table": table}}))
         _fails(capsys, ["approx", "--graph", files["c3"], "--sig", str(path),
                         "--z", "1,0.01", "--eps", "0.1"], 1, f"table {field} must be")
+
+
+def test_bad_signature_specs_exit_1_with_their_message(capsys, files, tmp_path):
+    docs = [
+        ({"default": {"table": {"kappa": 1, "arity": 2, "values": [1, 0, 0]}}},
+         "table has 3 entries, expected 4"),
+        ({"assignment": {"0": {"table": {"kappa": 2, "arity": 2, "values": [1] * 9}}},
+          "default": {"builtin": "matching"}}, "mixed domain sizes [1, 2]"),
+        ({"default": {"builtin": "nope"}}, "unknown builtin signature 'nope'"),
+        ({"default": {"builtin": "even-parity"}}, "even-parity requires a weight parameter"),
+    ]
+    path = tmp_path / "sig.json"
+    for doc, phrase in docs:
+        path.write_text(json.dumps(doc))
+        _fails(capsys, ["approx", "--graph", files["c3"], "--sig", str(path),
+                        "--z", "1,0.01", "--eps", "0.1"], 1, f"error: {phrase}")
 
 
 def test_verify_kp_non_finite_alpha_exits_1(capsys, files):

@@ -363,6 +363,10 @@ def test_truncation_remainder_values():
         truncation_remainder(5, 3, 1.0)
     with pytest.raises(RegionViolation):
         truncation_remainder(5, 3, math.nan)
+    with pytest.raises(ValueError, match="degree must be >= 1"):
+        truncation_remainder(0, 3, 0.5)
+    with pytest.raises(ValueError, match="m must be >= 0"):
+        truncation_remainder(5, -1, 0.5)
 
 
 ORDER_DEGREES = (1, 2, 3, 10, 100, 1000, 10**4)

@@ -66,6 +66,14 @@ def test_loops_and_duplicates_rejected_in_constructor():
         MultiGraph(3, [(0, 1), (1, 0)])
 
 
+def test_repr_and_equal_graphs_hash_alike():
+    G = c3()
+    assert repr(G) == "MultiGraph(3, [(0, 1), (0, 2), (1, 2)])"
+    H = MultiGraph(3, [(1, 2), (0, 1), (2, 0)])
+    assert H == G and H is not G and hash(H) == hash(G) and len({G, H}) == 1
+    assert G != MultiGraph(4, G.edges) and G != G.edges
+
+
 def test_incident_lists_sorted_and_degrees():
     G = MultiGraph.from_text("4 4\n3 0\n0 1\n2 1\n2 3\n")
     for v in range(4):

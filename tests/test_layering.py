@@ -7,8 +7,9 @@ and the command line uses only `brute_holant`, for its `oracle` subcommand.
 Every production definition is reached from the command line or the API.
 Every module of the package imports only the standard library and itself, and
 one function each holds the fugacity rule, the eps rule and the check of a
-reference matching. No production walk calls itself, and a linear system
-reads its matrix once.
+reference matching. No production walk calls itself, a linear system
+reads its matrix once, and one table holds the zero-free radii. One method
+each checks F0 and the graph an assignment was built for.
 """
 
 import ast
@@ -345,6 +346,34 @@ def test_a_linear_system_reads_its_matrix_once():
     assert len(builds) == 1 and builds[0] in ast.walk(post_init)
     assert issubclass(linsys.VectorPolymer, tuple)
     assert linsys.VectorPolymer._fields == ("values", "rmask")
+
+
+def test_one_table_of_radii():
+    # each bound family is one RADII entry: region_bounds compares no family
+    # name, and the bounds command's flags come from PARAM_TYPES
+    assert not hasattr(bounds, "FAMILY_PARAMS")
+    assert bounds.FAMILIES == tuple(bounds.RADII)
+    tree = ast.parse(Path(bounds.__file__).read_text())
+    region = next(top for top in tree.body if getattr(top, "name", None) == "region_bounds")
+    compared = [ast.unparse(node) for node in ast.walk(region) if isinstance(node, ast.Compare)
+                and any(isinstance(side, ast.Constant) and side.value in bounds.FAMILIES
+                        for side in [node.left, *node.comparators])]
+    assert compared == []
+    assert "AssertionError" not in _names([tree])
+    assert 'add_argument("--delta"' not in Path(cli.__file__).read_text()
+
+
+def test_one_f0_rule_and_one_graph_check():
+    # the walk and the KP tail read F0 and r(F) from the assignment
+    raisers = _raisers("has f(0,...,0) = 0")
+    assert [r for r in raisers if r[0] != "oracle.py"] == [
+        ("signatures.py", "check_f0"),
+        ("signatures.py", "ratio_r"),
+    ]
+    assert _raisers("bound to another graph") == [("signatures.py", "check_graph")]
+    tail = next(top for top in ast.parse(Path(bounds.__file__).read_text()).body
+                if getattr(top, "name", None) == "_kp_tail")
+    assert "ratio_r" not in _names([tail])
 
 
 def test_modules_import_only_the_standard_library():

@@ -777,6 +777,18 @@ def test_draw_without_a_candidate_within_the_budget_is_none():
     assert rng.getstate() == before
 
 
+def test_draw_at_the_largest_first_uniform_is_none():
+    # u = k0 = e^{-rho} (1 + 1e-9) gives the size budget k = 0, so the draw
+    # ends before its second uniform
+    G = k2()
+    chain = PolymerChain(G, uniform_assignment(G, "matching"), (1.0, 1e-3))
+    assert int(-math.log(chain._k0) / chain.rho) == 0
+    rng = random.Random(0)
+    before = rng.getstate()
+    assert chain._draw(0, chain._k0, rng) is None
+    assert rng.getstate() == before
+
+
 def test_median_is_statistics_median():
     rng = random.Random(MASTER_SEED + 24)
     for count in range(1, 7):

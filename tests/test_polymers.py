@@ -11,9 +11,13 @@ from holant import (
     NotInF0,
     Signature,
     SignatureAssignment,
+    approx_polynomial_report,
     brute_holant,
+    fpras_estimate,
     make_signature,
+    sample_assignments,
     uniform_assignment,
+    verify_kp,
 )
 from holant.graph import mask_vertices
 from holant.mcmc import PolymerChain
@@ -210,6 +214,40 @@ def test_relabel_ground_preserves_holant():
         after = brute_holant(G, a2, z2).value
         assert rel_close(after, before)
         assert z2[0] == z[kappa]
+
+
+def test_relabel_ground_refuses_a_bad_colour_or_z():
+    a = uniform_assignment(c3(), "matching")
+    for colour in (-1, 2):
+        with pytest.raises(ValueError, match=f"colour {colour} outside domain 0..1"):
+            relabel_ground(a, (1, 0.5), colour)
+    with pytest.raises(InvalidFugacity, match="need 2 fugacities, got 3"):
+        relabel_ground(a, (1, 0.5, 0.5), 1)
+
+
+def test_an_assignment_for_another_graph_is_refused():
+    # P4's ends have degree 1 where C4's matching tables have arity 2, and
+    # C3's assignment has a signature too few for C4; the walk and the
+    # prefactor refuse both, so approx, verify_kp and the chain do too
+    p4 = MultiGraph(4, [(0, 1), (1, 2), (2, 3)])
+    c4 = MultiGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    z = (1.0, 1e-4)
+    for G, H in ((p4, c4), (c4, c3())):
+        a = uniform_assignment(H, "matching")
+        for run in (lambda: live_polymers(G, a, z, 2), lambda: holant_prefactor(G, a, z),
+                    lambda: approx_polynomial_report(G, a, z, 0.1),
+                    lambda: verify_kp(G, a, z),
+                    lambda: sample_assignments(G, a, z, 0.1, seed=1),
+                    lambda: fpras_estimate(G, a, z, 0.3, seed=1, reps=1)):
+            with pytest.raises(ValueError, match="bound to another graph"):
+                run()
+    # an equal graph built apart answers as the one the assignment holds
+    a = uniform_assignment(c4, "matching")
+    same = MultiGraph.from_text(c4.to_text())
+    assert same is not a.G
+    assert approx_polynomial_report(same, a, z, 0.1).value == \
+        approx_polynomial_report(c4, a, z, 0.1).value
+    assert verify_kp(same, a, z) == verify_kp(c4, a, z)
 
 
 def test_compact_domain_drops_zero_fugacities():

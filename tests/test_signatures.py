@@ -118,6 +118,25 @@ def test_ratio_r_scale_invariant(c, seed):
     assert g.ratio_r() == pytest.approx(f.ratio_r(), rel=1e-9)
 
 
+def test_index_rejects_a_bad_argument_tuple():
+    f = matching_signature(2)
+    with pytest.raises(ValueError, match="argument tuple has length 1, arity is 2"):
+        f.index((0,))
+    with pytest.raises(ValueError, match=r"argument value 2 outside domain 0\.\.1"):
+        f.index((0, 2))
+
+
+def test_class_ratio_skips_isolated_vertices():
+    # an arity-0 table has ratio 0 in F0, so r(F) skips it, also off F0
+    G = MultiGraph(3, [(0, 1)])
+    big = make_signature([1, 3], 1, 1)
+    for lone in (make_signature([2], 0, 1), make_signature([0], 0, 1)):
+        a = SignatureAssignment(G, [big, big, lone])
+        assert a.ratio_r_class() == 3.0 and a.r1() == 3.0
+    edgeless = MultiGraph(1, [])
+    assert SignatureAssignment(edgeless, [make_signature([0], 0, 1)]).r1() == 1.0
+
+
 def test_class_ratio_and_r1():
     G = p3()
     a = uniform_assignment(G, "matching")
@@ -177,6 +196,27 @@ def test_f0_check():
         a.check_f0()
     with pytest.raises(NotInF0):
         a.f0_product()
+
+
+def test_check_f0_names_the_first_offender_among_the_given_vertices():
+    G = MultiGraph(4, [(0, 3), (1, 2)])
+    bad = make_signature([0, 1], 1, 1)
+    a = SignatureAssignment(G, [matching_signature(1), bad, matching_signature(1), bad])
+    with pytest.raises(NotInF0, match="^vertex 1: "):
+        a.check_f0()
+    with pytest.raises(NotInF0, match="^vertex 3: "):
+        a.check_f0([0, 3, 1])
+    a.check_f0([0, 2])
+
+
+def test_check_graph_refuses_another_graph():
+    G = c3()
+    a = uniform_assignment(G, "matching")
+    a.check_graph(G)
+    a.check_graph(MultiGraph.from_text(G.to_text()))  # equal, not the same object
+    for H in (p3(), MultiGraph(4, G.edges)):
+        with pytest.raises(ValueError, match="bound to another graph"):
+            a.check_graph(H)
 
 
 def test_vertex_value_uses_canonical_edge_positions():
@@ -251,6 +291,8 @@ def test_json_errors():
         {"default": {"table": {"kappa": 1, "arity": 2, "values": 5}}},
         {"assignment": [1, 2], "default": {"builtin": "matching"}},
         {"signatures": ["a"], "default": "a"},
+        {"default": {"builtin": "nope"}},  # no such builtin
+        {"default": {"builtin": "even-parity"}},  # no weight
     ]
     for doc in bad_docs:
         with pytest.raises(ParseError):
