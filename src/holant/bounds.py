@@ -14,9 +14,10 @@ per-vertex sums over its live polymers of at most `KP_ORDER` edges plus an
 analytic bound on the larger ones, so its cost grows with |V|, not with the
 number of connected edge sets. It and the chain's direct checks
 (`mcmc.check_chain_conditions`) fold their sums from the one weighing walk,
-`polymers.walk_live`, which refuses an assignment built for another graph
-and names the first vertex with edges whose signature is off F0; isolated
-vertices are exempt, and r(F) skips them too.
+`polymers.walk_live`. verify_kp first refuses an assignment built for
+another graph and names the first vertex whose signature is off F0, an
+isolated vertex included, as approx and the chain commands do; r(F) skips
+isolated vertices.
 """
 
 from __future__ import annotations
@@ -141,11 +142,22 @@ RADII = {
 FAMILIES = tuple(RADII)
 
 
+def _read_param(name: str, value):
+    """value converted by PARAM_TYPES[name]. An int parameter refuses a bool
+    and a value that int() would truncate, such as delta = 2.5."""
+    kind = PARAM_TYPES[name]
+    if kind is int and (isinstance(value, bool) or not isinstance(value, int)
+                        and not float(value).is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return kind(value)
+
+
 def region_bounds(family: str, **params) -> RegionReport:
     """Closed-form region radius for a bound family.
 
     The parameters each family needs are RADII[family][0]; a missing one
-    raises ValueError. Each is converted once by PARAM_TYPES; the report
+    raises ValueError, and so does an int parameter that is a bool or not
+    a whole number. Each is converted once by PARAM_TYPES; the report
     lists the parameters as given, but the fugacity families' kappa as read.
     """
     if family not in FAMILIES:
@@ -154,7 +166,7 @@ def region_bounds(family: str, **params) -> RegionReport:
     missing = [k for k in names if params.get(k) is None]
     if missing:
         raise ValueError(f"family {family!r} needs {', '.join(missing)}")
-    args = {k: PARAM_TYPES[k](params[k]) for k in names}
+    args = {k: _read_param(k, params[k]) for k in names}
     values, bound = radius(**args)
     if getattr(radius, "func", radius) is _fugacity:  # boolean reads kappa = 1
         params["kappa"] = dict(args, **getattr(radius, "keywords", {}))["kappa"]
@@ -252,6 +264,8 @@ def verify_kp(G: MultiGraph, assign: SignatureAssignment, z,
         raise ValueError("size must be 'edges' or 'vertices'")
     if not 0 < alpha < math.inf:
         raise ValueError("alpha must be positive and finite")
+    assign.check_graph(G)
+    assign.check_f0()  # every vertex, isolated ones too, as approx and the chain do
     order = min(G.edge_count, KP_ORDER)
     load = [0.0] * G.vertex_count
     count = 0

@@ -20,6 +20,7 @@ import functools
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import __version__
@@ -115,19 +116,42 @@ def _c(v: complex):
     return [v.real, v.imag]
 
 
-def _json_safe(value):
-    """value with each non-finite float (an infinite q, or the worst margin of
-    an empty pool) as None, which JSON can hold. A list or tuple of ints only
-    (such as a sampled assignment) is returned as it is."""
-    if isinstance(value, dict):
-        return {k: _json_safe(v) for k, v in value.items()}
+def _json_text(value, indent: str = "\n") -> str:
+    """value as `json.dumps(value, indent=2, sort_keys=True)` prints it, but
+    with each non-finite float (an infinite q, or the worst margin of an
+    empty pool) as null, which JSON can hold; indent is the newline and
+    indentation of value's own level. A list or tuple of ints only (such as
+    a sampled assignment) is one str.join. CPython's json runs its
+    pure-Python encoder whenever indent is set; this writer prints the same
+    bytes in a fraction of its time."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return float.__repr__(value) if math.isfinite(value) else "null"
+    inner = indent + "  "
     if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
         if set(map(type, value)) <= {int}:
-            return value
-        return [_json_safe(v) for v in value]
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
+            items = map(str, value)
+        else:
+            items = [_json_text(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [encode_basestring_ascii(k if isinstance(k, str) else json.dumps(k))
+                 + ": " + _json_text(v, inner) for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _emit(args, report: dict) -> None:
@@ -136,7 +160,7 @@ def _emit(args, report: dict) -> None:
     as_json = getattr(args, "format", "text") == "json"
     out = getattr(args, "out", None)
     if as_json or out:
-        text = json.dumps(_json_safe(report), indent=2, sort_keys=True, allow_nan=False)
+        text = _json_text(report)
     if out:
         Path(out).write_text(text + "\n")
     if as_json:

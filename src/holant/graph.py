@@ -257,7 +257,14 @@ def _once(e, banned):
     return (e,)
 
 
-def grow_edge_sets(G, seeds, max_edges: int, visit, extend=_once):
+def touch_masks(G) -> list:
+    """Per edge id of G, the mask of the edges that share a vertex with it,
+    itself included: the masks `grow_edge_sets` extends a set's frontier by."""
+    inc = G.incident_masks()
+    return [reduce(or_, [inc[v] for v in vs], 0) for vs in G.edges]
+
+
+def grow_edge_sets(G, seeds, max_edges: int, visit, extend=_once, touch=None):
     """Call visit(stack) once for every connected edge set with at most
     max_edges edges that contains at least one seed.
 
@@ -287,12 +294,14 @@ def grow_edge_sets(G, seeds, max_edges: int, visit, extend=_once):
     Every visited set charges its size, and visit may return further work
     units of its own to charge (None for none); the walk raises GateExceeded
     once the total passes `errors.WORK_GATE`.
+
+    touch is `touch_masks(G)`, built here when not given: a caller that
+    walks one graph from many seeds in turn builds it once.
     """
     if max_edges < 1:
         return
-    inc = G.incident_masks()
-    # touch[e]: mask of the edges that share a vertex with e, e included
-    touch = [reduce(or_, [inc[v] for v in vs], 0) for vs in G.edges]
+    if touch is None:
+        touch = touch_masks(G)
     bound = errors.WORK_GATE
     spent = 0
     stack = []

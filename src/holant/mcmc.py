@@ -21,6 +21,8 @@ where tau certifies Phi(gamma) <= e^{-tau |E(gamma)|}. `run` draws the first
 uniform as k0 (1 - random()) >= k0 2^-53 (k0 just above e^-rho; random() has
 53 bits), so k never exceeds reach = floor(-ln(k0 2^-53) / rho), and the chain
 lists only the live polymers up to reach edges: no larger one is ever drawn.
+It lists those at an edge only when a draw there first needs them, and only
+up to the draw's budget (`PolymerChain`).
 
 `PolymerChain.run` is the one stepping loop. It simulates the chain
 rejection-free (the "n-fold way" of Bortz, Kalos and Lebowitz): a step is
@@ -54,9 +56,9 @@ from .expansion import _require_eps
 from .graph import MultiGraph, mask_vertices
 from .polymers import (
     ColouredPolymer,
+    LiveWalk,
     family_to_assignment,
     holant_prefactor,
-    live_polymers,
     walk_live,
 )
 from .signatures import SignatureAssignment, check_fugacities
@@ -191,11 +193,23 @@ def certify_chain(G: MultiGraph, assign: SignatureAssignment, z) -> str:
 
 
 class PolymerChain:
-    """Bound instance: chain parameters plus per-edge mu0 candidate lists.
+    """Bound instance: chain parameters plus per-edge mu0 candidate lists,
+    each listed when a draw first needs it.
 
     tau is tau_floor(kappa, Delta), and the mixing condition fixes xi at
     DEFAULT_XI = 0.75. The chain certifies nothing: the commands certify the
     instance with `certify_chain` before they build it (`_chain_map`).
+
+    A draw at e0 with size budget k needs the live polymers through e0 with
+    at most k edges, in `ColouredPolymer.sort_key` order, so ascending by
+    size. The chain keeps, per edge, the list walked so far and the size it
+    is complete to (`_listed`); a budget past it walks from e0 to
+    min(k, `_reach`) (`polymers.LiveWalk.walk`) and sorts. Each list is thus
+    a prefix of the list to `_reach`, whose weights are those of one walk from
+    every edge, and its cumulative sums are the same additions in the same
+    order: every draw is the one an eager build gives. `set_scale` only marks
+    the sums stale; `_ready[e]` is the budget up to which edge e's list and
+    sums serve a draw as they stand. `_base` lists every edge to `_reach`.
     """
 
     def __init__(self, G: MultiGraph, assign: SignatureAssignment, z):
@@ -214,34 +228,67 @@ class PolymerChain:
         for c in range(n + 1) if n else ():
             move_p = c / (2 * n) + (1.0 - c / n) * self._k0
             self._rates.append((c / (2 * n), move_p, math.log1p(-move_p)))
-        # per-edge candidate polymers up to _reach edges, the largest size
-        # budget a draw of `run` can give (module docstring), weights at scale 1,
-        # in sort_key order (so ascending by size), all from one live-pool walk;
-        # the weights of a non-negative instance's live polymers are positive
+        # the largest size budget a draw of `run` can give (module docstring)
         self._reach = int(-math.log(self._k0 * 2.0**-53) / self.rho)
-        self._base: list = [[] for _ in range(n)]
-        for p, w in live_polymers(G, assign, self.z, min(n, self._reach)):
-            for e in p.edges:
-                self._base[e].append((p, w.real))
-        # the scale-free parts of the mu0 acceptance masses w x^{|E|} e^{rho |E|}
-        self._sizes = [[p.size for p, _ in entries] for entries in self._base]
-        self._tilted = [[w * math.exp(self.rho * p.size) for p, w in entries]
-                        for entries in self._base]
+        self._walk = LiveWalk(G, assign, self.z)
+        # per edge: candidates with weights at scale 1, their sizes, the
+        # scale-free parts of the mu0 acceptance masses w x^{|E|} e^{rho |E|},
+        # the sums at the current scale; the weights of a non-negative
+        # instance's live polymers are positive
+        self._entries: list = [()] * n
+        self._sizes: list = [()] * n
+        self._tilted: list = [()] * n
+        self._cum: list = [()] * n
+        self._listed = [0] * n
         self.set_scale(1.0)
+
+    @property
+    def _base(self) -> list:
+        """Per edge, its candidates up to `_reach` edges with their weights, as
+        an eager build lists them; reading it lists and sums every edge, so
+        `_sizes` and `_cum` then hold every edge's full rows too (criterion 10
+        and the reference step law read them)."""
+        for e in range(self.G.edge_count):
+            if self._ready[e] < self._reach:
+                self._prepare(e, self._reach)
+        return self._entries
 
     def set_scale(self, x: float):
         """Scale every weight by x^{|E(gamma)|} (annealing parameter)."""
         if not 0.0 <= x <= 1.0:
             raise ValueError("scale must be in [0, 1]")
-        power = [x**s for s in range(self._reach + 1)]
-        self._cum = []
-        for tilted, sizes in zip(self._tilted, self._sizes):
-            cum = []
-            acc = 0.0
-            for t, s in zip(tilted, sizes):
-                acc += t * power[s]
-                cum.append(acc)
-            self._cum.append(cum)
+        self._power = [x**s for s in range(self._reach + 1)]
+        self._ready = [0] * self.G.edge_count
+
+    def _prepare(self, e0: int, k: int):
+        """Make edge e0 serve a draw of size budget k: list its candidates to
+        min(k, _reach) edges if they stop short of that, and sum them at the
+        current scale."""
+        if k > self._listed[e0] < self._reach:
+            self._list(e0, min(k, self._reach))
+        power = self._power
+        cum = []
+        acc = 0.0
+        for t, s in zip(self._tilted[e0], self._sizes[e0]):
+            acc += t * power[s]
+            cum.append(acc)
+        self._cum[e0] = cum
+        self._ready[e0] = self._listed[e0]
+
+    def _list(self, e0: int, limit: int):
+        """List the live polymers through e0 with at most limit edges, from
+        one walk seeded at e0, in sort_key order."""
+        found = []
+
+        def keep(edges, cols, vmask, _, w):
+            found.append((ColouredPolymer(edges, cols, vmask), w.real))
+
+        self._walk.walk((e0,), limit, keep)
+        found.sort(key=lambda pw: pw[0].sort_key())
+        self._entries[e0] = found
+        self._sizes[e0] = [p.size for p, _ in found]
+        self._tilted[e0] = [w * math.exp(self.rho * p.size) for p, w in found]
+        self._listed[e0] = limit
 
     def mu0(self, e0: int, rng: random.Random):
         """One draw from the single-polymer distribution at edge e0 (or None)."""
@@ -255,6 +302,8 @@ class PolymerChain:
         k = int(-math.log(u) / self.rho)  # P(k >= i) = e^{-rho i}
         if k == 0:
             return None
+        if k > self._ready[e0]:
+            self._prepare(e0, k)
         cum, sizes = self._cum[e0], self._sizes[e0]
         hi = bisect_right(sizes, k)  # polymers with size <= k (sizes ascend)
         if hi == 0:
@@ -268,7 +317,7 @@ class PolymerChain:
         u2 = rng.random()
         if u2 >= total:
             return None
-        return self._base[e0][bisect_right(cum, u2)][0]
+        return self._entries[e0][bisect_right(cum, u2)][0]
 
     def fresh_state(self) -> ChainState:
         return ChainState(self.G)
@@ -286,7 +335,9 @@ class PolymerChain:
         there changes no law). A removal draws its covered edge by rejection
         among all edges, |E|/c draws on average, and removals come at rate
         c/(2|E|) per step; an insertion attempt draws its uncovered edge the
-        same way. So the expected work per simulated step stays O(1).
+        same way. So the expected work per simulated step stays O(1). The
+        covered count, the occupied mask and the move counts live in locals
+        and are written back to state once, when the call ends or raises.
         """
         n = self.G.edge_count
         if steps <= 0:
@@ -301,44 +352,51 @@ class PolymerChain:
         k0 = self._k0
         draw = self._draw
         rates = self._rates
-        moves = state.moves
+        c, occupied = state.total_edges, state.occupied
+        visited = inserted = removed = 0
         readings = []
         done = 0  # steps simulated so far
-        while True:
-            c = state.total_edges
-            remove_p, move_p, log_stay = rates[c]
-            t = done + 1 + int(log(1.0 - uniform()) / log_stay)  # the next non-null step
-            if t > steps:
+        try:
+            while True:
+                remove_p, move_p, log_stay = rates[c]
+                t = done + 1 + int(log(1.0 - uniform()) / log_stay)  # the next non-null step
+                if t > steps:
+                    if stride:
+                        readings += [c] * (steps // stride - done // stride)
+                    break
                 if stride:
-                    readings += [c] * (steps // stride - done // stride)
-                break
-            if stride:
-                readings += [c] * ((t - 1) // stride - done // stride)
-            moves["visited"] += 1
-            if uniform() * move_p < remove_p:
-                e0 = getrandbits(bits)
-                while e0 >= n or edge_owner[e0] is None:
+                    readings += [c] * ((t - 1) // stride - done // stride)
+                visited += 1
+                if uniform() * move_p < remove_p:
                     e0 = getrandbits(bits)
-                owner = edge_owner[e0]
-                state.occupied ^= owner.vmask
-                state.total_edges -= owner.size
-                for e in owner.edges:
-                    edge_owner[e] = None
-                moves["removed"] += 1
-            else:
-                e0 = getrandbits(bits)
-                while e0 >= n or edge_owner[e0] is not None:
+                    while e0 >= n or edge_owner[e0] is None:
+                        e0 = getrandbits(bits)
+                    owner = edge_owner[e0]
+                    occupied ^= owner.vmask
+                    c -= owner.size
+                    for e in owner.edges:
+                        edge_owner[e] = None
+                    removed += 1
+                else:
                     e0 = getrandbits(bits)
-                p = draw(e0, k0 * (1.0 - uniform()), rng)  # first mu0 uniform on (0, k0]
-                if p is not None and not p.vmask & state.occupied and uniform() < 0.5:
-                    state.occupied |= p.vmask
-                    state.total_edges += p.size
-                    for e in p.edges:
-                        edge_owner[e] = p
-                    moves["inserted"] += 1
-            if stride and not t % stride:
-                readings.append(state.total_edges)
-            done = t
+                    while e0 >= n or edge_owner[e0] is not None:
+                        e0 = getrandbits(bits)
+                    p = draw(e0, k0 * (1.0 - uniform()), rng)  # first mu0 uniform on (0, k0]
+                    if p is not None and not p.vmask & occupied and uniform() < 0.5:
+                        occupied |= p.vmask
+                        c += p.size
+                        for e in p.edges:
+                            edge_owner[e] = p
+                        inserted += 1
+                if stride and not t % stride:
+                    readings.append(c)
+                done = t
+        finally:
+            state.total_edges, state.occupied = c, occupied
+            moves = state.moves
+            moves["visited"] += visited
+            moves["inserted"] += inserted
+            moves["removed"] += removed
         return readings
 
 

@@ -14,7 +14,7 @@ With z_0 != 0 and every signature in F0 (f(0,...,0) != 0),
 where Z sums prod Phi over compatible families (empty family contributes 1)
 and Phi(gamma) = prod_i (z_i/z_0)^{#edges coloured i} * prod_{v in V(gamma)}
 f_v(...) / f_v(0), each vertex reading its signature with the edges outside
-gamma at colour 0 (`walk_live` below; `holant.oracle.polymer_weight` is the
+gamma at colour 0 (`LiveWalk` below; `holant.oracle.polymer_weight` is the
 polymer-by-polymer reference; tables are read only through `Signature`).
 """
 
@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import InvalidFugacity
-from .graph import MultiGraph, grow_edge_sets, mask_vertices
+from .graph import MultiGraph, grow_edge_sets, mask_vertices, touch_masks
 from .signatures import SignatureAssignment, check_fugacities
 
 
@@ -40,82 +40,119 @@ class ColouredPolymer(namedtuple("ColouredPolymer", "edges colours vmask")):
         return (len(self.edges), self.edges, self.colours)
 
 
-def walk_live(G: MultiGraph, assign: SignatureAssignment, z, max_edges: int, keep):
-    """Call keep(edges, colours, vmask, vertices, w) once for each polymer of
-    nonzero weight w with |E(gamma)| <= max_edges, in walk order: edges
-    ascending, colours alongside, vertices the ascending ids of vmask. This
-    is the package's one weighing pass; `live_polymers` and the certificates
-    (`mcmc.check_chain_conditions`, `bounds.verify_kp`) fold from it.
+class LiveWalk:
+    """The package's one weighing pass, in two parts: the per-instance tables,
+    built once here, and `walk`, a walk over given seeds that reads them.
+    `walk_live`, `live_polymers` and the certificates
+    (`mcmc.check_chain_conditions`, `bounds.verify_kp`) walk from every edge;
+    `mcmc.PolymerChain` walks from one edge at a time, when a draw first
+    needs its candidates.
 
-    Each w is bitwise equal to `oracle.polymer_weight` (for finite tables).
-    Raises ValueError for an assignment built for another graph
+    Building raises ValueError for an assignment built for another graph
     (`SignatureAssignment.check_graph`), InvalidFugacity for a z that
     `check_fugacities` rejects, and NotInF0 naming the first vertex with
     edges whose signature is off F0 (`SignatureAssignment.check_f0`).
 
-    One walk (`graph.grow_edge_sets`) grows each connected support and its
-    colouring together, keeping the signature index of every touched vertex
-    as edges come and go. A colour of zero fugacity is never tried, and a
-    branch is cut as soon as a touched vertex's index has no nonzero
-    extension (`Signature.extensions`): every polymer grown from there only
-    extends that index further, so it weighs zero. Only live polymers and
-    the branches leading to them are visited, and the walk raises
-    GateExceeded once their sizes add up past `errors.WORK_GATE`. Each
-    signature caches the tables read here (`Signature.digit_weights`,
-    `quotients`, `extensions`), so every walk shares them.
+    The tables: a polymer weighs 1 times ratio[c] for each edge colour in
+    edge order, then f_x(idx_x) / f_x(0) for each vertex x in ascending
+    order, the factors of `oracle.polymer_weight` in its order, so the
+    weights agree bit for bit; ends[e] = [u, ru, v, rv], each end x of e with
+    the digit weight of e's rank in G.incident(x), as `oracle.vertex_value`
+    reads it; bits[e], the vertex mask of e; touch[e], the edge mask that
+    `graph.grow_edge_sets` extends by once e joins a set. Each signature
+    caches the tables read here (`Signature.digit_weights`, `quotients`,
+    `extensions`), so every instance shares them.
     """
-    assign.check_graph(G)
-    kappa = assign.kappa
-    if kappa < 1:
-        raise ValueError("kappa must be >= 1")
-    z = check_fugacities(z, kappa)
-    if max_edges < 1 or G.edge_count == 0:
-        return
-    assign.check_f0(x for x in range(G.vertex_count) if G.degree(x))
-    # a polymer weighs 1 times ratio[c] for each edge colour in edge order,
-    # then f_x(idx_x) / f_x(0) for each vertex x in ascending order: the
-    # factors of `oracle.polymer_weight` in its order, so the weights agree
-    # bit for bit; ends[e] = [u, ru, v, rv], each end x of e with the digit
-    # weight of e's rank in G.incident(x), as `oracle.vertex_value` reads it
-    ratio = [z[c] / z[0] for c in range(kappa + 1)]
-    ends = [[] for _ in G.edges]
-    for x, s in enumerate(assign.sigs):  # u < v, so u's pair comes first
-        for e, r in zip(G.incident(x), s.digit_weights):
-            ends[e] += (x, r)
-    colours = [c for c in range(1, kappa + 1) if z[c] != 0]
-    ext = [s.extensions for s in assign.sigs]
-    quot = [s.quotients for s in assign.sigs]  # None off F0: edgeless vertices here
-    bits = G.edge_masks()
-    idx = [0] * G.vertex_count
-    colour = [0] * G.edge_count
 
-    def extend(e, banned):
-        u, ru, v, rv = ends[e]
-        iu, iv = idx[u], idx[v]
-        ext_u, ext_v = ext[u], ext[v]
-        for c in colours:
-            ju, jv = iu + c * ru, iv + c * rv
-            if ext_u[ju] and ext_v[jv]:
-                idx[u], idx[v], colour[e] = ju, jv, c
-                yield c
-        idx[u], idx[v] = iu, iv
+    def __init__(self, G: MultiGraph, assign: SignatureAssignment, z):
+        assign.check_graph(G)
+        kappa = assign.kappa
+        if kappa < 1:
+            raise ValueError("kappa must be >= 1")
+        z = check_fugacities(z, kappa)
+        self.G = G
+        if not G.edge_count:
+            return
+        assign.check_f0(x for x in range(G.vertex_count) if G.degree(x))
+        self.ratio = [z[c] / z[0] for c in range(kappa + 1)]
+        self.ends = ends = [[] for _ in G.edges]
+        for x, s in enumerate(assign.sigs):  # u < v, so u's pair comes first
+            for e, r in zip(G.incident(x), s.digit_weights):
+                ends[e] += (x, r)
+        self.colours = [c for c in range(1, kappa + 1) if z[c] != 0]
+        self.ext = [s.extensions for s in assign.sigs]
+        self.quot = [s.quotients for s in assign.sigs]  # None off F0: edgeless vertices here
+        self.bits = G.edge_masks()
+        self.touch = touch_masks(G)
+        # the walk's state: each vertex's signature index, zero between
+        # walks, and each edge's colour, read only while the edge is in a set
+        self.idx = [0] * G.vertex_count
+        self.colour = [0] * G.edge_count
 
-    def visit(stack):
-        edges = tuple(sorted(stack))
-        cols = tuple([colour[e] for e in edges])
-        w = 1 + 0j
-        for c in cols:
-            w *= ratio[c]
-        vmask = 0
-        for e in edges:
-            vmask |= bits[e]
-        vertices = mask_vertices(vmask)
-        for x in vertices:
-            w *= quot[x][idx[x]]
-        if w != 0:
-            keep(edges, cols, vmask, vertices, w)
+    def walk(self, seeds, max_edges: int, keep):
+        """Call keep(edges, colours, vmask, vertices, w) once for each polymer
+        of nonzero weight w with |E(gamma)| <= max_edges that holds a seed, in
+        walk order: edges ascending, colours alongside, vertices the
+        ascending ids of vmask. Each w is bitwise equal to
+        `oracle.polymer_weight` (for finite tables).
 
-    grow_edge_sets(G, range(G.edge_count), max_edges, visit, extend)
+        One walk (`graph.grow_edge_sets`) grows each connected support and
+        its colouring together, keeping the signature index of every touched
+        vertex as edges come and go. A colour of zero fugacity is never
+        tried, and a branch is cut as soon as a touched vertex's index has no
+        nonzero extension (`Signature.extensions`): every polymer grown from
+        there only extends that index further, so it weighs zero. Only live
+        polymers and the branches leading to them are visited, and the walk
+        raises GateExceeded once their sizes add up past `errors.WORK_GATE`.
+        """
+        G = self.G
+        if max_edges < 1 or G.edge_count == 0:
+            return
+        ratio, ends, colours, ext, quot, bits = (
+            self.ratio, self.ends, self.colours, self.ext, self.quot, self.bits)
+        # extend puts back every index it moves once its edge's branches are
+        # done, so idx is all zeros again when the walk ends; a walk that
+        # raises leaves it to be built anew
+        idx, colour = self.idx, self.colour
+        if idx is None:
+            idx = [0] * G.vertex_count
+        self.idx = None
+
+        def extend(e, banned):
+            u, ru, v, rv = ends[e]
+            iu, iv = idx[u], idx[v]
+            ext_u, ext_v = ext[u], ext[v]
+            for c in colours:
+                ju, jv = iu + c * ru, iv + c * rv
+                if ext_u[ju] and ext_v[jv]:
+                    idx[u], idx[v], colour[e] = ju, jv, c
+                    yield c
+            idx[u], idx[v] = iu, iv
+
+        def visit(stack):
+            edges = tuple(sorted(stack))
+            cols = tuple([colour[e] for e in edges])
+            w = 1 + 0j
+            for c in cols:
+                w *= ratio[c]
+            vmask = 0
+            for e in edges:
+                vmask |= bits[e]
+            vertices = mask_vertices(vmask)
+            for x in vertices:
+                w *= quot[x][idx[x]]
+            if w != 0:
+                keep(edges, cols, vmask, vertices, w)
+
+        grow_edge_sets(G, seeds, max_edges, visit, extend, self.touch)
+        self.idx = idx
+
+
+def walk_live(G: MultiGraph, assign: SignatureAssignment, z, max_edges: int, keep):
+    """`LiveWalk(G, assign, z).walk` from every edge: keep(edges, colours,
+    vmask, vertices, w) once for each polymer of nonzero weight w with
+    |E(gamma)| <= max_edges. Raises what building a `LiveWalk` raises."""
+    LiveWalk(G, assign, z).walk(range(G.edge_count), max_edges, keep)
 
 
 def live_polymers(G: MultiGraph, assign: SignatureAssignment, z, max_edges: int):

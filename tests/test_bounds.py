@@ -183,6 +183,21 @@ def test_optimal_at_least_simple():
             assert rep.values["optimal"] >= rep.values["simple"] - 1e-15
 
 
+def test_int_parameters_refuse_fractional_and_boolean_values():
+    # int() would read delta = 2.5 as the Delta = 2 radius and True as 1
+    for family, params, name in (("matching", {"delta": 2.5}, "delta"),
+                                 ("matching", {"delta": True}, "delta"),
+                                 ("holant-problem", {"delta": 3, "kappa": 1.5}, "kappa"),
+                                 ("linsys", {"r": 3, "c": False, "kappa": 1}, "c"),
+                                 ("hyper-pm", {"delta": 2, "k": math.inf}, "k"),
+                                 ("hyper-pm", {"delta": math.nan, "k": 3}, "delta")):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            region_bounds(family, **params)
+    # a whole float reads as its int; r1 stays a float parameter
+    assert region_bounds("matching", delta=3.0).bound == region_bounds("matching", delta=3).bound
+    assert region_bounds("holant-poly", delta=3, kappa=1, r1=2.5).params["r1"] == 2.5
+
+
 def test_report_renders_as_table():
     G = k2()
     reports = [
@@ -383,9 +398,9 @@ def test_direct_checks_charge_only_their_walk(monkeypatch):
 
     units, grow, gate = [], polymers_mod.grow_edge_sets, errors.WORK_GATE
 
-    def counting(G, seeds, max_edges, visit, extend):
+    def counting(G, seeds, max_edges, visit, extend, touch):
         return grow(G, seeds, max_edges, lambda stack: units.append(len(stack)) or visit(stack),
-                    extend)
+                    extend, touch)
 
     star = MultiGraph(5, [(0, v) for v in range(1, 5)])
     star_a = SignatureAssignment(star, [make_signature([1] + [0.1] * 1294 + [0], 4, 5)]

@@ -10,6 +10,7 @@ import contextlib
 import io
 import json
 import math
+import random
 import subprocess
 import sys
 import time
@@ -34,11 +35,12 @@ from holant.oracle import (
 )
 from holant.polymers import holant_prefactor
 from holant.bounds import PARAM_TYPES
+import holant.cli as cli
 from holant.cli import build_parser, main, parse_complex, parse_z
 from holant import errors
 from holant.errors import InvalidFugacity, ParseError
 
-from helpers import half_bound_z, rel_close
+from helpers import MASTER_SEED, half_bound_z, rel_close
 
 K2_TEXT = "2 1\n0 1\n"
 C3_TEXT = "3 3\n0 1\n1 2\n0 2\n"
@@ -81,6 +83,39 @@ def files(tmp_path):
         "kappa0": write("kappa0.json", KAPPA0_SIG),
         "tmp": str(tmp_path),
     }
+
+
+def _finite_or_none(value):
+    """value with each non-finite float as None, lists for tuples: what the
+    report writer must print as json.dumps would."""
+    if isinstance(value, dict):
+        return {k: _finite_or_none(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_none(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
+def _dumps(value):
+    return json.dumps(_finite_or_none(value), indent=2, sort_keys=True, allow_nan=False)
+
+
+@pytest.fixture(autouse=True)
+def written(monkeypatch):
+    """Every report the commands of a test write as JSON, each checked to
+    print as json.dumps prints it."""
+    reports, write = [], cli._json_text
+
+    def checked(value, indent="\n"):
+        text = write(value, indent)
+        if indent == "\n":  # a whole report, not a nested value
+            assert text == _dumps(value)
+            reports.append(value)
+        return text
+
+    monkeypatch.setattr(cli, "_json_text", checked)
+    return reports
 
 
 def run_json(capsys, argv):
@@ -441,6 +476,20 @@ def test_every_command_names_the_first_vertex_off_f0(capsys, tmp_path):
                3, "error: vertex 1: signature 'table' has f(0,...,0) = 0")
 
 
+def test_isolated_vertex_off_f0_exits_3_in_every_command(capsys, tmp_path):
+    # vertex 2 has no edges and an arity-0 table [0], so Z = 0: every
+    # command exits 3 naming it, verify-kp too
+    graph, sig = tmp_path / "g.txt", tmp_path / "lone.json"
+    graph.write_text("3 1\n0 1\n")
+    sig.write_text(json.dumps({
+        "assignment": {"2": {"table": {"kappa": 1, "arity": 0, "values": [0]}}},
+        "default": {"builtin": "matching"}}))
+    for cmd in ("approx", "count-mcmc", "sample", "verify-kp"):
+        eps = [] if cmd == "verify-kp" else ["--eps", "0.1"]
+        _fails(capsys, [cmd, "--graph", str(graph), "--sig", str(sig), "--z", "1,0.0001", *eps],
+               3, "error: vertex 2: signature 'table' has f(0,...,0) = 0")
+
+
 def test_count_mcmc(capsys, files):
     argv = ["count-mcmc", "--graph", files["k2"], "--sig", "matching",
             "--z", "1,0.001", "--eps", "0.5", "--seed", "11"]
@@ -753,6 +802,62 @@ def test_out_file_matches_stdout(capsys, files):
     ])
     with open(out) as fh:
         assert json.load(fh) == rep
+
+
+def test_every_command_writes_its_report_as_json_dumps(capsys, files, written):
+    # stdout and --out hold the same bytes, which the `written` fixture checks
+    # against json.dumps, for a report of every subcommand
+    instance = ["--graph", files["c3"], "--sig", "matching", "--z", "1,0.0004"]
+    commands = [
+        ["approx", *instance, "--eps", "0.1"],
+        ["sample", *instance, "--eps", "0.2", "--trials", "3", "--seed", "1"],
+        ["count-mcmc", *instance, "--eps", "0.5", "--reps", "1", "--seed", "1"],
+        ["oracle", *instance, "--table"],
+        ["bounds", "--delta", "3", "--kappa", "2", "--r1", "1.5"],
+        ["verify-kp", *instance],
+        ["linsys", "--matrix", files["matrix"]],
+        ["pm", "--instance", files["gpm"], "--zc", "0.5+0.1i"],
+    ]
+    out = Path(files["tmp"]) / "report.json"
+    for argv in commands:
+        written.clear()
+        assert main(argv + ["--format", "json", "--out", str(out)]) == 0
+        text = capsys.readouterr().out
+        assert [r["command"] for r in written] == [argv[0]]
+        assert text == _dumps(written[0]) + "\n" == out.read_text()
+
+
+def _random_value(rng, depth=0):
+    """A nested value of the kinds reports hold, and the corner cases of
+    json.dumps: non-finite floats, bools among ints, empty containers,
+    tuples, and strings that need escapes or are not ASCII."""
+    leaves = [
+        lambda: rng.choice([0, -1, 7, 2**70, -(3**50)]),
+        lambda: rng.choice([0.0, -0.0, 0.1, 1e16, 1e-300, -2.5e-8, math.inf, -math.inf,
+                            math.nan]),
+        lambda: rng.choice([True, False, None]),
+        lambda: rng.choice(["", "plain", "é ü", "tab\tnew\nline", 'quote " back \\',
+                            "\x00\x1f\x7f", "\u2603 \U0001f600", "\ud800"]),
+        lambda: [rng.choice([0, 3, -12, 10**20]) for _ in range(rng.randrange(4))]
+        + rng.choice([[], [True], [False, 1]]),
+        lambda: tuple(rng.randrange(-5, 5) for _ in range(rng.randrange(4))),
+    ]
+    if depth >= 3 or rng.random() < 0.4:
+        return rng.choice(leaves)()
+    if rng.random() < 0.5:
+        return [_random_value(rng, depth + 1) for _ in range(rng.randrange(4))]
+    keys = ["a", "B", "é", "key with space", "\n", "z", "0", "10"]
+    return {rng.choice(keys): _random_value(rng, depth + 1) for _ in range(rng.randrange(5))}
+
+
+def test_report_writer_prints_json_dumps_on_random_values(written):
+    rng = random.Random(MASTER_SEED + 41)
+    for _ in range(2000):
+        value = _random_value(rng)
+        assert cli._json_text(value) == _dumps(value)
+    assert len(written) == 2000
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        cli._json_text({"a": {1, 2}})
 
 
 def test_json_reports_hold_no_infinity(capsys, files, tmp_path):

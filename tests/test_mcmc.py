@@ -1,5 +1,4 @@
 import concurrent.futures
-import copy
 import math
 import os
 import random
@@ -38,7 +37,6 @@ from holant.mcmc import (
     substream,
 )
 from holant.oracle import enumerate_polymers, weight_map
-from holant.polymers import live_polymers
 
 from helpers import (
     MASTER_SEED,
@@ -606,6 +604,7 @@ def _busy_scale(chain):
     for _ in range(60):
         mid = (lo + hi) / 2
         chain.set_scale(mid)
+        chain._base  # lists and sums every edge at this scale
         if max(cum[-1] for cum in chain._cum if cum) <= 0.9:
             lo = mid
         else:
@@ -768,7 +767,7 @@ def test_draw_without_a_candidate_within_the_budget_is_none():
     leaf = make_signature([1.0, 1.0], 1, 1)
     middle = make_signature([1.0, 0.0, 0.0, 1.0], 2, 1)
     chain = PolymerChain(G, SignatureAssignment(G, [leaf, middle, leaf]), (1.0, 0.01))
-    assert chain._sizes[0] == [2]
+    assert [p.size for p, _ in chain._base[0]] == [2]
     rng = random.Random(0)
     before = rng.getstate()
     u = math.exp(-1.5 * chain.rho)  # size budget k = 1
@@ -840,39 +839,92 @@ def test_reach_is_the_largest_size_budget_run_draws():
         assert budgets and set(budgets) == {chain._reach}
 
 
-def test_capped_chain_runs_as_its_uncapped_twin():
-    # polymers above _reach edges are never drawn: a twin that lists every
-    # live polymer ends each seeded run in the same state. K4 with kappa = 3
-    # (_reach 5), C10 even-parity (_reach 9) and C12 with kappa = 1 (_reach 9)
+def _twin_cases():
+    """K4 with kappa = 3 (_reach 5), C10 even-parity (_reach 9) and C12 with
+    kappa = 1 (_reach 9), each with live polymers above _reach edges."""
     C10, C12 = (MultiGraph(n, [(i, (i + 1) % n) for i in range(n)]) for n in (10, 12))
     ones = [make_signature([1.0] * 4 ** 3, 3, 3)] * 4
-    cases = [(k4(), SignatureAssignment(k4(), ones), (1.0, 1.0, 1.0, 1.0)),
-             (C10, uniform_assignment(C10, "even-parity", 0.5), (1.0, 1.0)),
-             (C12, SignatureAssignment(C12, [make_signature([1.0, 0.7, 0.7, 0.4], 2, 1)] * 12),
-              (1.0, 1.0))]
-    for G, a, z in cases:
+    return [(k4(), SignatureAssignment(k4(), ones), (1.0, 1.0, 1.0, 1.0)),
+            (C10, uniform_assignment(C10, "even-parity", 0.5), (1.0, 1.0)),
+            (C12, SignatureAssignment(C12, [make_signature([1.0, 0.7, 0.7, 0.4], 2, 1)] * 12),
+             (1.0, 1.0))]
+
+
+def _listed_to(chain, reach):
+    """chain, listed at every edge to reach edges before it runs: the eager
+    build, through the chain's own listing. `_reach` caps what a read of
+    `_base` lists, and set_scale powers sizes up to it."""
+    chain._reach = reach
+    chain.set_scale(1.0)
+    for e in range(chain.G.edge_count):
+        chain._base[e]
+    return chain
+
+
+def _assert_runs_alike(chains, scales, steps):
+    """Each seeded run, at each scale in turn from one state, ends every
+    chain in the same state with the same readings."""
+    for seed in range(3):
+        ends = []
+        for c in chains:
+            state, rng, readings = c.fresh_state(), random.Random(seed), []
+            for x in scales:
+                c.set_scale(x)
+                readings.append(c.run(state, steps, rng, steps // 100))
+            ends.append((state.family(), state.edge_owner, state.occupied,
+                         state.total_edges, state.moves, readings))
+        assert all(end == ends[0] for end in ends[1:])
+        assert ends[0][4]["inserted"] >= 100
+
+
+def test_capped_chain_runs_as_its_uncapped_twin():
+    # polymers above _reach edges are never drawn: a twin that lists every
+    # live polymer ends each seeded run in the same state
+    for G, a, z in _twin_cases():
         chain = PolymerChain(G, a, z)
-        twin = copy.copy(chain)
-        twin._reach = G.edge_count  # so that set_scale powers every size
-        twin._base = [[] for _ in range(G.edge_count)]
-        for p, w in live_polymers(G, a, chain.z, G.edge_count):
-            for e in p.edges:
-                twin._base[e].append((p, w.real))
-        twin._sizes = [[p.size for p, _ in entries] for entries in twin._base]
-        twin._tilted = [[w * math.exp(chain.rho * p.size) for p, w in entries]
-                        for entries in twin._base]
-        assert chain._reach < G.edge_count
-        assert max(map(max, twin._sizes)) > chain._reach == max(map(max, chain._sizes))
-        x = _busy_scale(chain)
-        chain.set_scale(x)
-        twin.set_scale(x)
+        twin = _listed_to(PolymerChain(G, a, z), G.edge_count)
+        x = _busy_scale(PolymerChain(G, a, z))
         steps = math.ceil(2000 / chain._k0)  # about 2000 insertion attempts
-        for seed in range(3):
-            ends = []
-            for c in (chain, twin):
-                state = c.fresh_state()
-                readings = c.run(state, steps, random.Random(seed), steps // 100)
-                ends.append((state.family(), state.edge_owner, state.occupied,
-                             state.total_edges, state.moves, readings))
-            assert ends[0] == ends[1]
-            assert ends[0][4]["inserted"] >= 100
+        _assert_runs_alike([chain, twin], [x], steps)
+        assert max(p.size for entries in twin._base for p, _ in entries) > chain._reach
+        assert max(p.size for entries in chain._base for p, _ in entries) == chain._reach
+
+
+def test_lazy_chain_runs_as_its_eager_twin():
+    # a chain that lists an edge's candidates when a draw first needs them,
+    # up to the draw's budget, draws as a twin listed at every edge to _reach
+    # before it runs, also across scale changes, which leave its sums stale
+    for G, a, z in _twin_cases()[:2]:
+        chain = PolymerChain(G, a, z)
+        twin = _listed_to(PolymerChain(G, a, z), chain._reach)
+        x = _busy_scale(PolymerChain(G, a, z))
+        steps = math.ceil(1000 / chain._k0)
+        _assert_runs_alike([chain, twin], [x, x / 2, x], steps)
+        assert max(chain._listed) < chain._reach == min(twin._listed)
+
+
+def test_a_fresh_chain_has_walked_no_set(monkeypatch):
+    # building a chain walks nothing; a draw walks from its edge alone, to
+    # its size budget, and again only when a later budget passes it
+    walks, grow = [], polymers_mod.grow_edge_sets
+
+    def counting(G, seeds, max_edges, visit, extend, touch):
+        walks.append((list(seeds), max_edges))
+        return grow(G, seeds, max_edges, visit, extend, touch)
+
+    monkeypatch.setattr(polymers_mod, "grow_edge_sets", counting)
+    G = k4()
+    chain = PolymerChain(G, uniform_assignment(G, "even-parity", 0.5), (1.0, 1e-4))
+    assert walks == [] and chain._listed == [0] * G.edge_count
+    rng = random.Random(0)
+
+    def budget(k):  # a first mu0 uniform that gives size budget k
+        return math.exp(-(k + 0.5) * chain.rho)
+
+    for k, walked in ((2, [([3], 2)]), (1, []), (2, []), (3, [([3], 3)]), (1, [])):
+        chain._draw(3, budget(k), rng)
+        assert walks == walked
+        walks.clear()
+    assert chain._listed == [0, 0, 0, 3, 0, 0]
+    chain._base
+    assert walks == [([e], chain._reach) for e in range(G.edge_count)]

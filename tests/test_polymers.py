@@ -31,6 +31,7 @@ from holant.oracle import (
 )
 from holant.polymers import (
     ColouredPolymer,
+    LiveWalk,
     compact_domain,
     family_to_assignment,
     holant_prefactor,
@@ -316,6 +317,28 @@ def test_live_polymers_equal_filtered_enumeration():
         for m in range(1, G.edge_count + 1):
             ref = [(p, weights[p]) for p in enumerate_polymers(G, kappa, m) if weights[p] != 0]
             assert _bits(live_polymers(G, assign, z, m)) == _bits(ref)
+
+
+def test_a_walk_after_one_that_raised_is_exact():
+    # a prepared walk keeps its vertex indices between walks; one cut short
+    # by an exception leaves them moved, and the next walk still lists the
+    # live polymers a fresh walk lists, seed by seed
+    G = k4()
+    a = uniform_assignment(G, "even-parity", 0.5)
+    walk = LiveWalk(G, a, (1.0, 0.3))
+
+    def listed(w, seed):
+        out = []
+        w.walk((seed,), G.edge_count, lambda *poly: out.append(poly))
+        return out
+
+    def stop(*poly):
+        raise RuntimeError("stop")
+
+    for seed in range(G.edge_count):
+        with pytest.raises(RuntimeError):
+            walk.walk((seed,), G.edge_count, stop)
+        assert listed(walk, seed) == listed(LiveWalk(G, a, (1.0, 0.3)), seed) != []
 
 
 def test_live_polymers_ignore_an_isolated_vertex_outside_f0():
