@@ -37,7 +37,7 @@ from .errors import (
     UnsupportedWeights,
     outside_float_range,
 )
-from .expansion import approx_polynomial_report, approx_problem_report
+from .expansion import approx_polynomial_report
 from .graph import MultiGraph
 from .linsys import (
     linsys_region,
@@ -194,10 +194,7 @@ def _print_text(report: dict, indent: str = "") -> None:
 
 def _cmd_approx(args) -> int:
     G, assign, z, inputs = _instance(args)
-    if args.z:
-        rep = approx_polynomial_report(G, assign, z, args.eps)
-    else:
-        rep = approx_problem_report(G, assign, args.eps)
+    rep = approx_polynomial_report(G, assign, z, args.eps)
     _emit(args, {
         "command": "approx",
         "inputs": dict(inputs, eps=args.eps),
@@ -359,9 +356,9 @@ def _cmd_pm(args) -> int:
 def _add_instance(p: argparse.ArgumentParser):
     p.add_argument("--graph", required=True)
     p.add_argument("--sig", required=True)
-    p.add_argument("--z", help="fugacities z0,z1,...; default all ones, which approx "
-                               "treats as the Holant problem; write a negative z0 "
-                               "as --z=-1,0.5")
+    p.add_argument("--z", help="fugacities z0,z1,...; default all ones (the Holant "
+                               "problem), the same as spelling them out; write a "
+                               "negative z0 as --z=-1,0.5")
 
 
 def _add_common(p: argparse.ArgumentParser, with_seed: bool = False):

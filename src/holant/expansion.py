@@ -1,8 +1,13 @@
 """Cluster expansion of log Z and the truncation-based approximation.
 
-`approx` has one path: an entry point (`approx_polynomial_report`,
-`approx_problem_report`) checks the region and computes the zero-free
-radius q, `certified_order` fixes the truncation order m from q and eps, and
+`approx` has one path, `approx_polynomial_report`, and one rule for its
+zero-free radius q: each of the paper's two certificates in `CERTIFICATES`
+that applies gives a q, and the largest wins. "fugacity" (Holant
+polynomials) divides the holant-poly region bound by max |z_i|/|z_0| and
+always applies; "problem" (small signature weights) scales the threshold
+over r(F) to x = 1 and applies only when every z_i equals z_0.
+`approx_problem_report` is the same call at z = (1, ..., 1). Then
+`certified_order` fixes the truncation order m from q and eps, and
 `log_z_coefficients` returns the Taylor coefficients a_1..a_m of
 log Z(polymers, Phi * x^{|E(gamma)|}) around x = 0. Those coefficients are
 checked against the zero-free bound, and the value is
@@ -205,20 +210,58 @@ def _check_zero_free_bound(coefficients, d: int, q: float) -> None:
             )
 
 
-def _truncated_report(G: MultiGraph, assign: SignatureAssignment, z, prefactor,
-                      theorem: str, q: float, bound: float, eps: float) -> ApproxReport:
-    """prefactor * exp(a_1 + ... + a_m) for a compacted (assign, z).
+def _fugacity(G: MultiGraph, assign: SignatureAssignment, z):
+    """The holant-poly region bound over the largest |z_i|/|z_0|; q is inf if
+    that ratio underflows to 0."""
+    bound = region_bounds("holant-poly", delta=G.max_degree(), kappa=assign.kappa,
+                          r1=assign.r1()).bound
+    worst = max(abs(t) / abs(z[0]) for t in z[1:])
+    return (bound / worst if worst else math.inf), bound
 
-    q > 1 is the certified zero-free radius, and m is the certified order for
-    ratio 1/q, so the report's certified remainder at m is at most
-    ln(1 + eps). An instance without edges or non-ground values has
-    log Z = 0, m = 0 and remainder 0. Raises ConditionViolated if a
-    coefficient breaks the zero-free bound of `_check_zero_free_bound` or the
-    value is zero or not finite.
+
+def _problem(G: MultiGraph, assign: SignatureAssignment, z):
+    """The small-signature threshold over r(F), scaled to x = 1 by the
+    Delta-th root; q is inf when r(F) = 0. None unless every z_i equals z_0."""
+    if any(t != z[0] for t in z[1:]):
+        return None
+    delta = G.max_degree()
+    r_class = assign.ratio_r_class()
+    bound = region_bounds("holant-problem", delta=delta, kappa=assign.kappa).bound
+    return ((bound / r_class) ** (1.0 / delta) if r_class else math.inf), bound
+
+
+# (theorem, certificate): each gives (q, region bound) or None where it does not apply
+CERTIFICATES = (("fugacity", _fugacity), ("problem", _problem))
+
+
+def approx_polynomial_report(G: MultiGraph, assign: SignatureAssignment, z,
+                             eps: float) -> ApproxReport:
+    """Multiplicative eps-approximation of the Holant polynomial at fugacity z.
+
+    After `compact_domain`, every certificate in CERTIFICATES that applies
+    gives a zero-free radius q, and the largest (the first on a tie) is the
+    report's; m is the certified order for ratio 1/q, so the certified
+    remainder is at most ln(1 + eps). Raises RegionViolation naming each q
+    when none is above 1. An instance without edges or non-ground values
+    needs no certificate (theorem "none"): log Z = 0, m = 0 and q = inf.
+    Raises ConditionViolated if a coefficient breaks the zero-free bound of
+    `_check_zero_free_bound` or the value is zero or not finite.
     """
+    _require_eps(eps)
+    z = check_fugacities(z, assign.kappa)
+    prefactor = holant_prefactor(G, assign, z)
+    assign, z, _ = compact_domain(assign, z)
+    theorem, q, bound = "none", math.inf, math.inf
     remainder = 0.0
     series = TaylorSeries((), 0)
     if G.edge_count and assign.kappa:
+        found = [(name, *cert) for name, fn in CERTIFICATES
+                 if (cert := fn(G, assign, z)) is not None]
+        theorem, q, bound = max(found, key=lambda c: c[1])
+        if q <= 1.0:
+            raise RegionViolation("no certificate gives q > 1: " + "; ".join(
+                f"{name} region bound {b:.6g} (q = {cq:.6g} <= 1)" for name, cq, b in found
+            ))
         m = certified_order(G.edge_count, eps, 1.0 / q)
         remainder = truncation_remainder(G.edge_count, m, 1.0 / q)
         series = log_z_coefficients(G, assign, z, m)
@@ -248,52 +291,7 @@ def _truncated_report(G: MultiGraph, assign: SignatureAssignment, z, prefactor,
     )
 
 
-def approx_polynomial_report(G: MultiGraph, assign: SignatureAssignment, z,
-                             eps: float) -> ApproxReport:
-    """Multiplicative eps-approximation of the Holant polynomial at fugacity z.
-
-    Certified whenever every |z_i|/|z_0| is inside the fugacity region;
-    raises RegionViolation outside it.
-    """
-    _require_eps(eps)
-    z = check_fugacities(z, assign.kappa)
-    prefactor = holant_prefactor(G, assign, z)
-    assign, z, _ = compact_domain(assign, z)
-    q = bound = math.inf
-    if G.edge_count and assign.kappa:
-        delta = G.max_degree()
-        r1 = assign.r1()
-        bound = region_bounds("holant-poly", delta=delta, kappa=assign.kappa, r1=r1).bound
-        # q: the region radius over the largest |z_i|/|z_0| (inf if that underflows to 0)
-        worst = max(abs(t) / abs(z[0]) for t in z[1:])
-        q = bound / worst if worst else math.inf
-        if q <= 1.0:
-            raise RegionViolation(
-                f"fugacity ratio exceeds region bound {bound:.6g} (q = {q:.6g} <= 1)"
-            )
-    return _truncated_report(G, assign, z, prefactor, "fugacity", q, bound, eps)
-
-
 def approx_problem_report(G: MultiGraph, assign: SignatureAssignment,
                           eps: float) -> ApproxReport:
-    """Multiplicative eps-approximation of the Holant problem (all fugacities 1).
-
-    Certified whenever r(F) is below the small-signature threshold; raises
-    RegionViolation otherwise.
-    """
-    _require_eps(eps)
-    z = tuple([1.0 + 0j] * (assign.kappa + 1))
-    prefactor = holant_prefactor(G, assign, z)
-    q = bound = math.inf
-    if G.edge_count and assign.kappa:
-        delta = G.max_degree()
-        r_class = assign.ratio_r_class()
-        bound = region_bounds("holant-problem", delta=delta, kappa=assign.kappa).bound
-        # q: the threshold over r(F), scaled to x = 1 by the Delta-th root
-        q = (bound / r_class) ** (1.0 / delta) if r_class else math.inf
-        if q <= 1.0:
-            raise RegionViolation(
-                f"r(F) = {r_class:.6g} is not below threshold {bound:.6g} scaled for "
-                f"x = 1 (q = {q:.6g} <= 1)"
-            )
-    return _truncated_report(G, assign, z, prefactor, "problem", q, bound, eps)
+    """`approx_polynomial_report` at z = (1, ..., 1), the Holant problem."""
+    return approx_polynomial_report(G, assign, (1.0,) * (assign.kappa + 1), eps)

@@ -204,7 +204,7 @@ def test_repeated_in_process_calls_are_independent(capsys, files):
         assert json.load(fh) == reports["approx"]
     Path(out).unlink()
     reports["linsys"] = run_json(capsys, linsys)
-    assert not Path(out).exists()  # linsys has no --out, so it writes no file
+    assert not Path(out).exists()  # approx's --out does not carry over to linsys
     reports["seeded"] = run_json(capsys, seeded)
     reports["derived"] = run_json(capsys, derived)
     assert reports["seeded"]["seed"] == 5 and reports["derived"]["seed"] != 5
@@ -305,10 +305,42 @@ def test_negative_first_fugacity_needs_the_equals_form(capsys, files):
 
 
 def test_approx_problem_route_region_violation(capsys, files):
-    # all-ones matching weights sit far outside the problem-route region
-    assert main(["approx", "--graph", files["c3"], "--sig", "matching",
-                 "--eps", "0.1"]) == 2
-    assert "error:" in capsys.readouterr().err
+    # all-ones matching weights sit far outside both regions, with or without
+    # --z, and the error names each certificate's q
+    argv = ["approx", "--graph", files["c3"], "--sig", "matching", "--eps", "0.1"]
+    for z in ([], ["--z", "1,1"]):
+        assert main(argv + z) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: no certificate gives q > 1")
+        assert "fugacity region bound" in err and "problem region bound" in err
+        assert err.count("<= 1)") == 2
+
+
+def test_approx_prints_the_same_bytes_with_all_equal_z_spelled_out(capsys, tmp_path):
+    # the 3x3 grid with f(0) = 1 and 0.001 elsewhere: the problem theorem
+    # certifies it, so --z 1,1 answers as no --z does, within eps of the oracle
+    k = 3
+    G = MultiGraph(k * k, [(k * r + c, k * r + c + 1) for r in range(k) for c in range(k - 1)]
+                   + [(k * r + c, k * r + c + k) for r in range(k - 1) for c in range(k)])
+    graph, sig = tmp_path / "grid3x3.txt", tmp_path / "flat.json"
+    graph.write_text(G.to_text())
+    sig.write_text(json.dumps({
+        "signatures": {str(d): {"table": {"kappa": 1, "arity": d,
+                                          "values": [1] + [0.001] * (2**d - 1)}}
+                       for d in (2, 3, 4)},
+        "assignment": {str(v): str(G.degree(v)) for v in range(G.vertex_count)},
+    }))
+    argv = ["approx", "--graph", str(graph), "--sig", str(sig), "--eps", "0.1",
+            "--format", "json"]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    assert main(argv + ["--z", "1,1"]) == 0
+    assert capsys.readouterr().out == plain
+    rep = json.loads(plain)
+    diag = rep["diagnostics"]
+    assert (diag["theorem"], diag["truncation_order"]) == ("problem", 5)
+    exact = run_json(capsys, ["oracle", "--graph", str(graph), "--sig", str(sig)])
+    assert abs(complex(*rep["result"]["value"]) / complex(*exact["result"]["value"]) - 1) <= 0.1
 
 
 def test_approx_lost_precision_exits_2(capsys, tmp_path):

@@ -528,12 +528,18 @@ def test_approx_k2_example():
     assert abs(val / 1.02 - 1) <= 1e-3
 
 
+def _needs_no_certificate(rep):
+    return ((rep.theorem, rep.order, rep.remainder) == ("none", 0, 0.0)
+            and math.isinf(rep.q) and math.isinf(rep.region_bound))
+
+
 def test_approx_edgeless_graph():
     G = MultiGraph(3, [])
     sigs = [make_signature([2.0], 0, 1)] * 3
     a = SignatureAssignment(G, sigs)
     rep = approx_polynomial_report(G, a, (1.0, 0.1), 0.01)
     assert rel_close(rep.value, 8.0)
+    assert _needs_no_certificate(rep)
 
 
 def test_kappa_zero_signature_gives_the_oracle_value():
@@ -544,8 +550,12 @@ def test_kappa_zero_signature_gives_the_oracle_value():
     a = SignatureAssignment(G, [sig] * 3)
     exact = brute_holant(G, a, (1.0,)).value
     assert exact == 8.0
-    assert approx_problem_report(G, a, 0.1).value == exact
-    assert approx_polynomial_report(G, a, (1.0,), 0.1).value == exact
+    for rep in (approx_problem_report(G, a, 0.1), approx_polynomial_report(G, a, (1.0,), 0.1)):
+        assert rep.value == exact and _needs_no_certificate(rep)
+    # matching at z = (1, 0) compacts to one colour as well
+    b = uniform_assignment(G, "matching")
+    rep = approx_polynomial_report(G, b, (1, 0), 0.1)
+    assert rep.value == brute_holant(G, b, (1, 0)).value and _needs_no_certificate(rep)
 
 
 def test_approx_boundary_rejected_force_overrides():
@@ -640,6 +650,40 @@ def test_problem_star_example_is_outside_region():
     assert a.ratio_r_class() == 1.0
     with pytest.raises(RegionViolation):
         approx_problem_report(G, a, 0.01)
+
+
+def _flat_tables(G, kappa, s=0.001):
+    """f(0) = 1 and s at every other entry, at each vertex of G."""
+    return SignatureAssignment(G, [
+        make_signature([1.0] + [s] * ((kappa + 1) ** G.degree(v) - 1), G.degree(v), kappa)
+        for v in range(G.vertex_count)
+    ])
+
+
+def test_approx_takes_the_widest_certificate_however_z_is_spelled():
+    # the 3x3 grid with 0.001 tables: the fugacity radius at z = (1, 1) is
+    # below 1, but every z_i equals z_0, so the problem threshold certifies
+    # it, at z = (1, 1) as in the problem entry point and at z = (2, 2)
+    G = _grid(3, 3)
+    a = _flat_tables(G, 1)
+    for z in ((1, 1), (2, 2)):
+        rep = approx_polynomial_report(G, a, z, 0.1)
+        assert (rep.theorem, rep.order) == ("problem", 5)
+        assert abs(rep.value / brute_holant(G, a, z).value - 1) <= 0.1
+    assert approx_polynomial_report(G, a, (1, 1), 0.1) == approx_problem_report(G, a, 0.1)
+    assert expansion._fugacity(G, a, (1 + 0j, 1 + 0j))[0] < 1 < rep.q
+    # a kappa = 2 table whose third colour has zero fugacity compacts to
+    # kappa = 1 at z = (1, 1), where the problem threshold applies
+    H = _grid(2, 3)
+    b = _flat_tables(H, 2)
+    rep = approx_polynomial_report(H, b, (1, 1, 0), 0.1)
+    assert rep.theorem == "problem"
+    assert abs(rep.value / brute_holant(H, b, (1, 1, 0)).value - 1) <= 0.1
+    # outside both regions the error names each certificate's q
+    c = uniform_assignment(c3(), "matching")
+    with pytest.raises(RegionViolation, match=r"fugacity .*\(q = .* <= 1\); "
+                                              r"problem .*\(q = .* <= 1\)"):
+        approx_polynomial_report(c3(), c, (1, 1), 0.1)
 
 
 def test_fptas_report_fields():

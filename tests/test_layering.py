@@ -309,15 +309,22 @@ def _calls(name):
 
 
 def test_each_entry_point_certifies_once():
-    # the chain commands charge, certify and build in one step, and each
-    # approx entry point takes q from the one region bound it computes
+    # the chain commands charge, certify and build in one step; approx
+    # certifies in one body, which reads each region bound through its
+    # certificate, and the problem entry point is that body at z = 1
     assert _calls("certify_chain") == [("mcmc.py", "_chain_map")]
     assert _calls("PolymerChain") == [("mcmc.py", "_chain_map")]
     assert [c for c in _calls("region_bounds") if c[0] in ("expansion.py", "mcmc.py")] == [
-        ("expansion.py", "approx_polynomial_report"),
-        ("expansion.py", "approx_problem_report"),
+        ("expansion.py", "_fugacity"),
+        ("expansion.py", "_problem"),
         ("mcmc.py", "certify_chain"),
     ]
+    assert [name for name, _ in expansion.CERTIFICATES] == ["fugacity", "problem"]
+    assert _calls("approx_polynomial_report") == [
+        ("cli.py", "_cmd_approx"),
+        ("expansion.py", "approx_problem_report"),
+    ]
+    assert not hasattr(expansion, "_truncated_report")
 
 
 def test_the_family_kernel_orders_its_instance():
