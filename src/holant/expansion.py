@@ -13,11 +13,12 @@ log Z(polymers, Phi * x^{|E(gamma)|}) around x = 0. Those coefficients are
 checked against the zero-free bound, and the value is
 prefactor * exp(a_1 + ... + a_m).
 
-`log_z_coefficients` itself is one route. `polymers.live_polymers` grows the
-polymers of nonzero weight with at most m edges. The partition function is
-a polynomial in x of degree <= |E(G)| because family members are
-vertex-disjoint, and its exact coefficients up to x^m come from
-`families.family_sum`, a DP over G's vertices in BFS order whose state is
+`log_z_coefficients` itself is one route. `polymers.walk_live` grows the
+polymers of nonzero weight with at most m edges, each a plain (vertex mask,
+size, weight) item in walk order. The partition function is a polynomial in
+x of degree <= |E(G)| because family members are vertex-disjoint, and its
+exact coefficients up to x^m come from `families.family_sum`, which alone
+orders the items: a DP over G's vertices in BFS order whose state is
 the set of vertices that chosen polymers cover ahead. Its cost is the number
 of states times the polymers starting at each vertex (reported as
 `family_states`), not the number of compatible families, which grows
@@ -45,7 +46,7 @@ from .bounds import region_bounds
 from .errors import ConditionViolated, RegionViolation, past_gate
 from .families import family_sum
 from .graph import MultiGraph
-from .polymers import compact_domain, holant_prefactor, live_polymers
+from .polymers import compact_domain, holant_prefactor, walk_live
 from .signatures import SignatureAssignment, check_fugacities
 
 
@@ -78,11 +79,12 @@ def log_z_coefficients(G: MultiGraph, assign: SignatureAssignment, z, m: int) ->
     """Taylor coefficients a_1..a_m of log Z around x = 0.
 
     Only polymers with at most min(m, |E|) edges can contribute, and only
-    those of nonzero weight are grown (`polymers.live_polymers`), so a domain
-    value of zero fugacity is never tried. Their exact family polynomial
-    c_0..c_min(m, |E|) comes from `families.family_sum` over G, and
-    `series_log` turns it into a_1..a_m. Without edges, or at m = 0,
-    the pool is empty, c = (1,) and every a_j is 0. The approximation
+    those of nonzero weight are grown (`polymers.walk_live`), so a domain
+    value of zero fugacity is never tried. `families.family_sum` over G
+    takes them as (vmask, size, w) items in walk order and gives their exact
+    family polynomial c_0..c_min(m, |E|), which `series_log` turns into
+    a_1..a_m. Without edges, or at m = 0, the pool is empty, c = (1,) and
+    every a_j is 0. The approximation
     reports still pass the input through `compact_domain` first, which
     shrinks the signature tables the walk reads.
     """
@@ -96,9 +98,14 @@ def log_z_coefficients(G: MultiGraph, assign: SignatureAssignment, z, m: int) ->
     if assign.kappa == 0:  # one colour: no polymer to grow
         return TaylorSeries(tuple([0j] * m), 0)
     cap = min(m, G.edge_count)
-    live = live_polymers(G, assign, z, cap)
-    c, transitions = family_sum([(p.vmask, p.size, w) for p, w in live], G, cap)
-    return TaylorSeries(tuple(series_log(c, m)), len(live), transitions)
+    items: list = []
+
+    def keep(edges, colours, vmask, vertices, w):
+        items.append((vmask, len(edges), w))
+
+    walk_live(G, assign, z, cap, keep)
+    c, transitions = family_sum(items, G, cap)
+    return TaylorSeries(tuple(series_log(c, m)), len(items), transitions)
 
 
 # ---------------------------------------------------------------------------

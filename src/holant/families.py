@@ -27,7 +27,8 @@ is never taken: the items at each vertex are sorted by size, and a state's
 item loop stops at the first item larger than cap - j. Skipping those
 moves drops no nonzero term, but it can change the order in which a
 state's live terms are added, so a capped sum can differ from the low terms
-of a longer one in the last bit.
+of a longer one in the last bit. That stable sort is the only order the
+kernel needs, so items may arrive in any order (`approx` passes its walk's).
 
 A value is only ever multiplied by weights and added, starting from the
 integer 1, so the coefficients take the number type of the weights: complex
@@ -88,12 +89,13 @@ def family_sum(items, H: Hypergraph, cap: int = 0):
     c_0, which the result wraps back into a 1-tuple; the empty family
     reaches the last state, so the result has all cap + 1 terms. The
     coefficients take the number type of the weights, and without an item
-    c_0 is the integer 1 and every other coefficient the integer 0. Each
-    vertex's items are sorted by size, and a state takes none larger than
-    cap - j. Each transition adds a series of at most cap + 1 terms, so the
-    DP charges transitions * (cap + 1), an upper bound on the terms added,
-    and raises GateExceeded once that passes `errors.WORK_GATE`. The charge
-    is checked after every state, whether it drops or keeps the vertex.
+    c_0 is the integer 1 and every other coefficient the integer 0. Items
+    may come in any order: each vertex's items are stably sorted by size,
+    and a state takes none larger than cap - j. Each transition adds a
+    series of at most cap + 1 terms, so the DP charges transitions *
+    (cap + 1), an upper bound on the terms added, and raises GateExceeded
+    once that passes `errors.WORK_GATE`. The charge is checked after every
+    state, whether it drops or keeps the vertex.
     """
     order = bfs_order(H.vertex_count, H.edges)
     # prefix[i]: the mask of order[:i + 1]; an item starts at the first

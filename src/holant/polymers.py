@@ -28,7 +28,8 @@ from .signatures import SignatureAssignment, check_fugacities
 
 
 class ColouredPolymer(namedtuple("ColouredPolymer", "edges colours vmask")):
-    """A polymer: edge ids ascending, colours alongside, and its vertex bitmask."""
+    """A polymer of the chain and the references: edge ids ascending,
+    colours alongside, and its vertex bitmask."""
 
     __slots__ = ()
 
@@ -43,8 +44,8 @@ class ColouredPolymer(namedtuple("ColouredPolymer", "edges colours vmask")):
 class LiveWalk:
     """The package's one weighing pass, in two parts: the per-instance tables,
     built once here, and `walk`, a walk over given seeds that reads them.
-    `walk_live`, `live_polymers` and the certificates
-    (`mcmc.check_chain_conditions`, `bounds.verify_kp`) walk from every edge;
+    `walk_live` walks from every edge, for `expansion.log_z_coefficients`
+    and the certificates (`mcmc.check_chain_conditions`, `bounds.verify_kp`);
     `mcmc.PolymerChain` walks from one edge at a time, when a draw first
     needs its candidates.
 
@@ -149,28 +150,10 @@ class LiveWalk:
 
 
 def walk_live(G: MultiGraph, assign: SignatureAssignment, z, max_edges: int, keep):
-    """`LiveWalk(G, assign, z).walk` from every edge: keep(edges, colours,
-    vmask, vertices, w) once for each polymer of nonzero weight w with
-    |E(gamma)| <= max_edges. Raises what building a `LiveWalk` raises."""
+    """`LiveWalk(G, assign, z).walk` from every edge, in walk order: keep(edges,
+    colours, vmask, vertices, w) once for each polymer of nonzero weight w
+    with |E(gamma)| <= max_edges. Raises what building a `LiveWalk` raises."""
     LiveWalk(G, assign, z).walk(range(G.edge_count), max_edges, keep)
-
-
-def live_polymers(G: MultiGraph, assign: SignatureAssignment, z, max_edges: int):
-    """(polymer, weight) pairs of nonzero weight with |E(gamma)| <= max_edges,
-    from one `walk_live`.
-
-    Sorted by `ColouredPolymer.sort_key`, so the polymers come in
-    `oracle.enumerate_polymers` order, each weight bitwise equal to
-    `oracle.polymer_weight` (for finite tables); raises what `walk_live` raises.
-    """
-    out: list = []
-
-    def keep(edges, cols, vmask, _, w):
-        out.append((ColouredPolymer(edges, cols, vmask), w))
-
-    walk_live(G, assign, z, max_edges, keep)
-    out.sort(key=lambda pw: pw[0].sort_key())
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -254,10 +254,11 @@ def uniform_assignment(G: MultiGraph, name: str,
 
 
 def _complex_from_json(v) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, list) and len(v) == 2:
-        return complex(float(v[0]), float(v[1]))
+    parts = v if isinstance(v, list) and len(v) == 2 else [v, 0]
+    if any(isinstance(x, bool) for x in parts):
+        raise ParseError(f"expected a number, got {json.dumps(v)}: a boolean is not a number")
+    if all(isinstance(x, (int, float)) for x in parts):
+        return complex(float(parts[0]), float(parts[1]))
     raise ParseError(f"expected number or [re, im] pair, got {v!r}")
 
 
@@ -315,6 +316,11 @@ def assignment_from_json(G: MultiGraph, text: str) -> SignatureAssignment:
     for key, value in (("signatures", named), ("assignment", assignment)):
         if not isinstance(value, dict):
             raise ParseError(f"{key!r} must be an object, got {value!r}")
+    vertices = {str(v) for v in range(G.vertex_count)}
+    for key in assignment:
+        if key not in vertices:
+            raise ParseError(f"assignment key {key!r} is not a vertex id "
+                             f"'0'..'{G.vertex_count - 1}'")
 
     built = {}  # (id of a spec in doc, arity) -> its Signature, one per pair
 

@@ -14,6 +14,7 @@ from holant import (
     make_signature,
     region_bounds,
 )
+from holant.polymers import ColouredPolymer, walk_live
 
 MASTER_SEED = 20260301
 
@@ -100,6 +101,20 @@ def flat_problem_assignment(G, kappa=1, scale=0.5):
         size = (kappa + 1) ** G.degree(v)
         sigs.append(make_signature([1.0] + [s] * (size - 1), G.degree(v), kappa))
     return SignatureAssignment(G, sigs)
+
+
+def live_pool(G, assign, z, m):
+    """(ColouredPolymer, weight) pairs of nonzero weight with at most m edges
+    from one `polymers.walk_live`, sorted by `ColouredPolymer.sort_key`: the
+    live part of `oracle.enumerate_polymers`, in its order."""
+    pool = []
+
+    def keep(edges, colours, vmask, vertices, w):
+        pool.append((ColouredPolymer(edges, colours, vmask), w))
+
+    walk_live(G, assign, z, m, keep)
+    pool.sort(key=lambda pw: pw[0].sort_key())
+    return pool
 
 
 def rel_close(a, b, tol=1e-9):

@@ -18,9 +18,8 @@ from holant import polymers as polymers_mod
 from holant.bounds import KpReport
 from holant.mcmc import check_chain_conditions
 from holant.oracle import enumerate_polymers, polymer_weight, weight_map
-from holant.polymers import live_polymers
 
-from helpers import MASTER_SEED, c3, corpus, half_bound_z, k2, p3
+from helpers import MASTER_SEED, c3, corpus, half_bound_z, k2, live_pool, p3
 
 
 E = math.e
@@ -364,7 +363,7 @@ def test_local_certificate_is_sound():
 
 def test_direct_checks_and_verify_kp_walk_once(monkeypatch):
     # the chain's direct checks walk the live polymers once, to |E| edges, and
-    # verify_kp once, to m = min(|E|, 4) edges; a call to live_polymers would
+    # verify_kp once, to m = min(|E|, 4) edges; a second walk_live would
     # show as a second walk
     walks, grow = [], polymers_mod.grow_edge_sets
 
@@ -380,7 +379,7 @@ def test_direct_checks_and_verify_kp_walk_once(monkeypatch):
     walks.clear()
     report = verify_kp(G, a, (1.0, 0.004))
     assert walks == [4] and report.order == 4
-    assert report.polymer_count == len(live_polymers(G, a, (1.0, 0.004), 4))
+    assert report.polymer_count == len(live_pool(G, a, (1.0, 0.004), 4))
 
 
 def test_direct_checks_charge_only_their_walk(monkeypatch):
@@ -426,14 +425,14 @@ def test_direct_checks_charge_only_their_walk(monkeypatch):
 
 
 def test_verify_kp_keeps_the_error_order_of_the_weights():
-    # a vertex outside F0 raises live_polymers' NotInF0, word for word, in
+    # a vertex outside F0 raises walk_live's NotInF0, word for word, in
     # verify_kp and in the chain's direct checks, whose walks on C100 are small
     # and meet the signature
     G = p3()
     a = SignatureAssignment(G, [make_signature([1, 1], 1, 1), make_signature([1, 1, 1, 0], 2, 1),
                                 make_signature([0, 1], 1, 1)])
     with pytest.raises(NotInF0) as want:
-        live_polymers(G, a, (1.0, 0.1), G.edge_count)
+        live_pool(G, a, (1.0, 0.1), G.edge_count)
     with pytest.raises(NotInF0) as got:
         verify_kp(G, a, (1.0, 0.1))
     assert str(got.value) == str(want.value) == "vertex 2: signature 'table' has f(0,...,0) = 0"

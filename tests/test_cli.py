@@ -1045,6 +1045,18 @@ def test_malformed_signature_file_exits_1(capsys, files, tmp_path):
         path.write_text(json.dumps({"default": {"table": table}}))
         _fails(capsys, ["approx", "--graph", files["c3"], "--sig", str(path),
                         "--z", "1,0.01", "--eps", "0.1"], 1, f"table {field} must be")
+    # a key that names no vertex is refused, not dropped: C3 with parity
+    # tables on "7" and "01" would answer as matching; a boolean is no number
+    parity = {"builtin": "even-parity", "weight": 0.5}
+    docs = [({"assignment": {"7": parity, "01": parity}, "default": {"builtin": "matching"}},
+             "assignment key '7' is not a vertex"),
+            ({"default": {"table": {"kappa": 1, "arity": 2, "values": [True, True, True, False]}}},
+             "expected a number, got true: a boolean is not a number")]
+    for doc, phrase in docs:
+        path = tmp_path / "sig.json"
+        path.write_text(json.dumps(doc))
+        _fails(capsys, ["approx", "--graph", files["c3"], "--sig", str(path),
+                        "--z", "1,0.01", "--eps", "0.1"], 1, f"error: {phrase}")
 
 
 def test_bad_signature_specs_exit_1_with_their_message(capsys, files, tmp_path):

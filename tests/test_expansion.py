@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -51,6 +52,7 @@ from helpers import (
     flat_problem_assignment,
     half_bound_z,
     k2,
+    live_pool,
     random_graph,
     reference_series_log,
     rel_close,
@@ -742,3 +744,67 @@ def test_grid_matching_pool_is_the_live_single_edges():
     G = _grid(8, 8)
     a = uniform_assignment(G, "matching")
     assert approx_polynomial_report(G, a, half_bound_z(G, a), eps).pool_size == 112
+
+
+def _sorted_pool_series(G, a, z, m):
+    """`log_z_coefficients` through a whole pool sorted by `sort_key`
+    (`helpers.live_pool`), then the same kernel and series log."""
+    cap = min(m, G.edge_count)
+    pool = live_pool(G, a, z, cap)
+    c, transitions = family_sum([(p.vmask, p.size, w) for p, w in pool], G, cap)
+    return TaylorSeries(tuple(series_log(c, m)), len(pool), transitions)
+
+
+def _cubic_graphs():
+    """K4, the triangular prism, the cube and the Petersen graph."""
+    prism = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]
+    cube = [(v, v ^ bit) for v in range(8) for bit in (1, 2, 4) if v < v ^ bit]
+    petersen = ([(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+                + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+    return [MultiGraph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)]),
+            MultiGraph(6, prism), MultiGraph(8, cube), MultiGraph(10, petersen)]
+
+
+def test_the_walk_order_gives_the_sorted_pool_coefficients():
+    # the kernel orders the walk's items itself: on uniform signatures every
+    # a_j has the repr of the sorted-pool route, with the same transitions
+    # and pool; on random complex tables they agree to rounding
+    graphs = [_cycle_matching(n)[0] for n in (5, 8, 13)]
+    graphs += [_grid(r, c) for r, c in ((2, 4), (3, 3), (3, 4), (4, 4))] + _cubic_graphs()
+    for G in graphs:
+        assert {G.degree(v) for v in range(G.vertex_count)} <= {2, 3, 4}
+        for a in (uniform_assignment(G, "matching"),
+                  uniform_assignment(G, "even-parity", 0.5)):
+            z = half_bound_z(G, a)
+            m = certified_order(G.edge_count, 0.1, 0.5)
+            got, want = log_z_coefficients(G, a, z, m), _sorted_pool_series(G, a, z, m)
+            assert got.pool_size == want.pool_size > 0
+            assert got.family_states == want.family_states
+            assert [repr(c) for c in got.coefficients] == [repr(c) for c in want.coefficients]
+    worst = 0.0
+    for G, a in corpus(200, seed=MASTER_SEED + 81, max_edges=8):
+        z = half_bound_z(G, a)
+        m = certified_order(G.edge_count, 0.1, 0.5)
+        got, want = log_z_coefficients(G, a, z, m), _sorted_pool_series(G, a, z, m)
+        assert (got.pool_size, got.family_states) == (want.pool_size, want.family_states)
+        for x, y in zip(got.coefficients, want.coefficients, strict=True):
+            worst = max(worst, abs(x - y) / abs(y) if y else abs(x))
+    assert worst <= 1e-13
+
+
+def test_log_z_coefficients_hold_no_polymer_records():
+    # the walk's polymers reach the kernel as (vmask, size, w) items, so the
+    # route's traced peak stays far below a record and a sort per polymer
+    G = _grid(4, 4)
+    a = uniform_assignment(G, "even-parity", 0.5)
+    z = (1.0, 0.008458)
+    log_z_coefficients(G, a, z, 6)  # the signatures cache their tables
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        series = log_z_coefficients(G, a, z, 6)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert series.pool_size == 4961
+    assert peak <= 400 * series.pool_size, peak / series.pool_size

@@ -17,13 +17,12 @@ from holant import (
     uniform_assignment,
 )
 from holant.expansion import log_z_coefficients
-from holant.polymers import live_polymers
 from holant.linsys import alternating_cycle_polymers
 from holant.oracle import enumerate_polymers
 from holant.families import family_sum
 from holant.graph import bfs_order, mask_vertices
 
-from helpers import MASTER_SEED, half_bound_z, rel_close
+from helpers import MASTER_SEED, half_bound_z, live_pool, rel_close
 
 
 def cycle(n, label=None):
@@ -236,7 +235,7 @@ def test_expansion_family_gate(monkeypatch):
         log_z_coefficients(G, a, z, 8)
     monkeypatch.setattr(errors, "WORK_GATE", 7)
     with pytest.raises(GateExceeded, match="^8 units of edge-set walk"):
-        live_polymers(G, a, z, 8)
+        live_pool(G, a, z, 8)
 
 
 def test_approx_on_c200_matching_within_eps_of_closed_form():

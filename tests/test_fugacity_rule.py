@@ -25,7 +25,7 @@ from holant import (
 from holant.cli import main
 from holant.expansion import log_z_coefficients
 from holant.mcmc import PolymerChain, certify_chain, check_chain_conditions
-from holant.polymers import compact_domain, holant_prefactor, live_polymers
+from holant.polymers import compact_domain, holant_prefactor, walk_live
 from holant.signatures import check_fugacities
 
 from helpers import c3
@@ -43,7 +43,7 @@ ENTRY_POINTS = {
     "check_fugacities": lambda G, a, z: check_fugacities(z, a.kappa),
     "compact_domain": lambda G, a, z: compact_domain(a, z),
     "holant_prefactor": lambda G, a, z: holant_prefactor(G, a, z),
-    "live_polymers": lambda G, a, z: live_polymers(G, a, z, 2),
+    "walk_live": lambda G, a, z: walk_live(G, a, z, 2, lambda *polymer: None),
     "log_z_coefficients": lambda G, a, z: log_z_coefficients(G, a, z, 2),
     "approx_polynomial_report": lambda G, a, z: approx_polynomial_report(G, a, z, 0.1),
     "verify_kp": lambda G, a, z: verify_kp(G, a, z),

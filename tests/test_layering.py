@@ -9,7 +9,8 @@ Every module of the package imports only the standard library and itself, and
 one function each holds the fugacity rule, the eps rule and the check of a
 reference matching. No production walk calls itself, a linear system
 reads its matrix once, and one table holds the zero-free radii. One method
-each checks F0 and the graph an assignment was built for.
+each checks F0 and the graph an assignment was built for. `approx` hands the
+family kernel the walk's polymers as plain items, which the kernel orders.
 """
 
 import ast
@@ -425,3 +426,17 @@ def test_production_walks_never_recurse():
         ("cli.py", "_json_text", "_json_text"),
         ("cli.py", "_print_text", "_print_text"),
     ]
+
+
+def test_approx_hands_the_kernel_plain_items():
+    # log_z_coefficients passes the walk's (vmask, size, w) items to the
+    # kernel, which alone orders them: the approx route builds no polymer
+    # record and sorts nothing, and of the production modules only the chain
+    # reads sort_key (polymers.py defines it)
+    assert not hasattr(polymers, "live_polymers")
+    readers = [m.__name__ for m in PRODUCTION
+               if "sort_key" in _names([ast.parse(Path(m.__file__).read_text())])]
+    assert readers == ["holant.mcmc"]
+    tree = ast.parse(Path(expansion.__file__).read_text())
+    route = next(top for top in tree.body if getattr(top, "name", None) == "log_z_coefficients")
+    assert not {"ColouredPolymer", "sort", "sorted", "sort_key"} & _names([route])

@@ -35,7 +35,6 @@ from holant.polymers import (
     compact_domain,
     family_to_assignment,
     holant_prefactor,
-    live_polymers,
     relabel_ground,
 )
 
@@ -44,6 +43,7 @@ from helpers import (
     c3,
     k2,
     k4,
+    live_pool,
     p3,
     random_f0_assignment,
     random_graph,
@@ -235,7 +235,7 @@ def test_an_assignment_for_another_graph_is_refused():
     z = (1.0, 1e-4)
     for G, H in ((p4, c4), (c4, c3())):
         a = uniform_assignment(H, "matching")
-        for run in (lambda: live_polymers(G, a, z, 2), lambda: holant_prefactor(G, a, z),
+        for run in (lambda: live_pool(G, a, z, 2), lambda: holant_prefactor(G, a, z),
                     lambda: approx_polynomial_report(G, a, z, 0.1),
                     lambda: verify_kp(G, a, z),
                     lambda: sample_assignments(G, a, z, 0.1, seed=1),
@@ -316,7 +316,7 @@ def test_live_polymers_equal_filtered_enumeration():
         weights = weight_map(G, assign, z, enumerate_polymers(G, kappa, G.edge_count))
         for m in range(1, G.edge_count + 1):
             ref = [(p, weights[p]) for p in enumerate_polymers(G, kappa, m) if weights[p] != 0]
-            assert _bits(live_polymers(G, assign, z, m)) == _bits(ref)
+            assert _bits(live_pool(G, assign, z, m)) == _bits(ref)
 
 
 def test_a_walk_after_one_that_raised_is_exact():
@@ -350,8 +350,8 @@ def test_live_polymers_ignore_an_isolated_vertex_outside_f0():
         G, assign, z = _random_sparse_instance(rng, kappa, 6 if kappa < 3 else 4)
         H = MultiGraph(G.vertex_count + 1, G.edges)
         lone = SignatureAssignment(H, list(assign.sigs) + [make_signature([0], 0, kappa)])
-        assert _bits(live_polymers(H, lone, z, H.edge_count)) == \
-            _bits(live_polymers(G, assign, z, G.edge_count))
+        assert _bits(live_pool(H, lone, z, H.edge_count)) == \
+            _bits(live_pool(G, assign, z, G.edge_count))
 
 
 def test_walks_build_each_signature_table_once(monkeypatch):
@@ -368,8 +368,8 @@ def test_walks_build_each_signature_table_once(monkeypatch):
         monkeypatch.setattr(Signature, name, prop)
     G = MultiGraph(6, [(0, 1), (0, 3), (1, 2), (1, 4), (2, 5), (3, 4), (4, 5)])  # 2x3 grid
     assign = uniform_assignment(G, "even-parity", 0.5)
-    first = live_polymers(G, assign, (1.0, 0.1), 4)
-    assert _bits(live_polymers(G, assign, (1.0, 0.1), 4)) == _bits(first)
+    first = live_pool(G, assign, (1.0, 0.1), 4)
+    assert _bits(live_pool(G, assign, (1.0, 0.1), 4)) == _bits(first)
     distinct = {id(s) for s in assign.sigs}
     assert len(distinct) == 2  # degrees 2 and 3
     assert sorted(built) == sorted((name, key) for name in ("extensions", "quotients")
@@ -381,7 +381,7 @@ def test_live_polymers_of_matching_are_single_edges():
     for _ in range(20):
         G = random_graph(rng, max_edges=8, max_degree=4)
         assign = uniform_assignment(G, "matching")
-        live = live_polymers(G, assign, (1.0, 0.3), G.edge_count)
+        live = live_pool(G, assign, (1.0, 0.3), G.edge_count)
         assert [p.edges for p, _ in live] == [(e,) for e in range(G.edge_count)]
 
 
@@ -434,5 +434,5 @@ def test_chain_candidate_lists_equal_per_edge_superset_construction():
         assign = _random_tables(rng, G, kappa, 0.0)
         chain = _assert_chain_lists_are_supersets(G, assign, z)
         assert chain._reach == reach
-        assert max(p.size for p, _ in live_polymers(G, assign, z, G.edge_count)) > reach
+        assert max(p.size for p, _ in live_pool(G, assign, z, G.edge_count)) > reach
         assert max(p.size for entries in chain._base for p, _ in entries) == reach

@@ -303,6 +303,21 @@ def test_json_errors():
         table[field] = value
         with pytest.raises(ParseError, match=f"table {field} must be an integer >= 0"):
             assignment_from_json(G, json.dumps({"default": {"table": table}}))
+    # an assignment key names a vertex of G as str(v) does, and a JSON
+    # boolean is not a number, in a table or as a weight
+    parity = {"builtin": "even-parity", "weight": 0.5}
+    for key in ("7", "01", "-1", " 2"):
+        doc = {"assignment": {"1": parity, key: parity}, "default": {"builtin": "matching"}}
+        with pytest.raises(ParseError, match=f"assignment key {key!r} is not a vertex"):
+            assignment_from_json(G, json.dumps(doc))
+    for spec in ({"table": {"kappa": 1, "arity": 2, "values": [True, True, True, False]}},
+                 {"table": {"kappa": 1, "arity": 2, "values": [1, [1, False], 1, 0]}},
+                 {"builtin": "even-parity", "weight": True}):
+        with pytest.raises(ParseError, match="a boolean is not a number"):
+            assignment_from_json(G, json.dumps({"default": spec}))
+    with pytest.raises(ParseError, match="expected number or"):
+        assignment_from_json(G, json.dumps({"default": {"table": {
+            "kappa": 1, "arity": 2, "values": [1, ["1", "0"], 1, 0]}}}))
 
 
 BAD_SHAPES = [("kappa", 1.5), ("kappa", True), ("kappa", "1"), ("kappa", -1),
