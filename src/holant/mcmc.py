@@ -17,24 +17,32 @@ mu0 draws a geometric size budget k with P(k = i) = (1 - e^-rho) e^-rho*i,
 lists the polymers containing e0 with at most k edges, and accepts polymer
 gamma with probability Phi(gamma) e^{rho |E(gamma)|}, so that the overall
 output probability is exactly Phi(gamma). rho = tau - 2 - ln(kappa*Delta),
-where tau certifies Phi(gamma) <= e^{-tau |E(gamma)|}. `run` draws the first
-uniform as k0 (1 - random()) >= k0 2^-53 (k0 just above e^-rho; random() has
-53 bits), so k never exceeds reach = floor(-ln(k0 2^-53) / rho), and the chain
+where tau certifies Phi(gamma) <= e^{-tau |E(gamma)|}. `run` draws no first
+uniform below k0 2^-53 (k0 just above e^-rho; random() has 53 bits), so k
+never exceeds reach = floor(-ln(k0 2^-53) / rho), and the chain
 lists only the live polymers up to reach edges: no larger one is ever drawn.
 It lists those at an edge only when a draw there first needs them, and only
 up to the draw's budget (`PolymerChain`).
 
 `PolymerChain.run` is the one stepping loop. It simulates the chain
-rejection-free (the "n-fold way" of Bortz, Kalos and Lebowitz): a step is
-null, and cannot change the state, when its edge is covered and its coin
-gives no removal, or when its edge is uncovered and the first mu0 uniform
-gives size budget k = 0. While the state is unchanged a step is non-null with
-the constant probability p = c/(2|E|) + (1 - c/|E|) e^-rho, c the covered edge
-count, so one uniform draws the geometric number of null steps to skip, and
-each loop iteration is one non-null step: a removal at a uniform covered
-edge, or an insertion attempt at a uniform uncovered edge with the first mu0
-uniform drawn on (0, e^-rho]. The chain's law is exactly that of the step
-above, but the random stream is not the one-draw-per-step stream.
+rejection-free (the "n-fold way" of Bortz, Kalos and Lebowitz), with mu0's
+acceptance and the insertion coin folded into the skip by thinning (Lewis and
+Shedler). Split the first mu0 uniform at theta, just above e^{-2 rho}: one
+in (0, theta] may give any budget, one in (theta, e^-rho] gives k = 1 and
+then accepts with the size-1 mass T1(e) of e's candidates, and one above
+e^-rho gives k = 0. So an insertion attempt at an uncovered edge e can change
+the state with probability at most a(e) = theta + (e^-rho - theta) T1(e)
+(T1 is capped at 1: a mass above 1 raises), and A >= max_e a(e) is read from
+the signature tables (`set_scale`). A step
+is a candidate with the probability p = c/(2|E|) + (1 - c/|E|) A/2, c the
+covered edge count, and while the state is unchanged p is constant, so one
+uniform draws the geometric number of skipped steps and each loop iteration
+is one candidate: a removal at a uniform covered edge, or an insertion at a
+uniform uncovered edge e0 that goes on with probability a(e0)/A, with a first
+mu0 uniform on (0, theta] (probability theta/a(e0)) or else a pick from e0's
+size-1 candidates. Every step of the chain above that the loop skips could
+not change the state, so the chain's law is exactly that of the step, but
+the random stream is not the one-draw-per-step stream.
 `run(state, steps, rng, stride)` also returns the state's total edge count
 after every stride-th step, the FPRAS readings of one annealing stage.
 """
@@ -147,7 +155,7 @@ def check_chain_conditions(G: MultiGraph, assign: SignatureAssignment, z):
 
 class ChainState:
     """Current compatible family with per-edge ownership, and in moves the
-    counts of non-null steps `PolymerChain.run` visited and of the insertions
+    counts of candidate steps `PolymerChain.run` visited and of the insertions
     and removals among them."""
 
     def __init__(self, G: MultiGraph):
@@ -192,6 +200,11 @@ def certify_chain(G: MultiGraph, assign: SignatureAssignment, z) -> str:
     )
 
 
+def _mass_above_one(total: float, e0: int) -> ConditionViolated:
+    return ConditionViolated(f"mu0 acceptance mass {total:.6g} > 1 at edge {e0}; "
+                             "weights violate the sampling condition for this tau")
+
+
 class PolymerChain:
     """Bound instance: chain parameters plus per-edge mu0 candidate lists,
     each listed when a draw first needs it.
@@ -221,16 +234,15 @@ class PolymerChain:
         # a first mu0 uniform above e^{-rho} gives k = 0; the 1e-9 keeps the
         # skipped values clear of rounding in int(-log(u) / rho)
         self._k0 = math.exp(-self.rho) * (1.0 + 1e-9)
-        # per covered edge count c: P(removal step), P(non-null step) and
-        # ln P(null step), for a step of `run`
-        n = G.edge_count
-        self._rates = []
-        for c in range(n + 1) if n else ():
-            move_p = c / (2 * n) + (1.0 - c / n) * self._k0
-            self._rates.append((c / (2 * n), move_p, math.log1p(-move_p)))
+        # a first uniform above theta gives k <= 1, with the same margin; the
+        # first uniforms in (theta, e^-rho] give k = 1, and span is their width
+        self._theta = math.exp(-2.0 * self.rho) * (1.0 + 1e-9)
+        self._span = math.exp(-self.rho) - self._theta
         # the largest size budget a draw of `run` can give (module docstring)
         self._reach = int(-math.log(self._k0 * 2.0**-53) / self.rho)
         self._walk = LiveWalk(G, assign, self.z)
+        self._t1_max = self._size1_mass_max()
+        n = G.edge_count
         # per edge: candidates with weights at scale 1, their sizes, the
         # scale-free parts of the mu0 acceptance masses w x^{|E|} e^{rho |E|},
         # the sums at the current scale; the weights of a non-negative
@@ -239,8 +251,21 @@ class PolymerChain:
         self._sizes: list = [()] * n
         self._tilted: list = [()] * n
         self._cum: list = [()] * n
+        self._t1 = [0.0] * n  # the size-1 part of _cum, where _ready >= 1
         self._listed = [0] * n
         self.set_scale(1.0)
+
+    def _size1_mass_max(self) -> float:
+        """The largest size-1 acceptance mass over the edges at scale 1: per
+        edge, the sum over its colours c of Phi(e coloured c) e^rho, read from
+        the walk's tables (`polymers.LiveWalk`) without walking."""
+        walk, top = self._walk, 0.0
+        for u, ru, v, rv in walk.ends if self.G.edge_count else ():
+            mass = 0.0
+            for c in walk.colours:
+                mass += (walk.ratio[c] * walk.quot[u][c * ru] * walk.quot[v][c * rv]).real
+            top = max(top, mass)
+        return top * math.exp(self.rho)
 
     @property
     def _base(self) -> list:
@@ -259,6 +284,19 @@ class PolymerChain:
             raise ValueError("scale must be in [0, 1]")
         self._power = [x**s for s in range(self._reach + 1)]
         self._ready = [0] * self.G.edge_count
+        # the thinning bound A >= a(e) at every edge (`run`), with room for
+        # the rounding of the sums that a(e) reads, and per covered edge
+        # count the step rates, filled when `run` first meets the count
+        t1 = min(self._t1_max * x, 1.0)
+        self._bound = (self._theta + self._span * t1) * (1.0 + 1e-9)
+        self._rates = [None] * (self.G.edge_count + 1)
+
+    def _rate(self, c: int) -> tuple:
+        """P(removal step), P(candidate step) and ln P(skipped step) for a
+        step of `run` with c covered edges."""
+        n = self.G.edge_count
+        move_p = c / (2 * n) + (1.0 - c / n) * self._bound / 2
+        return c / (2 * n), move_p, math.log1p(-move_p)
 
     def _prepare(self, e0: int, k: int):
         """Make edge e0 serve a draw of size budget k: list its candidates to
@@ -273,6 +311,8 @@ class PolymerChain:
             acc += t * power[s]
             cum.append(acc)
         self._cum[e0] = cum
+        ones = bisect_right(self._sizes[e0], 1)
+        self._t1[e0] = cum[ones - 1] if ones else 0.0
         self._ready[e0] = self._listed[e0]
 
     def _list(self, e0: int, limit: int):
@@ -310,10 +350,7 @@ class PolymerChain:
             return None
         total = cum[hi - 1]
         if total > 1.0 + 1e-9:
-            raise ConditionViolated(
-                f"mu0 acceptance mass {total:.6g} > 1 at edge {e0}; "
-                "weights violate the sampling condition for this tau"
-            )
+            raise _mass_above_one(total, e0)
         u2 = rng.random()
         if u2 >= total:
             return None
@@ -327,17 +364,29 @@ class PolymerChain:
         """Advance state by steps chain steps; return state.total_edges read
         after every stride-th step (no readings when stride is 0).
 
-        Each iteration visits one non-null step: it draws the geometric count
-        of null steps before it, with P(count >= i) = (1 - p)^i, and then the
-        step itself. Null steps leave the state, so a skipped block reads the
-        unchanged covered edge count c at each of its stride multiples, and a
-        skip past steps ends the call (the skip is memoryless, so cutting it
-        there changes no law). A removal draws its covered edge by rejection
-        among all edges, |E|/c draws on average, and removals come at rate
-        c/(2|E|) per step; an insertion attempt draws its uncovered edge the
-        same way. So the expected work per simulated step stays O(1). The
-        covered count, the occupied mask and the move counts live in locals
-        and are written back to state once, when the call ends or raises.
+        Each iteration visits one candidate step (module docstring), so
+        `ChainState.moves` "visited" counts candidates: it draws the geometric
+        count of skipped steps before it, with P(count >= i) = (1 - p)^i, and
+        then the candidate itself. Skipped steps leave the state, so a skipped
+        block reads the unchanged covered edge count c at each of its stride
+        multiples, and a skip past steps ends the call (the skip is
+        memoryless, so cutting it there changes no law). A removal draws its
+        covered edge by rejection among all edges, |E|/c draws on average, and
+        removals come at rate c/(2|E|) per step; an insertion draws its
+        uncovered edge the same way, and lists e0's size-1 candidates first
+        when the scale has changed since. So the expected work per simulated
+        step stays O(1). A first mu0 uniform on (0, theta] is drawn as
+        theta (1 - random()) and kept at least k0 2^-53, so that no budget
+        passes `_reach`.
+
+        A draw whose candidates up to its budget k have acceptance mass above
+        1 (+1e-9) raises ConditionViolated. At an uncovered edge e a step
+        reaches that check with probability P_e / (2|E|), where P_e is the
+        chance that a first mu0 uniform on (0, 1) gives such a k at e: half
+        its chance in the step as defined, which tosses the insertion coin
+        after the draw. The covered count, the occupied mask and the move
+        counts live in locals and are written back to state once, when the
+        call ends or raises.
         """
         n = self.G.edge_count
         if steps <= 0:
@@ -349,8 +398,10 @@ class PolymerChain:
         uniform = rng.random
         log = math.log
         edge_owner = state.edge_owner
-        k0 = self._k0
-        draw = self._draw
+        theta, span, bound = self._theta, self._span, self._bound
+        lowest = self._k0 * 2.0**-53  # the smallest first mu0 uniform, as _reach assumes
+        draw, prepare = self._draw, self._prepare
+        ready, t1s, cums, entries = self._ready, self._t1, self._cum, self._entries
         rates = self._rates
         c, occupied = state.total_edges, state.occupied
         visited = inserted = removed = 0
@@ -358,8 +409,11 @@ class PolymerChain:
         done = 0  # steps simulated so far
         try:
             while True:
-                remove_p, move_p, log_stay = rates[c]
-                t = done + 1 + int(log(1.0 - uniform()) / log_stay)  # the next non-null step
+                rate = rates[c]
+                if rate is None:
+                    rate = rates[c] = self._rate(c)
+                remove_p, move_p, log_stay = rate
+                t = done + 1 + int(log(1.0 - uniform()) / log_stay)  # the next candidate step
                 if t > steps:
                     if stride:
                         readings += [c] * (steps // stride - done // stride)
@@ -381,8 +435,19 @@ class PolymerChain:
                     e0 = getrandbits(bits)
                     while e0 >= n or edge_owner[e0] is not None:
                         e0 = getrandbits(bits)
-                    p = draw(e0, k0 * (1.0 - uniform()), rng)  # first mu0 uniform on (0, k0]
-                    if p is not None and not p.vmask & occupied and uniform() < 0.5:
+                    if ready[e0] < 1:
+                        prepare(e0, 1)
+                    t1 = t1s[e0]
+                    v = bound * (1.0 - uniform())  # on (0, A]
+                    if v <= theta:  # a first mu0 uniform on (0, theta]
+                        p = draw(e0, max(theta * (1.0 - uniform()), lowest), rng)
+                    elif v <= theta + span * min(t1, 1.0):  # one in (theta, e^-rho]: k = 1
+                        if t1 > 1.0 + 1e-9:
+                            raise _mass_above_one(t1, e0)
+                        p = entries[e0][bisect_right(cums[e0], t1 * uniform())][0]
+                    else:
+                        p = None
+                    if p is not None and not p.vmask & occupied:
                         occupied |= p.vmask
                         c += p.size
                         for e in p.edges:

@@ -258,7 +258,13 @@ def _complex_from_json(v) -> complex:
     if any(isinstance(x, bool) for x in parts):
         raise ParseError(f"expected a number, got {json.dumps(v)}: a boolean is not a number")
     if all(isinstance(x, (int, float)) for x in parts):
-        return complex(float(parts[0]), float(parts[1]))
+        try:
+            return complex(float(parts[0]), float(parts[1]))
+        except OverflowError as exc:  # a JSON integer past the float range
+            text = json.dumps(v)
+            if len(text) > 40:
+                text = f"{text[:20]}... ({len(text)} characters)"
+            raise ParseError(f"number {text} is past the float range") from exc
     raise ParseError(f"expected number or [re, im] pair, got {v!r}")
 
 
@@ -302,7 +308,8 @@ def assignment_from_json(G: MultiGraph, text: str) -> SignatureAssignment:
     Specs are {"builtin": "matching"}, {"builtin": "even-parity", "weight": w}
     or {"table": {"kappa": K, "arity": d, "values": [[re, im], ...]}}.
     A spec that several vertices read (the default or a named one) builds one
-    Signature per arity, which they share.
+    Signature per arity, which they share. Any other top-level key is a
+    ParseError, so a misspelt key is not silently dropped.
     """
     try:
         doc = json.loads(text)
@@ -310,6 +317,10 @@ def assignment_from_json(G: MultiGraph, text: str) -> SignatureAssignment:
         raise ParseError(f"bad JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("signature file must be a JSON object")
+    for key in doc:
+        if key not in ("signatures", "assignment", "default"):
+            raise ParseError(f"unknown top-level key {key!r}: expected 'signatures', "
+                             "'assignment' or 'default'")
     named = doc.get("signatures", {})
     assignment = doc.get("assignment", {})
     default = doc.get("default")

@@ -1,11 +1,12 @@
 """Pinned `count-mcmc` and `sample` output: the chain's random stream, draw for draw.
 
-The digests were recorded with the rejection-free `PolymerChain.run` loop,
-which draws one geometric skip over the null steps and then one non-null
-step per iteration, for one seed each, on C10 matching (single-edge polymers
-only) and C10 even-parity(0.5) (whose pool has polymers of every size). The
-reports include the chain's move counts. A change to the chain that moves any
-random draw changes one of these outputs; `--jobs 2` must print the same bytes.
+The digests were recorded with the thinned `PolymerChain.run` loop, which
+draws one geometric skip to the next candidate step and then the candidate,
+a removal or an insertion that goes on with probability a(e0)/A, for one seed
+each, on C10 matching (single-edge polymers only) and C10 even-parity(0.5)
+(whose pool has polymers of every size). The reports include the chain's move
+counts. A change to the chain that moves any random draw changes one of these
+outputs; `--jobs 2` must print the same bytes.
 """
 
 import hashlib
@@ -18,13 +19,13 @@ C10 = "10 10\n" + "".join(f"{i} {(i + 1) % 10}\n" for i in range(10))
 
 GOLDEN = {
     ("count-mcmc", "matching", "1"):
-        "7b833053700b4209cfe7cf2a6e7357188e43ae04d1e9a7d07e350619ce29b6da",
+        "2fee316a5e53defc412362a774f8d30256d2122dcb56bad0434ce36c9e4a72c2",
     ("count-mcmc", "even-parity:0.5", "1"):
-        "1586ede398bb39ab6db0e5c60b3ef4028bf6b02a5dec54cfcb7cce9b56b1c474",
+        "c9feecdf3b80e103a31072728e138796d38593d6f3623dac1b29e143eb55c573",
     ("sample", "matching", "2"):
-        "9612da0c6a56c18a9c6ab6585e7ab656c4a372246576667d8e225f9c5c9088b6",
+        "56504f71e77f267db5e1e6a5e4bb73b0303903fcb152ceedab70a1154ee11573",
     ("sample", "even-parity:0.5", "2"):
-        "b7d7784a22346e546cc7d53ce4c2ec59c87d7e638e3c32fe10dc947b8bc6aeb3",
+        "d161f433d45fe39e0c5f97af6aa5e97caf79cd12857223700b2ecfb0d4421135",
 }
 
 

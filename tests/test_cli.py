@@ -534,8 +534,10 @@ def test_count_mcmc(capsys, files):
 
 
 def test_chain_reports_count_moves_and_skip_the_null_steps(capsys, tmp_path):
-    # C10 matching at half the mcmc-poly bound: a step is non-null with
-    # probability about e^-rho = 1.25 %, and the loop visits only those steps
+    # C10 matching at half the mcmc-poly bound: a step inserts with
+    # probability under z1/2 = 0.02 % and removes with probability c/20, c
+    # the covered edge count; the loop visits only the candidate steps, whose
+    # rate A/2 + c/20 stays close to that, so most candidates move
     graph = tmp_path / "c10.txt"
     graph.write_text("10 10\n" + "".join(f"{i} {(i + 1) % 10}\n" for i in range(10)))
     z1 = 0.5 * region_bounds("mcmc-poly", delta=2, kappa=1, r1=1.0).bound
@@ -546,6 +548,8 @@ def test_chain_reports_count_moves_and_skip_the_null_steps(capsys, tmp_path):
         moves = diag["moves"]
         assert 0 < moves["visited"] <= 0.03 * diag["chain_steps"]
         assert moves["removed"] <= moves["inserted"] <= moves["visited"]
+        if argv[0] == "count-mcmc":
+            assert moves["visited"] <= 4 * (moves["inserted"] + moves["removed"]) + 10
         assert run_json(capsys, argv + common + ["--jobs", "2"]) == rep
     assert diag["chain_steps"] == 50 * diag["mixing_steps"]
 
@@ -1046,12 +1050,18 @@ def test_malformed_signature_file_exits_1(capsys, files, tmp_path):
         _fails(capsys, ["approx", "--graph", files["c3"], "--sig", str(path),
                         "--z", "1,0.01", "--eps", "0.1"], 1, f"table {field} must be")
     # a key that names no vertex is refused, not dropped: C3 with parity
-    # tables on "7" and "01" would answer as matching; a boolean is no number
+    # tables on "7" and "01" would answer as matching; so is a misspelt
+    # top-level key; a boolean is no number, nor is an integer past the
+    # float range
     parity = {"builtin": "even-parity", "weight": 0.5}
     docs = [({"assignment": {"7": parity, "01": parity}, "default": {"builtin": "matching"}},
              "assignment key '7' is not a vertex"),
             ({"default": {"table": {"kappa": 1, "arity": 2, "values": [True, True, True, False]}}},
-             "expected a number, got true: a boolean is not a number")]
+             "expected a number, got true: a boolean is not a number"),
+            ({"assigment": {"0": parity}, "default": {"builtin": "matching"}},
+             "unknown top-level key 'assigment'"),
+            ({"default": {"table": {"kappa": 1, "arity": 2, "values": [1, 1, 1, 10**400]}}},
+             "number 1000")]
     for doc, phrase in docs:
         path = tmp_path / "sig.json"
         path.write_text(json.dumps(doc))

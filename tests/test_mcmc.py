@@ -729,6 +729,49 @@ def test_run_follows_the_step_kernel_in_law():
     assert multi_edge >= 100
 
 
+def test_run_follows_the_step_kernel_where_thinning_acts():
+    # P3 with size-1 masses 0.08 and 0.02 at its two edges and mass 0.9 on
+    # the whole path: every insertion rate a(e) is at most k0 / 10 and they
+    # differ, so the bound A sends on some candidates and not others, and
+    # the path comes only from first uniforms at most theta
+    G = p3()
+    e_rho = math.exp(tau_floor(1, 2) - 2.0 - math.log(2))
+    left = make_signature([1.0, 0.08 / e_rho], 1, 1)
+    right = make_signature([1.0, 0.02 / e_rho], 1, 1)
+    middle = make_signature([1.0, 1.0, 1.0, 0.9 / (0.08 * 0.02)], 2, 1)
+    chain = PolymerChain(G, SignatureAssignment(G, [left, middle, right]), (1.0, 1.0))
+    assert [[p.size for p, _ in entries] for entries in chain._base] == [[1, 2], [1, 2]]
+    a = [chain._theta + chain._span * t1 for t1 in chain._t1]
+    assert max(a) <= 0.1 * chain._k0 and a[0] > 2 * a[1] and max(a) <= chain._bound
+    n = 300000
+    r = random.Random(MASTER_SEED + 26)
+    for steps, stride in ((40, 13), (1, 1)):
+        families, readings = _exact_laws(chain, frozenset(), steps, stride)
+        seen_families, seen_readings = Counter(), Counter()
+        for _ in range(n):
+            state = chain.fresh_state()
+            seen_readings[tuple(chain.run(state, steps, r, stride))] += 1
+            seen_families[frozenset(state.family())] += 1
+        _assert_follows(seen_families, families, n)
+        _assert_follows(seen_readings, readings, n)
+        if steps == 40:
+            assert sum(c for fam, c in seen_families.items()
+                       if any(p.size > 1 for p in fam)) >= 20
+
+
+def test_the_thinning_bound_dominates_every_edge():
+    # A comes from the tables and a(e) from the walk's sums, at every scale
+    rng = random.Random(MASTER_SEED + 27)
+    for _ in range(30):
+        G, a, kappa = _nonneg_instance(rng)
+        chain = PolymerChain(G, a, [1.0] + [rng.uniform(0.01, 1.0)] * kappa)
+        for x in (1.0, 0.37, 1e-3, 0.0):
+            chain.set_scale(x)
+            chain._base
+            worst = max(chain._theta + chain._span * min(t1, 1.0) for t1 in chain._t1)
+            assert worst <= chain._bound <= worst * (1 + 1e-8)
+
+
 def test_mu0_follows_the_reference():
     rng = random.Random(MASTER_SEED + 22)
     for case in range(10):

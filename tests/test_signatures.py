@@ -315,9 +315,20 @@ def test_json_errors():
                  {"builtin": "even-parity", "weight": True}):
         with pytest.raises(ParseError, match="a boolean is not a number"):
             assignment_from_json(G, json.dumps({"default": spec}))
+    # a JSON integer past the float range names the entry, as a boolean does
+    past = r"number 1000+\.\.\. \(401 characters\) is past the float range"
+    with pytest.raises(ParseError, match=past):
+        assignment_from_json(G, json.dumps({"default": {"table": {
+            "kappa": 1, "arity": 2, "values": [1, 1, 1, 10**400]}}}))
     with pytest.raises(ParseError, match="expected number or"):
         assignment_from_json(G, json.dumps({"default": {"table": {
             "kappa": 1, "arity": 2, "values": [1, ["1", "0"], 1, 0]}}}))
+    # a misspelt top-level key is refused, not dropped: C3 would answer as
+    # the default's matching
+    doc = {"assigment": {"0": {"builtin": "even-parity", "weight": 0.5}},
+           "default": {"builtin": "matching"}}
+    with pytest.raises(ParseError, match="unknown top-level key 'assigment'"):
+        assignment_from_json(G, json.dumps(doc))
 
 
 BAD_SHAPES = [("kappa", 1.5), ("kappa", True), ("kappa", "1"), ("kappa", -1),
