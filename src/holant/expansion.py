@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 from . import errors
@@ -202,9 +203,11 @@ def _check_zero_free_bound(coefficients, d: int, q: float) -> None:
     Combinatorics and Complexity of Partition Functions, 2016, Sec. 2.2). A
     coefficient past that bound was lost to float64 cancellation in
     `series_log`, so its truncated sum carries no eps guarantee. Compared in
-    logs, so that q^j cannot overflow.
+    logs, so that q^j cannot overflow. A q past the float range (inf, as
+    `_fugacity` gives it for a ratio that is subnormal or zero) is checked
+    at the largest float: no larger than the radius, so still zero-free.
     """
-    log_q = math.log(q)
+    log_q = math.log(min(q, sys.float_info.max))
     for j, a in enumerate(coefficients, 1):
         if a == 0:
             continue
@@ -219,7 +222,7 @@ def _check_zero_free_bound(coefficients, d: int, q: float) -> None:
 
 def _fugacity(G: MultiGraph, assign: SignatureAssignment, z):
     """The holant-poly region bound over the largest |z_i|/|z_0|; q is inf if
-    that ratio underflows to 0."""
+    that ratio underflows to 0 or the quotient overflows."""
     bound = region_bounds("holant-poly", delta=G.max_degree(), kappa=assign.kappa,
                           r1=assign.r1()).bound
     worst = max(abs(t) / abs(z[0]) for t in z[1:])

@@ -14,34 +14,30 @@ distribution mu0 and inserts it (probability 1/2) when it is compatible with
 the rest of the state.
 
 mu0 draws a geometric size budget k with P(k = i) = (1 - e^-rho) e^-rho*i,
-lists the polymers containing e0 with at most k edges, and accepts polymer
+takes the live polymers through e0 with at most k edges, and accepts polymer
 gamma with probability Phi(gamma) e^{rho |E(gamma)|}, so that the overall
 output probability is exactly Phi(gamma). rho = tau - 2 - ln(kappa*Delta),
 where tau certifies Phi(gamma) <= e^{-tau |E(gamma)|}. `run` draws no first
 uniform below k0 2^-53 (k0 just above e^-rho; random() has 53 bits), so k
-never exceeds reach = floor(-ln(k0 2^-53) / rho), and the chain
-lists only the live polymers up to reach edges: no larger one is ever drawn.
-It lists those at an edge only when a draw there first needs them, and only
-up to the draw's budget (`PolymerChain`).
+never exceeds reach = floor(-ln(k0 2^-53) / rho). The chain keeps no
+candidate lists: a draw with k >= 2 walks from e0 to min(k, reach) edges,
+and one with k = 1 reads e0's single-edge polymers from the walk's tables.
 
-`PolymerChain.run` is the one stepping loop. It simulates the chain
-rejection-free (the "n-fold way" of Bortz, Kalos and Lebowitz), with mu0's
-acceptance and the insertion coin folded into the skip by thinning (Lewis and
-Shedler). Split the first mu0 uniform at theta, just above e^{-2 rho}: one
-in (0, theta] may give any budget, one in (theta, e^-rho] gives k = 1 and
-then accepts with the size-1 mass T1(e) of e's candidates, and one above
-e^-rho gives k = 0. So an insertion attempt at an uncovered edge e can change
-the state with probability at most a(e) = theta + (e^-rho - theta) T1(e)
-(T1 is capped at 1: a mass above 1 raises), and A >= max_e a(e) is read from
-the signature tables (`set_scale`). A step
-is a candidate with the probability p = c/(2|E|) + (1 - c/|E|) A/2, c the
-covered edge count, and while the state is unchanged p is constant, so one
-uniform draws the geometric number of skipped steps and each loop iteration
-is one candidate: a removal at a uniform covered edge, or an insertion at a
-uniform uncovered edge e0 that goes on with probability a(e0)/A, with a first
-mu0 uniform on (0, theta] (probability theta/a(e0)) or else a pick from e0's
-size-1 candidates. Every step of the chain above that the loop skips could
-not change the state, so the chain's law is exactly that of the step, but
+`PolymerChain.run` is the one stepping loop, rejection-free (the "n-fold
+way" of Bortz, Kalos and Lebowitz), with mu0's acceptance and the insertion
+coin folded into the skip by thinning (Lewis and Shedler). A first mu0
+uniform above theta, just above e^{-2 rho}, gives k <= 1, so an insertion
+attempt at an uncovered edge e changes the state with probability at most
+a(e) = theta + (e^-rho - theta) T1(e), T1(e) the size-1 acceptance mass at
+e (a mass above 1 raises), and A >= max_e a(e) comes from the signature
+tables (`set_scale`). While the state is unchanged a step is a candidate
+with the constant probability p = c/(2|E|) + (1 - c/|E|) A/2, c the covered
+edge count, so one uniform draws the geometric number of skipped steps, and
+each loop iteration is one candidate: a removal at a uniform covered edge,
+or an insertion at a uniform uncovered edge e0 that goes on with
+probability a(e0)/A, then draws mu0's first uniform on (0, theta]
+(probability theta/a(e0)) or else picks from e0's single-edge polymers. No
+skipped step could change the state, so the law is exactly the chain's, but
 the random stream is not the one-draw-per-step stream.
 `run(state, steps, rng, stride)` also returns the state's total edge count
 after every stride-th step, the FPRAS readings of one annealing stage.
@@ -55,6 +51,7 @@ import os
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from . import errors
 from .bounds import region_bounds
@@ -93,13 +90,24 @@ def derive_seed(*parts) -> int:
 
 def mixing_time(G: MultiGraph, eps: float) -> int:
     """2|E| ln(n/eps) / (1 - xi) chain steps, rounded up and at least 1, with
-    xi = DEFAULT_XI: 8|E| ln(n/eps). A graph without edges needs 0 steps."""
+    xi = DEFAULT_XI: 8|E| ln(n/eps), ln n - ln eps where n/eps overflows. A
+    graph without edges needs 0 steps."""
     _require_eps(eps)
     if not G.edge_count:
         return 0
     n = max(1, G.vertex_count)
-    t = 2.0 * G.edge_count * math.log(n / eps) / (1.0 - DEFAULT_XI)
+    log_ratio = math.log(n / eps) if n / eps < math.inf else math.log(n) - math.log(eps)
+    t = 2.0 * G.edge_count * log_ratio / (1.0 - DEFAULT_XI)
     return max(1, math.ceil(t))
+
+
+def _samples_per_stage(eps: float) -> int:
+    """S = ceil(32 / eps^2), the FPRAS samples per stage; exact, as a fraction,
+    where eps^2 under- or overflows (S is then past any gate, or 1)."""
+    try:
+        return math.ceil(32.0 / eps**2)
+    except (OverflowError, ZeroDivisionError):  # also ceil(inf), for a subnormal eps^2
+        return math.ceil(Fraction(32) / Fraction(eps) ** 2)
 
 
 def _require_nonneg(assign: SignatureAssignment, z):
@@ -206,23 +214,15 @@ def _mass_above_one(total: float, e0: int) -> ConditionViolated:
 
 
 class PolymerChain:
-    """Bound instance: chain parameters plus per-edge mu0 candidate lists,
-    each listed when a draw first needs it.
+    """Bound instance: the chain parameters and the prepared walk its draws
+    read (`polymers.LiveWalk`). tau is tau_floor(kappa, Delta), and the
+    mixing condition fixes xi at DEFAULT_XI = 0.75. The chain certifies
+    nothing: the commands certify the instance with `certify_chain` before
+    they build it (`_chain_map`).
 
-    tau is tau_floor(kappa, Delta), and the mixing condition fixes xi at
-    DEFAULT_XI = 0.75. The chain certifies nothing: the commands certify the
-    instance with `certify_chain` before they build it (`_chain_map`).
-
-    A draw at e0 with size budget k needs the live polymers through e0 with
-    at most k edges, in `ColouredPolymer.sort_key` order, so ascending by
-    size. The chain keeps, per edge, the list walked so far and the size it
-    is complete to (`_listed`); a budget past it walks from e0 to
-    min(k, `_reach`) (`polymers.LiveWalk.walk`) and sorts. Each list is thus
-    a prefix of the list to `_reach`, whose weights are those of one walk from
-    every edge, and its cumulative sums are the same additions in the same
-    order: every draw is the one an eager build gives. `set_scale` only marks
-    the sums stale; `_ready[e]` is the budget up to which edge e's list and
-    sums serve a draw as they stand. `_base` lists every edge to `_reach`.
+    It keeps no per-edge state: a draw gets its candidates from
+    `_candidates`, so building walks nothing, and `set_scale` sets only the
+    powers x^s and the step rates.
     """
 
     def __init__(self, G: MultiGraph, assign: SignatureAssignment, z):
@@ -241,49 +241,27 @@ class PolymerChain:
         # the largest size budget a draw of `run` can give (module docstring)
         self._reach = int(-math.log(self._k0 * 2.0**-53) / self.rho)
         self._walk = LiveWalk(G, assign, self.z)
-        self._t1_max = self._size1_mass_max()
-        n = G.edge_count
-        # per edge: candidates with weights at scale 1, their sizes, the
-        # scale-free parts of the mu0 acceptance masses w x^{|E|} e^{rho |E|},
-        # the sums at the current scale; the weights of a non-negative
-        # instance's live polymers are positive
-        self._entries: list = [()] * n
-        self._sizes: list = [()] * n
-        self._tilted: list = [()] * n
-        self._cum: list = [()] * n
-        self._t1 = [0.0] * n  # the size-1 part of _cum, where _ready >= 1
-        self._listed = [0] * n
-        self.set_scale(1.0)
-
-    def _size1_mass_max(self) -> float:
-        """The largest size-1 acceptance mass over the edges at scale 1: per
-        edge, the sum over its colours c of Phi(e coloured c) e^rho, read from
-        the walk's tables (`polymers.LiveWalk`) without walking."""
-        walk, top = self._walk, 0.0
-        for u, ru, v, rv in walk.ends if self.G.edge_count else ():
+        # the largest size-1 acceptance mass over the edges at scale 1, from the tables
+        top = 0.0
+        for e in range(G.edge_count):
             mass = 0.0
-            for c in walk.colours:
-                mass += (walk.ratio[c] * walk.quot[u][c * ru] * walk.quot[v][c * rv]).real
+            for _, w in self._walk.singles(e):
+                mass += w.real
             top = max(top, mass)
-        return top * math.exp(self.rho)
+        self._t1_max = top * math.exp(self.rho)
+        self.set_scale(1.0)
 
     @property
     def _base(self) -> list:
-        """Per edge, its candidates up to `_reach` edges with their weights, as
-        an eager build lists them; reading it lists and sums every edge, so
-        `_sizes` and `_cum` then hold every edge's full rows too (criterion 10
-        and the reference step law read them)."""
-        for e in range(self.G.edge_count):
-            if self._ready[e] < self._reach:
-                self._prepare(e, self._reach)
-        return self._entries
+        """Per edge, the candidates of a draw with budget `_reach` and their
+        weights (criterion 10 and the reference step law read it)."""
+        return [self._candidates(e, self._reach)[0] for e in range(self.G.edge_count)]
 
     def set_scale(self, x: float):
         """Scale every weight by x^{|E(gamma)|} (annealing parameter)."""
         if not 0.0 <= x <= 1.0:
             raise ValueError("scale must be in [0, 1]")
         self._power = [x**s for s in range(self._reach + 1)]
-        self._ready = [0] * self.G.edge_count
         # the thinning bound A >= a(e) at every edge (`run`), with room for
         # the rounding of the sums that a(e) reads, and per covered edge
         # count the step rates, filled when `run` first meets the count
@@ -298,63 +276,48 @@ class PolymerChain:
         move_p = c / (2 * n) + (1.0 - c / n) * self._bound / 2
         return c / (2 * n), move_p, math.log1p(-move_p)
 
-    def _prepare(self, e0: int, k: int):
-        """Make edge e0 serve a draw of size budget k: list its candidates to
-        min(k, _reach) edges if they stop short of that, and sum them at the
-        current scale."""
-        if k > self._listed[e0] < self._reach:
-            self._list(e0, min(k, self._reach))
-        power = self._power
-        cum = []
-        acc = 0.0
-        for t, s in zip(self._tilted[e0], self._sizes[e0]):
-            acc += t * power[s]
+    def _candidates(self, e0: int, k: int) -> tuple:
+        """The live polymers through e0 with at most min(k, _reach) edges as
+        (polymer, weight) pairs in sort_key order, and the running sums of
+        their mu0 acceptance masses (w e^{rho |E|}) x^{|E|} at the current
+        scale. A budget of 1 reads the walk's tables; a larger one walks."""
+        limit = min(k, self._reach)
+        if limit == 1:
+            found = self._walk.singles(e0)  # sort_key order: colours ascend
+        else:
+            found = []
+            self._walk.walk((e0,), limit, lambda edges, cols, vmask, _, w:
+                            found.append((ColouredPolymer(edges, cols, vmask), w)))
+            found.sort(key=lambda pw: pw[0].sort_key())
+        rho, power = self.rho, self._power
+        entries, cum, acc = [], [], 0.0
+        for p, w in found:
+            w = w.real  # positive: the weights of a non-negative instance's live polymers
+            acc += w * math.exp(rho * p.size) * power[p.size]
+            entries.append((p, w))
             cum.append(acc)
-        self._cum[e0] = cum
-        ones = bisect_right(self._sizes[e0], 1)
-        self._t1[e0] = cum[ones - 1] if ones else 0.0
-        self._ready[e0] = self._listed[e0]
-
-    def _list(self, e0: int, limit: int):
-        """List the live polymers through e0 with at most limit edges, from
-        one walk seeded at e0, in sort_key order."""
-        found = []
-
-        def keep(edges, cols, vmask, _, w):
-            found.append((ColouredPolymer(edges, cols, vmask), w.real))
-
-        self._walk.walk((e0,), limit, keep)
-        found.sort(key=lambda pw: pw[0].sort_key())
-        self._entries[e0] = found
-        self._sizes[e0] = [p.size for p, _ in found]
-        self._tilted[e0] = [w * math.exp(self.rho * p.size) for p, w in found]
-        self._listed[e0] = limit
+        return entries, cum
 
     def mu0(self, e0: int, rng: random.Random):
         """One draw from the single-polymer distribution at edge e0 (or None)."""
         u = rng.random()
-        if u > self._k0:
-            return None
-        return self._draw(e0, u, rng)
+        return None if u > self._k0 else self._draw(e0, u, rng)
 
     def _draw(self, e0: int, u: float, rng: random.Random):
         """The rest of a mu0 draw at e0, given its first uniform u <= _k0."""
         k = int(-math.log(u) / self.rho)  # P(k >= i) = e^{-rho i}
         if k == 0:
             return None
-        if k > self._ready[e0]:
-            self._prepare(e0, k)
-        cum, sizes = self._cum[e0], self._sizes[e0]
-        hi = bisect_right(sizes, k)  # polymers with size <= k (sizes ascend)
-        if hi == 0:
+        entries, cum = self._candidates(e0, k)
+        if not entries:
             return None
-        total = cum[hi - 1]
+        total = cum[-1]
         if total > 1.0 + 1e-9:
             raise _mass_above_one(total, e0)
         u2 = rng.random()
         if u2 >= total:
             return None
-        return self._entries[e0][bisect_right(cum, u2)][0]
+        return entries[bisect_right(cum, u2)][0]
 
     def fresh_state(self) -> ChainState:
         return ChainState(self.G)
@@ -373,11 +336,10 @@ class PolymerChain:
         memoryless, so cutting it there changes no law). A removal draws its
         covered edge by rejection among all edges, |E|/c draws on average, and
         removals come at rate c/(2|E|) per step; an insertion draws its
-        uncovered edge the same way, and lists e0's size-1 candidates first
-        when the scale has changed since. So the expected work per simulated
-        step stays O(1). A first mu0 uniform on (0, theta] is drawn as
-        theta (1 - random()) and kept at least k0 2^-53, so that no budget
-        passes `_reach`.
+        uncovered edge the same way. An insertion with a first mu0 uniform on
+        (0, theta], drawn as theta (1 - random()) and kept at least k0 2^-53
+        so that no budget passes `_reach`, walks from e0 (`_draw`); the size-1
+        branch reads e0's single-edge polymers from the tables, walking nothing.
 
         A draw whose candidates up to its budget k have acceptance mass above
         1 (+1e-9) raises ConditionViolated. At an uncovered edge e a step
@@ -400,8 +362,7 @@ class PolymerChain:
         edge_owner = state.edge_owner
         theta, span, bound = self._theta, self._span, self._bound
         lowest = self._k0 * 2.0**-53  # the smallest first mu0 uniform, as _reach assumes
-        draw, prepare = self._draw, self._prepare
-        ready, t1s, cums, entries = self._ready, self._t1, self._cum, self._entries
+        draw, candidates = self._draw, self._candidates
         rates = self._rates
         c, occupied = state.total_edges, state.occupied
         visited = inserted = removed = 0
@@ -435,18 +396,17 @@ class PolymerChain:
                     e0 = getrandbits(bits)
                     while e0 >= n or edge_owner[e0] is not None:
                         e0 = getrandbits(bits)
-                    if ready[e0] < 1:
-                        prepare(e0, 1)
-                    t1 = t1s[e0]
                     v = bound * (1.0 - uniform())  # on (0, A]
+                    p = None
                     if v <= theta:  # a first mu0 uniform on (0, theta]
                         p = draw(e0, max(theta * (1.0 - uniform()), lowest), rng)
-                    elif v <= theta + span * min(t1, 1.0):  # one in (theta, e^-rho]: k = 1
-                        if t1 > 1.0 + 1e-9:
-                            raise _mass_above_one(t1, e0)
-                        p = entries[e0][bisect_right(cums[e0], t1 * uniform())][0]
                     else:
-                        p = None
+                        entries, cum = candidates(e0, 1)
+                        t1 = cum[-1] if cum else 0.0
+                        if v <= theta + span * min(t1, 1.0):  # one in (theta, e^-rho]: k = 1
+                            if t1 > 1.0 + 1e-9:
+                                raise _mass_above_one(t1, e0)
+                            p = entries[bisect_right(cum, t1 * uniform())][0]
                     if p is not None and not p.vmask & occupied:
                         occupied |= p.vmask
                         c += p.size
@@ -616,7 +576,7 @@ def fpras_estimate(G: MultiGraph, assign: SignatureAssignment, z, eps: float,
     if G.edge_count == 0:
         return FprasReport(prefactor, [prefactor] * reps, 0, 0, reps, seed, 0, 0)
     K = max(2, min(2 * G.edge_count, 24))
-    S = math.ceil(32.0 / eps**2)
+    S = _samples_per_stage(eps)
     burn = mixing_time(G, 0.05)
     steps = reps * K * (burn + S * _STRIDE)
     certificate, results = _chain_map(G, assign, zr, steps, _run_rep, reps, jobs,

@@ -46,8 +46,8 @@ class LiveWalk:
     built once here, and `walk`, a walk over given seeds that reads them.
     `walk_live` walks from every edge, for `expansion.log_z_coefficients`
     and the certificates (`mcmc.check_chain_conditions`, `bounds.verify_kp`);
-    `mcmc.PolymerChain` walks from one edge at a time, when a draw first
-    needs its candidates.
+    `mcmc.PolymerChain` walks from one edge per draw, to the draw's size
+    budget, and reads a budget of 1 from the tables alone (`singles`).
 
     Building raises ValueError for an assignment built for another graph
     (`SignatureAssignment.check_graph`), InvalidFugacity for a z that
@@ -147,6 +147,20 @@ class LiveWalk:
 
         grow_edge_sets(G, seeds, max_edges, visit, extend, self.touch)
         self.idx = idx
+
+    def singles(self, e: int) -> list:
+        """The (polymer, w) pairs that `walk((e,), 1, keep)` passes keep, in
+        its order (colours ascending) and bit for bit, read from the tables
+        without walking."""
+        u, ru, v, rv = self.ends[e]
+        found = []
+        for c in self.colours:
+            ju, jv = c * ru, c * rv
+            if self.ext[u][ju] and self.ext[v][jv]:
+                w = (1 + 0j) * self.ratio[c] * self.quot[u][ju] * self.quot[v][jv]
+                if w != 0:
+                    found.append((ColouredPolymer((e,), (c,), self.bits[e]), w))
+        return found
 
 
 def walk_live(G: MultiGraph, assign: SignatureAssignment, z, max_edges: int, keep):

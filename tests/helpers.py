@@ -6,6 +6,7 @@ MASTER_SEED so failures reproduce exactly.
 
 import math
 import random
+import weakref
 
 from holant import (
     ConditionViolated,
@@ -152,14 +153,38 @@ def star(k):
 
 # the polymer-chain step as one call per step, and its exact one-step law:
 # `PolymerChain.mu0` must follow reference_mu0 draw for draw, and the
-# rejection-free `PolymerChain.run` loop must follow reference_step in law
+# rejection-free `PolymerChain.run` loop must follow reference_step in law;
+# both read the chain's `_base` weights and its scale, not its own sums
+_BASES = weakref.WeakKeyDictionary()
+
+
+def base(chain):
+    """chain._base, read once per chain and `_reach`: its weights do not
+    depend on the scale."""
+    reach, entries = _BASES.get(chain, (None, None))
+    if reach != chain._reach:
+        reach, entries = _BASES[chain] = (chain._reach, chain._base)
+    return entries
+
+
+def mu0_sums(chain, entries):
+    """Running sums of the mu0 acceptance masses (w e^{rho |E|}) x^{|E|} of
+    entries, (polymer, weight) pairs from `base`, at the chain's scale x."""
+    cum, acc = [], 0.0
+    for p, w in entries:
+        acc += w * math.exp(chain.rho * p.size) * chain._power[p.size]
+        cum.append(acc)
+    return cum
+
+
 def reference_mu0(chain, e0, rng):
     """One mu0 draw at e0: a linear scan of the size-ascending candidates."""
     u = rng.random()
     k = int(-math.log(u) / chain.rho)  # P(k >= i) = e^{-rho i}
     if k == 0:
         return None
-    entries, cum = chain._base[e0], chain._cum[e0]
+    entries = base(chain)[e0]
+    cum = mu0_sums(chain, entries)
     hi = 0
     for p, _ in entries:
         if p.size <= k:
@@ -222,11 +247,8 @@ def step_kernel(chain, family):
             nxt = family - {owner[e]}
             law[nxt] = law.get(nxt, 0.0) + 1 / (2 * n)
             continue
-        entries, cum = chain._base[e], chain._cum[e]
-        prev = 0.0
-        for (p, _), acc in zip(entries, cum):
-            phi = (acc - prev) * math.exp(-chain.rho * p.size)  # cum holds Phi e^{rho |E|}
-            prev = acc
+        for p, w in base(chain)[e]:
+            phi = w * chain._power[p.size]  # Phi_x(gamma) = Phi(gamma) x^{|E|}
             if not p.vmask & occupied:
                 nxt = family | {p}
                 law[nxt] = law.get(nxt, 0.0) + phi / (2 * n)

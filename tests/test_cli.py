@@ -965,6 +965,35 @@ def test_approx_reports_remainder_and_decay(capsys, files):
     assert diag["decay"] is None
 
 
+def test_chain_commands_at_eps_past_the_float_range(capsys, files):
+    c3 = ["--graph", files["c3"], "--sig", "matching", "--z", "1,0.0004", "--seed", "1"]
+    # eps^2 underflows to 0: the planned steps pass the gate
+    assert main(["count-mcmc", *c3, "--eps", "1e-170"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("error:") and "planned chain steps exceed gate" in captured.err
+    # eps^2 overflows: one sample per stage, as at eps = 1e100
+    big = run_json(capsys, ["count-mcmc", *c3, "--eps", "1e160"])
+    ref = run_json(capsys, ["count-mcmc", *c3, "--eps", "1e100"])
+    assert big["diagnostics"]["samples_per_stage"] == 1
+    assert (big["diagnostics"], big["result"]) == (ref["diagnostics"], ref["result"])
+    # n/eps overflows: sample still runs its 8|E| ln(n/eps) steps
+    rep = run_json(capsys, ["sample", *c3, "--eps", "1e-310"])
+    assert rep["diagnostics"]["mixing_steps"] == 17158
+    assert len(rep["result"]["assignments"]) == 1
+
+
+def test_approx_at_a_subnormal_fugacity_ratio_exits_0(capsys, files):
+    # the zero-free guard no longer refuses a_1 = 3e-310 at q = inf
+    for z in ("1,1e-310", "1e10,1e-300"):
+        rep = run_json(capsys, ["approx", "--graph", files["c3"], "--sig", "matching",
+                                "--z", z, "--eps", "0.1"])
+        exact = run_json(capsys, ["oracle", "--graph", files["c3"], "--sig", "matching",
+                                  "--z", z])
+        assert abs(complex(*rep["result"]["value"]) / complex(*exact["result"]["value"]) - 1) \
+            <= 0.1
+
+
 def test_non_finite_eps_and_fugacities_exit_1(capsys, files):
     for cmd in ("approx", "sample", "count-mcmc"):
         base = [cmd, "--graph", files["k2"], "--sig", "matching"]

@@ -462,6 +462,18 @@ def test_report_carries_the_remainder_at_its_certified_order():
     assert full.decay == abs(full.coefficients[-1]) / abs(full.coefficients[-2])
 
 
+def test_approx_at_subnormal_fugacity_ratios_is_within_eps():
+    # max |z_i|/|z_0| is subnormal, so the region bound over it overflows to
+    # q = inf; the zero-free guard, checked at the largest float, still
+    # admits the nonzero a_1, and the value is within eps of the exact sum
+    G = c3()
+    a = uniform_assignment(G, "matching")
+    for z in ((1.0, 1e-310), (1e10, 1e-300)):
+        rep = approx_polynomial_report(G, a, z, 0.1)
+        assert math.isinf(rep.q) and rep.coefficients[0] != 0
+        assert abs(rep.value / brute_holant(G, a, z).value - 1) <= 0.1
+
+
 def test_approx_q_is_the_bound_over_the_worst_ratio():
     # the fugacity entry point divides its region bound by max |z_i|/|z_0|;
     # a ratio that is zero, or underflows to zero, leaves q infinite

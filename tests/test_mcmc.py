@@ -5,6 +5,7 @@ import random
 import statistics
 import time
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -40,9 +41,11 @@ from holant.oracle import enumerate_polymers, weight_map
 
 from helpers import (
     MASTER_SEED,
+    base,
     c3,
     k2,
     k4,
+    mu0_sums,
     p3,
     p4,
     random_graph,
@@ -70,6 +73,29 @@ def test_mixing_time_formula():
     G = MultiGraph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
     assert mixing_time(G, 0.05) == math.ceil(48 * math.log(80))
     assert mixing_time(G, 0.05) == 211
+
+
+def test_mixing_time_where_n_over_eps_overflows():
+    # on C3 at eps = 1e-310, n/eps is past the float range: ln(n/eps) is
+    # taken as ln n - ln eps, and where n/eps is finite the formula is as it was
+    G = c3()
+    assert 3 / 1e-310 == math.inf
+    t = 2.0 * 3 * (math.log(3) - math.log(1e-310)) / (1.0 - mcmc_mod.DEFAULT_XI)
+    assert mixing_time(G, 1e-310) == math.ceil(t) == 17158
+    for eps in (0.05, 0.5, 2.0, 1e-300, 6e-308):
+        t = 2.0 * 3 * math.log(3 / eps) / (1.0 - mcmc_mod.DEFAULT_XI)
+        assert mixing_time(G, eps) == max(1, math.ceil(t))
+
+
+def test_samples_per_stage_where_eps_squared_leaves_the_float_range():
+    # S = ceil(32 / eps^2) in floats while eps^2 is a normal float; where
+    # eps^2 underflows or overflows, S is the exact ceiling
+    for eps in (0.15, 0.3, 1e-3, 1e-150, 1e100, 1e154):
+        assert mcmc_mod._samples_per_stage(eps) == math.ceil(32.0 / eps**2)
+    for eps in (1.5e-154, 1e-160, 1e-170, 5e-324, 1e160, 1e308):
+        S, sq = mcmc_mod._samples_per_stage(eps), Fraction(eps) ** 2
+        assert (S - 1) * sq < 32 <= S * sq
+    assert mcmc_mod._samples_per_stage(1e160) == 1
 
 
 def test_chain_commands_without_edges_run_no_chain(monkeypatch):
@@ -604,12 +630,21 @@ def _busy_scale(chain):
     for _ in range(60):
         mid = (lo + hi) / 2
         chain.set_scale(mid)
-        chain._base  # lists and sums every edge at this scale
-        if max(cum[-1] for cum in chain._cum if cum) <= 0.9:
+        if max(mu0_sums(chain, entries)[-1] for entries in base(chain) if entries) <= 0.9:
             lo = mid
         else:
             hi = mid
     return lo
+
+
+def _size1_masses(chain):
+    """Per edge, the size-1 acceptance mass T1(e) that `run` reads at the
+    chain's scale."""
+    masses = []
+    for e in range(chain.G.edge_count):
+        cum = chain._candidates(e, 1)[1]
+        masses.append(cum[-1] if cum else 0.0)
+    return masses
 
 
 def _busy(chain):
@@ -741,7 +776,7 @@ def test_run_follows_the_step_kernel_where_thinning_acts():
     middle = make_signature([1.0, 1.0, 1.0, 0.9 / (0.08 * 0.02)], 2, 1)
     chain = PolymerChain(G, SignatureAssignment(G, [left, middle, right]), (1.0, 1.0))
     assert [[p.size for p, _ in entries] for entries in chain._base] == [[1, 2], [1, 2]]
-    a = [chain._theta + chain._span * t1 for t1 in chain._t1]
+    a = [chain._theta + chain._span * t1 for t1 in _size1_masses(chain)]
     assert max(a) <= 0.1 * chain._k0 and a[0] > 2 * a[1] and max(a) <= chain._bound
     n = 300000
     r = random.Random(MASTER_SEED + 26)
@@ -760,15 +795,16 @@ def test_run_follows_the_step_kernel_where_thinning_acts():
 
 
 def test_the_thinning_bound_dominates_every_edge():
-    # A comes from the tables and a(e) from the walk's sums, at every scale
+    # A comes from the tables at build and a(e) from the sums run reads, at
+    # every scale
     rng = random.Random(MASTER_SEED + 27)
     for _ in range(30):
         G, a, kappa = _nonneg_instance(rng)
         chain = PolymerChain(G, a, [1.0] + [rng.uniform(0.01, 1.0)] * kappa)
         for x in (1.0, 0.37, 1e-3, 0.0):
             chain.set_scale(x)
-            chain._base
-            worst = max(chain._theta + chain._span * min(t1, 1.0) for t1 in chain._t1)
+            worst = max(chain._theta + chain._span * min(t1, 1.0)
+                        for t1 in _size1_masses(chain))
             assert worst <= chain._bound <= worst * (1 + 1e-8)
 
 
@@ -779,7 +815,7 @@ def test_mu0_follows_the_reference():
         r_fast, r_slow = random.Random(case), random.Random(case)
         for e0 in range(chain.G.edge_count):
             for _ in range(200):
-                assert chain.mu0(e0, r_fast) is reference_mu0(chain, e0, r_slow)
+                assert chain.mu0(e0, r_fast) == reference_mu0(chain, e0, r_slow)
         assert r_fast.getstate() == r_slow.getstate()
 
 
@@ -893,14 +929,12 @@ def _twin_cases():
              (1.0, 1.0))]
 
 
-def _listed_to(chain, reach):
-    """chain, listed at every edge to reach edges before it runs: the eager
-    build, through the chain's own listing. `_reach` caps what a read of
-    `_base` lists, and set_scale powers sizes up to it."""
+def _uncapped(chain, reach):
+    """chain with `_reach` raised to reach: `_base` and any draw whose budget
+    passes the old `_reach` walk to reach edges, and set_scale powers sizes
+    up to it."""
     chain._reach = reach
     chain.set_scale(1.0)
-    for e in range(chain.G.edge_count):
-        chain._base[e]
     return chain
 
 
@@ -921,11 +955,11 @@ def _assert_runs_alike(chains, scales, steps):
 
 
 def test_capped_chain_runs_as_its_uncapped_twin():
-    # polymers above _reach edges are never drawn: a twin that lists every
-    # live polymer ends each seeded run in the same state
+    # polymers above _reach edges are never drawn: a twin whose `_base` and
+    # draws may walk to |E| edges ends each seeded run in the same state
     for G, a, z in _twin_cases():
         chain = PolymerChain(G, a, z)
-        twin = _listed_to(PolymerChain(G, a, z), G.edge_count)
+        twin = _uncapped(PolymerChain(G, a, z), G.edge_count)
         x = _busy_scale(PolymerChain(G, a, z))
         steps = math.ceil(2000 / chain._k0)  # about 2000 insertion attempts
         _assert_runs_alike([chain, twin], [x], steps)
@@ -933,22 +967,10 @@ def test_capped_chain_runs_as_its_uncapped_twin():
         assert max(p.size for entries in chain._base for p, _ in entries) == chain._reach
 
 
-def test_lazy_chain_runs_as_its_eager_twin():
-    # a chain that lists an edge's candidates when a draw first needs them,
-    # up to the draw's budget, draws as a twin listed at every edge to _reach
-    # before it runs, also across scale changes, which leave its sums stale
-    for G, a, z in _twin_cases()[:2]:
-        chain = PolymerChain(G, a, z)
-        twin = _listed_to(PolymerChain(G, a, z), chain._reach)
-        x = _busy_scale(PolymerChain(G, a, z))
-        steps = math.ceil(1000 / chain._k0)
-        _assert_runs_alike([chain, twin], [x, x / 2, x], steps)
-        assert max(chain._listed) < chain._reach == min(twin._listed)
-
-
 def test_a_fresh_chain_has_walked_no_set(monkeypatch):
-    # building a chain walks nothing; a draw walks from its edge alone, to
-    # its size budget, and again only when a later budget passes it
+    # building a chain walks nothing; a draw with size budget k >= 2 walks
+    # once, from its edge to min(k, _reach), each time it is made; a budget
+    # of 1, and so a size-1 insertion of run, reads the tables and walks nothing
     walks, grow = [], polymers_mod.grow_edge_sets
 
     def counting(G, seeds, max_edges, visit, extend, touch):
@@ -958,16 +980,30 @@ def test_a_fresh_chain_has_walked_no_set(monkeypatch):
     monkeypatch.setattr(polymers_mod, "grow_edge_sets", counting)
     G = k4()
     chain = PolymerChain(G, uniform_assignment(G, "even-parity", 0.5), (1.0, 1e-4))
-    assert walks == [] and chain._listed == [0] * G.edge_count
+    assert walks == []
     rng = random.Random(0)
 
     def budget(k):  # a first mu0 uniform that gives size budget k
         return math.exp(-(k + 0.5) * chain.rho)
 
-    for k, walked in ((2, [([3], 2)]), (1, []), (2, []), (3, [([3], 3)]), (1, [])):
+    reach = chain._reach
+    for k, walked in ((2, [([3], 2)]), (1, []), (2, [([3], 2)]), (3, [([3], 3)]),
+                      (reach + 2, [([3], reach)])):
         chain._draw(3, budget(k), rng)
         assert walks == walked
         walks.clear()
-    assert chain._listed == [0, 0, 0, 3, 0, 0]
-    chain._base
-    assert walks == [([e], chain._reach) for e in range(G.edge_count)]
+    # in run, only the draws of first uniforms up to theta walk
+    chain = _busy(PolymerChain(G, uniform_assignment(G, "even-parity", 0.5), (1.0, 1.0)))
+    draws, draw = [], chain._draw
+
+    def spy(e0, u, r):
+        p = draw(e0, u, r)
+        draws.append((e0, int(-math.log(u) / chain.rho), p))
+        return p
+
+    chain._draw = spy
+    walks.clear()
+    state = chain.fresh_state()
+    chain.run(state, 100000, random.Random(1))
+    assert walks == [([e0], min(k, reach)) for e0, k, _ in draws if k >= 2]
+    assert state.moves["inserted"] > sum(p is not None for _, _, p in draws) + 20

@@ -436,3 +436,28 @@ def test_chain_candidate_lists_equal_per_edge_superset_construction():
         assert chain._reach == reach
         assert max(p.size for p, _ in live_pool(G, assign, z, G.edge_count)) > reach
         assert max(p.size for entries in chain._base for p, _ in entries) == reach
+
+
+def test_singles_are_the_walk_to_one_edge_bit_for_bit():
+    # LiveWalk.singles reads from the tables what a walk from one edge to one
+    # edge keeps: the polymers, their weights to the bit and their order,
+    # with zero and complex fugacities
+    rng = random.Random(MASTER_SEED + 14)
+    kept = 0
+    for _ in range(60):
+        kappa = rng.randint(1, 3)
+        G = random_graph(rng, max_edges=6, max_degree=3)
+        assign = _random_tables(rng, G, kappa, 0.4)
+        z = [rng.uniform(0.5, 2.0)]
+        for _ in range(kappa):
+            z.append(rng.choice([0.0, rng.uniform(0.01, 2.0),
+                                 complex(rng.uniform(-1, 1), rng.uniform(-1, 1))]))
+        walk = LiveWalk(G, assign, z)
+        for e in range(G.edge_count):
+            found = []
+            walk.walk((e,), 1, lambda edges, cols, vmask, _, w:
+                      found.append((ColouredPolymer(edges, cols, vmask), w)))
+            assert [(p, w.real.hex(), w.imag.hex()) for p, w in walk.singles(e)] == \
+                [(p, w.real.hex(), w.imag.hex()) for p, w in found]
+            kept += len(found)
+    assert kept >= 50
