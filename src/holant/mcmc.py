@@ -40,7 +40,9 @@ probability a(e0)/A, then draws mu0's first uniform on (0, theta]
 skipped step could change the state, so the law is exactly the chain's, but
 the random stream is not the one-draw-per-step stream.
 `run(state, steps, rng, stride)` also returns the state's total edge count
-after every stride-th step, the FPRAS readings of one annealing stage.
+after every stride-th step, the FPRAS readings of one annealing stage, as
+maximal runs (c, m): m consecutive readings were c. A skipped block adds to
+one run, so a stage costs its candidate steps, not its readings.
 """
 
 from __future__ import annotations
@@ -245,7 +247,7 @@ class PolymerChain:
         top = 0.0
         for e in range(G.edge_count):
             mass = 0.0
-            for _, w in self._walk.singles(e):
+            for _, w in self._walk.single_weights(e):
                 mass += w.real
             top = max(top, mass)
         self._t1_max = top * math.exp(self.rho)
@@ -325,18 +327,24 @@ class PolymerChain:
     def run(self, state: ChainState, steps: int, rng: random.Random,
             stride: int = 0) -> list:
         """Advance state by steps chain steps; return state.total_edges read
-        after every stride-th step (no readings when stride is 0).
+        after every stride-th step as maximal runs: (c, m) pairs in step
+        order, each saying that m >= 1 consecutive readings were c, with
+        neighbouring runs apart in c and the m adding up to steps // stride
+        (no runs when stride is 0). The stride changes no draw: it only reads
+        the state.
 
         Each iteration visits one candidate step (module docstring), so
         `ChainState.moves` "visited" counts candidates: it draws the geometric
         count of skipped steps before it, with P(count >= i) = (1 - p)^i, and
         then the candidate itself. Skipped steps leave the state, so a skipped
         block reads the unchanged covered edge count c at each of its stride
-        multiples, and a skip past steps ends the call (the skip is
-        memoryless, so cutting it there changes no law). A removal draws its
-        covered edge by rejection among all edges, |E|/c draws on average, and
-        removals come at rate c/(2|E|) per step; an insertion draws its
-        uncovered edge the same way. An insertion with a first mu0 uniform on
+        multiples and adds them to the last run, or starts one: a call makes
+        at most one run per candidate step, plus one, whatever the stride and
+        steps. A skip past steps ends the call (the skip is memoryless, so
+        cutting it there changes no law). A removal draws its covered edge by
+        rejection among all edges, |E|/c draws on average, and removals come
+        at rate c/(2|E|) per step; an insertion draws its uncovered edge the
+        same way. An insertion with a first mu0 uniform on
         (0, theta], drawn as theta (1 - random()) and kept at least k0 2^-53
         so that no budget passes `_reach`, walks from e0 (`_draw`); the size-1
         branch reads e0's single-edge polymers from the tables, walking nothing.
@@ -366,8 +374,8 @@ class PolymerChain:
         rates = self._rates
         c, occupied = state.total_edges, state.occupied
         visited = inserted = removed = 0
-        readings = []
-        done = 0  # steps simulated so far
+        runs, last = [], None  # the readings as maximal runs, and the last run's c
+        done = read = 0  # steps simulated so far, and steps whose readings are in runs
         try:
             while True:
                 rate = rates[c]
@@ -375,12 +383,17 @@ class PolymerChain:
                     rate = rates[c] = self._rate(c)
                 remove_p, move_p, log_stay = rate
                 t = done + 1 + int(log(1.0 - uniform()) / log_stay)  # the next candidate step
+                if stride:  # steps read + 1 to min(t - 1, steps) all read c
+                    m = min(t - 1, steps) // stride - read // stride
+                    if m:
+                        if c == last:
+                            runs[-1] = (c, runs[-1][1] + m)
+                        else:
+                            runs.append((c, m))
+                            last = c
+                    read = t - 1
                 if t > steps:
-                    if stride:
-                        readings += [c] * (steps // stride - done // stride)
                     break
-                if stride:
-                    readings += [c] * ((t - 1) // stride - done // stride)
                 visited += 1
                 if uniform() * move_p < remove_p:
                     e0 = getrandbits(bits)
@@ -413,8 +426,6 @@ class PolymerChain:
                         for e in p.edges:
                             edge_owner[e] = p
                         inserted += 1
-                if stride and not t % stride:
-                    readings.append(c)
                 done = t
         finally:
             state.total_edges, state.occupied = c, occupied
@@ -422,7 +433,7 @@ class PolymerChain:
             moves["visited"] += visited
             moves["inserted"] += inserted
             moves["removed"] += removed
-        return readings
+        return runs
 
 
 def _chain_worker(task):
@@ -526,6 +537,19 @@ class FprasReport:
     moves: dict = field(default_factory=lambda: _sum_moves(()))
 
 
+def _stage_mean(runs, ratio: float) -> float:
+    """The mean of ratio**c over the readings c that runs, `PolymerChain.run`'s
+    (c, m) pairs, encode: one count per edge total c, summed with c ascending."""
+    counts, n = {}, 0
+    for c, m in runs:
+        counts[c] = counts.get(c, 0) + m
+        n += m
+    acc = 0.0
+    for c in sorted(counts):
+        acc += counts[c] * ratio**c
+    return acc / n
+
+
 def _run_rep(chain: PolymerChain, rep: int, seed: int, K: int, S: int,
              burn: int, prefactor: float):
     rng = substream(seed, rep)
@@ -536,11 +560,7 @@ def _run_rep(chain: PolymerChain, rep: int, seed: int, K: int, S: int,
         ratio = (k - 1) / k  # x_{k-1} / x_k
         chain.set_scale(x_k)
         chain.run(state, burn, rng)
-        readings = chain.run(state, S * _STRIDE, rng, _STRIDE)
-        acc = 0.0
-        for t in sorted(set(readings)):  # few distinct edge counts, in long runs
-            acc += readings.count(t) * ratio**t
-        mean = acc / S
+        mean = _stage_mean(chain.run(state, S * _STRIDE, rng, _STRIDE), ratio)
         if mean <= 0.0:
             raise ConditionViolated(
                 f"stage {k}/{K} ratio estimate is zero; increase samples"
@@ -557,7 +577,10 @@ def fpras_estimate(G: MultiGraph, assign: SignatureAssignment, z, eps: float,
     stage the chain burns in for mixing_time(G, 0.05) steps, then takes
     S = ceil(32 / eps^2) samples 2 steps apart of families at weights
     Phi * x_k^{|E|}, and averages the bounded statistic
-    (x_{k-1}/x_k)^{total edges}, whose mean is Z(x_{k-1})/Z(x_k). The product
+    (x_{k-1}/x_k)^{total edges}, whose mean is Z(x_{k-1})/Z(x_k). The
+    samples come as `PolymerChain.run`'s maximal runs of equal edge totals,
+    and `_stage_mean` sums one term per total, so a stage costs its candidate
+    steps and S adds no per-sample work. The product
     telescopes to 1/Z(1); the estimate is the median over independent
     repetitions of prefactor / product. Repetitions use disjoint substreams,
     so jobs > 1 returns the identical report. Raises GateExceeded when the

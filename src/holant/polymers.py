@@ -47,7 +47,8 @@ class LiveWalk:
     `walk_live` walks from every edge, for `expansion.log_z_coefficients`
     and the certificates (`mcmc.check_chain_conditions`, `bounds.verify_kp`);
     `mcmc.PolymerChain` walks from one edge per draw, to the draw's size
-    budget, and reads a budget of 1 from the tables alone (`singles`).
+    budget, and reads a budget of 1 from the tables alone (`singles`, and
+    `single_weights` for the weights only).
 
     Building raises ValueError for an assignment built for another graph
     (`SignatureAssignment.check_graph`), InvalidFugacity for a z that
@@ -148,10 +149,10 @@ class LiveWalk:
         grow_edge_sets(G, seeds, max_edges, visit, extend, self.touch)
         self.idx = idx
 
-    def singles(self, e: int) -> list:
-        """The (polymer, w) pairs that `walk((e,), 1, keep)` passes keep, in
-        its order (colours ascending) and bit for bit, read from the tables
-        without walking."""
+    def single_weights(self, e: int) -> list:
+        """The (colour, w) pairs of the single-edge polymers at e that
+        `walk((e,), 1, keep)` passes keep, in its order (colours ascending)
+        and bit for bit, read from the tables without walking."""
         u, ru, v, rv = self.ends[e]
         found = []
         for c in self.colours:
@@ -159,8 +160,13 @@ class LiveWalk:
             if self.ext[u][ju] and self.ext[v][jv]:
                 w = (1 + 0j) * self.ratio[c] * self.quot[u][ju] * self.quot[v][jv]
                 if w != 0:
-                    found.append((ColouredPolymer((e,), (c,), self.bits[e]), w))
+                    found.append((c, w))
         return found
+
+    def singles(self, e: int) -> list:
+        """`single_weights(e)` as (polymer, w) pairs."""
+        vmask = self.bits[e]
+        return [(ColouredPolymer((e,), (c,), vmask), w) for c, w in self.single_weights(e)]
 
 
 def walk_live(G: MultiGraph, assign: SignatureAssignment, z, max_edges: int, keep):

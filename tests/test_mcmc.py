@@ -680,9 +680,25 @@ def _start(chain, family):
     return state
 
 
+def _runs(readings):
+    """readings as maximal runs, the (c, m) pairs `PolymerChain.run` returns."""
+    runs = []
+    for c in readings:
+        if runs and runs[-1][0] == c:
+            runs[-1] = (c, runs[-1][1] + 1)
+        else:
+            runs.append((c, 1))
+    return tuple(runs)
+
+
+def _expand(runs):
+    """The readings that maximal runs encode."""
+    return [c for c, m in runs for _ in range(m)]
+
+
 def _exact_laws(chain, start, steps, stride):
     """Exact laws of the family after steps steps from start, and of the
-    tuple of total edge counts read after every stride-th step."""
+    total edge counts read after every stride-th step, as maximal runs."""
     kernels = {}
     dist = {(start, ()): 1.0}
     for i in range(1, steps + 1):
@@ -697,7 +713,7 @@ def _exact_laws(chain, start, steps, stride):
     families, readings = {}, {}
     for (fam, reads), q in dist.items():
         families[fam] = families.get(fam, 0.0) + q
-        readings[reads] = readings.get(reads, 0.0) + q
+        readings[_runs(reads)] = readings.get(_runs(reads), 0.0) + q
     return families, readings
 
 
@@ -806,6 +822,115 @@ def test_the_thinning_bound_dominates_every_edge():
             worst = max(chain._theta + chain._span * min(t1, 1.0)
                         for t1 in _size1_masses(chain))
             assert worst <= chain._bound <= worst * (1 + 1e-8)
+
+
+def test_the_chain_build_reads_the_single_edge_weights_only(monkeypatch):
+    # the thinning bound A comes from `LiveWalk.single_weights`: the largest
+    # size-1 mass is the sum over `LiveWalk.singles` to the bit, and building
+    # the chain makes no polymer record
+    built = []
+
+    class Spy(polymers_mod.ColouredPolymer):
+        __slots__ = ()
+
+        def __new__(cls, *args):
+            built.append(args)
+            return super().__new__(cls, *args)
+
+    monkeypatch.setattr(polymers_mod, "ColouredPolymer", Spy)
+    monkeypatch.setattr(mcmc_mod, "ColouredPolymer", Spy)
+    rng = random.Random(MASTER_SEED + 28)
+    live = 0
+    for _ in range(60):
+        G, a, kappa = _nonneg_instance(rng)
+        z = [1.0] + [rng.choice([0.0, rng.uniform(0.01, 1.0)]) for _ in range(kappa)]
+        chain = PolymerChain(G, a, z)
+        assert built == []
+        top, records = 0.0, 0
+        for e in range(G.edge_count):
+            mass = 0.0
+            for _, w in chain._walk.singles(e):
+                mass += w.real
+                records += 1
+            top = max(top, mass)
+        assert len(built) == records  # the spy sees the records singles makes
+        built.clear()
+        assert chain._t1_max == top * math.exp(chain.rho)
+        assert chain._bound == (chain._theta + chain._span * min(chain._t1_max, 1.0)) * (1 + 1e-9)
+        live += top > 0
+    assert live >= 30
+
+
+def _busy_cycles():
+    """Busy chains on C60 and C200 with matching and on C60 with
+    even-parity:0.5, whose readings take several edge totals per stage."""
+    chains = []
+    for n, sig in ((60, ("matching",)), (200, ("matching",)), (60, ("even-parity", 0.5))):
+        G = MultiGraph(n, [(i, (i + 1) % n) for i in range(n)])
+        chains.append(_busy(PolymerChain(G, uniform_assignment(G, *sig), (1.0, 1.0))))
+    return chains
+
+
+def _run_calls(chain, seed, steps, stride):
+    """Three seeded calls of run from a fresh state: each call's runs with the
+    candidate steps it visited, and the end state and random state."""
+    state, r, calls = chain.fresh_state(), random.Random(seed), []
+    for _ in range(3):
+        visited = state.moves["visited"]
+        runs = chain.run(state, steps, r, stride)
+        calls.append((runs, state.moves["visited"] - visited))
+    return calls, state.family(), r.getstate()
+
+
+def test_run_returns_its_readings_as_maximal_runs():
+    # on busy chains at several scales and strides, from small random
+    # instances to K4 with kappa = 3 and C200: every run (c, m) has m >= 1 and
+    # a c unlike its neighbours', the m add up to steps // stride, a stride
+    # leaves the random stream and the states alone, and a call makes at most
+    # one run per candidate step it visits, plus one
+    rng = random.Random(MASTER_SEED + 29)
+    chains = [_busy_chain(rng) for _ in range(6)]
+    chains += [_busy(PolymerChain(G, a, z)) for G, a, z in _twin_cases()[:2]] + _busy_cycles()
+    changes = 0
+    for case, chain in enumerate(chains):
+        busy = chain._power[1]  # x^1: the busy scale
+        for x in (busy, busy / 4, busy / 64):
+            chain.set_scale(x)
+            steps = math.ceil(30 / chain._k0)
+            ones, family, rstate = _run_calls(chain, case, steps, 1)
+            for stride in (1, 2, 3, 7, 64):
+                calls, fam, rst = _run_calls(chain, case, steps, stride)
+                assert (fam, rst) == (family, rstate)
+                for (runs, visited), (one, _) in zip(calls, ones):
+                    assert all(m >= 1 for _, m in runs)
+                    assert all(a[0] != b[0] for a, b in zip(runs, runs[1:]))
+                    assert sum(m for _, m in runs) == steps // stride
+                    assert len(runs) <= visited + 1
+                    assert _expand(runs) == _expand(one)[stride - 1::stride]
+                    changes += len(runs) - 1
+    assert changes >= 1000
+
+
+def test_the_stage_mean_is_the_mean_of_the_expanded_readings_bit_for_bit():
+    # `_stage_mean` folds the runs into one count per edge total and adds
+    # count * ratio**t with t ascending: the additions of the mean over the
+    # expanded readings, in the same order, so the two are equal as floats
+    rng = random.Random(MASTER_SEED + 30)
+    distinct = 0
+    for case, chain in enumerate([_busy_chain(rng) for _ in range(10)] + _busy_cycles()):
+        state, r = chain.fresh_state(), random.Random(case)
+        S = math.ceil(20 / chain._k0)
+        for K in (2, 3, 7, 24):
+            for k in range(1, K + 1):
+                ratio = (k - 1) / k
+                runs = chain.run(state, 2 * S, r, 2)
+                readings = _expand(runs)
+                acc = 0.0
+                for t in sorted(set(readings)):
+                    acc += readings.count(t) * ratio**t
+                assert mcmc_mod._stage_mean(runs, ratio) == acc / S
+                distinct += len(set(readings)) > 2
+    assert distinct >= 60
 
 
 def test_mu0_follows_the_reference():
